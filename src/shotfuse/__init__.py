@@ -13,13 +13,14 @@ from .events import EvalReport, LabelSet, ShotEvent, dedup, evaluate
 from .forest import ForestModel, classify, train_forest
 from .fusion import (
     Candidate,
+    SyncedSeries,
     audio_only_events,
     detect_shots,
     extract_features,
     imu_only_events,
     select_candidates,
 )
-from .imu import ImuComponents, ImuRecord, decompose, imu_likelihood, ipf, prepare_components
+from .imu import ImuComponents, ImuStream, decompose, imu_likelihood, ipf, prepare_components
 from .series import (
     FirKernel,
     IirCoefficients,
@@ -53,7 +54,7 @@ __all__ = [
     "ForestModel",
     "IirCoefficients",
     "ImuComponents",
-    "ImuRecord",
+    "ImuStream",
     "LabelSet",
     "LabeledAudioWindow",
     "OffsetEstimate",
@@ -61,6 +62,7 @@ __all__ = [
     "SampleSeries",
     "ShotEvent",
     "SynthConfig",
+    "SyncedSeries",
     "TrainConfig",
     "apf",
     "audio_likelihood",

@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 
-from .audio import audio_likelihood
 from .dataio import (
     ensure_dir,
     load_filter_model,
@@ -19,12 +18,10 @@ from .dataio import (
     write_wav,
 )
 from .events import evaluate
-from .imu import ipf, prepare_components
-from .sync import self_calibrate_quantizer
 from .pipeline import (
     PipelineOptions,
     run_pipeline,
-    synchronize,
+    synced_series,
     train_filter_workflow,
     train_forest_workflow,
 )
@@ -39,17 +36,17 @@ def _emit(payload: dict) -> None:
 def cmd_synth(args) -> int:
     with open(args.config) as fh:
         cfg = SynthConfig(**json.load(fh))
-    audio, records, labels = synthesize(cfg)
+    audio, imu, labels = synthesize(cfg)
     out = ensure_dir(args.out_dir)
     write_wav(out / "audio.wav", audio)
-    write_imu_csv(out / "imu.csv", records)
+    write_imu_csv(out / "imu.csv", imu)
     write_labels_csv(out / "labels.csv", labels)
     _emit(
         {
             "out_dir": str(out),
             "duration_s": cfg.duration_s,
             "shots": len(labels),
-            "imu_records": len(records),
+            "imu_records": len(imu),
             "audio_samples": len(audio),
         }
     )
@@ -80,21 +77,11 @@ def cmd_train_forest(args) -> int:
 def cmd_sync(args) -> int:
     filter_model, audio_cfg = load_filter_model(args.filter)
     audio = read_wav(args.audio, audio_cfg.sample_rate)
-    records = read_imu_csv(args.imu)
-    apf_series = audio_likelihood(audio, filter_model, audio_cfg)
-    ipf_series = ipf(prepare_components(records))
-    q = self_calibrate_quantizer(apf_series, ipf_series)
-    est, validated = synchronize(
-        apf_series, ipf_series, q, args.window_seconds, args.validation_seconds, args.max_lag_ms
+    synced = synced_series(
+        audio, read_imu_csv(args.imu), filter_model, audio_cfg,
+        args.window_seconds, args.validation_seconds, args.max_lag_ms,
     )
-    _emit(
-        {
-            "offset_ms": est.offset_ms,
-            "peak_correlation": est.peak_correlation,
-            "validated": validated,
-            "window_seconds": est.window_seconds,
-        }
-    )
+    _emit(synced.sync_report())
     return 0
 
 

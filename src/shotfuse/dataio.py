@@ -12,7 +12,7 @@ import numpy as np
 from .audio import AudioConfig, FilterModel
 from .events import LabelSet, ShotEvent
 from .forest import ForestModel
-from .imu import ImuRecord
+from .imu import ImuStream, first_invalid_sample
 from .series import SampleSeries
 
 __all__ = [
@@ -67,9 +67,13 @@ def _parse_float(cell: str, column: str, row_num: int) -> float:
         raise ValueError(f"row {row_num}: non-numeric value {cell!r} in column {column}") from None
 
 
-def read_imu_csv(path) -> list[ImuRecord]:
-    """Parse IMU records, enforcing the header and the sensor range invariants."""
-    records = []
+def read_imu_csv(path) -> ImuStream:
+    """Parse an IMU stream, enforcing the header and the sensor range invariants.
+
+    Errors name the CSV row (header = row 1, blank lines counted but skipped).
+    """
+    samples = []
+    row_nums = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -85,25 +89,23 @@ def read_imu_csv(path) -> list[ImuRecord]:
                 continue
             if len(row) < len(header):
                 raise ValueError(f"row {row_num}: expected {len(header)} fields, got {len(row)}")
-            values = [
-                _parse_float(row[pos], col, row_num)
-                for pos, col in zip(positions, IMU_COLUMNS)
-            ]
-            try:
-                records.append(ImuRecord(*values))
-            except ValueError as exc:
-                raise ValueError(f"row {row_num}: {exc}") from None
-    return records
+            samples.append(
+                [_parse_float(row[pos], col, row_num) for pos, col in zip(positions, IMU_COLUMNS)]
+            )
+            row_nums.append(row_num)
+    columns = np.array(samples, dtype=float).reshape(-1, len(IMU_COLUMNS)).T
+    bad = first_invalid_sample(columns)
+    if bad is not None:
+        raise ValueError(f"row {row_nums[bad[0]]}: {bad[1]}")
+    return ImuStream(*columns)
 
 
-def write_imu_csv(path, records: list[ImuRecord]) -> None:
+def write_imu_csv(path, stream: ImuStream) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(IMU_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [f"{r.t:.3f}"] + [f"{v:.6f}" for v in (r.ax, r.ay, r.az, r.gx, r.gy, r.gz)]
-            )
+        for t, *sensors in stream.columns().T.tolist():
+            writer.writerow([f"{t:.3f}"] + [f"{v:.6f}" for v in sensors])
 
 
 def read_labels_csv(path) -> LabelSet:

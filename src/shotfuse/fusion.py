@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import AudioConfig, FilterModel, audio_likelihood, detect_audio
+from .audio import AudioConfig, FilterModel, detect_audio
+from .audio import audio_likelihood  # noqa: F401 -- still bound here for tools that wrap it
 from .events import ShotEvent, dedup
 from .forest import ForestModel, classify
-from .imu import ImuRecord, ipf, prepare_components
+from .imu import ImuComponents, ImuStream, ipf, prepare_components
 from .series import SampleSeries
 from .sync import OffsetEstimate
 
@@ -24,6 +25,7 @@ __all__ = [
     "FEATURE_NAMES",
     "NEIGHBORHOOD_MS",
     "Candidate",
+    "SyncedSeries",
     "select_candidates",
     "extract_features",
     "detect_shots",
@@ -52,6 +54,58 @@ class Candidate:
             raise ValueError("features must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "features", arr)
+
+
+@dataclass(frozen=True, eq=False)
+class SyncedSeries:
+    """One run's five fusion series on the audio clock, with the sync verdict.
+
+    Build it with :meth:`align`, which moves the IMU-derived series onto
+    the audio clock.
+    """
+
+    apf: SampleSeries
+    ipf: SampleSeries
+    a_rad: SampleSeries
+    a_tan: SampleSeries
+    w_rad: SampleSeries
+    offset: OffsetEstimate
+    validated: bool
+
+    @classmethod
+    def align(
+        cls,
+        apf: SampleSeries,
+        imu_ipf: SampleSeries,
+        comps: ImuComponents,
+        offset: OffsetEstimate,
+        validated: bool,
+    ) -> "SyncedSeries":
+        """Shift the IMU-clock series by -offset (IMU minus audio time)."""
+        shift = -offset.offset_ms
+        return cls(
+            apf,
+            imu_ipf.shifted(shift),
+            comps.a_rad.shifted(shift),
+            comps.a_tan.shifted(shift),
+            comps.w_rad.shifted(shift),
+            offset,
+            validated,
+        )
+
+    @property
+    def feature_series(self) -> tuple[SampleSeries, ...]:
+        """The five series in FEATURE_NAMES order."""
+        return (self.apf, self.ipf, self.a_rad, self.a_tan, self.w_rad)
+
+    def sync_report(self) -> dict:
+        """The sync.json payload."""
+        return {
+            "offset_ms": self.offset.offset_ms,
+            "peak_correlation": self.offset.peak_correlation,
+            "validated": self.validated,
+            "window_seconds": self.offset.window_seconds,
+        }
 
 
 def select_candidates(ipf_series: SampleSeries, window_ms: float = NEIGHBORHOOD_MS) -> np.ndarray:
@@ -112,33 +166,20 @@ def extract_features(
 
 
 def detect_shots(
-    audio: SampleSeries,
-    imu: list[ImuRecord],
-    filter_model: FilterModel,
+    synced: SyncedSeries,
     forest_model: ForestModel,
-    offset: OffsetEstimate,
-    audio_cfg: AudioConfig = AudioConfig(),
     neighborhood_ms: float = NEIGHBORHOOD_MS,
 ) -> list[ShotEvent]:
     """Full fused pipeline on synchronized streams.
 
-    The validated offset (IMU minus audio time) moves all IMU-derived
-    series onto the audio clock; candidates come from the motion
-    likelihood, features from both modalities, decisions from the forest,
-    and consecutive positives are deduplicated. Deterministic end to end;
-    every emitted timestamp is a candidate timestamp.
+    Candidates come from the motion likelihood, features from both
+    modalities, decisions from the forest, and consecutive positives are
+    deduplicated. Deterministic end to end; every emitted timestamp is a
+    candidate timestamp.
     """
-    apf_series = audio_likelihood(audio, filter_model, audio_cfg)
-    comps = prepare_components(imu)
-    shift = -offset.offset_ms
-    ipf_common = ipf(comps).shifted(shift)
-    a_rad = comps.a_rad.shifted(shift)
-    a_tan = comps.a_tan.shifted(shift)
-    w_rad = comps.w_rad.shifted(shift)
-
     hits = []
-    for t in select_candidates(ipf_common, neighborhood_ms):
-        candidate = extract_features(t, apf_series, ipf_common, a_rad, a_tan, w_rad, neighborhood_ms)
+    for t in select_candidates(synced.ipf, neighborhood_ms):
+        candidate = extract_features(t, *synced.feature_series, neighborhood_ms)
         label, score = classify(forest_model, candidate)
         if label == 1:
             hits.append(ShotEvent(float(t), score))
@@ -156,7 +197,7 @@ def audio_only_events(
 
 
 def imu_only_events(
-    imu: list[ImuRecord],
+    imu: ImuStream,
     threshold: float,
     offset_ms: float = 0.0,
     dedup_window_ms: float = NEIGHBORHOOD_MS,

@@ -21,7 +21,9 @@ __all__ = [
     "IMU_RATE_HZ",
     "LOWPASS_CUTOFF_HZ",
     "IPF_WINDOW",
-    "ImuRecord",
+    "IMU_FIELDS",
+    "ImuStream",
+    "first_invalid_sample",
     "ImuComponents",
     "decompose",
     "prepare_components",
@@ -37,26 +39,61 @@ LOWPASS_CUTOFF_HZ = 10.0
 IPF_WINDOW = 10
 
 
-@dataclass(frozen=True)
-class ImuRecord:
-    """One IMU sample: timestamp (ms), acceleration (g), angular velocity (deg/s)."""
+#: Column order of an IMU stream: timestamp, then acceleration and angular velocity.
+IMU_FIELDS = ("t", "ax", "ay", "az", "gx", "gy", "gz")
 
-    t: float
-    ax: float
-    ay: float
-    az: float
-    gx: float
-    gy: float
-    gz: float
+
+def first_invalid_sample(columns: np.ndarray) -> tuple[int, str] | None:
+    """Index and reason of the first sample that breaks a finite or range invariant.
+
+    columns is the (7, n) array of IMU_FIELDS. Within one sample a
+    non-finite value is reported first, then acceleration, then angular
+    velocity out of range.
+    """
+    checks = (
+        ("values must be finite", ~np.isfinite(columns).all(axis=0)),
+        (f"acceleration exceeds +/-{ACCEL_RANGE_G:g} g",
+         (np.abs(columns[1:4]) > ACCEL_RANGE_G).any(axis=0)),
+        (f"angular velocity exceeds +/-{GYRO_RANGE_DPS:g} deg/s",
+         (np.abs(columns[4:7]) > GYRO_RANGE_DPS).any(axis=0)),
+    )
+    bad = checks[0][1] | checks[1][1] | checks[2][1]
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return i, next(reason for reason, mask in checks if mask[i])
+
+
+@dataclass(frozen=True, eq=False)
+class ImuStream:
+    """IMU samples as columns: timestamps (ms), acceleration (g), angular velocity (deg/s)."""
+
+    t: np.ndarray
+    ax: np.ndarray
+    ay: np.ndarray
+    az: np.ndarray
+    gx: np.ndarray
+    gy: np.ndarray
+    gz: np.ndarray
 
     def __post_init__(self):
-        fields = (self.t, self.ax, self.ay, self.az, self.gx, self.gy, self.gz)
-        if not all(np.isfinite(v) for v in fields):
-            raise ValueError("record values must be finite")
-        if max(abs(self.ax), abs(self.ay), abs(self.az)) > ACCEL_RANGE_G:
-            raise ValueError(f"acceleration exceeds +/-{ACCEL_RANGE_G:g} g")
-        if max(abs(self.gx), abs(self.gy), abs(self.gz)) > GYRO_RANGE_DPS:
-            raise ValueError(f"angular velocity exceeds +/-{GYRO_RANGE_DPS:g} deg/s")
+        cols = [np.asarray(getattr(self, name), dtype=float) for name in IMU_FIELDS]
+        if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
+            raise ValueError("columns must be one-dimensional and of equal length")
+        block = np.array(cols)
+        bad = first_invalid_sample(block)
+        if bad is not None:
+            raise ValueError(f"sample {bad[0]}: {bad[1]}")
+        block.flags.writeable = False
+        for name, column in zip(IMU_FIELDS, block):
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def columns(self) -> np.ndarray:
+        """The seven columns stacked in IMU_FIELDS order, shape (7, n)."""
+        return np.vstack([getattr(self, name) for name in IMU_FIELDS])
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,16 +126,16 @@ def _regrid(t: np.ndarray, columns: np.ndarray, rate: float) -> np.ndarray:
     return columns[:, pick]
 
 
-def decompose(records: list[ImuRecord], rate_hz: float = IMU_RATE_HZ) -> ImuComponents:
-    """Split records into radial/tangential acceleration and angular velocity.
+def decompose(stream: ImuStream, rate_hz: float = IMU_RATE_HZ) -> ImuComponents:
+    """Split a stream into radial/tangential acceleration and angular velocity.
 
     Radial terms are the x-axis readings; tangential terms are the y/z
     magnitudes (hence non-negative). Timestamps must be strictly increasing
     with inter-sample gaps inside [period/2, 2*period].
     """
-    if not records:
+    if len(stream) == 0:
         raise ValueError("empty stream")
-    t = np.array([r.t for r in records], dtype=float)
+    t = stream.t
     period = 1000.0 / rate_hz
     if t.size > 1:
         gaps = np.diff(t)
@@ -107,11 +144,7 @@ def decompose(records: list[ImuRecord], rate_hz: float = IMU_RATE_HZ) -> ImuComp
         if np.any(gaps > 2 * period) or np.any(gaps < period / 2):
             raise ValueError("stream gap")
 
-    cols = np.array(
-        [[r.ax for r in records], [r.ay for r in records], [r.az for r in records],
-         [r.gx for r in records], [r.gy for r in records], [r.gz for r in records]]
-    )
-    ax, ay, az, gx, gy, gz = _regrid(t, cols, rate_hz)
+    ax, ay, az, gx, gy, gz = _regrid(t, stream.columns()[1:], rate_hz)
 
     start = float(t[0])
     return ImuComponents(
@@ -123,7 +156,7 @@ def decompose(records: list[ImuRecord], rate_hz: float = IMU_RATE_HZ) -> ImuComp
 
 
 def prepare_components(
-    records: list[ImuRecord],
+    stream: ImuStream,
     rate_hz: float = IMU_RATE_HZ,
     cutoff_hz: float = LOWPASS_CUTOFF_HZ,
 ) -> ImuComponents:
@@ -132,7 +165,7 @@ def prepare_components(
     Only a_rad and w_tan are filtered; a_tan and w_rad stay raw for the
     fusion feature extractor.
     """
-    comps = decompose(records, rate_hz)
+    comps = decompose(stream, rate_hz)
     lp = design_lowpass(cutoff_hz, rate_hz)
     return ImuComponents(
         a_rad=iir_filter(comps.a_rad, lp),
@@ -164,6 +197,6 @@ def ipf(components: ImuComponents) -> SampleSeries:
     return SampleSeries(src.rate, src.start_time + lead * src.period_ms, out)
 
 
-def imu_likelihood(records: list[ImuRecord], rate_hz: float = IMU_RATE_HZ) -> SampleSeries:
+def imu_likelihood(stream: ImuStream, rate_hz: float = IMU_RATE_HZ) -> SampleSeries:
     """Full motion pipeline: decompose, low-pass at 10 Hz, peak function."""
-    return ipf(prepare_components(records, rate_hz))
+    return ipf(prepare_components(stream, rate_hz))

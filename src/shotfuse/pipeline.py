@@ -32,21 +32,15 @@ from .forest import classify, train_forest
 from .fusion import (
     NEIGHBORHOOD_MS,
     Candidate,
+    SyncedSeries,
     audio_only_events,
     detect_shots,
     extract_features,
     select_candidates,
 )
-from .imu import ipf, prepare_components
+from .imu import ImuStream, ipf, prepare_components
 from .series import SampleSeries
-from .sync import (
-    OffsetEstimate,
-    QuantizerModel,
-    estimate_offset,
-    fit_quantizer,
-    self_calibrate_quantizer,
-    validate_offset,
-)
+from .sync import estimate_offset, self_calibrate_quantizer, validate_offset
 from .training import TrainConfig, train_filter, window_score
 
 __all__ = [
@@ -54,9 +48,7 @@ __all__ = [
     "windows_from_labels",
     "shuffle_split",
     "window_metrics",
-    "shot_peak_values",
-    "labeled_quantizer",
-    "synchronize",
+    "synced_series",
     "candidate_dataset",
     "calibrate_ipf_threshold",
     "train_filter_workflow",
@@ -68,10 +60,8 @@ __all__ = [
 CANDIDATE_LABEL_TOLERANCE_MS = 150.0
 #: Shortest snippet the offset estimator accepts.
 MIN_SYNC_WINDOW_SECONDS = 5.0
-#: Search window around a label when collecting APF peak values.
-LABEL_PEAK_WINDOW_MS = 500.0
-#: Wider IPF search window: the IMU clock may be off by a few hundred ms.
-UNSYNCED_PEAK_WINDOW_MS = 1500.0
+#: Share of the labeled items the training workflows fit on; the rest is held out.
+TRAIN_FRACTION = 0.8
 
 
 def windows_from_labels(
@@ -160,51 +150,33 @@ def window_metrics(
     return {"precision": precision, "recall": recall, "f_score": f_score, "windows": len(windows)}
 
 
-def shot_peak_values(series: SampleSeries, labels: LabelSet, window_ms: float) -> np.ndarray:
-    """Maximum series value within +/-window_ms/2 of each label."""
-    half = window_ms / 2.0
-    peaks = []
-    for t in labels.shots:
-        sub = series.slice_time(t - half, t + half)
-        if len(sub):
-            peaks.append(float(sub.values.max()))
-    return np.array(peaks)
-
-
-def labeled_quantizer(
-    apf_series: SampleSeries,
-    ipf_series: SampleSeries,
-    labels: LabelSet,
-) -> QuantizerModel:
-    """Quintile calibration from the peak values around each labeled shot.
-
-    The IPF search window is wider than the APF one because the IMU clock
-    is not yet aligned when calibration runs.
-    """
-    return fit_quantizer(
-        shot_peak_values(apf_series, labels, LABEL_PEAK_WINDOW_MS),
-        shot_peak_values(ipf_series, labels, UNSYNCED_PEAK_WINDOW_MS),
-    )
-
-
-def synchronize(
-    apf_series: SampleSeries,
-    ipf_series: SampleSeries,
-    q: QuantizerModel,
+def synced_series(
+    audio: SampleSeries,
+    imu: ImuStream,
+    filter_model: FilterModel,
+    audio_cfg: AudioConfig = AudioConfig(),
     window_seconds: float | None = None,
     validation_seconds: float = 5.0,
     max_lag_ms: float = 2000.0,
-) -> tuple[OffsetEstimate, bool]:
-    """Estimate the offset on a leading snippet and validate it on fresh data.
+) -> SyncedSeries:
+    """Both likelihoods, the IMU components and the validated offset, once per run.
 
-    Returns (estimate, validated). Correlation sync needs enough coincident
-    events in the window, so by default the estimate uses the whole overlap
-    minus a reserved validation tail; pass an explicit window_seconds for
-    event-dense snippets. Validation is skipped (False) when the streams do
-    not extend past the estimation window.
+    The live streams calibrate their own quantizer: dense quantized trains
+    correlate far better than sparse shot-peak quintiles. The offset is
+    estimated on a leading snippet and validated on the fresh data after
+    it. Correlation sync needs enough coincident events in the window, so
+    by default the estimate uses the whole overlap minus a reserved
+    validation tail; pass an explicit window_seconds for event-dense
+    snippets. Validation is skipped (False) when the streams do not extend
+    past the estimation window.
     """
-    t0 = max(apf_series.start_time, ipf_series.start_time)
-    t1 = min(apf_series.end_time, ipf_series.end_time)
+    apf_series = audio_likelihood(audio, filter_model, audio_cfg)
+    comps = prepare_components(imu)
+    ipf_raw = ipf(comps)
+    q = self_calibrate_quantizer(apf_series, ipf_raw)
+
+    t0 = max(apf_series.start_time, ipf_raw.start_time)
+    t1 = min(apf_series.end_time, ipf_raw.end_time)
     have_seconds = (t1 - t0) / 1000.0
     if window_seconds is None:
         window_seconds = have_seconds - validation_seconds
@@ -213,34 +185,30 @@ def synchronize(
     window = min(window_seconds, have_seconds)
     est = estimate_offset(
         apf_series.slice_time(t0, t0 + window * 1000.0),
-        ipf_series.slice_time(t0, t0 + window * 1000.0),
+        ipf_raw.slice_time(t0, t0 + window * 1000.0),
         q,
         max_lag_ms,
     )
     validated = False
     if have_seconds >= est.window_seconds + validation_seconds:
-        validated = validate_offset(apf_series, ipf_series, q, est, validation_seconds, max_lag_ms)
-    return est, validated
+        validated = validate_offset(apf_series, ipf_raw, q, est, validation_seconds, max_lag_ms)
+    return SyncedSeries.align(apf_series, ipf_raw, comps, est, validated)
 
 
 def candidate_dataset(
-    apf_series: SampleSeries,
-    ipf_common: SampleSeries,
-    a_rad: SampleSeries,
-    a_tan: SampleSeries,
-    w_rad: SampleSeries,
+    synced: SyncedSeries,
     labels: LabelSet,
     label_tolerance_ms: float = CANDIDATE_LABEL_TOLERANCE_MS,
     neighborhood_ms: float = NEIGHBORHOOD_MS,
 ) -> list[tuple[Candidate, int]]:
     """Candidates with features and proximity-derived labels.
 
-    All series must share the common (audio) clock. A candidate is positive
-    iff it lies within label_tolerance_ms of some ground-truth shot.
+    A candidate is positive iff it lies within label_tolerance_ms of some
+    ground-truth shot.
     """
     out = []
-    for t in select_candidates(ipf_common, neighborhood_ms):
-        c = extract_features(t, apf_series, ipf_common, a_rad, a_tan, w_rad, neighborhood_ms)
+    for t in select_candidates(synced.ipf, neighborhood_ms):
+        c = extract_features(t, *synced.feature_series, neighborhood_ms)
         positive = len(labels) > 0 and np.min(np.abs(labels.shots - t)) <= label_tolerance_ms
         out.append((c, int(positive)))
     return out
@@ -283,7 +251,6 @@ def train_filter_workflow(
     train_cfg: TrainConfig = TrainConfig(),
     audio_cfg: AudioConfig = AudioConfig(),
     window_frames: int = 21,
-    split_fraction: float = 0.8,
 ) -> dict:
     """train-filter subcommand: windows from labels, 80/20 split, fit, save."""
     data_dir = Path(data_dir)
@@ -297,33 +264,12 @@ def train_filter_workflow(
         negatives_per_positive=train_cfg.neg_pos_ratio,
         seed=train_cfg.seed,
     )
-    train_set, val_set = shuffle_split(windows, split_fraction, train_cfg.seed)
+    train_set, val_set = shuffle_split(windows, TRAIN_FRACTION, train_cfg.seed)
     model = train_filter(train_set, train_cfg, audio_cfg)
     save_filter_model(out_path, model, audio_cfg)
     metrics = window_metrics(model, val_set, audio_cfg)
     metrics["model_path"] = str(out_path)
     return metrics
-
-
-def _synced_series(audio, records, filter_model, audio_cfg, window_seconds,
-                   validation_seconds, max_lag_ms):
-    # The live snippet calibrates its own quantizer: dense quantized trains
-    # correlate far better than sparse shot-peak quintiles (see ledger).
-    apf_series = audio_likelihood(audio, filter_model, audio_cfg)
-    comps = prepare_components(records)
-    ipf_raw = ipf(comps)
-    q = self_calibrate_quantizer(apf_series, ipf_raw)
-    est, validated = synchronize(apf_series, ipf_raw, q, window_seconds, validation_seconds, max_lag_ms)
-    shift = -est.offset_ms
-    return {
-        "apf": apf_series,
-        "ipf": ipf_raw.shifted(shift),
-        "a_rad": comps.a_rad.shifted(shift),
-        "a_tan": comps.a_tan.shifted(shift),
-        "w_rad": comps.w_rad.shifted(shift),
-        "offset": est,
-        "validated": validated,
-    }
 
 
 def train_forest_workflow(
@@ -332,10 +278,6 @@ def train_forest_workflow(
     out_path,
     tree_count: int = 50,
     seed: int = 0,
-    split_fraction: float = 0.8,
-    window_seconds: float | None = None,
-    validation_seconds: float = 5.0,
-    max_lag_ms: float = 2000.0,
 ) -> dict:
     """train-forest subcommand: sync the streams, label candidates, fit, save."""
     data_dir = Path(data_dir)
@@ -343,23 +285,20 @@ def train_forest_workflow(
         raise FileNotFoundError(f"model not found: {filter_path}")
     filter_model, audio_cfg = load_filter_model(filter_path)
     audio = read_wav(data_dir / "audio.wav", audio_cfg.sample_rate)
-    records = read_imu_csv(data_dir / "imu.csv")
+    imu = read_imu_csv(data_dir / "imu.csv")
     labels = read_labels_csv(data_dir / "labels.csv")
 
-    synced = _synced_series(audio, records, filter_model, audio_cfg,
-                            window_seconds, validation_seconds, max_lag_ms)
-    dataset = candidate_dataset(
-        synced["apf"], synced["ipf"], synced["a_rad"], synced["a_tan"], synced["w_rad"], labels
-    )
-    train_set, val_set = shuffle_split(dataset, split_fraction, seed)
+    synced = synced_series(audio, imu, filter_model, audio_cfg)
+    dataset = candidate_dataset(synced, labels)
+    train_set, val_set = shuffle_split(dataset, TRAIN_FRACTION, seed)
     model = train_forest(train_set, tree_count, seed)
     save_forest_model(out_path, model)
 
     correct = sum(1 for c, label in val_set if classify(model, c)[0] == label)
     return {
-        "offset_ms": synced["offset"].offset_ms,
-        "peak_correlation": synced["offset"].peak_correlation,
-        "validated": synced["validated"],
+        "offset_ms": synced.offset.offset_ms,
+        "peak_correlation": synced.offset.peak_correlation,
+        "validated": synced.validated,
         "candidates": len(dataset),
         "validation_accuracy": correct / len(val_set) if val_set else 1.0,
         "model_path": str(out_path),
@@ -407,21 +346,13 @@ def run_pipeline(
     if options.audio_only:
         events = audio_only_events(audio, filter_model, audio_cfg)
     else:
-        records = read_imu_csv(imu_path)
-        synced = _synced_series(
-            audio, records, filter_model, audio_cfg,
+        synced = synced_series(
+            audio, read_imu_csv(imu_path), filter_model, audio_cfg,
             options.sync_window_seconds, options.validation_seconds, options.max_lag_ms,
         )
         forest_model = load_forest_model(forest_model_path)
-        events = detect_shots(
-            audio, records, filter_model, forest_model, synced["offset"], audio_cfg
-        )
-        sync_payload = {
-            "offset_ms": synced["offset"].offset_ms,
-            "peak_correlation": synced["offset"].peak_correlation,
-            "validated": synced["validated"],
-            "window_seconds": synced["offset"].window_seconds,
-        }
+        events = detect_shots(synced, forest_model)
+        sync_payload = synced.sync_report()
         sync_path = out_dir / "sync.json"
         with open(sync_path, "w") as fh:
             json.dump(sync_payload, fh, indent=2, sort_keys=True)
@@ -429,8 +360,8 @@ def run_pipeline(
         result["sync"] = sync_payload
         result["sync_path"] = str(sync_path)
         if options.emit_series:
-            write_series_csv(out_dir / "apf.csv", synced["apf"])
-            write_series_csv(out_dir / "ipf.csv", synced["ipf"])
+            write_series_csv(out_dir / "apf.csv", synced.apf)
+            write_series_csv(out_dir / "ipf.csv", synced.ipf)
 
     detections_path = out_dir / "detections.csv"
     write_events_csv(detections_path, events)

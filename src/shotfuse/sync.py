@@ -36,11 +36,11 @@ VALIDATION_MIN_CORRELATION = 0.4
 def _quantile_boundaries(values, name: str) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.size < QUANT_LEVELS:
-        raise ValueError("insufficient calibration data")
+        raise ValueError(f"{name}: insufficient calibration data")
     # Linear-interpolation percentiles, fixed so boundaries are reproducible.
     b = np.percentile(v, [20.0, 40.0, 60.0, 80.0])
     if np.any(np.diff(b) <= 0):
-        raise ValueError("degenerate distribution")
+        raise ValueError(f"{name}: degenerate distribution")
     return b
 
 
@@ -97,10 +97,7 @@ def self_calibrate_quantizer(
         cut = np.percentile(values, 100.0 * (1.0 - top_fraction))
         return values[values >= cut]
 
-    return QuantizerModel(
-        _quantile_boundaries(upper(apf.values), "apf"),
-        _quantile_boundaries(upper(ipf.values), "ipf"),
-    )
+    return fit_quantizer(upper(apf.values), upper(ipf.values))
 
 
 def quantize(x: SampleSeries, boundaries) -> SampleSeries:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import LabelSet
-from .imu import ACCEL_RANGE_G, GYRO_RANGE_DPS, ImuRecord
+from .imu import ACCEL_RANGE_G, GYRO_RANGE_DPS, ImuStream
 from .series import SampleSeries
 
 __all__ = ["SynthConfig", "synthesize"]
@@ -99,10 +99,10 @@ def _add_bump(values: np.ndarray, center_idx: int, peak: float) -> None:
         values[lo:hi] += bump[lo - start : hi - start]
 
 
-def synthesize(cfg: SynthConfig) -> tuple[SampleSeries, list[ImuRecord], LabelSet]:
-    """Generate (audio, imu records, labels), fully determined by cfg.seed.
+def synthesize(cfg: SynthConfig) -> tuple[SampleSeries, ImuStream, LabelSet]:
+    """Generate (audio, imu stream, labels), fully determined by cfg.seed.
 
-    Labels are shot times on the audio clock. IMU record timestamps run on
+    Labels are shot times on the audio clock. IMU timestamps run on
     the IMU clock: a physical event at audio time T lands at IMU timestamp
     T + injected_offset_ms, so the synchronizer should recover
     injected_offset_ms as its (IMU minus audio) offset. Distractor events
@@ -156,13 +156,9 @@ def synthesize(cfg: SynthConfig) -> tuple[SampleSeries, list[ImuRecord], LabelSe
     np.clip(gy, -GYRO_RANGE_DPS, GYRO_RANGE_DPS, out=gy)
     np.clip(gz, -GYRO_RANGE_DPS, GYRO_RANGE_DPS, out=gz)
 
-    period = 1000.0 / IMU_RATE
-    records = [
-        ImuRecord(k * period, ax[k], ay[k], az[k], gx[k], gy[k], gz[k])
-        for k in range(n_imu)
-    ]
+    t = np.arange(n_imu) * (1000.0 / IMU_RATE)
     return (
         SampleSeries(AUDIO_RATE, 0.0, audio),
-        records,
+        ImuStream(t, ax, ay, az, gx, gy, gz),
         LabelSet(shot_times),
     )

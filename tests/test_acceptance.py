@@ -21,12 +21,12 @@ from shotfuse import (
     TrainConfig,
 )
 from shotfuse.audio import AudioConfig, apf, short_time_energy
-from shotfuse.imu import ImuRecord, decompose, ipf, prepare_components
+from shotfuse.imu import ImuStream, decompose, ipf, prepare_components
 from shotfuse.pipeline import (
     calibrate_ipf_threshold,
     candidate_dataset,
     shuffle_split,
-    synchronize,
+    synced_series,
     window_metrics,
     windows_from_labels,
 )
@@ -72,8 +72,7 @@ def test_criterion_1_formula_oracles():
         # axis decomposition vs per-sample formula
         a = rng.uniform(-2.0, 2.0, (12, 3))
         g = rng.uniform(-500.0, 500.0, (12, 3))
-        records = [ImuRecord(10.0 * k, *a[k], *g[k]) for k in range(12)]
-        comps = decompose(records)
+        comps = decompose(ImuStream(10.0 * np.arange(12), *a.T, *g.T))
         for k in range(12):
             worst = max(worst, abs(comps.a_rad.values[k] - a[k, 0]))
             expected = float(np.sqrt(a[k, 1] ** 2 + a[k, 2] ** 2))
@@ -190,9 +189,9 @@ def test_criterion_4_synchronization():
             duration_s=20.0, shot_count=16, injected_offset_ms=injected, seed=4000 + k
         )
         t0 = time.time()
-        audio, records, _ = sf.synthesize(cfg)
+        audio, imu, _ = sf.synthesize(cfg)
         apf_s = sf.audio_likelihood(audio, model)
-        ipf_s = ipf(prepare_components(records))
+        ipf_s = ipf(prepare_components(imu))
         q = self_calibrate_quantizer(apf_s, ipf_s)
         est = estimate_offset(apf_s, ipf_s, q, 2000.0)
         slowest = max(slowest, time.time() - t0)
@@ -218,27 +217,14 @@ def trained_models(tmp_path_factory):
         distractor_rate_per_min=5.0,
         seed=510,
     )
-    audio, records, labels = sf.synthesize(cfg)
+    audio, imu, labels = sf.synthesize(cfg)
     windows = windows_from_labels(audio, labels, CFG, seed=510)
     train_set, _ = shuffle_split(windows, 0.8, seed=510)
     filter_model = train_filter(train_set, TrainConfig(seed=510), CFG)
 
-    apf_s = sf.audio_likelihood(audio, filter_model)
-    comps = prepare_components(records)
-    ipf_s = ipf(comps)
-    q = self_calibrate_quantizer(apf_s, ipf_s)
-    est, _ = synchronize(apf_s, ipf_s, q)
-    shift = -est.offset_ms
-    dataset = candidate_dataset(
-        apf_s,
-        ipf_s.shifted(shift),
-        comps.a_rad.shifted(shift),
-        comps.a_tan.shifted(shift),
-        comps.w_rad.shifted(shift),
-        labels,
-    )
-    forest = train_forest(dataset, tree_count=50, seed=510)
-    threshold = calibrate_ipf_threshold(ipf_s.shifted(shift), labels)
+    synced = synced_series(audio, imu, filter_model)
+    forest = train_forest(candidate_dataset(synced, labels), tree_count=50, seed=510)
+    threshold = calibrate_ipf_threshold(synced.ipf, labels)
     return filter_model, forest, threshold
 
 
@@ -251,20 +237,18 @@ def test_criterion_5_end_to_end_fusion(trained_models):
         distractor_rate_per_min=5.0,
         seed=500,
     )
-    audio, records, labels = sf.synthesize(corpus)
+    audio, imu, labels = sf.synthesize(corpus)
 
     t0 = time.time()
-    apf_s = sf.audio_likelihood(audio, filter_model)
-    ipf_s = ipf(prepare_components(records))
-    q = self_calibrate_quantizer(apf_s, ipf_s)
-    est, _ = synchronize(apf_s, ipf_s, q, validation_seconds=60.0)
-    events = sf.detect_shots(audio, records, filter_model, forest, est)
+    synced = synced_series(audio, imu, filter_model, validation_seconds=60.0)
+    events = sf.detect_shots(synced, forest)
     elapsed = time.time() - t0
+    est = synced.offset
 
     fused = evaluate(events, labels, 100.0)
     audio_only = evaluate(sf.audio_only_events(audio, filter_model), labels, 100.0)
     imu_only = evaluate(
-        sf.imu_only_events(records, ipf_threshold, est.offset_ms), labels, 100.0
+        sf.imu_only_events(imu, ipf_threshold, est.offset_ms), labels, 100.0
     )
     gap_audio = fused.f_score - audio_only.f_score
     gap_imu = fused.f_score - imu_only.f_score

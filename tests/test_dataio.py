@@ -4,7 +4,16 @@ import wave
 import numpy as np
 import pytest
 
-from shotfuse import AudioConfig, FilterModel, LabelSet, SampleSeries, ShotEvent, train_forest
+from shotfuse import (
+    AudioConfig,
+    FilterModel,
+    LabelSet,
+    SampleSeries,
+    ShotEvent,
+    SynthConfig,
+    synthesize,
+    train_forest,
+)
 from shotfuse.dataio import (
     load_filter_model,
     load_forest_model,
@@ -20,7 +29,6 @@ from shotfuse.dataio import (
     write_wav,
 )
 from shotfuse.fusion import Candidate
-from shotfuse.imu import ImuRecord
 
 
 # --- WAV ---------------------------------------------------------------------
@@ -90,24 +98,38 @@ def test_wav_rejects_wrong_properties(tmp_path):
 def test_imu_csv_empty_data(tmp_path):
     path = tmp_path / "imu.csv"
     path.write_text("t_ms,ax,ay,az,gx,gy,gz\n")
-    assert read_imu_csv(path) == []
+    assert len(read_imu_csv(path)) == 0
 
 
 def test_imu_csv_round_trip(tmp_path):
-    records = [ImuRecord(10.0 * k, 0.05 * k, -0.2, 0.3, 10.0, -20.0, 30.0) for k in range(100)]
+    _, imu, _ = synthesize(SynthConfig(duration_s=10.0, shot_count=5, seed=31))
     path = tmp_path / "imu.csv"
-    write_imu_csv(path, records)
+    write_imu_csv(path, imu)
     back = read_imu_csv(path)
-    assert len(back) == 100
-    t = np.array([r.t for r in back])
-    assert np.all(np.diff(t) > 0)
-    assert back[3].ax == pytest.approx(0.15)
+    assert len(back) == len(imu) == 1000
+    # t sits on the 10 ms grid, so its 3 decimals are exact; the sensor
+    # columns come back as exactly the 6-decimal values written
+    assert np.array_equal(back.t, imu.t)
+    for name in ("ax", "ay", "az", "gx", "gy", "gz"):
+        written = np.array([float(f"{v:.6f}") for v in getattr(imu, name)])
+        assert np.array_equal(getattr(back, name), written), name
+    again = tmp_path / "again.csv"
+    write_imu_csv(again, back)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_imu_csv_range_violation_reports_row(tmp_path):
+    header = "t_ms,ax,ay,az,gx,gy,gz\n"
     path = tmp_path / "imu.csv"
-    path.write_text("t_ms,ax,ay,az,gx,gy,gz\n0,0,0,0,0,0,0\n10,9.5,0,0,0,0,0\n")
-    with pytest.raises(ValueError, match="row 3"):
+    path.write_text(header + "0,0,0,0,0,0,0\n10,9.5,0,0,0,0,0\n")
+    with pytest.raises(ValueError, match="row 3: acceleration exceeds"):
+        read_imu_csv(path)
+    # blank lines are skipped but still counted as CSV rows
+    path.write_text(header + "0,0,0,0,0,0,0\n\n10,0,0,nan,0,0,0\n")
+    with pytest.raises(ValueError, match="row 4: values must be finite"):
+        read_imu_csv(path)
+    path.write_text(header + "\n0,0,0,0,0,0,0\n\n10,0,0,0,0,2500,0\n20,9.5,0,0,0,0,0\n")
+    with pytest.raises(ValueError, match="row 5: angular velocity exceeds"):
         read_imu_csv(path)
 
 

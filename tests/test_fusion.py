@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+import shotfuse as sf
 from shotfuse import (
     ForestModel,
+    ImuStream,
     OffsetEstimate,
     SampleSeries,
+    SyncedSeries,
     detect_shots,
     extract_features,
     select_candidates,
 )
 from shotfuse.forest import DecisionTree
-from shotfuse.imu import ImuRecord
+from shotfuse.imu import ipf, prepare_components
+from shotfuse.pipeline import candidate_dataset, synced_series
 
 
 def series(values, start=0.0, rate=100.0):
@@ -139,101 +143,76 @@ def apf_threshold_forest(threshold):
     return ForestModel((stump,), tree_count=1, seed=0)
 
 
+def aligned(audio, imu, model, offset):
+    """The synced bundle at a given offset, skipping the offset estimate."""
+    comps = prepare_components(imu)
+    return SyncedSeries.align(sf.audio_likelihood(audio, model), ipf(comps), comps, offset, False)
+
+
 def silence_and_stillness(duration_s=10.0):
     n_audio = int(duration_s * 8000)
     n_imu = int(duration_s * 100)
     audio = series(np.zeros(n_audio), rate=8000.0)
-    records = [ImuRecord(10.0 * k, 0, 0, 0, 0, 0, 0) for k in range(n_imu)]
-    return audio, records
+    imu = ImuStream(10.0 * np.arange(n_imu), *np.zeros((6, n_imu)))
+    return audio, imu
 
 
 def test_detect_shots_empty_on_silence(identity_model):
-    audio, records = silence_and_stillness()
+    audio, imu = silence_and_stillness()
     forest = apf_threshold_forest(0.5)
     offset = OffsetEstimate(0.0, 1.0, 5.0)
-    assert detect_shots(audio, records, identity_model, forest, offset) == []
+    assert detect_shots(aligned(audio, imu, identity_model, offset), forest) == []
 
 
 def test_detect_shots_synthetic_game(identity_model):
-    import shotfuse as sf
-    from shotfuse.imu import ipf, prepare_components
-    from shotfuse.pipeline import candidate_dataset, synchronize
-    from shotfuse.sync import self_calibrate_quantizer
-
     cfg = sf.SynthConfig(duration_s=60.0, shot_count=20, injected_offset_ms=-180.0, seed=77)
-    audio, records, labels = sf.synthesize(cfg)
-    apf_s = sf.audio_likelihood(audio, identity_model)
-    comps = prepare_components(records)
-    ipf_s = ipf(comps)
-    q = self_calibrate_quantizer(apf_s, ipf_s)
-    est, _ = synchronize(apf_s, ipf_s, q)
-    shift = -est.offset_ms
-    ds = candidate_dataset(apf_s, ipf_s.shifted(shift), comps.a_rad.shifted(shift),
-                           comps.a_tan.shifted(shift), comps.w_rad.shifted(shift), labels)
-    forest = sf.train_forest(ds, tree_count=15, seed=4)
+    audio, imu, labels = sf.synthesize(cfg)
+    synced = synced_series(audio, imu, identity_model)
+    forest = sf.train_forest(candidate_dataset(synced, labels), tree_count=15, seed=4)
 
-    events = detect_shots(audio, records, identity_model, forest, est)
+    events = detect_shots(synced, forest)
     assert len(events) == 20
     for e in events:
         assert np.min(np.abs(labels.shots - e.time_ms)) <= 100.0
 
 
 def _trained_forest(identity_model, seed=77):
-    import shotfuse as sf
-    from shotfuse.imu import ipf, prepare_components
-    from shotfuse.pipeline import candidate_dataset, synchronize
-    from shotfuse.sync import self_calibrate_quantizer
-
     cfg = sf.SynthConfig(duration_s=60.0, shot_count=20, injected_offset_ms=0.0,
                          distractor_rate_per_min=4.0, seed=seed)
-    audio, records, labels = sf.synthesize(cfg)
-    apf_s = sf.audio_likelihood(audio, identity_model)
-    comps = prepare_components(records)
-    ipf_s = ipf(comps)
-    q = self_calibrate_quantizer(apf_s, ipf_s)
-    est, _ = synchronize(apf_s, ipf_s, q)
-    shift = -est.offset_ms
-    ds = candidate_dataset(apf_s, ipf_s.shifted(shift), comps.a_rad.shifted(shift),
-                           comps.a_tan.shifted(shift), comps.w_rad.shifted(shift), labels)
-    return sf.train_forest(ds, tree_count=15, seed=4)
+    audio, imu, labels = sf.synthesize(cfg)
+    synced = synced_series(audio, imu, identity_model)
+    return sf.train_forest(candidate_dataset(synced, labels), tree_count=15, seed=4)
 
 
 def test_detect_shots_suppresses_audio_only_distractors(identity_model):
-    import shotfuse as sf
-
     forest = _trained_forest(identity_model)
     # bursts but no swings: every IPF candidate is noise-level and gets rejected
     cfg = sf.SynthConfig(duration_s=30.0, shot_count=0, injected_offset_ms=0.0,
                          distractor_rate_per_min=10.0, seed=13)
-    audio, records, labels = sf.synthesize(cfg)
+    audio, imu, labels = sf.synthesize(cfg)
     assert len(labels) == 0
     offset = OffsetEstimate(0.0, 1.0, 5.0)
-    events = detect_shots(audio, records, identity_model, forest, offset)
+    events = detect_shots(aligned(audio, imu, identity_model, offset), forest)
     assert events == []
 
 
 def test_detect_shots_events_are_candidate_times(identity_model):
-    import shotfuse as sf
-    from shotfuse.imu import ipf, prepare_components
-
     cfg = sf.SynthConfig(duration_s=30.0, shot_count=10, injected_offset_ms=0.0, seed=21)
-    audio, records, labels = sf.synthesize(cfg)
+    audio, imu, labels = sf.synthesize(cfg)
     forest = apf_threshold_forest(0.0)
     offset = OffsetEstimate(0.0, 1.0, 5.0)
-    events = detect_shots(audio, records, identity_model, forest, offset)
-    candidates = select_candidates(ipf(prepare_components(records)))
+    events = detect_shots(aligned(audio, imu, identity_model, offset), forest)
+    candidates = select_candidates(ipf(prepare_components(imu)))
     assert len(events) > 0
     for e in events:
         assert e.time_ms in candidates
 
 
 def test_detect_shots_deterministic(identity_model):
-    import shotfuse as sf
-
     cfg = sf.SynthConfig(duration_s=30.0, shot_count=10, injected_offset_ms=-100.0, seed=23)
-    audio, records, _ = sf.synthesize(cfg)
+    audio, imu, _ = sf.synthesize(cfg)
     forest = apf_threshold_forest(1e-4)
     offset = OffsetEstimate(-100.0, 0.9, 10.0)
-    a = detect_shots(audio, records, identity_model, forest, offset)
-    b = detect_shots(audio, records, identity_model, forest, offset)
+    a = detect_shots(aligned(audio, imu, identity_model, offset), forest)
+    b = detect_shots(aligned(audio, imu, identity_model, offset), forest)
     assert a == b

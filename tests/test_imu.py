@@ -1,25 +1,23 @@
 import numpy as np
 import pytest
 
-from shotfuse import ImuComponents, ImuRecord, SampleSeries, decompose, imu_likelihood, ipf
-from shotfuse.imu import IPF_WINDOW, prepare_components
+from shotfuse import ImuComponents, ImuStream, SampleSeries, decompose, imu_likelihood, ipf
+from shotfuse.imu import IMU_FIELDS, IPF_WINDOW, prepare_components
 
 
-def record(t, ax=0.0, ay=0.0, az=0.0, gx=0.0, gy=0.0, gz=0.0):
-    return ImuRecord(t, ax, ay, az, gx, gy, gz)
+def samples(t, **cols):
+    """Stream at timestamps t; each sensor column is an array or a constant (default 0)."""
+    t = np.asarray(t, dtype=float)
+    return ImuStream(t, *(np.broadcast_to(cols.get(name, 0.0), t.shape) for name in IMU_FIELDS[1:]))
 
 
-def stream(n, fill=None, rng=None):
-    out = []
-    for k in range(n):
-        if rng is None:
-            vals = fill or {}
-            out.append(record(10.0 * k, **vals))
-        else:
-            a = rng.uniform(-2.0, 2.0, 3)
-            g = rng.uniform(-500.0, 500.0, 3)
-            out.append(record(10.0 * k, *a, *g))
-    return out
+def stream(n, rng=None):
+    t = 10.0 * np.arange(n)
+    if rng is None:
+        return samples(t)
+    a = rng.uniform(-2.0, 2.0, (3, n))
+    g = rng.uniform(-500.0, 500.0, (3, n))
+    return ImuStream(t, *a, *g)
 
 
 def components(a_rad, w_tan, rate=100.0):
@@ -33,22 +31,28 @@ def components(a_rad, w_tan, rate=100.0):
     )
 
 
-# --- ImuRecord invariants ----------------------------------------------------
+# --- ImuStream invariants ----------------------------------------------------
 
 
 def test_record_range_checks():
-    with pytest.raises(ValueError):
-        record(0.0, ax=8.5)
-    with pytest.raises(ValueError):
-        record(0.0, gz=2500.0)
-    record(0.0, ax=8.0, gz=-2000.0)  # boundary values allowed
+    with pytest.raises(ValueError, match="sample 1: acceleration exceeds"):
+        samples([0.0, 10.0], ax=[0.0, 8.5])
+    with pytest.raises(ValueError, match="sample 0: angular velocity exceeds"):
+        samples([0.0], gz=2500.0)
+    # the first bad sample is reported, and a non-finite value outranks a range breach
+    with pytest.raises(ValueError, match="sample 2: values must be finite"):
+        samples([0.0, 10.0, 20.0, 30.0], ay=[0.0, 0.0, np.nan, 0.0], gx=[0.0, 0.0, 3000.0, 3000.0])
+    with pytest.raises(ValueError, match="equal length"):
+        ImuStream(np.zeros(2), *np.zeros((6, 3)))
+    ok = samples([0.0, 10.0], ax=8.0, gz=-2000.0)  # boundary values allowed
+    assert len(ok) == 2
 
 
 # --- decompose ---------------------------------------------------------------
 
 
 def test_decompose_345_triangle():
-    comps = decompose([record(10.0 * k, ax=1.0, ay=3.0, az=4.0) for k in range(3)])
+    comps = decompose(samples([0.0, 10.0, 20.0], ax=1.0, ay=3.0, az=4.0))
     assert np.allclose(comps.a_rad.values, 1.0)
     assert np.allclose(comps.a_tan.values, 5.0)
 
@@ -60,41 +64,35 @@ def test_decompose_zero_stream():
 
 
 def test_decompose_matches_formula(rng):
-    records = stream(40, rng=rng)
-    comps = decompose(records)
-    for k, r in enumerate(records):
-        assert comps.a_rad.values[k] == pytest.approx(r.ax, abs=1e-12)
-        assert comps.a_tan.values[k] == pytest.approx(np.sqrt(r.ay**2 + r.az**2), rel=1e-12)
-        assert comps.w_rad.values[k] == pytest.approx(r.gx, abs=1e-12)
-        assert comps.w_tan.values[k] == pytest.approx(np.sqrt(r.gy**2 + r.gz**2), rel=1e-12)
+    s = stream(40, rng=rng)
+    comps = decompose(s)
+    for k in range(40):
+        assert comps.a_rad.values[k] == pytest.approx(s.ax[k], abs=1e-12)
+        assert comps.a_tan.values[k] == pytest.approx(np.sqrt(s.ay[k]**2 + s.az[k]**2), rel=1e-12)
+        assert comps.w_rad.values[k] == pytest.approx(s.gx[k], abs=1e-12)
+        assert comps.w_tan.values[k] == pytest.approx(np.sqrt(s.gy[k]**2 + s.gz[k]**2), rel=1e-12)
 
 
 def test_decompose_tangential_magnitudes_squared(rng):
-    records = stream(50, rng=rng)
-    comps = decompose(records)
-    ay = np.array([r.ay for r in records])
-    az = np.array([r.az for r in records])
-    assert np.allclose(comps.a_tan.values**2, ay**2 + az**2, atol=1e-12)
+    s = stream(50, rng=rng)
+    comps = decompose(s)
+    assert np.allclose(comps.a_tan.values**2, s.ay**2 + s.az**2, atol=1e-12)
 
 
 def test_decompose_unordered_stream():
-    records = [record(0.0), record(10.0), record(5.0)]
     with pytest.raises(ValueError, match="unordered stream"):
-        decompose(records)
+        decompose(samples([0.0, 10.0, 5.0]))
 
 
 def test_decompose_stream_gap():
-    records = [record(0.0), record(10.0), record(35.0)]
     with pytest.raises(ValueError, match="stream gap"):
-        decompose(records)
-    crowded = [record(0.0), record(2.0), record(12.0)]
+        decompose(samples([0.0, 10.0, 35.0]))
     with pytest.raises(ValueError, match="stream gap"):
-        decompose(crowded)
+        decompose(samples([0.0, 2.0, 12.0]))
 
 
 def test_decompose_tolerates_jitter():
-    records = [record(0.0), record(9.0), record(20.5), record(30.0)]
-    comps = decompose(records)
+    comps = decompose(samples([0.0, 9.0, 20.5, 30.0]))
     assert len(comps.a_rad) == 4
 
 
@@ -163,15 +161,11 @@ def bump_stream(n, center_idx, a_peak=3.0, w_peak=400.0, with_gyro=True, rng=Non
     if with_gyro:
         gy[lo : lo + width] += w_peak * bump
     noise = rng.normal(0.0, 0.01, (2, n)) if rng is not None else np.zeros((2, n))
-    return [
-        record(10.0 * k, ax=ax[k] + noise[0, k], gy=gy[k] + noise[1, k])
-        for k in range(n)
-    ]
+    return samples(10.0 * np.arange(n), ax=ax + noise[0], gy=gy + noise[1])
 
 
 def test_likelihood_colocated_bump_peak_location():
-    records = bump_stream(300, 150)
-    out = imu_likelihood(records)
+    out = imu_likelihood(bump_stream(300, 150))
     peak_time = out.times()[int(np.argmax(out.values))]
     assert abs(peak_time - 1500.0) <= 50.0
 
@@ -185,8 +179,7 @@ def test_likelihood_accel_only_bump_is_negligible():
 def test_lowpass_reduces_ipf_noise_variance():
     rng = np.random.default_rng(23)
     for _ in range(10):
-        records = stream(200, rng=rng)
-        comps = decompose(records)
-        raw = ipf(comps)
-        filtered = ipf(prepare_components(records))
+        s = stream(200, rng=rng)
+        raw = ipf(decompose(s))
+        filtered = ipf(prepare_components(s))
         assert np.var(filtered.values) < np.var(raw.values)

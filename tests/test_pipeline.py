@@ -10,18 +10,14 @@ from shotfuse.dataio import (
     write_labels_csv,
     write_wav,
 )
-from shotfuse.imu import ipf, prepare_components
 from shotfuse.pipeline import (
     PipelineOptions,
     candidate_dataset,
-    labeled_quantizer,
     run_pipeline,
-    shot_peak_values,
     shuffle_split,
-    synchronize,
+    synced_series,
     windows_from_labels,
 )
-from shotfuse.sync import estimate_offset, self_calibrate_quantizer
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +25,9 @@ def fixture_dir(tmp_path_factory):
     """The 20-shot, -270 ms fixture with trained models saved to disk."""
     root = tmp_path_factory.mktemp("pipeline")
     cfg = sf.SynthConfig(duration_s=60.0, shot_count=20, injected_offset_ms=-270.0, seed=81)
-    audio, records, labels = sf.synthesize(cfg)
+    audio, imu, labels = sf.synthesize(cfg)
     write_wav(root / "audio.wav", audio)
-    write_imu_csv(root / "imu.csv", records)
+    write_imu_csv(root / "imu.csv", imu)
     write_labels_csv(root / "labels.csv", labels)
 
     windows = windows_from_labels(audio, labels, seed=8)
@@ -39,14 +35,7 @@ def fixture_dir(tmp_path_factory):
     filter_model = sf.train_filter(train_set, sf.TrainConfig(seed=8))
     save_filter_model(root / "filter.json", filter_model)
 
-    apf_s = sf.audio_likelihood(audio, filter_model)
-    comps = prepare_components(records)
-    ipf_s = ipf(comps)
-    q = self_calibrate_quantizer(apf_s, ipf_s)
-    est, _ = synchronize(apf_s, ipf_s, q)
-    shift = -est.offset_ms
-    dataset = candidate_dataset(apf_s, ipf_s.shifted(shift), comps.a_rad.shifted(shift),
-                                comps.a_tan.shifted(shift), comps.w_rad.shifted(shift), labels)
+    dataset = candidate_dataset(synced_series(audio, imu, filter_model), labels)
     forest = sf.train_forest(dataset, tree_count=50, seed=8)
     from shotfuse.dataio import save_forest_model
 
@@ -81,29 +70,6 @@ def test_run_pipeline_missing_model(fixture_dir, tmp_path):
             fixture_dir / "forest.json",
             PipelineOptions(out_dir=str(tmp_path)),
         )
-
-
-def test_shot_peak_values_picks_window_maxima():
-    values = np.zeros(200)
-    values[50] = 4.0
-    values[120] = 2.0
-    s = sf.SampleSeries(100.0, 0.0, values)
-    labels = sf.LabelSet(np.array([500.0, 1210.0]))
-    peaks = shot_peak_values(s, labels, window_ms=500.0)
-    assert np.allclose(peaks, [4.0, 2.0])
-
-
-def test_labeled_quantizer_supports_offset_estimation():
-    cfg = sf.SynthConfig(duration_s=40.0, shot_count=25, injected_offset_ms=-200.0, seed=83)
-    audio, records, labels = sf.synthesize(cfg)
-    model = sf.FilterModel(np.r_[1.0, np.zeros(22)], 0.0)
-    apf_s = sf.audio_likelihood(audio, model)
-    ipf_s = ipf(prepare_components(records))
-    q = labeled_quantizer(apf_s, ipf_s, labels)
-    assert np.all(np.diff(q.apf_boundaries) > 0)
-    assert np.all(np.diff(q.ipf_boundaries) > 0)
-    est = estimate_offset(apf_s, ipf_s, q, 2000.0)
-    assert abs(est.offset_ms - (-200.0)) <= 40.0
 
 
 def test_windows_snap_to_stream_frame_grid():

@@ -41,9 +41,21 @@ def test_quantizer_boundaries_five_values():
     assert np.allclose(q.ipf_boundaries, [0.8, 1.6, 2.4, 3.2])
 
 
-def test_quantizer_degenerate_distribution():
-    with pytest.raises(ValueError, match="degenerate distribution"):
+def test_quantizer_degenerate_distribution(identity_model):
+    import shotfuse as sf
+
+    with pytest.raises(ValueError, match="^apf: degenerate distribution"):
         fit_quantizer(np.full(10, 3.0), np.arange(10.0))
+    # a silent audio stream and a still IMU stream each name their modality
+    audio, imu, _ = sf.synthesize(sf.SynthConfig(duration_s=20.0, shot_count=10, seed=45))
+    apf_s = sf.audio_likelihood(audio, identity_model)
+    ipf_s = sf.imu_likelihood(imu)
+    silent = sf.audio_likelihood(audio.with_values(np.zeros(len(audio))), identity_model)
+    still = sf.imu_likelihood(sf.ImuStream(imu.t, *np.zeros((6, len(imu)))))
+    with pytest.raises(ValueError, match="^apf: degenerate distribution"):
+        self_calibrate_quantizer(silent, ipf_s)
+    with pytest.raises(ValueError, match="^ipf: degenerate distribution"):
+        self_calibrate_quantizer(apf_s, still)
 
 
 def test_quantizer_insufficient_data():
