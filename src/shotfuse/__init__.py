@@ -12,7 +12,6 @@ from .audio import (
 from .events import EvalReport, LabelSet, ShotEvent, dedup, evaluate
 from .forest import ForestModel, classify, train_forest
 from .fusion import (
-    Candidate,
     SyncedSeries,
     audio_only_events,
     detect_shots,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AudioConfig",
-    "Candidate",
     "EvalReport",
     "FilterModel",
     "FirKernel",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 import wave
 from pathlib import Path
 
@@ -60,11 +61,71 @@ def write_wav(path, series: SampleSeries) -> None:
         wav.writeframes(ints.tobytes())
 
 
-def _parse_float(cell: str, column: str, row_num: int) -> float:
+def _is_number(cell: str) -> bool:
+    """Whether the row scan accepts a cell: plain decimal text, as np.loadtxt parses it."""
     try:
-        return float(cell)
+        float(cell)
     except ValueError:
-        raise ValueError(f"row {row_num}: non-numeric value {cell!r} in column {column}") from None
+        return False
+    # float() also takes digit-group underscores and non-ASCII digits; loadtxt does not.
+    return "_" not in cell and cell.strip().isascii()
+
+
+def _read_numeric_csv(path, columns, locate):
+    """Parse the named columns of every data row with one np.loadtxt call.
+
+    locate(header) checks the stripped header fields (None for an empty
+    file) and returns the position of each column. Cells are plain decimal
+    text: no quoting, no comments; blank lines are skipped and fields past
+    the last parsed column are ignored. Returns the (rows, len(columns))
+    array and row_of, which maps a data-row index to its CSV row number
+    (header = row 1, blank lines counted). A rejected file is scanned row
+    by row, only then, for the first offending row.
+    """
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        header = [h.strip() for h in next(csv.reader([first]), [])] if first else None
+        positions = locate(header)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", usecols=positions, comments=None, ndmin=2)
+        except ValueError as exc:
+            fh.seek(0)
+            fh.readline()
+            _scan_rows(fh, columns, positions, len(header), stop_at=None)
+            raise ValueError(f"unparsable data: {exc}") from exc
+    data = data.reshape(-1, len(columns))
+
+    def row_of(index: int) -> int:
+        with open(path, newline="") as fh:
+            fh.readline()
+            return _scan_rows(fh, columns, positions, len(header), stop_at=index)
+
+    return data, row_of
+
+
+def _scan_rows(lines, columns, positions, n_fields: int, stop_at: int | None) -> int:
+    """Walk data rows from CSV row 2, raising at the first short or non-numeric row.
+
+    Returns the CSV row number of data row stop_at; with stop_at None a
+    clean walk returns -1.
+    """
+    needed = max(positions) + 1
+    index = 0
+    for row_num, line in enumerate(lines, start=2):
+        cells = line.rstrip("\r\n").split(",")
+        if cells == [""]:
+            continue
+        if len(cells) < needed:
+            raise ValueError(f"row {row_num}: expected {n_fields} fields, got {len(cells)}")
+        for pos, col in zip(positions, columns):
+            if not _is_number(cells[pos]):
+                raise ValueError(f"row {row_num}: non-numeric value {cells[pos]!r} in column {col}")
+        if index == stop_at:
+            return row_num
+        index += 1
+    return -1
 
 
 def read_imu_csv(path) -> ImuStream:
@@ -72,31 +133,20 @@ def read_imu_csv(path) -> ImuStream:
 
     Errors name the CSV row (header = row 1, blank lines counted but skipped).
     """
-    samples = []
-    row_nums = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+
+    def locate(header):
         if header is None:
             raise ValueError("missing header")
-        header = [h.strip() for h in header]
         for col in IMU_COLUMNS:
             if col not in header:
                 raise ValueError(f"missing column {col}")
-        positions = [header.index(col) for col in IMU_COLUMNS]
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise ValueError(f"row {row_num}: expected {len(header)} fields, got {len(row)}")
-            samples.append(
-                [_parse_float(row[pos], col, row_num) for pos, col in zip(positions, IMU_COLUMNS)]
-            )
-            row_nums.append(row_num)
-    columns = np.array(samples, dtype=float).reshape(-1, len(IMU_COLUMNS)).T
+        return [header.index(col) for col in IMU_COLUMNS]
+
+    data, row_of = _read_numeric_csv(path, IMU_COLUMNS, locate)
+    columns = data.T
     bad = first_invalid_sample(columns)
     if bad is not None:
-        raise ValueError(f"row {row_nums[bad[0]]}: {bad[1]}")
+        raise ValueError(f"row {row_of(bad[0])}: {bad[1]}")
     return ImuStream(*columns)
 
 
@@ -110,17 +160,14 @@ def write_imu_csv(path, stream: ImuStream) -> None:
 
 def read_labels_csv(path) -> LabelSet:
     """Single-column CSV of shot timestamps with header t_ms."""
-    times = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0].strip() != "t_ms":
+
+    def locate(header):
+        if not header or header[0] != "t_ms":
             raise ValueError("missing column t_ms")
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            times.append(_parse_float(row[0], "t_ms", row_num))
-    return LabelSet(np.array(times))
+        return [0]
+
+    data, _ = _read_numeric_csv(path, ("t_ms",), locate)
+    return LabelSet(data[:, 0])
 
 
 def write_labels_csv(path, labels: LabelSet) -> None:
@@ -131,22 +178,13 @@ def write_labels_csv(path, labels: LabelSet) -> None:
 
 
 def read_events_csv(path) -> list[ShotEvent]:
-    events = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["time_ms", "score"]:
+    def locate(header):
+        if header is None or header[:2] != ["time_ms", "score"]:
             raise ValueError("expected header time_ms,score")
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            events.append(
-                ShotEvent(
-                    _parse_float(row[0], "time_ms", row_num),
-                    _parse_float(row[1], "score", row_num),
-                )
-            )
-    return events
+        return [0, 1]
+
+    data, _ = _read_numeric_csv(path, ("time_ms", "score"), locate)
+    return [ShotEvent(t, score) for t, score in data.tolist()]
 
 
 def write_events_csv(path, events: list[ShotEvent]) -> None:

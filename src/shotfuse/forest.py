@@ -46,15 +46,6 @@ class DecisionTree:
         if np.any((self.feature[internal] < 0) | (self.feature[internal] >= NUM_FEATURES)):
             raise ValueError("internal node with out-of-range feature index")
 
-    def predict(self, x: np.ndarray) -> int:
-        node = 0
-        while self.leaf_class[node] < 0:
-            if x[self.feature[node]] <= self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return int(self.leaf_class[node])
-
     def to_dict(self) -> dict:
         return {
             "feature": self.feature.tolist(),
@@ -181,18 +172,20 @@ class _TreeBuilder:
         return DecisionTree(self.feature, self.threshold, self.left, self.right, self.leaf_class)
 
 
-def train_forest(candidates, tree_count: int = DEFAULT_TREE_COUNT, seed: int = 0) -> ForestModel:
-    """Fit a forest on (Candidate, label) pairs.
+def train_forest(X, y, tree_count: int = DEFAULT_TREE_COUNT, seed: int = 0) -> ForestModel:
+    """Fit a forest on a (n, 5) feature matrix X and 0/1 labels y.
 
     Each tree sees a bootstrap sample of the full training size; splits
     consider 2 random features. Per-tree generators derive deterministically
     from the root seed, so results are reproducible (and trees could be
     trained in parallel without changing the model).
     """
-    X = np.array([np.asarray(c.features, dtype=float) for c, _ in candidates])
-    y = np.array([int(label) for _, label in candidates])
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("no training candidates")
+    if y.shape != (X.shape[0],):
+        raise ValueError("need one label per candidate")
     if np.all(y == y[0]):
         raise ValueError("degenerate training set")
 
@@ -208,13 +201,35 @@ def train_forest(candidates, tree_count: int = DEFAULT_TREE_COUNT, seed: int = 0
     return ForestModel(tuple(trees), tree_count, seed)
 
 
-def classify(model: ForestModel, candidate) -> tuple[int, float]:
-    """Majority vote over the trees.
+def classify(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
+    """Majority vote over the trees for every row of the (n, 5) matrix X.
 
-    Returns (label, score) where score is the fraction of trees voting
-    shot; an exact tie counts as non-shot.
+    Returns (labels, scores) arrays where a score is the fraction of trees
+    voting shot; an exact tie counts as non-shot. All (row, tree) pairs
+    descend together, one tree level per step, on the trees' node arrays
+    laid end to end (batched traversal, cf. Lucchese et al., QuickScorer,
+    SIGIR 2015).
     """
-    x = np.asarray(candidate.features, dtype=float)
-    votes = sum(tree.predict(x) for tree in model.trees)
-    score = votes / model.tree_count
-    return (1 if score > 0.5 else 0), float(score)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != NUM_FEATURES:
+        raise ValueError(f"expected an (n, {NUM_FEATURES}) feature matrix")
+    trees = model.trees
+    sizes = [t.feature.size for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    left = np.concatenate([t.left + r for t, r in zip(trees, roots)])
+    right = np.concatenate([t.right + r for t, r in zip(trees, roots)])
+    leaf_class = np.concatenate([t.leaf_class for t in trees])
+
+    node = np.tile(roots, X.shape[0])  # pair p = row p // n_trees, tree p % n_trees
+    row = np.repeat(np.arange(X.shape[0]), len(trees))
+    pending = np.flatnonzero(leaf_class[node] < 0)
+    while pending.size:
+        at = node[pending]
+        go_left = X[row[pending], feature[at]] <= threshold[at]
+        node[pending] = np.where(go_left, left[at], right[at])
+        pending = pending[leaf_class[node[pending]] < 0]
+    votes = leaf_class[node].reshape(X.shape[0], len(trees)).sum(axis=1)
+    scores = votes / model.tree_count
+    return (scores > 0.5).astype(int), scores

@@ -24,7 +24,6 @@ from .sync import OffsetEstimate
 __all__ = [
     "FEATURE_NAMES",
     "NEIGHBORHOOD_MS",
-    "Candidate",
     "SyncedSeries",
     "select_candidates",
     "extract_features",
@@ -37,23 +36,6 @@ __all__ = [
 FEATURE_NAMES = ("apf_max", "ipf_max", "a_rad_max", "a_tan_max", "w_rad_max")
 #: Total width of the candidate / feature neighborhood.
 NEIGHBORHOOD_MS = 500.0
-
-
-@dataclass(frozen=True, eq=False)
-class Candidate:
-    """A candidate shot: center time plus the 5 neighborhood-max features."""
-
-    time_ms: float
-    features: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.features, dtype=float)
-        if arr.shape != (len(FEATURE_NAMES),):
-            raise ValueError(f"expected {len(FEATURE_NAMES)} features")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("features must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "features", arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,43 +108,53 @@ def select_candidates(ipf_series: SampleSeries, window_ms: float = NEIGHBORHOOD_
     windows = sliding_window_view(padded, 2 * half + 1)
     peak_idx = np.flatnonzero(v >= windows.max(axis=1))
     # Enforce strictness: the center must be the only occurrence of the max.
-    strict = [i for i in peak_idx if np.count_nonzero(windows[i] == v[i]) == 1]
-    return ipf_series.start_time + np.array(strict, dtype=float) * ipf_series.period_ms
+    strict = peak_idx[np.count_nonzero(windows[peak_idx] == v[peak_idx, None], axis=1) == 1]
+    return ipf_series.start_time + strict.astype(float) * ipf_series.period_ms
 
 
-def _window_max(series: SampleSeries, t0: float, t1: float) -> float:
+def _window_maxima(series: SampleSeries, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """Max of the samples timed in [t0, t1] per window; the nearest sample if there are none."""
     eps = 1e-9
-    i0 = int(np.ceil((t0 - series.start_time) / series.period_ms - eps))
-    i1 = int(np.floor((t1 - series.start_time) / series.period_ms + eps)) + 1
-    i0 = max(i0, 0)
-    i1 = min(i1, len(series))
-    if i0 >= i1:
+    n = len(series)
+    i0 = np.maximum(np.ceil((t0 - series.start_time) / series.period_ms - eps).astype(int), 0)
+    i1 = np.minimum(np.floor((t1 - series.start_time) / series.period_ms + eps).astype(int) + 1, n)
+    empty = i0 >= i1
+    # Interleaved bounds: every even reduceat slot is values[i0:i1]; a
+    # trailing pad keeps i1 == n a valid index.
+    bounds = np.clip(np.column_stack((i0, i1)).ravel(), 0, n)
+    out = np.maximum.reduceat(np.append(series.values, 0.0), bounds)[::2]
+    if empty.any():
         # Window misses the series entirely; fall back to the nearest sample.
-        k = min(max(series.index_at((t0 + t1) / 2.0), 0), len(series) - 1)
-        return float(series.values[k])
-    return float(series.values[i0:i1].max())
+        mid = series.index_at((t0[empty] + t1[empty]) / 2.0)
+        out[empty] = series.values[np.clip(mid, 0, n - 1)]
+    return out
 
 
 def extract_features(
-    t: float,
+    times,
     apf: SampleSeries,
     ipf_series: SampleSeries,
     a_rad: SampleSeries,
     a_tan: SampleSeries,
     w_rad: SampleSeries,
     neighborhood_ms: float = NEIGHBORHOOD_MS,
-) -> Candidate:
-    """Neighborhood maxima of the five series around a candidate time.
+) -> np.ndarray:
+    """Neighborhood maxima of the five series around each candidate time.
 
-    All series must already sit on the common clock. Partial windows at the
-    stream edges use whatever samples are available.
+    Returns the (len(times), 5) feature matrix, columns in FEATURE_NAMES
+    order. All series must already sit on the common clock. Partial
+    windows at the stream edges use whatever samples are available.
     """
+    times = np.asarray(times, dtype=float).reshape(-1)
     series = (apf, ipf_series, a_rad, a_tan, w_rad)
-    if all(t < s.start_time or t >= s.end_time for s in series):
+    outside = np.ones(times.size, dtype=bool)
+    for s in series:
+        outside &= (times < s.start_time) | (times >= s.end_time)
+    if outside.any():
         raise ValueError("candidate out of range")
     half = neighborhood_ms / 2.0
-    feats = [_window_max(s, t - half, t + half) for s in series]
-    return Candidate(float(t), np.array(feats))
+    t0, t1 = times - half, times + half
+    return np.column_stack([_window_maxima(s, t0, t1) for s in series])
 
 
 def detect_shots(
@@ -177,12 +169,11 @@ def detect_shots(
     deduplicated. Deterministic end to end; every emitted timestamp is a
     candidate timestamp.
     """
-    hits = []
-    for t in select_candidates(synced.ipf, neighborhood_ms):
-        candidate = extract_features(t, *synced.feature_series, neighborhood_ms)
-        label, score = classify(forest_model, candidate)
-        if label == 1:
-            hits.append(ShotEvent(float(t), score))
+    times = select_candidates(synced.ipf, neighborhood_ms)
+    X = extract_features(times, *synced.feature_series, neighborhood_ms)
+    labels, scores = classify(forest_model, X)
+    shot = labels == 1
+    hits = [ShotEvent(t, s) for t, s in zip(times[shot].tolist(), scores[shot].tolist())]
     return dedup(hits, neighborhood_ms)
 
 
@@ -210,9 +201,8 @@ def imu_only_events(
     IMU system would keep its own clock and pass 0.
     """
     likelihood = ipf(prepare_components(imu)).shifted(-offset_ms)
-    hits = []
-    for t in select_candidates(likelihood, neighborhood_ms):
-        value = likelihood.values[likelihood.index_at(t)]
-        if value > threshold:
-            hits.append(ShotEvent(float(t), float(value)))
+    times = select_candidates(likelihood, neighborhood_ms)
+    values = likelihood.values[likelihood.index_at(times)]
+    keep = values > threshold
+    hits = [ShotEvent(t, v) for t, v in zip(times[keep].tolist(), values[keep].tolist())]
     return dedup(hits, dedup_window_ms)

@@ -31,7 +31,6 @@ from .events import LabelSet, ShotEvent, dedup, evaluate
 from .forest import classify, train_forest
 from .fusion import (
     NEIGHBORHOOD_MS,
-    Candidate,
     SyncedSeries,
     audio_only_events,
     detect_shots,
@@ -200,18 +199,23 @@ def candidate_dataset(
     labels: LabelSet,
     label_tolerance_ms: float = CANDIDATE_LABEL_TOLERANCE_MS,
     neighborhood_ms: float = NEIGHBORHOOD_MS,
-) -> list[tuple[Candidate, int]]:
-    """Candidates with features and proximity-derived labels.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate feature matrix (n, 5) and proximity-derived 0/1 labels (n,).
 
     A candidate is positive iff it lies within label_tolerance_ms of some
     ground-truth shot.
     """
-    out = []
-    for t in select_candidates(synced.ipf, neighborhood_ms):
-        c = extract_features(t, *synced.feature_series, neighborhood_ms)
-        positive = len(labels) > 0 and np.min(np.abs(labels.shots - t)) <= label_tolerance_ms
-        out.append((c, int(positive)))
-    return out
+    times = select_candidates(synced.ipf, neighborhood_ms)
+    X = extract_features(times, *synced.feature_series, neighborhood_ms)
+    positive = np.zeros(times.size, dtype=bool)
+    if len(labels):
+        # Labels ascend, so the nearest one is a neighbor of the insertion point.
+        shots = labels.shots
+        after = np.minimum(np.searchsorted(shots, times), shots.size - 1)
+        before = np.maximum(after - 1, 0)
+        nearest = np.minimum(np.abs(shots[before] - times), np.abs(shots[after] - times))
+        positive = nearest <= label_tolerance_ms
+    return X, positive.astype(int)
 
 
 def calibrate_ipf_threshold(
@@ -226,7 +230,7 @@ def calibrate_ipf_threshold(
     decision rule. Ties prefer the higher threshold.
     """
     times = select_candidates(ipf_common, neighborhood_ms)
-    values = np.array([ipf_common.values[ipf_common.index_at(t)] for t in times])
+    values = ipf_common.values[ipf_common.index_at(times)]
     uniq = np.unique(values)
     cuts = [uniq.max() + 1.0]
     cuts += [(uniq[i] + uniq[i + 1]) / 2.0 for i in range(uniq.size - 1)]
@@ -289,18 +293,19 @@ def train_forest_workflow(
     labels = read_labels_csv(data_dir / "labels.csv")
 
     synced = synced_series(audio, imu, filter_model, audio_cfg)
-    dataset = candidate_dataset(synced, labels)
-    train_set, val_set = shuffle_split(dataset, TRAIN_FRACTION, seed)
-    model = train_forest(train_set, tree_count, seed)
+    X, y = candidate_dataset(synced, labels)
+    train_rows, val_rows = shuffle_split(np.arange(y.size), TRAIN_FRACTION, seed)
+    model = train_forest(X[train_rows], y[train_rows], tree_count, seed)
     save_forest_model(out_path, model)
 
-    correct = sum(1 for c, label in val_set if classify(model, c)[0] == label)
+    predicted, _ = classify(model, X[val_rows])
+    correct = int(np.count_nonzero(predicted == y[val_rows]))
     return {
         "offset_ms": synced.offset.offset_ms,
         "peak_correlation": synced.offset.peak_correlation,
         "validated": synced.validated,
-        "candidates": len(dataset),
-        "validation_accuracy": correct / len(val_set) if val_set else 1.0,
+        "candidates": int(y.size),
+        "validation_accuracy": correct / len(val_rows) if val_rows else 1.0,
         "model_path": str(out_path),
     }
 

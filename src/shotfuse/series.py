@@ -67,9 +67,13 @@ class SampleSeries:
     def times(self) -> np.ndarray:
         return self.start_time + np.arange(len(self)) * self.period_ms
 
-    def index_at(self, t_ms: float) -> int:
-        """Nearest sample index for a timestamp (may fall outside the series)."""
-        return int(round((t_ms - self.start_time) / self.period_ms))
+    def index_at(self, t_ms):
+        """Nearest sample index of a timestamp, or of each timestamp in an array.
+
+        Ties round to even; the index may fall outside the series.
+        """
+        idx = np.rint((np.asarray(t_ms, dtype=float) - self.start_time) / self.period_ms)
+        return int(idx) if idx.ndim == 0 else idx.astype(int)
 
     def with_values(self, values, start_time: float | None = None) -> "SampleSeries":
         start = self.start_time if start_time is None else start_time
@@ -174,14 +178,13 @@ def triangle_smooth(x: SampleSeries) -> SampleSeries:
     return x.with_values(full[half : half + len(x)])
 
 
-def _normalized_correlation(u: np.ndarray, v: np.ndarray) -> float:
-    du = u - u.mean()
-    dv = v - v.mean()
-    denom = np.sqrt(np.dot(du, du) * np.dot(dv, dv))
-    if denom == 0.0:
-        # A constant segment carries no alignment information.
-        return 0.0
-    return float(np.dot(du, dv) / denom)
+def _window_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Sum, sum of squares and constancy of x[lo:hi] for each (lo, hi) pair."""
+    c1 = np.concatenate(([0.0], np.cumsum(x)))
+    c2 = np.concatenate(([0.0], np.cumsum(x * x)))
+    changes = np.concatenate(([0], np.cumsum(x[1:] != x[:-1])))
+    constant = changes[hi - 1] == changes[lo]
+    return c1[hi] - c1[lo], c2[hi] - c2[lo], constant
 
 
 def cross_correlate(
@@ -194,6 +197,14 @@ def cross_correlate(
     and unit-normed, so correlations lie in [-1, 1]; a zero-variance window
     yields 0. If ``b`` is ``a`` delayed by k samples, the maximum sits at
     lag k.
+
+    All lags come from running sums (Lewis, "Fast Normalized
+    Cross-Correlation", 1995): window sums and sums of squares by cumsum,
+    cross terms by one correlate over zero-padded ``b``. On values of a
+    binary grid such as the 1/16 steps of triangle-smoothed levels every
+    sum, numerator and window variance is exact, so rounding happens only
+    in the final product, square root and division, and windows with equal
+    statistics give bit-equal correlations.
     """
     if a.rate != b.rate:
         raise ValueError("rate mismatch")
@@ -201,11 +212,21 @@ def cross_correlate(
         raise ValueError("empty signal")
     if max_lag < 0 or max_lag >= min(len(a), len(b)):
         raise ValueError("max_lag must be smaller than both series")
-    out = []
-    for lag in range(-max_lag, max_lag + 1):
-        i0 = max(0, -lag)
-        i1 = min(len(a), len(b) - lag)
-        sa = a.values[i0:i1]
-        sb = b.values[i0 + lag : i1 + lag]
-        out.append((lag, _normalized_correlation(sa, sb)))
-    return out
+    u, v = a.values, b.values
+    lags = np.arange(-max_lag, max_lag + 1)
+    i0 = np.maximum(0, -lags)
+    i1 = np.minimum(u.size, v.size - lags)
+    n = (i1 - i0).astype(float)
+    su, suu, u_flat = _window_sums(u, i0, i1)
+    sv, svv, v_flat = _window_sums(v, i0 + lags, i1 + lags)
+    # padded[k + lag + max_lag] = v[k + lag], zero outside v.
+    padded = np.zeros(max(u.size, v.size) + 2 * max_lag)
+    padded[max_lag : max_lag + v.size] = v
+    suv = np.correlate(padded, u, "valid")[: lags.size]
+    num = n * suv - su * sv
+    var = (n * suu - su * su) * (n * svv - sv * sv)
+    # Off the grid, cancellation can leave a non-constant window a variance <= 0.
+    live = ~(u_flat | v_flat) & (var > 0.0)
+    corr = np.zeros(lags.size)
+    corr[live] = num[live] / np.sqrt(var[live])
+    return list(zip(lags.tolist(), corr.tolist()))

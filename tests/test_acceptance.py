@@ -223,7 +223,7 @@ def trained_models(tmp_path_factory):
     filter_model = train_filter(train_set, TrainConfig(seed=510), CFG)
 
     synced = synced_series(audio, imu, filter_model)
-    forest = train_forest(candidate_dataset(synced, labels), tree_count=50, seed=510)
+    forest = train_forest(*candidate_dataset(synced, labels), tree_count=50, seed=510)
     threshold = calibrate_ipf_threshold(synced.ipf, labels)
     return filter_model, forest, threshold
 
@@ -369,18 +369,25 @@ def test_criterion_7_property_suites():
     checks.append(("dedup idempotence", ok))
 
     # vote-majority consistency
-    data = [
-        (sf.Candidate(0.0, np.r_[rng.uniform(2.0, 4.0) if k % 2 else rng.uniform(-1.0, 1.0),
-                                 rng.standard_normal(4)]), k % 2)
+    X = np.array([
+        np.r_[rng.uniform(2.0, 4.0) if k % 2 else rng.uniform(-1.0, 1.0), rng.standard_normal(4)]
         for k in range(40)
-    ]
-    model = train_forest(data, tree_count=7, seed=70)
+    ])
+    model = train_forest(X, np.arange(40) % 2, tree_count=7, seed=70)
+
+    def tree_vote(tree, x):
+        node = 0
+        while tree.leaf_class[node] < 0:
+            go_left = x[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        return int(tree.leaf_class[node])
+
     ok = True
     for _ in range(100):
-        c = sf.Candidate(0.0, rng.uniform(-2.0, 5.0, 5))
-        votes = sum(t.predict(c.features) for t in model.trees)
-        label, score = classify(model, c)
-        ok = ok and score == votes / 7.0 and label == (1 if score > 0.5 else 0)
+        x = rng.uniform(-2.0, 5.0, 5)
+        votes = sum(tree_vote(t, x) for t in model.trees)
+        labels, scores = classify(model, x[None, :])
+        ok = ok and scores[0] == votes / 7.0 and labels[0] == (1 if scores[0] > 0.5 else 0)
     checks.append(("vote-majority consistency", ok))
 
     # TP/FP/FN accounting

@@ -28,7 +28,6 @@ from shotfuse.dataio import (
     write_labels_csv,
     write_wav,
 )
-from shotfuse.fusion import Candidate
 
 
 # --- WAV ---------------------------------------------------------------------
@@ -140,6 +139,40 @@ def test_imu_csv_non_numeric_reports_row(tmp_path):
         read_imu_csv(path)
 
 
+def test_imu_csv_blank_lines_before_bad_row(tmp_path):
+    header = "t_ms,ax,ay,az,gx,gy,gz\n"
+    path = tmp_path / "imu.csv"
+    path.write_text(header + "\n0,0,0,0,0,0,0\n\n\n10,0,0,0,oops,0,0\n")
+    with pytest.raises(ValueError, match="row 6: non-numeric value 'oops' in column gx"):
+        read_imu_csv(path)
+    path.write_text(header + "0,0,0,0,0,0,0\n\n\n10,0,0,0,0,0,0\n\n20,0,0,9.5,0,0,0\n")
+    with pytest.raises(ValueError, match="row 7: acceleration exceeds"):
+        read_imu_csv(path)
+
+
+def test_imu_csv_short_row(tmp_path):
+    path = tmp_path / "imu.csv"
+    path.write_text("t_ms,ax,ay,az,gx,gy,gz\n0,0,0,0,0,0,0\n\n10,0,0,0,0,0\n")
+    with pytest.raises(ValueError, match="row 4: expected 7 fields, got 6"):
+        read_imu_csv(path)
+
+
+def test_imu_csv_extra_trailing_fields_and_column_order(tmp_path):
+    path = tmp_path / "imu.csv"
+    path.write_text("gz,t_ms,ax,ay,az,gx,gy,note\n3,0,0.5,0,0,0,0,x\n4,10,0,0,0,0,0,y,extra\n")
+    imu = read_imu_csv(path)
+    assert np.array_equal(imu.t, [0.0, 10.0])
+    assert np.array_equal(imu.ax, [0.5, 0.0])
+    assert np.array_equal(imu.gz, [3.0, 4.0])
+
+
+def test_imu_csv_hash_cell_is_not_a_comment(tmp_path):
+    path = tmp_path / "imu.csv"
+    path.write_text("t_ms,ax,ay,az,gx,gy,gz\n0,0,0,0,0,0,0\n#,0,0,0,0,0,0\n")
+    with pytest.raises(ValueError, match="row 3: non-numeric value '#' in column t_ms"):
+        read_imu_csv(path)
+
+
 def test_imu_csv_missing_column(tmp_path):
     path = tmp_path / "imu.csv"
     path.write_text("t_ms,ax,ay,az,gx,gy\n")
@@ -163,6 +196,41 @@ def test_labels_missing_header(tmp_path):
     path.write_text("time\n100\n")
     with pytest.raises(ValueError, match="t_ms"):
         read_labels_csv(path)
+
+
+def test_labels_and_events_report_row_and_column(tmp_path):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("t_ms\n100\n\nlate\n")
+    with pytest.raises(ValueError, match="row 4: non-numeric value 'late' in column t_ms"):
+        read_labels_csv(labels)
+    events = tmp_path / "events.csv"
+    events.write_text("time_ms,score\n105.0,0.9\n\n\n210.0,#\n")
+    with pytest.raises(ValueError, match="row 5: non-numeric value '#' in column score"):
+        read_events_csv(events)
+    events.write_text("time_ms,score\n105.0,0.9\n210.0\n")
+    with pytest.raises(ValueError, match="row 3: expected 2 fields, got 1"):
+        read_events_csv(events)
+
+
+def test_labels_and_events_skip_blank_lines_and_extra_fields(tmp_path):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("t_ms,who\n100,a\n\n250.5,b\n")
+    assert np.array_equal(read_labels_csv(labels).shots, [100.0, 250.5])
+    events = tmp_path / "events.csv"
+    events.write_text("time_ms,score,why\n\n105.0,0.9,x\n210.0,0.5\n")
+    assert read_events_csv(events) == [ShotEvent(105.0, 0.9), ShotEvent(210.0, 0.5)]
+
+
+def test_header_only_files_are_empty(tmp_path):
+    imu = tmp_path / "imu.csv"
+    imu.write_text("t_ms,ax,ay,az,gx,gy,gz\n\n")
+    assert len(read_imu_csv(imu)) == 0
+    labels = tmp_path / "labels.csv"
+    labels.write_text("t_ms\n")
+    assert len(read_labels_csv(labels)) == 0
+    events = tmp_path / "events.csv"
+    events.write_text("time_ms,score\n")
+    assert read_events_csv(events) == []
 
 
 def test_events_round_trip(tmp_path):
@@ -193,11 +261,7 @@ def test_filter_model_json_schema(tmp_path, rng):
 
 
 def test_forest_model_json_schema(tmp_path, rng):
-    data = [
-        (Candidate(0.0, rng.standard_normal(5)), int(k % 2))
-        for k in range(20)
-    ]
-    model = train_forest(data, tree_count=3, seed=1)
+    model = train_forest(rng.standard_normal((20, 5)), np.arange(20) % 2, tree_count=3, seed=1)
     path = tmp_path / "forest.json"
     save_forest_model(path, model)
     payload = json.loads(path.read_text())

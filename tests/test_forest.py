@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from shotfuse import Candidate, ForestModel, classify, train_forest
+from shotfuse import ForestModel, classify, train_forest
 from shotfuse.forest import DecisionTree
 
 
-def cand(features, t=0.0):
-    return Candidate(t, np.asarray(features, dtype=float))
+def classify_one(model, features):
+    """(label, score) of a single feature vector."""
+    labels, scores = classify(model, np.asarray(features, dtype=float)[None, :])
+    return int(labels[0]), float(scores[0])
 
 
 def separable_dataset(rng, n=60):
     """Class decided by feature 0 alone: below 1 or above 2."""
-    data = []
+    rows = []
+    labels = []
     for _ in range(n):
         if rng.random() < 0.5:
             f0 = rng.uniform(-1.0, 1.0)
@@ -20,21 +23,21 @@ def separable_dataset(rng, n=60):
             f0 = rng.uniform(2.0, 4.0)
             label = 1
         rest = rng.uniform(-1.0, 1.0, 4)
-        data.append((cand(np.r_[f0, rest]), label))
-    return data
+        rows.append(np.r_[f0, rest])
+        labels.append(label)
+    return np.array(rows), np.array(labels)
 
 
 def test_forest_fits_separable_data(rng):
-    data = separable_dataset(rng)
-    model = train_forest(data, tree_count=20, seed=1)
-    for c, label in data:
-        assert classify(model, c)[0] == label
+    X, y = separable_dataset(rng)
+    model = train_forest(X, y, tree_count=20, seed=1)
+    for x, label in zip(X, y):
+        assert classify_one(model, x)[0] == label
 
 
 def test_forest_rejects_single_class(rng):
-    data = [(cand(rng.standard_normal(5)), 1) for _ in range(10)]
     with pytest.raises(ValueError, match="degenerate training set"):
-        train_forest(data, tree_count=5, seed=0)
+        train_forest(rng.standard_normal((10, 5)), np.ones(10, dtype=int), tree_count=5, seed=0)
 
 
 def leaf(cls):
@@ -58,26 +61,26 @@ def test_hand_built_three_tree_majority():
         seed=0,
     )
     # votes: feature0=2 -> tree1 votes 1; feature1=0.2 -> tree2 votes 1; leaf votes 1
-    label, score = classify(model, cand([2.0, 0.2, 0, 0, 0]))
+    label, score = classify_one(model, [2.0, 0.2, 0, 0, 0])
     assert (label, score) == (1, 1.0)
     # votes: tree1 0, tree2 0, leaf 1 -> minority
-    label, score = classify(model, cand([0.5, 0.9, 0, 0, 0]))
+    label, score = classify_one(model, [0.5, 0.9, 0, 0, 0])
     assert label == 0
     assert score == pytest.approx(1.0 / 3.0)
 
 
 def test_classify_unanimous_and_tie():
     all_shot = ForestModel((leaf(1), leaf(1)), tree_count=2, seed=0)
-    assert classify(all_shot, cand(np.zeros(5))) == (1, 1.0)
+    assert classify_one(all_shot, np.zeros(5)) == (1, 1.0)
     split = ForestModel((leaf(1), leaf(0)), tree_count=2, seed=0)
-    label, score = classify(split, cand(np.zeros(5)))
+    label, score = classify_one(split, np.zeros(5))
     assert (label, score) == (0, 0.5)  # exact tie counts as non-shot
 
 
 def test_twenty_of_fifty_votes():
     trees = tuple(leaf(1) for _ in range(20)) + tuple(leaf(0) for _ in range(30))
     model = ForestModel(trees, tree_count=50, seed=0)
-    label, score = classify(model, cand(np.zeros(5)))
+    label, score = classify_one(model, np.zeros(5))
     assert (label, score) == (0, 0.4)
 
 
@@ -89,35 +92,82 @@ def manual_traverse(tree, x):
 
 
 def test_vote_majority_consistency_property(rng):
-    data = separable_dataset(rng, n=40)
-    model = train_forest(data, tree_count=9, seed=3)
+    X, y = separable_dataset(rng, n=40)
+    model = train_forest(X, y, tree_count=9, seed=3)
     for _ in range(100):
         x = rng.uniform(-2.0, 5.0, 5)
         votes = [manual_traverse(t, x) for t in model.trees]
-        label, score = classify(model, cand(x))
+        label, score = classify_one(model, x)
         assert score == pytest.approx(sum(votes) / 9.0)
         assert label == (1 if score > 0.5 else 0)
         assert score in {k / 9.0 for k in range(10)}
 
 
 def test_forest_deterministic_given_seed(rng):
-    data = separable_dataset(rng)
-    a = train_forest(data, tree_count=10, seed=7)
-    b = train_forest(data, tree_count=10, seed=7)
+    X, y = separable_dataset(rng)
+    a = train_forest(X, y, tree_count=10, seed=7)
+    b = train_forest(X, y, tree_count=10, seed=7)
     assert a.to_dict() == b.to_dict()
-    c = train_forest(data, tree_count=10, seed=8)
+    c = train_forest(X, y, tree_count=10, seed=8)
     assert c.to_dict() != a.to_dict()
 
 
 def test_forest_serialization_round_trip(rng):
-    data = separable_dataset(rng, n=30)
-    model = train_forest(data, tree_count=5, seed=2)
+    X, y = separable_dataset(rng, n=30)
+    model = train_forest(X, y, tree_count=5, seed=2)
     rebuilt = ForestModel.from_dict(model.to_dict())
     for _ in range(50):
-        x = cand(rng.uniform(-2.0, 5.0, 5))
-        assert classify(rebuilt, x) == classify(model, x)
+        x = rng.uniform(-2.0, 5.0, 5)
+        assert classify_one(rebuilt, x) == classify_one(model, x)
 
 
 def test_tree_rejects_bad_feature_index():
     with pytest.raises(ValueError, match="feature index"):
         DecisionTree([7, -1, -1], [0.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [-1, 0, 1])
+
+
+def random_tree(rng, values, max_depth):
+    """A random tree in preorder whose thresholds come from values."""
+    feature, threshold, left, right, leaf_class = [], [], [], [], []
+
+    def grow(depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        leaf_class.append(-1)
+        if depth == max_depth or rng.random() < 0.3:
+            leaf_class[node] = int(rng.integers(0, 2))
+            return node
+        feature[node] = int(rng.integers(0, 5))
+        threshold[node] = float(rng.choice(values))
+        left[node] = grow(depth + 1)
+        right[node] = grow(depth + 1)
+        return node
+
+    grow(0)
+    return DecisionTree(feature, threshold, left, right, leaf_class)
+
+
+def test_batched_votes_match_per_tree_descent():
+    rng = np.random.default_rng(29)
+    values = np.array([-1.0, 0.0, 0.25, 0.5, 1.0])
+    for _ in range(30):
+        n_trees = int(rng.integers(1, 12))
+        trees = tuple(random_tree(rng, values, int(rng.integers(0, 7))) for _ in range(n_trees))
+        model = ForestModel(trees, tree_count=n_trees, seed=0)
+        # Most cells equal some threshold, so "<= goes left" is exercised.
+        X = rng.choice(values, size=(int(rng.integers(0, 40)), 5))
+        X[rng.random(X.shape) < 0.3] += 0.1
+        labels, scores = classify(model, X)
+        assert labels.shape == scores.shape == (X.shape[0],)
+        for x, label, score in zip(X, labels, scores):
+            votes = sum(manual_traverse(t, x) for t in trees)
+            assert score == votes / n_trees
+            assert label == (1 if votes / n_trees > 0.5 else 0)
+
+
+def test_classify_rejects_a_vector():
+    with pytest.raises(ValueError, match="feature matrix"):
+        classify(ForestModel((leaf(1),), tree_count=1, seed=0), np.zeros(5))

@@ -93,41 +93,41 @@ def five_series(apf=None, ipf=None, a_rad=None, a_tan=None, w_rad=None, n=100):
 
 def test_constant_series_features():
     ss = tuple(series(np.full(100, 4.2)) for _ in range(5))
-    c = extract_features(500.0, *ss)
-    assert np.allclose(c.features, 4.2)
+    c = extract_features([500.0], *ss)[0]
+    assert np.allclose(c, 4.2)
 
 
 def test_impulse_in_window_is_captured():
     apf = np.zeros(100)
     apf[60] = 7.0  # 100 ms after the candidate, inside +/-250 ms
     ss = five_series(apf=apf)
-    c = extract_features(500.0, *ss)
-    assert c.features[0] == 7.0
+    c = extract_features([500.0], *ss)[0]
+    assert c[0] == 7.0
 
 
 def test_features_match_window_scan(rng):
     arrays = [rng.standard_normal(200) for _ in range(5)]
     ss = tuple(series(a) for a in arrays)
     t = 700.0
-    c = extract_features(t, *ss)
+    c = extract_features([t], *ss)[0]
     for k, a in enumerate(arrays):
         lo = int(np.ceil((t - 250.0) / 10.0))
         hi = int(np.floor((t + 250.0) / 10.0)) + 1
-        assert c.features[k] == pytest.approx(np.max(a[lo:hi]), rel=1e-12)
+        assert c[k] == pytest.approx(np.max(a[lo:hi]), rel=1e-12)
 
 
 def test_partial_window_at_edge(rng):
     arrays = [rng.standard_normal(100) for _ in range(5)]
     ss = tuple(series(a) for a in arrays)
-    c = extract_features(30.0, *ss)  # window [  -220, 280 ] truncates at 0
+    c = extract_features([30.0], *ss)[0]  # window [  -220, 280 ] truncates at 0
     for k, a in enumerate(arrays):
-        assert c.features[k] == pytest.approx(np.max(a[:29]), rel=1e-12)
+        assert c[k] == pytest.approx(np.max(a[:29]), rel=1e-12)
 
 
 def test_candidate_out_of_range():
     ss = five_series()
     with pytest.raises(ValueError, match="candidate out of range"):
-        extract_features(99999.0, *ss)
+        extract_features([99999.0], *ss)
 
 
 # --- detect_shots ------------------------------------------------------------------
@@ -168,7 +168,7 @@ def test_detect_shots_synthetic_game(identity_model):
     cfg = sf.SynthConfig(duration_s=60.0, shot_count=20, injected_offset_ms=-180.0, seed=77)
     audio, imu, labels = sf.synthesize(cfg)
     synced = synced_series(audio, imu, identity_model)
-    forest = sf.train_forest(candidate_dataset(synced, labels), tree_count=15, seed=4)
+    forest = sf.train_forest(*candidate_dataset(synced, labels), tree_count=15, seed=4)
 
     events = detect_shots(synced, forest)
     assert len(events) == 20
@@ -181,7 +181,7 @@ def _trained_forest(identity_model, seed=77):
                          distractor_rate_per_min=4.0, seed=seed)
     audio, imu, labels = sf.synthesize(cfg)
     synced = synced_series(audio, imu, identity_model)
-    return sf.train_forest(candidate_dataset(synced, labels), tree_count=15, seed=4)
+    return sf.train_forest(*candidate_dataset(synced, labels), tree_count=15, seed=4)
 
 
 def test_detect_shots_suppresses_audio_only_distractors(identity_model):
@@ -216,3 +216,37 @@ def test_detect_shots_deterministic(identity_model):
     a = detect_shots(aligned(audio, imu, identity_model, offset), forest)
     b = detect_shots(aligned(audio, imu, identity_model, offset), forest)
     assert a == b
+
+
+def scan_window_max(s, t, half=250.0):
+    """Per-candidate oracle: max over samples timed within [t - half, t + half]."""
+    eps = 1e-9 * s.period_ms
+    inside = [v for ts, v in zip(s.times(), s.values) if t - half - eps <= ts <= t + half + eps]
+    if inside:
+        return max(inside), len(inside)
+    nearest = int(np.argmin(np.abs(s.times() - t)))
+    return s.values[nearest], 0
+
+
+def test_feature_matrix_matches_window_scan():
+    rng = np.random.default_rng(31)
+    sizes = set()
+    for _ in range(10):
+        # The motion series sets the candidate grid; the others start off it,
+        # one far enough away that some windows miss it entirely.
+        ipf_s = series(rng.standard_normal(300))
+        others = []
+        for _ in range(3):
+            n = int(rng.integers(50, 400))
+            others.append(series(rng.standard_normal(n), start=float(rng.uniform(-800, 800))))
+        far = series(rng.standard_normal(40), start=2600.0)
+        ss = (others[0], ipf_s, others[1], others[2], far)
+        times = np.r_[0.0, 10.0, 2990.0, rng.choice(ipf_s.times(), 20)]
+        X = extract_features(times, *ss)
+        assert X.shape == (times.size, 5)
+        for i, t in enumerate(times):
+            for k, s in enumerate(ss):
+                want, size = scan_window_max(s, t)
+                assert X[i, k] == want
+                sizes.add(size)
+    assert {0, 50, 51} <= sizes

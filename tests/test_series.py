@@ -275,3 +275,54 @@ def test_crosscorr_lag_symmetry_property():
         ba = dict(cross_correlate(b, a, 8))
         for lag in range(-8, 9):
             assert ab[lag] == pytest.approx(ba[-lag], abs=1e-9)
+
+
+def brute_correlate(a, b, max_lag):
+    """Per-lag oracle: mean-subtract each overlap window, then normalize."""
+    out = []
+    for lag in range(-max_lag, max_lag + 1):
+        i0 = max(0, -lag)
+        i1 = min(a.size, b.size - lag)
+        du = a[i0:i1] - a[i0:i1].mean()
+        dv = b[i0 + lag : i1 + lag] - b[i0 + lag : i1 + lag].mean()
+        denom = np.sqrt(np.dot(du, du) * np.dot(dv, dv))
+        out.append((lag, 0.0 if denom == 0.0 else float(np.dot(du, dv) / denom)))
+    return out
+
+
+def grid_train(rng, n):
+    """Sparse quantized levels, triangle-smoothed: every value a multiple of 1/16."""
+    levels = np.where(rng.random(n) < 0.2, rng.integers(1, 5, n), 0).astype(float)
+    return triangle_smooth(make(levels))
+
+
+def test_crosscorr_matches_brute_force_on_grid_trains():
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        a = grid_train(rng, int(rng.integers(20, 120)))
+        b = grid_train(rng, int(rng.integers(20, 120)))
+        max_lag = int(rng.integers(0, min(len(a), len(b))))
+        fast = cross_correlate(a, b, max_lag)
+        slow = brute_correlate(a.values, b.values, max_lag)
+        assert [lag for lag, _ in fast] == [lag for lag, _ in slow]
+        for (_, c_fast), (_, c_slow) in zip(fast, slow):
+            assert abs(c_fast - c_slow) <= 1e-12
+
+
+def test_crosscorr_constant_non_dyadic_window_is_exactly_zero(rng):
+    a = np.r_[np.full(40, 0.1), rng.standard_normal(10)]
+    b = rng.standard_normal(50)
+    for lag, c in cross_correlate(make(a), make(b), 20):
+        if lag >= 10:  # the window a[0 : 50 - lag] holds only the 0.1 run
+            assert c == 0.0
+    assert all(c == 0.0 for _, c in cross_correlate(make(np.full(30, 0.1)), make(b[:30]), 10))
+
+
+def test_crosscorr_general_floats_match_brute_force(rng):
+    for _ in range(20):
+        a = rng.standard_normal(int(rng.integers(10, 80)))
+        b = rng.standard_normal(int(rng.integers(10, 80)))
+        max_lag = int(rng.integers(0, min(a.size, b.size)))
+        fast = cross_correlate(make(a), make(b), max_lag)
+        for (_, c_fast), (_, c_slow) in zip(fast, brute_correlate(a, b, max_lag)):
+            assert c_fast == pytest.approx(c_slow, abs=1e-9)

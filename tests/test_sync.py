@@ -3,11 +3,14 @@ import pytest
 
 from shotfuse import (
     OffsetEstimate,
+    QuantizerModel,
     SampleSeries,
+    cross_correlate,
     estimate_offset,
     fit_quantizer,
     quantize,
     self_calibrate_quantizer,
+    triangle_smooth,
     validate_offset,
 )
 
@@ -238,3 +241,20 @@ def test_validate_window_unavailable(rng):
     est = estimate_offset(a, b, q)
     with pytest.raises(ValueError, match="validation window unavailable"):
         validate_offset(a, b, q, est, validation_seconds=5.0)
+
+
+def test_exactly_tied_peaks_resolve_to_smaller_lag():
+    # Levels equal the values under these boundaries. One event in the
+    # audio train; two equal events in the longer IMU train align with it
+    # at lags 2 and 20 with identical window statistics.
+    q = QuantizerModel([0.5, 1.5, 2.5, 3.5], [0.5, 1.5, 2.5, 3.5])
+    apf = np.zeros(600)
+    apf[300] = 4.0
+    ipf = np.zeros(620)
+    ipf[[302, 320]] = 4.0
+    a, b = SampleSeries(100.0, 0.0, apf), SampleSeries(100.0, 0.0, ipf)
+    corr = dict(cross_correlate(triangle_smooth(a), triangle_smooth(b), 200))
+    assert corr[2] == corr[20] == max(corr.values())
+    est = estimate_offset(a, b, q)
+    assert est.offset_ms == 20.0
+    assert est.peak_correlation == corr[2]
