@@ -19,7 +19,7 @@ from .fusion import (
     imu_only_events,
     select_candidates,
 )
-from .imu import ImuComponents, ImuStream, decompose, imu_likelihood, ipf, prepare_components
+from .imu import ImuComponents, ImuStream, decompose, ipf, prepare_components
 from .series import (
     FirKernel,
     IirCoefficients,
@@ -78,7 +78,6 @@ __all__ = [
     "fir_convolve",
     "fit_quantizer",
     "iir_filter",
-    "imu_likelihood",
     "imu_only_events",
     "ipf",
     "prepare_components",

@@ -23,8 +23,9 @@ class DecisionTree:
     """Binary tree as parallel arrays; node 0 is the root.
 
     Internal nodes carry (feature, threshold, left, right) and leaf_class
-    -1; leaves carry leaf_class 0/1 and -1 elsewhere. Samples with
-    feature value <= threshold go left.
+    -1; leaves carry leaf_class 0/1 and -1 elsewhere. An internal node's
+    children have larger indices than the node. Samples with feature value
+    <= threshold go left.
     """
 
     feature: np.ndarray
@@ -40,11 +41,20 @@ class DecisionTree:
         object.__setattr__(self, "right", np.asarray(self.right, dtype=int))
         object.__setattr__(self, "leaf_class", np.asarray(self.leaf_class, dtype=int))
         n = self.feature.size
-        if not all(a.size == n for a in (self.threshold, self.left, self.right, self.leaf_class)):
-            raise ValueError("node arrays must have equal length")
-        internal = self.leaf_class < 0
-        if np.any((self.feature[internal] < 0) | (self.feature[internal] >= NUM_FEATURES)):
-            raise ValueError("internal node with out-of-range feature index")
+        if n == 0 or not all(a.size == n for a in (self.threshold, self.left, self.right, self.leaf_class)):
+            raise ValueError("node arrays must have equal length and at least one node")
+        if np.abs(self.leaf_class).max() > 1:
+            raise ValueError("leaf_class must be -1 (internal), 0 or 1")
+        node = np.flatnonzero(self.leaf_class < 0)
+        if node.size:
+            feature = self.feature[node]
+            if feature.min() < 0 or feature.max() >= NUM_FEATURES:
+                raise ValueError("internal node with out-of-range feature index")
+            # Children lie after their node and inside the tree, as _TreeBuilder
+            # lays them out, so every descent ends at a leaf of this tree.
+            children = np.array((self.left[node], self.right[node]))
+            if (children <= node).any() or children.max() >= n:
+                raise ValueError("internal node with a child not after it inside the tree")
 
     def to_dict(self) -> dict:
         return {
@@ -70,6 +80,8 @@ class ForestModel:
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
+        if self.tree_count < 1:
+            raise ValueError("a forest needs at least one tree")
         if len(self.trees) != self.tree_count:
             raise ValueError("tree_count must match the number of trees")
 

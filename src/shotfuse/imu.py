@@ -28,7 +28,6 @@ __all__ = [
     "decompose",
     "prepare_components",
     "ipf",
-    "imu_likelihood",
 ]
 
 ACCEL_RANGE_G = 8.0
@@ -196,7 +195,3 @@ def ipf(components: ImuComponents) -> SampleSeries:
     src = components.a_rad
     return SampleSeries(src.rate, src.start_time + lead * src.period_ms, out)
 
-
-def imu_likelihood(stream: ImuStream, rate_hz: float = IMU_RATE_HZ) -> SampleSeries:
-    """Full motion pipeline: decompose, low-pass at 10 Hz, peak function."""
-    return ipf(prepare_components(stream, rate_hz))

@@ -40,7 +40,7 @@ from .fusion import (
 from .imu import ImuStream, ipf, prepare_components
 from .series import SampleSeries
 from .sync import estimate_offset, self_calibrate_quantizer, validate_offset
-from .training import TrainConfig, train_filter, window_score
+from .training import TrainConfig, stack_windows, train_filter, window_scores
 
 __all__ = [
     "PipelineOptions",
@@ -61,6 +61,20 @@ CANDIDATE_LABEL_TOLERANCE_MS = 150.0
 MIN_SYNC_WINDOW_SECONDS = 5.0
 #: Share of the labeled items the training workflows fit on; the rest is held out.
 TRAIN_FRACTION = 0.8
+#: Windows that window_metrics stacks per window_scores call: one default
+#: training batch, so scoring a held-out set never holds a second copy of it.
+SCORED_WINDOWS_PER_CALL = 32
+
+
+def _label_distance(labels: LabelSet, times: np.ndarray) -> np.ndarray:
+    """Distance from each time to its nearest label; inf when there are no labels."""
+    shots = labels.shots
+    if shots.size == 0:
+        return np.full(times.size, np.inf)
+    # Labels ascend, so the nearest one is a neighbor of the insertion point.
+    after = np.minimum(np.searchsorted(shots, times), shots.size - 1)
+    before = np.maximum(after - 1, 0)
+    return np.minimum(np.abs(shots[before] - times), np.abs(shots[after] - times))
 
 
 def windows_from_labels(
@@ -83,43 +97,37 @@ def windows_from_labels(
     rng = np.random.default_rng(seed)
     frame_len = audio_cfg.microframe_samples
     span = window_frames * frame_len
-    half = window_frames // 2
     n_frames = len(audio) // frame_len
 
-    def cut(center_ms: float) -> np.ndarray | None:
-        frame = int((center_ms - audio.start_time) / audio_cfg.microframe_ms)
-        start_frame = frame - half
-        if start_frame < 0 or start_frame + window_frames > n_frames:
-            return None
-        start = start_frame * frame_len
-        return audio.values[start : start + span]
+    def starts(center_ms: np.ndarray) -> np.ndarray:
+        """First sample of each window, or -1 where the window leaves the stream."""
+        frame = ((center_ms - audio.start_time) / audio_cfg.microframe_ms).astype(int)
+        start_frame = frame - window_frames // 2
+        inside = (start_frame >= 0) & (start_frame + window_frames <= n_frames)
+        return np.where(inside, start_frame * frame_len, -1)
 
-    windows = []
-    for t in labels.shots:
-        samples = cut(float(t))
-        if samples is not None:
-            windows.append(LabeledAudioWindow(samples, 1))
-    n_pos = len(windows)
-    if n_pos == 0:
-        return windows
+    positive = starts(labels.shots)
+    positive = positive[positive >= 0]
 
-    wanted = int(round(negatives_per_positive * n_pos))
+    # Negative centers come from one draw of the capped attempt count, which
+    # gives the values that many scalar draws would, in order; the first
+    # `wanted` far enough from every label whose window fits are kept.
+    def far_starts(centers: np.ndarray, count: int) -> np.ndarray:
+        first = starts(centers)
+        keep = (first >= 0) & (_label_distance(labels, centers) >= min_label_distance_ms)
+        return first[np.flatnonzero(keep)[:count]]
+
+    wanted = int(round(negatives_per_positive * positive.size))
     half_ms = span / 2 / audio_cfg.sample_rate * 1000.0
     lo = audio.start_time + half_ms
     hi = audio.end_time - half_ms
-    attempts = 0
-    negatives = 0
-    while negatives < wanted and attempts < 100 * wanted:
-        attempts += 1
-        t = rng.uniform(lo, hi)
-        if len(labels) and np.min(np.abs(labels.shots - t)) < min_label_distance_ms:
-            continue
-        samples = cut(t)
-        if samples is None:
-            continue
-        windows.append(LabeledAudioWindow(samples, 0))
-        negatives += 1
-    return windows
+    negative = far_starts(rng.uniform(lo, hi, 100 * wanted), wanted)
+
+    return [
+        LabeledAudioWindow(audio.values[s : s + span], label)
+        for label, first in ((1, positive), (0, negative))
+        for s in first
+    ]
 
 
 def shuffle_split(items: list, fraction: float = 0.8, seed: int = 0) -> tuple[list, list]:
@@ -134,15 +142,15 @@ def window_metrics(
     model: FilterModel, windows: list[LabeledAudioWindow], audio_cfg: AudioConfig = AudioConfig()
 ) -> dict:
     """Window-level precision/recall/F of the biased-threshold classifier."""
-    tp = fp = fn = 0
-    for w in windows:
-        predicted = window_score(w.samples, model.weights, model.bias, audio_cfg) > 0.0
-        if predicted and w.label == 1:
-            tp += 1
-        elif predicted and w.label == 0:
-            fp += 1
-        elif not predicted and w.label == 1:
-            fn += 1
+    labels = np.array([w.label for w in windows], dtype=int)
+    predicted = np.zeros(labels.size, dtype=bool)
+    for start in range(0, len(windows), SCORED_WINDOWS_PER_CALL):
+        samples, _ = stack_windows(windows[start : start + SCORED_WINDOWS_PER_CALL])
+        scores = window_scores(samples, model.weights, model.bias, audio_cfg)
+        predicted[start : start + SCORED_WINDOWS_PER_CALL] = scores > 0.0
+    tp = int(np.count_nonzero(predicted & (labels == 1)))
+    fp = int(np.count_nonzero(predicted & (labels == 0)))
+    fn = int(np.count_nonzero(~predicted & (labels == 1)))
     precision = tp / (tp + fp) if tp + fp else 1.0
     recall = tp / (tp + fn) if tp + fn else 1.0
     f_score = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
@@ -207,15 +215,7 @@ def candidate_dataset(
     """
     times = select_candidates(synced.ipf, neighborhood_ms)
     X = extract_features(times, *synced.feature_series, neighborhood_ms)
-    positive = np.zeros(times.size, dtype=bool)
-    if len(labels):
-        # Labels ascend, so the nearest one is a neighbor of the insertion point.
-        shots = labels.shots
-        after = np.minimum(np.searchsorted(shots, times), shots.size - 1)
-        before = np.maximum(after - 1, 0)
-        nearest = np.minimum(np.abs(shots[before] - times), np.abs(shots[after] - times))
-        positive = nearest <= label_tolerance_ms
-    return X, positive.astype(int)
+    return X, (_label_distance(labels, times) <= label_tolerance_ms).astype(int)
 
 
 def calibrate_ipf_threshold(

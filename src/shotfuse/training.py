@@ -13,14 +13,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import DEFAULT_FILTER_TAPS, AudioConfig, FilterModel, LabeledAudioWindow
 
 __all__ = [
     "TrainConfig",
-    "window_score",
-    "window_loss_and_gradients",
-    "total_loss",
+    "stack_windows",
+    "window_scores",
     "total_gradients",
     "train_filter",
 ]
@@ -60,110 +60,101 @@ class TrainConfig:
             raise ValueError("filter_taps must be at least 1")
 
 
-def _check_window(samples: np.ndarray, n_taps: int, cfg: AudioConfig) -> None:
-    needed = cfg.macroframe_frames * cfg.microframe_samples + n_taps - 1
-    if samples.size < needed:
+def _shared_length(windows: list[LabeledAudioWindow]) -> int:
+    lengths = {w.samples.size for w in windows}
+    if len(lengths) > 1:
+        raise ValueError(f"windows of mixed length {sorted(lengths)}; all must share one length")
+    return lengths.pop() if lengths else 0
+
+
+def stack_windows(windows: list[LabeledAudioWindow]) -> tuple[np.ndarray, np.ndarray]:
+    """(windows, samples) matrix and (windows,) labels of equal-length windows."""
+    shape = (len(windows), _shared_length(windows))
+    samples = np.array([w.samples for w in windows], dtype=float).reshape(shape)
+    return samples, np.array([w.label for w in windows], dtype=int)
+
+
+def _check_length(n_samples: int, n_taps: int, cfg: AudioConfig) -> None:
+    if n_samples < cfg.macroframe_frames * cfg.microframe_samples + n_taps - 1:
         raise ValueError("window too short")
 
 
-def _forward(samples: np.ndarray, weights: np.ndarray, cfg: AudioConfig):
-    filtered = np.convolve(samples, weights)[: samples.size]
-    frame_len = cfg.microframe_samples
-    n_frames = samples.size // frame_len
-    blocks = filtered[: n_frames * frame_len].reshape(n_frames, frame_len)
-    energy = np.sum(blocks * blocks, axis=1)
-    return blocks, energy, n_frames
+def _center_history(samples: np.ndarray, n_taps: int, cfg: AudioConfig) -> np.ndarray:
+    """The samples the filter reads to output each row's center macroframe.
 
-
-def window_score(
-    samples: np.ndarray, weights: np.ndarray, bias: float, cfg: AudioConfig = AudioConfig()
-) -> float:
-    """Biased likelihood at the window's center microframe."""
-    _check_window(samples, weights.size, cfg)
-    _, energy, n_frames = _forward(samples, weights, cfg)
-    center = n_frames // 2
-    h = cfg.macroframe_half
-    peak = energy[center] - energy[center - h : center + h + 1].mean()
-    return float(peak + bias)
-
-
-def window_loss_and_gradients(
-    window: LabeledAudioWindow,
-    weights: np.ndarray,
-    bias: float,
-    cfg: AudioConfig = AudioConfig(),
-) -> tuple[float, np.ndarray, float]:
-    """Loss of one window and its gradients w.r.t. weights and bias.
-
-    Loss is -(score) for a missed shot, +(score) for a false alarm, and 0
-    for a correct classification (ties at score 0 count as non-shot).
+    That is the center microframe and macroframe_half microframes on each
+    side, preceded by n_taps - 1 samples of history (zeros before a
+    window's first sample).
     """
-    samples = window.samples
-    _check_window(samples, weights.size, cfg)
-    blocks, energy, n_frames = _forward(samples, weights, cfg)
-    center = n_frames // 2
-    h = cfg.macroframe_half
-    m = cfg.macroframe_frames
-    peak = energy[center] - energy[center - h : center + h + 1].mean()
-    score = peak + bias
-    predicted = score > 0.0
-
-    if window.label == 1 and not predicted:
-        d_score = -1.0
-    elif window.label == 0 and predicted:
-        d_score = 1.0
-    else:
-        return 0.0, np.zeros_like(weights), 0.0
-
-    loss = d_score * score
-    assert loss >= 0.0
-
-    # Backpropagate: score -> energy -> filtered signal -> weights.
-    d_energy = np.zeros(n_frames)
-    d_energy[center - h : center + h + 1] = -d_score / m
-    d_energy[center] += d_score
-    d_filtered = (2.0 * blocks * d_energy[:, None]).reshape(-1)
-    # filtered[k] = sum_t weights[t] * samples[k - t]
-    n_used = d_filtered.size
-    d_weights = np.array(
-        [np.dot(d_filtered[t:], samples[: n_used - t]) for t in range(weights.size)]
-    )
-    return float(loss), d_weights, d_score
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2:
+        raise ValueError("samples must be a (windows, samples) matrix")
+    _check_length(samples.shape[1], n_taps, cfg)
+    frame_len = cfg.microframe_samples
+    first = (samples.shape[1] // frame_len // 2 - cfg.macroframe_half) * frame_len
+    start = first - (n_taps - 1)
+    history = samples[:, max(start, 0) : first + cfg.macroframe_frames * frame_len]
+    return np.pad(history, ((0, 0), (max(-start, 0), 0)))
 
 
-def total_loss(
-    windows: list[LabeledAudioWindow],
-    weights: np.ndarray,
-    bias: float,
-    cfg: AudioConfig = AudioConfig(),
-) -> float:
-    """Summed loss over a window set (forward pass only)."""
-    out = 0.0
-    for w in windows:
-        score = window_score(w.samples, weights, bias, cfg)
-        if w.label == 1 and score <= 0.0:
-            out -= score
-        elif w.label == 0 and score > 0.0:
-            out += score
-    return out
+def _center_scores(history: np.ndarray, weights: np.ndarray, bias: float, cfg: AudioConfig):
+    """Filtered center macroframes as (windows, frames, frame samples) and the biased scores.
+
+    The score is the center frame's energy minus the mean energy of its
+    macroframe, plus the bias.
+    """
+    taps = sliding_window_view(history, weights.size, axis=1)
+    filtered = np.einsum("nkj,j->nk", taps, weights[::-1])
+    blocks = filtered.reshape(len(history), cfg.macroframe_frames, cfg.microframe_samples)
+    energy = np.einsum("nfk,nfk->nf", blocks, blocks)
+    return blocks, energy[:, cfg.macroframe_half] - energy.mean(axis=1) + bias
+
+
+def window_scores(
+    samples: np.ndarray, weights: np.ndarray, bias: float, cfg: AudioConfig = AudioConfig()
+) -> np.ndarray:
+    """Biased likelihood at the center microframe of each row of a (windows, samples) matrix.
+
+    The center microframe is number (samples // microframe_samples) // 2;
+    a window needs a full macroframe around it plus n_taps - 1 samples.
+    """
+    return _center_scores(_center_history(samples, weights.size, cfg), weights, bias, cfg)[1]
 
 
 def total_gradients(
-    windows: list[LabeledAudioWindow],
+    samples: np.ndarray,
+    labels: np.ndarray,
     weights: np.ndarray,
     bias: float,
     cfg: AudioConfig = AudioConfig(),
 ) -> tuple[float, np.ndarray, float]:
-    """Summed loss and gradients over a window set."""
-    loss = 0.0
-    d_w = np.zeros_like(weights)
-    d_b = 0.0
-    for w in windows:
-        l, dw, db = window_loss_and_gradients(w, weights, bias, cfg)
-        loss += l
-        d_w += dw
-        d_b += db
-    return loss, d_w, d_b
+    """Summed loss and its gradients w.r.t. weights and bias over the rows of samples.
+
+    A row's loss is -(score) for a missed shot, +(score) for a false
+    alarm, and 0 for a correct classification (ties at score 0 count as
+    non-shot).
+    """
+    history = _center_history(samples, weights.size, cfg)
+    labels = np.asarray(labels)
+    if labels.shape != (len(history),):
+        raise ValueError("need one label per window")
+    blocks, score = _center_scores(history, weights, bias, cfg)
+    predicted = score > 0.0
+    false_alarm = predicted & (labels == 0)
+    missed = ~predicted & (labels == 1)
+    d_score = false_alarm - missed.astype(float)
+    loss = float(np.sum(d_score * score))
+
+    # Backpropagate score -> energy -> filtered signal -> weights over the
+    # misclassified rows; the others contribute nothing.
+    wrong = np.flatnonzero(d_score)
+    m = cfg.macroframe_frames
+    d_energy = np.eye(m)[cfg.macroframe_half] - 1.0 / m
+    d_blocks = 2.0 * blocks[wrong] * (d_score[wrong, None] * d_energy)[:, :, None]
+    # filtered[k] = sum_j taps[k, j] * weights[n_taps - 1 - j]
+    taps = sliding_window_view(history[wrong], weights.size, axis=1)
+    d_weights = np.einsum("nk,nkj->j", d_blocks.reshape(taps.shape[:2]), taps)[::-1]
+    return loss, d_weights, float(np.sum(d_score))
 
 
 class _Adam:
@@ -202,8 +193,7 @@ def train_filter(
     negatives = [w for w in data if w.label == 0]
     if not positives or not negatives:
         raise ValueError("degenerate training set")
-    for w in data:
-        _check_window(w.samples, cfg.filter_taps, audio_cfg)
+    _check_length(_shared_length(data), cfg.filter_taps, audio_cfg)
 
     rng = np.random.default_rng(cfg.seed)
     weights = rng.normal(0.0, cfg.init_std, cfg.filter_taps)
@@ -223,10 +213,12 @@ def train_filter(
         order = rng.permutation(len(windows))
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
-            batch = [windows[i] for i in order[start : start + cfg.batch_size]]
-            loss, d_w, d_b = total_gradients(batch, params[:-1], params[-1], audio_cfg)
+            samples, labels = stack_windows(
+                [windows[i] for i in order[start : start + cfg.batch_size]]
+            )
+            loss, d_w, d_b = total_gradients(samples, labels, params[:-1], params[-1], audio_cfg)
             epoch_loss += loss
-            grad = np.concatenate([d_w, [d_b]]) / len(batch)
+            grad = np.concatenate([d_w, [d_b]]) / len(samples)
             params = opt.step(params, grad)
         if epoch_loss == 0.0:
             break

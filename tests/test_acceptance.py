@@ -32,7 +32,7 @@ from shotfuse.pipeline import (
 )
 from shotfuse.series import SampleSeries, fir_convolve, FirKernel
 from shotfuse.sync import estimate_offset, quantize, self_calibrate_quantizer
-from shotfuse.training import total_gradients, total_loss, train_filter, window_score
+from shotfuse.training import stack_windows, total_gradients, train_filter, window_scores
 from shotfuse.forest import classify, train_forest
 from shotfuse.events import dedup, evaluate
 
@@ -113,11 +113,10 @@ def test_criterion_2_gradient_check():
         rng = np.random.default_rng(2000 + seed)
         weights = rng.normal(0.0, 0.2, 23)
         bias = float(rng.normal(0.0, 0.5))
-        samples = rng.standard_normal(21 * CFG.microframe_samples)
-        score = window_score(samples, weights, bias, CFG)
-        label = 1 if score <= 0.0 else 0  # force a nonzero loss
-        windows = [LabeledAudioWindow(samples, label)]
-        loss, d_w, d_b = total_gradients(windows, weights, bias, CFG)
+        samples = rng.standard_normal((1, 21 * CFG.microframe_samples))
+        score = window_scores(samples, weights, bias, CFG)[0]
+        labels = [1 if score <= 0.0 else 0]  # force a nonzero loss
+        loss, d_w, d_b = total_gradients(samples, labels, weights, bias, CFG)
         assert loss != 0.0
 
         grads = np.r_[d_w, d_b]
@@ -131,7 +130,8 @@ def test_criterion_2_gradient_check():
                 up_b = bias + step
                 down_b = bias - step
             fd = (
-                total_loss(windows, up_w, up_b, CFG) - total_loss(windows, down_w, down_b, CFG)
+                total_gradients(samples, labels, up_w, up_b, CFG)[0]
+                - total_gradients(samples, labels, down_w, down_b, CFG)[0]
             ) / (2 * step)
             rel = abs(fd - grads[t]) / max(abs(fd), abs(grads[t]), 1e-8)
             worst = max(worst, rel)
@@ -162,11 +162,9 @@ def test_criterion_3_filter_training():
     cfg = TrainConfig(seed=300, max_epochs=200)
     model = train_filter(train_set, cfg, CFG)
 
-    wrong = sum(
-        1
-        for w in train_set
-        if int(window_score(w.samples, model.weights, model.bias, CFG) > 0.0) != w.label
-    )
+    samples, labels = stack_windows(train_set)
+    scores = window_scores(samples, model.weights, model.bias, CFG)
+    wrong = int(np.count_nonzero((scores > 0.0) != labels))
     metrics = window_metrics(model, held_out, CFG)
     verdict(
         3,

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from shotfuse import ForestModel, classify, train_forest
+from shotfuse.dataio import load_forest_model
 from shotfuse.forest import DecisionTree
 
 
@@ -124,6 +127,41 @@ def test_forest_serialization_round_trip(rng):
 def test_tree_rejects_bad_feature_index():
     with pytest.raises(ValueError, match="feature index"):
         DecisionTree([7, -1, -1], [0.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [-1, 0, 1])
+
+
+def test_forest_needs_a_tree(rng):
+    with pytest.raises(ValueError, match="at least one tree"):
+        ForestModel((), tree_count=0, seed=0)
+    X, y = separable_dataset(rng, n=20)
+    with pytest.raises(ValueError, match="at least one tree"):
+        train_forest(X, y, tree_count=0, seed=0)
+
+
+def test_tree_rejects_a_child_that_is_its_node(tmp_path):
+    with pytest.raises(ValueError, match="child not after it"):
+        DecisionTree([0, -1, -1], [0.0, 0.0, 0.0], [0, -1, -1], [2, -1, -1], [-1, 0, 1])
+    # The same tree read from a model file fails to load instead of looping in classify.
+    payload = ForestModel((stump(0, 1.0, 0, 1),), tree_count=1, seed=0).to_dict()
+    payload["trees"][0]["right"][0] = 0
+    path = tmp_path / "forest.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="child not after it"):
+        load_forest_model(path)
+
+
+def test_tree_rejects_a_child_past_its_end():
+    # Concatenated with a next tree, node 3 would be that tree's root.
+    with pytest.raises(ValueError, match="child not after it"):
+        DecisionTree([0, -1, -1], [0.0, 0.0, 0.0], [1, -1, -1], [3, -1, -1], [-1, 0, 1])
+    with pytest.raises(ValueError, match="at least one node"):
+        DecisionTree([], [], [], [], [])
+
+
+def test_tree_rejects_a_bad_leaf_class():
+    with pytest.raises(ValueError, match="leaf_class"):
+        DecisionTree([0, -1, -1], [0.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [-1, 0, 2])
+    with pytest.raises(ValueError, match="leaf_class"):
+        DecisionTree([-1], [0.0], [-1], [-1], [-2])
 
 
 def random_tree(rng, values, max_depth):

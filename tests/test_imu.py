@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shotfuse import ImuComponents, ImuStream, SampleSeries, decompose, imu_likelihood, ipf
+from shotfuse import ImuComponents, ImuStream, SampleSeries, decompose, ipf, prepare_components
 from shotfuse.imu import IMU_FIELDS, IPF_WINDOW, prepare_components
 
 
@@ -143,11 +143,11 @@ def test_ipf_sign_symmetry(rng):
     assert np.allclose(plus.values, -minus.values, atol=1e-12)
 
 
-# --- imu_likelihood -------------------------------------------------------------
+# --- ipf(prepare_components(...)) ----------------------------------------------
 
 
 def test_likelihood_zero_stream():
-    out = imu_likelihood(stream(100))
+    out = ipf(prepare_components(stream(100)))
     assert np.allclose(out.values, 0.0, atol=1e-12)
 
 
@@ -165,14 +165,14 @@ def bump_stream(n, center_idx, a_peak=3.0, w_peak=400.0, with_gyro=True, rng=Non
 
 
 def test_likelihood_colocated_bump_peak_location():
-    out = imu_likelihood(bump_stream(300, 150))
+    out = ipf(prepare_components(bump_stream(300, 150)))
     peak_time = out.times()[int(np.argmax(out.values))]
     assert abs(peak_time - 1500.0) <= 50.0
 
 
 def test_likelihood_accel_only_bump_is_negligible():
-    both = imu_likelihood(bump_stream(300, 150, with_gyro=True))
-    accel_only = imu_likelihood(bump_stream(300, 150, with_gyro=False))
+    both = ipf(prepare_components(bump_stream(300, 150, with_gyro=True)))
+    accel_only = ipf(prepare_components(bump_stream(300, 150, with_gyro=False)))
     assert np.max(np.abs(accel_only.values)) < 0.01 * np.max(np.abs(both.values))
 
 

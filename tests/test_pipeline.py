@@ -85,3 +85,56 @@ def test_windows_snap_to_stream_frame_grid():
         frame = int(t / 10.0)
         start = (frame - 10) * 80
         assert np.array_equal(w.samples, audio.values[start : start + span])
+
+
+def reference_windows(audio, labels, negatives_per_positive, min_label_distance_ms, seed):
+    """Scalar rejection loop: one uniform draw per attempt, capped at 100 per wanted negative."""
+    rng = np.random.default_rng(seed)
+    span = 21 * 80
+    n_frames = len(audio) // 80
+
+    def cut(center_ms):
+        start_frame = int((center_ms - audio.start_time) / 10) - 10
+        if start_frame < 0 or start_frame + 21 > n_frames:
+            return None
+        return audio.values[start_frame * 80 : start_frame * 80 + span]
+
+    out = [(s, 1) for s in map(cut, labels.shots) if s is not None]
+    if not out:
+        return out
+    wanted = int(round(negatives_per_positive * len(out)))
+    half_ms = span / 2 / 8000 * 1000.0
+    negatives = attempts = 0
+    while negatives < wanted and attempts < 100 * wanted:
+        attempts += 1
+        t = rng.uniform(audio.start_time + half_ms, audio.end_time - half_ms)
+        if np.min(np.abs(labels.shots - t)) < min_label_distance_ms:
+            continue
+        samples = cut(t)
+        if samples is not None:
+            out.append((samples, 0))
+            negatives += 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "ratio, distance_ms, seed",
+    # The last case rejects most draws and runs out of attempts before `wanted`.
+    [(20.0, 500.0, 0), (3.0, 500.0, 5), (1.5, 1000.0, 11), (20.0, 3300.0, 2)],
+)
+def test_windows_from_labels_matches_scalar_draw_loop(ratio, distance_ms, seed):
+    # Labels near both ends leave positive windows outside the stream.
+    audio, _, labels = sf.synthesize(sf.SynthConfig(duration_s=40.0, shot_count=12, seed=86))
+    labels = sf.LabelSet(np.r_[20.0, labels.shots, audio.end_time - 30.0])
+    windows = windows_from_labels(
+        audio, labels, negatives_per_positive=ratio, min_label_distance_ms=distance_ms, seed=seed
+    )
+    expected = reference_windows(audio, labels, ratio, distance_ms, seed)
+    assert [w.label for w in windows] == [label for _, label in expected]
+    for w, (samples, _) in zip(windows, expected):
+        assert np.array_equal(w.samples, samples)
+
+
+def test_windows_from_labels_without_labels():
+    audio, _, _ = sf.synthesize(sf.SynthConfig(duration_s=10.0, shot_count=3, seed=87))
+    assert windows_from_labels(audio, sf.LabelSet(np.empty(0))) == []

@@ -52,9 +52,9 @@ def test_quantizer_degenerate_distribution(identity_model):
     # a silent audio stream and a still IMU stream each name their modality
     audio, imu, _ = sf.synthesize(sf.SynthConfig(duration_s=20.0, shot_count=10, seed=45))
     apf_s = sf.audio_likelihood(audio, identity_model)
-    ipf_s = sf.imu_likelihood(imu)
+    ipf_s = sf.ipf(sf.prepare_components(imu))
     silent = sf.audio_likelihood(audio.with_values(np.zeros(len(audio))), identity_model)
-    still = sf.imu_likelihood(sf.ImuStream(imu.t, *np.zeros((6, len(imu)))))
+    still = sf.ipf(sf.prepare_components(sf.ImuStream(imu.t, *np.zeros((6, len(imu))))))
     with pytest.raises(ValueError, match="^apf: degenerate distribution"):
         self_calibrate_quantizer(silent, ipf_s)
     with pytest.raises(ValueError, match="^ipf: degenerate distribution"):

@@ -2,25 +2,84 @@ import numpy as np
 import pytest
 
 from shotfuse import AudioConfig, LabeledAudioWindow, TrainConfig, train_filter
-from shotfuse.training import total_gradients, total_loss, window_score
+from shotfuse.training import stack_windows, total_gradients, window_scores
 
 CFG = AudioConfig()
 WINDOW_SAMPLES = 21 * CFG.microframe_samples
 
 
-def random_window(rng, label):
-    return LabeledAudioWindow(rng.standard_normal(WINDOW_SAMPLES), label)
+def reference_score(samples, weights, bias, cfg=CFG):
+    """Brute-force oracle: filter the whole window, then score its center microframe."""
+    filtered = np.convolve(samples, weights)[: samples.size]
+    frame_len = cfg.microframe_samples
+    n_frames = samples.size // frame_len
+    energy = np.sum(filtered[: n_frames * frame_len].reshape(n_frames, frame_len) ** 2, axis=1)
+    center = n_frames // 2
+    h = cfg.macroframe_half
+    return energy[center] - energy[center - h : center + h + 1].mean() + bias
 
 
-def misclassified_window(rng, weights, bias):
-    """A window whose label is chosen so its loss is nonzero."""
-    samples = rng.standard_normal(WINDOW_SAMPLES)
-    score = window_score(samples, weights, bias, CFG)
-    label = 1 if score <= 0.0 else 0
-    return LabeledAudioWindow(samples, label)
+def loss(samples, labels, weights, bias):
+    return total_gradients(samples, labels, weights, bias, CFG)[0]
+
+
+# --- the batched scorer against the full-window oracle -----------------------
+
+
+@pytest.mark.parametrize("length", [902, 1000, WINDOW_SAMPLES])
+def test_window_scores_match_full_window_convolution(length):
+    # 902 is the shortest window, whose filter history is all zero padding;
+    # 1000 is not a whole number of microframes.
+    rng = np.random.default_rng(length)
+    for bias in (0.0, 0.7):
+        weights = rng.normal(0.0, 0.3, 23)
+        samples = rng.standard_normal((6, length))
+        expected = [reference_score(row, weights, bias) for row in samples]
+        got = window_scores(samples, weights, bias, CFG)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def test_window_scores_reject_short_and_unbatched_windows():
+    weights = np.ones(23)
+    with pytest.raises(ValueError, match="window too short"):
+        window_scores(np.zeros((2, 901)), weights, 0.0, CFG)
+    with pytest.raises(ValueError, match="matrix"):
+        window_scores(np.zeros(WINDOW_SAMPLES), weights, 0.0, CFG)
+
+
+def test_mixed_window_lengths_rejected():
+    windows = [LabeledAudioWindow(np.zeros(1000), 1), LabeledAudioWindow(np.zeros(WINDOW_SAMPLES), 0)]
+    with pytest.raises(ValueError, match="mixed length"):
+        stack_windows(windows)
+    with pytest.raises(ValueError, match="mixed length"):
+        train_filter(windows, TrainConfig(max_epochs=0), CFG)
+
+
+def test_stack_windows_keeps_rows_and_labels():
+    windows = [LabeledAudioWindow(np.full(5, float(i)), i % 2) for i in range(3)]
+    samples, labels = stack_windows(windows)
+    assert np.array_equal(samples, np.repeat([[0.0], [1.0], [2.0]], 5, axis=1))
+    assert np.array_equal(labels, [0, 1, 0])
+    samples, labels = stack_windows([])
+    assert samples.shape == (0, 0) and labels.shape == (0,)
 
 
 # --- gradient correctness (finite-difference oracle) ----------------------
+
+
+def check_central_differences(samples, labels, weights, bias, step=1e-4):
+    value, d_w, d_b = total_gradients(samples, labels, weights, bias, CFG)
+    for t in range(weights.size):
+        up, down = weights.copy(), weights.copy()
+        up[t] += step
+        down[t] -= step
+        fd = (loss(samples, labels, up, bias) - loss(samples, labels, down, bias)) / (2 * step)
+        assert abs(fd - d_w[t]) / max(abs(fd), abs(d_w[t]), 1e-8) < 1e-4
+    fd_bias = (loss(samples, labels, weights, bias + step) - loss(samples, labels, weights, bias - step)) / (
+        2 * step
+    )
+    assert abs(fd_bias - d_b) / max(abs(fd_bias), abs(d_b), 1e-8) < 1e-4
+    return value
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -28,34 +87,43 @@ def test_gradients_match_central_differences(seed):
     rng = np.random.default_rng(1000 + seed)
     weights = rng.normal(0.0, 0.2, 23)
     bias = float(rng.normal(0.0, 0.5))
-    windows = [misclassified_window(rng, weights, bias) for _ in range(3)]
+    samples = rng.standard_normal((3, WINDOW_SAMPLES))
+    # Every window misclassified: a missed shot where the score is not positive.
+    labels = (window_scores(samples, weights, bias, CFG) <= 0.0).astype(int)
+    assert check_central_differences(samples, labels, weights, bias) > 0.0
 
-    loss, d_w, d_b = total_gradients(windows, weights, bias, CFG)
-    assert loss > 0.0
 
-    step = 1e-4
-    for t in range(23):
-        up, down = weights.copy(), weights.copy()
-        up[t] += step
-        down[t] -= step
-        fd = (total_loss(windows, up, bias, CFG) - total_loss(windows, down, bias, CFG)) / (2 * step)
-        denom = max(abs(fd), abs(d_w[t]), 1e-8)
-        assert abs(fd - d_w[t]) / denom < 1e-4
+def test_gradients_on_a_mixed_batch():
+    """Correct and misclassified windows of both labels in one batch."""
+    rng = np.random.default_rng(77)
+    weights = rng.normal(0.0, 0.2, 23)
+    samples = rng.standard_normal((40, WINDOW_SAMPLES))
+    raw = window_scores(samples, weights, 0.0, CFG)
+    bias = -float(np.median(raw))
+    scores = raw + bias
+    # Keep windows whose score a finite-difference step cannot flip.
+    positive = np.flatnonzero(scores > 1e-2)[:4]
+    negative = np.flatnonzero(scores < -1e-2)[:4]
+    assert positive.size == negative.size == 4
+    rows = np.r_[positive, negative]
+    # One correct shot, three false alarms, two correct non-shots and two
+    # missed shots, so the bias gradient is not zero either.
+    labels = np.array([1, 0, 0, 0, 0, 0, 1, 1])
+    predicted = (scores[rows] > 0.0).astype(int)
+    assert {(p, l) for p, l in zip(predicted, labels)} == {(1, 1), (1, 0), (0, 0), (0, 1)}
 
-    fd_bias = (
-        total_loss(windows, weights, bias + step, CFG)
-        - total_loss(windows, weights, bias - step, CFG)
-    ) / (2 * step)
-    denom = max(abs(fd_bias), abs(d_b), 1e-8)
-    assert abs(fd_bias - d_b) / denom < 1e-4
+    value = check_central_differences(samples[rows], labels, weights, bias)
+    # Only the misclassified rows contribute to the loss.
+    wrong = predicted != labels
+    assert value == pytest.approx(np.sum(np.abs(scores[rows][wrong])), rel=1e-12)
 
 
 def test_loss_is_nonnegative_everywhere(rng):
     for _ in range(50):
         weights = rng.normal(0.0, 0.3, 23)
         bias = float(rng.normal(0.0, 1.0))
-        windows = [random_window(rng, int(rng.integers(0, 2))) for _ in range(4)]
-        assert total_loss(windows, weights, bias, CFG) >= 0.0
+        samples = rng.standard_normal((4, WINDOW_SAMPLES))
+        assert loss(samples, rng.integers(0, 2, 4), weights, bias) >= 0.0
 
 
 # --- training behavior ------------------------------------------------------
@@ -80,12 +148,9 @@ def separable_corpus(rng, positives=12):
 
 
 def count_misclassified(model, data):
-    wrong = 0
-    for w in data:
-        predicted = window_score(w.samples, model.weights, model.bias, CFG) > 0.0
-        if int(predicted) != w.label:
-            wrong += 1
-    return wrong
+    samples, labels = stack_windows(data)
+    predicted = window_scores(samples, model.weights, model.bias, CFG) > 0.0
+    return int(np.count_nonzero(predicted != labels))
 
 
 def test_training_converges_on_separable_corpus(rng):
