@@ -1,7 +1,6 @@
 """Shot detection for racquet sports from fused wrist-worn microphone and IMU data."""
 
 from .audio import (
-    AudioConfig,
     FilterModel,
     LabeledAudioWindow,
     apf,
@@ -20,16 +19,7 @@ from .fusion import (
     select_candidates,
 )
 from .imu import ImuComponents, ImuStream, decompose, ipf, prepare_components
-from .series import (
-    FirKernel,
-    IirCoefficients,
-    SampleSeries,
-    cross_correlate,
-    design_lowpass,
-    fir_convolve,
-    iir_filter,
-    triangle_smooth,
-)
+from .series import SampleSeries, cross_correlate, fir_convolve, lowpass, triangle_smooth
 from .sync import (
     OffsetEstimate,
     QuantizerModel,
@@ -45,12 +35,9 @@ from .training import TrainConfig, train_filter
 __version__ = "0.1.0"
 
 __all__ = [
-    "AudioConfig",
     "EvalReport",
     "FilterModel",
-    "FirKernel",
     "ForestModel",
-    "IirCoefficients",
     "ImuComponents",
     "ImuStream",
     "LabelSet",
@@ -69,7 +56,6 @@ __all__ = [
     "cross_correlate",
     "decompose",
     "dedup",
-    "design_lowpass",
     "detect_audio",
     "detect_shots",
     "estimate_offset",
@@ -77,9 +63,9 @@ __all__ = [
     "extract_features",
     "fir_convolve",
     "fit_quantizer",
-    "iir_filter",
     "imu_only_events",
     "ipf",
+    "lowpass",
     "prepare_components",
     "quantize",
     "select_candidates",

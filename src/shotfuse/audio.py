@@ -14,11 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import ShotEvent
-from .series import FirKernel, SampleSeries, fir_convolve
+from .series import SampleSeries, fir_convolve
 
 __all__ = [
-    "DEFAULT_FILTER_TAPS",
-    "AudioConfig",
+    "SAMPLE_RATE_HZ",
+    "MICROFRAME_MS",
+    "MICROFRAME_SAMPLES",
+    "FRAME_RATE_HZ",
+    "MACROFRAME_HALF",
+    "MACROFRAME_FRAMES",
+    "FILTER_TAPS",
     "FilterModel",
     "LabeledAudioWindow",
     "short_time_energy",
@@ -27,41 +32,18 @@ __all__ = [
     "detect_audio",
 ]
 
-DEFAULT_FILTER_TAPS = 23
-
-
-@dataclass(frozen=True)
-class AudioConfig:
-    """Frame geometry of the audio front end.
-
-    Defaults: 8 kHz input, 10 ms microframes (80 samples), and a macroframe
-    of 5 microframes of context on each side (11 total, 110 ms).
-    """
-
-    sample_rate: int = 8000
-    microframe_ms: int = 10
-    macroframe_half: int = 5
-
-    def __post_init__(self):
-        if self.sample_rate <= 0 or self.microframe_ms <= 0:
-            raise ValueError("sample_rate and microframe_ms must be positive")
-        if (self.sample_rate * self.microframe_ms) % 1000 != 0:
-            raise ValueError("microframe must span a whole number of samples")
-        if self.macroframe_half < 1:
-            raise ValueError("macroframe_half must be at least 1")
-
-    @property
-    def microframe_samples(self) -> int:
-        return self.sample_rate * self.microframe_ms // 1000
-
-    @property
-    def frame_rate(self) -> float:
-        """Rate of the energy / likelihood series (100 Hz by default)."""
-        return 1000.0 / self.microframe_ms
-
-    @property
-    def macroframe_frames(self) -> int:
-        return 2 * self.macroframe_half + 1
+#: Microphone sample rate; read_wav accepts no other.
+SAMPLE_RATE_HZ = 8000
+#: Microframe length: the unit of frame energy and of the 100 Hz likelihood clock.
+MICROFRAME_MS = 10
+MICROFRAME_SAMPLES = SAMPLE_RATE_HZ * MICROFRAME_MS // 1000
+#: Rate of the energy and likelihood series.
+FRAME_RATE_HZ = 1000.0 / MICROFRAME_MS
+#: Microframes of context on each side of a frame; the macroframe spans 11 (110 ms).
+MACROFRAME_HALF = 5
+MACROFRAME_FRAMES = 2 * MACROFRAME_HALF + 1
+#: Length of the trainable front FIR filter.
+FILTER_TAPS = 23
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +61,6 @@ class FilterModel:
             raise ValueError("model parameters must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "weights", arr)
-
-    def kernel(self) -> FirKernel:
-        return FirKernel(self.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,32 +84,31 @@ class LabeledAudioWindow:
         object.__setattr__(self, "samples", arr)
 
 
-def short_time_energy(x: SampleSeries, cfg: AudioConfig = AudioConfig()) -> SampleSeries:
+def short_time_energy(x: SampleSeries) -> SampleSeries:
     """Sum of squared samples per non-overlapping microframe.
 
     A trailing partial microframe is discarded. Each output value is
     timestamped at the center of its microframe.
     """
-    if x.rate != cfg.sample_rate:
+    if x.rate != SAMPLE_RATE_HZ:
         raise ValueError("sample rate mismatch")
-    n = cfg.microframe_samples
-    if len(x) < n:
+    if len(x) < MICROFRAME_SAMPLES:
         raise ValueError("insufficient samples")
-    frames = len(x) // n
-    blocks = x.values[: frames * n].reshape(frames, n)
+    frames = len(x) // MICROFRAME_SAMPLES
+    blocks = x.values[: frames * MICROFRAME_SAMPLES].reshape(frames, MICROFRAME_SAMPLES)
     energy = np.sum(blocks * blocks, axis=1)
-    return SampleSeries(cfg.frame_rate, x.start_time + cfg.microframe_ms / 2.0, energy)
+    return SampleSeries(FRAME_RATE_HZ, x.start_time + MICROFRAME_MS / 2.0, energy)
 
 
-def apf(energy: SampleSeries, cfg: AudioConfig = AudioConfig()) -> SampleSeries:
+def apf(energy: SampleSeries) -> SampleSeries:
     """Frame energy minus the mean energy of its centered macroframe.
 
     Only indices with a full macroframe of context are emitted, so the
-    output is shorter by 2 * macroframe_half frames and starts
-    macroframe_half frames later (50 ms of inherent lookahead by default).
+    output is shorter by 2 * MACROFRAME_HALF frames and starts
+    MACROFRAME_HALF frames later (50 ms of inherent lookahead).
     """
-    m = cfg.macroframe_frames
-    h = cfg.macroframe_half
+    m = MACROFRAME_FRAMES
+    h = MACROFRAME_HALF
     if len(energy) < m:
         raise ValueError("insufficient context")
     window_mean = np.convolve(energy.values, np.ones(m) / m, mode="valid")
@@ -138,22 +116,18 @@ def apf(energy: SampleSeries, cfg: AudioConfig = AudioConfig()) -> SampleSeries:
     return SampleSeries(energy.rate, energy.start_time + h * energy.period_ms, out)
 
 
-def audio_likelihood(
-    x: SampleSeries, model: FilterModel, cfg: AudioConfig = AudioConfig()
-) -> SampleSeries:
+def audio_likelihood(x: SampleSeries, model: FilterModel) -> SampleSeries:
     """Likelihood series of the filtered stream; the bias is not applied here.
 
     Downstream consumers (synchronizer, fusion) want the raw peak function;
     only :func:`detect_audio` folds in the decision bias.
     """
-    return apf(short_time_energy(fir_convolve(x, model.kernel()), cfg), cfg)
+    return apf(short_time_energy(fir_convolve(x, model.weights)))
 
 
-def detect_audio(
-    x: SampleSeries, model: FilterModel, cfg: AudioConfig = AudioConfig()
-) -> list[ShotEvent]:
+def detect_audio(x: SampleSeries, model: FilterModel) -> list[ShotEvent]:
     """One event per microframe whose biased likelihood is strictly positive."""
-    likelihood = audio_likelihood(x, model, cfg)
+    likelihood = audio_likelihood(x, model)
     scores = likelihood.values + model.bias
     hits = np.flatnonzero(scores > 0.0)
     times = likelihood.start_time + hits * likelihood.period_ms

@@ -75,10 +75,9 @@ def cmd_train_forest(args) -> int:
 
 
 def cmd_sync(args) -> int:
-    filter_model, audio_cfg = load_filter_model(args.filter)
-    audio = read_wav(args.audio, audio_cfg.sample_rate)
+    filter_model = load_filter_model(args.filter)
     synced = synced_series(
-        audio, read_imu_csv(args.imu), filter_model, audio_cfg,
+        read_wav(args.audio), read_imu_csv(args.imu), filter_model,
         args.window_seconds, args.validation_seconds, args.max_lag_ms,
     )
     _emit(synced.sync_report())

@@ -6,11 +6,12 @@ import csv
 import json
 import warnings
 import wave
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioConfig, FilterModel
+from .audio import MICROFRAME_MS, SAMPLE_RATE_HZ, FilterModel
 from .events import LabelSet, ShotEvent
 from .forest import ForestModel
 from .imu import ImuStream, first_invalid_sample
@@ -36,8 +37,8 @@ PCM_SCALE = 32768.0
 IMU_COLUMNS = ("t_ms", "ax", "ay", "az", "gx", "gy", "gz")
 
 
-def read_wav(path, expected_rate: int = 8000, start_time_ms: float = 0.0) -> SampleSeries:
-    """Load 16-bit mono PCM audio, normalized to [-1, 1] by 1/32768."""
+def read_wav(path) -> SampleSeries:
+    """Load 16-bit mono PCM audio at SAMPLE_RATE_HZ, normalized to [-1, 1] by 1/32768."""
     with wave.open(str(path), "rb") as wav:
         if wav.getcomptype() != "NONE":
             raise ValueError(f"expected uncompressed PCM, got {wav.getcomptype()}")
@@ -45,11 +46,11 @@ def read_wav(path, expected_rate: int = 8000, start_time_ms: float = 0.0) -> Sam
             raise ValueError(f"expected 16-bit samples, got {8 * wav.getsampwidth()}-bit")
         if wav.getnchannels() != 1:
             raise ValueError(f"expected mono audio, got {wav.getnchannels()} channels")
-        if wav.getframerate() != expected_rate:
-            raise ValueError(f"expected {expected_rate} Hz, got {wav.getframerate()} Hz")
+        if wav.getframerate() != SAMPLE_RATE_HZ:
+            raise ValueError(f"expected {SAMPLE_RATE_HZ} Hz, got {wav.getframerate()} Hz")
         raw = wav.readframes(wav.getnframes())
     samples = np.frombuffer(raw, dtype="<i2").astype(float) / PCM_SCALE
-    return SampleSeries(float(expected_rate), start_time_ms, samples)
+    return SampleSeries(float(SAMPLE_RATE_HZ), 0.0, samples)
 
 
 def write_wav(path, series: SampleSeries) -> None:
@@ -202,27 +203,39 @@ def write_series_csv(path, series: SampleSeries) -> None:
             fh.write(f"{t:.3f},{v:.9g}\n")
 
 
-def save_filter_model(path, model: FilterModel, cfg: AudioConfig = AudioConfig()) -> None:
+@contextmanager
+def _required_fields(kind: str):
+    """Turn a missing key of a model payload into an error that names the field."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{kind} model: missing field {exc.args[0]!r}") from None
+
+
+#: The frame geometry a filter model is written for; loading accepts no other.
+_FILTER_GEOMETRY = {"sample_rate": SAMPLE_RATE_HZ, "microframe_ms": MICROFRAME_MS}
+
+
+def save_filter_model(path, model: FilterModel) -> None:
     payload = {
         "weights": [float(w) for w in model.weights],
         "bias": float(model.bias),
-        "sample_rate": cfg.sample_rate,
-        "microframe_ms": cfg.microframe_ms,
+        **_FILTER_GEOMETRY,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_filter_model(path) -> tuple[FilterModel, AudioConfig]:
+def load_filter_model(path) -> FilterModel:
     with open(path) as fh:
         payload = json.load(fh)
-    model = FilterModel(np.array(payload["weights"], dtype=float), float(payload["bias"]))
-    cfg = AudioConfig(
-        sample_rate=int(payload["sample_rate"]),
-        microframe_ms=int(payload["microframe_ms"]),
-    )
-    return model, cfg
+    with _required_fields("filter"):
+        model = FilterModel(np.array(payload["weights"], dtype=float), float(payload["bias"]))
+        for name, fixed in _FILTER_GEOMETRY.items():
+            if payload[name] != fixed:
+                raise ValueError(f"filter model: {name} must be {fixed}, got {payload[name]!r}")
+    return model
 
 
 def save_forest_model(path, model: ForestModel) -> None:
@@ -233,7 +246,9 @@ def save_forest_model(path, model: ForestModel) -> None:
 
 def load_forest_model(path) -> ForestModel:
     with open(path) as fh:
-        return ForestModel.from_dict(json.load(fh))
+        payload = json.load(fh)
+    with _required_fields("forest"):
+        return ForestModel.from_dict(payload)
 
 
 def ensure_dir(path) -> Path:

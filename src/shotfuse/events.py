@@ -6,7 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ShotEvent", "LabelSet", "EvalReport", "dedup", "evaluate"]
+__all__ = ["NEIGHBORHOOD_MS", "ShotEvent", "LabelSet", "EvalReport", "dedup", "evaluate"]
+
+#: Width of a shot's neighborhood: the candidate and feature window of
+#: fusion, and the span within which dedup keeps only the first event.
+NEIGHBORHOOD_MS = 500.0
 
 
 @dataclass(frozen=True)
@@ -64,11 +68,11 @@ class EvalReport:
         }
 
 
-def dedup(events: list[ShotEvent], window_ms: float = 500.0) -> list[ShotEvent]:
-    """Keep the first of any run of events closer than window_ms.
+def dedup(events: list[ShotEvent]) -> list[ShotEvent]:
+    """Keep the first of any run of events closer than NEIGHBORHOOD_MS.
 
-    An event is dropped iff it falls within window_ms after the previously
-    kept event; the first event is always kept.
+    An event is dropped iff it falls within NEIGHBORHOOD_MS after the
+    previously kept event; the first event is always kept.
     """
     kept: list[ShotEvent] = []
     last_time = None
@@ -76,7 +80,7 @@ def dedup(events: list[ShotEvent], window_ms: float = 500.0) -> list[ShotEvent]:
         if last_time is not None and e.time_ms < last_time:
             raise ValueError("unordered events")
         last_time = e.time_ms
-        if kept and e.time_ms - kept[-1].time_ms <= window_ms:
+        if kept and e.time_ms - kept[-1].time_ms <= NEIGHBORHOOD_MS:
             continue
         kept.append(e)
     return kept

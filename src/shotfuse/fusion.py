@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import AudioConfig, FilterModel, detect_audio
+from .audio import FilterModel, detect_audio
 from .audio import audio_likelihood  # noqa: F401 -- still bound here for tools that wrap it
-from .events import ShotEvent, dedup
+from .events import NEIGHBORHOOD_MS, ShotEvent, dedup
 from .forest import ForestModel, classify
 from .imu import ImuComponents, ImuStream, ipf, prepare_components
 from .series import SampleSeries
@@ -23,7 +23,6 @@ from .sync import OffsetEstimate
 
 __all__ = [
     "FEATURE_NAMES",
-    "NEIGHBORHOOD_MS",
     "SyncedSeries",
     "select_candidates",
     "extract_features",
@@ -34,8 +33,6 @@ __all__ = [
 
 #: Fixed feature order of the fusion classifier.
 FEATURE_NAMES = ("apf_max", "ipf_max", "a_rad_max", "a_tan_max", "w_rad_max")
-#: Total width of the candidate / feature neighborhood.
-NEIGHBORHOOD_MS = 500.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +87,8 @@ class SyncedSeries:
         }
 
 
-def select_candidates(ipf_series: SampleSeries, window_ms: float = NEIGHBORHOOD_MS) -> np.ndarray:
-    """Timestamps of samples strictly greater than all others within +/-window_ms/2.
+def select_candidates(ipf_series: SampleSeries) -> np.ndarray:
+    """Timestamps of samples strictly greater than all others within +/-NEIGHBORHOOD_MS/2.
 
     Windows truncate at the stream edges; plateaus and exact ties yield no
     candidate. Returned in time order.
@@ -100,7 +97,7 @@ def select_candidates(ipf_series: SampleSeries, window_ms: float = NEIGHBORHOOD_
     n = v.size
     if n == 0:
         return np.empty(0)
-    half = int(round((window_ms / 2.0) / ipf_series.period_ms))
+    half = int(round((NEIGHBORHOOD_MS / 2.0) / ipf_series.period_ms))
     if half < 1:
         return ipf_series.times()
     padded = np.full(n + 2 * half, -np.inf)
@@ -137,7 +134,6 @@ def extract_features(
     a_rad: SampleSeries,
     a_tan: SampleSeries,
     w_rad: SampleSeries,
-    neighborhood_ms: float = NEIGHBORHOOD_MS,
 ) -> np.ndarray:
     """Neighborhood maxima of the five series around each candidate time.
 
@@ -152,16 +148,12 @@ def extract_features(
         outside &= (times < s.start_time) | (times >= s.end_time)
     if outside.any():
         raise ValueError("candidate out of range")
-    half = neighborhood_ms / 2.0
+    half = NEIGHBORHOOD_MS / 2.0
     t0, t1 = times - half, times + half
     return np.column_stack([_window_maxima(s, t0, t1) for s in series])
 
 
-def detect_shots(
-    synced: SyncedSeries,
-    forest_model: ForestModel,
-    neighborhood_ms: float = NEIGHBORHOOD_MS,
-) -> list[ShotEvent]:
+def detect_shots(synced: SyncedSeries, forest_model: ForestModel) -> list[ShotEvent]:
     """Full fused pipeline on synchronized streams.
 
     Candidates come from the motion likelihood, features from both
@@ -169,31 +161,20 @@ def detect_shots(
     deduplicated. Deterministic end to end; every emitted timestamp is a
     candidate timestamp.
     """
-    times = select_candidates(synced.ipf, neighborhood_ms)
-    X = extract_features(times, *synced.feature_series, neighborhood_ms)
+    times = select_candidates(synced.ipf)
+    X = extract_features(times, *synced.feature_series)
     labels, scores = classify(forest_model, X)
     shot = labels == 1
     hits = [ShotEvent(t, s) for t, s in zip(times[shot].tolist(), scores[shot].tolist())]
-    return dedup(hits, neighborhood_ms)
+    return dedup(hits)
 
 
-def audio_only_events(
-    audio: SampleSeries,
-    filter_model: FilterModel,
-    audio_cfg: AudioConfig = AudioConfig(),
-    dedup_window_ms: float = NEIGHBORHOOD_MS,
-) -> list[ShotEvent]:
+def audio_only_events(audio: SampleSeries, filter_model: FilterModel) -> list[ShotEvent]:
     """Single-modality baseline: biased likelihood threshold plus dedup."""
-    return dedup(detect_audio(audio, filter_model, audio_cfg), dedup_window_ms)
+    return dedup(detect_audio(audio, filter_model))
 
 
-def imu_only_events(
-    imu: ImuStream,
-    threshold: float,
-    offset_ms: float = 0.0,
-    dedup_window_ms: float = NEIGHBORHOOD_MS,
-    neighborhood_ms: float = NEIGHBORHOOD_MS,
-) -> list[ShotEvent]:
+def imu_only_events(imu: ImuStream, threshold: float, offset_ms: float = 0.0) -> list[ShotEvent]:
     """Single-modality baseline: IPF candidates above a fixed threshold.
 
     offset_ms (IMU minus audio time) relocates the events onto the audio
@@ -201,8 +182,8 @@ def imu_only_events(
     IMU system would keep its own clock and pass 0.
     """
     likelihood = ipf(prepare_components(imu)).shifted(-offset_ms)
-    times = select_candidates(likelihood, neighborhood_ms)
+    times = select_candidates(likelihood)
     values = likelihood.values[likelihood.index_at(times)]
     keep = values > threshold
     hits = [ShotEvent(t, v) for t, v in zip(times[keep].tolist(), values[keep].tolist())]
-    return dedup(hits, dedup_window_ms)
+    return dedup(hits)

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import SampleSeries, design_lowpass, iir_filter
+from .series import SampleSeries, lowpass
 
 __all__ = [
     "ACCEL_RANGE_G",
     "GYRO_RANGE_DPS",
     "IMU_RATE_HZ",
-    "LOWPASS_CUTOFF_HZ",
     "IPF_WINDOW",
     "IMU_FIELDS",
     "ImuStream",
@@ -33,7 +32,6 @@ __all__ = [
 ACCEL_RANGE_G = 8.0
 GYRO_RANGE_DPS = 2000.0
 IMU_RATE_HZ = 100.0
-LOWPASS_CUTOFF_HZ = 10.0
 #: Macroframe of the peak function: 4 past samples, self, 5 future samples.
 IPF_WINDOW = 10
 
@@ -111,11 +109,11 @@ class ImuComponents:
                 raise ValueError("component series must share rate, start and length")
 
 
-def _regrid(t: np.ndarray, columns: np.ndarray, rate: float) -> np.ndarray:
-    """Snap jittered timestamps onto an exact grid by nearest-sample assignment."""
+def _regrid(t: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Snap jittered timestamps onto an exact IMU_RATE_HZ grid by nearest-sample assignment."""
     if t.size == 1:
         return columns
-    period = 1000.0 / rate
+    period = 1000.0 / IMU_RATE_HZ
     n = int(round((t[-1] - t[0]) / period)) + 1
     grid = t[0] + np.arange(n) * period
     right = np.searchsorted(t, grid)
@@ -125,7 +123,7 @@ def _regrid(t: np.ndarray, columns: np.ndarray, rate: float) -> np.ndarray:
     return columns[:, pick]
 
 
-def decompose(stream: ImuStream, rate_hz: float = IMU_RATE_HZ) -> ImuComponents:
+def decompose(stream: ImuStream) -> ImuComponents:
     """Split a stream into radial/tangential acceleration and angular velocity.
 
     Radial terms are the x-axis readings; tangential terms are the y/z
@@ -135,7 +133,7 @@ def decompose(stream: ImuStream, rate_hz: float = IMU_RATE_HZ) -> ImuComponents:
     if len(stream) == 0:
         raise ValueError("empty stream")
     t = stream.t
-    period = 1000.0 / rate_hz
+    period = 1000.0 / IMU_RATE_HZ
     if t.size > 1:
         gaps = np.diff(t)
         if np.any(gaps <= 0):
@@ -143,34 +141,29 @@ def decompose(stream: ImuStream, rate_hz: float = IMU_RATE_HZ) -> ImuComponents:
         if np.any(gaps > 2 * period) or np.any(gaps < period / 2):
             raise ValueError("stream gap")
 
-    ax, ay, az, gx, gy, gz = _regrid(t, stream.columns()[1:], rate_hz)
+    ax, ay, az, gx, gy, gz = _regrid(t, stream.columns()[1:])
 
     start = float(t[0])
     return ImuComponents(
-        a_rad=SampleSeries(rate_hz, start, ax),
-        a_tan=SampleSeries(rate_hz, start, np.hypot(ay, az)),
-        w_rad=SampleSeries(rate_hz, start, gx),
-        w_tan=SampleSeries(rate_hz, start, np.hypot(gy, gz)),
+        a_rad=SampleSeries(IMU_RATE_HZ, start, ax),
+        a_tan=SampleSeries(IMU_RATE_HZ, start, np.hypot(ay, az)),
+        w_rad=SampleSeries(IMU_RATE_HZ, start, gx),
+        w_tan=SampleSeries(IMU_RATE_HZ, start, np.hypot(gy, gz)),
     )
 
 
-def prepare_components(
-    stream: ImuStream,
-    rate_hz: float = IMU_RATE_HZ,
-    cutoff_hz: float = LOWPASS_CUTOFF_HZ,
-) -> ImuComponents:
+def prepare_components(stream: ImuStream) -> ImuComponents:
     """Decompose and low-pass the two components the peak function consumes.
 
     Only a_rad and w_tan are filtered; a_tan and w_rad stay raw for the
     fusion feature extractor.
     """
-    comps = decompose(stream, rate_hz)
-    lp = design_lowpass(cutoff_hz, rate_hz)
+    comps = decompose(stream)
     return ImuComponents(
-        a_rad=iir_filter(comps.a_rad, lp),
+        a_rad=lowpass(comps.a_rad),
         a_tan=comps.a_tan,
         w_rad=comps.w_rad,
-        w_tan=iir_filter(comps.w_tan, lp),
+        w_tan=lowpass(comps.w_tan),
     )
 
 

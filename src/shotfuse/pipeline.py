@@ -14,7 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioConfig, FilterModel, LabeledAudioWindow, audio_likelihood
+from .audio import (
+    MICROFRAME_MS,
+    MICROFRAME_SAMPLES,
+    SAMPLE_RATE_HZ,
+    FilterModel,
+    LabeledAudioWindow,
+    audio_likelihood,
+)
 from .dataio import (
     ensure_dir,
     load_filter_model,
@@ -30,7 +37,6 @@ from .dataio import (
 from .events import LabelSet, ShotEvent, dedup, evaluate
 from .forest import classify, train_forest
 from .fusion import (
-    NEIGHBORHOOD_MS,
     SyncedSeries,
     audio_only_events,
     detect_shots,
@@ -80,7 +86,6 @@ def _label_distance(labels: LabelSet, times: np.ndarray) -> np.ndarray:
 def windows_from_labels(
     audio: SampleSeries,
     labels: LabelSet,
-    audio_cfg: AudioConfig = AudioConfig(),
     window_frames: int = 21,
     negatives_per_positive: float = 20.0,
     min_label_distance_ms: float = 500.0,
@@ -95,13 +100,13 @@ def windows_from_labels(
     every label, negatives_per_positive of them per positive.
     """
     rng = np.random.default_rng(seed)
-    frame_len = audio_cfg.microframe_samples
+    frame_len = MICROFRAME_SAMPLES
     span = window_frames * frame_len
     n_frames = len(audio) // frame_len
 
     def starts(center_ms: np.ndarray) -> np.ndarray:
         """First sample of each window, or -1 where the window leaves the stream."""
-        frame = ((center_ms - audio.start_time) / audio_cfg.microframe_ms).astype(int)
+        frame = ((center_ms - audio.start_time) / MICROFRAME_MS).astype(int)
         start_frame = frame - window_frames // 2
         inside = (start_frame >= 0) & (start_frame + window_frames <= n_frames)
         return np.where(inside, start_frame * frame_len, -1)
@@ -118,7 +123,7 @@ def windows_from_labels(
         return first[np.flatnonzero(keep)[:count]]
 
     wanted = int(round(negatives_per_positive * positive.size))
-    half_ms = span / 2 / audio_cfg.sample_rate * 1000.0
+    half_ms = span / 2 / SAMPLE_RATE_HZ * 1000.0
     lo = audio.start_time + half_ms
     hi = audio.end_time - half_ms
     negative = far_starts(rng.uniform(lo, hi, 100 * wanted), wanted)
@@ -138,15 +143,13 @@ def shuffle_split(items: list, fraction: float = 0.8, seed: int = 0) -> tuple[li
     return [items[i] for i in order[:cut]], [items[i] for i in order[cut:]]
 
 
-def window_metrics(
-    model: FilterModel, windows: list[LabeledAudioWindow], audio_cfg: AudioConfig = AudioConfig()
-) -> dict:
+def window_metrics(model: FilterModel, windows: list[LabeledAudioWindow]) -> dict:
     """Window-level precision/recall/F of the biased-threshold classifier."""
     labels = np.array([w.label for w in windows], dtype=int)
     predicted = np.zeros(labels.size, dtype=bool)
     for start in range(0, len(windows), SCORED_WINDOWS_PER_CALL):
         samples, _ = stack_windows(windows[start : start + SCORED_WINDOWS_PER_CALL])
-        scores = window_scores(samples, model.weights, model.bias, audio_cfg)
+        scores = window_scores(samples, model.weights, model.bias)
         predicted[start : start + SCORED_WINDOWS_PER_CALL] = scores > 0.0
     tp = int(np.count_nonzero(predicted & (labels == 1)))
     fp = int(np.count_nonzero(predicted & (labels == 0)))
@@ -161,7 +164,6 @@ def synced_series(
     audio: SampleSeries,
     imu: ImuStream,
     filter_model: FilterModel,
-    audio_cfg: AudioConfig = AudioConfig(),
     window_seconds: float | None = None,
     validation_seconds: float = 5.0,
     max_lag_ms: float = 2000.0,
@@ -177,7 +179,7 @@ def synced_series(
     snippets. Validation is skipped (False) when the streams do not extend
     past the estimation window.
     """
-    apf_series = audio_likelihood(audio, filter_model, audio_cfg)
+    apf_series = audio_likelihood(audio, filter_model)
     comps = prepare_components(imu)
     ipf_raw = ipf(comps)
     q = self_calibrate_quantizer(apf_series, ipf_raw)
@@ -202,34 +204,26 @@ def synced_series(
     return SyncedSeries.align(apf_series, ipf_raw, comps, est, validated)
 
 
-def candidate_dataset(
-    synced: SyncedSeries,
-    labels: LabelSet,
-    label_tolerance_ms: float = CANDIDATE_LABEL_TOLERANCE_MS,
-    neighborhood_ms: float = NEIGHBORHOOD_MS,
-) -> tuple[np.ndarray, np.ndarray]:
+def candidate_dataset(synced: SyncedSeries, labels: LabelSet) -> tuple[np.ndarray, np.ndarray]:
     """Candidate feature matrix (n, 5) and proximity-derived 0/1 labels (n,).
 
-    A candidate is positive iff it lies within label_tolerance_ms of some
-    ground-truth shot.
+    A candidate is positive iff it lies within CANDIDATE_LABEL_TOLERANCE_MS
+    of some ground-truth shot.
     """
-    times = select_candidates(synced.ipf, neighborhood_ms)
-    X = extract_features(times, *synced.feature_series, neighborhood_ms)
-    return X, (_label_distance(labels, times) <= label_tolerance_ms).astype(int)
+    times = select_candidates(synced.ipf)
+    X = extract_features(times, *synced.feature_series)
+    return X, (_label_distance(labels, times) <= CANDIDATE_LABEL_TOLERANCE_MS).astype(int)
 
 
 def calibrate_ipf_threshold(
-    ipf_common: SampleSeries,
-    labels: LabelSet,
-    tolerance_ms: float = 100.0,
-    neighborhood_ms: float = NEIGHBORHOOD_MS,
+    ipf_common: SampleSeries, labels: LabelSet, tolerance_ms: float = 100.0
 ) -> float:
     """Threshold on IPF candidate values that maximizes F against labels.
 
     Used to give the motion-only baseline a fair, training-data-derived
     decision rule. Ties prefer the higher threshold.
     """
-    times = select_candidates(ipf_common, neighborhood_ms)
+    times = select_candidates(ipf_common)
     values = ipf_common.values[ipf_common.index_at(times)]
     uniq = np.unique(values)
     cuts = [uniq.max() + 1.0]
@@ -238,10 +232,7 @@ def calibrate_ipf_threshold(
     best_f = -1.0
     best_cut = 0.0
     for cut in cuts:
-        events = dedup(
-            [ShotEvent(float(t), float(v)) for t, v in zip(times, values) if v > cut],
-            neighborhood_ms,
-        )
+        events = dedup([ShotEvent(float(t), float(v)) for t, v in zip(times, values) if v > cut])
         f = evaluate(events, labels, tolerance_ms).f_score
         if f > best_f or (f == best_f and cut > best_cut):
             best_f = f
@@ -253,25 +244,23 @@ def train_filter_workflow(
     data_dir,
     out_path,
     train_cfg: TrainConfig = TrainConfig(),
-    audio_cfg: AudioConfig = AudioConfig(),
     window_frames: int = 21,
 ) -> dict:
     """train-filter subcommand: windows from labels, 80/20 split, fit, save."""
     data_dir = Path(data_dir)
-    audio = read_wav(data_dir / "audio.wav", audio_cfg.sample_rate)
+    audio = read_wav(data_dir / "audio.wav")
     labels = read_labels_csv(data_dir / "labels.csv")
     windows = windows_from_labels(
         audio,
         labels,
-        audio_cfg,
         window_frames=window_frames,
         negatives_per_positive=train_cfg.neg_pos_ratio,
         seed=train_cfg.seed,
     )
     train_set, val_set = shuffle_split(windows, TRAIN_FRACTION, train_cfg.seed)
-    model = train_filter(train_set, train_cfg, audio_cfg)
-    save_filter_model(out_path, model, audio_cfg)
-    metrics = window_metrics(model, val_set, audio_cfg)
+    model = train_filter(train_set, train_cfg)
+    save_filter_model(out_path, model)
+    metrics = window_metrics(model, val_set)
     metrics["model_path"] = str(out_path)
     return metrics
 
@@ -287,12 +276,12 @@ def train_forest_workflow(
     data_dir = Path(data_dir)
     if not os.path.exists(filter_path):
         raise FileNotFoundError(f"model not found: {filter_path}")
-    filter_model, audio_cfg = load_filter_model(filter_path)
-    audio = read_wav(data_dir / "audio.wav", audio_cfg.sample_rate)
+    filter_model = load_filter_model(filter_path)
+    audio = read_wav(data_dir / "audio.wav")
     imu = read_imu_csv(data_dir / "imu.csv")
     labels = read_labels_csv(data_dir / "labels.csv")
 
-    synced = synced_series(audio, imu, filter_model, audio_cfg)
+    synced = synced_series(audio, imu, filter_model)
     X, y = candidate_dataset(synced, labels)
     train_rows, val_rows = shuffle_split(np.arange(y.size), TRAIN_FRACTION, seed)
     model = train_forest(X[train_rows], y[train_rows], tree_count, seed)
@@ -342,17 +331,17 @@ def run_pipeline(
         if path is None or not os.path.exists(path):
             raise FileNotFoundError(f"model not found: {path}")
 
-    filter_model, audio_cfg = load_filter_model(filter_model_path)
-    audio = read_wav(audio_path, audio_cfg.sample_rate)
+    filter_model = load_filter_model(filter_model_path)
+    audio = read_wav(audio_path)
     labels = read_labels_csv(options.labels_path) if options.labels_path else None
     out_dir = ensure_dir(options.out_dir)
     result: dict = {}
 
     if options.audio_only:
-        events = audio_only_events(audio, filter_model, audio_cfg)
+        events = audio_only_events(audio, filter_model)
     else:
         synced = synced_series(
-            audio, read_imu_csv(imu_path), filter_model, audio_cfg,
+            audio, read_imu_csv(imu_path), filter_model,
             options.sync_window_seconds, options.validation_seconds, options.max_lag_ms,
         )
         forest_model = load_forest_model(forest_model_path)

@@ -15,12 +15,10 @@ from scipy import signal as _sig
 
 __all__ = [
     "SampleSeries",
-    "FirKernel",
-    "IirCoefficients",
     "TRIANGLE_TAPS",
+    "LOWPASS_CUTOFF_HZ",
     "fir_convolve",
-    "design_lowpass",
-    "iir_filter",
+    "lowpass",
     "triangle_smooth",
     "cross_correlate",
 ]
@@ -93,50 +91,13 @@ class SampleSeries:
         return SampleSeries(self.rate, self.start_time + i0 * self.period_ms, self.values[i0:i1])
 
 
-@dataclass(frozen=True, eq=False)
-class FirKernel:
-    """Finite impulse response filter taps (tap 0 multiplies the current sample)."""
-
-    taps: np.ndarray
-
-    def __post_init__(self):
-        arr = _readonly_array(self.taps, "taps")
-        if arr.size < 1:
-            raise ValueError("kernel needs at least one tap")
-        object.__setattr__(self, "taps", arr)
-
-    def __len__(self) -> int:
-        return self.taps.size
-
-
-@dataclass(frozen=True, eq=False)
-class IirCoefficients:
-    """Rational filter coefficients; feedback[0] is normalized to 1."""
-
-    feedforward: np.ndarray
-    feedback: np.ndarray
-
-    def __post_init__(self):
-        b = np.array(self.feedforward, dtype=float)
-        a = np.array(self.feedback, dtype=float)
-        if a.size < 1 or a[0] == 0.0:
-            raise ValueError("feedback must have a nonzero leading coefficient")
-        b, a = b / a[0], a / a[0]
-        object.__setattr__(self, "feedforward", _readonly_array(b, "feedforward"))
-        object.__setattr__(self, "feedback", _readonly_array(a, "feedback"))
-
-    def is_stable(self) -> bool:
-        """True iff all feedback-polynomial roots lie strictly inside the unit circle."""
-        if len(self.feedback) == 1:
-            return True
-        return bool(np.all(np.abs(np.roots(self.feedback)) < 1.0))
-
-
 #: Peak-spreading kernel used before stream alignment, normalized to unit sum.
 TRIANGLE_TAPS = np.array([1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0]) / 16.0
+#: Cutoff of the low-pass that smooths the IMU components before the motion peak function.
+LOWPASS_CUTOFF_HZ = 10.0
 
 
-def fir_convolve(x: SampleSeries, w: FirKernel) -> SampleSeries:
+def fir_convolve(x: SampleSeries, taps: np.ndarray) -> SampleSeries:
     """Causal convolution, "same" length: out[k] = sum_t taps[t] * x[k - t].
 
     Samples before the start of the series are treated as zero; rate and
@@ -144,26 +105,19 @@ def fir_convolve(x: SampleSeries, w: FirKernel) -> SampleSeries:
     """
     if len(x) == 0:
         raise ValueError("empty signal")
-    out = np.convolve(x.values, w.taps)[: len(x)]
+    out = np.convolve(x.values, taps)[: len(x)]
     return x.with_values(out)
 
 
-def design_lowpass(cutoff_hz: float, rate_hz: float, order: int = 2) -> IirCoefficients:
-    """Butterworth low-pass design (2nd order by default); unity DC gain."""
-    if not 0.0 < cutoff_hz < rate_hz / 2.0:
-        raise ValueError("invalid cutoff")
-    b, a = _sig.butter(order, cutoff_hz, btype="low", fs=rate_hz)
-    return IirCoefficients(b, a)
+def lowpass(x: SampleSeries) -> SampleSeries:
+    """2nd-order Butterworth low-pass at LOWPASS_CUTOFF_HZ; zero initial state, length kept.
 
-
-def iir_filter(x: SampleSeries, c: IirCoefficients) -> SampleSeries:
-    """Direct-form recursion with zero initial state; length preserved."""
+    Designed for the series' own rate, which must exceed twice the cutoff.
+    """
     if len(x) == 0:
         raise ValueError("empty signal")
-    if not c.is_stable():
-        raise ValueError("unstable filter")
-    out = _sig.lfilter(c.feedforward, c.feedback, x.values)
-    return x.with_values(out)
+    b, a = _sig.butter(2, LOWPASS_CUTOFF_HZ, fs=x.rate)
+    return x.with_values(_sig.lfilter(b, a, x.values))
 
 
 def triangle_smooth(x: SampleSeries) -> SampleSeries:

@@ -31,6 +31,8 @@ QUANT_LEVELS = 5
 MIN_OVERLAP_SECONDS = 5.0
 VALIDATION_OFFSET_TOLERANCE_MS = 50.0
 VALIDATION_MIN_CORRELATION = 0.4
+#: Share of each live series, from the top, that self-calibration fits quintiles on.
+CALIBRATION_TOP_FRACTION = 0.1
 
 
 def _quantile_boundaries(values, name: str) -> np.ndarray:
@@ -84,9 +86,7 @@ def fit_quantizer(apf_peak_values, ipf_peak_values) -> QuantizerModel:
     )
 
 
-def self_calibrate_quantizer(
-    apf: SampleSeries, ipf: SampleSeries, top_fraction: float = 0.1
-) -> QuantizerModel:
+def self_calibrate_quantizer(apf: SampleSeries, ipf: SampleSeries) -> QuantizerModel:
     """Quintiles of the upper decile of each live series.
 
     Used when no labeled shots are available: the strongest values of a
@@ -94,7 +94,7 @@ def self_calibrate_quantizer(
     """
 
     def upper(values: np.ndarray) -> np.ndarray:
-        cut = np.percentile(values, 100.0 * (1.0 - top_fraction))
+        cut = np.percentile(values, 100.0 * (1.0 - CALIBRATION_TOP_FRACTION))
         return values[values >= cut]
 
     return fit_quantizer(upper(apf.values), upper(ipf.values))

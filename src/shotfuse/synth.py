@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio import SAMPLE_RATE_HZ
 from .events import LabelSet
-from .imu import ACCEL_RANGE_G, GYRO_RANGE_DPS, ImuStream
+from .imu import ACCEL_RANGE_G, GYRO_RANGE_DPS, IMU_RATE_HZ, ImuStream
 from .series import SampleSeries
 
 __all__ = ["SynthConfig", "synthesize"]
 
-AUDIO_RATE = 8000
-IMU_RATE = 100.0
 NOISE_RMS = 0.005
 BURST_MS = 10.0
 BURST_F0_HZ = 1000.0
@@ -69,8 +68,8 @@ def _pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _burst(rng: np.random.Generator) -> np.ndarray:
     """Windowed 1-3 kHz chirp of one microframe length, unit RMS."""
-    n = int(round(BURST_MS / 1000.0 * AUDIO_RATE))
-    t = np.arange(n) / AUDIO_RATE
+    n = int(round(BURST_MS / 1000.0 * SAMPLE_RATE_HZ))
+    t = np.arange(n) / SAMPLE_RATE_HZ
     sweep = (BURST_F1_HZ - BURST_F0_HZ) / (2.0 * BURST_MS / 1000.0)
     phase = 2.0 * np.pi * (BURST_F0_HZ * t + sweep * t**2) + rng.uniform(0.0, 2.0 * np.pi)
     wave = np.hanning(n) * np.sin(phase)
@@ -90,7 +89,7 @@ def _place_events(rng: np.random.Generator, count: int, duration_ms: float) -> n
 
 
 def _add_bump(values: np.ndarray, center_idx: int, peak: float) -> None:
-    n = int(round(BUMP_MS / 1000.0 * IMU_RATE))
+    n = int(round(BUMP_MS / 1000.0 * IMU_RATE_HZ))
     bump = peak * np.sin(np.pi * (np.arange(n) + 0.5) / n)
     start = center_idx - n // 2
     lo = max(start, 0)
@@ -120,19 +119,19 @@ def synthesize(cfg: SynthConfig) -> tuple[SampleSeries, ImuStream, LabelSet]:
     imu_only_times = np.sort(times[order[cfg.shot_count + n_distract :]])
 
     # Audio stream (audio clock starts at 0).
-    n_audio = int(round(cfg.duration_s * AUDIO_RATE))
+    n_audio = int(round(cfg.duration_s * SAMPLE_RATE_HZ))
     audio = NOISE_RMS * _pink_noise(n_audio, rng)
     burst_rms = NOISE_RMS * 10.0 ** (cfg.audio_snr_db / 20.0)
     for t in np.concatenate([shot_times, audio_only_times]):
         wave = burst_rms * _burst(rng)
-        start = int(round(t / 1000.0 * AUDIO_RATE)) - wave.size // 2
+        start = int(round(t / 1000.0 * SAMPLE_RATE_HZ)) - wave.size // 2
         lo, hi = max(start, 0), min(start + wave.size, n_audio)
         if lo < hi:
             audio[lo:hi] += wave[lo - start : hi - start]
     audio = np.clip(audio, -1.0, 1.0)
 
     # IMU stream on its own clock.
-    n_imu = int(round(cfg.duration_s * IMU_RATE))
+    n_imu = int(round(cfg.duration_s * IMU_RATE_HZ))
     ax = AX_BASELINE_G + rng.normal(0.0, cfg.imu_noise_g, n_imu)
     ay = rng.normal(0.0, cfg.imu_noise_g, n_imu)
     az = rng.normal(0.0, cfg.imu_noise_g, n_imu)
@@ -141,7 +140,7 @@ def synthesize(cfg: SynthConfig) -> tuple[SampleSeries, ImuStream, LabelSet]:
     gy = rng.normal(0.0, gyro_noise, n_imu)
     gz = rng.normal(0.0, gyro_noise, n_imu)
     for t in np.concatenate([shot_times, imu_only_times]):
-        center = int(round((t + cfg.injected_offset_ms) / 1000.0 * IMU_RATE))
+        center = int(round((t + cfg.injected_offset_ms) / 1000.0 * IMU_RATE_HZ))
         accel_peak = rng.uniform(*BUMP_ACCEL_RANGE_G)
         gyro_peak = rng.uniform(*BUMP_GYRO_RANGE_DPS)
         angle = rng.uniform(0.0, 2.0 * np.pi)
@@ -156,9 +155,9 @@ def synthesize(cfg: SynthConfig) -> tuple[SampleSeries, ImuStream, LabelSet]:
     np.clip(gy, -GYRO_RANGE_DPS, GYRO_RANGE_DPS, out=gy)
     np.clip(gz, -GYRO_RANGE_DPS, GYRO_RANGE_DPS, out=gz)
 
-    t = np.arange(n_imu) * (1000.0 / IMU_RATE)
+    t = np.arange(n_imu) * (1000.0 / IMU_RATE_HZ)
     return (
-        SampleSeries(AUDIO_RATE, 0.0, audio),
+        SampleSeries(SAMPLE_RATE_HZ, 0.0, audio),
         ImuStream(t, ax, ay, az, gx, gy, gz),
         LabelSet(shot_times),
     )

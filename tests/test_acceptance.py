@@ -20,7 +20,7 @@ from shotfuse import (
     SynthConfig,
     TrainConfig,
 )
-from shotfuse.audio import AudioConfig, apf, short_time_energy
+from shotfuse.audio import MICROFRAME_SAMPLES, apf, short_time_energy
 from shotfuse.imu import ImuStream, decompose, ipf, prepare_components
 from shotfuse.pipeline import (
     calibrate_ipf_threshold,
@@ -30,13 +30,11 @@ from shotfuse.pipeline import (
     window_metrics,
     windows_from_labels,
 )
-from shotfuse.series import SampleSeries, fir_convolve, FirKernel
+from shotfuse.series import SampleSeries, fir_convolve
 from shotfuse.sync import estimate_offset, quantize, self_calibrate_quantizer
 from shotfuse.training import stack_windows, total_gradients, train_filter, window_scores
 from shotfuse.forest import classify, train_forest
 from shotfuse.events import dedup, evaluate
-
-CFG = AudioConfig()
 
 
 def verdict(number, ok, detail):
@@ -56,14 +54,14 @@ def test_criterion_1_formula_oracles():
     for _ in range(100):
         # short-time energy vs per-frame loop
         x = rng.standard_normal(400)
-        ste = short_time_energy(SampleSeries(8000.0, 0.0, x), CFG).values
+        ste = short_time_energy(SampleSeries(8000.0, 0.0, x)).values
         for i in range(5):
             expected = sum(float(v) ** 2 for v in x[80 * i : 80 * (i + 1)])
             worst = max(worst, abs(ste[i] - expected) / max(abs(expected), 1e-300))
 
         # audio peak function vs direct formula
         e = rng.uniform(0.0, 5.0, 20)
-        out = apf(SampleSeries(100.0, 0.0, e), CFG).values
+        out = apf(SampleSeries(100.0, 0.0, e)).values
         for j in range(out.size):
             i = j + 5
             expected = e[i] - sum(e[i - 5 : i + 6]) / 11.0
@@ -113,10 +111,10 @@ def test_criterion_2_gradient_check():
         rng = np.random.default_rng(2000 + seed)
         weights = rng.normal(0.0, 0.2, 23)
         bias = float(rng.normal(0.0, 0.5))
-        samples = rng.standard_normal((1, 21 * CFG.microframe_samples))
-        score = window_scores(samples, weights, bias, CFG)[0]
+        samples = rng.standard_normal((1, 21 * MICROFRAME_SAMPLES))
+        score = window_scores(samples, weights, bias)[0]
         labels = [1 if score <= 0.0 else 0]  # force a nonzero loss
-        loss, d_w, d_b = total_gradients(samples, labels, weights, bias, CFG)
+        loss, d_w, d_b = total_gradients(samples, labels, weights, bias)
         assert loss != 0.0
 
         grads = np.r_[d_w, d_b]
@@ -130,8 +128,8 @@ def test_criterion_2_gradient_check():
                 up_b = bias + step
                 down_b = bias - step
             fd = (
-                total_gradients(samples, labels, up_w, up_b, CFG)[0]
-                - total_gradients(samples, labels, down_w, down_b, CFG)[0]
+                total_gradients(samples, labels, up_w, up_b)[0]
+                - total_gradients(samples, labels, down_w, down_b)[0]
             ) / (2 * step)
             rel = abs(fd - grads[t]) / max(abs(fd), abs(grads[t]), 1e-8)
             worst = max(worst, rel)
@@ -143,7 +141,7 @@ def test_criterion_2_gradient_check():
 
 def test_criterion_3_filter_training():
     rng = np.random.default_rng(300)
-    span = 21 * CFG.microframe_samples
+    span = 21 * MICROFRAME_SAMPLES
 
     def burst_window():
         x = 0.002 * rng.standard_normal(span)
@@ -160,12 +158,12 @@ def test_criterion_3_filter_training():
     train_set, held_out = shuffle_split(corpus, 0.8, seed=300)
 
     cfg = TrainConfig(seed=300, max_epochs=200)
-    model = train_filter(train_set, cfg, CFG)
+    model = train_filter(train_set, cfg)
 
     samples, labels = stack_windows(train_set)
-    scores = window_scores(samples, model.weights, model.bias, CFG)
+    scores = window_scores(samples, model.weights, model.bias)
     wrong = int(np.count_nonzero((scores > 0.0) != labels))
-    metrics = window_metrics(model, held_out, CFG)
+    metrics = window_metrics(model, held_out)
     verdict(
         3,
         wrong == 0 and metrics["f_score"] >= 0.9,
@@ -216,9 +214,9 @@ def trained_models(tmp_path_factory):
         seed=510,
     )
     audio, imu, labels = sf.synthesize(cfg)
-    windows = windows_from_labels(audio, labels, CFG, seed=510)
+    windows = windows_from_labels(audio, labels, seed=510)
     train_set, _ = shuffle_split(windows, 0.8, seed=510)
-    filter_model = train_filter(train_set, TrainConfig(seed=510), CFG)
+    filter_model = train_filter(train_set, TrainConfig(seed=510))
 
     synced = synced_series(audio, imu, filter_model)
     forest = train_forest(*candidate_dataset(synced, labels), tree_count=50, seed=510)
@@ -321,7 +319,7 @@ def test_criterion_7_property_suites():
     checks = []
 
     # linearity of the front convolution
-    kernel = FirKernel(rng.standard_normal(11))
+    kernel = rng.standard_normal(11)
     ok = True
     for _ in range(100):
         x, y = rng.standard_normal((2, 50))

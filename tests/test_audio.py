@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from shotfuse import (
-    AudioConfig,
     FilterModel,
     SampleSeries,
     apf,
@@ -10,8 +9,6 @@ from shotfuse import (
     detect_audio,
     short_time_energy,
 )
-
-CFG = AudioConfig()
 
 
 def audio_series(values, start=0.0):
@@ -26,19 +23,19 @@ def frame_series(values, start=5.0):
 
 
 def test_ste_zeros():
-    out = short_time_energy(audio_series(np.zeros(80)), CFG)
+    out = short_time_energy(audio_series(np.zeros(80)))
     assert np.array_equal(out.values, [0.0])
     assert out.rate == 100.0
 
 
 def test_ste_constant_half():
-    out = short_time_energy(audio_series(np.full(80, 0.5)), CFG)
+    out = short_time_energy(audio_series(np.full(80, 0.5)))
     assert out.values[0] == pytest.approx(20.0)  # 80 * 0.25
 
 
 def test_ste_matches_per_frame_loop(rng):
     x = rng.standard_normal(800)
-    out = short_time_energy(audio_series(x), CFG)
+    out = short_time_energy(audio_series(x))
     assert len(out) == 10
     for i in range(10):
         expected = sum(float(v) ** 2 for v in x[80 * i : 80 * (i + 1)])
@@ -47,17 +44,17 @@ def test_ste_matches_per_frame_loop(rng):
 
 def test_ste_discards_partial_frame(rng):
     x = rng.standard_normal(170)
-    out = short_time_energy(audio_series(x), CFG)
+    out = short_time_energy(audio_series(x))
     assert len(out) == 2
 
 
 def test_ste_insufficient_samples():
     with pytest.raises(ValueError, match="insufficient samples"):
-        short_time_energy(audio_series(np.zeros(79)), CFG)
+        short_time_energy(audio_series(np.zeros(79)))
 
 
 def test_ste_frame_center_timestamps():
-    out = short_time_energy(audio_series(np.zeros(240), start=100.0), CFG)
+    out = short_time_energy(audio_series(np.zeros(240), start=100.0))
     assert np.allclose(out.times(), [105.0, 115.0, 125.0])
 
 
@@ -65,7 +62,7 @@ def test_ste_frame_center_timestamps():
 
 
 def test_apf_constant_is_zero():
-    out = apf(frame_series(np.full(30, 7.0)), CFG)
+    out = apf(frame_series(np.full(30, 7.0)))
     assert np.allclose(out.values, 0.0, atol=1e-12)
     assert len(out) == 20
 
@@ -73,14 +70,14 @@ def test_apf_constant_is_zero():
 def test_apf_single_spike_value():
     e = np.zeros(11)
     e[5] = 1.0
-    out = apf(frame_series(e), CFG)
+    out = apf(frame_series(e))
     assert len(out) == 1
     assert out.values[0] == pytest.approx(10.0 / 11.0)
 
 
 def test_apf_matches_direct_formula(rng):
     e = rng.uniform(0.0, 5.0, 40)
-    out = apf(frame_series(e), CFG)
+    out = apf(frame_series(e))
     for j in range(len(out)):
         i = j + 5
         expected = e[i] - sum(e[i - 5 : i + 6]) / 11.0
@@ -88,27 +85,27 @@ def test_apf_matches_direct_formula(rng):
 
 
 def test_apf_start_time_advances_by_lookahead():
-    out = apf(frame_series(np.zeros(20), start=5.0), CFG)
+    out = apf(frame_series(np.zeros(20), start=5.0))
     assert out.start_time == 55.0  # 50 ms of inherent lookahead
 
 
 def test_apf_insufficient_context():
     with pytest.raises(ValueError, match="insufficient context"):
-        apf(frame_series(np.zeros(10)), CFG)
+        apf(frame_series(np.zeros(10)))
 
 
 # --- audio_likelihood --------------------------------------------------------
 
 
 def test_likelihood_silence_is_zero(identity_model):
-    out = audio_likelihood(audio_series(np.zeros(8000)), identity_model, CFG)
+    out = audio_likelihood(audio_series(np.zeros(8000)), identity_model)
     assert np.allclose(out.values, 0.0)
 
 
 def test_likelihood_identity_filter_matches_raw(identity_model, rng):
     x = rng.standard_normal(4000)
-    direct = apf(short_time_energy(audio_series(x), CFG), CFG)
-    via_model = audio_likelihood(audio_series(x), identity_model, CFG)
+    direct = apf(short_time_energy(audio_series(x)))
+    via_model = audio_likelihood(audio_series(x), identity_model)
     assert np.allclose(via_model.values, direct.values, rtol=1e-12)
 
 
@@ -117,7 +114,7 @@ def test_likelihood_burst_argmax(identity_model, rng):
     burst_frame = 50
     start = burst_frame * 80 + 10
     x[start : start + 60] += 0.5 * np.sin(2 * np.pi * 1000 * np.arange(60) / 8000)
-    out = audio_likelihood(audio_series(x), identity_model, CFG)
+    out = audio_likelihood(audio_series(x), identity_model)
     peak_frame = int(np.argmax(out.values)) + 5  # output drops 5 leading frames
     assert abs(peak_frame - burst_frame) <= 1
 
@@ -127,16 +124,16 @@ def test_likelihood_scaling_invariance(identity_model):
     for _ in range(100):
         x = rng.standard_normal(2000)
         alpha = float(rng.uniform(0.1, 10.0))
-        base = audio_likelihood(audio_series(x), identity_model, CFG)
-        scaled = audio_likelihood(audio_series(alpha * x), identity_model, CFG)
+        base = audio_likelihood(audio_series(x), identity_model)
+        scaled = audio_likelihood(audio_series(alpha * x), identity_model)
         assert np.allclose(scaled.values, alpha**2 * base.values, rtol=1e-9)
         assert int(np.argmax(scaled.values)) == int(np.argmax(base.values))
 
 
 def test_likelihood_deterministic(identity_model, rng):
     x = rng.standard_normal(4000)
-    a = audio_likelihood(audio_series(x), identity_model, CFG)
-    b = audio_likelihood(audio_series(x), identity_model, CFG)
+    a = audio_likelihood(audio_series(x), identity_model)
+    b = audio_likelihood(audio_series(x), identity_model)
     assert np.array_equal(a.values, b.values)
 
 
@@ -146,11 +143,11 @@ def test_likelihood_deterministic(identity_model, rng):
 def test_detect_none_with_huge_negative_bias(rng):
     model = FilterModel(np.r_[1.0, np.zeros(22)], bias=-1e12)
     x = rng.standard_normal(8000)
-    assert detect_audio(audio_series(x), model, CFG) == []
+    assert detect_audio(audio_series(x), model) == []
 
 
 def test_detect_zero_audio_zero_bias(identity_model):
-    assert detect_audio(audio_series(np.zeros(8000)), identity_model, CFG) == []
+    assert detect_audio(audio_series(np.zeros(8000)), identity_model) == []
 
 
 def test_detect_single_event_at_peak():
@@ -159,9 +156,9 @@ def test_detect_single_event_at_peak():
     x = 1e-3 * rng.standard_normal(4000)
     x[20 * 80 : 20 * 80 + 80] += 0.3
     model = FilterModel(np.r_[1.0, np.zeros(22)], bias=-0.4)
-    likelihood = audio_likelihood(audio_series(x), model, CFG)
+    likelihood = audio_likelihood(audio_series(x), model)
     expected_hits = np.flatnonzero(likelihood.values + model.bias > 0)
-    events = detect_audio(audio_series(x), model, CFG)
+    events = detect_audio(audio_series(x), model)
     assert len(events) == len(expected_hits) == 1
     hit_time = likelihood.start_time + expected_hits[0] * 10.0
     assert events[0].time_ms == pytest.approx(hit_time)
@@ -172,5 +169,5 @@ def test_detect_single_event_at_peak():
 
 def test_detect_strict_inequality_at_zero(identity_model):
     # all-zero audio gives APF exactly 0; bias 0 must not fire
-    events = detect_audio(audio_series(np.zeros(2400)), identity_model, CFG)
+    events = detect_audio(audio_series(np.zeros(2400)), identity_model)
     assert events == []

@@ -137,3 +137,28 @@ def test_train_forest_determinism_byte_identical(workspace, tmp_path):
                 "--out", out, "--seed", 3)
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_detect_rejects_broken_model_files(workspace, tmp_path):
+    data = workspace["data"]
+    filter_payload = json.loads(workspace["filter"].read_text())
+    forest_payload = json.loads(workspace["forest"].read_text())
+    cases = [
+        ("filter", {k: v for k, v in filter_payload.items() if k != "bias"},
+         "filter model: missing field 'bias'"),
+        ("filter", {**filter_payload, "microframe_ms": 7},
+         "filter model: microframe_ms must be 10, got 7"),
+        ("filter", {**filter_payload, "sample_rate": 16000},
+         "filter model: sample_rate must be 8000, got 16000"),
+        ("forest", {k: v for k, v in forest_payload.items() if k != "trees"},
+         "forest model: missing field 'trees'"),
+    ]
+    for i, (kind, payload, message) in enumerate(cases):
+        models = {"filter": workspace["filter"], "forest": workspace["forest"]}
+        models[kind] = tmp_path / f"{kind}{i}.json"
+        models[kind].write_text(json.dumps(payload))
+        proc = run_cli("detect", "--audio", data / "audio.wav", "--imu", data / "imu.csv",
+                       "--filter", models["filter"], "--forest", models["forest"],
+                       "--out-dir", tmp_path / "out", check=False)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from shotfuse import (
-    AudioConfig,
     FilterModel,
     LabelSet,
     SampleSeries,
@@ -248,16 +247,51 @@ def test_events_round_trip(tmp_path):
 def test_filter_model_json_schema(tmp_path, rng):
     model = FilterModel(rng.standard_normal(23), bias=-0.25)
     path = tmp_path / "filter.json"
-    save_filter_model(path, model, AudioConfig())
+    save_filter_model(path, model)
     payload = json.loads(path.read_text())
     assert sorted(payload) == ["bias", "microframe_ms", "sample_rate", "weights"]
     assert payload["sample_rate"] == 8000
     assert payload["microframe_ms"] == 10
     assert len(payload["weights"]) == 23
-    back, cfg = load_filter_model(path)
+    back = load_filter_model(path)
     assert np.allclose(back.weights, model.weights)
     assert back.bias == model.bias
-    assert cfg == AudioConfig()
+
+
+def rewrite_json(src, dst, edit):
+    payload = json.loads(src.read_text())
+    edit(payload)
+    dst.write_text(json.dumps(payload))
+    return dst
+
+
+@pytest.mark.parametrize("field, value", [("sample_rate", 16000), ("microframe_ms", 7)])
+def test_filter_model_rejects_other_geometry(tmp_path, field, value):
+    path = tmp_path / "filter.json"
+    save_filter_model(path, FilterModel(np.ones(23), 0.0))
+    rewrite_json(path, path, lambda p: p.update({field: value}))
+    fixed = {"sample_rate": 8000, "microframe_ms": 10}[field]
+    with pytest.raises(ValueError, match=f"^filter model: {field} must be {fixed}, got {value}$"):
+        load_filter_model(path)
+
+
+def test_model_loaders_name_a_missing_field(tmp_path, rng):
+    filter_path = tmp_path / "filter.json"
+    save_filter_model(filter_path, FilterModel(np.ones(23), 0.0))
+    for field in ("weights", "bias", "sample_rate", "microframe_ms"):
+        broken = rewrite_json(filter_path, tmp_path / "f.json", lambda p: p.pop(field))
+        with pytest.raises(ValueError, match=f"^filter model: missing field '{field}'$"):
+            load_filter_model(broken)
+
+    forest_path = tmp_path / "forest.json"
+    save_forest_model(forest_path, train_forest(rng.standard_normal((20, 5)), np.arange(20) % 2, 2, 1))
+    for field in ("trees", "tree_count", "seed"):
+        broken = rewrite_json(forest_path, tmp_path / "t.json", lambda p: p.pop(field))
+        with pytest.raises(ValueError, match=f"^forest model: missing field '{field}'$"):
+            load_forest_model(broken)
+    broken = rewrite_json(forest_path, tmp_path / "t.json", lambda p: p["trees"][1].pop("left"))
+    with pytest.raises(ValueError, match="^forest model: missing field 'left'$"):
+        load_forest_model(broken)
 
 
 def test_forest_model_json_schema(tmp_path, rng):

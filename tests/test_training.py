@@ -1,26 +1,24 @@
 import numpy as np
 import pytest
 
-from shotfuse import AudioConfig, LabeledAudioWindow, TrainConfig, train_filter
-from shotfuse.training import stack_windows, total_gradients, window_scores
+from shotfuse import LabeledAudioWindow, TrainConfig, train_filter
+from shotfuse.training import INIT_STD, stack_windows, total_gradients, window_scores
 
-CFG = AudioConfig()
-WINDOW_SAMPLES = 21 * CFG.microframe_samples
+WINDOW_SAMPLES = 21 * 80
 
 
-def reference_score(samples, weights, bias, cfg=CFG):
-    """Brute-force oracle: filter the whole window, then score its center microframe."""
+def reference_score(samples, weights, bias):
+    """Brute-force oracle: filter the whole window, then score its center 10 ms microframe."""
     filtered = np.convolve(samples, weights)[: samples.size]
-    frame_len = cfg.microframe_samples
+    frame_len = 80
     n_frames = samples.size // frame_len
     energy = np.sum(filtered[: n_frames * frame_len].reshape(n_frames, frame_len) ** 2, axis=1)
     center = n_frames // 2
-    h = cfg.macroframe_half
-    return energy[center] - energy[center - h : center + h + 1].mean() + bias
+    return energy[center] - energy[center - 5 : center + 6].mean() + bias
 
 
 def loss(samples, labels, weights, bias):
-    return total_gradients(samples, labels, weights, bias, CFG)[0]
+    return total_gradients(samples, labels, weights, bias)[0]
 
 
 # --- the batched scorer against the full-window oracle -----------------------
@@ -35,16 +33,16 @@ def test_window_scores_match_full_window_convolution(length):
         weights = rng.normal(0.0, 0.3, 23)
         samples = rng.standard_normal((6, length))
         expected = [reference_score(row, weights, bias) for row in samples]
-        got = window_scores(samples, weights, bias, CFG)
+        got = window_scores(samples, weights, bias)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
 def test_window_scores_reject_short_and_unbatched_windows():
     weights = np.ones(23)
     with pytest.raises(ValueError, match="window too short"):
-        window_scores(np.zeros((2, 901)), weights, 0.0, CFG)
+        window_scores(np.zeros((2, 901)), weights, 0.0)
     with pytest.raises(ValueError, match="matrix"):
-        window_scores(np.zeros(WINDOW_SAMPLES), weights, 0.0, CFG)
+        window_scores(np.zeros(WINDOW_SAMPLES), weights, 0.0)
 
 
 def test_mixed_window_lengths_rejected():
@@ -52,7 +50,7 @@ def test_mixed_window_lengths_rejected():
     with pytest.raises(ValueError, match="mixed length"):
         stack_windows(windows)
     with pytest.raises(ValueError, match="mixed length"):
-        train_filter(windows, TrainConfig(max_epochs=0), CFG)
+        train_filter(windows, TrainConfig(max_epochs=0))
 
 
 def test_stack_windows_keeps_rows_and_labels():
@@ -68,7 +66,7 @@ def test_stack_windows_keeps_rows_and_labels():
 
 
 def check_central_differences(samples, labels, weights, bias, step=1e-4):
-    value, d_w, d_b = total_gradients(samples, labels, weights, bias, CFG)
+    value, d_w, d_b = total_gradients(samples, labels, weights, bias)
     for t in range(weights.size):
         up, down = weights.copy(), weights.copy()
         up[t] += step
@@ -89,7 +87,7 @@ def test_gradients_match_central_differences(seed):
     bias = float(rng.normal(0.0, 0.5))
     samples = rng.standard_normal((3, WINDOW_SAMPLES))
     # Every window misclassified: a missed shot where the score is not positive.
-    labels = (window_scores(samples, weights, bias, CFG) <= 0.0).astype(int)
+    labels = (window_scores(samples, weights, bias) <= 0.0).astype(int)
     assert check_central_differences(samples, labels, weights, bias) > 0.0
 
 
@@ -98,7 +96,7 @@ def test_gradients_on_a_mixed_batch():
     rng = np.random.default_rng(77)
     weights = rng.normal(0.0, 0.2, 23)
     samples = rng.standard_normal((40, WINDOW_SAMPLES))
-    raw = window_scores(samples, weights, 0.0, CFG)
+    raw = window_scores(samples, weights, 0.0)
     bias = -float(np.median(raw))
     scores = raw + bias
     # Keep windows whose score a finite-difference step cannot flip.
@@ -149,39 +147,46 @@ def separable_corpus(rng, positives=12):
 
 def count_misclassified(model, data):
     samples, labels = stack_windows(data)
-    predicted = window_scores(samples, model.weights, model.bias, CFG) > 0.0
+    predicted = window_scores(samples, model.weights, model.bias) > 0.0
     return int(np.count_nonzero(predicted != labels))
 
 
 def test_training_converges_on_separable_corpus(rng):
     data = separable_corpus(rng)
     cfg = TrainConfig(seed=42, max_epochs=200)
-    model = train_filter(data, cfg, CFG)
+    model = train_filter(data, cfg)
     assert count_misclassified(model, data) == 0
 
 
 def test_zero_epochs_returns_initialized_model(rng):
     data = separable_corpus(rng, positives=2)
     cfg = TrainConfig(seed=9, max_epochs=0)
-    model = train_filter(data, cfg, CFG)
+    model = train_filter(data, cfg)
     assert model.bias == 0.0
-    expected = np.random.default_rng(9).normal(0.0, cfg.init_std, 23)
+    expected = np.random.default_rng(9).normal(0.0, INIT_STD, 23)
     assert np.array_equal(model.weights, expected)
 
 
 def test_single_class_data_rejected(rng):
     data = [noise_window(rng) for _ in range(10)]
     with pytest.raises(ValueError, match="degenerate training set"):
-        train_filter(data, TrainConfig(), CFG)
+        train_filter(data, TrainConfig())
 
 
 def test_training_is_deterministic(rng):
     data = separable_corpus(rng, positives=4)
     cfg = TrainConfig(seed=3, max_epochs=10)
-    a = train_filter(data, cfg, CFG)
-    b = train_filter(data, cfg, CFG)
+    a = train_filter(data, cfg)
+    b = train_filter(data, cfg)
     assert np.array_equal(a.weights, b.weights)
     assert a.bias == b.bias
+
+
+def test_config_errors_name_the_bound():
+    with pytest.raises(ValueError, match="^max_epochs must be non-negative$"):
+        TrainConfig(max_epochs=-1)
+    with pytest.raises(ValueError, match="^learning_rate and batch_size must be positive$"):
+        TrainConfig(batch_size=0)
 
 
 def test_short_window_rejected():
@@ -190,4 +195,4 @@ def test_short_window_rejected():
         LabeledAudioWindow(np.zeros(400), 0),
     ]
     with pytest.raises(ValueError, match="window too short"):
-        train_filter(data, TrainConfig(), CFG)
+        train_filter(data, TrainConfig())
