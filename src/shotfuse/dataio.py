@@ -212,6 +212,19 @@ def _required_fields(kind: str):
         raise ValueError(f"{kind} model: missing field {exc.args[0]!r}") from None
 
 
+#: JSON's name for each type json.load returns.
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
+
+
+def _expect(value, json_type: type, kind: str, where: str):
+    """value itself when it has the JSON type (dict or list) a model payload needs at `where`."""
+    if not isinstance(value, json_type):
+        raise ValueError(f"{kind} model: {where} must be a JSON {_JSON_TYPES[json_type]}, "
+                         f"got {_JSON_TYPES[type(value)]}")
+    return value
+
+
 #: The frame geometry a filter model is written for; loading accepts no other.
 _FILTER_GEOMETRY = {"sample_rate": SAMPLE_RATE_HZ, "microframe_ms": MICROFRAME_MS}
 
@@ -229,7 +242,7 @@ def save_filter_model(path, model: FilterModel) -> None:
 
 def load_filter_model(path) -> FilterModel:
     with open(path) as fh:
-        payload = json.load(fh)
+        payload = _expect(json.load(fh), dict, "filter", "top level")
     with _required_fields("filter"):
         model = FilterModel(np.array(payload["weights"], dtype=float), float(payload["bias"]))
         for name, fixed in _FILTER_GEOMETRY.items():
@@ -246,8 +259,10 @@ def save_forest_model(path, model: ForestModel) -> None:
 
 def load_forest_model(path) -> ForestModel:
     with open(path) as fh:
-        payload = json.load(fh)
+        payload = _expect(json.load(fh), dict, "forest", "top level")
     with _required_fields("forest"):
+        for i, tree in enumerate(_expect(payload["trees"], list, "forest", "trees")):
+            _expect(tree, dict, "forest", f"trees[{i}]")
         return ForestModel.from_dict(payload)
 
 

@@ -114,19 +114,25 @@ def windows_from_labels(
     positive = starts(labels.shots)
     positive = positive[positive >= 0]
 
-    # Negative centers come from one draw of the capped attempt count, which
-    # gives the values that many scalar draws would, in order; the first
-    # `wanted` far enough from every label whose window fits are kept.
-    def far_starts(centers: np.ndarray, count: int) -> np.ndarray:
-        first = starts(centers)
-        keep = (first >= 0) & (_label_distance(labels, centers) >= min_label_distance_ms)
-        return first[np.flatnonzero(keep)[:count]]
-
+    # Negative centers come from a capped stream of 100 * wanted uniform
+    # draws; the first `wanted` far enough from every label whose window
+    # fits are kept. The stream is drawn in growing prefix chunks, which
+    # give the values of one draw, in order, and stops once enough are kept.
     wanted = int(round(negatives_per_positive * positive.size))
     half_ms = span / 2 / SAMPLE_RATE_HZ * 1000.0
     lo = audio.start_time + half_ms
     hi = audio.end_time - half_ms
-    negative = far_starts(rng.uniform(lo, hi, 100 * wanted), wanted)
+    kept = [np.empty(0, dtype=int)]
+    budget = 100 * wanted
+    chunk = 2 * wanted
+    while budget > 0 and sum(map(len, kept)) < wanted:
+        centers = rng.uniform(lo, hi, min(chunk, budget))
+        budget -= centers.size
+        chunk *= 2
+        first = starts(centers)
+        far = (first >= 0) & (_label_distance(labels, centers) >= min_label_distance_ms)
+        kept.append(first[far])
+    negative = np.concatenate(kept)[:wanted]
 
     return [
         LabeledAudioWindow(audio.values[s : s + span], label)
@@ -257,6 +263,7 @@ def train_filter_workflow(
         negatives_per_positive=train_cfg.neg_pos_ratio,
         seed=train_cfg.seed,
     )
+    del audio  # the windows are copies; the decoded stream is not needed again
     train_set, val_set = shuffle_split(windows, TRAIN_FRACTION, train_cfg.seed)
     model = train_filter(train_set, train_cfg)
     save_filter_model(out_path, model)

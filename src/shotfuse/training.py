@@ -3,8 +3,10 @@
 The detector is differentiable end to end: convolution -> per-frame energy
 -> macroframe mean subtraction -> bias threshold. Misclassified windows
 contribute the (signed) decision score as their loss; correct ones
-contribute nothing. Gradients are propagated analytically through that
-chain and applied with a mini-batch Adam loop.
+contribute nothing. The whole chain is a quadratic form in the filter
+weights, so each window's form is built once (center_forms) and every
+epoch scores and differentiates windows from it in O(taps^2); the
+gradients are applied with a mini-batch Adam loop.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "TrainConfig",
     "stack_windows",
     "window_scores",
+    "center_forms",
     "total_gradients",
     "train_filter",
 ]
@@ -43,6 +46,8 @@ ADAM_EPSILON = 1e-8
 #: Spread of the initial weights: 1/sqrt(taps) gives the initial filter unit
 #: energy on average.
 INIT_STD = 1.0 / math.sqrt(FILTER_TAPS)
+#: Windows that train_filter stacks per center_forms call while building its forms.
+FORM_CHUNK_WINDOWS = 128
 
 
 @dataclass(frozen=True)
@@ -105,58 +110,75 @@ def _center_history(samples: np.ndarray, n_taps: int) -> np.ndarray:
     return np.pad(history, ((0, 0), (max(-start, 0), 0)))
 
 
-def _center_scores(history: np.ndarray, weights: np.ndarray, bias: float):
-    """Filtered center macroframes as (windows, frames, frame samples) and the biased scores.
-
-    The score is the center frame's energy minus the mean energy of its
-    macroframe, plus the bias.
-    """
-    taps = sliding_window_view(history, weights.size, axis=1)
-    filtered = np.einsum("nkj,j->nk", taps, weights[::-1])
-    blocks = filtered.reshape(len(history), MACROFRAME_FRAMES, MICROFRAME_SAMPLES)
-    energy = np.einsum("nfk,nfk->nf", blocks, blocks)
-    return blocks, energy[:, MACROFRAME_HALF] - energy.mean(axis=1) + bias
-
-
 def window_scores(samples: np.ndarray, weights: np.ndarray, bias: float) -> np.ndarray:
     """Biased likelihood at the center microframe of each row of a (windows, samples) matrix.
 
     The center microframe is number (samples // MICROFRAME_SAMPLES) // 2;
     a window needs a full macroframe around it plus n_taps - 1 samples.
+    The score is the center frame's energy minus the mean energy of its
+    macroframe, plus the bias.
     """
-    return _center_scores(_center_history(samples, weights.size), weights, bias)[1]
+    history = _center_history(samples, weights.size)
+    taps = sliding_window_view(history, weights.size, axis=1)
+    filtered = np.einsum("nkj,j->nk", taps, weights[::-1])
+    blocks = filtered.reshape(len(history), MACROFRAME_FRAMES, MICROFRAME_SAMPLES)
+    energy = np.einsum("nfk,nfk->nf", blocks, blocks)
+    return energy[:, MACROFRAME_HALF] - energy.mean(axis=1) + bias
+
+
+def center_forms(samples: np.ndarray) -> np.ndarray:
+    """Quadratic form of each row's center score: (windows, FILTER_TAPS, FILTER_TAPS).
+
+    window_scores(samples, w, b) equals w @ Q @ w + b for each row's Q, so
+    Q depends on the samples only. Filtered output k of the center
+    macroframe is w @ t_k, where t_k[i] = history[k + n_taps - 1 - i], and
+    Q = sum_k c_k t_k t_k^T with c_k = 1 - 1/11 on the center microframe
+    and -1/11 on the rest of the macroframe. The first row is one pass
+    over the taps. Shifting both indices by one moves every t_k back one
+    output, so Q[i+1, j+1] = Q[i, j] plus one rank-one term per step of c
+    (c is 0 outside the macroframe): O(n_taps^2) per window for the rest.
+    """
+    n_taps = FILTER_TAPS
+    history = _center_history(samples, n_taps)
+    c = np.full(MACROFRAME_FRAMES * MICROFRAME_SAMPLES, -1.0 / MACROFRAME_FRAMES)
+    c[MACROFRAME_HALF * MICROFRAME_SAMPLES : (MACROFRAME_HALF + 1) * MICROFRAME_SAMPLES] += 1.0
+    forms = np.empty((len(history), n_taps, n_taps))
+    taps = sliding_window_view(history, n_taps, axis=1)
+    forms[:, 0] = np.einsum("nk,nkj->nj", history[:, n_taps - 1 :] * c, taps)[:, ::-1]
+    forms[:, 1:, 0] = forms[:, 0, 1:]
+    # step[m] = c[m] - c[m - 1] (c = 0 outside the macroframe) is nonzero
+    # only at the macroframe's and the center microframe's edges, and
+    # Q[i+1, j+1] - Q[i, j] sums step[m] * t_{m-1}[i] * t_{m-1}[j] over them.
+    step = np.diff(c, prepend=0.0, append=0.0)
+    edges = np.flatnonzero(step)
+    u = history[:, edges[:, None] + (n_taps - 2) - np.arange(n_taps - 1)]
+    shift = (u * step[edges, None]).transpose(0, 2, 1) @ u
+    for i in range(n_taps - 1):
+        forms[:, i + 1, 1:] = forms[:, i, :-1] + shift[:, i]
+    return forms
 
 
 def total_gradients(
-    samples: np.ndarray, labels: np.ndarray, weights: np.ndarray, bias: float
+    forms: np.ndarray, labels: np.ndarray, weights: np.ndarray, bias: float
 ) -> tuple[float, np.ndarray, float]:
-    """Summed loss and its gradients w.r.t. weights and bias over the rows of samples.
+    """Summed loss and its gradients w.r.t. weights and bias over a stack of center_forms.
 
-    A row's loss is -(score) for a missed shot, +(score) for a false
+    A window's loss is -(score) for a missed shot, +(score) for a false
     alarm, and 0 for a correct classification (ties at score 0 count as
-    non-shot).
+    non-shot). The score is w @ Q @ w + bias, so its weight gradient is
+    2 Q w.
     """
-    history = _center_history(samples, weights.size)
-    labels = np.asarray(labels)
-    if labels.shape != (len(history),):
+    forms = np.asarray(forms, dtype=float)
+    if forms.ndim != 3 or forms.shape[1:] != (weights.size, weights.size):
+        raise ValueError("forms must be a (windows, taps, taps) stack")
+    labels = np.asarray(labels, dtype=float)
+    if labels.shape != (len(forms),):
         raise ValueError("need one label per window")
-    blocks, score = _center_scores(history, weights, bias)
-    predicted = score > 0.0
-    false_alarm = predicted & (labels == 0)
-    missed = ~predicted & (labels == 1)
-    d_score = false_alarm - missed.astype(float)
-    loss = float(np.sum(d_score * score))
-
-    # Backpropagate score -> energy -> filtered signal -> weights over the
-    # misclassified rows; the others contribute nothing.
-    wrong = np.flatnonzero(d_score)
-    m = MACROFRAME_FRAMES
-    d_energy = np.eye(m)[MACROFRAME_HALF] - 1.0 / m
-    d_blocks = 2.0 * blocks[wrong] * (d_score[wrong, None] * d_energy)[:, :, None]
-    # filtered[k] = sum_j taps[k, j] * weights[n_taps - 1 - j]
-    taps = sliding_window_view(history[wrong], weights.size, axis=1)
-    d_weights = np.einsum("nk,nkj->j", d_blocks.reshape(taps.shape[:2]), taps)[::-1]
-    return loss, d_weights, float(np.sum(d_score))
+    qw = (forms.reshape(-1, weights.size) @ weights).reshape(len(forms), weights.size)
+    score = qw @ weights + bias
+    # +1 for a false alarm, -1 for a missed shot, 0 when correct.
+    d_score = (score > 0.0) - labels
+    return float(d_score @ score), 2.0 * (d_score @ qw), float(d_score.sum())
 
 
 class _Adam:
@@ -202,18 +224,24 @@ def train_filter(data: list[LabeledAudioWindow], cfg: TrainConfig = TrainConfig(
     if cfg.max_epochs == 0:
         return FilterModel(weights, 0.0)
 
+    # The forms are the only per-window state the epochs read: built once,
+    # a chunk of stacked windows at a time.
+    forms = np.empty((len(windows), FILTER_TAPS, FILTER_TAPS))
+    for start in range(0, len(windows), FORM_CHUNK_WINDOWS):
+        samples, _ = stack_windows(windows[start : start + FORM_CHUNK_WINDOWS])
+        forms[start : start + len(samples)] = center_forms(samples)
+    labels = np.repeat([1, 0], [len(positives), len(negatives)])
+
     params = np.concatenate([weights, [0.0]])
     opt = _Adam(params.size, cfg.learning_rate)
     for _ in range(cfg.max_epochs):
         order = rng.permutation(len(windows))
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
-            samples, labels = stack_windows(
-                [windows[i] for i in order[start : start + cfg.batch_size]]
-            )
-            loss, d_w, d_b = total_gradients(samples, labels, params[:-1], params[-1])
+            rows = order[start : start + cfg.batch_size]
+            loss, d_w, d_b = total_gradients(forms[rows], labels[rows], params[:-1], params[-1])
             epoch_loss += loss
-            grad = np.concatenate([d_w, [d_b]]) / len(samples)
+            grad = np.concatenate([d_w, [d_b]]) / len(rows)
             params = opt.step(params, grad)
         if epoch_loss == 0.0:
             break

@@ -32,7 +32,7 @@ from shotfuse.pipeline import (
 )
 from shotfuse.series import SampleSeries, fir_convolve
 from shotfuse.sync import estimate_offset, quantize, self_calibrate_quantizer
-from shotfuse.training import stack_windows, total_gradients, train_filter, window_scores
+from shotfuse.training import center_forms, stack_windows, total_gradients, train_filter, window_scores
 from shotfuse.forest import classify, train_forest
 from shotfuse.events import dedup, evaluate
 
@@ -114,7 +114,7 @@ def test_criterion_2_gradient_check():
         samples = rng.standard_normal((1, 21 * MICROFRAME_SAMPLES))
         score = window_scores(samples, weights, bias)[0]
         labels = [1 if score <= 0.0 else 0]  # force a nonzero loss
-        loss, d_w, d_b = total_gradients(samples, labels, weights, bias)
+        loss, d_w, d_b = total_gradients(center_forms(samples), labels, weights, bias)
         assert loss != 0.0
 
         grads = np.r_[d_w, d_b]
@@ -128,8 +128,8 @@ def test_criterion_2_gradient_check():
                 up_b = bias + step
                 down_b = bias - step
             fd = (
-                total_gradients(samples, labels, up_w, up_b)[0]
-                - total_gradients(samples, labels, down_w, down_b)[0]
+                total_gradients(center_forms(samples), labels, up_w, up_b)[0]
+                - total_gradients(center_forms(samples), labels, down_w, down_b)[0]
             ) / (2 * step)
             rel = abs(fd - grads[t]) / max(abs(fd), abs(grads[t]), 1e-8)
             worst = max(worst, rel)

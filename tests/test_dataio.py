@@ -294,6 +294,30 @@ def test_model_loaders_name_a_missing_field(tmp_path, rng):
         load_forest_model(broken)
 
 
+def test_filter_model_rejects_json_that_is_not_an_object(tmp_path):
+    path = tmp_path / "filter.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="^filter model: top level must be a JSON object, got array$"):
+        load_filter_model(path)
+
+
+def test_forest_model_rejects_trees_that_are_not_objects(tmp_path, rng):
+    path = tmp_path / "forest.json"
+    save_forest_model(path, train_forest(rng.standard_normal((20, 5)), np.arange(20) % 2, 2, 1))
+    cases = [
+        (lambda p: p.update(trees=[[1]]), "trees\\[0\\] must be a JSON object, got array"),
+        (lambda p: p["trees"].append("tree"), "trees\\[2\\] must be a JSON object, got string"),
+        (lambda p: p.update(trees={"0": {}}), "trees must be a JSON array, got object"),
+    ]
+    for edit, message in cases:
+        broken = rewrite_json(path, tmp_path / "t.json", edit)
+        with pytest.raises(ValueError, match=f"^forest model: {message}$"):
+            load_forest_model(broken)
+    path.write_text("null")
+    with pytest.raises(ValueError, match="^forest model: top level must be a JSON object, got null$"):
+        load_forest_model(path)
+
+
 def test_forest_model_json_schema(tmp_path, rng):
     model = train_forest(rng.standard_normal((20, 5)), np.arange(20) % 2, tree_count=3, seed=1)
     path = tmp_path / "forest.json"

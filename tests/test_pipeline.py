@@ -135,6 +135,39 @@ def test_windows_from_labels_matches_scalar_draw_loop(ratio, distance_ms, seed):
         assert np.array_equal(w.samples, samples)
 
 
+def full_draw_negative_starts(audio, labels, ratio, distance_ms, seed):
+    """First samples of the negative windows, scoring all 100 * wanted draws at once."""
+    rng = np.random.default_rng(seed)
+    shots = labels.shots
+    n_frames = len(audio) // 80
+    frames = ((shots - audio.start_time) / 10).astype(int) - 10
+    wanted = int(round(ratio * np.count_nonzero((frames >= 0) & (frames + 21 <= n_frames))))
+    half_ms = 21 * 80 / 2 / 8000 * 1000.0
+    centers = rng.uniform(audio.start_time + half_ms, audio.end_time - half_ms, 100 * wanted)
+    frames = ((centers - audio.start_time) / 10).astype(int) - 10
+    fits = (frames >= 0) & (frames + 21 <= n_frames)
+    far = np.min(np.abs(centers[:, None] - shots[None, :]), axis=1) >= distance_ms
+    return (frames * 80)[fits & far][:wanted]
+
+
+@pytest.mark.parametrize(
+    "ratio, distance_ms, seed",
+    # Labels 3 s apart reject most draws at 3 s, so the prefix chunks grow
+    # several times; at 3.5 s the whole capped stream runs out before `wanted`.
+    [(20.0, 500.0, 3), (20.0, 3000.0, 4), (20.0, 3500.0, 6)],
+)
+def test_negative_windows_match_a_full_draw(ratio, distance_ms, seed):
+    audio, _, labels = sf.synthesize(sf.SynthConfig(duration_s=120.0, shot_count=40, seed=88))
+    windows = windows_from_labels(
+        audio, labels, negatives_per_positive=ratio, min_label_distance_ms=distance_ms, seed=seed
+    )
+    negatives = [w.samples for w in windows if w.label == 0]
+    expected = full_draw_negative_starts(audio, labels, ratio, distance_ms, seed)
+    assert len(negatives) == expected.size > 0
+    for samples, first in zip(negatives, expected):
+        assert np.array_equal(samples, audio.values[first : first + 21 * 80])
+
+
 def test_windows_from_labels_without_labels():
     audio, _, _ = sf.synthesize(sf.SynthConfig(duration_s=10.0, shot_count=3, seed=87))
     assert windows_from_labels(audio, sf.LabelSet(np.empty(0))) == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shotfuse import LabeledAudioWindow, TrainConfig, train_filter
-from shotfuse.training import INIT_STD, stack_windows, total_gradients, window_scores
+from shotfuse.training import INIT_STD, center_forms, stack_windows, total_gradients, window_scores
 
 WINDOW_SAMPLES = 21 * 80
 
@@ -18,7 +18,7 @@ def reference_score(samples, weights, bias):
 
 
 def loss(samples, labels, weights, bias):
-    return total_gradients(samples, labels, weights, bias)[0]
+    return total_gradients(center_forms(samples), labels, weights, bias)[0]
 
 
 # --- the batched scorer against the full-window oracle -----------------------
@@ -62,11 +62,88 @@ def test_stack_windows_keeps_rows_and_labels():
     assert samples.shape == (0, 0) and labels.shape == (0,)
 
 
+# --- the quadratic forms against a dense oracle and the scorer --------------
+
+
+def dense_form(samples, n_taps=23):
+    """X^T diag(c) X over the center macroframe's tap vectors, from the full-window convolution."""
+    padded = np.r_[np.zeros(n_taps - 1), samples]
+    center = samples.size // 80 // 2
+    first = (center - 5) * 80
+    # Row k holds the samples filtered output first + k reads, newest first.
+    X = np.array([padded[first + k : first + k + n_taps][::-1] for k in range(11 * 80)])
+    c = np.full(11 * 80, -1.0 / 11)
+    c[5 * 80 : 6 * 80] += 1.0
+    return X.T @ (c[:, None] * X)
+
+
+@pytest.mark.parametrize("length", [902, 1000, WINDOW_SAMPLES])
+def test_center_forms_match_dense_oracle_and_scores(length):
+    rng = np.random.default_rng(10 + length)
+    samples = rng.standard_normal((5, length))
+    forms = center_forms(samples)
+    assert forms.shape == (5, 23, 23)
+    for form, row in zip(forms, samples):
+        expected = dense_form(row)
+        np.testing.assert_allclose(form, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    for bias in (0.0, -0.4):
+        weights = rng.normal(0.0, 0.3, 23)
+        np.testing.assert_allclose(
+            np.einsum("i,nij,j->n", weights, forms, weights) + bias,
+            window_scores(samples, weights, bias),
+            rtol=1e-12,
+        )
+
+
+def scorer_loss(samples, labels, weights, bias):
+    """The decision loss computed from window_scores alone."""
+    score = window_scores(samples, weights, bias)
+    predicted = score > 0.0
+    sign = (predicted & (labels == 0)).astype(float) - (~predicted & (labels == 1))
+    return float(np.sum(sign * score))
+
+
+def test_form_gradients_match_central_differences_of_the_scorer():
+    rng = np.random.default_rng(55)
+    step = 1e-4
+    for _ in range(5):
+        weights = rng.normal(0.0, 0.2, 23)
+        bias = float(rng.normal(0.0, 0.5))
+        samples = rng.standard_normal((4, WINDOW_SAMPLES))
+        labels = (window_scores(samples, weights, bias) <= 0.0).astype(int)
+        labels[0] = 1 - labels[0]  # one correctly classified window contributes nothing
+        value, d_w, d_b = total_gradients(center_forms(samples), labels, weights, bias)
+        assert value == pytest.approx(scorer_loss(samples, labels, weights, bias), rel=1e-12)
+        for t in range(24):
+            up_w, down_w = weights.copy(), weights.copy()
+            up_b = down_b = bias
+            if t < 23:
+                up_w[t] += step
+                down_w[t] -= step
+            else:
+                up_b, down_b = bias + step, bias - step
+            fd = (scorer_loss(samples, labels, up_w, up_b) - scorer_loss(samples, labels, down_w, down_b)) / (
+                2 * step
+            )
+            analytic = d_w[t] if t < 23 else d_b
+            assert abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-8) < 1e-4
+
+
+def test_total_gradients_reject_mismatched_shapes():
+    forms = center_forms(np.zeros((2, WINDOW_SAMPLES)))
+    with pytest.raises(ValueError, match="stack"):
+        total_gradients(forms[0], [0], np.ones(23), 0.0)
+    with pytest.raises(ValueError, match="stack"):
+        total_gradients(forms, [0, 1], np.ones(22), 0.0)
+    with pytest.raises(ValueError, match="one label per window"):
+        total_gradients(forms, [0], np.ones(23), 0.0)
+
+
 # --- gradient correctness (finite-difference oracle) ----------------------
 
 
 def check_central_differences(samples, labels, weights, bias, step=1e-4):
-    value, d_w, d_b = total_gradients(samples, labels, weights, bias)
+    value, d_w, d_b = total_gradients(center_forms(samples), labels, weights, bias)
     for t in range(weights.size):
         up, down = weights.copy(), weights.copy()
         up[t] += step
