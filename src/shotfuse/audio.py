@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import ShotEvent
-from .series import SampleSeries, fir_convolve
+from .series import SampleSeries, fir_frames
 
 __all__ = [
     "SAMPLE_RATE_HZ",
@@ -84,19 +84,22 @@ class LabeledAudioWindow:
         object.__setattr__(self, "samples", arr)
 
 
-def short_time_energy(x: SampleSeries) -> SampleSeries:
-    """Sum of squared samples per non-overlapping microframe.
+def short_time_energy(x: SampleSeries, taps: np.ndarray) -> SampleSeries:
+    """Sum of squared FIR-filtered samples per non-overlapping microframe.
 
-    A trailing partial microframe is discarded. Each output value is
-    timestamped at the center of its microframe.
+    The filter is causal with zero initial state, as in fir_convolve; each
+    chunk of filtered frames is squared and summed into the energies as it
+    is made, so the filtered stream never exists in full. A trailing
+    partial microframe is discarded. Each output value is timestamped at
+    the center of its microframe.
     """
     if x.rate != SAMPLE_RATE_HZ:
         raise ValueError("sample rate mismatch")
     if len(x) < MICROFRAME_SAMPLES:
         raise ValueError("insufficient samples")
-    frames = len(x) // MICROFRAME_SAMPLES
-    blocks = x.values[: frames * MICROFRAME_SAMPLES].reshape(frames, MICROFRAME_SAMPLES)
-    energy = np.sum(blocks * blocks, axis=1)
+    energy = np.empty(len(x) // MICROFRAME_SAMPLES)
+    for lo, hi, block in fir_frames(x.values, taps, MICROFRAME_SAMPLES, energy.size):
+        np.einsum("ij,ij->i", block, block, out=energy[lo:hi])
     return SampleSeries(FRAME_RATE_HZ, x.start_time + MICROFRAME_MS / 2.0, energy)
 
 
@@ -122,7 +125,7 @@ def audio_likelihood(x: SampleSeries, model: FilterModel) -> SampleSeries:
     Downstream consumers (synchronizer, fusion) want the raw peak function;
     only :func:`detect_audio` folds in the decision bias.
     """
-    return apf(short_time_energy(fir_convolve(x, model.weights)))
+    return apf(short_time_energy(x, model.weights))
 
 
 def detect_audio(x: SampleSeries, model: FilterModel) -> list[ShotEvent]:

@@ -49,7 +49,7 @@ def read_wav(path) -> SampleSeries:
         if wav.getframerate() != SAMPLE_RATE_HZ:
             raise ValueError(f"expected {SAMPLE_RATE_HZ} Hz, got {wav.getframerate()} Hz")
         raw = wav.readframes(wav.getnframes())
-    samples = np.frombuffer(raw, dtype="<i2").astype(float) / PCM_SCALE
+    samples = np.frombuffer(raw, dtype="<i2") / PCM_SCALE
     return SampleSeries(float(SAMPLE_RATE_HZ), 0.0, samples)
 
 
@@ -151,12 +151,14 @@ def read_imu_csv(path) -> ImuStream:
     return ImuStream(*columns)
 
 
+#: One IMU CSV row: t_ms to 3 decimals, the six sensors to 6; "\r\n" is csv.writer's terminator.
+_IMU_ROW = "%.3f" + ",%.6f" * 6 + "\r\n"
+
+
 def write_imu_csv(path, stream: ImuStream) -> None:
+    rows = [_IMU_ROW % tuple(row) for row in stream.columns().T.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(IMU_COLUMNS)
-        for t, *sensors in stream.columns().T.tolist():
-            writer.writerow([f"{t:.3f}"] + [f"{v:.6f}" for v in sensors])
+        fh.write(",".join(IMU_COLUMNS) + "\r\n" + "".join(rows))
 
 
 def read_labels_csv(path) -> LabelSet:

@@ -11,12 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as _sig
 
 __all__ = [
     "SampleSeries",
     "TRIANGLE_TAPS",
     "LOWPASS_CUTOFF_HZ",
+    "fir_frames",
     "fir_convolve",
     "lowpass",
     "triangle_smooth",
@@ -97,6 +99,41 @@ TRIANGLE_TAPS = np.array([1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0]) / 16.0
 LOWPASS_CUTOFF_HZ = 10.0
 
 
+#: Frames per matmul in fir_frames; bounds each chunk's buffers to well under a megabyte.
+FIR_CHUNK_FRAMES = 1024
+#: Output samples per row of fir_convolve's blocked matmul (one audio microframe).
+FIR_BLOCK_SAMPLES = 80
+
+
+def fir_frames(values: np.ndarray, taps: np.ndarray, frame: int, frames: int):
+    """Causal FIR output cut into frames, as (lo, hi, block) per chunk, in order.
+
+    block[i, j] = sum_t taps[t] * values[(lo + i) * frame + j - t] for the
+    frames lo <= lo + i < hi of range(frames); values reads as zero before
+    sample 0 and past its end. Each chunk of up to FIR_CHUNK_FRAMES frames
+    is one matmul: a strided read-only view of every frame's window (its
+    own samples and the taps - 1 before them) against the banded Toeplitz
+    matrix of the reversed taps. Only a chunk that reaches outside values
+    is copied, into a zero-padded buffer of its own size.
+    """
+    taps = np.asarray(taps, dtype=float)
+    history = taps.size - 1
+    span = history + frame
+    # Window row r holds sample (frame start - history + r), so it meets output j at tap j + history - r.
+    tap = np.arange(frame) + history - np.arange(span)[:, None]
+    toeplitz = np.where((tap >= 0) & (tap <= history), taps[np.clip(tap, 0, history)], 0.0)
+    for lo in range(0, frames, FIR_CHUNK_FRAMES):
+        hi = min(lo + FIR_CHUNK_FRAMES, frames)
+        first, last = lo * frame - history, hi * frame
+        if first >= 0 and last <= values.size:
+            segment = values[first:last]
+        else:
+            segment = np.zeros(last - first)
+            a, b = max(first, 0), min(last, values.size)
+            segment[a - first : b - first] = values[a:b]
+        yield lo, hi, sliding_window_view(segment, span)[::frame] @ toeplitz
+
+
 def fir_convolve(x: SampleSeries, taps: np.ndarray) -> SampleSeries:
     """Causal convolution, "same" length: out[k] = sum_t taps[t] * x[k - t].
 
@@ -105,8 +142,11 @@ def fir_convolve(x: SampleSeries, taps: np.ndarray) -> SampleSeries:
     """
     if len(x) == 0:
         raise ValueError("empty signal")
-    out = np.convolve(x.values, taps)[: len(x)]
-    return x.with_values(out)
+    frames = -(-len(x) // FIR_BLOCK_SAMPLES)
+    out = np.empty((frames, FIR_BLOCK_SAMPLES))
+    for lo, hi, block in fir_frames(x.values, taps, FIR_BLOCK_SAMPLES, frames):
+        out[lo:hi] = block
+    return x.with_values(out.ravel()[: len(x)])
 
 
 def lowpass(x: SampleSeries) -> SampleSeries:

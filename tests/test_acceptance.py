@@ -54,7 +54,7 @@ def test_criterion_1_formula_oracles():
     for _ in range(100):
         # short-time energy vs per-frame loop
         x = rng.standard_normal(400)
-        ste = short_time_energy(SampleSeries(8000.0, 0.0, x)).values
+        ste = short_time_energy(SampleSeries(8000.0, 0.0, x), np.array([1.0])).values
         for i in range(5):
             expected = sum(float(v) ** 2 for v in x[80 * i : 80 * (i + 1)])
             worst = max(worst, abs(ste[i] - expected) / max(abs(expected), 1e-300))

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import shotfuse
 from shotfuse import (
     FilterModel,
     SampleSeries,
@@ -23,19 +29,19 @@ def frame_series(values, start=5.0):
 
 
 def test_ste_zeros():
-    out = short_time_energy(audio_series(np.zeros(80)))
+    out = short_time_energy(audio_series(np.zeros(80)), np.array([1.0]))
     assert np.array_equal(out.values, [0.0])
     assert out.rate == 100.0
 
 
 def test_ste_constant_half():
-    out = short_time_energy(audio_series(np.full(80, 0.5)))
+    out = short_time_energy(audio_series(np.full(80, 0.5)), np.array([1.0]))
     assert out.values[0] == pytest.approx(20.0)  # 80 * 0.25
 
 
 def test_ste_matches_per_frame_loop(rng):
     x = rng.standard_normal(800)
-    out = short_time_energy(audio_series(x))
+    out = short_time_energy(audio_series(x), np.array([1.0]))
     assert len(out) == 10
     for i in range(10):
         expected = sum(float(v) ** 2 for v in x[80 * i : 80 * (i + 1)])
@@ -44,17 +50,17 @@ def test_ste_matches_per_frame_loop(rng):
 
 def test_ste_discards_partial_frame(rng):
     x = rng.standard_normal(170)
-    out = short_time_energy(audio_series(x))
+    out = short_time_energy(audio_series(x), np.array([1.0]))
     assert len(out) == 2
 
 
 def test_ste_insufficient_samples():
     with pytest.raises(ValueError, match="insufficient samples"):
-        short_time_energy(audio_series(np.zeros(79)))
+        short_time_energy(audio_series(np.zeros(79)), np.array([1.0]))
 
 
 def test_ste_frame_center_timestamps():
-    out = short_time_energy(audio_series(np.zeros(240), start=100.0))
+    out = short_time_energy(audio_series(np.zeros(240), start=100.0), np.array([1.0]))
     assert np.allclose(out.times(), [105.0, 115.0, 125.0])
 
 
@@ -104,9 +110,33 @@ def test_likelihood_silence_is_zero(identity_model):
 
 def test_likelihood_identity_filter_matches_raw(identity_model, rng):
     x = rng.standard_normal(4000)
-    direct = apf(short_time_energy(audio_series(x)))
+    direct = apf(short_time_energy(audio_series(x), np.array([1.0])))
     via_model = audio_likelihood(audio_series(x), identity_model)
     assert np.allclose(via_model.values, direct.values, rtol=1e-12)
+
+
+LIKELIHOOD_DIGEST = """
+import hashlib
+import numpy as np
+from shotfuse import FilterModel, SampleSeries, audio_likelihood
+rng = np.random.default_rng(5)
+x = SampleSeries(8000.0, 0.0, rng.standard_normal(30 * 8000))
+out = audio_likelihood(x, FilterModel(rng.standard_normal(23)))
+print(hashlib.sha256(out.values.tobytes()).hexdigest())
+"""
+
+
+def test_likelihood_bytes_do_not_depend_on_blas_threads():
+    # The blocked FIR is a BLAS matmul; 30 s of audio makes three chunks big enough to thread.
+    src = str(Path(shotfuse.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", LIKELIHOOD_DIGEST], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1 and len(digests.pop()) == 64
 
 
 def test_likelihood_burst_argmax(identity_model, rng):

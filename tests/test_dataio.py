@@ -1,3 +1,4 @@
+import csv
 import json
 import wave
 
@@ -6,6 +7,7 @@ import pytest
 
 from shotfuse import (
     FilterModel,
+    ImuStream,
     LabelSet,
     SampleSeries,
     ShotEvent,
@@ -61,6 +63,21 @@ def test_wav_round_trip_bit_identical(tmp_path, rng):
     assert np.array_equal(back, ints)
 
 
+def test_wav_decode_matches_float_conversion_then_scale(tmp_path, rng):
+    ints = np.r_[-32768, 0, 32767, rng.integers(-32768, 32768, size=997)].astype("<i2")
+    path = tmp_path / "extremes.wav"
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(8000)
+        w.writeframes(ints.tobytes())
+    out = read_wav(path).values
+    expected = ints.astype(float) / 32768.0
+    assert out.dtype == np.float64
+    assert out.tobytes() == expected.tobytes()
+    assert out[:3].tolist() == [-1.0, 0.0, 32767 / 32768]
+
+
 def test_wav_rejects_wrong_properties(tmp_path):
     stereo = tmp_path / "stereo.wav"
     with wave.open(str(stereo), "wb") as w:
@@ -114,6 +131,36 @@ def test_imu_csv_round_trip(tmp_path):
     again = tmp_path / "again.csv"
     write_imu_csv(again, back)
     assert again.read_bytes() == path.read_bytes()
+
+
+def csv_writer_imu_file(path, stream):
+    """The csv.writer formulation of write_imu_csv, kept as its byte oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("t_ms", "ax", "ay", "az", "gx", "gy", "gz"))
+        for t, *sensors in stream.columns().T.tolist():
+            writer.writerow([f"{t:.3f}"] + [f"{v:.6f}" for v in sensors])
+
+
+def test_imu_csv_bytes_match_csv_writer(tmp_path, rng):
+    _, imu, _ = synthesize(SynthConfig(duration_s=10.0, shot_count=5, seed=32))
+    edges = ImuStream(
+        np.array([0.0, -0.0, 10.0, 20.0, 1e6 + 0.0005]),
+        np.array([-0.0, 8.0, -8.0, 1e-7, -1e-7]),
+        np.array([8.0, -0.0, -8.0, 7.9999995, -7.9999995]),
+        np.array([0.0, -8.0, 8.0, 0.5, -0.5]),
+        np.array([-0.0, 2000.0, -2000.0, 1999.9999995, -1999.9999995]),
+        np.array([2000.0, -0.0, -2000.0, 0.0, 1e-9]),
+        np.array([-2000.0, 2000.0, -0.0, -1e-9, 123.4567895]),
+    )
+    for name, stream in (("synth", imu), ("edges", edges), ("empty", ImuStream(*np.empty((7, 0))))):
+        ours, oracle = tmp_path / f"{name}.csv", tmp_path / f"{name}.oracle.csv"
+        write_imu_csv(ours, stream)
+        csv_writer_imu_file(oracle, stream)
+        assert ours.read_bytes() == oracle.read_bytes(), name
+    assert (tmp_path / "edges.csv").read_bytes().splitlines()[2] == (
+        b"-0.000,8.000000,-0.000000,-8.000000,2000.000000,-0.000000,2000.000000"
+    )
 
 
 def test_imu_csv_range_violation_reports_row(tmp_path):

@@ -3,8 +3,8 @@ import pytest
 
 from scipy import signal
 
-from shotfuse import SampleSeries, cross_correlate, fir_convolve, lowpass, triangle_smooth
-from shotfuse.series import TRIANGLE_TAPS
+from shotfuse import SampleSeries, cross_correlate, fir_convolve, lowpass, short_time_energy, triangle_smooth
+from shotfuse.series import FIR_CHUNK_FRAMES, TRIANGLE_TAPS
 
 
 def make(values, rate=100.0, start=0.0):
@@ -92,6 +92,76 @@ def test_fir_linearity_property():
         combined = fir_convolve(make(a * x + b * y), w).values
         split = a * fir_convolve(make(x), w).values + b * fir_convolve(make(y), w).values
         assert np.allclose(combined, split, atol=1e-9)
+
+
+# --- blocked FIR kernel: fir_convolve and the filtered frame energy ----------
+
+FRAME = 80  # audio microframe: one row of the blocked matmul
+LONG = 3 * FIR_CHUNK_FRAMES * FRAME + 37  # three full chunks and a partial tail frame
+TAP_COUNTS = (1, 2, 23, 81, 200)  # at 81 and 200 the history is longer than one frame
+
+
+def short_lengths(n_taps):
+    return (1, 79, 80, 81, n_taps - 1 + FRAME, n_taps + FRAME)
+
+
+def brute_force_at(x, taps, ks):
+    # out[k] = sum_t taps[t] * x[k-t] by a double loop, at the listed indexes only
+    out = []
+    for k in ks:
+        acc = 0.0
+        for t in range(len(taps)):
+            if 0 <= k - t < len(x):
+                acc += taps[t] * x[k - t]
+        out.append(acc)
+    return np.array(out)
+
+
+def frame_energy(filtered):
+    frames = len(filtered) // FRAME
+    return np.array([sum(float(v) ** 2 for v in filtered[FRAME * i : FRAME * (i + 1)]) for i in range(frames)])
+
+
+@pytest.mark.parametrize("n_taps", TAP_COUNTS)
+def test_blocked_fir_matches_bruteforce_at_every_short_length(rng, n_taps):
+    taps = rng.standard_normal(n_taps)
+    for n in short_lengths(n_taps):
+        x = rng.standard_normal(n)
+        out = fir_convolve(make(x, rate=8000.0, start=12.5), taps)
+        assert len(out) == n
+        assert (out.rate, out.start_time) == (8000.0, 12.5)
+        assert np.allclose(out.values, brute_force_convolve(x, taps), rtol=1e-12, atol=1e-12), n
+
+
+@pytest.mark.parametrize("n_taps", TAP_COUNTS)
+def test_blocked_fir_across_chunk_boundaries(rng, n_taps):
+    taps = rng.standard_normal(n_taps)
+    x = rng.standard_normal(LONG)
+    out = fir_convolve(make(x, rate=8000.0), taps).values
+    assert len(out) == LONG
+    chunk = FIR_CHUNK_FRAMES * FRAME
+    ks = np.r_[
+        np.arange(n_taps + FRAME),  # zero history at the start
+        *[np.arange(b - n_taps - 1, b + n_taps + 1) for b in (chunk, 2 * chunk)],
+        np.arange(3 * chunk - n_taps - 1, LONG),  # the last chunk boundary and the partial tail
+    ]
+    assert np.allclose(out[ks], brute_force_at(x, taps, ks), rtol=1e-12, atol=1e-12)
+    assert np.allclose(out, np.convolve(x, taps)[:LONG], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_taps", TAP_COUNTS)
+def test_filtered_energy_matches_bruteforce_then_frame_sums(rng, n_taps):
+    taps = rng.standard_normal(n_taps)
+    for n in short_lengths(n_taps) + (LONG,):
+        x = rng.standard_normal(n)
+        if n < FRAME:
+            with pytest.raises(ValueError, match="insufficient samples"):
+                short_time_energy(make(x, rate=8000.0), taps)
+            continue
+        filtered = brute_force_convolve(x, taps) if n < LONG else np.convolve(x, taps)[:n]
+        out = short_time_energy(make(x, rate=8000.0, start=12.5), taps)
+        assert (out.rate, out.start_time) == (100.0, 17.5)
+        assert np.allclose(out.values, frame_energy(filtered), rtol=1e-12, atol=0.0), n
 
 
 # --- lowpass ---------------------------------------------------------------
