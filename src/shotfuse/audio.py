@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import ShotEvent
-from .series import SampleSeries, fir_frames
+from .series import SampleSeries, fir_frames, freeze
 
 __all__ = [
     "SAMPLE_RATE_HZ",
@@ -75,12 +75,11 @@ class LabeledAudioWindow:
     label: int = 0
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=float)
+        arr = freeze(self.samples)
         if arr.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         if self.label not in (0, 1):
             raise ValueError("label must be 0 or 1")
-        arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
 

@@ -50,6 +50,8 @@ def read_wav(path) -> SampleSeries:
             raise ValueError(f"expected {SAMPLE_RATE_HZ} Hz, got {wav.getframerate()} Hz")
         raw = wav.readframes(wav.getnframes())
     samples = np.frombuffer(raw, dtype="<i2") / PCM_SCALE
+    del raw
+    samples.flags.writeable = False
     return SampleSeries(float(SAMPLE_RATE_HZ), 0.0, samples)
 
 
@@ -145,10 +147,14 @@ def read_imu_csv(path) -> ImuStream:
 
     data, row_of = _read_numeric_csv(path, IMU_COLUMNS, locate)
     columns = data.T
-    bad = first_invalid_sample(columns)
-    if bad is not None:
-        raise ValueError(f"row {row_of(bad[0])}: {bad[1]}")
-    return ImuStream(*columns)
+    # ImuStream checks the block once; only a rejected block is scanned again for its CSV row.
+    try:
+        return ImuStream(*columns)
+    except ValueError:
+        bad = first_invalid_sample(columns)
+        if bad is None:
+            raise
+    raise ValueError(f"row {row_of(bad[0])}: {bad[1]}")
 
 
 #: One IMU CSV row: t_ms to 3 decimals, the six sensors to 6; "\r\n" is csv.writer's terminator.

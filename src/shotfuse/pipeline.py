@@ -97,7 +97,9 @@ def windows_from_labels(
     contains it; windows snap to the stream's own frame grid so training
     sees exactly the frame phases the live detector will see. Negative
     windows are sampled uniformly at least min_label_distance_ms away from
-    every label, negatives_per_positive of them per positive.
+    every label, negatives_per_positive of them per positive. Each
+    window's samples are a read-only view of the stream, so the windows
+    keep audio.values alive rather than copying it.
     """
     rng = np.random.default_rng(seed)
     frame_len = MICROFRAME_SAMPLES
@@ -263,7 +265,6 @@ def train_filter_workflow(
         negatives_per_positive=train_cfg.neg_pos_ratio,
         seed=train_cfg.seed,
     )
-    del audio  # the windows are copies; the decoded stream is not needed again
     train_set, val_set = shuffle_split(windows, TRAIN_FRACTION, train_cfg.seed)
     model = train_filter(train_set, train_cfg)
     save_filter_model(out_path, model)

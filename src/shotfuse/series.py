@@ -26,13 +26,42 @@ __all__ = [
 ]
 
 
-def _readonly_array(values, name: str) -> np.ndarray:
+def _is_frozen(values) -> bool:
+    """Whether values can be stored as is: no alias can ever write it.
+
+    That is a contiguous 1-D float64 ndarray that is read-only, as is every
+    array in its .base chain, where the chain ends in a buffer numpy owns
+    or in an immutable bytes object. Contiguity keeps results independent
+    of adoption: every kernel sees the layout a copy would have.
+    """
+    if type(values) is not np.ndarray or values.dtype != np.float64 or values.ndim != 1:
+        return False
+    arr = values
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return (arr is None or type(arr) is bytes) and values.flags.c_contiguous
+
+
+def freeze(values) -> np.ndarray:
+    """values as a read-only float array: a frozen array itself, anything else a frozen copy.
+
+    Adopting a view keeps its whole parent buffer alive.
+    """
+    if _is_frozen(values):
+        return values
     arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+def _readonly_array(values, name: str) -> np.ndarray:
+    arr = freeze(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
-    arr.flags.writeable = False
     return arr
 
 

@@ -128,7 +128,8 @@ def synthesize(cfg: SynthConfig) -> tuple[SampleSeries, ImuStream, LabelSet]:
         lo, hi = max(start, 0), min(start + wave.size, n_audio)
         if lo < hi:
             audio[lo:hi] += wave[lo - start : hi - start]
-    audio = np.clip(audio, -1.0, 1.0)
+    np.clip(audio, -1.0, 1.0, out=audio)
+    audio.flags.writeable = False
 
     # IMU stream on its own clock.
     n_imu = int(round(cfg.duration_s * IMU_RATE_HZ))

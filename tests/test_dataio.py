@@ -1,10 +1,13 @@
 import csv
 import json
+import tracemalloc
 import wave
 
 import numpy as np
 import pytest
 
+import shotfuse.dataio
+import shotfuse.imu
 from shotfuse import (
     FilterModel,
     ImuStream,
@@ -76,6 +79,29 @@ def test_wav_decode_matches_float_conversion_then_scale(tmp_path, rng):
     assert out.dtype == np.float64
     assert out.tobytes() == expected.tobytes()
     assert out[:3].tolist() == [-1.0, 0.0, 32767 / 32768]
+
+
+def test_wav_values_are_read_only(tmp_path):
+    path = tmp_path / "z.wav"
+    write_wav(path, SampleSeries(8000.0, 0.0, np.zeros(800)))
+    with pytest.raises(ValueError):
+        read_wav(path).values[0] = 1.0
+
+
+def test_wav_read_holds_one_float_copy(tmp_path, rng):
+    n = 60 * 8000
+    path = tmp_path / "minute.wav"
+    write_wav(path, SampleSeries(8000.0, 0.0, 0.1 * rng.standard_normal(n)))
+    tracemalloc.start()
+    try:
+        audio = read_wav(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(audio) == n
+    # The raw PCM (2 bytes a sample) and the decoded floats (8) live together
+    # only while decoding; a second float copy would bring the peak to 1.8x.
+    assert peak < 1.3 * (8 * n + 2 * n)
 
 
 def test_wav_rejects_wrong_properties(tmp_path):
@@ -161,6 +187,24 @@ def test_imu_csv_bytes_match_csv_writer(tmp_path, rng):
     assert (tmp_path / "edges.csv").read_bytes().splitlines()[2] == (
         b"-0.000,8.000000,-0.000000,-8.000000,2000.000000,-0.000000,2000.000000"
     )
+
+
+def test_imu_csv_validates_the_samples_once(tmp_path, monkeypatch):
+    calls = []
+    check = shotfuse.imu.first_invalid_sample
+
+    def counted(columns):
+        calls.append(columns.shape)
+        return check(columns)
+
+    monkeypatch.setattr(shotfuse.imu, "first_invalid_sample", counted)
+    monkeypatch.setattr(shotfuse.dataio, "first_invalid_sample", counted)
+    _, imu, _ = synthesize(SynthConfig(duration_s=5.0, shot_count=2, seed=32))
+    path = tmp_path / "imu.csv"
+    write_imu_csv(path, imu)
+    calls.clear()
+    assert len(read_imu_csv(path)) == 500
+    assert calls == [(7, 500)]
 
 
 def test_imu_csv_range_violation_reports_row(tmp_path):

@@ -171,3 +171,10 @@ def test_negative_windows_match_a_full_draw(ratio, distance_ms, seed):
 def test_windows_from_labels_without_labels():
     audio, _, _ = sf.synthesize(sf.SynthConfig(duration_s=10.0, shot_count=3, seed=87))
     assert windows_from_labels(audio, sf.LabelSet(np.empty(0))) == []
+
+
+def test_windows_view_the_audio():
+    audio, _, labels = sf.synthesize(sf.SynthConfig(duration_s=20.0, shot_count=6, seed=89))
+    windows = windows_from_labels(audio, labels, negatives_per_positive=2.0)
+    assert len(windows) == 18
+    assert all(np.shares_memory(w.samples, audio.values) for w in windows)

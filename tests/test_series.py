@@ -41,6 +41,60 @@ def test_series_values_are_immutable():
         s.values[0] = 5.0
 
 
+def frozen(values):
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+def test_series_adopts_frozen_arrays():
+    owned = frozen([1.0, 2.0, 3.0])
+    over_bytes = np.frombuffer(np.arange(3.0).tobytes())
+    for x in (owned, owned[1:], over_bytes):
+        assert np.shares_memory(SampleSeries(100.0, 0.0, x).values, x)
+
+
+def test_series_checks_adopted_arrays():
+    with pytest.raises(ValueError, match="finite"):
+        SampleSeries(100.0, 0.0, frozen([1.0, np.inf]))
+
+
+def test_series_copies_writeable_input():
+    x = np.array([1.0, 2.0])
+    s = SampleSeries(100.0, 0.0, x)
+    x[0] = 9.0
+    assert s.values.tolist() == [1.0, 2.0]
+    assert not s.values.flags.writeable
+
+
+def test_series_copies_read_only_view_of_writeable_base():
+    base = np.array([1.0, 2.0, 3.0])
+    view = base[1:]
+    view.flags.writeable = False
+    s = SampleSeries(100.0, 0.0, view)
+    base[1] = 9.0
+    assert s.values.tolist() == [2.0, 3.0]
+
+
+def test_series_copies_read_only_array_over_mutable_buffer():
+    buffer = bytearray(np.array([1.0, 2.0]).tobytes())
+    x = np.frombuffer(buffer)
+    x.flags.writeable = False
+    s = SampleSeries(100.0, 0.0, x)
+    buffer[:8] = np.array([9.0]).tobytes()
+    assert s.values.tolist() == [1.0, 2.0]
+
+
+def test_series_copies_frozen_arrays_of_another_layout():
+    wide = frozen(np.arange(6.0))
+    for x in (wide.astype(np.float32), wide[::2], wide.astype(">f8")):
+        x.flags.writeable = False
+        values = SampleSeries(100.0, 0.0, x).values
+        assert not np.shares_memory(values, x)
+        assert values.dtype == np.float64 and values.flags.c_contiguous
+        assert values.tolist() == x.tolist()
+
+
 # --- fir_convolve --------------------------------------------------------
 
 

@@ -273,3 +273,12 @@ def test_short_window_rejected():
     ]
     with pytest.raises(ValueError, match="window too short"):
         train_filter(data, TrainConfig())
+
+
+def test_window_adopts_frozen_samples_and_copies_the_rest():
+    x = np.arange(10.0)
+    copied = LabeledAudioWindow(x, 1)
+    x[0] = 5.0
+    assert copied.samples[0] == 0.0 and not copied.samples.flags.writeable
+    x.flags.writeable = False
+    assert np.shares_memory(LabeledAudioWindow(x[2:], 0).samples, x)
