@@ -3,6 +3,7 @@
 from .audio import (
     FilterModel,
     LabeledAudioWindow,
+    PcmAudio,
     apf,
     audio_likelihood,
     detect_audio,
@@ -43,6 +44,7 @@ __all__ = [
     "LabelSet",
     "LabeledAudioWindow",
     "OffsetEstimate",
+    "PcmAudio",
     "QuantizerModel",
     "SampleSeries",
     "ShotEvent",

@@ -5,11 +5,16 @@ microframes whose energy is summed, and each frame's energy is compared
 against the mean of its surrounding macroframe. The resulting peak function
 is a 100 Hz likelihood series that spikes at impact sounds; adding the
 model bias and thresholding at zero turns it into a detector.
+
+A recording stays 16-bit PCM (:class:`PcmAudio`) from the WAV file to the
+filter: the FIR pass decodes it one chunk at a time, and training decodes
+one batch of windows at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -18,12 +23,14 @@ from .series import SampleSeries, fir_frames, freeze
 
 __all__ = [
     "SAMPLE_RATE_HZ",
+    "PCM_SCALE",
     "MICROFRAME_MS",
     "MICROFRAME_SAMPLES",
     "FRAME_RATE_HZ",
     "MACROFRAME_HALF",
     "MACROFRAME_FRAMES",
     "FILTER_TAPS",
+    "PcmAudio",
     "FilterModel",
     "LabeledAudioWindow",
     "short_time_energy",
@@ -34,6 +41,8 @@ __all__ = [
 
 #: Microphone sample rate; read_wav accepts no other.
 SAMPLE_RATE_HZ = 8000
+#: Amplitude of one 16-bit PCM step: PCM sample s stands for s * PCM_SCALE, in [-1, 1).
+PCM_SCALE = 1.0 / 32768.0
 #: Microframe length: the unit of frame energy and of the 100 Hz likelihood clock.
 MICROFRAME_MS = 10
 MICROFRAME_SAMPLES = SAMPLE_RATE_HZ * MICROFRAME_MS // 1000
@@ -44,6 +53,61 @@ MACROFRAME_HALF = 5
 MACROFRAME_FRAMES = 2 * MACROFRAME_HALF + 1
 #: Length of the trainable front FIR filter.
 FILTER_TAPS = 23
+
+
+def _pcm(samples, name: str) -> np.ndarray:
+    """samples as frozen 1-D int16: adopted when frozen (see series.freeze), else copied.
+
+    Anything that is not a 16-bit integer array, floats and NaNs included,
+    is rejected rather than silently truncated.
+    """
+    dtype = getattr(samples, "dtype", None)
+    if not isinstance(samples, np.ndarray) or dtype.kind != "i" or dtype.itemsize != 2:
+        got = dtype if dtype is not None else type(samples).__name__
+        raise ValueError(f"{name} must be 16-bit PCM (int16), got {got}")
+    arr = freeze(samples, np.int16)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class PcmAudio:
+    """A recording as read-only 16-bit PCM: the only in-memory form of audio.
+
+    Sample k stands for samples[k] * PCM_SCALE at start_time + k / 8 ms;
+    the rate is SAMPLE_RATE_HZ. Every int16 decodes exactly to float64, so
+    consumers decode a chunk at a time and never hold the whole stream as
+    floats.
+    """
+
+    samples: np.ndarray
+    start_time: float = 0.0
+
+    rate: ClassVar[float] = float(SAMPLE_RATE_HZ)
+    scale: ClassVar[float] = PCM_SCALE
+
+    def __post_init__(self):
+        object.__setattr__(self, "samples", _pcm(self.samples, "audio samples"))
+
+    @classmethod
+    def from_float(cls, values, start_time: float = 0.0) -> "PcmAudio":
+        """Quantize float samples once: clip(round(v / PCM_SCALE)) to the int16 range."""
+        values = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("audio values must be finite")
+        scaled = values / PCM_SCALE
+        np.round(scaled, out=scaled)
+        np.clip(scaled, -32768, 32767, out=scaled)
+        return cls(scaled.astype(np.int16), start_time)
+
+    def __len__(self) -> int:
+        return self.samples.size
+
+    @property
+    def end_time(self) -> float:
+        """Timestamp one sample period past the last sample."""
+        return self.start_time + len(self) * 1000.0 / self.rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,39 +129,36 @@ class FilterModel:
 
 @dataclass(frozen=True, eq=False)
 class LabeledAudioWindow:
-    """An audio snippet with a binary shot label.
+    """A 16-bit PCM audio snippet with a binary shot label.
 
     The snippet must be long enough to produce at least one full-context
     likelihood value; training uses the value at its center microframe.
     """
 
-    samples: np.ndarray = field(default_factory=lambda: np.empty(0))
+    samples: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int16))
     label: int = 0
 
     def __post_init__(self):
-        arr = freeze(self.samples)
-        if arr.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
+        arr = _pcm(self.samples, "audio window samples")
         if self.label not in (0, 1):
             raise ValueError("label must be 0 or 1")
         object.__setattr__(self, "samples", arr)
 
 
-def short_time_energy(x: SampleSeries, taps: np.ndarray) -> SampleSeries:
+def short_time_energy(x: PcmAudio, taps: np.ndarray) -> SampleSeries:
     """Sum of squared FIR-filtered samples per non-overlapping microframe.
 
-    The filter is causal with zero initial state, as in fir_convolve; each
-    chunk of filtered frames is squared and summed into the energies as it
-    is made, so the filtered stream never exists in full. A trailing
-    partial microframe is discarded. Each output value is timestamped at
-    the center of its microframe.
+    The filter is causal with zero initial state, as in fir_convolve, and
+    reads the decoded samples (PCM * PCM_SCALE). Each chunk of frames is
+    decoded, filtered, squared and summed into the energies as it is made,
+    so neither the decoded nor the filtered stream ever exists in full. A
+    trailing partial microframe is discarded. Each output value is
+    timestamped at the center of its microframe.
     """
-    if x.rate != SAMPLE_RATE_HZ:
-        raise ValueError("sample rate mismatch")
     if len(x) < MICROFRAME_SAMPLES:
         raise ValueError("insufficient samples")
     energy = np.empty(len(x) // MICROFRAME_SAMPLES)
-    for lo, hi, block in fir_frames(x.values, taps, MICROFRAME_SAMPLES, energy.size):
+    for lo, hi, block in fir_frames(x.samples, x.scale, taps, MICROFRAME_SAMPLES, energy.size):
         np.einsum("ij,ij->i", block, block, out=energy[lo:hi])
     return SampleSeries(FRAME_RATE_HZ, x.start_time + MICROFRAME_MS / 2.0, energy)
 
@@ -118,7 +179,7 @@ def apf(energy: SampleSeries) -> SampleSeries:
     return SampleSeries(energy.rate, energy.start_time + h * energy.period_ms, out)
 
 
-def audio_likelihood(x: SampleSeries, model: FilterModel) -> SampleSeries:
+def audio_likelihood(x: PcmAudio, model: FilterModel) -> SampleSeries:
     """Likelihood series of the filtered stream; the bias is not applied here.
 
     Downstream consumers (synchronizer, fusion) want the raw peak function;
@@ -127,7 +188,7 @@ def audio_likelihood(x: SampleSeries, model: FilterModel) -> SampleSeries:
     return apf(short_time_energy(x, model.weights))
 
 
-def detect_audio(x: SampleSeries, model: FilterModel) -> list[ShotEvent]:
+def detect_audio(x: PcmAudio, model: FilterModel) -> list[ShotEvent]:
     """One event per microframe whose biased likelihood is strictly positive."""
     likelihood = audio_likelihood(x, model)
     scores = likelihood.values + model.bias

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import MICROFRAME_MS, SAMPLE_RATE_HZ, FilterModel
+from .audio import MICROFRAME_MS, SAMPLE_RATE_HZ, FilterModel, PcmAudio
 from .events import LabelSet, ShotEvent
 from .forest import ForestModel
 from .imu import ImuStream, first_invalid_sample
@@ -33,12 +33,11 @@ __all__ = [
     "load_forest_model",
 ]
 
-PCM_SCALE = 32768.0
 IMU_COLUMNS = ("t_ms", "ax", "ay", "az", "gx", "gy", "gz")
 
 
-def read_wav(path) -> SampleSeries:
-    """Load 16-bit mono PCM audio at SAMPLE_RATE_HZ, normalized to [-1, 1] by 1/32768."""
+def read_wav(path) -> PcmAudio:
+    """Load 16-bit mono PCM audio at SAMPLE_RATE_HZ as a read-only view of the bytes read."""
     with wave.open(str(path), "rb") as wav:
         if wav.getcomptype() != "NONE":
             raise ValueError(f"expected uncompressed PCM, got {wav.getcomptype()}")
@@ -49,19 +48,17 @@ def read_wav(path) -> SampleSeries:
         if wav.getframerate() != SAMPLE_RATE_HZ:
             raise ValueError(f"expected {SAMPLE_RATE_HZ} Hz, got {wav.getframerate()} Hz")
         raw = wav.readframes(wav.getnframes())
-    samples = np.frombuffer(raw, dtype="<i2") / PCM_SCALE
-    del raw
-    samples.flags.writeable = False
-    return SampleSeries(float(SAMPLE_RATE_HZ), 0.0, samples)
+    # wave hands over frames in native byte order.
+    return PcmAudio(np.frombuffer(raw, dtype=np.int16))
 
 
-def write_wav(path, series: SampleSeries) -> None:
-    ints = np.clip(np.round(series.values * PCM_SCALE), -32768, 32767).astype("<i2")
+def write_wav(path, audio: PcmAudio) -> None:
+    """Write the PCM samples as they are: 16-bit mono at SAMPLE_RATE_HZ."""
     with wave.open(str(path), "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
-        wav.setframerate(int(series.rate))
-        wav.writeframes(ints.tobytes())
+        wav.setframerate(SAMPLE_RATE_HZ)
+        wav.writeframes(audio.samples)
 
 
 def _is_number(cell: str) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import FilterModel, detect_audio
+from .audio import FilterModel, PcmAudio, detect_audio
 from .audio import audio_likelihood  # noqa: F401 -- still bound here for tools that wrap it
 from .events import NEIGHBORHOOD_MS, ShotEvent, dedup
 from .forest import ForestModel, classify
@@ -169,7 +169,7 @@ def detect_shots(synced: SyncedSeries, forest_model: ForestModel) -> list[ShotEv
     return dedup(hits)
 
 
-def audio_only_events(audio: SampleSeries, filter_model: FilterModel) -> list[ShotEvent]:
+def audio_only_events(audio: PcmAudio, filter_model: FilterModel) -> list[ShotEvent]:
     """Single-modality baseline: biased likelihood threshold plus dedup."""
     return dedup(detect_audio(audio, filter_model))
 

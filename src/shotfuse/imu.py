@@ -82,6 +82,7 @@ class ImuStream:
         if bad is not None:
             raise ValueError(f"sample {bad[0]}: {bad[1]}")
         block.flags.writeable = False
+        object.__setattr__(self, "_block", block)
         for name, column in zip(IMU_FIELDS, block):
             object.__setattr__(self, name, column)
 
@@ -89,8 +90,8 @@ class ImuStream:
         return self.t.size
 
     def columns(self) -> np.ndarray:
-        """The seven columns stacked in IMU_FIELDS order, shape (7, n)."""
-        return np.vstack([getattr(self, name) for name in IMU_FIELDS])
+        """The read-only (7, n) block the columns are rows of, in IMU_FIELDS order."""
+        return self._block
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +111,10 @@ class ImuComponents:
 
 
 def _regrid(t: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Snap jittered timestamps onto an exact IMU_RATE_HZ grid by nearest-sample assignment."""
+    """Snap jittered timestamps onto an exact IMU_RATE_HZ grid by nearest-sample assignment.
+
+    columns itself when every sample already sits on its own grid slot.
+    """
     if t.size == 1:
         return columns
     period = 1000.0 / IMU_RATE_HZ
@@ -120,6 +124,8 @@ def _regrid(t: np.ndarray, columns: np.ndarray) -> np.ndarray:
     right = np.clip(right, 1, t.size - 1)
     left = right - 1
     pick = np.where(np.abs(t[left] - grid) <= np.abs(t[right] - grid), left, right)
+    if np.array_equal(pick, np.arange(t.size)):
+        return columns
     return columns[:, pick]
 
 

@@ -20,6 +20,7 @@ from .audio import (
     SAMPLE_RATE_HZ,
     FilterModel,
     LabeledAudioWindow,
+    PcmAudio,
     audio_likelihood,
 )
 from .dataio import (
@@ -84,7 +85,7 @@ def _label_distance(labels: LabelSet, times: np.ndarray) -> np.ndarray:
 
 
 def windows_from_labels(
-    audio: SampleSeries,
+    audio: PcmAudio,
     labels: LabelSet,
     window_frames: int = 21,
     negatives_per_positive: float = 20.0,
@@ -98,8 +99,8 @@ def windows_from_labels(
     sees exactly the frame phases the live detector will see. Negative
     windows are sampled uniformly at least min_label_distance_ms away from
     every label, negatives_per_positive of them per positive. Each
-    window's samples are a read-only view of the stream, so the windows
-    keep audio.values alive rather than copying it.
+    window's samples are a read-only int16 view of the stream, so the
+    windows keep audio.samples alive rather than copying it.
     """
     rng = np.random.default_rng(seed)
     frame_len = MICROFRAME_SAMPLES
@@ -137,7 +138,7 @@ def windows_from_labels(
     negative = np.concatenate(kept)[:wanted]
 
     return [
-        LabeledAudioWindow(audio.values[s : s + span], label)
+        LabeledAudioWindow(audio.samples[s : s + span], label)
         for label, first in ((1, positive), (0, negative))
         for s in first
     ]
@@ -169,7 +170,7 @@ def window_metrics(model: FilterModel, windows: list[LabeledAudioWindow]) -> dic
 
 
 def synced_series(
-    audio: SampleSeries,
+    audio: PcmAudio,
     imu: ImuStream,
     filter_model: FilterModel,
     window_seconds: float | None = None,

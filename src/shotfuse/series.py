@@ -1,9 +1,11 @@
 """Uniform sample series and the shared DSP primitives.
 
-Every signal in the pipeline (raw audio, frame energies, likelihood
-functions, IMU components) is a :class:`SampleSeries`: a uniformly sampled
-scalar sequence with a rate and a start timestamp. Sample ``k`` of a series
-is located at ``start_time + 1000 * k / rate`` milliseconds.
+Every signal the pipeline derives (frame energies, likelihood functions,
+IMU components) is a :class:`SampleSeries`: a uniformly sampled scalar
+sequence with a rate and a start timestamp. Sample ``k`` of a series is
+located at ``start_time + 1000 * k / rate`` milliseconds. Raw audio stays
+16-bit PCM (``audio.PcmAudio``) and is decoded by :func:`fir_frames` one
+chunk at a time.
 """
 
 from __future__ import annotations
@@ -26,15 +28,15 @@ __all__ = [
 ]
 
 
-def _is_frozen(values) -> bool:
+def _is_frozen(values, dtype) -> bool:
     """Whether values can be stored as is: no alias can ever write it.
 
-    That is a contiguous 1-D float64 ndarray that is read-only, as is every
+    That is a contiguous 1-D ndarray of dtype that is read-only, as is every
     array in its .base chain, where the chain ends in a buffer numpy owns
     or in an immutable bytes object. Contiguity keeps results independent
     of adoption: every kernel sees the layout a copy would have.
     """
-    if type(values) is not np.ndarray or values.dtype != np.float64 or values.ndim != 1:
+    if type(values) is not np.ndarray or values.dtype != dtype or values.ndim != 1:
         return False
     arr = values
     while isinstance(arr, np.ndarray):
@@ -44,14 +46,14 @@ def _is_frozen(values) -> bool:
     return (arr is None or type(arr) is bytes) and values.flags.c_contiguous
 
 
-def freeze(values) -> np.ndarray:
-    """values as a read-only float array: a frozen array itself, anything else a frozen copy.
+def freeze(values, dtype=np.float64) -> np.ndarray:
+    """values as a read-only dtype array: a frozen array itself, anything else a frozen copy.
 
     Adopting a view keeps its whole parent buffer alive.
     """
-    if _is_frozen(values):
+    if _is_frozen(values, dtype):
         return values
-    arr = np.array(values, dtype=float)
+    arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -128,22 +130,23 @@ TRIANGLE_TAPS = np.array([1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0]) / 16.0
 LOWPASS_CUTOFF_HZ = 10.0
 
 
-#: Frames per matmul in fir_frames; bounds each chunk's buffers to well under a megabyte.
-FIR_CHUNK_FRAMES = 1024
+#: Frames per matmul in fir_frames: about 200 kB per chunk buffer, less than the PCM of a minute of audio.
+FIR_CHUNK_FRAMES = 256
 #: Output samples per row of fir_convolve's blocked matmul (one audio microframe).
 FIR_BLOCK_SAMPLES = 80
 
 
-def fir_frames(values: np.ndarray, taps: np.ndarray, frame: int, frames: int):
-    """Causal FIR output cut into frames, as (lo, hi, block) per chunk, in order.
+def fir_frames(values: np.ndarray, scale: float, taps: np.ndarray, frame: int, frames: int):
+    """Causal FIR output of values * scale cut into frames, as (lo, hi, block) per chunk, in order.
 
-    block[i, j] = sum_t taps[t] * values[(lo + i) * frame + j - t] for the
-    frames lo <= lo + i < hi of range(frames); values reads as zero before
-    sample 0 and past its end. Each chunk of up to FIR_CHUNK_FRAMES frames
-    is one matmul: a strided read-only view of every frame's window (its
-    own samples and the taps - 1 before them) against the banded Toeplitz
-    matrix of the reversed taps. Only a chunk that reaches outside values
-    is copied, into a zero-padded buffer of its own size.
+    block[i, j] = sum_t taps[t] * scale * values[(lo + i) * frame + j - t]
+    for the frames lo <= lo + i < hi of range(frames); values reads as zero
+    before sample 0 and past its end. Each chunk of up to FIR_CHUNK_FRAMES
+    frames is decoded into a float64 buffer of its own size (values * scale,
+    zero-padded), so integer PCM is never converted whole, and is one
+    matmul: a strided read-only view of every frame's window (its own
+    samples and the taps - 1 before them) against the banded Toeplitz
+    matrix of the reversed taps.
     """
     taps = np.asarray(taps, dtype=float)
     history = taps.size - 1
@@ -154,12 +157,9 @@ def fir_frames(values: np.ndarray, taps: np.ndarray, frame: int, frames: int):
     for lo in range(0, frames, FIR_CHUNK_FRAMES):
         hi = min(lo + FIR_CHUNK_FRAMES, frames)
         first, last = lo * frame - history, hi * frame
-        if first >= 0 and last <= values.size:
-            segment = values[first:last]
-        else:
-            segment = np.zeros(last - first)
-            a, b = max(first, 0), min(last, values.size)
-            segment[a - first : b - first] = values[a:b]
+        segment = np.zeros(last - first)
+        a, b = max(first, 0), min(last, values.size)
+        np.multiply(values[a:b], scale, out=segment[a - first : b - first])
         yield lo, hi, sliding_window_view(segment, span)[::frame] @ toeplitz
 
 
@@ -173,7 +173,7 @@ def fir_convolve(x: SampleSeries, taps: np.ndarray) -> SampleSeries:
         raise ValueError("empty signal")
     frames = -(-len(x) // FIR_BLOCK_SAMPLES)
     out = np.empty((frames, FIR_BLOCK_SAMPLES))
-    for lo, hi, block in fir_frames(x.values, taps, FIR_BLOCK_SAMPLES, frames):
+    for lo, hi, block in fir_frames(x.values, 1.0, taps, FIR_BLOCK_SAMPLES, frames):
         out[lo:hi] = block
     return x.with_values(out.ravel()[: len(x)])
 

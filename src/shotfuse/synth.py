@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import SAMPLE_RATE_HZ
+from .audio import SAMPLE_RATE_HZ, PcmAudio
 from .events import LabelSet
 from .imu import ACCEL_RANGE_G, GYRO_RANGE_DPS, IMU_RATE_HZ, ImuStream
-from .series import SampleSeries
 
 __all__ = ["SynthConfig", "synthesize"]
 
@@ -98,8 +97,11 @@ def _add_bump(values: np.ndarray, center_idx: int, peak: float) -> None:
         values[lo:hi] += bump[lo - start : hi - start]
 
 
-def synthesize(cfg: SynthConfig) -> tuple[SampleSeries, ImuStream, LabelSet]:
+def synthesize(cfg: SynthConfig) -> tuple[PcmAudio, ImuStream, LabelSet]:
     """Generate (audio, imu stream, labels), fully determined by cfg.seed.
+
+    The audio is quantized to 16-bit PCM once, here, so what synthesize
+    returns is exactly what write_wav stores and read_wav reads back.
 
     Labels are shot times on the audio clock. IMU timestamps run on
     the IMU clock: a physical event at audio time T lands at IMU timestamp
@@ -128,8 +130,6 @@ def synthesize(cfg: SynthConfig) -> tuple[SampleSeries, ImuStream, LabelSet]:
         lo, hi = max(start, 0), min(start + wave.size, n_audio)
         if lo < hi:
             audio[lo:hi] += wave[lo - start : hi - start]
-    np.clip(audio, -1.0, 1.0, out=audio)
-    audio.flags.writeable = False
 
     # IMU stream on its own clock.
     n_imu = int(round(cfg.duration_s * IMU_RATE_HZ))
@@ -158,7 +158,7 @@ def synthesize(cfg: SynthConfig) -> tuple[SampleSeries, ImuStream, LabelSet]:
 
     t = np.arange(n_imu) * (1000.0 / IMU_RATE_HZ)
     return (
-        SampleSeries(SAMPLE_RATE_HZ, 0.0, audio),
+        PcmAudio.from_float(audio),
         ImuStream(t, ax, ay, az, gx, gy, gz),
         LabelSet(shot_times),
     )

@@ -22,6 +22,7 @@ from .audio import (
     MACROFRAME_FRAMES,
     MACROFRAME_HALF,
     MICROFRAME_SAMPLES,
+    PCM_SCALE,
     FilterModel,
     LabeledAudioWindow,
 )
@@ -81,10 +82,14 @@ def _shared_length(windows: list[LabeledAudioWindow]) -> int:
 
 
 def stack_windows(windows: list[LabeledAudioWindow]) -> tuple[np.ndarray, np.ndarray]:
-    """(windows, samples) matrix and (windows,) labels of equal-length windows."""
+    """Decoded (windows, samples) matrix and (windows,) labels of equal-length windows.
+
+    This is where training decodes PCM (samples * PCM_SCALE, exact); its
+    callers pass one batch of at most FORM_CHUNK_WINDOWS windows per call.
+    """
     shape = (len(windows), _shared_length(windows))
-    samples = np.array([w.samples for w in windows], dtype=float).reshape(shape)
-    return samples, np.array([w.label for w in windows], dtype=int)
+    pcm = np.array([w.samples for w in windows], dtype=np.int16).reshape(shape)
+    return pcm * PCM_SCALE, np.array([w.label for w in windows], dtype=int)
 
 
 def _check_length(n_samples: int, n_taps: int) -> None:

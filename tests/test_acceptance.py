@@ -16,6 +16,7 @@ from shotfuse import (
     FilterModel,
     LabeledAudioWindow,
     LabelSet,
+    PcmAudio,
     ShotEvent,
     SynthConfig,
     TrainConfig,
@@ -52,9 +53,10 @@ def test_criterion_1_formula_oracles():
     worst = 0.0
 
     for _ in range(100):
-        # short-time energy vs per-frame loop
-        x = rng.standard_normal(400)
-        ste = short_time_energy(SampleSeries(8000.0, 0.0, x), np.array([1.0])).values
+        # short-time energy vs per-frame loop over the decoded PCM samples
+        audio = PcmAudio.from_float(rng.standard_normal(400))
+        x = audio.samples / 32768.0
+        ste = short_time_energy(audio, np.array([1.0])).values
         for i in range(5):
             expected = sum(float(v) ** 2 for v in x[80 * i : 80 * (i + 1)])
             worst = max(worst, abs(ste[i] - expected) / max(abs(expected), 1e-300))
@@ -148,10 +150,10 @@ def test_criterion_3_filter_training():
         tone = np.sin(2 * np.pi * 1000.0 * np.arange(80) / 8000.0)
         mid = span // 2
         x[mid - 40 : mid + 40] += tone
-        return LabeledAudioWindow(x, 1)
+        return LabeledAudioWindow(PcmAudio.from_float(x).samples, 1)
 
     def noise_window():
-        return LabeledAudioWindow(0.02 * rng.standard_normal(span), 0)
+        return LabeledAudioWindow(PcmAudio.from_float(0.02 * rng.standard_normal(span)).samples, 0)
 
     corpus = [burst_window() for _ in range(30)]
     corpus += [noise_window() for _ in range(600)]  # 1:20 ratio

@@ -9,6 +9,7 @@ import pytest
 import shotfuse
 from shotfuse import (
     FilterModel,
+    PcmAudio,
     SampleSeries,
     apf,
     audio_likelihood,
@@ -18,11 +19,33 @@ from shotfuse import (
 
 
 def audio_series(values, start=0.0):
-    return SampleSeries(8000.0, start, np.asarray(values, dtype=float))
+    return PcmAudio.from_float(values, start)
+
+
+def decoded(audio):
+    return audio.samples / 32768.0
 
 
 def frame_series(values, start=5.0):
     return SampleSeries(100.0, start, np.asarray(values, dtype=float))
+
+
+# --- PcmAudio -----------------------------------------------------------------
+
+
+def test_pcm_quantizes_once_by_round_then_clip():
+    # Half steps round to even; full scale clips to the 16-bit range.
+    audio = PcmAudio.from_float([1.0, -1.0, 0.5 / 32768, 1.5 / 32768, 2.0, -2.0], 2.5)
+    assert audio.samples.dtype == np.int16 and not audio.samples.flags.writeable
+    assert audio.samples.tolist() == [32767, -32768, 0, 2, 32767, -32768]
+    assert (len(audio), audio.rate, audio.start_time, audio.end_time) == (6, 8000.0, 2.5, 3.25)
+
+
+def test_pcm_rejects_floats_and_non_finite_values():
+    with pytest.raises(ValueError, match=r"^audio samples must be 16-bit PCM \(int16\), got float64$"):
+        PcmAudio(np.zeros(80))
+    with pytest.raises(ValueError, match="^audio values must be finite$"):
+        PcmAudio.from_float([0.0, np.nan])
 
 
 # --- short_time_energy -----------------------------------------------------
@@ -40,8 +63,9 @@ def test_ste_constant_half():
 
 
 def test_ste_matches_per_frame_loop(rng):
-    x = rng.standard_normal(800)
-    out = short_time_energy(audio_series(x), np.array([1.0]))
+    audio = audio_series(rng.standard_normal(800))
+    x = decoded(audio)
+    out = short_time_energy(audio, np.array([1.0]))
     assert len(out) == 10
     for i in range(10):
         expected = sum(float(v) ** 2 for v in x[80 * i : 80 * (i + 1)])
@@ -118,16 +142,16 @@ def test_likelihood_identity_filter_matches_raw(identity_model, rng):
 LIKELIHOOD_DIGEST = """
 import hashlib
 import numpy as np
-from shotfuse import FilterModel, SampleSeries, audio_likelihood
+from shotfuse import FilterModel, PcmAudio, audio_likelihood
 rng = np.random.default_rng(5)
-x = SampleSeries(8000.0, 0.0, rng.standard_normal(30 * 8000))
+x = PcmAudio.from_float(rng.standard_normal(30 * 8000))
 out = audio_likelihood(x, FilterModel(rng.standard_normal(23)))
 print(hashlib.sha256(out.values.tobytes()).hexdigest())
 """
 
 
 def test_likelihood_bytes_do_not_depend_on_blas_threads():
-    # The blocked FIR is a BLAS matmul; 30 s of audio makes three chunks big enough to thread.
+    # The blocked FIR is a BLAS matmul; 30 s of audio makes twelve chunks big enough to thread.
     src = str(Path(shotfuse.__file__).resolve().parents[1])
     digests = set()
     for threads in ("1", "2"):
@@ -150,12 +174,13 @@ def test_likelihood_burst_argmax(identity_model, rng):
 
 
 def test_likelihood_scaling_invariance(identity_model):
+    # PCM scales exactly by an integer gain that stays inside 16 bits.
     rng = np.random.default_rng(3)
     for _ in range(100):
-        x = rng.standard_normal(2000)
-        alpha = float(rng.uniform(0.1, 10.0))
-        base = audio_likelihood(audio_series(x), identity_model)
-        scaled = audio_likelihood(audio_series(alpha * x), identity_model)
+        x = rng.integers(-1000, 1001, 2000).astype(np.int16)
+        alpha = int(rng.integers(1, 33))
+        base = audio_likelihood(PcmAudio(x), identity_model)
+        scaled = audio_likelihood(PcmAudio(alpha * x), identity_model)
         assert np.allclose(scaled.values, alpha**2 * base.values, rtol=1e-9)
         assert int(np.argmax(scaled.values)) == int(np.argmax(base.values))
 

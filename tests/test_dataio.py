@@ -12,7 +12,7 @@ from shotfuse import (
     FilterModel,
     ImuStream,
     LabelSet,
-    SampleSeries,
+    PcmAudio,
     ShotEvent,
     SynthConfig,
     synthesize,
@@ -39,10 +39,10 @@ from shotfuse.dataio import (
 
 def test_wav_zeros_round(tmp_path):
     path = tmp_path / "z.wav"
-    write_wav(path, SampleSeries(8000.0, 0.0, np.zeros(8000)))
+    write_wav(path, PcmAudio(np.zeros(8000, dtype=np.int16)))
     out = read_wav(path)
     assert len(out) == 8000
-    assert np.allclose(out.values, 0.0)
+    assert np.array_equal(out.samples, np.zeros(8000))
     assert out.rate == 8000.0
 
 
@@ -54,13 +54,13 @@ def test_wav_fullscale_sample(tmp_path):
         w.setframerate(8000)
         w.writeframes(np.array([32767], dtype="<i2").tobytes())
     out = read_wav(path)
-    assert out.values[0] == pytest.approx(32767 / 32768)
+    assert out.samples[0] * out.scale == pytest.approx(32767 / 32768)
 
 
 def test_wav_round_trip_bit_identical(tmp_path, rng):
     ints = rng.integers(-32768, 32768, size=1000).astype("<i2")
     path = tmp_path / "rt.wav"
-    write_wav(path, SampleSeries(8000.0, 0.0, ints.astype(float) / 32768.0))
+    write_wav(path, PcmAudio(ints))
     with wave.open(str(path), "rb") as w:
         back = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
     assert np.array_equal(back, ints)
@@ -74,7 +74,10 @@ def test_wav_decode_matches_float_conversion_then_scale(tmp_path, rng):
         w.setsampwidth(2)
         w.setframerate(8000)
         w.writeframes(ints.tobytes())
-    out = read_wav(path).values
+    pcm = read_wav(path).samples
+    assert pcm.dtype == np.int16 and np.array_equal(pcm, ints)
+    # Decoding is one exact multiply: the same floats as converting, then dividing by 32768.
+    out = pcm * PcmAudio.scale
     expected = ints.astype(float) / 32768.0
     assert out.dtype == np.float64
     assert out.tobytes() == expected.tobytes()
@@ -83,15 +86,15 @@ def test_wav_decode_matches_float_conversion_then_scale(tmp_path, rng):
 
 def test_wav_values_are_read_only(tmp_path):
     path = tmp_path / "z.wav"
-    write_wav(path, SampleSeries(8000.0, 0.0, np.zeros(800)))
+    write_wav(path, PcmAudio(np.zeros(800, dtype=np.int16)))
     with pytest.raises(ValueError):
-        read_wav(path).values[0] = 1.0
+        read_wav(path).samples[0] = 1
 
 
-def test_wav_read_holds_one_float_copy(tmp_path, rng):
+def test_wav_read_holds_only_the_pcm(tmp_path, rng):
     n = 60 * 8000
     path = tmp_path / "minute.wav"
-    write_wav(path, SampleSeries(8000.0, 0.0, 0.1 * rng.standard_normal(n)))
+    write_wav(path, PcmAudio.from_float(0.1 * rng.standard_normal(n)))
     tracemalloc.start()
     try:
         audio = read_wav(path)
@@ -99,9 +102,31 @@ def test_wav_read_holds_one_float_copy(tmp_path, rng):
     finally:
         tracemalloc.stop()
     assert len(audio) == n
-    # The raw PCM (2 bytes a sample) and the decoded floats (8) live together
-    # only while decoding; a second float copy would bring the peak to 1.8x.
-    assert peak < 1.3 * (8 * n + 2 * n)
+    # The samples are a view of the bytes read (2 a sample); any decoded
+    # float copy (8 a sample) would bring the peak to 5x.
+    assert peak < 1.3 * (2 * n)
+
+
+def test_wav_write_of_a_read_is_byte_identical(tmp_path, rng):
+    ints = np.r_[-32768, 32767, rng.integers(-32768, 32768, size=4001)].astype("<i2")
+    first, second = tmp_path / "a.wav", tmp_path / "b.wav"
+    with wave.open(str(first), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(8000)
+        w.writeframes(ints.tobytes())
+    write_wav(second, read_wav(first))
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_synthesized_audio_is_what_the_wav_holds(tmp_path):
+    audio, _, _ = synthesize(SynthConfig(duration_s=10.0, shot_count=5, seed=12))
+    path = tmp_path / "synth.wav"
+    write_wav(path, audio)
+    back = read_wav(path)
+    assert back.samples.dtype == audio.samples.dtype == np.int16
+    assert np.array_equal(back.samples, audio.samples)
+    assert back.start_time == audio.start_time and back.rate == audio.rate
 
 
 def test_wav_rejects_wrong_properties(tmp_path):

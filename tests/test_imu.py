@@ -96,6 +96,20 @@ def test_decompose_tolerates_jitter():
     assert len(comps.a_rad) == 4
 
 
+def test_on_grid_stream_is_decomposed_without_copies(rng):
+    imu = stream(50, rng)
+    block = imu.columns()
+    assert block.shape == (7, 50) and not block.flags.writeable
+    assert np.shares_memory(block, imu.t) and imu.columns() is block
+    comps = decompose(imu)
+    # The radial components are the stream's own rows; the tangential ones are new magnitudes.
+    assert np.shares_memory(comps.a_rad.values, imu.ax)
+    assert np.shares_memory(comps.w_rad.values, imu.gx)
+    assert np.array_equal(comps.a_rad.values, imu.ax) and np.array_equal(comps.w_rad.values, imu.gx)
+    jittered = decompose(samples([0.0, 9.0, 20.5, 30.0], ax=[1.0, 2.0, 3.0, 4.0]))
+    assert np.array_equal(jittered.a_rad.values, [1.0, 2.0, 3.0, 4.0])
+
+
 # --- ipf ----------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,27 @@ def test_run_pipeline_on_fixture(fixture_dir, tmp_path):
     assert len(lines) == result["event_count"] + 1
 
 
+def test_run_pipeline_never_decodes_the_whole_recording(fixture_dir, tmp_path):
+    n = 60 * 8000
+
+    def run(out):
+        run_pipeline(
+            fixture_dir / "audio.wav", fixture_dir / "imu.csv", fixture_dir / "filter.json",
+            fixture_dir / "forest.json", PipelineOptions(out_dir=str(tmp_path / out)),
+        )
+
+    run("warm")  # first-call imports and caches are not the run's memory
+    tracemalloc.start()
+    try:
+        run("measured")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The PCM (2 bytes a sample) and a few chunk-sized buffers; one float
+    # copy of the audio alone would be 8 bytes a sample.
+    assert peak < 0.75 * (8 * n)
+
+
 def test_run_pipeline_missing_model(fixture_dir, tmp_path):
     with pytest.raises(FileNotFoundError, match="model not found"):
         run_pipeline(
@@ -84,7 +106,7 @@ def test_windows_snap_to_stream_frame_grid():
     for w, t in zip(positives, labels.shots):
         frame = int(t / 10.0)
         start = (frame - 10) * 80
-        assert np.array_equal(w.samples, audio.values[start : start + span])
+        assert np.array_equal(w.samples, audio.samples[start : start + span])
 
 
 def reference_windows(audio, labels, negatives_per_positive, min_label_distance_ms, seed):
@@ -97,7 +119,7 @@ def reference_windows(audio, labels, negatives_per_positive, min_label_distance_
         start_frame = int((center_ms - audio.start_time) / 10) - 10
         if start_frame < 0 or start_frame + 21 > n_frames:
             return None
-        return audio.values[start_frame * 80 : start_frame * 80 + span]
+        return audio.samples[start_frame * 80 : start_frame * 80 + span]
 
     out = [(s, 1) for s in map(cut, labels.shots) if s is not None]
     if not out:
@@ -165,7 +187,7 @@ def test_negative_windows_match_a_full_draw(ratio, distance_ms, seed):
     expected = full_draw_negative_starts(audio, labels, ratio, distance_ms, seed)
     assert len(negatives) == expected.size > 0
     for samples, first in zip(negatives, expected):
-        assert np.array_equal(samples, audio.values[first : first + 21 * 80])
+        assert np.array_equal(samples, audio.samples[first : first + 21 * 80])
 
 
 def test_windows_from_labels_without_labels():
@@ -177,4 +199,4 @@ def test_windows_view_the_audio():
     audio, _, labels = sf.synthesize(sf.SynthConfig(duration_s=20.0, shot_count=6, seed=89))
     windows = windows_from_labels(audio, labels, negatives_per_positive=2.0)
     assert len(windows) == 18
-    assert all(np.shares_memory(w.samples, audio.values) for w in windows)
+    assert all(np.shares_memory(w.samples, audio.samples) for w in windows)

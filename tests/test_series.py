@@ -3,7 +3,7 @@ import pytest
 
 from scipy import signal
 
-from shotfuse import SampleSeries, cross_correlate, fir_convolve, lowpass, short_time_energy, triangle_smooth
+from shotfuse import PcmAudio, SampleSeries, cross_correlate, fir_convolve, lowpass, short_time_energy, triangle_smooth
 from shotfuse.series import FIR_CHUNK_FRAMES, TRIANGLE_TAPS
 
 
@@ -207,13 +207,14 @@ def test_blocked_fir_across_chunk_boundaries(rng, n_taps):
 def test_filtered_energy_matches_bruteforce_then_frame_sums(rng, n_taps):
     taps = rng.standard_normal(n_taps)
     for n in short_lengths(n_taps) + (LONG,):
-        x = rng.standard_normal(n)
+        audio = PcmAudio.from_float(rng.standard_normal(n), 12.5)
         if n < FRAME:
             with pytest.raises(ValueError, match="insufficient samples"):
-                short_time_energy(make(x, rate=8000.0), taps)
+                short_time_energy(audio, taps)
             continue
+        x = audio.samples / 32768.0
         filtered = brute_force_convolve(x, taps) if n < LONG else np.convolve(x, taps)[:n]
-        out = short_time_energy(make(x, rate=8000.0, start=12.5), taps)
+        out = short_time_energy(audio, taps)
         assert (out.rate, out.start_time) == (100.0, 17.5)
         assert np.allclose(out.values, frame_energy(filtered), rtol=1e-12, atol=0.0), n
 

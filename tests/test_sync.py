@@ -53,7 +53,7 @@ def test_quantizer_degenerate_distribution(identity_model):
     audio, imu, _ = sf.synthesize(sf.SynthConfig(duration_s=20.0, shot_count=10, seed=45))
     apf_s = sf.audio_likelihood(audio, identity_model)
     ipf_s = sf.ipf(sf.prepare_components(imu))
-    silent = sf.audio_likelihood(audio.with_values(np.zeros(len(audio))), identity_model)
+    silent = sf.audio_likelihood(sf.PcmAudio(np.zeros(len(audio), dtype=np.int16)), identity_model)
     still = sf.ipf(sf.prepare_components(sf.ImuStream(imu.t, *np.zeros((6, len(imu))))))
     with pytest.raises(ValueError, match="^apf: degenerate distribution"):
         self_calibrate_quantizer(silent, ipf_s)

@@ -11,7 +11,7 @@ def test_empty_config_yields_noise_only():
     assert len(audio) == 40000
     assert len(imu) == 500
     # background only: no sample anywhere near burst amplitude
-    assert np.max(np.abs(audio.values)) < 0.05
+    assert np.max(np.abs(audio.samples / 32768.0)) < 0.05
     assert np.max(np.abs(imu.gy)) < 200.0
 
 
@@ -38,7 +38,7 @@ def test_determinism_bit_identical():
     cfg = SynthConfig(duration_s=10.0, shot_count=5, distractor_rate_per_min=6.0, seed=4)
     a_audio, a_imu, a_labels = synthesize(cfg)
     b_audio, b_imu, b_labels = synthesize(cfg)
-    assert np.array_equal(a_audio.values, b_audio.values)
+    assert np.array_equal(a_audio.samples, b_audio.samples)
     assert np.array_equal(a_imu.columns(), b_imu.columns())
     assert np.array_equal(a_labels.shots, b_labels.shots)
 
@@ -48,7 +48,7 @@ def test_different_seeds_differ():
     other = SynthConfig(duration_s=10.0, shot_count=5, seed=6)
     a, _, _ = synthesize(base)
     b, _, _ = synthesize(other)
-    assert not np.array_equal(a.values, b.values)
+    assert not np.array_equal(a.samples, b.samples)
 
 
 def test_infeasible_shot_count():

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
-from shotfuse import LabeledAudioWindow, TrainConfig, train_filter
+from shotfuse import LabeledAudioWindow, PcmAudio, TrainConfig, train_filter
 from shotfuse.training import INIT_STD, center_forms, stack_windows, total_gradients, window_scores
 
 WINDOW_SAMPLES = 21 * 80
+
+
+def pcm(x):
+    """Float samples quantized to the window's 16-bit PCM."""
+    return PcmAudio.from_float(x).samples
+
+
+def silence(n):
+    return np.zeros(n, dtype=np.int16)
 
 
 def reference_score(samples, weights, bias):
@@ -46,7 +55,7 @@ def test_window_scores_reject_short_and_unbatched_windows():
 
 
 def test_mixed_window_lengths_rejected():
-    windows = [LabeledAudioWindow(np.zeros(1000), 1), LabeledAudioWindow(np.zeros(WINDOW_SAMPLES), 0)]
+    windows = [LabeledAudioWindow(silence(1000), 1), LabeledAudioWindow(silence(WINDOW_SAMPLES), 0)]
     with pytest.raises(ValueError, match="mixed length"):
         stack_windows(windows)
     with pytest.raises(ValueError, match="mixed length"):
@@ -54,9 +63,10 @@ def test_mixed_window_lengths_rejected():
 
 
 def test_stack_windows_keeps_rows_and_labels():
-    windows = [LabeledAudioWindow(np.full(5, float(i)), i % 2) for i in range(3)]
+    windows = [LabeledAudioWindow(np.full(5, i, dtype=np.int16), i % 2) for i in range(3)]
     samples, labels = stack_windows(windows)
-    assert np.array_equal(samples, np.repeat([[0.0], [1.0], [2.0]], 5, axis=1))
+    # Rows come back decoded: PCM step i is i / 32768.
+    assert np.array_equal(samples, np.repeat([[0.0], [1.0], [2.0]], 5, axis=1) / 32768)
     assert np.array_equal(labels, [0, 1, 0])
     samples, labels = stack_windows([])
     assert samples.shape == (0, 0) and labels.shape == (0,)
@@ -209,11 +219,11 @@ def burst_window(rng, amplitude=1.0):
     center = WINDOW_SAMPLES // 2
     tone = amplitude * np.sin(2 * np.pi * 1000.0 * np.arange(80) / 8000.0)
     x[center - 40 : center + 40] = tone
-    return LabeledAudioWindow(x, 1)
+    return LabeledAudioWindow(pcm(x), 1)
 
 
 def noise_window(rng, scale=0.02):
-    return LabeledAudioWindow(scale * rng.standard_normal(WINDOW_SAMPLES), 0)
+    return LabeledAudioWindow(pcm(scale * rng.standard_normal(WINDOW_SAMPLES)), 0)
 
 
 def separable_corpus(rng, positives=12):
@@ -268,17 +278,29 @@ def test_config_errors_name_the_bound():
 
 def test_short_window_rejected():
     data = [
-        LabeledAudioWindow(np.zeros(400), 1),
-        LabeledAudioWindow(np.zeros(400), 0),
+        LabeledAudioWindow(silence(400), 1),
+        LabeledAudioWindow(silence(400), 0),
     ]
     with pytest.raises(ValueError, match="window too short"):
         train_filter(data, TrainConfig())
 
 
 def test_window_adopts_frozen_samples_and_copies_the_rest():
-    x = np.arange(10.0)
+    x = np.arange(10, dtype=np.int16)
     copied = LabeledAudioWindow(x, 1)
-    x[0] = 5.0
-    assert copied.samples[0] == 0.0 and not copied.samples.flags.writeable
+    x[0] = 5
+    assert copied.samples[0] == 0 and not copied.samples.flags.writeable
     x.flags.writeable = False
     assert np.shares_memory(LabeledAudioWindow(x[2:], 0).samples, x)
+    assert LabeledAudioWindow(x.astype(">i2"), 0).samples.dtype == np.int16
+
+
+def test_window_rejects_nan_and_float_samples_at_construction():
+    # A NaN window used to train every epoch and fail only as "model parameters must be finite".
+    with pytest.raises(ValueError, match=r"^audio window samples must be 16-bit PCM \(int16\), got float64$"):
+        LabeledAudioWindow(np.full(WINDOW_SAMPLES, np.nan), 1)
+    for bad in (np.zeros(WINDOW_SAMPLES), np.zeros(WINDOW_SAMPLES, dtype=np.int32), [0] * 10):
+        with pytest.raises(ValueError, match="^audio window samples must be 16-bit PCM"):
+            LabeledAudioWindow(bad, 0)
+    with pytest.raises(ValueError, match="^audio window samples must be one-dimensional$"):
+        LabeledAudioWindow(np.zeros((2, 5), dtype=np.int16), 0)
