@@ -71,17 +71,36 @@ def _is_number(cell: str) -> bool:
     return "_" not in cell and cell.strip().isascii()
 
 
+#: Data rows np.loadtxt parses at a time; each chunk goes, transposed, into the block.
+_PARSE_ROWS = 1024
+
+
+def _line_count(path) -> int:
+    """Lines of the file: its \\n characters, plus a last line without one."""
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            lines += int(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n")))
+            last = chunk[-1:]
+    return lines + (last != b"\n")
+
+
 def _read_numeric_csv(path, columns, locate):
-    """Parse the named columns of every data row with one np.loadtxt call.
+    """Parse the named columns of every data row into one (len(columns), rows) block.
 
     locate(header) checks the stripped header fields (None for an empty
     file) and returns the position of each column. Cells are plain decimal
     text: no quoting, no comments; blank lines are skipped and fields past
-    the last parsed column are ignored. Returns the (rows, len(columns))
-    array and row_of, which maps a data-row index to its CSV row number
-    (header = row 1, blank lines counted). A rejected file is scanned row
-    by row, only then, for the first offending row.
+    the last parsed column are ignored. Returns the block, one contiguous
+    row per column, and row_of, which maps a data-row index to its CSV row
+    number (header = row 1, blank lines counted). np.loadtxt parses
+    _PARSE_ROWS rows at a time from the open file into a block sized from
+    the file's line count, so no other array is the size of the data. A
+    rejected file is scanned row by row, only then, for the first
+    offending row.
     """
+    block = np.empty((len(columns), max(_line_count(path) - 1, 0)))
+    filled = 0
     with open(path, newline="") as fh:
         first = fh.readline()
         header = [h.strip() for h in next(csv.reader([first]), [])] if first else None
@@ -89,20 +108,32 @@ def _read_numeric_csv(path, columns, locate):
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", usecols=positions, comments=None, ndmin=2)
+                warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data")  # blank lines
+                while True:
+                    part = np.loadtxt(fh, delimiter=",", usecols=positions, comments=None, ndmin=2,
+                                      max_rows=_PARSE_ROWS).T
+                    if filled + part.shape[1] > block.shape[1]:  # lines ended by a lone \r
+                        grown = np.empty((len(columns), 2 * (filled + part.shape[1])))
+                        grown[:, :filled] = block[:, :filled]
+                        block = grown
+                    block[:, filled : filled + part.shape[1]] = part
+                    filled += part.shape[1]
+                    if part.shape[1] < _PARSE_ROWS:
+                        break
         except ValueError as exc:
             fh.seek(0)
             fh.readline()
             _scan_rows(fh, columns, positions, len(header), stop_at=None)
             raise ValueError(f"unparsable data: {exc}") from exc
-    data = data.reshape(-1, len(columns))
+    if filled < block.shape[1]:  # blank lines
+        block = block[:, :filled].copy()
 
     def row_of(index: int) -> int:
         with open(path, newline="") as fh:
             fh.readline()
             return _scan_rows(fh, columns, positions, len(header), stop_at=index)
 
-    return data, row_of
+    return block, row_of
 
 
 def _scan_rows(lines, columns, positions, n_fields: int, stop_at: int | None) -> int:
@@ -142,13 +173,13 @@ def read_imu_csv(path) -> ImuStream:
                 raise ValueError(f"missing column {col}")
         return [header.index(col) for col in IMU_COLUMNS]
 
-    data, row_of = _read_numeric_csv(path, IMU_COLUMNS, locate)
-    columns = data.T
-    # ImuStream checks the block once; only a rejected block is scanned again for its CSV row.
+    block, row_of = _read_numeric_csv(path, IMU_COLUMNS, locate)
+    # The stream adopts the parsed block and checks it once; only a rejected block is
+    # scanned again for its CSV row.
     try:
-        return ImuStream(*columns)
+        return ImuStream.from_block(block)
     except ValueError:
-        bad = first_invalid_sample(columns)
+        bad = first_invalid_sample(block)
         if bad is None:
             raise
     raise ValueError(f"row {row_of(bad[0])}: {bad[1]}")
@@ -172,8 +203,8 @@ def read_labels_csv(path) -> LabelSet:
             raise ValueError("missing column t_ms")
         return [0]
 
-    data, _ = _read_numeric_csv(path, ("t_ms",), locate)
-    return LabelSet(data[:, 0])
+    block, _ = _read_numeric_csv(path, ("t_ms",), locate)
+    return LabelSet(block[0])
 
 
 def write_labels_csv(path, labels: LabelSet) -> None:
@@ -189,8 +220,8 @@ def read_events_csv(path) -> list[ShotEvent]:
             raise ValueError("expected header time_ms,score")
         return [0, 1]
 
-    data, _ = _read_numeric_csv(path, ("time_ms", "score"), locate)
-    return [ShotEvent(t, score) for t, score in data.tolist()]
+    block, _ = _read_numeric_csv(path, ("time_ms", "score"), locate)
+    return [ShotEvent(t, score) for t, score in block.T.tolist()]
 
 
 def write_events_csv(path, events: list[ShotEvent]) -> None:

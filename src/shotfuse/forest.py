@@ -2,8 +2,9 @@
 
 Plain CART trees on bootstrap samples: Gini-impurity splits over a random
 feature subset (floor(sqrt(n_features)) = 2 of the 5), grown until nodes
-are pure or too small. Trees are stored as parallel node arrays so models
-serialize to explicit JSON and evaluate without recursion.
+are pure or too small. All trees of a forest grow in lockstep, one node
+per tree at a time (_LockstepForest). Trees are stored as parallel node
+arrays so models serialize to explicit JSON and evaluate without recursion.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class DecisionTree:
             feature = self.feature[node]
             if feature.min() < 0 or feature.max() >= NUM_FEATURES:
                 raise ValueError("internal node with out-of-range feature index")
-            # Children lie after their node and inside the tree, as _TreeBuilder
+            # Children lie after their node and inside the tree, as train_forest
             # lays them out, so every descent ends at a leaf of this tree.
             children = np.array((self.left[node], self.right[node]))
             if (children <= node).any() or children.max() >= n:
@@ -97,91 +98,214 @@ class ForestModel:
         return cls(tuple(DecisionTree.from_dict(t) for t in d["trees"]), d["tree_count"], d["seed"])
 
 
-def _gini_costs(sorted_labels: np.ndarray) -> np.ndarray:
-    """Weighted Gini impurity for every split position of a sorted node."""
-    n = sorted_labels.size
-    ones = np.cumsum(sorted_labels)
-    left_n = np.arange(1, n)
-    right_n = n - left_n
-    left_ones = ones[:-1]
-    right_ones = ones[-1] - left_ones
-    p_l = left_ones / left_n
-    p_r = right_ones / right_n
-    gini_l = 1.0 - p_l**2 - (1.0 - p_l) ** 2
-    gini_r = 1.0 - p_r**2 - (1.0 - p_r) ** 2
-    return (left_n * gini_l + right_n * gini_r) / n
+def _ranges(first: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """np.arange(f, f + l) for every (f, l) pair, concatenated."""
+    end = length.cumsum()
+    return np.arange(end[-1]) + (first - end + length).repeat(length)
 
 
-class _TreeBuilder:
-    def __init__(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator, n_split_features: int):
-        self.X = X
-        self.y = y
-        self.rng = rng
-        self.n_split_features = n_split_features
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.leaf_class: list[int] = []
+#: Distinct rows of the nodes split in one block (a larger node is a block of
+#: its own). Up to this size every array a block makes (its nodes' slots for
+#: the drawn features, or for all 5) stays under 128 KB, which glibc's malloc
+#: serves from its heap; it maps fresh pages for each larger one, and numpy
+#: ops on int64 arrays of 16k elements and more cost about three times as
+#: much per element for it.
+_BLOCK_ROWS = 2048
 
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.leaf_class.append(-1)
-        return len(self.feature) - 1
 
-    def _make_leaf(self, node: int, labels: np.ndarray) -> None:
-        # Majority class; exact ties resolve to non-shot.
-        self.leaf_class[node] = int(np.sum(labels) * 2 > labels.size)
+class _LockstepForest:
+    """CART trees on bootstrap samples, one per generator, grown in lockstep.
 
-    def build(self, indices: np.ndarray) -> int:
-        # Iterative preorder so degenerate trees cannot hit the recursion limit.
-        root = self._new_node()
-        stack = [(indices, root)]
-        while stack:
-            node_indices, node = stack.pop()
-            labels = self.y[node_indices]
-            if node_indices.size < 2 or np.all(labels == labels[0]):
-                self._make_leaf(node, labels)
-                continue
+    counts[t, i] is how often row i occurs in tree t's bootstrap. Each tree
+    keeps a DFS stack of the nodes that still need a split. Every step pops
+    the top node of each unfinished tree and draws its features from that
+    tree's generator, so each tree sees its draws and numbers its nodes in
+    its own preorder; then blocks of the popped nodes are split together,
+    one pass scoring every split point of a block's (node, feature) pairs.
 
-            n_feats = self.X.shape[1]
-            chosen = self.rng.choice(n_feats, size=min(self.n_split_features, n_feats), replace=False)
-            best = None  # (cost, feature, threshold, order, split_pos)
-            for f in chosen:
-                values = self.X[node_indices, f]
-                order = np.argsort(values, kind="stable")
-                xs = values[order]
-                valid = xs[1:] > xs[:-1]
-                if not np.any(valid):
-                    continue
-                costs = _gini_costs(self.y[node_indices[order]])
-                costs = np.where(valid, costs, np.inf)
-                pos = int(np.argmin(costs))
-                if best is None or costs[pos] < best[0]:
-                    thr = 0.5 * (xs[pos] + xs[pos + 1])
-                    best = (float(costs[pos]), int(f), thr, order, pos)
+    A node owns the slot range [first, first + distinct) in every row of a
+    (feature, slot) table: in feature f's row the range holds the node's
+    distinct rows, as keys tree * n + row, in ascending value of f. A split
+    partitions the range stably in every row, left rows first. Split points
+    lie between slots of different value, so the counts left of a point,
+    its Gini cost, the first minimum and the midpoint threshold do not
+    depend on how equal values are ordered.
+    """
 
-            if best is None:
-                self._make_leaf(node, labels)
-                continue
+    def __init__(self, X: np.ndarray, y: np.ndarray, rngs: list, counts: np.ndarray, n_draw: int):
+        n, k = X.shape
+        n_trees = len(rngs)
+        self.n, self.k, self.n_draw, self.rngs = n, k, n_draw, rngs
+        self.values = X.T.ravel()
+        self.weight = counts.ravel()
+        self.weight_ones = (counts * y).ravel()
+        present = self.weight > 0
+        self.slots = int(present.sum())
+        self.table = np.empty(k * self.slots, dtype=np.int64)
+        tree_start = np.arange(0, n_trees * n, n)[:, None]
+        for f, order in enumerate(np.argsort(X.T, axis=1)):
+            keys = (tree_start + order).ravel()
+            self.table[f * self.slots : (f + 1) * self.slots] = keys.compress(present[keys])
+        self.goes_right = np.zeros(n_trees * n, dtype=bool)
 
-            _, f, thr, order, pos = best
-            self.feature[node] = f
-            self.threshold[node] = thr
-            left = self._new_node()
-            right = self._new_node()
-            self.left[node] = left
-            self.right[node] = right
-            # Push right first so the left subtree is laid out next (preorder).
-            stack.append((node_indices[order[pos + 1 :]], right))
-            stack.append((node_indices[order[: pos + 1]], left))
-        return root
+        # Node g, in creation order, is nodes[g] = (tree, number in its tree, first slot,
+        # distinct rows, rows, positive rows); the arrays grow as nodes are made.
+        capacity = 8 * n_trees
+        self.nodes = np.empty((capacity, 6), dtype=np.int64)
+        self.leaf_class = np.empty(capacity, dtype=np.int64)  # -1 once a node splits or while it waits
+        self.feature = np.empty(capacity, dtype=np.int64)
+        self.left = np.empty(capacity, dtype=np.int64)
+        self.threshold = np.empty(capacity)
+        distinct = present.reshape(n_trees, n).sum(axis=1)
+        ones = self.weight_ones.reshape(n_trees, n).sum(axis=1)
+        self.nodes[:n_trees] = np.stack(
+            (np.arange(n_trees), np.zeros_like(ones), distinct.cumsum() - distinct, distinct, np.full(n_trees, n), ones),
+            axis=1,
+        )
+        self.leaf_class[:n_trees] = np.where((ones == 0) | (ones == n), ones > 0, -1)
+        self.stacks = [[t] if self.leaf_class[t] < 0 else [] for t in range(n_trees)]
+        self.node_count = np.ones(n_trees, dtype=np.int64)
+        self.top = n_trees
 
-    def tree(self) -> DecisionTree:
-        return DecisionTree(self.feature, self.threshold, self.left, self.right, self.leaf_class)
+    def _make_room(self, count: int) -> None:
+        """Grow the per-node arrays, to twice what they must hold, when count more nodes do not fit."""
+        if self.top + count > self.threshold.size:
+            size = 2 * (self.top + count)
+            self.nodes, self.leaf_class, self.feature, self.left, self.threshold = (
+                np.concatenate((a[: self.top], np.empty((size - self.top,) + a.shape[1:], dtype=a.dtype)))
+                for a in (self.nodes, self.leaf_class, self.feature, self.left, self.threshold)
+            )
+
+    def grow(self) -> list[DecisionTree]:
+        """Step until every stack is empty, then return the trees."""
+        stacks, rngs = self.stacks, self.rngs
+        live = [t for t in range(len(stacks)) if stacks[t]]
+        while live:
+            popped = [stacks[t].pop() for t in live]
+            draws = [rngs[t].choice(self.k, size=self.n_draw, replace=False) for t in live]
+            begin = block_rows = 0
+            for i, size in enumerate(self.nodes[popped, 3].tolist()):
+                if block_rows and block_rows + size > _BLOCK_ROWS:
+                    self._split(popped[begin:i], draws[begin:i])
+                    begin, block_rows = i, 0
+                block_rows += size
+            self._split(popped[begin:], draws[begin:])
+            live = [t for t in live if stacks[t]]
+        return self._trees()
+
+    def _split(self, popped: list, draws: list) -> None:
+        """Split or close each popped node (of distinct trees) on its drawn features."""
+        n, k, n_draw = self.n, self.k, self.n_draw
+        popped = np.array(popped)
+        pair_feature = np.concatenate(draws)
+        pair_tree, _, pair_first, pair_len, pair_rows, pair_ones = self.nodes[popped.repeat(n_draw)].T
+
+        # Every (node, feature) pair's slots, concatenated pair after pair, with the rows and
+        # positive rows up to each slot counted from the pair's start.
+        pair_end = pair_len.cumsum()
+        pair_begin = pair_end - pair_len
+        at_key = self.table[np.arange(pair_end[-1]) + (pair_feature * self.slots + pair_first - pair_begin).repeat(pair_len)]
+        v = self.values[at_key + ((pair_feature - pair_tree) * n).repeat(pair_len)]
+        w = self.weight[at_key]
+        w[pair_begin[1:]] -= pair_rows[:-1]
+        cum_rows = w.cumsum()
+        w = self.weight_ones[at_key]
+        w[pair_begin[1:]] -= pair_ones[:-1]
+        cum_ones = w.cumsum()
+
+        # Split points: the last slot of a run of equal values inside a pair.
+        valid = np.empty(v.size, dtype=bool)
+        np.less(v[:-1], v[1:], out=valid[:-1])
+        valid[pair_end - 1] = False
+        j = valid.nonzero()[0]
+        valid_end = j.searchsorted(pair_end)
+        valid_len = valid_end - np.concatenate(([0], valid_end[:-1]))
+        q = np.arange(pair_len.size).repeat(valid_len)
+        n_j = pair_rows[q]
+        left_n = cum_rows[j]
+        left_ones = cum_ones[j]
+        right_n = n_j - left_n
+        p_l = left_ones / left_n
+        p_r = (pair_ones[q] - left_ones) / right_n
+        gini_l = 1.0 - p_l**2 - (1.0 - p_l) ** 2
+        gini_r = 1.0 - p_r**2 - (1.0 - p_r) ** 2
+        costs = (left_n * gini_l + right_n * gini_r) / n_j
+
+        # The first minimum of each pair; of each node, the first drawn feature with the lowest.
+        best_cost = np.full(pair_len.size, np.inf)
+        best_at = np.zeros(pair_len.size, dtype=np.int64)
+        has = valid_len > 0
+        if j.size:
+            starts = (valid_end - valid_len)[has]
+            lowest = np.minimum.reduceat(costs, starts)
+            hit = (costs == lowest.repeat(valid_len[has])).nonzero()[0]
+            best_cost[has] = lowest
+            best_at[has] = j[hit[hit.searchsorted(starts)]]
+        pick = best_cost.reshape(-1, n_draw).argmin(axis=1) + np.arange(0, pair_len.size, n_draw)
+        split = best_cost[pick] < np.inf
+        # A node without a split point is a leaf of its majority class; exact ties go to non-shot.
+        self.leaf_class[popped] = np.where(split, -1, pair_ones[::n_draw] * 2 > pair_rows[::n_draw])
+        pick = pick[split]
+        if not pick.size:
+            return
+        popped = popped[split]
+        pos = best_at[pick]
+        tree, first, size, rows, ones = pair_tree[pick], pair_first[pick], pair_len[pick], pair_rows[pick], pair_ones[pick]
+        n_left = pos + 1 - pair_begin[pick]
+        number = self.node_count[tree]
+        self.node_count[tree] += 2
+        self.feature[popped] = pair_feature[pick]
+        self.threshold[popped] = 0.5 * (v[pos] + v[pos + 1])
+        self.left[popped] = number
+
+        # Stable partition of the split nodes' slots in every feature's row: left rows first.
+        right_keys = at_key[_ranges(pos + 1, size - n_left)]
+        self.goes_right[right_keys] = True
+        by_feature = self.table.reshape(k, self.slots)
+        moved = by_feature.take(_ranges(first, size), axis=1)
+        right = self.goes_right[moved].ravel()
+        self.goes_right[right_keys] = False
+        by_feature[:, np.concatenate((_ranges(first, n_left), _ranges(first + n_left, size - n_left)))] = np.concatenate(
+            (moved.compress(~right).reshape(k, -1), moved.compress(right).reshape(k, -1)), axis=1
+        )
+
+        # Children, left ones then right ones. A pure child is a leaf; the others go on
+        # their tree's stack, the right child under the left one.
+        l_rows, l_ones = cum_rows[pos], cum_ones[pos]
+        children = np.array(
+            [
+                [tree, number, first, n_left, l_rows, l_ones],
+                [tree, number + 1, first + n_left, size - n_left, rows - l_rows, ones - l_ones],
+            ]
+        ).transpose(0, 2, 1).reshape(-1, 6)
+        self._make_room(children.shape[0])
+        top = self.top
+        self.top += children.shape[0]
+        self.nodes[top : self.top] = children
+        ones, rows = children[:, 5], children[:, 4]
+        pure = (ones == 0) | (ones == rows)
+        self.leaf_class[top : self.top] = np.where(pure, ones > 0, -1)
+        waiting = (~pure).nonzero()[0][::-1]
+        for t, g in zip(children[waiting, 0].tolist(), (waiting + top).tolist()):
+            self.stacks[t].append(g)
+
+    def _trees(self) -> list[DecisionTree]:
+        """Every tree's nodes laid out by their number in the tree."""
+        top, node_count = self.top, self.node_count
+        at = (node_count.cumsum() - node_count)[self.nodes[:top, 0]] + self.nodes[:top, 1]
+        leaf_class = self.leaf_class[:top]
+        internal = leaf_class < 0
+        out = [np.empty(top, dtype=np.int64) for _ in range(4)] + [np.empty(top)]
+        out[0][at] = np.where(internal, self.feature[:top], -1)
+        out[1][at] = np.where(internal, self.left[:top], -1)
+        out[2][at] = np.where(internal, self.left[:top] + 1, -1)
+        out[3][at] = leaf_class
+        out[4][at] = np.where(internal, self.threshold[:top], 0.0)
+        bounds = node_count.cumsum()[:-1]
+        return [
+            DecisionTree(feature, threshold, left, right, leaf)
+            for feature, left, right, leaf, threshold in zip(*(np.split(a, bounds) for a in out))
+        ]
 
 
 def train_forest(X, y, tree_count: int = DEFAULT_TREE_COUNT, seed: int = 0) -> ForestModel:
@@ -189,27 +313,33 @@ def train_forest(X, y, tree_count: int = DEFAULT_TREE_COUNT, seed: int = 0) -> F
 
     Each tree sees a bootstrap sample of the full training size; splits
     consider 2 random features. Per-tree generators derive deterministically
-    from the root seed, so results are reproducible (and trees could be
-    trained in parallel without changing the model).
+    from the root seed, so results are reproducible: each tree is the one a
+    per-node builder would grow from its own generator, whichever order the
+    trees grow in.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if X.ndim != 2 or X.shape[0] == 0:
+    y = np.asarray(y)
+    if X.ndim != 2 or 0 in X.shape:
         raise ValueError("no training candidates")
     if y.shape != (X.shape[0],):
         raise ValueError("need one label per candidate")
+    nan_rows = np.flatnonzero(np.isnan(X).any(axis=1))
+    if nan_rows.size:
+        raise ValueError(f"features must not be NaN, found in row {nan_rows[0]}")
+    other = y[(y != 0) & (y != 1)]
+    if other.size:
+        raise ValueError(f"labels must be 0 or 1, found {other[0]}")
+    y = y.astype(int)
     if np.all(y == y[0]):
         raise ValueError("degenerate training set")
+    if tree_count < 1:
+        raise ValueError("a forest needs at least one tree")
 
     n = X.shape[0]
-    n_split = max(1, int(np.sqrt(X.shape[1])))
-    trees = []
-    for k in range(tree_count):
-        rng = np.random.default_rng([seed, k])
-        sample = rng.integers(0, n, size=n)
-        builder = _TreeBuilder(X[sample], y[sample], rng, n_split)
-        builder.build(np.arange(n))
-        trees.append(builder.tree())
+    rngs = [np.random.default_rng([seed, k]) for k in range(tree_count)]
+    counts = np.array([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs])
+    n_draw = max(1, int(np.sqrt(X.shape[1])))
+    trees = _LockstepForest(X, y, rngs, counts, n_draw).grow()
     return ForestModel(tuple(trees), tree_count, seed)
 
 

@@ -45,14 +45,15 @@ def first_invalid_sample(columns: np.ndarray) -> tuple[int, str] | None:
 
     columns is the (7, n) array of IMU_FIELDS. Within one sample a
     non-finite value is reported first, then acceleration, then angular
-    velocity out of range.
+    velocity out of range. Every temporary is boolean, so the check holds
+    no float copy of the samples.
     """
     checks = (
         ("values must be finite", ~np.isfinite(columns).all(axis=0)),
         (f"acceleration exceeds +/-{ACCEL_RANGE_G:g} g",
-         (np.abs(columns[1:4]) > ACCEL_RANGE_G).any(axis=0)),
+         ((columns[1:4] > ACCEL_RANGE_G) | (columns[1:4] < -ACCEL_RANGE_G)).any(axis=0)),
         (f"angular velocity exceeds +/-{GYRO_RANGE_DPS:g} deg/s",
-         (np.abs(columns[4:7]) > GYRO_RANGE_DPS).any(axis=0)),
+         ((columns[4:7] > GYRO_RANGE_DPS) | (columns[4:7] < -GYRO_RANGE_DPS)).any(axis=0)),
     )
     bad = checks[0][1] | checks[1][1] | checks[2][1]
     if not bad.any():
@@ -77,7 +78,21 @@ class ImuStream:
         cols = [np.asarray(getattr(self, name), dtype=float) for name in IMU_FIELDS]
         if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
             raise ValueError("columns must be one-dimensional and of equal length")
-        block = np.array(cols)
+        self._adopt(np.array(cols))
+
+    @classmethod
+    def from_block(cls, block: np.ndarray) -> "ImuStream":
+        """A stream whose columns are the rows of the (7, n) float array block, without a copy.
+
+        block becomes read-only.
+        """
+        if block.dtype != float or block.ndim != 2 or block.shape[0] != len(IMU_FIELDS):
+            raise ValueError(f"expected a ({len(IMU_FIELDS)}, n) float block")
+        stream = cls.__new__(cls)
+        stream._adopt(block)
+        return stream
+
+    def _adopt(self, block: np.ndarray) -> None:
         bad = first_invalid_sample(block)
         if bad is not None:
             raise ValueError(f"sample {bad[0]}: {bad[1]}")

@@ -232,6 +232,53 @@ def test_imu_csv_validates_the_samples_once(tmp_path, monkeypatch):
     assert calls == [(7, 500)]
 
 
+def test_imu_csv_read_holds_one_copy_of_the_samples(tmp_path, rng):
+    n = 60_000  # a 10-min session
+    stream = ImuStream(10.0 * np.arange(n), *rng.uniform(-2.0, 2.0, (3, n)), *rng.uniform(-500.0, 500.0, (3, n)))
+    path = tmp_path / "imu.csv"
+    write_imu_csv(path, stream)
+    tracemalloc.start()
+    try:
+        back = read_imu_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(back) == n
+    assert peak <= 1.3 * back.columns().nbytes
+
+
+def test_imu_csv_line_endings_and_blank_lines_parse_alike(tmp_path, rng):
+    n = 2500  # spans several parse chunks
+    stream = ImuStream(10.0 * np.arange(n), *rng.uniform(-2.0, 2.0, (6, n)))
+    path = tmp_path / "imu.csv"
+    write_imu_csv(path, stream)
+    expected = read_imu_csv(path).columns()
+    lines = path.read_text().splitlines()
+    variants = {
+        "lf": "\n".join(lines) + "\n",
+        "no final newline": "\n".join(lines),
+        "lone cr": "\r".join(lines) + "\r",
+        "blank lines": "\n\n".join(lines) + "\n\n",
+    }
+    for name, text in variants.items():
+        path.write_bytes(text.encode())
+        block = read_imu_csv(path).columns()
+        assert block.shape == expected.shape and np.array_equal(block, expected), name
+        assert block.flags.c_contiguous, name
+
+
+def test_imu_csv_reports_a_bad_row_past_the_first_parse_chunk(tmp_path):
+    n = 5000
+    stream = ImuStream(10.0 * np.arange(n), *np.zeros((6, n)))
+    path = tmp_path / "imu.csv"
+    write_imu_csv(path, stream)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[4097] = "40960.000,0,0,0,0,2500,0\n"  # data row 4096, in the fifth parse chunk
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="row 4098: angular velocity exceeds"):
+        read_imu_csv(path)
+
+
 def test_imu_csv_range_violation_reports_row(tmp_path):
     header = "t_ms,ax,ay,az,gx,gy,gz\n"
     path = tmp_path / "imu.csv"

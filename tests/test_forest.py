@@ -1,10 +1,11 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from shotfuse import ForestModel, classify, train_forest
-from shotfuse.dataio import load_forest_model
+from shotfuse.dataio import load_forest_model, save_forest_model
 from shotfuse.forest import DecisionTree
 
 
@@ -209,3 +210,158 @@ def test_batched_votes_match_per_tree_descent():
 def test_classify_rejects_a_vector():
     with pytest.raises(ValueError, match="feature matrix"):
         classify(ForestModel((leaf(1),), tree_count=1, seed=0), np.zeros(5))
+
+
+# ---------------------------------------------------------------- reference builder
+
+
+def _gini_costs(sorted_labels):
+    """Weighted Gini impurity for every split position of a sorted node."""
+    n = sorted_labels.size
+    ones = np.cumsum(sorted_labels)
+    left_n = np.arange(1, n)
+    right_n = n - left_n
+    left_ones = ones[:-1]
+    right_ones = ones[-1] - left_ones
+    p_l = left_ones / left_n
+    p_r = right_ones / right_n
+    gini_l = 1.0 - p_l**2 - (1.0 - p_l) ** 2
+    gini_r = 1.0 - p_r**2 - (1.0 - p_r) ** 2
+    return (left_n * gini_l + right_n * gini_r) / n
+
+
+def _per_node_tree(X, y, rng, n_split, events):
+    """One CART tree grown node by node in preorder: the reference for train_forest's trees."""
+    feature, threshold, left, right, leaf_class = [], [], [], [], []
+
+    def new_node():
+        for column, default in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1), (leaf_class, -1)):
+            column.append(default)
+        return len(feature) - 1
+
+    stack = [(np.arange(X.shape[0]), new_node())]
+    while stack:
+        node_indices, node = stack.pop()
+        labels = y[node_indices]
+        if node_indices.size < 2 or np.all(labels == labels[0]):
+            events["single row" if node_indices.size < 2 else "single class"] += 1
+            leaf_class[node] = int(np.sum(labels) * 2 > labels.size)
+            continue
+        n_feats = X.shape[1]
+        chosen = rng.choice(n_feats, size=min(n_split, n_feats), replace=False)
+        best = None  # (cost, feature, threshold, order, split_pos)
+        for f in chosen:
+            values = X[node_indices, f]
+            order = np.argsort(values, kind="stable")
+            xs = values[order]
+            valid = xs[1:] > xs[:-1]
+            if not np.any(valid):
+                events["constant drawn feature"] += 1
+                continue
+            costs = np.where(valid, _gini_costs(y[node_indices[order]]), np.inf)
+            pos = int(np.argmin(costs))
+            if best is None or costs[pos] < best[0]:
+                best = (float(costs[pos]), int(f), 0.5 * (xs[pos] + xs[pos + 1]), order, pos)
+        if best is None:
+            events["no split point"] += 1
+            leaf_class[node] = int(np.sum(labels) * 2 > labels.size)
+            continue
+        _, f, thr, order, pos = best
+        events["zero threshold"] += thr == 0.0
+        feature[node], threshold[node] = f, thr
+        left[node], right[node] = new_node(), new_node()
+        stack.append((node_indices[order[pos + 1 :]], right[node]))
+        stack.append((node_indices[order[: pos + 1]], left[node]))
+    return DecisionTree(feature, threshold, left, right, leaf_class)
+
+
+def per_node_forest(X, y, tree_count, seed):
+    """The reference forest and a count of the node cases its trees met."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    n = X.shape[0]
+    n_split = max(1, int(np.sqrt(X.shape[1])))
+    events = Counter()
+    trees = []
+    for k in range(tree_count):
+        rng = np.random.default_rng([seed, k])
+        sample = rng.integers(0, n, size=n)
+        events["duplicate bootstrap rows"] += np.unique(sample).size < n
+        trees.append(_per_node_tree(X[sample], y[sample], rng, n_split, events))
+    return ForestModel(tuple(trees), tree_count, seed), events
+
+
+def tied_dataset(rng, n):
+    """Few distinct values per feature, a constant feature, and signed zeros.
+
+    Feature 1 takes only 0.0 and -0.0 apart from a few 1.0s, so its split
+    points sit next to zeros of either sign; feature 4 is constant. Labels
+    follow feature 0 with noise, and a block of repeated rows carries both
+    labels, so some nodes have rows but no split point.
+    """
+    X = np.empty((n, 5))
+    X[:, 0] = rng.integers(0, 12, n) * 0.25
+    X[:, 1] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    X[rng.random(n) < 0.1, 1] = 1.0
+    X[:, 2] = np.round(rng.normal(0.0, 1.0, n), 1)
+    X[:, 3] = rng.integers(-3, 4, n).astype(float)
+    X[:, 4] = 2.5
+    y = ((X[:, 0] + 0.3 * X[:, 3] + rng.normal(0.0, 0.6, n)) > 1.4).astype(int)
+    X[: n // 10] = X[0]
+    y[: n // 20] = 1 - y[0]
+    return X, y
+
+
+def assert_same_models(X, y, tree_count, seed, tmp_path):
+    reference, events = per_node_forest(X, y, tree_count, seed)
+    model = train_forest(X, y, tree_count, seed)
+    assert model.to_dict() == reference.to_dict()
+    save_forest_model(tmp_path / "lockstep.json", model)
+    save_forest_model(tmp_path / "reference.json", reference)
+    assert (tmp_path / "lockstep.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+    return events
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lockstep_forest_equals_the_per_node_builder_on_tied_data(seed, tmp_path):
+    rng = np.random.default_rng([91, seed])
+    X, y = tied_dataset(rng, 720)
+    events = assert_same_models(X, y, 50, seed, tmp_path)
+    for case in ("duplicate bootstrap rows", "single row", "single class", "constant drawn feature",
+                 "no split point", "zero threshold"):
+        assert events[case] > 0, case
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5, 6])
+def test_lockstep_forest_equals_the_per_node_builder_on_small_data(seed, tmp_path):
+    rng = np.random.default_rng([92, seed])
+    n = int(rng.integers(2, 40))
+    X = rng.integers(0, 4, (n, 5)) * rng.choice([-0.0, 0.5], (n, 5))
+    y = rng.integers(0, 2, n)
+    y[:2] = (0, 1)
+    assert_same_models(X, y, 1, seed, tmp_path)
+    assert_same_models(X, y, 50, seed, tmp_path)
+
+
+def test_lockstep_forest_equals_the_per_node_builder_on_continuous_data(rng, tmp_path):
+    X, y = separable_dataset(rng, n=800)
+    X[:, 3] = np.sin(np.arange(800))
+    y[rng.random(800) < 0.1] ^= 1
+    assert_same_models(X, y, 50, 11, tmp_path)
+    assert_same_models(X, y, 1, 12, tmp_path)
+
+
+def test_forest_rejects_labels_other_than_zero_and_one(rng):
+    X, y = separable_dataset(rng, n=20)
+    with pytest.raises(ValueError, match="labels must be 0 or 1, found -1"):
+        train_forest(X, 2 * y - 1, tree_count=3, seed=0)
+    y[5] = 2
+    with pytest.raises(ValueError, match="labels must be 0 or 1, found 2"):
+        train_forest(X, y, tree_count=3, seed=0)
+
+
+def test_forest_rejects_nan_features(rng):
+    X, y = separable_dataset(rng, n=20)
+    X[7, 2] = np.nan
+    with pytest.raises(ValueError, match="NaN, found in row 7"):
+        train_forest(X, y, tree_count=3, seed=0)

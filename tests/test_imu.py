@@ -48,6 +48,20 @@ def test_record_range_checks():
     assert len(ok) == 2
 
 
+def test_stream_adopts_a_block_without_copying():
+    table = np.zeros((3000, 7))
+    table[:, 0] = 10.0 * np.arange(3000)
+    s = ImuStream.from_block(table.T)
+    assert np.shares_memory(s.columns(), table)
+    assert not s.gz.flags.writeable
+    assert np.array_equal(s.t, table[:, 0])
+    table[2500, 4] = 9000.0
+    with pytest.raises(ValueError, match="sample 2500: angular velocity exceeds"):
+        ImuStream.from_block(table.T)
+    with pytest.raises(ValueError, match="float block"):
+        ImuStream.from_block(np.zeros((6, 3)))
+
+
 # --- decompose ---------------------------------------------------------------
 
 
