@@ -20,7 +20,7 @@ from .fusion import (
     select_candidates,
 )
 from .imu import ImuComponents, ImuStream, decompose, ipf, prepare_components
-from .series import SampleSeries, cross_correlate, fir_convolve, lowpass, triangle_smooth
+from .series import SampleSeries, cross_correlate, lowpass, triangle_smooth
 from .sync import (
     OffsetEstimate,
     QuantizerModel,
@@ -63,7 +63,6 @@ __all__ = [
     "estimate_offset",
     "evaluate",
     "extract_features",
-    "fir_convolve",
     "fit_quantizer",
     "imu_only_events",
     "ipf",

@@ -8,7 +8,7 @@ model bias and thresholding at zero turns it into a detector.
 
 A recording stays 16-bit PCM (:class:`PcmAudio`) from the WAV file to the
 filter: the FIR pass decodes it one chunk at a time, and training decodes
-one batch of windows at a time.
+only the center span of one chunk of windows at a time.
 """
 
 from __future__ import annotations
@@ -148,18 +148,21 @@ class LabeledAudioWindow:
 def short_time_energy(x: PcmAudio, taps: np.ndarray) -> SampleSeries:
     """Sum of squared FIR-filtered samples per non-overlapping microframe.
 
-    The filter is causal with zero initial state, as in fir_convolve, and
+    The filter is causal with zero initial state (series.fir_frames) and
     reads the decoded samples (PCM * PCM_SCALE). Each chunk of frames is
     decoded, filtered, squared and summed into the energies as it is made,
     so neither the decoded nor the filtered stream ever exists in full. A
     trailing partial microframe is discarded. Each output value is
-    timestamped at the center of its microframe.
+    timestamped at the center of its microframe. The energies are the only
+    array this makes that outlives the call; it is frozen, so the series
+    adopts it, and nothing here keeps a reference to x.
     """
     if len(x) < MICROFRAME_SAMPLES:
         raise ValueError("insufficient samples")
     energy = np.empty(len(x) // MICROFRAME_SAMPLES)
     for lo, hi, block in fir_frames(x.samples, x.scale, taps, MICROFRAME_SAMPLES, energy.size):
         np.einsum("ij,ij->i", block, block, out=energy[lo:hi])
+    energy.flags.writeable = False
     return SampleSeries(FRAME_RATE_HZ, x.start_time + MICROFRAME_MS / 2.0, energy)
 
 
@@ -168,14 +171,16 @@ def apf(energy: SampleSeries) -> SampleSeries:
 
     Only indices with a full macroframe of context are emitted, so the
     output is shorter by 2 * MACROFRAME_HALF frames and starts
-    MACROFRAME_HALF frames later (50 ms of inherent lookahead).
+    MACROFRAME_HALF frames later (50 ms of inherent lookahead). The output
+    array is frozen and adopted, not copied.
     """
     m = MACROFRAME_FRAMES
     h = MACROFRAME_HALF
     if len(energy) < m:
         raise ValueError("insufficient context")
-    window_mean = np.convolve(energy.values, np.ones(m) / m, mode="valid")
-    out = energy.values[h : len(energy) - h] - window_mean
+    out = np.convolve(energy.values, np.ones(m) / m, mode="valid")
+    np.subtract(energy.values[h : len(energy) - h], out, out=out)
+    out.flags.writeable = False
     return SampleSeries(energy.rate, energy.start_time + h * energy.period_ms, out)
 
 
@@ -183,7 +188,9 @@ def audio_likelihood(x: PcmAudio, model: FilterModel) -> SampleSeries:
     """Likelihood series of the filtered stream; the bias is not applied here.
 
     Downstream consumers (synchronizer, fusion) want the raw peak function;
-    only :func:`detect_audio` folds in the decision bias.
+    only :func:`detect_audio` folds in the decision bias. This is the last
+    stage that reads the PCM: the workflows pass read_wav's result straight
+    in, so the recording is freed when this returns.
     """
     return apf(short_time_energy(x, model.weights))
 

@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 
+from .audio import audio_likelihood
 from .dataio import (
     ensure_dir,
     load_filter_model,
@@ -77,7 +78,7 @@ def cmd_train_forest(args) -> int:
 def cmd_sync(args) -> int:
     filter_model = load_filter_model(args.filter)
     synced = synced_series(
-        read_wav(args.audio), read_imu_csv(args.imu), filter_model,
+        audio_likelihood(read_wav(args.audio), filter_model), read_imu_csv(args.imu),
         args.window_seconds, args.validation_seconds, args.max_lag_ms,
     )
     _emit(synced.sync_report())

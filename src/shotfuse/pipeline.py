@@ -170,16 +170,18 @@ def window_metrics(model: FilterModel, windows: list[LabeledAudioWindow]) -> dic
 
 
 def synced_series(
-    audio: PcmAudio,
+    apf: SampleSeries,
     imu: ImuStream,
-    filter_model: FilterModel,
     window_seconds: float | None = None,
     validation_seconds: float = 5.0,
     max_lag_ms: float = 2000.0,
 ) -> SyncedSeries:
-    """Both likelihoods, the IMU components and the validated offset, once per run.
+    """The IMU components, the motion likelihood and the validated offset, once per run.
 
-    The live streams calibrate their own quantizer: dense quantized trains
+    apf is the run's audio likelihood (audio_likelihood), computed by the
+    caller before it parses the IMU stream: the PCM is only read to make
+    it, so no caller holds the recording and the IMU samples at once. The
+    live streams calibrate their own quantizer: dense quantized trains
     correlate far better than sparse shot-peak quintiles. The offset is
     estimated on a leading snippet and validated on the fresh data after
     it. Correlation sync needs enough coincident events in the window, so
@@ -188,13 +190,12 @@ def synced_series(
     snippets. Validation is skipped (False) when the streams do not extend
     past the estimation window.
     """
-    apf_series = audio_likelihood(audio, filter_model)
     comps = prepare_components(imu)
     ipf_raw = ipf(comps)
-    q = self_calibrate_quantizer(apf_series, ipf_raw)
+    q = self_calibrate_quantizer(apf, ipf_raw)
 
-    t0 = max(apf_series.start_time, ipf_raw.start_time)
-    t1 = min(apf_series.end_time, ipf_raw.end_time)
+    t0 = max(apf.start_time, ipf_raw.start_time)
+    t1 = min(apf.end_time, ipf_raw.end_time)
     have_seconds = (t1 - t0) / 1000.0
     if window_seconds is None:
         window_seconds = have_seconds - validation_seconds
@@ -202,15 +203,15 @@ def synced_series(
             window_seconds = have_seconds
     window = min(window_seconds, have_seconds)
     est = estimate_offset(
-        apf_series.slice_time(t0, t0 + window * 1000.0),
+        apf.slice_time(t0, t0 + window * 1000.0),
         ipf_raw.slice_time(t0, t0 + window * 1000.0),
         q,
         max_lag_ms,
     )
     validated = False
     if have_seconds >= est.window_seconds + validation_seconds:
-        validated = validate_offset(apf_series, ipf_raw, q, est, validation_seconds, max_lag_ms)
-    return SyncedSeries.align(apf_series, ipf_raw, comps, est, validated)
+        validated = validate_offset(apf, ipf_raw, q, est, validation_seconds, max_lag_ms)
+    return SyncedSeries.align(apf, ipf_raw, comps, est, validated)
 
 
 def candidate_dataset(synced: SyncedSeries, labels: LabelSet) -> tuple[np.ndarray, np.ndarray]:
@@ -286,11 +287,9 @@ def train_forest_workflow(
     if not os.path.exists(filter_path):
         raise FileNotFoundError(f"model not found: {filter_path}")
     filter_model = load_filter_model(filter_path)
-    audio = read_wav(data_dir / "audio.wav")
-    imu = read_imu_csv(data_dir / "imu.csv")
+    apf = audio_likelihood(read_wav(data_dir / "audio.wav"), filter_model)
+    synced = synced_series(apf, read_imu_csv(data_dir / "imu.csv"))
     labels = read_labels_csv(data_dir / "labels.csv")
-
-    synced = synced_series(audio, imu, filter_model)
     X, y = candidate_dataset(synced, labels)
     train_rows, val_rows = shuffle_split(np.arange(y.size), TRAIN_FRACTION, seed)
     model = train_forest(X[train_rows], y[train_rows], tree_count, seed)
@@ -341,16 +340,16 @@ def run_pipeline(
             raise FileNotFoundError(f"model not found: {path}")
 
     filter_model = load_filter_model(filter_model_path)
-    audio = read_wav(audio_path)
     labels = read_labels_csv(options.labels_path) if options.labels_path else None
     out_dir = ensure_dir(options.out_dir)
     result: dict = {}
 
+    # The PCM lives only inside the call that reads it: nothing here binds it.
     if options.audio_only:
-        events = audio_only_events(audio, filter_model)
+        events = audio_only_events(read_wav(audio_path), filter_model)
     else:
         synced = synced_series(
-            audio, read_imu_csv(imu_path), filter_model,
+            audio_likelihood(read_wav(audio_path), filter_model), read_imu_csv(imu_path),
             options.sync_window_seconds, options.validation_seconds, options.max_lag_ms,
         )
         forest_model = load_forest_model(forest_model_path)

@@ -21,7 +21,6 @@ __all__ = [
     "TRIANGLE_TAPS",
     "LOWPASS_CUTOFF_HZ",
     "fir_frames",
-    "fir_convolve",
     "lowpass",
     "triangle_smooth",
     "cross_correlate",
@@ -132,8 +131,6 @@ LOWPASS_CUTOFF_HZ = 10.0
 
 #: Frames per matmul in fir_frames: about 200 kB per chunk buffer, less than the PCM of a minute of audio.
 FIR_CHUNK_FRAMES = 256
-#: Output samples per row of fir_convolve's blocked matmul (one audio microframe).
-FIR_BLOCK_SAMPLES = 80
 
 
 def fir_frames(values: np.ndarray, scale: float, taps: np.ndarray, frame: int, frames: int):
@@ -161,21 +158,6 @@ def fir_frames(values: np.ndarray, scale: float, taps: np.ndarray, frame: int, f
         a, b = max(first, 0), min(last, values.size)
         np.multiply(values[a:b], scale, out=segment[a - first : b - first])
         yield lo, hi, sliding_window_view(segment, span)[::frame] @ toeplitz
-
-
-def fir_convolve(x: SampleSeries, taps: np.ndarray) -> SampleSeries:
-    """Causal convolution, "same" length: out[k] = sum_t taps[t] * x[k - t].
-
-    Samples before the start of the series are treated as zero; rate and
-    start_time carry over, so indexes stay aligned with timestamps.
-    """
-    if len(x) == 0:
-        raise ValueError("empty signal")
-    frames = -(-len(x) // FIR_BLOCK_SAMPLES)
-    out = np.empty((frames, FIR_BLOCK_SAMPLES))
-    for lo, hi, block in fir_frames(x.values, 1.0, taps, FIR_BLOCK_SAMPLES, frames):
-        out[lo:hi] = block
-    return x.with_values(out.ravel()[: len(x)])
 
 
 def lowpass(x: SampleSeries) -> SampleSeries:

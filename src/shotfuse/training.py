@@ -47,8 +47,8 @@ ADAM_EPSILON = 1e-8
 #: Spread of the initial weights: 1/sqrt(taps) gives the initial filter unit
 #: energy on average.
 INIT_STD = 1.0 / math.sqrt(FILTER_TAPS)
-#: Windows that train_filter stacks per center_forms call while building its forms.
-FORM_CHUNK_WINDOWS = 128
+#: Windows whose center spans train_filter decodes per chunk while building its forms.
+FORM_CHUNK_WINDOWS = 64
 
 
 @dataclass(frozen=True)
@@ -84,35 +84,36 @@ def _shared_length(windows: list[LabeledAudioWindow]) -> int:
 def stack_windows(windows: list[LabeledAudioWindow]) -> tuple[np.ndarray, np.ndarray]:
     """Decoded (windows, samples) matrix and (windows,) labels of equal-length windows.
 
-    This is where training decodes PCM (samples * PCM_SCALE, exact); its
-    callers pass one batch of at most FORM_CHUNK_WINDOWS windows per call.
+    Decodes whole windows (samples * PCM_SCALE, exact); callers pass one
+    small batch per call. train_filter decodes only each window's center
+    span instead (_center_span).
     """
     shape = (len(windows), _shared_length(windows))
     pcm = np.array([w.samples for w in windows], dtype=np.int16).reshape(shape)
     return pcm * PCM_SCALE, np.array([w.label for w in windows], dtype=int)
 
 
-def _check_length(n_samples: int, n_taps: int) -> None:
+def _center_span(n_samples: int, n_taps: int) -> tuple[int, int]:
+    """Bounds [start, stop) of the samples the filter reads to output a window's center macroframe.
+
+    That is the center microframe and MACROFRAME_HALF microframes on each
+    side, preceded by n_taps - 1 samples of history; start is negative
+    when that history reaches back before the window's first sample,
+    which reads as zeros.
+    """
     if n_samples < MACROFRAME_FRAMES * MICROFRAME_SAMPLES + n_taps - 1:
         raise ValueError("window too short")
+    first = (n_samples // MICROFRAME_SAMPLES // 2 - MACROFRAME_HALF) * MICROFRAME_SAMPLES
+    return first - (n_taps - 1), first + MACROFRAME_FRAMES * MICROFRAME_SAMPLES
 
 
 def _center_history(samples: np.ndarray, n_taps: int) -> np.ndarray:
-    """The samples the filter reads to output each row's center macroframe.
-
-    That is the center microframe and MACROFRAME_HALF microframes on each
-    side, preceded by n_taps - 1 samples of history (zeros before a
-    window's first sample).
-    """
+    """Each row's center span (_center_span) as a new contiguous float matrix."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ValueError("samples must be a (windows, samples) matrix")
-    _check_length(samples.shape[1], n_taps)
-    frame_len = MICROFRAME_SAMPLES
-    first = (samples.shape[1] // frame_len // 2 - MACROFRAME_HALF) * frame_len
-    start = first - (n_taps - 1)
-    history = samples[:, max(start, 0) : first + MACROFRAME_FRAMES * frame_len]
-    return np.pad(history, ((0, 0), (max(-start, 0), 0)))
+    start, stop = _center_span(samples.shape[1], n_taps)
+    return np.pad(samples[:, max(start, 0) : stop], ((0, 0), (max(-start, 0), 0)))
 
 
 def window_scores(samples: np.ndarray, weights: np.ndarray, bias: float) -> np.ndarray:
@@ -138,16 +139,23 @@ def center_forms(samples: np.ndarray) -> np.ndarray:
     Q depends on the samples only. Filtered output k of the center
     macroframe is w @ t_k, where t_k[i] = history[k + n_taps - 1 - i], and
     Q = sum_k c_k t_k t_k^T with c_k = 1 - 1/11 on the center microframe
-    and -1/11 on the rest of the macroframe. The first row is one pass
-    over the taps. Shifting both indices by one moves every t_k back one
-    output, so Q[i+1, j+1] = Q[i, j] plus one rank-one term per step of c
-    (c is 0 outside the macroframe): O(n_taps^2) per window for the rest.
+    and -1/11 on the rest of the macroframe.
+    """
+    history = _center_history(samples, FILTER_TAPS)
+    return _history_forms(history, np.empty((len(history), FILTER_TAPS, FILTER_TAPS)))
+
+
+def _history_forms(history: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """center_forms of contiguous center-span rows (_center_span), written into forms.
+
+    The first row is one pass over the taps. Shifting both indices by one
+    moves every t_k back one output, so Q[i+1, j+1] = Q[i, j] plus one
+    rank-one term per step of c (c is 0 outside the macroframe):
+    O(n_taps^2) per window for the rest.
     """
     n_taps = FILTER_TAPS
-    history = _center_history(samples, n_taps)
     c = np.full(MACROFRAME_FRAMES * MICROFRAME_SAMPLES, -1.0 / MACROFRAME_FRAMES)
     c[MACROFRAME_HALF * MICROFRAME_SAMPLES : (MACROFRAME_HALF + 1) * MICROFRAME_SAMPLES] += 1.0
-    forms = np.empty((len(history), n_taps, n_taps))
     taps = sliding_window_view(history, n_taps, axis=1)
     forms[:, 0] = np.einsum("nk,nkj->nj", history[:, n_taps - 1 :] * c, taps)[:, ::-1]
     forms[:, 1:, 0] = forms[:, 0, 1:]
@@ -215,7 +223,7 @@ def train_filter(data: list[LabeledAudioWindow], cfg: TrainConfig = TrainConfig(
     negatives = [w for w in data if w.label == 0]
     if not positives or not negatives:
         raise ValueError("degenerate training set")
-    _check_length(_shared_length(data), FILTER_TAPS)
+    span_start, span_stop = _center_span(_shared_length(data), FILTER_TAPS)
 
     rng = np.random.default_rng(cfg.seed)
     weights = rng.normal(0.0, INIT_STD, FILTER_TAPS)
@@ -230,11 +238,17 @@ def train_filter(data: list[LabeledAudioWindow], cfg: TrainConfig = TrainConfig(
         return FilterModel(weights, 0.0)
 
     # The forms are the only per-window state the epochs read: built once,
-    # a chunk of stacked windows at a time.
+    # a chunk at a time, from each window's center span alone. The spans
+    # are decoded from PCM into one reused buffer, whose leading zeros pad
+    # a span that starts before its window.
     forms = np.empty((len(windows), FILTER_TAPS, FILTER_TAPS))
-    for start in range(0, len(windows), FORM_CHUNK_WINDOWS):
-        samples, _ = stack_windows(windows[start : start + FORM_CHUNK_WINDOWS])
-        forms[start : start + len(samples)] = center_forms(samples)
+    pad = max(-span_start, 0)
+    history = np.zeros((min(FORM_CHUNK_WINDOWS, len(windows)), span_stop - span_start))
+    for lo in range(0, len(windows), FORM_CHUNK_WINDOWS):
+        chunk = windows[lo : lo + FORM_CHUNK_WINDOWS]
+        spans = [w.samples[span_start + pad : span_stop] for w in chunk]
+        np.multiply(np.array(spans), PCM_SCALE, out=history[: len(chunk), pad:])
+        _history_forms(history[: len(chunk)], forms[lo : lo + len(chunk)])
     labels = np.repeat([1, 0], [len(positives), len(negatives)])
 
     params = np.concatenate([weights, [0.0]])

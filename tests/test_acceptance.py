@@ -31,7 +31,7 @@ from shotfuse.pipeline import (
     window_metrics,
     windows_from_labels,
 )
-from shotfuse.series import SampleSeries, fir_convolve
+from shotfuse.series import SampleSeries, fir_frames
 from shotfuse.sync import estimate_offset, quantize, self_calibrate_quantizer
 from shotfuse.training import center_forms, stack_windows, total_gradients, train_filter, window_scores
 from shotfuse.forest import classify, train_forest
@@ -220,7 +220,7 @@ def trained_models(tmp_path_factory):
     train_set, _ = shuffle_split(windows, 0.8, seed=510)
     filter_model = train_filter(train_set, TrainConfig(seed=510))
 
-    synced = synced_series(audio, imu, filter_model)
+    synced = synced_series(sf.audio_likelihood(audio, filter_model), imu)
     forest = train_forest(*candidate_dataset(synced, labels), tree_count=50, seed=510)
     threshold = calibrate_ipf_threshold(synced.ipf, labels)
     return filter_model, forest, threshold
@@ -238,7 +238,7 @@ def test_criterion_5_end_to_end_fusion(trained_models):
     audio, imu, labels = sf.synthesize(corpus)
 
     t0 = time.time()
-    synced = synced_series(audio, imu, filter_model, validation_seconds=60.0)
+    synced = synced_series(sf.audio_likelihood(audio, filter_model), imu, validation_seconds=60.0)
     events = sf.detect_shots(synced, forest)
     elapsed = time.time() - t0
     est = synced.offset
@@ -322,15 +322,16 @@ def test_criterion_7_property_suites():
 
     # linearity of the front convolution
     kernel = rng.standard_normal(11)
+
+    def filtered(v):  # the 50 samples as 5 frames of 10
+        return np.concatenate([block.ravel() for _, _, block in fir_frames(v, 1.0, kernel, 10, 5)])
+
     ok = True
     for _ in range(100):
         x, y = rng.standard_normal((2, 50))
         a, b = rng.standard_normal(2)
-        lhs = fir_convolve(SampleSeries(100.0, 0.0, a * x + b * y), kernel).values
-        rhs = (
-            a * fir_convolve(SampleSeries(100.0, 0.0, x), kernel).values
-            + b * fir_convolve(SampleSeries(100.0, 0.0, y), kernel).values
-        )
+        lhs = filtered(a * x + b * y)
+        rhs = a * filtered(x) + b * filtered(y)
         ok = ok and np.allclose(lhs, rhs, atol=1e-9)
     checks.append(("fir linearity", ok))
 

@@ -167,7 +167,7 @@ def test_detect_shots_empty_on_silence(identity_model):
 def test_detect_shots_synthetic_game(identity_model):
     cfg = sf.SynthConfig(duration_s=60.0, shot_count=20, injected_offset_ms=-180.0, seed=77)
     audio, imu, labels = sf.synthesize(cfg)
-    synced = synced_series(audio, imu, identity_model)
+    synced = synced_series(sf.audio_likelihood(audio, identity_model), imu)
     forest = sf.train_forest(*candidate_dataset(synced, labels), tree_count=15, seed=4)
 
     events = detect_shots(synced, forest)
@@ -180,7 +180,7 @@ def _trained_forest(identity_model, seed=77):
     cfg = sf.SynthConfig(duration_s=60.0, shot_count=20, injected_offset_ms=0.0,
                          distractor_rate_per_min=4.0, seed=seed)
     audio, imu, labels = sf.synthesize(cfg)
-    synced = synced_series(audio, imu, identity_model)
+    synced = synced_series(sf.audio_likelihood(audio, identity_model), imu)
     return sf.train_forest(*candidate_dataset(synced, labels), tree_count=15, seed=4)
 
 

@@ -36,7 +36,7 @@ def fixture_dir(tmp_path_factory):
     filter_model = sf.train_filter(train_set, sf.TrainConfig(seed=8))
     save_filter_model(root / "filter.json", filter_model)
 
-    X, y = candidate_dataset(synced_series(audio, imu, filter_model), labels)
+    X, y = candidate_dataset(synced_series(sf.audio_likelihood(audio, filter_model), imu), labels)
     forest = sf.train_forest(X, y, tree_count=50, seed=8)
     from shotfuse.dataio import save_forest_model
 

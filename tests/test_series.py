@@ -3,8 +3,8 @@ import pytest
 
 from scipy import signal
 
-from shotfuse import PcmAudio, SampleSeries, cross_correlate, fir_convolve, lowpass, short_time_energy, triangle_smooth
-from shotfuse.series import FIR_CHUNK_FRAMES, TRIANGLE_TAPS
+from shotfuse import PcmAudio, SampleSeries, cross_correlate, lowpass, short_time_energy, triangle_smooth
+from shotfuse.series import FIR_CHUNK_FRAMES, TRIANGLE_TAPS, fir_frames
 
 
 def make(values, rate=100.0, start=0.0):
@@ -95,22 +95,31 @@ def test_series_copies_frozen_arrays_of_another_layout():
         assert values.tolist() == x.tolist()
 
 
-# --- fir_convolve --------------------------------------------------------
+# --- fir_frames ------------------------------------------------------------
+
+FRAME = 80  # audio microframe: one row of the blocked matmul
+
+
+def fir(x, taps):
+    """Causal "same"-length FIR output of x, stitched from fir_frames' blocks."""
+    x = np.asarray(x, dtype=float)
+    frames = -(-len(x) // FRAME)
+    out = np.empty((frames, FRAME))
+    for lo, hi, block in fir_frames(x, 1.0, taps, FRAME, frames):
+        out[lo:hi] = block
+    return out.ravel()[: len(x)]
 
 
 def test_fir_impulse_response():
     taps = np.array([0.5, -0.25, 0.125])
-    x = make(np.r_[1.0, np.zeros(9)], rate=8000.0)
-    out = fir_convolve(x, taps)
-    assert np.allclose(out.values[:3], taps)
-    assert np.allclose(out.values[3:], 0.0)
-    assert out.rate == x.rate and out.start_time == x.start_time
+    out = fir(np.r_[1.0, np.zeros(9)], taps)
+    assert np.allclose(out[:3], taps)
+    assert np.allclose(out[3:], 0.0)
 
 
 def test_fir_single_tap_identity(rng):
-    x = make(rng.standard_normal(30), rate=8000.0)
-    out = fir_convolve(x, np.array([1.0]))
-    assert np.array_equal(out.values, x.values)
+    x = rng.standard_normal(30)
+    assert np.array_equal(fir(x, np.array([1.0])), x)
 
 
 def brute_force_convolve(x, taps):
@@ -126,14 +135,14 @@ def brute_force_convolve(x, taps):
 def test_fir_matches_bruteforce(rng):
     x = rng.standard_normal(50)
     taps = rng.standard_normal(23)
-    out = fir_convolve(make(x, rate=8000.0), taps)
     expected = brute_force_convolve(x, taps)
-    assert np.allclose(out.values, expected, rtol=1e-12, atol=1e-12)
+    assert np.allclose(fir(x, taps), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_fir_empty_signal_error():
-    with pytest.raises(ValueError, match="empty signal"):
-        fir_convolve(make([], rate=8000.0), np.array([1.0]))
+    # The FIR front end refuses an empty recording.
+    with pytest.raises(ValueError, match="insufficient samples"):
+        short_time_energy(PcmAudio(np.empty(0, dtype=np.int16)), np.array([1.0]))
 
 
 def test_fir_linearity_property():
@@ -143,14 +152,13 @@ def test_fir_linearity_property():
         x = rng.standard_normal(40)
         y = rng.standard_normal(40)
         a, b = rng.standard_normal(2)
-        combined = fir_convolve(make(a * x + b * y), w).values
-        split = a * fir_convolve(make(x), w).values + b * fir_convolve(make(y), w).values
+        combined = fir(a * x + b * y, w)
+        split = a * fir(x, w) + b * fir(y, w)
         assert np.allclose(combined, split, atol=1e-9)
 
 
-# --- blocked FIR kernel: fir_convolve and the filtered frame energy ----------
+# --- blocked FIR kernel: fir_frames and the filtered frame energy -----------
 
-FRAME = 80  # audio microframe: one row of the blocked matmul
 LONG = 3 * FIR_CHUNK_FRAMES * FRAME + 37  # three full chunks and a partial tail frame
 TAP_COUNTS = (1, 2, 23, 81, 200)  # at 81 and 200 the history is longer than one frame
 
@@ -181,17 +189,16 @@ def test_blocked_fir_matches_bruteforce_at_every_short_length(rng, n_taps):
     taps = rng.standard_normal(n_taps)
     for n in short_lengths(n_taps):
         x = rng.standard_normal(n)
-        out = fir_convolve(make(x, rate=8000.0, start=12.5), taps)
+        out = fir(x, taps)
         assert len(out) == n
-        assert (out.rate, out.start_time) == (8000.0, 12.5)
-        assert np.allclose(out.values, brute_force_convolve(x, taps), rtol=1e-12, atol=1e-12), n
+        assert np.allclose(out, brute_force_convolve(x, taps), rtol=1e-12, atol=1e-12), n
 
 
 @pytest.mark.parametrize("n_taps", TAP_COUNTS)
 def test_blocked_fir_across_chunk_boundaries(rng, n_taps):
     taps = rng.standard_normal(n_taps)
     x = rng.standard_normal(LONG)
-    out = fir_convolve(make(x, rate=8000.0), taps).values
+    out = fir(x, taps)
     assert len(out) == LONG
     chunk = FIR_CHUNK_FRAMES * FRAME
     ks = np.r_[

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from shotfuse import LabeledAudioWindow, PcmAudio, TrainConfig, train_filter
-from shotfuse.training import INIT_STD, center_forms, stack_windows, total_gradients, window_scores
+from shotfuse import training
+from shotfuse.training import (
+    FORM_CHUNK_WINDOWS,
+    INIT_STD,
+    center_forms,
+    stack_windows,
+    total_gradients,
+    window_scores,
+)
 
 WINDOW_SAMPLES = 21 * 80
 
@@ -267,6 +275,28 @@ def test_training_is_deterministic(rng):
     b = train_filter(data, cfg)
     assert np.array_equal(a.weights, b.weights)
     assert a.bias == b.bias
+
+
+@pytest.mark.parametrize("length", [902, 959, WINDOW_SAMPLES])
+def test_train_filter_builds_the_forms_of_center_forms(rng, monkeypatch, length):
+    # At 902 and 959 samples the center span starts 22 samples before the
+    # window; 10 + 59 windows leave a partial last chunk.
+    positives, negatives = 10, FORM_CHUNK_WINDOWS - 5
+    data = [
+        LabeledAudioWindow(rng.integers(-3000, 3000, length).astype(np.int16), int(i < positives))
+        for i in range(positives + negatives)
+    ]
+    built = []
+    history_forms = training._history_forms
+
+    def spy(history, forms):
+        built.append(history_forms(history, forms).copy())
+        return forms
+
+    monkeypatch.setattr(training, "_history_forms", spy)
+    train_filter(data, TrainConfig(max_epochs=1))
+    samples, _ = stack_windows(data)  # positives come first, as train_filter orders them
+    assert np.array_equal(np.concatenate(built), center_forms(samples))
 
 
 def test_config_errors_name_the_bound():
