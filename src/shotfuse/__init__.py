@@ -16,11 +16,10 @@ from .fusion import (
     audio_only_events,
     detect_shots,
     extract_features,
-    imu_only_events,
     select_candidates,
 )
-from .imu import ImuComponents, ImuStream, decompose, ipf, prepare_components
-from .series import SampleSeries, cross_correlate, lowpass, triangle_smooth
+from .imu import ImuComponents, ImuStream, decompose, ipf, lowpass, prepare_components
+from .series import SampleSeries, cross_correlate, triangle_smooth
 from .sync import (
     OffsetEstimate,
     QuantizerModel,
@@ -64,7 +63,6 @@ __all__ = [
     "evaluate",
     "extract_features",
     "fit_quantizer",
-    "imu_only_events",
     "ipf",
     "lowpass",
     "prepare_components",

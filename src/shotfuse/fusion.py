@@ -17,7 +17,8 @@ from .audio import FilterModel, PcmAudio, detect_audio
 from .audio import audio_likelihood  # noqa: F401 -- still bound here for tools that wrap it
 from .events import NEIGHBORHOOD_MS, ShotEvent, dedup
 from .forest import ForestModel, classify
-from .imu import ImuComponents, ImuStream, ipf, prepare_components
+from .imu import ImuComponents
+from .imu import ipf, prepare_components  # noqa: F401 -- still bound here for tools that wrap them
 from .series import SampleSeries
 from .sync import OffsetEstimate
 
@@ -28,7 +29,6 @@ __all__ = [
     "extract_features",
     "detect_shots",
     "audio_only_events",
-    "imu_only_events",
 ]
 
 #: Fixed feature order of the fusion classifier.
@@ -173,17 +173,3 @@ def audio_only_events(audio: PcmAudio, filter_model: FilterModel) -> list[ShotEv
     """Single-modality baseline: biased likelihood threshold plus dedup."""
     return dedup(detect_audio(audio, filter_model))
 
-
-def imu_only_events(imu: ImuStream, threshold: float, offset_ms: float = 0.0) -> list[ShotEvent]:
-    """Single-modality baseline: IPF candidates above a fixed threshold.
-
-    offset_ms (IMU minus audio time) relocates the events onto the audio
-    clock so they can be scored against audio-clock labels; a standalone
-    IMU system would keep its own clock and pass 0.
-    """
-    likelihood = ipf(prepare_components(imu)).shifted(-offset_ms)
-    times = select_candidates(likelihood)
-    values = likelihood.values[likelihood.index_at(times)]
-    keep = values > threshold
-    hits = [ShotEvent(t, v) for t, v in zip(times[keep].tolist(), values[keep].tolist())]
-    return dedup(hits)

@@ -13,18 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import SampleSeries, lowpass
+from .series import SampleSeries, freeze
 
 __all__ = [
     "ACCEL_RANGE_G",
     "GYRO_RANGE_DPS",
     "IMU_RATE_HZ",
+    "LOWPASS_CUTOFF_HZ",
     "IPF_WINDOW",
     "IMU_FIELDS",
     "ImuStream",
     "first_invalid_sample",
     "ImuComponents",
     "decompose",
+    "lowpass",
     "prepare_components",
     "ipf",
 ]
@@ -32,6 +34,11 @@ __all__ = [
 ACCEL_RANGE_G = 8.0
 GYRO_RANGE_DPS = 2000.0
 IMU_RATE_HZ = 100.0
+#: Cutoff of the low-pass that smooths the IMU components before the motion peak function.
+LOWPASS_CUTOFF_HZ = 10.0
+#: Samples of the low-pass impulse response kept: its poles sit at radius 0.642,
+#: so every later sample is below 2.4e-20.
+LOWPASS_TAPS = 100
 #: Macroframe of the peak function: 4 past samples, self, 5 future samples.
 IPF_WINDOW = 10
 
@@ -142,6 +149,41 @@ def _regrid(t: np.ndarray, columns: np.ndarray) -> np.ndarray:
     if np.array_equal(pick, np.arange(t.size)):
         return columns
     return columns[:, pick]
+
+
+def _butterworth_lowpass() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients b, a and the first LOWPASS_TAPS samples of the impulse response.
+
+    The 2nd-order Butterworth low-pass at LOWPASS_CUTOFF_HZ for IMU_RATE_HZ,
+    by the bilinear transform with the cutoff prewarped to K = tan(pi fc / fs);
+    the impulse response runs its difference equation from zero state.
+    """
+    k = np.tan(np.pi * LOWPASS_CUTOFF_HZ / IMU_RATE_HZ)
+    norm = 1.0 + np.sqrt(2.0) * k + k * k
+    b = k * k / norm * np.array([1.0, 2.0, 1.0])
+    a = np.array([1.0, 2.0 * (k * k - 1.0) / norm, (1.0 - np.sqrt(2.0) * k + k * k) / norm])
+    drive = np.zeros(LOWPASS_TAPS)
+    drive[: b.size] = b
+    h = np.zeros(LOWPASS_TAPS + 2)  # h[:2] is the zero initial state
+    for n in range(LOWPASS_TAPS):
+        h[n + 2] = drive[n] - a[1] * h[n + 1] - a[2] * h[n]
+    return freeze(b), freeze(a), freeze(h[2:])
+
+
+LOWPASS_B, LOWPASS_A, LOWPASS_RESPONSE = _butterworth_lowpass()
+
+
+def lowpass(x: SampleSeries) -> SampleSeries:
+    """2nd-order Butterworth low-pass at LOWPASS_CUTOFF_HZ of an IMU_RATE_HZ series.
+
+    Causal with zero initial state, length kept: the input convolved with
+    LOWPASS_RESPONSE and cut to its length.
+    """
+    if len(x) == 0:
+        raise ValueError("empty signal")
+    if x.rate != IMU_RATE_HZ:
+        raise ValueError(f"lowpass is designed for {IMU_RATE_HZ:g} Hz, not {x.rate:g} Hz")
+    return x.with_values(np.convolve(x.values, LOWPASS_RESPONSE)[: len(x)])
 
 
 def decompose(stream: ImuStream) -> ImuComponents:

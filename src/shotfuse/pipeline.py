@@ -35,7 +35,7 @@ from .dataio import (
     write_events_csv,
     write_series_csv,
 )
-from .events import LabelSet, ShotEvent, dedup, evaluate
+from .events import LabelSet, evaluate
 from .forest import classify, train_forest
 from .fusion import (
     SyncedSeries,
@@ -56,7 +56,6 @@ __all__ = [
     "window_metrics",
     "synced_series",
     "candidate_dataset",
-    "calibrate_ipf_threshold",
     "train_filter_workflow",
     "train_forest_workflow",
     "run_pipeline",
@@ -223,31 +222,6 @@ def candidate_dataset(synced: SyncedSeries, labels: LabelSet) -> tuple[np.ndarra
     times = select_candidates(synced.ipf)
     X = extract_features(times, *synced.feature_series)
     return X, (_label_distance(labels, times) <= CANDIDATE_LABEL_TOLERANCE_MS).astype(int)
-
-
-def calibrate_ipf_threshold(
-    ipf_common: SampleSeries, labels: LabelSet, tolerance_ms: float = 100.0
-) -> float:
-    """Threshold on IPF candidate values that maximizes F against labels.
-
-    Used to give the motion-only baseline a fair, training-data-derived
-    decision rule. Ties prefer the higher threshold.
-    """
-    times = select_candidates(ipf_common)
-    values = ipf_common.values[ipf_common.index_at(times)]
-    uniq = np.unique(values)
-    cuts = [uniq.max() + 1.0]
-    cuts += [(uniq[i] + uniq[i + 1]) / 2.0 for i in range(uniq.size - 1)]
-    cuts += [uniq.min() - 1.0]
-    best_f = -1.0
-    best_cut = 0.0
-    for cut in cuts:
-        events = dedup([ShotEvent(float(t), float(v)) for t, v in zip(times, values) if v > cut])
-        f = evaluate(events, labels, tolerance_ms).f_score
-        if f > best_f or (f == best_f and cut > best_cut):
-            best_f = f
-            best_cut = cut
-    return float(best_cut)
 
 
 def train_filter_workflow(

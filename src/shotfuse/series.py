@@ -14,14 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import signal as _sig
 
 __all__ = [
     "SampleSeries",
     "TRIANGLE_TAPS",
-    "LOWPASS_CUTOFF_HZ",
     "fir_frames",
-    "lowpass",
     "triangle_smooth",
     "cross_correlate",
 ]
@@ -125,8 +122,6 @@ class SampleSeries:
 
 #: Peak-spreading kernel used before stream alignment, normalized to unit sum.
 TRIANGLE_TAPS = np.array([1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0]) / 16.0
-#: Cutoff of the low-pass that smooths the IMU components before the motion peak function.
-LOWPASS_CUTOFF_HZ = 10.0
 
 
 #: Frames per matmul in fir_frames: about 200 kB per chunk buffer, less than the PCM of a minute of audio.
@@ -158,17 +153,6 @@ def fir_frames(values: np.ndarray, scale: float, taps: np.ndarray, frame: int, f
         a, b = max(first, 0), min(last, values.size)
         np.multiply(values[a:b], scale, out=segment[a - first : b - first])
         yield lo, hi, sliding_window_view(segment, span)[::frame] @ toeplitz
-
-
-def lowpass(x: SampleSeries) -> SampleSeries:
-    """2nd-order Butterworth low-pass at LOWPASS_CUTOFF_HZ; zero initial state, length kept.
-
-    Designed for the series' own rate, which must exceed twice the cutoff.
-    """
-    if len(x) == 0:
-        raise ValueError("empty signal")
-    b, a = _sig.butter(2, LOWPASS_CUTOFF_HZ, fs=x.rate)
-    return x.with_values(_sig.lfilter(b, a, x.values))
 
 
 def triangle_smooth(x: SampleSeries) -> SampleSeries:

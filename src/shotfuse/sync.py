@@ -74,8 +74,10 @@ class OffsetEstimate:
 
 
 def fit_quantizer(apf_peak_values, ipf_peak_values) -> QuantizerModel:
-    """Quintile boundaries from shot-conditional peak value samples.
+    """Quintile boundaries from samples of each likelihood's strong values.
 
+    The samples stand for the values each likelihood takes at shots;
+    self_calibrate_quantizer passes the upper decile of each live series.
     Boundaries are the 20/40/60/80 percentiles of each empirical
     distribution. Needs at least 5 values per modality and a non-degenerate
     spread.

@@ -23,8 +23,8 @@ from shotfuse import (
 )
 from shotfuse.audio import MICROFRAME_SAMPLES, apf, short_time_energy
 from shotfuse.imu import ImuStream, decompose, ipf, prepare_components
+from shotfuse.fusion import select_candidates
 from shotfuse.pipeline import (
-    calibrate_ipf_threshold,
     candidate_dataset,
     shuffle_split,
     synced_series,
@@ -205,6 +205,46 @@ def test_criterion_4_synchronization():
 # --- 5 + 6. end-to-end fusion and determinism ---------------------------------------
 
 
+def imu_only_events(imu: ImuStream, threshold: float, offset_ms: float = 0.0) -> list[ShotEvent]:
+    """Single-modality baseline: IPF candidates above a fixed threshold.
+
+    offset_ms (IMU minus audio time) relocates the events onto the audio
+    clock so they can be scored against audio-clock labels; a standalone
+    IMU system would keep its own clock and pass 0.
+    """
+    likelihood = ipf(prepare_components(imu)).shifted(-offset_ms)
+    times = select_candidates(likelihood)
+    values = likelihood.values[likelihood.index_at(times)]
+    keep = values > threshold
+    hits = [ShotEvent(t, v) for t, v in zip(times[keep].tolist(), values[keep].tolist())]
+    return dedup(hits)
+
+
+def calibrate_ipf_threshold(
+    ipf_common: SampleSeries, labels: LabelSet, tolerance_ms: float = 100.0
+) -> float:
+    """Threshold on IPF candidate values that maximizes F against labels.
+
+    Used to give the motion-only baseline a fair, training-data-derived
+    decision rule. Ties prefer the higher threshold.
+    """
+    times = select_candidates(ipf_common)
+    values = ipf_common.values[ipf_common.index_at(times)]
+    uniq = np.unique(values)
+    cuts = [uniq.max() + 1.0]
+    cuts += [(uniq[i] + uniq[i + 1]) / 2.0 for i in range(uniq.size - 1)]
+    cuts += [uniq.min() - 1.0]
+    best_f = -1.0
+    best_cut = 0.0
+    for cut in cuts:
+        events = dedup([ShotEvent(float(t), float(v)) for t, v in zip(times, values) if v > cut])
+        f = evaluate(events, labels, tolerance_ms).f_score
+        if f > best_f or (f == best_f and cut > best_cut):
+            best_f = f
+            best_cut = cut
+    return float(best_cut)
+
+
 @pytest.fixture(scope="module")
 def trained_models(tmp_path_factory):
     """Filter, forest, and IPF threshold trained on a separate corpus."""
@@ -246,7 +286,7 @@ def test_criterion_5_end_to_end_fusion(trained_models):
     fused = evaluate(events, labels, 100.0)
     audio_only = evaluate(sf.audio_only_events(audio, filter_model), labels, 100.0)
     imu_only = evaluate(
-        sf.imu_only_events(imu, ipf_threshold, est.offset_ms), labels, 100.0
+        imu_only_events(imu, ipf_threshold, est.offset_ms), labels, 100.0
     )
     gap_audio = fused.f_score - audio_only.f_score
     gap_imu = fused.f_score - imu_only.f_score

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from scipy import signal
-
 from shotfuse import PcmAudio, SampleSeries, cross_correlate, lowpass, short_time_energy, triangle_smooth
+from shotfuse.imu import LOWPASS_A, LOWPASS_B
 from shotfuse.series import FIR_CHUNK_FRAMES, TRIANGLE_TAPS, fir_frames
 
 
@@ -228,11 +227,27 @@ def test_filtered_energy_matches_bruteforce_then_frame_sums(rng, n_taps):
 
 # --- lowpass ---------------------------------------------------------------
 
+# The 2nd-order Butterworth low-pass at 10 Hz for 100 Hz, as scipy.signal.butter(2, 10, fs=100) gives it.
+BUTTER_B = np.array([0.0674552738890719, 0.1349105477781438, 0.0674552738890719])
+BUTTER_A = np.array([1.0, -1.1429805025399011, 0.41280159809618877])
+
 
 def frequency_response(f_hz, n=4096):
     """|H| of lowpass on a 100 Hz series at f_hz, from the DTFT of its impulse response."""
     impulse = lowpass(make(np.r_[1.0, np.zeros(n - 1)])).values
     return abs(np.sum(impulse * np.exp(-2j * np.pi * f_hz / 100.0 * np.arange(n))))
+
+
+def test_lowpass_coefficients_match_butterworth_design():
+    assert np.allclose(LOWPASS_B, BUTTER_B, rtol=0.0, atol=1e-15)
+    assert np.allclose(LOWPASS_A, BUTTER_A, rtol=0.0, atol=1e-15)
+
+
+def test_lowpass_group_delay():
+    # DC group delay of the impulse response, in samples: 21.8 ms at 100 Hz.
+    h = lowpass(make(np.r_[1.0, np.zeros(199)])).values
+    k = np.arange(h.size)
+    assert abs(np.sum(k * h) / np.sum(h) - 2.176) <= 1e-3
 
 
 def test_lowpass_dc_gain():
@@ -261,6 +276,8 @@ def test_iir_identity_and_zero():
     assert (out.rate, out.start_time, len(out)) == (x.rate, x.start_time, len(x))
     with pytest.raises(ValueError, match="empty signal"):
         lowpass(make([]))
+    with pytest.raises(ValueError, match="100 Hz"):
+        lowpass(make(np.zeros(20), rate=50.0))
 
 
 def direct_recursion(b, a, x):
@@ -279,11 +296,9 @@ def direct_recursion(b, a, x):
 
 
 def test_iir_matches_direct_recursion(rng):
-    b, a = signal.butter(2, 10.0, fs=100.0)
-    assert a[0] == 1.0
     x = rng.standard_normal(200)
     out = lowpass(make(x))
-    expected = direct_recursion(b, a, x)
+    expected = direct_recursion(BUTTER_B, BUTTER_A, x)
     assert np.allclose(out.values, expected, rtol=1e-12, atol=1e-12)
 
 
