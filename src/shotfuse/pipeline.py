@@ -47,7 +47,7 @@ from .fusion import (
 from .imu import ImuStream, ipf, prepare_components
 from .series import SampleSeries
 from .sync import estimate_offset, self_calibrate_quantizer, validate_offset
-from .training import TrainConfig, stack_windows, train_filter, window_scores
+from .training import TrainConfig, center_forms, form_scores, train_filter
 
 __all__ = [
     "PipelineOptions",
@@ -67,9 +67,6 @@ CANDIDATE_LABEL_TOLERANCE_MS = 150.0
 MIN_SYNC_WINDOW_SECONDS = 5.0
 #: Share of the labeled items the training workflows fit on; the rest is held out.
 TRAIN_FRACTION = 0.8
-#: Windows that window_metrics stacks per window_scores call: one default
-#: training batch, so scoring a held-out set never holds a second copy of it.
-SCORED_WINDOWS_PER_CALL = 32
 
 
 def _label_distance(labels: LabelSet, times: np.ndarray) -> np.ndarray:
@@ -152,13 +149,12 @@ def shuffle_split(items: list, fraction: float = 0.8, seed: int = 0) -> tuple[li
 
 
 def window_metrics(model: FilterModel, windows: list[LabeledAudioWindow]) -> dict:
-    """Window-level precision/recall/F of the biased-threshold classifier."""
+    """Window-level precision/recall/F of the biased-threshold classifier.
+
+    Scores each window's center from its packed form, as training does.
+    """
     labels = np.array([w.label for w in windows], dtype=int)
-    predicted = np.zeros(labels.size, dtype=bool)
-    for start in range(0, len(windows), SCORED_WINDOWS_PER_CALL):
-        samples, _ = stack_windows(windows[start : start + SCORED_WINDOWS_PER_CALL])
-        scores = window_scores(samples, model.weights, model.bias)
-        predicted[start : start + SCORED_WINDOWS_PER_CALL] = scores > 0.0
+    predicted = form_scores(center_forms([w.samples for w in windows]), model.weights, model.bias) > 0.0
     tp = int(np.count_nonzero(predicted & (labels == 1)))
     fp = int(np.count_nonzero(predicted & (labels == 0)))
     fn = int(np.count_nonzero(~predicted & (labels == 1)))

@@ -4,9 +4,10 @@ The detector is differentiable end to end: convolution -> per-frame energy
 -> macroframe mean subtraction -> bias threshold. Misclassified windows
 contribute the (signed) decision score as their loss; correct ones
 contribute nothing. The whole chain is a quadratic form in the filter
-weights, so each window's form is built once (center_forms) and every
-epoch scores and differentiates windows from it in O(taps^2); the
-gradients are applied with a mini-batch Adam loop.
+weights, so each window's form is built once (center_forms), exactly and
+as its 276-entry upper triangle, and every epoch scores and differentiates
+windows from it in O(taps^2); the gradients are applied with a mini-batch
+Adam loop. Held-out windows are scored from the same forms (form_scores).
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ __all__ = [
     "ADAM_BETA2",
     "ADAM_EPSILON",
     "INIT_STD",
+    "PACKED_TAPS",
     "TrainConfig",
-    "stack_windows",
-    "window_scores",
     "center_forms",
+    "form_scores",
     "total_gradients",
     "train_filter",
 ]
@@ -47,8 +48,27 @@ ADAM_EPSILON = 1e-8
 #: Spread of the initial weights: 1/sqrt(taps) gives the initial filter unit
 #: energy on average.
 INIT_STD = 1.0 / math.sqrt(FILTER_TAPS)
-#: Windows whose center spans train_filter decodes per chunk while building its forms.
+#: Windows whose center spans center_forms decodes per chunk.
 FORM_CHUNK_WINDOWS = 64
+#: Entries of a packed form: the upper triangle of a FILTER_TAPS square, row by row.
+PACKED_TAPS = FILTER_TAPS * (FILTER_TAPS + 1) // 2
+
+# Row and column of each packed entry, the packed index of every (i, j) of
+# the full symmetric matrix, the packed offset of each row, and the factor
+# that counts an off-diagonal pair w_i w_j twice.
+_UPPER = np.triu_indices(FILTER_TAPS)
+_SYMMETRIC = np.empty((FILTER_TAPS, FILTER_TAPS), dtype=np.intp)
+_SYMMETRIC[_UPPER] = _SYMMETRIC.T[_UPPER] = np.arange(PACKED_TAPS)
+_ROW_START = np.r_[0, np.cumsum(np.arange(FILTER_TAPS, 0, -1))]
+_PAIR_SCALE = np.where(_UPPER[0] == _UPPER[1], 1.0, 2.0)
+# 11 c over the center macroframe (10 on the center microframe, -1 on the
+# rest), the nonzero steps of 11 c (0 outside the macroframe) and where
+# they are, and 11 / PCM_SCALE^2 = 11 * 2^30, which turns M into Q.
+_C11 = np.full(MACROFRAME_FRAMES * MICROFRAME_SAMPLES, -1.0)
+_C11[MACROFRAME_HALF * MICROFRAME_SAMPLES : (MACROFRAME_HALF + 1) * MICROFRAME_SAMPLES] += MACROFRAME_FRAMES
+_STEPS = np.diff(_C11, prepend=0.0, append=0.0)
+_EDGES = np.flatnonzero(_STEPS)
+_FORM_SCALE = MACROFRAME_FRAMES / PCM_SCALE**2
 
 
 @dataclass(frozen=True)
@@ -66,6 +86,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "neg_pos_ratio"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0 or self.batch_size < 1:
             raise ValueError("learning_rate and batch_size must be positive")
         if self.max_epochs < 0:
@@ -74,23 +97,11 @@ class TrainConfig:
             raise ValueError("neg_pos_ratio must be at least 1")
 
 
-def _shared_length(windows: list[LabeledAudioWindow]) -> int:
-    lengths = {w.samples.size for w in windows}
+def _shared_length(rows) -> int:
+    lengths = {len(r) for r in rows}
     if len(lengths) > 1:
         raise ValueError(f"windows of mixed length {sorted(lengths)}; all must share one length")
     return lengths.pop() if lengths else 0
-
-
-def stack_windows(windows: list[LabeledAudioWindow]) -> tuple[np.ndarray, np.ndarray]:
-    """Decoded (windows, samples) matrix and (windows,) labels of equal-length windows.
-
-    Decodes whole windows (samples * PCM_SCALE, exact); callers pass one
-    small batch per call. train_filter decodes only each window's center
-    span instead (_center_span).
-    """
-    shape = (len(windows), _shared_length(windows))
-    pcm = np.array([w.samples for w in windows], dtype=np.int16).reshape(shape)
-    return pcm * PCM_SCALE, np.array([w.label for w in windows], dtype=int)
 
 
 def _center_span(n_samples: int, n_taps: int) -> tuple[int, int]:
@@ -107,91 +118,90 @@ def _center_span(n_samples: int, n_taps: int) -> tuple[int, int]:
     return first - (n_taps - 1), first + MACROFRAME_FRAMES * MICROFRAME_SAMPLES
 
 
-def _center_history(samples: np.ndarray, n_taps: int) -> np.ndarray:
-    """Each row's center span (_center_span) as a new contiguous float matrix."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2:
-        raise ValueError("samples must be a (windows, samples) matrix")
-    start, stop = _center_span(samples.shape[1], n_taps)
-    return np.pad(samples[:, max(start, 0) : stop], ((0, 0), (max(-start, 0), 0)))
+def center_forms(rows) -> np.ndarray:
+    """Packed quadratic form of each window's center score: (windows, PACKED_TAPS).
 
-
-def window_scores(samples: np.ndarray, weights: np.ndarray, bias: float) -> np.ndarray:
-    """Biased likelihood at the center microframe of each row of a (windows, samples) matrix.
-
-    The center microframe is number (samples // MICROFRAME_SAMPLES) // 2;
-    a window needs a full macroframe around it plus n_taps - 1 samples.
-    The score is the center frame's energy minus the mean energy of its
-    macroframe, plus the bias.
+    rows are equal-length int16 PCM windows: a list of sample arrays or a
+    (windows, samples) matrix. A window needs a full macroframe around its
+    center microframe, number (samples // MICROFRAME_SAMPLES) // 2, plus
+    n_taps - 1 samples (_center_span). Its center score, that frame's
+    filtered energy minus its macroframe's mean energy plus the bias, is
+    w @ Q @ w + bias for a symmetric Q of its samples; its row here is
+    Q's upper triangle, row by row (form_scores). Filtered output k of the
+    center macroframe is w @ t_k, where t_k[i] = history[k + n_taps - 1 - i],
+    and Q = sum_k c_k t_k t_k^T with c_k = 1 - 1/11 on the center
+    microframe and -1/11 on the rest of the macroframe. Each entry is the
+    correctly rounded exact value, whatever FORM_CHUNK_WINDOWS or the BLAS
+    thread count (_history_forms).
     """
-    history = _center_history(samples, weights.size)
-    taps = sliding_window_view(history, weights.size, axis=1)
-    filtered = np.einsum("nkj,j->nk", taps, weights[::-1])
-    blocks = filtered.reshape(len(history), MACROFRAME_FRAMES, MICROFRAME_SAMPLES)
-    energy = np.einsum("nfk,nfk->nf", blocks, blocks)
-    return energy[:, MACROFRAME_HALF] - energy.mean(axis=1) + bias
-
-
-def center_forms(samples: np.ndarray) -> np.ndarray:
-    """Quadratic form of each row's center score: (windows, FILTER_TAPS, FILTER_TAPS).
-
-    window_scores(samples, w, b) equals w @ Q @ w + b for each row's Q, so
-    Q depends on the samples only. Filtered output k of the center
-    macroframe is w @ t_k, where t_k[i] = history[k + n_taps - 1 - i], and
-    Q = sum_k c_k t_k t_k^T with c_k = 1 - 1/11 on the center microframe
-    and -1/11 on the rest of the macroframe.
-    """
-    history = _center_history(samples, FILTER_TAPS)
-    return _history_forms(history, np.empty((len(history), FILTER_TAPS, FILTER_TAPS)))
+    forms = np.empty((len(rows), PACKED_TAPS))
+    if not len(rows):
+        return forms
+    span_start, span_stop = _center_span(_shared_length(rows), FILTER_TAPS)
+    # The spans are copied from PCM into one reused buffer, whose leading
+    # zeros pad a span that starts before its window.
+    pad = max(-span_start, 0)
+    history = np.zeros((min(FORM_CHUNK_WINDOWS, len(rows)), span_stop - span_start))
+    for lo in range(0, len(rows), FORM_CHUNK_WINDOWS):
+        spans = np.array([r[span_start + pad : span_stop] for r in rows[lo : lo + FORM_CHUNK_WINDOWS]])
+        if spans.dtype != np.int16:
+            raise ValueError(f"windows must be 16-bit PCM (int16), got {spans.dtype}")
+        history[: len(spans), pad:] = spans
+        _history_forms(history[: len(spans)], forms[lo : lo + len(spans)])
+    return forms
 
 
 def _history_forms(history: np.ndarray, forms: np.ndarray) -> np.ndarray:
-    """center_forms of contiguous center-span rows (_center_span), written into forms.
+    """center_forms of center-span rows of PCM steps (_center_span), written into packed forms.
 
-    The first row is one pass over the taps. Shifting both indices by one
+    Up to the final division everything is an integer below 2^45, which
+    float64 holds exactly in any summation order: the samples are PCM
+    steps and 11 c_k is 10 or -1, so this builds M = 11 * 2^30 * Q. The
+    first row is one pass over the taps. Shifting both indices by one
     moves every t_k back one output, so Q[i+1, j+1] = Q[i, j] plus one
-    rank-one term per step of c (c is 0 outside the macroframe):
-    O(n_taps^2) per window for the rest.
+    rank-one term per step of c (c is 0 outside the macroframe): packed
+    row i+1 is row i without its last entry plus that step's row. The
+    division rounds each entry of M / (11 * 2^30) once.
     """
     n_taps = FILTER_TAPS
-    c = np.full(MACROFRAME_FRAMES * MICROFRAME_SAMPLES, -1.0 / MACROFRAME_FRAMES)
-    c[MACROFRAME_HALF * MICROFRAME_SAMPLES : (MACROFRAME_HALF + 1) * MICROFRAME_SAMPLES] += 1.0
     taps = sliding_window_view(history, n_taps, axis=1)
-    forms[:, 0] = np.einsum("nk,nkj->nj", history[:, n_taps - 1 :] * c, taps)[:, ::-1]
-    forms[:, 1:, 0] = forms[:, 0, 1:]
-    # step[m] = c[m] - c[m - 1] (c = 0 outside the macroframe) is nonzero
-    # only at the macroframe's and the center microframe's edges, and
-    # Q[i+1, j+1] - Q[i, j] sums step[m] * t_{m-1}[i] * t_{m-1}[j] over them.
-    step = np.diff(c, prepend=0.0, append=0.0)
-    edges = np.flatnonzero(step)
-    u = history[:, edges[:, None] + (n_taps - 2) - np.arange(n_taps - 1)]
-    shift = (u * step[edges, None]).transpose(0, 2, 1) @ u
+    forms[:, :n_taps] = np.einsum("nk,nkj->nj", history[:, n_taps - 1 :] * _C11, taps)[:, ::-1]
+    # Q[i+1, j+1] - Q[i, j] sums step[m] * t_{m-1}[i] * t_{m-1}[j] over the
+    # edges m of the macroframe and of the center microframe.
+    u = history[:, _EDGES[:, None] + (n_taps - 2) - np.arange(n_taps - 1)]
+    shift = (u * _STEPS[_EDGES, None]).transpose(0, 2, 1) @ u
     for i in range(n_taps - 1):
-        forms[:, i + 1, 1:] = forms[:, i, :-1] + shift[:, i]
+        row, below = _ROW_START[i], _ROW_START[i + 1]
+        forms[:, below : below + n_taps - 1 - i] = forms[:, row : below - 1] + shift[:, i, i:]
+    np.divide(forms, _FORM_SCALE, out=forms)
     return forms
+
+
+def form_scores(forms: np.ndarray, weights: np.ndarray, bias: float) -> np.ndarray:
+    """Biased center score of each window from its packed form (center_forms): p @ pair(w) + bias."""
+    return forms @ (weights[_UPPER[0]] * weights[_UPPER[1]] * _PAIR_SCALE) + bias
 
 
 def total_gradients(
     forms: np.ndarray, labels: np.ndarray, weights: np.ndarray, bias: float
 ) -> tuple[float, np.ndarray, float]:
-    """Summed loss and its gradients w.r.t. weights and bias over a stack of center_forms.
+    """Summed loss and its gradients w.r.t. weights and bias over a stack of packed center_forms.
 
     A window's loss is -(score) for a missed shot, +(score) for a false
     alarm, and 0 for a correct classification (ties at score 0 count as
     non-shot). The score is w @ Q @ w + bias, so its weight gradient is
-    2 Q w.
+    2 Q w, and the batch's is 2 (sum of +-Q) w: one unpacked matrix.
     """
     forms = np.asarray(forms, dtype=float)
-    if forms.ndim != 3 or forms.shape[1:] != (weights.size, weights.size):
-        raise ValueError("forms must be a (windows, taps, taps) stack")
+    if forms.ndim != 2 or forms.shape[1] != PACKED_TAPS or weights.size != FILTER_TAPS:
+        raise ValueError("forms must be a (windows, PACKED_TAPS) stack for FILTER_TAPS weights")
     labels = np.asarray(labels, dtype=float)
     if labels.shape != (len(forms),):
         raise ValueError("need one label per window")
-    qw = (forms.reshape(-1, weights.size) @ weights).reshape(len(forms), weights.size)
-    score = qw @ weights + bias
+    score = form_scores(forms, weights, bias)
     # +1 for a false alarm, -1 for a missed shot, 0 when correct.
     d_score = (score > 0.0) - labels
-    return float(d_score @ score), 2.0 * (d_score @ qw), float(d_score.sum())
+    return float(d_score @ score), 2.0 * ((d_score @ forms)[_SYMMETRIC] @ weights), float(d_score.sum())
 
 
 class _Adam:
@@ -223,7 +233,7 @@ def train_filter(data: list[LabeledAudioWindow], cfg: TrainConfig = TrainConfig(
     negatives = [w for w in data if w.label == 0]
     if not positives or not negatives:
         raise ValueError("degenerate training set")
-    span_start, span_stop = _center_span(_shared_length(data), FILTER_TAPS)
+    _center_span(_shared_length([w.samples for w in data]), FILTER_TAPS)
 
     rng = np.random.default_rng(cfg.seed)
     weights = rng.normal(0.0, INIT_STD, FILTER_TAPS)
@@ -237,18 +247,8 @@ def train_filter(data: list[LabeledAudioWindow], cfg: TrainConfig = TrainConfig(
     if cfg.max_epochs == 0:
         return FilterModel(weights, 0.0)
 
-    # The forms are the only per-window state the epochs read: built once,
-    # a chunk at a time, from each window's center span alone. The spans
-    # are decoded from PCM into one reused buffer, whose leading zeros pad
-    # a span that starts before its window.
-    forms = np.empty((len(windows), FILTER_TAPS, FILTER_TAPS))
-    pad = max(-span_start, 0)
-    history = np.zeros((min(FORM_CHUNK_WINDOWS, len(windows)), span_stop - span_start))
-    for lo in range(0, len(windows), FORM_CHUNK_WINDOWS):
-        chunk = windows[lo : lo + FORM_CHUNK_WINDOWS]
-        spans = [w.samples[span_start + pad : span_stop] for w in chunk]
-        np.multiply(np.array(spans), PCM_SCALE, out=history[: len(chunk), pad:])
-        _history_forms(history[: len(chunk)], forms[lo : lo + len(chunk)])
+    # The packed forms are the only per-window state the epochs read.
+    forms = center_forms([w.samples for w in windows])
     labels = np.repeat([1, 0], [len(positives), len(negatives)])
 
     params = np.concatenate([weights, [0.0]])

@@ -33,9 +33,10 @@ from shotfuse.pipeline import (
 )
 from shotfuse.series import SampleSeries, fir_frames
 from shotfuse.sync import estimate_offset, quantize, self_calibrate_quantizer
-from shotfuse.training import center_forms, stack_windows, total_gradients, train_filter, window_scores
+from shotfuse.training import center_forms, total_gradients, train_filter
 from shotfuse.forest import classify, train_forest
 from shotfuse.events import dedup, evaluate
+from test_training import stack_windows, window_scores
 
 
 def verdict(number, ok, detail):
@@ -113,8 +114,8 @@ def test_criterion_2_gradient_check():
         rng = np.random.default_rng(2000 + seed)
         weights = rng.normal(0.0, 0.2, 23)
         bias = float(rng.normal(0.0, 0.5))
-        samples = rng.standard_normal((1, 21 * MICROFRAME_SAMPLES))
-        score = window_scores(samples, weights, bias)[0]
+        samples = PcmAudio.from_float(0.3 * rng.standard_normal(21 * MICROFRAME_SAMPLES)).samples[None]
+        score = window_scores(samples / 32768.0, weights, bias)[0]
         labels = [1 if score <= 0.0 else 0]  # force a nonzero loss
         loss, d_w, d_b = total_gradients(center_forms(samples), labels, weights, bias)
         assert loss != 0.0

@@ -139,6 +139,16 @@ def test_train_forest_determinism_byte_identical(workspace, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_train_filter_rejects_non_finite_settings(workspace, tmp_path):
+    out = tmp_path / "filter.json"
+    for flag, value in (("--learning-rate", "nan"), ("--neg-pos-ratio", "nan"), ("--learning-rate", "inf")):
+        proc = run_cli("train-filter", "--data", workspace["data"], "--out", out, flag, value, check=False)
+        assert proc.returncode == 1
+        field = flag[2:].replace("-", "_")
+        assert proc.stderr == f"error: {field} must be finite, got {value}\n"
+    assert not out.exists()
+
+
 def test_detect_rejects_broken_model_files(workspace, tmp_path):
     data = workspace["data"]
     filter_payload = json.loads(workspace["filter"].read_text())

@@ -1,7 +1,7 @@
 """Memory regression: each raw input lives only as long as the stage that reads it.
 
 On a seeded 3-min session, tracemalloc peaks are held to the sizes of the
-arrays a stage must keep (the PCM, the training forms) plus a stated margin.
+arrays a stage must keep (the PCM, the packed training forms) plus a stated margin.
 """
 
 import gc
@@ -10,8 +10,8 @@ import tracemalloc
 import pytest
 
 import shotfuse as sf
-from shotfuse.audio import FILTER_TAPS
 from shotfuse.dataio import save_filter_model, save_forest_model, write_imu_csv, write_wav
+from shotfuse.training import PACKED_TAPS
 from shotfuse.pipeline import (
     PipelineOptions,
     candidate_dataset,
@@ -73,8 +73,9 @@ def test_train_filter_holds_the_forms_and_one_chunk_of_spans(session):
     peak = traced_peak(lambda: sf.train_filter(train_set, cfg))
     positives = sum(w.label for w in train_set)
     negatives = min(len(train_set) - positives, round(cfg.neg_pos_ratio * positives))
-    forms_bytes = (positives + negatives) * FILTER_TAPS * FILTER_TAPS * 8
-    # Margin: 1.5 MB above the forms (6.4 MB here). Measured 1.09 MB: one
-    # chunk's decoded center spans and their weighted copy, 0.46 MB each.
-    # Decoding and padding whole windows per 128-window chunk took 4.26 MB.
+    forms_bytes = (positives + negatives) * PACKED_TAPS * 8
+    # Margin: 1.5 MB above the packed forms (3.3 MB here). Measured 1.20 MB:
+    # one chunk's center spans and their weighted copy, 0.46 MB each, and
+    # the recursion's steps. Decoding and padding whole windows per
+    # 128-window chunk took 4.26 MB; full (windows, 23, 23) forms, 3.1 MB more.
     assert peak < forms_bytes + 1.5 * MB, f"{(peak - forms_bytes) / MB:.2f} MB above the forms"

@@ -1,15 +1,25 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+import shotfuse
 from shotfuse import LabeledAudioWindow, PcmAudio, TrainConfig, train_filter
 from shotfuse import training
+from shotfuse.audio import PCM_SCALE
+from shotfuse.pipeline import window_metrics
 from shotfuse.training import (
     FORM_CHUNK_WINDOWS,
     INIT_STD,
+    PACKED_TAPS,
     center_forms,
-    stack_windows,
+    form_scores,
     total_gradients,
-    window_scores,
 )
 
 WINDOW_SAMPLES = 21 * 80
@@ -20,8 +30,22 @@ def pcm(x):
     return PcmAudio.from_float(x).samples
 
 
+def random_pcm(rng, shape, scale=0.3):
+    """A (windows, samples) int16 matrix of quantized Gaussian noise."""
+    return np.array([pcm(row) for row in scale * rng.standard_normal(shape)])
+
+
 def silence(n):
     return np.zeros(n, dtype=np.int16)
+
+
+def unpack(forms):
+    """Full symmetric (windows, 23, 23) matrices of packed forms."""
+    rows, cols = np.triu_indices(23)
+    full = np.empty((len(forms), 23, 23))
+    full[:, rows, cols] = forms
+    full[:, cols, rows] = forms
+    return full
 
 
 def reference_score(samples, weights, bias):
@@ -34,11 +58,45 @@ def reference_score(samples, weights, bias):
     return energy[center] - energy[center - 5 : center + 6].mean() + bias
 
 
+def stack_windows(windows):
+    """Decoded (windows, samples) matrix and (windows,) labels of equal-length windows."""
+    lengths = {w.samples.size for w in windows}
+    if len(lengths) > 1:
+        raise ValueError(f"windows of mixed length {sorted(lengths)}; all must share one length")
+    shape = (len(windows), lengths.pop() if lengths else 0)
+    samples = np.array([w.samples for w in windows], dtype=np.int16).reshape(shape)
+    return samples * PCM_SCALE, np.array([w.label for w in windows], dtype=int)
+
+
+def _center_history(samples, n_taps):
+    """Each row's center span (training._center_span) as a new contiguous float matrix."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2:
+        raise ValueError("samples must be a (windows, samples) matrix")
+    start, stop = training._center_span(samples.shape[1], n_taps)
+    return np.pad(samples[:, max(start, 0) : stop], ((0, 0), (max(-start, 0), 0)))
+
+
+def window_scores(samples, weights, bias):
+    """Biased score of each row's center microframe, by refiltering its center macroframe.
+
+    The oracle the packed forms are checked against: samples is a decoded
+    (windows, samples) matrix; the score is the center frame's energy
+    minus the mean energy of its macroframe, plus the bias.
+    """
+    history = _center_history(samples, weights.size)
+    taps = sliding_window_view(history, weights.size, axis=1)
+    filtered = np.einsum("nkj,j->nk", taps, weights[::-1])
+    blocks = filtered.reshape(len(history), 11, 80)
+    energy = np.einsum("nfk,nfk->nf", blocks, blocks)
+    return energy[:, 5] - energy.mean(axis=1) + bias
+
+
 def loss(samples, labels, weights, bias):
     return total_gradients(center_forms(samples), labels, weights, bias)[0]
 
 
-# --- the batched scorer against the full-window oracle -----------------------
+# --- the oracle scorer against the full-window oracle ------------------------
 
 
 @pytest.mark.parametrize("length", [902, 1000, WINDOW_SAMPLES])
@@ -68,6 +126,8 @@ def test_mixed_window_lengths_rejected():
         stack_windows(windows)
     with pytest.raises(ValueError, match="mixed length"):
         train_filter(windows, TrainConfig(max_epochs=0))
+    with pytest.raises(ValueError, match="mixed length"):
+        center_forms([w.samples for w in windows])
 
 
 def test_stack_windows_keeps_rows_and_labels():
@@ -80,7 +140,7 @@ def test_stack_windows_keeps_rows_and_labels():
     assert samples.shape == (0, 0) and labels.shape == (0,)
 
 
-# --- the quadratic forms against a dense oracle and the scorer --------------
+# --- the packed forms against exact and dense oracles ------------------------
 
 
 def dense_form(samples, n_taps=23):
@@ -95,27 +155,100 @@ def dense_form(samples, n_taps=23):
     return X.T @ (c[:, None] * X)
 
 
+def exact_form(pcm_row, n_taps=23):
+    """The packed form in Python integers, rounded once: M / (11 * 2^30) with M = X^T diag(11 c) X."""
+    padded = [0] * (n_taps - 1) + [int(v) for v in pcm_row]
+    center = len(pcm_row) // 80 // 2
+    first = (center - 5) * 80
+    X = [padded[first + k : first + k + n_taps][::-1] for k in range(11 * 80)]
+    c = [10 if 5 * 80 <= k < 6 * 80 else -1 for k in range(11 * 80)]
+    columns = list(zip(*X))
+    weighted = [[ck * v for ck, v in zip(c, col)] for col in columns]
+    # Python's int / int is the correctly rounded quotient, as Fraction(M, 11 << 30) would give.
+    return [
+        sum(a * b for a, b in zip(weighted[i], columns[j])) / (11 << 30)
+        for i in range(n_taps)
+        for j in range(i, n_taps)
+    ]
+
+
+@pytest.mark.parametrize("length", [902, 959, WINDOW_SAMPLES])
+def test_center_forms_equal_the_exact_integer_form(length):
+    # At 902 and 959 samples the center span starts 22 samples before the
+    # window, so the history is partly zero padding.
+    rng = np.random.default_rng(length)
+    rows = [
+        rng.integers(-32768, 32768, length, dtype=np.int16),
+        rng.integers(-32768, 32768, length, dtype=np.int16),
+        np.full(length, -32768, dtype=np.int16),
+        np.resize(np.array([-32768, 32767], dtype=np.int16), length),
+        np.where(rng.random(length) < 0.5, -32768, 32767).astype(np.int16),
+        silence(length),
+    ]
+    forms = center_forms(rows)
+    assert forms.shape == (len(rows), PACKED_TAPS)
+    for form, row in zip(forms, rows):
+        assert form.tolist() == exact_form(row)
+    assert not forms[-1].any()
+
+
+def test_center_forms_bytes_do_not_depend_on_chunking(rng, monkeypatch):
+    samples = rng.integers(-32768, 32768, (100, WINDOW_SAMPLES), dtype=np.int16)
+    digests = set()
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(training, "FORM_CHUNK_WINDOWS", chunk)
+        digests.add(hashlib.sha256(center_forms(samples).tobytes()).hexdigest())
+        digests.add(hashlib.sha256(center_forms(list(samples)).tobytes()).hexdigest())
+    assert len(digests) == 1
+
+
+FORMS_DIGEST = """
+import hashlib, numpy as np
+from shotfuse.training import center_forms
+samples = np.random.default_rng(5).integers(-32768, 32768, (300, 1680), dtype=np.int16)
+print(hashlib.sha256(center_forms(samples).tobytes()).hexdigest())
+"""
+
+
+def test_center_forms_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(shotfuse.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", FORMS_DIGEST], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1 and len(digests.pop()) == 64
+
+
+def test_center_forms_reject_float_windows():
+    with pytest.raises(ValueError, match=r"^windows must be 16-bit PCM \(int16\), got float64$"):
+        center_forms(np.zeros((2, WINDOW_SAMPLES)))
+    assert center_forms([]).shape == (0, PACKED_TAPS)
+
+
 @pytest.mark.parametrize("length", [902, 1000, WINDOW_SAMPLES])
 def test_center_forms_match_dense_oracle_and_scores(length):
     rng = np.random.default_rng(10 + length)
-    samples = rng.standard_normal((5, length))
-    forms = center_forms(samples)
-    assert forms.shape == (5, 23, 23)
-    for form, row in zip(forms, samples):
+    samples = random_pcm(rng, (5, length))
+    decoded = samples * PCM_SCALE
+    forms = unpack(center_forms(samples))
+    for form, row in zip(forms, decoded):
         expected = dense_form(row)
         np.testing.assert_allclose(form, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
     for bias in (0.0, -0.4):
         weights = rng.normal(0.0, 0.3, 23)
         np.testing.assert_allclose(
-            np.einsum("i,nij,j->n", weights, forms, weights) + bias,
-            window_scores(samples, weights, bias),
+            form_scores(center_forms(samples), weights, bias),
+            window_scores(decoded, weights, bias),
             rtol=1e-12,
         )
 
 
 def scorer_loss(samples, labels, weights, bias):
     """The decision loss computed from window_scores alone."""
-    score = window_scores(samples, weights, bias)
+    score = window_scores(samples * PCM_SCALE, weights, bias)
     predicted = score > 0.0
     sign = (predicted & (labels == 0)).astype(float) - (~predicted & (labels == 1))
     return float(np.sum(sign * score))
@@ -127,8 +260,8 @@ def test_form_gradients_match_central_differences_of_the_scorer():
     for _ in range(5):
         weights = rng.normal(0.0, 0.2, 23)
         bias = float(rng.normal(0.0, 0.5))
-        samples = rng.standard_normal((4, WINDOW_SAMPLES))
-        labels = (window_scores(samples, weights, bias) <= 0.0).astype(int)
+        samples = random_pcm(rng, (4, WINDOW_SAMPLES))
+        labels = (window_scores(samples * PCM_SCALE, weights, bias) <= 0.0).astype(int)
         labels[0] = 1 - labels[0]  # one correctly classified window contributes nothing
         value, d_w, d_b = total_gradients(center_forms(samples), labels, weights, bias)
         assert value == pytest.approx(scorer_loss(samples, labels, weights, bias), rel=1e-12)
@@ -148,11 +281,13 @@ def test_form_gradients_match_central_differences_of_the_scorer():
 
 
 def test_total_gradients_reject_mismatched_shapes():
-    forms = center_forms(np.zeros((2, WINDOW_SAMPLES)))
+    forms = center_forms(np.zeros((2, WINDOW_SAMPLES), dtype=np.int16))
     with pytest.raises(ValueError, match="stack"):
         total_gradients(forms[0], [0], np.ones(23), 0.0)
     with pytest.raises(ValueError, match="stack"):
         total_gradients(forms, [0, 1], np.ones(22), 0.0)
+    with pytest.raises(ValueError, match="stack"):
+        total_gradients(unpack(forms), [0, 1], np.ones(23), 0.0)
     with pytest.raises(ValueError, match="one label per window"):
         total_gradients(forms, [0], np.ones(23), 0.0)
 
@@ -180,9 +315,9 @@ def test_gradients_match_central_differences(seed):
     rng = np.random.default_rng(1000 + seed)
     weights = rng.normal(0.0, 0.2, 23)
     bias = float(rng.normal(0.0, 0.5))
-    samples = rng.standard_normal((3, WINDOW_SAMPLES))
+    samples = random_pcm(rng, (3, WINDOW_SAMPLES))
     # Every window misclassified: a missed shot where the score is not positive.
-    labels = (window_scores(samples, weights, bias) <= 0.0).astype(int)
+    labels = (window_scores(samples * PCM_SCALE, weights, bias) <= 0.0).astype(int)
     assert check_central_differences(samples, labels, weights, bias) > 0.0
 
 
@@ -190,8 +325,8 @@ def test_gradients_on_a_mixed_batch():
     """Correct and misclassified windows of both labels in one batch."""
     rng = np.random.default_rng(77)
     weights = rng.normal(0.0, 0.2, 23)
-    samples = rng.standard_normal((40, WINDOW_SAMPLES))
-    raw = window_scores(samples, weights, 0.0)
+    samples = random_pcm(rng, (40, WINDOW_SAMPLES))
+    raw = window_scores(samples * PCM_SCALE, weights, 0.0)
     bias = -float(np.median(raw))
     scores = raw + bias
     # Keep windows whose score a finite-difference step cannot flip.
@@ -215,7 +350,7 @@ def test_loss_is_nonnegative_everywhere(rng):
     for _ in range(50):
         weights = rng.normal(0.0, 0.3, 23)
         bias = float(rng.normal(0.0, 1.0))
-        samples = rng.standard_normal((4, WINDOW_SAMPLES))
+        samples = random_pcm(rng, (4, WINDOW_SAMPLES))
         assert loss(samples, rng.integers(0, 2, 4), weights, bias) >= 0.0
 
 
@@ -290,12 +425,13 @@ def test_train_filter_builds_the_forms_of_center_forms(rng, monkeypatch, length)
     history_forms = training._history_forms
 
     def spy(history, forms):
+        assert forms.shape == (len(history), PACKED_TAPS)
         built.append(history_forms(history, forms).copy())
         return forms
 
     monkeypatch.setattr(training, "_history_forms", spy)
     train_filter(data, TrainConfig(max_epochs=1))
-    samples, _ = stack_windows(data)  # positives come first, as train_filter orders them
+    samples = np.array([w.samples for w in data])  # positives come first, as train_filter orders them
     assert np.array_equal(np.concatenate(built), center_forms(samples))
 
 
@@ -304,6 +440,26 @@ def test_config_errors_name_the_bound():
         TrainConfig(max_epochs=-1)
     with pytest.raises(ValueError, match="^learning_rate and batch_size must be positive$"):
         TrainConfig(batch_size=0)
+    # NaN used to train every epoch on NaN and inf to fail only at the end;
+    # a NaN ratio died converting the negative count to an integer.
+    for field in ("learning_rate", "neg_pos_ratio"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
+                TrainConfig(**{field: bad})
+
+
+def test_window_metrics_score_held_out_windows_like_the_oracle(rng):
+    data = separable_corpus(rng, positives=6)
+    model = train_filter(data, TrainConfig(seed=4, max_epochs=3))
+    held_out = separable_corpus(rng, positives=6)
+    samples, labels = stack_windows(held_out)
+    predicted = window_scores(samples, model.weights, model.bias) > 0.0
+    tp = np.count_nonzero(predicted & (labels == 1))
+    metrics = window_metrics(model, held_out)
+    assert metrics["windows"] == len(held_out)
+    assert metrics["precision"] == (tp / np.count_nonzero(predicted) if predicted.any() else 1.0)
+    assert metrics["recall"] == tp / np.count_nonzero(labels)
+    assert window_metrics(model, [])["windows"] == 0
 
 
 def test_short_window_rejected():
