@@ -8,12 +8,12 @@ model bias and thresholding at zero turns it into a detector.
 
 A recording stays 16-bit PCM (:class:`PcmAudio`) from the WAV file to the
 filter: the FIR pass decodes it one chunk at a time, and training decodes
-only the center span of one chunk of windows at a time.
+one chunk of windows at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -30,6 +30,7 @@ __all__ = [
     "MACROFRAME_HALF",
     "MACROFRAME_FRAMES",
     "FILTER_TAPS",
+    "WINDOW_SAMPLES",
     "PcmAudio",
     "FilterModel",
     "LabeledAudioWindow",
@@ -53,6 +54,8 @@ MACROFRAME_HALF = 5
 MACROFRAME_FRAMES = 2 * MACROFRAME_HALF + 1
 #: Length of the trainable front FIR filter.
 FILTER_TAPS = 23
+#: Samples of a training window: the filter's history, then the macroframe it scores.
+WINDOW_SAMPLES = FILTER_TAPS - 1 + MACROFRAME_FRAMES * MICROFRAME_SAMPLES
 
 
 def _pcm(samples, name: str) -> np.ndarray:
@@ -119,8 +122,8 @@ class FilterModel:
 
     def __post_init__(self):
         arr = np.array(self.weights, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("weights must be a non-empty vector")
+        if arr.ndim != 1 or arr.size != FILTER_TAPS:
+            raise ValueError(f"weights must hold {FILTER_TAPS} values, got {arr.size}")
         if not (np.all(np.isfinite(arr)) and np.isfinite(self.bias)):
             raise ValueError("model parameters must be finite")
         arr.flags.writeable = False
@@ -129,17 +132,20 @@ class FilterModel:
 
 @dataclass(frozen=True, eq=False)
 class LabeledAudioWindow:
-    """A 16-bit PCM audio snippet with a binary shot label.
+    """The WINDOW_SAMPLES 16-bit PCM samples one likelihood value reads, with a binary shot label.
 
-    The snippet must be long enough to produce at least one full-context
-    likelihood value; training uses the value at its center microframe.
+    FILTER_TAPS - 1 samples of filter history come first, then the
+    macroframe centered on the labeled microframe; training scores that
+    microframe.
     """
 
-    samples: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int16))
+    samples: np.ndarray
     label: int = 0
 
     def __post_init__(self):
         arr = _pcm(self.samples, "audio window samples")
+        if arr.size != WINDOW_SAMPLES:
+            raise ValueError(f"audio window must hold {WINDOW_SAMPLES} samples, got {arr.size}")
         if self.label not in (0, 1):
             raise ValueError("label must be 0 or 1")
         object.__setattr__(self, "samples", arr)

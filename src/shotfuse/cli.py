@@ -62,7 +62,7 @@ def cmd_train_filter(args) -> int:
         neg_pos_ratio=args.neg_pos_ratio,
         seed=args.seed,
     )
-    metrics = train_filter_workflow(args.data, args.out, cfg, window_frames=args.window_frames)
+    metrics = train_filter_workflow(args.data, args.out, cfg)
     _emit(metrics)
     return 0
 
@@ -130,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--neg-pos-ratio", type=float, default=20.0)
-    p.add_argument("--window-frames", type=int, default=21)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train_filter)
 

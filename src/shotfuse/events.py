@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,7 +97,10 @@ def evaluate(
     event). Matched pairs count as true positives, leftover events as false
     positives, leftover labels as false negatives. Precision is 1 when there
     are no events and recall 1 when there are no labels (vacuous truth).
+    tolerance_ms must be finite and non-negative.
     """
+    if not 0.0 <= tolerance_ms < math.inf:
+        raise ValueError(f"tolerance_ms must be finite and non-negative, got {tolerance_ms}")
     times = np.array([e.time_ms for e in events], dtype=float)
     order = np.argsort(times, kind="stable")
     times = times[order]

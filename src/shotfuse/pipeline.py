@@ -15,9 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .audio import (
+    FILTER_TAPS,
+    MACROFRAME_HALF,
     MICROFRAME_MS,
     MICROFRAME_SAMPLES,
-    SAMPLE_RATE_HZ,
+    WINDOW_SAMPLES,
     FilterModel,
     LabeledAudioWindow,
     PcmAudio,
@@ -67,6 +69,14 @@ CANDIDATE_LABEL_TOLERANCE_MS = 150.0
 MIN_SYNC_WINDOW_SECONDS = 5.0
 #: Share of the labeled items the training workflows fit on; the rest is held out.
 TRAIN_FRACTION = 0.8
+#: Negative training windows are drawn at least this far from every label.
+MIN_LABEL_DISTANCE_MS = 500.0
+#: Whole microframes a labeled or drawn microframe needs on each side of it
+#: to become a training window; negative centers are drawn that margin plus
+#: half a microframe (105 ms) inside the stream. A window itself reaches only
+#: MACROFRAME_HALF microframes (plus the filter history) each way; the wider
+#: margin fixes which labels qualify and the seeded negative draws.
+DRAW_MARGIN_FRAMES = 10
 
 
 def _label_distance(labels: LabelSet, times: np.ndarray) -> np.ndarray:
@@ -83,44 +93,43 @@ def _label_distance(labels: LabelSet, times: np.ndarray) -> np.ndarray:
 def windows_from_labels(
     audio: PcmAudio,
     labels: LabelSet,
-    window_frames: int = 21,
     negatives_per_positive: float = 20.0,
-    min_label_distance_ms: float = 500.0,
     seed: int = 0,
 ) -> list[LabeledAudioWindow]:
     """Cut labeled training windows out of a recorded stream.
 
     One positive window per label, centered on the stream microframe that
     contains it; windows snap to the stream's own frame grid so training
-    sees exactly the frame phases the live detector will see. Negative
-    windows are sampled uniformly at least min_label_distance_ms away from
-    every label, negatives_per_positive of them per positive. Each
+    sees exactly the frame phases the live detector will see. For
+    microframe f the window is samples[(f - 5) * 80 - 22 : (f + 6) * 80],
+    the WINDOW_SAMPLES the filter reads to score f. Negative windows are
+    sampled uniformly at least MIN_LABEL_DISTANCE_MS away from every
+    label, negatives_per_positive of them per positive. Only microframes
+    with DRAW_MARGIN_FRAMES whole microframes on each side are drawn. Each
     window's samples are a read-only int16 view of the stream, so the
     windows keep audio.samples alive rather than copying it.
     """
     rng = np.random.default_rng(seed)
-    frame_len = MICROFRAME_SAMPLES
-    span = window_frames * frame_len
-    n_frames = len(audio) // frame_len
+    n_frames = len(audio) // MICROFRAME_SAMPLES
 
-    def starts(center_ms: np.ndarray) -> np.ndarray:
-        """First sample of each window, or -1 where the window leaves the stream."""
+    def frames(center_ms: np.ndarray) -> np.ndarray:
+        """Stream microframe of each time, or -1 where it lacks the draw margin."""
         frame = ((center_ms - audio.start_time) / MICROFRAME_MS).astype(int)
-        start_frame = frame - window_frames // 2
-        inside = (start_frame >= 0) & (start_frame + window_frames <= n_frames)
-        return np.where(inside, start_frame * frame_len, -1)
+        inside = (frame >= DRAW_MARGIN_FRAMES) & (frame + DRAW_MARGIN_FRAMES < n_frames)
+        return np.where(inside, frame, -1)
 
-    positive = starts(labels.shots)
+    positive = frames(labels.shots)
     positive = positive[positive >= 0]
 
     # Negative centers come from a capped stream of 100 * wanted uniform
-    # draws; the first `wanted` far enough from every label whose window
-    # fits are kept. The stream is drawn in growing prefix chunks, which
-    # give the values of one draw, in order, and stops once enough are kept.
+    # draws; the first `wanted` far enough from every label whose
+    # microframe has the margin are kept. The stream is drawn in growing
+    # prefix chunks, which give the values of one draw, in order, and
+    # stops once enough are kept.
     wanted = int(round(negatives_per_positive * positive.size))
-    half_ms = span / 2 / SAMPLE_RATE_HZ * 1000.0
-    lo = audio.start_time + half_ms
-    hi = audio.end_time - half_ms
+    margin_ms = (DRAW_MARGIN_FRAMES + 0.5) * MICROFRAME_MS
+    lo = audio.start_time + margin_ms
+    hi = audio.end_time - margin_ms
     kept = [np.empty(0, dtype=int)]
     budget = 100 * wanted
     chunk = 2 * wanted
@@ -128,15 +137,16 @@ def windows_from_labels(
         centers = rng.uniform(lo, hi, min(chunk, budget))
         budget -= centers.size
         chunk *= 2
-        first = starts(centers)
-        far = (first >= 0) & (_label_distance(labels, centers) >= min_label_distance_ms)
-        kept.append(first[far])
+        frame = frames(centers)
+        far = (frame >= 0) & (_label_distance(labels, centers) >= MIN_LABEL_DISTANCE_MS)
+        kept.append(frame[far])
     negative = np.concatenate(kept)[:wanted]
 
+    lead = FILTER_TAPS - 1 + MACROFRAME_HALF * MICROFRAME_SAMPLES
     return [
-        LabeledAudioWindow(audio.samples[s : s + span], label)
-        for label, first in ((1, positive), (0, negative))
-        for s in first
+        LabeledAudioWindow(audio.samples[s : s + WINDOW_SAMPLES], label)
+        for label, frame in ((1, positive), (0, negative))
+        for s in frame * MICROFRAME_SAMPLES - lead
     ]
 
 
@@ -224,19 +234,12 @@ def train_filter_workflow(
     data_dir,
     out_path,
     train_cfg: TrainConfig = TrainConfig(),
-    window_frames: int = 21,
 ) -> dict:
     """train-filter subcommand: windows from labels, 80/20 split, fit, save."""
     data_dir = Path(data_dir)
     audio = read_wav(data_dir / "audio.wav")
     labels = read_labels_csv(data_dir / "labels.csv")
-    windows = windows_from_labels(
-        audio,
-        labels,
-        window_frames=window_frames,
-        negatives_per_positive=train_cfg.neg_pos_ratio,
-        seed=train_cfg.seed,
-    )
+    windows = windows_from_labels(audio, labels, train_cfg.neg_pos_ratio, train_cfg.seed)
     train_set, val_set = shuffle_split(windows, TRAIN_FRACTION, train_cfg.seed)
     model = train_filter(train_set, train_cfg)
     save_filter_model(out_path, model)

@@ -10,6 +10,7 @@ amount, which is what the synchronizer must recover.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("duration_s", "audio_snr_db", "imu_noise_g", "injected_offset_ms",
+                     "distractor_rate_per_min"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if self.shot_count < 0 or self.distractor_rate_per_min < 0:

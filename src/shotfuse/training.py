@@ -24,6 +24,7 @@ from .audio import (
     MACROFRAME_HALF,
     MICROFRAME_SAMPLES,
     PCM_SCALE,
+    WINDOW_SAMPLES,
     FilterModel,
     LabeledAudioWindow,
 )
@@ -48,7 +49,7 @@ ADAM_EPSILON = 1e-8
 #: Spread of the initial weights: 1/sqrt(taps) gives the initial filter unit
 #: energy on average.
 INIT_STD = 1.0 / math.sqrt(FILTER_TAPS)
-#: Windows whose center spans center_forms decodes per chunk.
+#: Windows center_forms copies per chunk.
 FORM_CHUNK_WINDOWS = 64
 #: Entries of a packed form: the upper triangle of a FILTER_TAPS square, row by row.
 PACKED_TAPS = FILTER_TAPS * (FILTER_TAPS + 1) // 2
@@ -97,62 +98,37 @@ class TrainConfig:
             raise ValueError("neg_pos_ratio must be at least 1")
 
 
-def _shared_length(rows) -> int:
-    lengths = {len(r) for r in rows}
-    if len(lengths) > 1:
-        raise ValueError(f"windows of mixed length {sorted(lengths)}; all must share one length")
-    return lengths.pop() if lengths else 0
-
-
-def _center_span(n_samples: int, n_taps: int) -> tuple[int, int]:
-    """Bounds [start, stop) of the samples the filter reads to output a window's center macroframe.
-
-    That is the center microframe and MACROFRAME_HALF microframes on each
-    side, preceded by n_taps - 1 samples of history; start is negative
-    when that history reaches back before the window's first sample,
-    which reads as zeros.
-    """
-    if n_samples < MACROFRAME_FRAMES * MICROFRAME_SAMPLES + n_taps - 1:
-        raise ValueError("window too short")
-    first = (n_samples // MICROFRAME_SAMPLES // 2 - MACROFRAME_HALF) * MICROFRAME_SAMPLES
-    return first - (n_taps - 1), first + MACROFRAME_FRAMES * MICROFRAME_SAMPLES
-
-
 def center_forms(rows) -> np.ndarray:
     """Packed quadratic form of each window's center score: (windows, PACKED_TAPS).
 
-    rows are equal-length int16 PCM windows: a list of sample arrays or a
-    (windows, samples) matrix. A window needs a full macroframe around its
-    center microframe, number (samples // MICROFRAME_SAMPLES) // 2, plus
-    n_taps - 1 samples (_center_span). Its center score, that frame's
-    filtered energy minus its macroframe's mean energy plus the bias, is
-    w @ Q @ w + bias for a symmetric Q of its samples; its row here is
-    Q's upper triangle, row by row (form_scores). Filtered output k of the
-    center macroframe is w @ t_k, where t_k[i] = history[k + n_taps - 1 - i],
-    and Q = sum_k c_k t_k t_k^T with c_k = 1 - 1/11 on the center
-    microframe and -1/11 on the rest of the macroframe. Each entry is the
-    correctly rounded exact value, whatever FORM_CHUNK_WINDOWS or the BLAS
-    thread count (_history_forms).
+    rows are int16 PCM windows of WINDOW_SAMPLES samples each: a list of
+    sample arrays or a (windows, WINDOW_SAMPLES) matrix. A window's center
+    score, its center microframe's filtered energy minus its macroframe's
+    mean energy plus the bias, is w @ Q @ w + bias for a symmetric Q of its
+    samples; its row here is Q's upper triangle, row by row (form_scores).
+    Filtered output k of the macroframe is w @ t_k, where
+    t_k[i] = window[k + n_taps - 1 - i], and Q = sum_k c_k t_k t_k^T with
+    c_k = 1 - 1/11 on the center microframe and -1/11 on the rest of the
+    macroframe. Each entry is the correctly rounded exact value, whatever
+    FORM_CHUNK_WINDOWS or the BLAS thread count (_history_forms).
     """
     forms = np.empty((len(rows), PACKED_TAPS))
-    if not len(rows):
-        return forms
-    span_start, span_stop = _center_span(_shared_length(rows), FILTER_TAPS)
-    # The spans are copied from PCM into one reused buffer, whose leading
-    # zeros pad a span that starts before its window.
-    pad = max(-span_start, 0)
-    history = np.zeros((min(FORM_CHUNK_WINDOWS, len(rows)), span_stop - span_start))
+    # Each chunk of windows is copied, as PCM steps, into one reused buffer.
+    history = np.empty((min(FORM_CHUNK_WINDOWS, len(rows)), WINDOW_SAMPLES))
     for lo in range(0, len(rows), FORM_CHUNK_WINDOWS):
-        spans = np.array([r[span_start + pad : span_stop] for r in rows[lo : lo + FORM_CHUNK_WINDOWS]])
-        if spans.dtype != np.int16:
-            raise ValueError(f"windows must be 16-bit PCM (int16), got {spans.dtype}")
-        history[: len(spans), pad:] = spans
-        _history_forms(history[: len(spans)], forms[lo : lo + len(spans)])
+        chunk = np.asarray(rows[lo : lo + FORM_CHUNK_WINDOWS])
+        if chunk.dtype != np.int16 or chunk.shape[1:] != (WINDOW_SAMPLES,):
+            raise ValueError(
+                f"windows must be rows of {WINDOW_SAMPLES} 16-bit PCM (int16) samples, "
+                f"got {chunk.dtype} rows of shape {chunk.shape[1:]}"
+            )
+        history[: len(chunk)] = chunk
+        _history_forms(history[: len(chunk)], forms[lo : lo + len(chunk)])
     return forms
 
 
 def _history_forms(history: np.ndarray, forms: np.ndarray) -> np.ndarray:
-    """center_forms of center-span rows of PCM steps (_center_span), written into packed forms.
+    """center_forms of window rows of PCM steps, written into packed forms.
 
     Up to the final division everything is an integer below 2^45, which
     float64 holds exactly in any summation order: the samples are PCM
@@ -233,7 +209,6 @@ def train_filter(data: list[LabeledAudioWindow], cfg: TrainConfig = TrainConfig(
     negatives = [w for w in data if w.label == 0]
     if not positives or not negatives:
         raise ValueError("degenerate training set")
-    _center_span(_shared_length([w.samples for w in data]), FILTER_TAPS)
 
     rng = np.random.default_rng(cfg.seed)
     weights = rng.normal(0.0, INIT_STD, FILTER_TAPS)

@@ -114,7 +114,9 @@ def test_criterion_2_gradient_check():
         rng = np.random.default_rng(2000 + seed)
         weights = rng.normal(0.0, 0.2, 23)
         bias = float(rng.normal(0.0, 0.5))
-        samples = PcmAudio.from_float(0.3 * rng.standard_normal(21 * MICROFRAME_SAMPLES)).samples[None]
+        # The window of the center microframe of 21 drawn microframes.
+        draw = PcmAudio.from_float(0.3 * rng.standard_normal(21 * MICROFRAME_SAMPLES)).samples
+        samples = draw[None, 378:1280]
         score = window_scores(samples / 32768.0, weights, bias)[0]
         labels = [1 if score <= 0.0 else 0]  # force a nonzero loss
         loss, d_w, d_b = total_gradients(center_forms(samples), labels, weights, bias)
@@ -144,17 +146,20 @@ def test_criterion_2_gradient_check():
 
 def test_criterion_3_filter_training():
     rng = np.random.default_rng(300)
+    # Each window is cut from 21 drawn microframes: samples 378 to 1280 are
+    # the filter history and the macroframe of the center microframe.
     span = 21 * MICROFRAME_SAMPLES
+    window = slice(378, 1280)
 
     def burst_window():
         x = 0.002 * rng.standard_normal(span)
         tone = np.sin(2 * np.pi * 1000.0 * np.arange(80) / 8000.0)
         mid = span // 2
         x[mid - 40 : mid + 40] += tone
-        return LabeledAudioWindow(PcmAudio.from_float(x).samples, 1)
+        return LabeledAudioWindow(PcmAudio.from_float(x[window]).samples, 1)
 
     def noise_window():
-        return LabeledAudioWindow(PcmAudio.from_float(0.02 * rng.standard_normal(span)).samples, 0)
+        return LabeledAudioWindow(PcmAudio.from_float(0.02 * rng.standard_normal(span)[window]).samples, 0)
 
     corpus = [burst_window() for _ in range(30)]
     corpus += [noise_window() for _ in range(600)]  # 1:20 ratio

@@ -49,6 +49,16 @@ def test_pcm_rejects_floats_and_non_finite_values():
         PcmAudio.from_float([0.0, np.nan])
 
 
+@pytest.mark.parametrize("taps", [1, 5, 22, 24])
+def test_filter_model_holds_exactly_the_filter_taps(taps):
+    # A 5-tap model used to build and filter, though training only makes 23.
+    with pytest.raises(ValueError, match=f"^weights must hold 23 values, got {taps}$"):
+        FilterModel(np.full(taps, 0.1))
+    with pytest.raises(ValueError, match="^weights must hold 23 values, got 4$"):
+        FilterModel(np.ones((2, 2)))
+    assert FilterModel(np.full(23, 0.1)).weights.shape == (23,)
+
+
 # --- short_time_energy -----------------------------------------------------
 
 

@@ -149,6 +149,29 @@ def test_train_filter_rejects_non_finite_settings(workspace, tmp_path):
     assert not out.exists()
 
 
+def test_synth_rejects_non_finite_config(tmp_path):
+    # json reads NaN and Infinity; they used to reach synthesize and crash there.
+    for field, text in (("duration_s", "NaN"), ("distractor_rate_per_min", "Infinity")):
+        cfg_path = tmp_path / "synth.json"
+        cfg_path.write_text(f'{{"{field}": {text}}}')
+        proc = run_cli("synth", "--config", cfg_path, "--out-dir", tmp_path / "data", check=False)
+        assert proc.returncode == 1
+        value = float(text)
+        assert proc.stderr == f"error: {field} must be finite, got {value}\n"
+    assert not (tmp_path / "data").exists()
+
+
+def test_eval_rejects_a_bad_tolerance(workspace, tmp_path):
+    data = workspace["data"]
+    events = tmp_path / "events.csv"
+    events.write_text("time_ms,score\n1000.0,1.0\n")
+    for value in ("nan", "-5"):
+        proc = run_cli("eval", "--events", events, "--labels", data / "labels.csv",
+                       "--tolerance-ms", value, check=False)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: tolerance_ms must be finite and non-negative, got {float(value)}\n"
+
+
 def test_detect_rejects_broken_model_files(workspace, tmp_path):
     data = workspace["data"]
     filter_payload = json.loads(workspace["filter"].read_text())

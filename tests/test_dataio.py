@@ -438,6 +438,15 @@ def test_filter_model_rejects_other_geometry(tmp_path, field, value):
         load_filter_model(path)
 
 
+def test_filter_model_rejects_another_tap_count(tmp_path):
+    # A 24-weight filter.json used to load and filter with 24 taps.
+    path = tmp_path / "filter.json"
+    save_filter_model(path, FilterModel(np.ones(23), 0.0))
+    rewrite_json(path, path, lambda p: p["weights"].append(1.0))
+    with pytest.raises(ValueError, match="^weights must hold 23 values, got 24$"):
+        load_filter_model(path)
+
+
 def test_model_loaders_name_a_missing_field(tmp_path, rng):
     filter_path = tmp_path / "filter.json"
     save_filter_model(filter_path, FilterModel(np.ones(23), 0.0))

@@ -77,6 +77,14 @@ def test_hand_worked_example():
     assert report.f_score == pytest.approx(4.0 / 7.0)
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -5.0])
+def test_tolerance_must_be_finite_and_non_negative(tolerance):
+    # An event on its label used to score F 0 at a NaN or negative tolerance.
+    with pytest.raises(ValueError, match=f"^tolerance_ms must be finite and non-negative, got {tolerance}"):
+        evaluate(ev(1000), labels(1000), tolerance_ms=tolerance)
+    assert evaluate(ev(1000), labels(1000), tolerance_ms=0.0).f_score == 1.0
+
+
 def test_one_event_cannot_match_two_labels():
     report = evaluate(ev(1000), labels(950, 1050), tolerance_ms=100.0)
     assert report.true_positives == 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import shotfuse as sf
+from shotfuse import pipeline
 from shotfuse.dataio import (
     save_filter_model,
     write_imu_csv,
@@ -100,17 +101,22 @@ def test_windows_snap_to_stream_frame_grid():
     windows = windows_from_labels(audio, labels, seed=1, negatives_per_positive=2.0)
     positives = [w for w in windows if w.label == 1]
     assert len(positives) == 10
-    span = 21 * 80
-    assert all(w.samples.size == span for w in windows)
-    # a positive window's center frame must contain its label's samples
+    assert all(w.samples.size == 902 for w in windows)
+    # A positive window is the 22 samples of filter history and the
+    # macroframe centered on the microframe that contains its label, viewed
+    # in the PCM.
     for w, t in zip(positives, labels.shots):
-        frame = int(t / 10.0)
-        start = (frame - 10) * 80
-        assert np.array_equal(w.samples, audio.samples[start : start + span])
+        f = int(t / 10.0)
+        assert np.array_equal(w.samples, audio.samples[(f - 5) * 80 - 22 : (f + 6) * 80])
+        assert np.shares_memory(w.samples, audio.samples)
 
 
 def reference_windows(audio, labels, negatives_per_positive, min_label_distance_ms, seed):
-    """Scalar rejection loop: one uniform draw per attempt, capped at 100 per wanted negative."""
+    """Scalar rejection loop: one uniform draw per attempt, capped at 100 per wanted negative.
+
+    A microframe is drawn when a 21-microframe run centered on it fits the
+    stream; its window is that run's samples 378 to 1280.
+    """
     rng = np.random.default_rng(seed)
     span = 21 * 80
     n_frames = len(audio) // 80
@@ -119,7 +125,7 @@ def reference_windows(audio, labels, negatives_per_positive, min_label_distance_
         start_frame = int((center_ms - audio.start_time) / 10) - 10
         if start_frame < 0 or start_frame + 21 > n_frames:
             return None
-        return audio.samples[start_frame * 80 : start_frame * 80 + span]
+        return audio.samples[start_frame * 80 + 378 : start_frame * 80 + 1280]
 
     out = [(s, 1) for s in map(cut, labels.shots) if s is not None]
     if not out:
@@ -144,13 +150,12 @@ def reference_windows(audio, labels, negatives_per_positive, min_label_distance_
     # The last case rejects most draws and runs out of attempts before `wanted`.
     [(20.0, 500.0, 0), (3.0, 500.0, 5), (1.5, 1000.0, 11), (20.0, 3300.0, 2)],
 )
-def test_windows_from_labels_matches_scalar_draw_loop(ratio, distance_ms, seed):
+def test_windows_from_labels_matches_scalar_draw_loop(monkeypatch, ratio, distance_ms, seed):
     # Labels near both ends leave positive windows outside the stream.
     audio, _, labels = sf.synthesize(sf.SynthConfig(duration_s=40.0, shot_count=12, seed=86))
     labels = sf.LabelSet(np.r_[20.0, labels.shots, audio.end_time - 30.0])
-    windows = windows_from_labels(
-        audio, labels, negatives_per_positive=ratio, min_label_distance_ms=distance_ms, seed=seed
-    )
+    monkeypatch.setattr(pipeline, "MIN_LABEL_DISTANCE_MS", distance_ms)
+    windows = windows_from_labels(audio, labels, negatives_per_positive=ratio, seed=seed)
     expected = reference_windows(audio, labels, ratio, distance_ms, seed)
     assert [w.label for w in windows] == [label for _, label in expected]
     for w, (samples, _) in zip(windows, expected):
@@ -158,7 +163,11 @@ def test_windows_from_labels_matches_scalar_draw_loop(ratio, distance_ms, seed):
 
 
 def full_draw_negative_starts(audio, labels, ratio, distance_ms, seed):
-    """First samples of the negative windows, scoring all 100 * wanted draws at once."""
+    """First samples of the negative windows, scoring all 100 * wanted draws at once.
+
+    A draw's window is samples 378 to 1280 of the 21-microframe run centered
+    on its microframe, when that run fits the stream.
+    """
     rng = np.random.default_rng(seed)
     shots = labels.shots
     n_frames = len(audio) // 80
@@ -169,7 +178,7 @@ def full_draw_negative_starts(audio, labels, ratio, distance_ms, seed):
     frames = ((centers - audio.start_time) / 10).astype(int) - 10
     fits = (frames >= 0) & (frames + 21 <= n_frames)
     far = np.min(np.abs(centers[:, None] - shots[None, :]), axis=1) >= distance_ms
-    return (frames * 80)[fits & far][:wanted]
+    return (frames * 80 + 378)[fits & far][:wanted]
 
 
 @pytest.mark.parametrize(
@@ -178,16 +187,15 @@ def full_draw_negative_starts(audio, labels, ratio, distance_ms, seed):
     # several times; at 3.5 s the whole capped stream runs out before `wanted`.
     [(20.0, 500.0, 3), (20.0, 3000.0, 4), (20.0, 3500.0, 6)],
 )
-def test_negative_windows_match_a_full_draw(ratio, distance_ms, seed):
+def test_negative_windows_match_a_full_draw(monkeypatch, ratio, distance_ms, seed):
     audio, _, labels = sf.synthesize(sf.SynthConfig(duration_s=120.0, shot_count=40, seed=88))
-    windows = windows_from_labels(
-        audio, labels, negatives_per_positive=ratio, min_label_distance_ms=distance_ms, seed=seed
-    )
+    monkeypatch.setattr(pipeline, "MIN_LABEL_DISTANCE_MS", distance_ms)
+    windows = windows_from_labels(audio, labels, negatives_per_positive=ratio, seed=seed)
     negatives = [w.samples for w in windows if w.label == 0]
     expected = full_draw_negative_starts(audio, labels, ratio, distance_ms, seed)
     assert len(negatives) == expected.size > 0
     for samples, first in zip(negatives, expected):
-        assert np.array_equal(samples, audio.samples[first : first + 21 * 80])
+        assert np.array_equal(samples, audio.samples[first : first + 902])
 
 
 def test_windows_from_labels_without_labels():

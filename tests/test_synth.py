@@ -60,6 +60,17 @@ def test_infeasible_shot_count():
         synthesize(cfg)
 
 
+@pytest.mark.parametrize(
+    "field", ["duration_s", "audio_snr_db", "imu_noise_g", "injected_offset_ms", "distractor_rate_per_min"]
+)
+def test_non_finite_fields_rejected(field):
+    # NaN durations and offsets used to die in synthesize converting NaN to
+    # an integer, and an infinite distractor rate with an OverflowError.
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
+            SynthConfig(**{field: bad})
+
+
 def test_distractor_counts_scale_with_rate():
     cfg = SynthConfig(duration_s=60.0, shot_count=5, distractor_rate_per_min=6.0,
                       imu_noise_g=0.001, seed=8)

@@ -11,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import shotfuse
 from shotfuse import LabeledAudioWindow, PcmAudio, TrainConfig, train_filter
 from shotfuse import training
-from shotfuse.audio import PCM_SCALE
+from shotfuse.audio import PCM_SCALE, WINDOW_SAMPLES
 from shotfuse.pipeline import window_metrics
 from shotfuse.training import (
     FORM_CHUNK_WINDOWS,
@@ -22,7 +22,11 @@ from shotfuse.training import (
     total_gradients,
 )
 
-WINDOW_SAMPLES = 21 * 80
+#: Random training windows are cut from 21-microframe draws: CENTER is the
+#: window of a draw's center microframe, number 10, samples (10 - 5) * 80 - 22
+#: to (10 + 6) * 80 (windows_from_labels).
+DRAW_SAMPLES = 21 * 80
+CENTER = slice(378, 1280)
 
 
 def pcm(x):
@@ -31,8 +35,13 @@ def pcm(x):
 
 
 def random_pcm(rng, shape, scale=0.3):
-    """A (windows, samples) int16 matrix of quantized Gaussian noise."""
+    """A (draws, samples) int16 matrix of quantized Gaussian noise."""
     return np.array([pcm(row) for row in scale * rng.standard_normal(shape)])
+
+
+def random_windows(rng, n, scale=0.3):
+    """The center windows of n random draws: a (windows, WINDOW_SAMPLES) int16 view."""
+    return random_pcm(rng, (n, DRAW_SAMPLES), scale)[:, CENTER]
 
 
 def silence(n):
@@ -48,46 +57,36 @@ def unpack(forms):
     return full
 
 
-def reference_score(samples, weights, bias):
-    """Brute-force oracle: filter the whole window, then score its center 10 ms microframe."""
-    filtered = np.convolve(samples, weights)[: samples.size]
-    frame_len = 80
-    n_frames = samples.size // frame_len
-    energy = np.sum(filtered[: n_frames * frame_len].reshape(n_frames, frame_len) ** 2, axis=1)
-    center = n_frames // 2
-    return energy[center] - energy[center - 5 : center + 6].mean() + bias
+def reference_score(draw, weights, bias):
+    """Brute-force oracle: filter the whole draw from rest, then score its trailing window.
+
+    That is the center microframe of the draw's last 11 microframes.
+    """
+    filtered = np.convolve(draw, weights)[: draw.size]
+    energy = np.sum(filtered[draw.size - 11 * 80 :].reshape(11, 80) ** 2, axis=1)
+    return energy[5] - energy.mean() + bias
 
 
 def stack_windows(windows):
-    """Decoded (windows, samples) matrix and (windows,) labels of equal-length windows."""
-    lengths = {w.samples.size for w in windows}
-    if len(lengths) > 1:
-        raise ValueError(f"windows of mixed length {sorted(lengths)}; all must share one length")
-    shape = (len(windows), lengths.pop() if lengths else 0)
-    samples = np.array([w.samples for w in windows], dtype=np.int16).reshape(shape)
+    """Decoded (windows, WINDOW_SAMPLES) matrix and (windows,) labels."""
+    samples = np.array([w.samples for w in windows], dtype=np.int16).reshape(len(windows), WINDOW_SAMPLES)
     return samples * PCM_SCALE, np.array([w.label for w in windows], dtype=int)
 
 
-def _center_history(samples, n_taps):
-    """Each row's center span (training._center_span) as a new contiguous float matrix."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2:
-        raise ValueError("samples must be a (windows, samples) matrix")
-    start, stop = training._center_span(samples.shape[1], n_taps)
-    return np.pad(samples[:, max(start, 0) : stop], ((0, 0), (max(-start, 0), 0)))
-
-
 def window_scores(samples, weights, bias):
-    """Biased score of each row's center microframe, by refiltering its center macroframe.
+    """Biased score of each row's center microframe, by refiltering its macroframe.
 
     The oracle the packed forms are checked against: samples is a decoded
-    (windows, samples) matrix; the score is the center frame's energy
-    minus the mean energy of its macroframe, plus the bias.
+    (windows, WINDOW_SAMPLES) matrix whose first 22 columns are the filter's
+    history; the score is the center frame's energy minus the mean energy
+    of its macroframe, plus the bias.
     """
-    history = _center_history(samples, weights.size)
-    taps = sliding_window_view(history, weights.size, axis=1)
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != WINDOW_SAMPLES:
+        raise ValueError(f"samples must be a (windows, {WINDOW_SAMPLES}) matrix")
+    taps = sliding_window_view(samples, weights.size, axis=1)
     filtered = np.einsum("nkj,j->nk", taps, weights[::-1])
-    blocks = filtered.reshape(len(history), 11, 80)
+    blocks = filtered.reshape(len(samples), 11, 80)
     energy = np.einsum("nfk,nfk->nf", blocks, blocks)
     return energy[:, 5] - energy.mean(axis=1) + bias
 
@@ -99,68 +98,68 @@ def loss(samples, labels, weights, bias):
 # --- the oracle scorer against the full-window oracle ------------------------
 
 
-@pytest.mark.parametrize("length", [902, 1000, WINDOW_SAMPLES])
+@pytest.mark.parametrize("length", [902, 1000, DRAW_SAMPLES])
 def test_window_scores_match_full_window_convolution(length):
-    # 902 is the shortest window, whose filter history is all zero padding;
+    # The window is the last WINDOW_SAMPLES of a draw of `length` samples,
+    # so its first 22 samples are the history the whole-draw filter reads;
     # 1000 is not a whole number of microframes.
     rng = np.random.default_rng(length)
     for bias in (0.0, 0.7):
         weights = rng.normal(0.0, 0.3, 23)
-        samples = rng.standard_normal((6, length))
-        expected = [reference_score(row, weights, bias) for row in samples]
-        got = window_scores(samples, weights, bias)
+        draws = rng.standard_normal((6, length))
+        expected = [reference_score(row, weights, bias) for row in draws]
+        got = window_scores(draws[:, -WINDOW_SAMPLES:], weights, bias)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
 def test_window_scores_reject_short_and_unbatched_windows():
     weights = np.ones(23)
-    with pytest.raises(ValueError, match="window too short"):
-        window_scores(np.zeros((2, 901)), weights, 0.0)
-    with pytest.raises(ValueError, match="matrix"):
-        window_scores(np.zeros(WINDOW_SAMPLES), weights, 0.0)
+    for bad in (np.zeros((2, 901)), np.zeros((2, 903)), np.zeros(WINDOW_SAMPLES)):
+        with pytest.raises(ValueError, match="matrix"):
+            window_scores(bad, weights, 0.0)
 
 
 def test_mixed_window_lengths_rejected():
-    windows = [LabeledAudioWindow(silence(1000), 1), LabeledAudioWindow(silence(WINDOW_SAMPLES), 0)]
-    with pytest.raises(ValueError, match="mixed length"):
-        stack_windows(windows)
-    with pytest.raises(ValueError, match="mixed length"):
-        train_filter(windows, TrainConfig(max_epochs=0))
-    with pytest.raises(ValueError, match="mixed length"):
-        center_forms([w.samples for w in windows])
+    with pytest.raises(ValueError):
+        center_forms([silence(WINDOW_SAMPLES), silence(WINDOW_SAMPLES + 1)])
+
+
+@pytest.mark.parametrize("length", [901, 903, DRAW_SAMPLES])
+def test_windows_of_another_length_rejected(length):
+    with pytest.raises(ValueError, match=f"^audio window must hold 902 samples, got {length}$"):
+        LabeledAudioWindow(silence(length), 0)
+    message = rf"^windows must be rows of 902 16-bit PCM \(int16\) samples, got int16 rows of shape \({length},\)"
+    for rows in (np.zeros((2, length), dtype=np.int16), [silence(length)] * 2):
+        with pytest.raises(ValueError, match=message):
+            center_forms(rows)
 
 
 def test_stack_windows_keeps_rows_and_labels():
-    windows = [LabeledAudioWindow(np.full(5, i, dtype=np.int16), i % 2) for i in range(3)]
+    windows = [LabeledAudioWindow(np.full(WINDOW_SAMPLES, i, dtype=np.int16), i % 2) for i in range(3)]
     samples, labels = stack_windows(windows)
     # Rows come back decoded: PCM step i is i / 32768.
-    assert np.array_equal(samples, np.repeat([[0.0], [1.0], [2.0]], 5, axis=1) / 32768)
+    assert np.array_equal(samples, np.repeat([[0.0], [1.0], [2.0]], WINDOW_SAMPLES, axis=1) / 32768)
     assert np.array_equal(labels, [0, 1, 0])
     samples, labels = stack_windows([])
-    assert samples.shape == (0, 0) and labels.shape == (0,)
+    assert samples.shape == (0, WINDOW_SAMPLES) and labels.shape == (0,)
 
 
 # --- the packed forms against exact and dense oracles ------------------------
 
 
-def dense_form(samples, n_taps=23):
-    """X^T diag(c) X over the center macroframe's tap vectors, from the full-window convolution."""
-    padded = np.r_[np.zeros(n_taps - 1), samples]
-    center = samples.size // 80 // 2
-    first = (center - 5) * 80
-    # Row k holds the samples filtered output first + k reads, newest first.
-    X = np.array([padded[first + k : first + k + n_taps][::-1] for k in range(11 * 80)])
+def dense_form(window, n_taps=23):
+    """X^T diag(c) X over the macroframe's tap vectors of a window."""
+    # Row k holds the samples macroframe output k reads, newest first.
+    X = np.array([window[k : k + n_taps][::-1] for k in range(11 * 80)])
     c = np.full(11 * 80, -1.0 / 11)
     c[5 * 80 : 6 * 80] += 1.0
     return X.T @ (c[:, None] * X)
 
 
-def exact_form(pcm_row, n_taps=23):
+def exact_form(pcm_window, n_taps=23):
     """The packed form in Python integers, rounded once: M / (11 * 2^30) with M = X^T diag(11 c) X."""
-    padded = [0] * (n_taps - 1) + [int(v) for v in pcm_row]
-    center = len(pcm_row) // 80 // 2
-    first = (center - 5) * 80
-    X = [padded[first + k : first + k + n_taps][::-1] for k in range(11 * 80)]
+    window = [int(v) for v in pcm_window]
+    X = [window[k : k + n_taps][::-1] for k in range(11 * 80)]
     c = [10 if 5 * 80 <= k < 6 * 80 else -1 for k in range(11 * 80)]
     columns = list(zip(*X))
     weighted = [[ck * v for ck, v in zip(c, col)] for col in columns]
@@ -172,12 +171,12 @@ def exact_form(pcm_row, n_taps=23):
     ]
 
 
-@pytest.mark.parametrize("length", [902, 959, WINDOW_SAMPLES])
+@pytest.mark.parametrize("length", [902, 959, DRAW_SAMPLES])
 def test_center_forms_equal_the_exact_integer_form(length):
-    # At 902 and 959 samples the center span starts 22 samples before the
-    # window, so the history is partly zero padding.
+    # Each window is the last WINDOW_SAMPLES of a row of `length` samples:
+    # a view that starts inside its row, as windows_from_labels cuts them.
     rng = np.random.default_rng(length)
-    rows = [
+    draws = [
         rng.integers(-32768, 32768, length, dtype=np.int16),
         rng.integers(-32768, 32768, length, dtype=np.int16),
         np.full(length, -32768, dtype=np.int16),
@@ -185,6 +184,7 @@ def test_center_forms_equal_the_exact_integer_form(length):
         np.where(rng.random(length) < 0.5, -32768, 32767).astype(np.int16),
         silence(length),
     ]
+    rows = [draw[-WINDOW_SAMPLES:] for draw in draws]
     forms = center_forms(rows)
     assert forms.shape == (len(rows), PACKED_TAPS)
     for form, row in zip(forms, rows):
@@ -205,7 +205,7 @@ def test_center_forms_bytes_do_not_depend_on_chunking(rng, monkeypatch):
 FORMS_DIGEST = """
 import hashlib, numpy as np
 from shotfuse.training import center_forms
-samples = np.random.default_rng(5).integers(-32768, 32768, (300, 1680), dtype=np.int16)
+samples = np.random.default_rng(5).integers(-32768, 32768, (300, 902), dtype=np.int16)
 print(hashlib.sha256(center_forms(samples).tobytes()).hexdigest())
 """
 
@@ -223,15 +223,16 @@ def test_center_forms_bytes_do_not_depend_on_blas_threads():
 
 
 def test_center_forms_reject_float_windows():
-    with pytest.raises(ValueError, match=r"^windows must be 16-bit PCM \(int16\), got float64$"):
+    with pytest.raises(ValueError, match=r"^windows must be rows of 902 .*, got float64 rows"):
         center_forms(np.zeros((2, WINDOW_SAMPLES)))
     assert center_forms([]).shape == (0, PACKED_TAPS)
 
 
-@pytest.mark.parametrize("length", [902, 1000, WINDOW_SAMPLES])
+@pytest.mark.parametrize("length", [902, 1000, DRAW_SAMPLES])
 def test_center_forms_match_dense_oracle_and_scores(length):
+    # Each window is the last WINDOW_SAMPLES of a row of `length` samples.
     rng = np.random.default_rng(10 + length)
-    samples = random_pcm(rng, (5, length))
+    samples = random_pcm(rng, (5, length))[:, -WINDOW_SAMPLES:]
     decoded = samples * PCM_SCALE
     forms = unpack(center_forms(samples))
     for form, row in zip(forms, decoded):
@@ -260,7 +261,7 @@ def test_form_gradients_match_central_differences_of_the_scorer():
     for _ in range(5):
         weights = rng.normal(0.0, 0.2, 23)
         bias = float(rng.normal(0.0, 0.5))
-        samples = random_pcm(rng, (4, WINDOW_SAMPLES))
+        samples = random_windows(rng, 4)
         labels = (window_scores(samples * PCM_SCALE, weights, bias) <= 0.0).astype(int)
         labels[0] = 1 - labels[0]  # one correctly classified window contributes nothing
         value, d_w, d_b = total_gradients(center_forms(samples), labels, weights, bias)
@@ -315,7 +316,7 @@ def test_gradients_match_central_differences(seed):
     rng = np.random.default_rng(1000 + seed)
     weights = rng.normal(0.0, 0.2, 23)
     bias = float(rng.normal(0.0, 0.5))
-    samples = random_pcm(rng, (3, WINDOW_SAMPLES))
+    samples = random_windows(rng, 3)
     # Every window misclassified: a missed shot where the score is not positive.
     labels = (window_scores(samples * PCM_SCALE, weights, bias) <= 0.0).astype(int)
     assert check_central_differences(samples, labels, weights, bias) > 0.0
@@ -325,7 +326,7 @@ def test_gradients_on_a_mixed_batch():
     """Correct and misclassified windows of both labels in one batch."""
     rng = np.random.default_rng(77)
     weights = rng.normal(0.0, 0.2, 23)
-    samples = random_pcm(rng, (40, WINDOW_SAMPLES))
+    samples = random_windows(rng, 40)
     raw = window_scores(samples * PCM_SCALE, weights, 0.0)
     bias = -float(np.median(raw))
     scores = raw + bias
@@ -350,7 +351,7 @@ def test_loss_is_nonnegative_everywhere(rng):
     for _ in range(50):
         weights = rng.normal(0.0, 0.3, 23)
         bias = float(rng.normal(0.0, 1.0))
-        samples = random_pcm(rng, (4, WINDOW_SAMPLES))
+        samples = random_windows(rng, 4)
         assert loss(samples, rng.integers(0, 2, 4), weights, bias) >= 0.0
 
 
@@ -359,14 +360,13 @@ def test_loss_is_nonnegative_everywhere(rng):
 
 def burst_window(rng, amplitude=1.0):
     x = np.zeros(WINDOW_SAMPLES)
-    center = WINDOW_SAMPLES // 2
-    tone = amplitude * np.sin(2 * np.pi * 1000.0 * np.arange(80) / 8000.0)
-    x[center - 40 : center + 40] = tone
+    # A 1 kHz tone over the center microframe, after 22 samples of history and 5 microframes.
+    x[422:502] = amplitude * np.sin(2 * np.pi * 1000.0 * np.arange(80) / 8000.0)
     return LabeledAudioWindow(pcm(x), 1)
 
 
 def noise_window(rng, scale=0.02):
-    return LabeledAudioWindow(pcm(scale * rng.standard_normal(WINDOW_SAMPLES)), 0)
+    return LabeledAudioWindow(pcm(scale * rng.standard_normal(DRAW_SAMPLES))[CENTER], 0)
 
 
 def separable_corpus(rng, positives=12):
@@ -412,15 +412,13 @@ def test_training_is_deterministic(rng):
     assert a.bias == b.bias
 
 
-@pytest.mark.parametrize("length", [902, 959, WINDOW_SAMPLES])
+@pytest.mark.parametrize("length", [902, 959, DRAW_SAMPLES])
 def test_train_filter_builds_the_forms_of_center_forms(rng, monkeypatch, length):
-    # At 902 and 959 samples the center span starts 22 samples before the
-    # window; 10 + 59 windows leave a partial last chunk.
+    # Each window is the last WINDOW_SAMPLES of a row of `length` samples;
+    # 10 + 59 windows leave a partial last chunk.
     positives, negatives = 10, FORM_CHUNK_WINDOWS - 5
-    data = [
-        LabeledAudioWindow(rng.integers(-3000, 3000, length).astype(np.int16), int(i < positives))
-        for i in range(positives + negatives)
-    ]
+    draws = rng.integers(-3000, 3000, (positives + negatives, length)).astype(np.int16)
+    data = [LabeledAudioWindow(draw[-WINDOW_SAMPLES:], int(i < positives)) for i, draw in enumerate(draws)]
     built = []
     history_forms = training._history_forms
 
@@ -463,22 +461,21 @@ def test_window_metrics_score_held_out_windows_like_the_oracle(rng):
 
 
 def test_short_window_rejected():
-    data = [
-        LabeledAudioWindow(silence(400), 1),
-        LabeledAudioWindow(silence(400), 0),
-    ]
-    with pytest.raises(ValueError, match="window too short"):
-        train_filter(data, TrainConfig())
+    # Samples have no default: the empty window is as invalid as a short one.
+    with pytest.raises(TypeError):
+        LabeledAudioWindow(label=1)
+    with pytest.raises(ValueError, match="^audio window must hold 902 samples, got 0$"):
+        LabeledAudioWindow(silence(0), 1)
 
 
 def test_window_adopts_frozen_samples_and_copies_the_rest():
-    x = np.arange(10, dtype=np.int16)
-    copied = LabeledAudioWindow(x, 1)
+    x = np.arange(WINDOW_SAMPLES + 2, dtype=np.int16)
+    copied = LabeledAudioWindow(x[:WINDOW_SAMPLES], 1)
     x[0] = 5
     assert copied.samples[0] == 0 and not copied.samples.flags.writeable
     x.flags.writeable = False
     assert np.shares_memory(LabeledAudioWindow(x[2:], 0).samples, x)
-    assert LabeledAudioWindow(x.astype(">i2"), 0).samples.dtype == np.int16
+    assert LabeledAudioWindow(x[2:].astype(">i2"), 0).samples.dtype == np.int16
 
 
 def test_window_rejects_nan_and_float_samples_at_construction():
