@@ -77,10 +77,7 @@ def cmd_train_forest(args) -> int:
 
 def cmd_sync(args) -> int:
     filter_model = load_filter_model(args.filter)
-    synced = synced_series(
-        audio_likelihood(read_wav(args.audio), filter_model), read_imu_csv(args.imu),
-        args.window_seconds, args.validation_seconds, args.max_lag_ms,
-    )
+    synced = synced_series(audio_likelihood(read_wav(args.audio), filter_model), read_imu_csv(args.imu))
     _emit(synced.sync_report())
     return 0
 
@@ -93,9 +90,6 @@ def cmd_detect(args) -> int:
         labels_path=args.labels,
         audio_only=args.audio_only,
         tolerance_ms=args.tolerance_ms,
-        sync_window_seconds=args.window_seconds,
-        validation_seconds=args.validation_seconds,
-        max_lag_ms=args.max_lag_ms,
         emit_series=args.emit_series,
     )
     result = run_pipeline(args.audio, args.imu, args.filter, args.forest, options)
@@ -145,10 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audio", required=True)
     p.add_argument("--imu", required=True)
     p.add_argument("--filter", required=True)
-    p.add_argument("--window-seconds", type=float, default=None,
-                   help="sync estimation window (default: full overlap minus validation)")
-    p.add_argument("--validation-seconds", type=float, default=5.0)
-    p.add_argument("--max-lag-ms", type=float, default=2000.0)
     p.set_defaults(func=cmd_sync)
 
     p = sub.add_parser("detect", help="run the full detection pipeline")
@@ -160,10 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audio-only", action="store_true")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--tolerance-ms", type=float, default=100.0)
-    p.add_argument("--window-seconds", type=float, default=None,
-                   help="sync estimation window (default: full overlap minus validation)")
-    p.add_argument("--validation-seconds", type=float, default=5.0)
-    p.add_argument("--max-lag-ms", type=float, default=2000.0)
     p.add_argument("--emit-series", action="store_true")
     p.set_defaults(func=cmd_detect)
 

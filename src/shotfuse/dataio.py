@@ -240,12 +240,14 @@ def write_series_csv(path, series: SampleSeries) -> None:
 
 
 @contextmanager
-def _required_fields(kind: str):
-    """Turn a missing key of a model payload into an error that names the field."""
+def _model_errors(kind: str):
+    """Name the model in every error its payload raises; a missing key names the field."""
     try:
         yield
     except KeyError as exc:
         raise ValueError(f"{kind} model: missing field {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{kind} model: {exc}") from None
 
 
 #: JSON's name for each type json.load returns.
@@ -253,11 +255,10 @@ _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", floa
                bool: "boolean", type(None): "null"}
 
 
-def _expect(value, json_type: type, kind: str, where: str):
+def _expect(value, json_type: type, where: str):
     """value itself when it has the JSON type (dict or list) a model payload needs at `where`."""
     if not isinstance(value, json_type):
-        raise ValueError(f"{kind} model: {where} must be a JSON {_JSON_TYPES[json_type]}, "
-                         f"got {_JSON_TYPES[type(value)]}")
+        raise ValueError(f"{where} must be a JSON {_JSON_TYPES[json_type]}, got {_JSON_TYPES[type(value)]}")
     return value
 
 
@@ -277,13 +278,12 @@ def save_filter_model(path, model: FilterModel) -> None:
 
 
 def load_filter_model(path) -> FilterModel:
-    with open(path) as fh:
-        payload = _expect(json.load(fh), dict, "filter", "top level")
-    with _required_fields("filter"):
+    with open(path) as fh, _model_errors("filter"):
+        payload = _expect(json.load(fh), dict, "top level")
         model = FilterModel(np.array(payload["weights"], dtype=float), float(payload["bias"]))
         for name, fixed in _FILTER_GEOMETRY.items():
             if payload[name] != fixed:
-                raise ValueError(f"filter model: {name} must be {fixed}, got {payload[name]!r}")
+                raise ValueError(f"{name} must be {fixed}, got {payload[name]!r}")
     return model
 
 
@@ -294,11 +294,10 @@ def save_forest_model(path, model: ForestModel) -> None:
 
 
 def load_forest_model(path) -> ForestModel:
-    with open(path) as fh:
-        payload = _expect(json.load(fh), dict, "forest", "top level")
-    with _required_fields("forest"):
-        for i, tree in enumerate(_expect(payload["trees"], list, "forest", "trees")):
-            _expect(tree, dict, "forest", f"trees[{i}]")
+    with open(path) as fh, _model_errors("forest"):
+        payload = _expect(json.load(fh), dict, "top level")
+        for i, tree in enumerate(_expect(payload["trees"], list, "trees")):
+            _expect(tree, dict, f"trees[{i}]")
         return ForestModel.from_dict(payload)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["NEIGHBORHOOD_MS", "ShotEvent", "LabelSet", "EvalReport", "dedup", "evaluate"]
+__all__ = ["NEIGHBORHOOD_MS", "ShotEvent", "LabelSet", "EvalReport", "dedup", "check_tolerance", "evaluate"]
 
 #: Width of a shot's neighborhood: the candidate and feature window of
 #: fusion, and the span within which dedup keeps only the first event.
@@ -87,6 +87,12 @@ def dedup(events: list[ShotEvent]) -> list[ShotEvent]:
     return kept
 
 
+def check_tolerance(tolerance_ms: float) -> None:
+    """Reject a match tolerance that is not finite and non-negative."""
+    if not 0.0 <= tolerance_ms < math.inf:
+        raise ValueError(f"tolerance_ms must be finite and non-negative, got {tolerance_ms}")
+
+
 def evaluate(
     events: list[ShotEvent], labels: LabelSet, tolerance_ms: float = 100.0
 ) -> EvalReport:
@@ -99,8 +105,7 @@ def evaluate(
     are no events and recall 1 when there are no labels (vacuous truth).
     tolerance_ms must be finite and non-negative.
     """
-    if not 0.0 <= tolerance_ms < math.inf:
-        raise ValueError(f"tolerance_ms must be finite and non-negative, got {tolerance_ms}")
+    check_tolerance(tolerance_ms)
     times = np.array([e.time_ms for e in events], dtype=float)
     order = np.argsort(times, kind="stable")
     times = times[order]

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import sync
 from .audio import (
     FILTER_TAPS,
     MACROFRAME_HALF,
@@ -37,7 +38,7 @@ from .dataio import (
     write_events_csv,
     write_series_csv,
 )
-from .events import LabelSet, evaluate
+from .events import LabelSet, check_tolerance, evaluate
 from .forest import classify, train_forest
 from .fusion import (
     SyncedSeries,
@@ -65,8 +66,6 @@ __all__ = [
 
 #: Candidates within this distance of a ground-truth shot count as positive.
 CANDIDATE_LABEL_TOLERANCE_MS = 150.0
-#: Shortest snippet the offset estimator accepts.
-MIN_SYNC_WINDOW_SECONDS = 5.0
 #: Share of the labeled items the training workflows fit on; the rest is held out.
 TRAIN_FRACTION = 0.8
 #: Negative training windows are drawn at least this far from every label.
@@ -174,13 +173,7 @@ def window_metrics(model: FilterModel, windows: list[LabeledAudioWindow]) -> dic
     return {"precision": precision, "recall": recall, "f_score": f_score, "windows": len(windows)}
 
 
-def synced_series(
-    apf: SampleSeries,
-    imu: ImuStream,
-    window_seconds: float | None = None,
-    validation_seconds: float = 5.0,
-    max_lag_ms: float = 2000.0,
-) -> SyncedSeries:
+def synced_series(apf: SampleSeries, imu: ImuStream) -> SyncedSeries:
     """The IMU components, the motion likelihood and the validated offset, once per run.
 
     apf is the run's audio likelihood (audio_likelihood), computed by the
@@ -188,12 +181,10 @@ def synced_series(
     it, so no caller holds the recording and the IMU samples at once. The
     live streams calibrate their own quantizer: dense quantized trains
     correlate far better than sparse shot-peak quintiles. The offset is
-    estimated on a leading snippet and validated on the fresh data after
-    it. Correlation sync needs enough coincident events in the window, so
-    by default the estimate uses the whole overlap minus a reserved
-    validation tail; pass an explicit window_seconds for event-dense
-    snippets. Validation is skipped (False) when the streams do not extend
-    past the estimation window.
+    estimated on the whole overlap minus a sync.VALIDATION_SECONDS tail and
+    validated on that tail, the fresh data after it. When that leaves less
+    than sync.MIN_OVERLAP_SECONDS, the estimate uses the whole overlap and
+    validation is skipped (False).
     """
     comps = prepare_components(imu)
     ipf_raw = ipf(comps)
@@ -202,20 +193,14 @@ def synced_series(
     t0 = max(apf.start_time, ipf_raw.start_time)
     t1 = min(apf.end_time, ipf_raw.end_time)
     have_seconds = (t1 - t0) / 1000.0
-    if window_seconds is None:
-        window_seconds = have_seconds - validation_seconds
-        if window_seconds < MIN_SYNC_WINDOW_SECONDS:
-            window_seconds = have_seconds
-    window = min(window_seconds, have_seconds)
-    est = estimate_offset(
-        apf.slice_time(t0, t0 + window * 1000.0),
-        ipf_raw.slice_time(t0, t0 + window * 1000.0),
-        q,
-        max_lag_ms,
-    )
+    window = have_seconds - sync.VALIDATION_SECONDS
+    if window < sync.MIN_OVERLAP_SECONDS:
+        window = have_seconds
+    end = t0 + window * 1000.0
+    est = estimate_offset(apf.slice_time(t0, end), ipf_raw.slice_time(t0, end), q)
     validated = False
-    if have_seconds >= est.window_seconds + validation_seconds:
-        validated = validate_offset(apf, ipf_raw, q, est, validation_seconds, max_lag_ms)
+    if have_seconds >= est.window_seconds + sync.VALIDATION_SECONDS:
+        validated = validate_offset(apf, ipf_raw, q, est)
     return SyncedSeries.align(apf, ipf_raw, comps, est, validated)
 
 
@@ -286,10 +271,10 @@ class PipelineOptions:
     labels_path: str | None = None
     audio_only: bool = False
     tolerance_ms: float = 100.0
-    sync_window_seconds: float | None = None
-    validation_seconds: float = 5.0
-    max_lag_ms: float = 2000.0
     emit_series: bool = False
+
+    def __post_init__(self):
+        check_tolerance(self.tolerance_ms)
 
 
 def run_pipeline(
@@ -321,10 +306,7 @@ def run_pipeline(
     if options.audio_only:
         events = audio_only_events(read_wav(audio_path), filter_model)
     else:
-        synced = synced_series(
-            audio_likelihood(read_wav(audio_path), filter_model), read_imu_csv(imu_path),
-            options.sync_window_seconds, options.validation_seconds, options.max_lag_ms,
-        )
+        synced = synced_series(audio_likelihood(read_wav(audio_path), filter_model), read_imu_csv(imu_path))
         forest_model = load_forest_model(forest_model_path)
         events = detect_shots(synced, forest_model)
         sync_payload = synced.sync_report()

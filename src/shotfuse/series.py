@@ -176,16 +176,14 @@ def _window_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return c1[hi] - c1[lo], c2[hi] - c2[lo], constant
 
 
-def cross_correlate(
-    a: SampleSeries, b: SampleSeries, max_lag: int
-) -> list[tuple[int, float]]:
+def cross_correlate(a: SampleSeries, b: SampleSeries, max_lag: int) -> np.ndarray:
     """Normalized correlation of a[k] against b[k + lag] for each lag.
 
-    Returns (lag, correlation) pairs for every integer lag in
-    [-max_lag, +max_lag], in lag order. Each overlap window is zero-meaned
-    and unit-normed, so correlations lie in [-1, 1]; a zero-variance window
-    yields 0. If ``b`` is ``a`` delayed by k samples, the maximum sits at
-    lag k.
+    Returns a float array of 2 * max_lag + 1 correlations, one per integer
+    lag in [-max_lag, +max_lag] in lag order, so lag sits at index
+    lag + max_lag. Each overlap window is zero-meaned and unit-normed, so
+    correlations lie in [-1, 1]; a zero-variance window yields 0. If ``b``
+    is ``a`` delayed by k samples, the maximum sits at lag k.
 
     All lags come from running sums (Lewis, "Fast Normalized
     Cross-Correlation", 1995): window sums and sums of squares by cumsum,
@@ -218,4 +216,4 @@ def cross_correlate(
     live = ~(u_flat | v_flat) & (var > 0.0)
     corr = np.zeros(lags.size)
     corr[live] = num[live] / np.sqrt(var[live])
-    return list(zip(lags.tolist(), corr.tolist()))
+    return corr

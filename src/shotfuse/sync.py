@@ -28,7 +28,12 @@ __all__ = [
 ]
 
 QUANT_LEVELS = 5
+#: Shortest snippet the offset estimator accepts.
 MIN_OVERLAP_SECONDS = 5.0
+#: The offset is searched over lags within +/- this many milliseconds.
+MAX_LAG_MS = 2000.0
+#: Fresh data after the estimation snippet that validation re-estimates on.
+VALIDATION_SECONDS = 5.0
 VALIDATION_OFFSET_TOLERANCE_MS = 50.0
 VALIDATION_MIN_CORRELATION = 0.4
 #: Share of each live series, from the top, that self-calibration fits quintiles on.
@@ -113,18 +118,14 @@ def quantize(x: SampleSeries, boundaries) -> SampleSeries:
     return x.with_values(levels)
 
 
-def estimate_offset(
-    apf: SampleSeries,
-    ipf: SampleSeries,
-    q: QuantizerModel,
-    max_lag_ms: float = 2000.0,
-) -> OffsetEstimate:
+def estimate_offset(apf: SampleSeries, ipf: SampleSeries, q: QuantizerModel) -> OffsetEstimate:
     """Offset of the IMU stream relative to the audio stream.
 
     Both series are quantized and triangle-smoothed, then cross-correlated
-    over lags within max_lag_ms. Ties between equal correlation maxima
-    break toward the smallest |lag| (the clocks are near-aligned a priori).
-    The differing series start times are folded into the reported offset.
+    over lags within MAX_LAG_MS. Ties between equal correlation maxima
+    break toward the smallest |lag| (the clocks are near-aligned a priori),
+    then toward the negative lag. The differing series start times are
+    folded into the reported offset.
     """
     if apf.rate != ipf.rate:
         raise ValueError("rate mismatch")
@@ -135,36 +136,30 @@ def estimate_offset(
 
     qa = triangle_smooth(quantize(apf, q.apf_boundaries))
     qi = triangle_smooth(quantize(ipf, q.ipf_boundaries))
-    max_lag = int(round(max_lag_ms / apf.period_ms))
-    max_lag = min(max_lag, min(len(qa), len(qi)) - 1)
-
+    max_lag = int(round(MAX_LAG_MS / apf.period_ms))
     correlations = cross_correlate(qa, qi, max_lag)
-    best_lag, best_corr = min(
-        correlations, key=lambda lc: (-lc[1], abs(lc[0]), lc[0])
-    )
+    peak = correlations.max()
+    # Tied lags ascend, so the first of the smallest |lag| is the negative one.
+    tied = np.flatnonzero(correlations == peak) - max_lag
+    best_lag = tied[np.argmin(np.abs(tied))]
     offset_ms = best_lag * apf.period_ms + (ipf.start_time - apf.start_time)
-    return OffsetEstimate(float(offset_ms), float(best_corr), overlap_ms / 1000.0)
+    return OffsetEstimate(float(offset_ms), float(peak), overlap_ms / 1000.0)
 
 
 def validate_offset(
-    apf: SampleSeries,
-    ipf: SampleSeries,
-    q: QuantizerModel,
-    candidate: OffsetEstimate,
-    validation_seconds: float = 5.0,
-    max_lag_ms: float = 2000.0,
+    apf: SampleSeries, ipf: SampleSeries, q: QuantizerModel, candidate: OffsetEstimate
 ) -> bool:
     """Re-estimate on the window following the estimation snippet.
 
     True iff the fresh estimate lands within +/-50 ms of the candidate and
     its correlation peak reaches 0.4. Requires both streams to extend
-    validation_seconds past the snippet used for the candidate.
+    VALIDATION_SECONDS past the snippet used for the candidate.
     """
     t0 = max(apf.start_time, ipf.start_time) + candidate.window_seconds * 1000.0
-    t1 = t0 + validation_seconds * 1000.0
+    t1 = t0 + VALIDATION_SECONDS * 1000.0
     if min(apf.end_time, ipf.end_time) < t1:
         raise ValueError("validation window unavailable")
-    fresh = estimate_offset(apf.slice_time(t0, t1), ipf.slice_time(t0, t1), q, max_lag_ms)
+    fresh = estimate_offset(apf.slice_time(t0, t1), ipf.slice_time(t0, t1), q)
     return (
         abs(fresh.offset_ms - candidate.offset_ms) <= VALIDATION_OFFSET_TOLERANCE_MS
         and fresh.peak_correlation >= VALIDATION_MIN_CORRELATION

@@ -197,7 +197,7 @@ def test_criterion_4_synchronization():
         apf_s = sf.audio_likelihood(audio, model)
         ipf_s = ipf(prepare_components(imu))
         q = self_calibrate_quantizer(apf_s, ipf_s)
-        est = estimate_offset(apf_s, ipf_s, q, 2000.0)
+        est = estimate_offset(apf_s, ipf_s, q)
         slowest = max(slowest, time.time() - t0)
         errors.append(est.offset_ms - injected)
     mae = float(np.mean(np.abs(errors)))
@@ -272,7 +272,7 @@ def trained_models(tmp_path_factory):
     return filter_model, forest, threshold
 
 
-def test_criterion_5_end_to_end_fusion(trained_models):
+def test_criterion_5_end_to_end_fusion(trained_models, monkeypatch):
     filter_model, forest, ipf_threshold = trained_models
     corpus = SynthConfig(
         duration_s=600.0,
@@ -283,8 +283,9 @@ def test_criterion_5_end_to_end_fusion(trained_models):
     )
     audio, imu, labels = sf.synthesize(corpus)
 
+    monkeypatch.setattr(sf.sync, "VALIDATION_SECONDS", 60.0)
     t0 = time.time()
-    synced = synced_series(sf.audio_likelihood(audio, filter_model), imu, validation_seconds=60.0)
+    synced = synced_series(sf.audio_likelihood(audio, filter_model), imu)
     events = sf.detect_shots(synced, forest)
     elapsed = time.time() - t0
     est = synced.offset
@@ -362,7 +363,7 @@ def test_criterion_6_determinism(tmp_path):
 # --- 7. property suites -------------------------------------------------------------
 
 
-def test_criterion_7_property_suites():
+def test_criterion_7_property_suites(monkeypatch):
     rng = np.random.default_rng(700)
     checks = []
 
@@ -386,12 +387,13 @@ def test_criterion_7_property_suites():
     base[rng.choice(np.arange(50, 1150), 25, replace=False)] += rng.uniform(1, 4, 25)
     s = SampleSeries(100.0, 0.0, base)
     q = self_calibrate_quantizer(s, s)
-    ref = estimate_offset(s, s, q, 500.0).offset_ms
+    monkeypatch.setattr(sf.sync, "MAX_LAG_MS", 500.0)
+    ref = estimate_offset(s, s, q).offset_ms
     ok = True
     for _ in range(100):
         k = int(rng.integers(-25, 26))
         moved = SampleSeries(100.0, 0.0, np.roll(base, k))
-        ok = ok and estimate_offset(s, moved, q, 500.0).offset_ms == pytest.approx(ref + 10.0 * k)
+        ok = ok and estimate_offset(s, moved, q).offset_ms == pytest.approx(ref + 10.0 * k)
     checks.append(("offset shift equivariance", ok))
 
     # quantization monotonicity

@@ -172,6 +172,32 @@ def test_eval_rejects_a_bad_tolerance(workspace, tmp_path):
         assert proc.stderr == f"error: tolerance_ms must be finite and non-negative, got {float(value)}\n"
 
 
+def test_detect_rejects_a_bad_tolerance_before_it_runs(workspace, tmp_path):
+    # With --labels it used to write detections.csv and only then fail; without, NaN passed.
+    data = workspace["data"]
+    for i, (value, labels) in enumerate((("nan", ["--labels", data / "labels.csv"]), ("nan", []), ("-5", []))):
+        out_dir = tmp_path / f"out{i}"
+        proc = run_cli("detect", "--audio", data / "audio.wav", "--filter", workspace["filter"],
+                       "--audio-only", *labels, "--tolerance-ms", value, "--out-dir", out_dir, check=False)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: tolerance_ms must be finite and non-negative, got {float(value)}\n"
+        assert not (out_dir / "detections.csv").exists()
+
+
+def test_sync_and_detect_take_no_sync_settings(workspace, tmp_path):
+    # The lag range, validation tail and estimation window are fixed by the sync module.
+    data = workspace["data"]
+    inputs = ["--audio", data / "audio.wav", "--imu", data / "imu.csv", "--filter", workspace["filter"]]
+    for command, extra in (("sync", []), ("detect", ["--forest", workspace["forest"], "--out-dir", tmp_path])):
+        proc = run_cli(command, *inputs, *extra, "--max-lag-ms", 500, check=False)
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --max-lag-ms 500" in proc.stderr
+        usage = run_cli(command, "--help").stdout
+        for flag in ("--window-seconds", "--validation-seconds", "--max-lag-ms"):
+            assert flag not in usage
+    assert not (tmp_path / "detections.csv").exists()
+
+
 def test_detect_rejects_broken_model_files(workspace, tmp_path):
     data = workspace["data"]
     filter_payload = json.loads(workspace["filter"].read_text())

@@ -443,7 +443,12 @@ def test_filter_model_rejects_another_tap_count(tmp_path):
     path = tmp_path / "filter.json"
     save_filter_model(path, FilterModel(np.ones(23), 0.0))
     rewrite_json(path, path, lambda p: p["weights"].append(1.0))
-    with pytest.raises(ValueError, match="^weights must hold 23 values, got 24$"):
+    with pytest.raises(ValueError, match="^filter model: weights must hold 23 values, got 24$"):
+        load_filter_model(path)
+    # The model's own checks name the model like every other loader error.
+    save_filter_model(path, FilterModel(np.ones(23), 0.0))
+    rewrite_json(path, path, lambda p: p["weights"].__setitem__(3, float("nan")))
+    with pytest.raises(ValueError, match="^filter model: model parameters must be finite$"):
         load_filter_model(path)
 
 
@@ -480,6 +485,7 @@ def test_forest_model_rejects_trees_that_are_not_objects(tmp_path, rng):
         (lambda p: p.update(trees=[[1]]), "trees\\[0\\] must be a JSON object, got array"),
         (lambda p: p["trees"].append("tree"), "trees\\[2\\] must be a JSON object, got string"),
         (lambda p: p.update(trees={"0": {}}), "trees must be a JSON array, got object"),
+        (lambda p: p.update(tree_count=3), "tree_count must match the number of trees"),
     ]
     for edit, message in cases:
         broken = rewrite_json(path, tmp_path / "t.json", edit)

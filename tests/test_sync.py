@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shotfuse import sync
 from shotfuse import (
     OffsetEstimate,
     QuantizerModel,
@@ -124,7 +125,7 @@ def test_estimate_recovers_injected_offset_synthetic_streams():
         apf_s = sf.audio_likelihood(audio, model)
         ipf_s = ipf(prepare_components(imu))
         q = self_calibrate_quantizer(apf_s, ipf_s)
-        est = estimate_offset(apf_s, ipf_s, q, 2000.0)
+        est = estimate_offset(apf_s, ipf_s, q)
         errors.append(est.offset_ms - (-270.0))
     assert all(abs(e) <= 40.0 for e in errors)
 
@@ -152,35 +153,38 @@ def test_estimate_snippet_too_short(rng):
         estimate_offset(a, a.slice_time(0.0, 2000.0), q)
 
 
-def test_estimate_shift_equivariance():
+def test_estimate_shift_equivariance(monkeypatch):
+    monkeypatch.setattr(sync, "MAX_LAG_MS", 600.0)
     rng = np.random.default_rng(37)
     base, _ = peaked_stream(rng, n=1500, n_peaks=25)
     q = quantizer_for(base, base)
-    reference = estimate_offset(base, base, q, 600.0).offset_ms
+    reference = estimate_offset(base, base, q).offset_ms
     for _ in range(100):
         k = int(rng.integers(-30, 31))
         shifted = series(np.roll(base.values, k))  # content delayed by k samples
-        est = estimate_offset(base, shifted, q, 600.0)
+        est = estimate_offset(base, shifted, q)
         assert est.offset_ms == pytest.approx(reference + 10.0 * k)
 
 
-def test_estimate_invariant_under_quintile_preserving_transform(rng):
+def test_estimate_invariant_under_quintile_preserving_transform(rng, monkeypatch):
+    monkeypatch.setattr(sync, "MAX_LAG_MS", 500.0)
     base, idx = peaked_stream(rng, n=1200, n_peaks=30)
     other = series(np.roll(base.values, 7))
     peaks = base.values[idx]
     q1 = fit_quantizer(peaks, peaks)
     q2 = fit_quantizer(peaks**3, peaks)
-    a = estimate_offset(base, other, q1, 500.0)
-    b = estimate_offset(series(base.values**3), other, q2, 500.0)
+    a = estimate_offset(base, other, q1)
+    b = estimate_offset(series(base.values**3), other, q2)
     assert a.offset_ms == b.offset_ms
 
 
-def test_estimate_accounts_for_start_time():
+def test_estimate_accounts_for_start_time(monkeypatch):
+    monkeypatch.setattr(sync, "MAX_LAG_MS", 600.0)
     rng = np.random.default_rng(41)
     base, _ = peaked_stream(rng, n=1500, n_peaks=25)
     q = quantizer_for(base, base)
     moved = series(base.values, start=base.start_time + 130.0)
-    est = estimate_offset(base, moved, q, 600.0)
+    est = estimate_offset(base, moved, q)
     assert est.offset_ms == pytest.approx(130.0)
 
 
@@ -209,20 +213,23 @@ def _dense_fixture(seed, injected=-270.0, duration=50.0, shots=40):
     return apf_s, ipf_s, self_calibrate_quantizer(apf_s, ipf_s)
 
 
-def test_validate_stationary_offset():
+def test_validate_stationary_offset(monkeypatch):
+    monkeypatch.setattr(sync, "VALIDATION_SECONDS", 10.0)
     apf_s, ipf_s, q = _dense_fixture(3)
     est = estimate_offset(apf_s.slice_time(0, 20000), ipf_s.slice_time(0, 20000), q)
-    assert validate_offset(apf_s, ipf_s, q, est, validation_seconds=10.0)
+    assert validate_offset(apf_s, ipf_s, q, est)
 
 
-def test_validate_rejects_drifted_candidate():
+def test_validate_rejects_drifted_candidate(monkeypatch):
+    monkeypatch.setattr(sync, "VALIDATION_SECONDS", 10.0)
     apf_s, ipf_s, q = _dense_fixture(4)
     est = estimate_offset(apf_s.slice_time(0, 20000), ipf_s.slice_time(0, 20000), q)
     drifted = OffsetEstimate(est.offset_ms + 200.0, est.peak_correlation, est.window_seconds)
-    assert not validate_offset(apf_s, ipf_s, q, drifted, validation_seconds=10.0)
+    assert not validate_offset(apf_s, ipf_s, q, drifted)
 
 
-def test_validate_rejects_silent_window(rng):
+def test_validate_rejects_silent_window(rng, monkeypatch):
+    monkeypatch.setattr(sync, "VALIDATION_SECONDS", 10.0)
     active, _ = peaked_stream(rng, n=2000, n_peaks=30)
     # streams share peaks during estimation, then go quiet (independent noise)
     a_vals = np.concatenate([active.values, np.abs(rng.normal(0.0, 0.005, 1000))])
@@ -231,7 +238,7 @@ def test_validate_rejects_silent_window(rng):
     b = series(b_vals)
     q = quantizer_for(a, b)
     est = estimate_offset(a.slice_time(0, 20000), b.slice_time(0, 20000), q)
-    assert not validate_offset(a, b, q, est, validation_seconds=10.0)
+    assert not validate_offset(a, b, q, est)
 
 
 def test_validate_window_unavailable(rng):
@@ -240,7 +247,7 @@ def test_validate_window_unavailable(rng):
     q = quantizer_for(a, b)
     est = estimate_offset(a, b, q)
     with pytest.raises(ValueError, match="validation window unavailable"):
-        validate_offset(a, b, q, est, validation_seconds=5.0)
+        validate_offset(a, b, q, est)
 
 
 def test_exactly_tied_peaks_resolve_to_smaller_lag():
@@ -253,8 +260,25 @@ def test_exactly_tied_peaks_resolve_to_smaller_lag():
     ipf = np.zeros(620)
     ipf[[302, 320]] = 4.0
     a, b = SampleSeries(100.0, 0.0, apf), SampleSeries(100.0, 0.0, ipf)
-    corr = dict(cross_correlate(triangle_smooth(a), triangle_smooth(b), 200))
-    assert corr[2] == corr[20] == max(corr.values())
+    corr = cross_correlate(triangle_smooth(a), triangle_smooth(b), 200)
+    assert corr[2 + 200] == corr[20 + 200] == corr.max()
     est = estimate_offset(a, b, q)
     assert est.offset_ms == 20.0
-    assert est.peak_correlation == corr[2]
+    assert est.peak_correlation == corr[2 + 200]
+
+    # A mirror-symmetric pair ties at -k and +k with equal statistics; the negative lag wins.
+    apf = np.zeros(601)
+    apf[300] = 4.0
+    ipf = np.zeros(601)
+    ipf[[280, 320]] = 4.0
+    a, b = SampleSeries(100.0, 0.0, apf), SampleSeries(100.0, 0.0, ipf)
+    corr = cross_correlate(triangle_smooth(a), triangle_smooth(b), 200)
+    assert corr[-20 + 200] == corr[20 + 200] == corr.max()
+    est = estimate_offset(a, b, q)
+    assert est.offset_ms == -200.0
+    assert est.peak_correlation == corr[20 + 200]
+
+    # A silent audio train correlates 0 at every lag; the tie goes to lag 0.
+    est = estimate_offset(SampleSeries(100.0, 0.0, np.zeros(601)), b, q)
+    assert est.offset_ms == 0.0
+    assert est.peak_correlation == 0.0
