@@ -122,7 +122,9 @@ class FilterModel:
 
     def __post_init__(self):
         arr = np.array(self.weights, dtype=float)
-        if arr.ndim != 1 or arr.size != FILTER_TAPS:
+        if arr.ndim != 1:
+            raise ValueError(f"weights must be one-dimensional, got shape {arr.shape}")
+        if arr.size != FILTER_TAPS:
             raise ValueError(f"weights must hold {FILTER_TAPS} values, got {arr.size}")
         if not (np.all(np.isfinite(arr)) and np.isfinite(self.bias)):
             raise ValueError("model parameters must be finite")

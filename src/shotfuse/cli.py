@@ -18,7 +18,7 @@ from .dataio import (
     write_labels_csv,
     write_wav,
 )
-from .events import evaluate
+from .events import MATCH_TOLERANCE_MS, evaluate
 from .pipeline import (
     PipelineOptions,
     run_pipeline,
@@ -55,22 +55,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_filter(args) -> int:
-    cfg = TrainConfig(
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        neg_pos_ratio=args.neg_pos_ratio,
-        seed=args.seed,
-    )
-    metrics = train_filter_workflow(args.data, args.out, cfg)
+    metrics = train_filter_workflow(args.data, args.out, TrainConfig(max_epochs=args.epochs, seed=args.seed))
     _emit(metrics)
     return 0
 
 
 def cmd_train_forest(args) -> int:
-    metrics = train_forest_workflow(
-        args.data, args.filter, args.out, tree_count=args.trees, seed=args.seed
-    )
+    metrics = train_forest_workflow(args.data, args.filter, args.out, seed=args.seed)
     _emit(metrics)
     return 0
 
@@ -120,19 +111,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-filter", help="train the audio front filter")
     p.add_argument("--data", required=True, help="directory with audio.wav and labels.csv")
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--neg-pos-ratio", type=float, default=20.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.set_defaults(func=cmd_train_filter)
 
     p = sub.add_parser("train-forest", help="train the fusion classifier")
     p.add_argument("--data", required=True, help="directory with audio.wav, imu.csv, labels.csv")
     p.add_argument("--filter", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--trees", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.set_defaults(func=cmd_train_forest)
 
     p = sub.add_parser("sync", help="estimate the IMU-vs-audio clock offset")
@@ -149,14 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels")
     p.add_argument("--audio-only", action="store_true")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--tolerance-ms", type=float, default=100.0)
+    p.add_argument("--tolerance-ms", type=float, default=MATCH_TOLERANCE_MS)
     p.add_argument("--emit-series", action="store_true")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("eval", help="score a detections file against labels")
     p.add_argument("--events", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--tolerance-ms", type=float, default=100.0)
+    p.add_argument("--tolerance-ms", type=float, default=MATCH_TOLERANCE_MS)
     p.set_defaults(func=cmd_eval)
 
     return parser

@@ -255,10 +255,13 @@ _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", floa
                bool: "boolean", type(None): "null"}
 
 
-def _expect(value, json_type: type, where: str):
-    """value itself when it has the JSON type (dict or list) a model payload needs at `where`."""
-    if not isinstance(value, json_type):
-        raise ValueError(f"{where} must be a JSON {_JSON_TYPES[json_type]}, got {_JSON_TYPES[type(value)]}")
+def _expect(value, json_type: str, where: str):
+    """value itself when json.load gave it the JSON type a model payload needs at `where`.
+
+    Types are matched by their JSON names, so a boolean is not a number.
+    """
+    if _JSON_TYPES[type(value)] != json_type:
+        raise ValueError(f"{where} must be a JSON {json_type}, got {_JSON_TYPES[type(value)]}")
     return value
 
 
@@ -279,8 +282,10 @@ def save_filter_model(path, model: FilterModel) -> None:
 
 def load_filter_model(path) -> FilterModel:
     with open(path) as fh, _model_errors("filter"):
-        payload = _expect(json.load(fh), dict, "top level")
-        model = FilterModel(np.array(payload["weights"], dtype=float), float(payload["bias"]))
+        payload = _expect(json.load(fh), "object", "top level")
+        weights = _expect(payload["weights"], "array", "weights")
+        weights = [_expect(w, "number", f"weights[{i}]") for i, w in enumerate(weights)]
+        model = FilterModel(np.array(weights, dtype=float), float(_expect(payload["bias"], "number", "bias")))
         for name, fixed in _FILTER_GEOMETRY.items():
             if payload[name] != fixed:
                 raise ValueError(f"{name} must be {fixed}, got {payload[name]!r}")
@@ -295,9 +300,9 @@ def save_forest_model(path, model: ForestModel) -> None:
 
 def load_forest_model(path) -> ForestModel:
     with open(path) as fh, _model_errors("forest"):
-        payload = _expect(json.load(fh), dict, "top level")
-        for i, tree in enumerate(_expect(payload["trees"], list, "trees")):
-            _expect(tree, dict, f"trees[{i}]")
+        payload = _expect(json.load(fh), "object", "top level")
+        for i, tree in enumerate(_expect(payload["trees"], "array", "trees")):
+            _expect(tree, "object", f"trees[{i}]")
         return ForestModel.from_dict(payload)
 
 

@@ -7,11 +7,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["NEIGHBORHOOD_MS", "ShotEvent", "LabelSet", "EvalReport", "dedup", "check_tolerance", "evaluate"]
+__all__ = ["NEIGHBORHOOD_MS", "MATCH_TOLERANCE_MS", "ShotEvent", "LabelSet", "EvalReport", "dedup",
+           "check_tolerance", "precision_recall_f", "evaluate"]
 
 #: Width of a shot's neighborhood: the candidate and feature window of
 #: fusion, and the span within which dedup keeps only the first event.
 NEIGHBORHOOD_MS = 500.0
+#: Default distance within which a detection matches a label (evaluate).
+MATCH_TOLERANCE_MS = 100.0
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,20 @@ def check_tolerance(tolerance_ms: float) -> None:
         raise ValueError(f"tolerance_ms must be finite and non-negative, got {tolerance_ms}")
 
 
+def precision_recall_f(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Precision, recall and their harmonic mean F from match counts.
+
+    Precision is 1 with no detections and recall 1 with no positives
+    (vacuous truth); F is 0 when both are 0.
+    """
+    precision = tp / (tp + fp) if tp + fp else 1.0
+    recall = tp / (tp + fn) if tp + fn else 1.0
+    f_score = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return precision, recall, f_score
+
+
 def evaluate(
-    events: list[ShotEvent], labels: LabelSet, tolerance_ms: float = 100.0
+    events: list[ShotEvent], labels: LabelSet, tolerance_ms: float = MATCH_TOLERANCE_MS
 ) -> EvalReport:
     """Score detections against labels with greedy one-to-one matching.
 
@@ -124,7 +139,4 @@ def evaluate(
 
     fp = times.size - tp
     fn = len(labels) - tp
-    precision = tp / (tp + fp) if times.size else 1.0
-    recall = tp / (tp + fn) if len(labels) else 1.0
-    f_score = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return EvalReport(precision, recall, f_score, tp, fp, fn, tolerance_ms)
+    return EvalReport(*precision_recall_f(tp, fp, fn), tp, fp, fn, tolerance_ms)

@@ -38,8 +38,8 @@ from .dataio import (
     write_events_csv,
     write_series_csv,
 )
-from .events import LabelSet, check_tolerance, evaluate
-from .forest import classify, train_forest
+from .events import MATCH_TOLERANCE_MS, LabelSet, check_tolerance, evaluate, precision_recall_f
+from .forest import DEFAULT_TREE_COUNT, classify, train_forest
 from .fusion import (
     SyncedSeries,
     audio_only_events,
@@ -89,12 +89,7 @@ def _label_distance(labels: LabelSet, times: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(shots[before] - times), np.abs(shots[after] - times))
 
 
-def windows_from_labels(
-    audio: PcmAudio,
-    labels: LabelSet,
-    negatives_per_positive: float = 20.0,
-    seed: int = 0,
-) -> list[LabeledAudioWindow]:
+def windows_from_labels(audio: PcmAudio, labels: LabelSet, seed: int = 0) -> list[LabeledAudioWindow]:
     """Cut labeled training windows out of a recorded stream.
 
     One positive window per label, centered on the stream microframe that
@@ -103,7 +98,7 @@ def windows_from_labels(
     microframe f the window is samples[(f - 5) * 80 - 22 : (f + 6) * 80],
     the WINDOW_SAMPLES the filter reads to score f. Negative windows are
     sampled uniformly at least MIN_LABEL_DISTANCE_MS away from every
-    label, negatives_per_positive of them per positive. Only microframes
+    label, TrainConfig.neg_pos_ratio of them per positive. Only microframes
     with DRAW_MARGIN_FRAMES whole microframes on each side are drawn. Each
     window's samples are a read-only int16 view of the stream, so the
     windows keep audio.samples alive rather than copying it.
@@ -125,7 +120,7 @@ def windows_from_labels(
     # microframe has the margin are kept. The stream is drawn in growing
     # prefix chunks, which give the values of one draw, in order, and
     # stops once enough are kept.
-    wanted = int(round(negatives_per_positive * positive.size))
+    wanted = int(round(TrainConfig.neg_pos_ratio * positive.size))
     margin_ms = (DRAW_MARGIN_FRAMES + 0.5) * MICROFRAME_MS
     lo = audio.start_time + margin_ms
     hi = audio.end_time - margin_ms
@@ -149,11 +144,11 @@ def windows_from_labels(
     ]
 
 
-def shuffle_split(items: list, fraction: float = 0.8, seed: int = 0) -> tuple[list, list]:
-    """Seeded shuffle split; first part gets round(fraction * n) items."""
+def shuffle_split(items: list, seed: int = 0) -> tuple[list, list]:
+    """Seeded shuffle split; first part gets round(TRAIN_FRACTION * n) items."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(items))
-    cut = int(round(fraction * len(items)))
+    cut = int(round(TRAIN_FRACTION * len(items)))
     return [items[i] for i in order[:cut]], [items[i] for i in order[cut:]]
 
 
@@ -167,9 +162,7 @@ def window_metrics(model: FilterModel, windows: list[LabeledAudioWindow]) -> dic
     tp = int(np.count_nonzero(predicted & (labels == 1)))
     fp = int(np.count_nonzero(predicted & (labels == 0)))
     fn = int(np.count_nonzero(~predicted & (labels == 1)))
-    precision = tp / (tp + fp) if tp + fp else 1.0
-    recall = tp / (tp + fn) if tp + fn else 1.0
-    f_score = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    precision, recall, f_score = precision_recall_f(tp, fp, fn)
     return {"precision": precision, "recall": recall, "f_score": f_score, "windows": len(windows)}
 
 
@@ -215,17 +208,13 @@ def candidate_dataset(synced: SyncedSeries, labels: LabelSet) -> tuple[np.ndarra
     return X, (_label_distance(labels, times) <= CANDIDATE_LABEL_TOLERANCE_MS).astype(int)
 
 
-def train_filter_workflow(
-    data_dir,
-    out_path,
-    train_cfg: TrainConfig = TrainConfig(),
-) -> dict:
+def train_filter_workflow(data_dir, out_path, train_cfg: TrainConfig = TrainConfig()) -> dict:
     """train-filter subcommand: windows from labels, 80/20 split, fit, save."""
     data_dir = Path(data_dir)
     audio = read_wav(data_dir / "audio.wav")
     labels = read_labels_csv(data_dir / "labels.csv")
-    windows = windows_from_labels(audio, labels, train_cfg.neg_pos_ratio, train_cfg.seed)
-    train_set, val_set = shuffle_split(windows, TRAIN_FRACTION, train_cfg.seed)
+    windows = windows_from_labels(audio, labels, train_cfg.seed)
+    train_set, val_set = shuffle_split(windows, train_cfg.seed)
     model = train_filter(train_set, train_cfg)
     save_filter_model(out_path, model)
     metrics = window_metrics(model, val_set)
@@ -233,14 +222,8 @@ def train_filter_workflow(
     return metrics
 
 
-def train_forest_workflow(
-    data_dir,
-    filter_path,
-    out_path,
-    tree_count: int = 50,
-    seed: int = 0,
-) -> dict:
-    """train-forest subcommand: sync the streams, label candidates, fit, save."""
+def train_forest_workflow(data_dir, filter_path, out_path, seed: int = 0) -> dict:
+    """train-forest subcommand: sync the streams, label candidates, fit DEFAULT_TREE_COUNT trees, save."""
     data_dir = Path(data_dir)
     if not os.path.exists(filter_path):
         raise FileNotFoundError(f"model not found: {filter_path}")
@@ -249,8 +232,8 @@ def train_forest_workflow(
     synced = synced_series(apf, read_imu_csv(data_dir / "imu.csv"))
     labels = read_labels_csv(data_dir / "labels.csv")
     X, y = candidate_dataset(synced, labels)
-    train_rows, val_rows = shuffle_split(np.arange(y.size), TRAIN_FRACTION, seed)
-    model = train_forest(X[train_rows], y[train_rows], tree_count, seed)
+    train_rows, val_rows = shuffle_split(np.arange(y.size), seed)
+    model = train_forest(X[train_rows], y[train_rows], DEFAULT_TREE_COUNT, seed)
     save_forest_model(out_path, model)
 
     predicted, _ = classify(model, X[val_rows])
@@ -270,7 +253,7 @@ class PipelineOptions:
     out_dir: str = "."
     labels_path: str | None = None
     audio_only: bool = False
-    tolerance_ms: float = 100.0
+    tolerance_ms: float = MATCH_TOLERANCE_MS
     emit_series: bool = False
 
     def __post_init__(self):

@@ -163,7 +163,7 @@ def test_criterion_3_filter_training():
 
     corpus = [burst_window() for _ in range(30)]
     corpus += [noise_window() for _ in range(600)]  # 1:20 ratio
-    train_set, held_out = shuffle_split(corpus, 0.8, seed=300)
+    train_set, held_out = shuffle_split(corpus, seed=300)
 
     cfg = TrainConfig(seed=300, max_epochs=200)
     model = train_filter(train_set, cfg)
@@ -263,7 +263,7 @@ def trained_models(tmp_path_factory):
     )
     audio, imu, labels = sf.synthesize(cfg)
     windows = windows_from_labels(audio, labels, seed=510)
-    train_set, _ = shuffle_split(windows, 0.8, seed=510)
+    train_set, _ = shuffle_split(windows, seed=510)
     filter_model = train_filter(train_set, TrainConfig(seed=510))
 
     synced = synced_series(sf.audio_likelihood(audio, filter_model), imu)

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from shotfuse.training import TrainConfig
+
 CLI = [sys.executable, "-m", "shotfuse"]
 
 
@@ -139,14 +141,25 @@ def test_train_forest_determinism_byte_identical(workspace, tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_train_filter_rejects_non_finite_settings(workspace, tmp_path):
-    out = tmp_path / "filter.json"
-    for flag, value in (("--learning-rate", "nan"), ("--neg-pos-ratio", "nan"), ("--learning-rate", "inf")):
-        proc = run_cli("train-filter", "--data", workspace["data"], "--out", out, flag, value, check=False)
-        assert proc.returncode == 1
-        field = flag[2:].replace("-", "_")
-        assert proc.stderr == f"error: {field} must be finite, got {value}\n"
+def test_training_takes_only_epochs_and_seed(workspace, tmp_path):
+    # The Adam step, batch size, negative ratio, split and forest size are fixed.
+    out = tmp_path / "model.json"
+    cases = [
+        ("train-filter", ["--learning-rate", "0.01"]),
+        ("train-filter", ["--batch-size", "8"]),
+        ("train-filter", ["--neg-pos-ratio", "5"]),
+        ("train-forest", ["--filter", workspace["filter"], "--trees", "10"]),
+    ]
+    for command, extra in cases:
+        proc = run_cli(command, "--data", workspace["data"], "--out", out, *extra, check=False)
+        assert proc.returncode == 2
+        assert f"unrecognized arguments: {' '.join(map(str, extra[-2:]))}" in proc.stderr
     assert not out.exists()
+    usage = run_cli("train-filter", "--help").stdout + run_cli("train-forest", "--help").stdout
+    for flag in ("--learning-rate", "--batch-size", "--neg-pos-ratio", "--trees"):
+        assert flag not in usage
+    with pytest.raises(TypeError):
+        TrainConfig(learning_rate=0.01)
 
 
 def test_synth_rejects_non_finite_config(tmp_path):

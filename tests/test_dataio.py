@@ -452,6 +452,27 @@ def test_filter_model_rejects_another_tap_count(tmp_path):
         load_filter_model(path)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # null and [1.0] used to fail as a bare TypeError; true and "1.5" used to load.
+        (lambda p: p.update(bias=None), "bias must be a JSON number, got null"),
+        (lambda p: p.update(bias=[1.0]), "bias must be a JSON number, got array"),
+        (lambda p: p.update(bias=True), "bias must be a JSON number, got boolean"),
+        (lambda p: p.update(bias="1.5"), "bias must be a JSON number, got string"),
+        # Used to report "weights must hold 23 values, got 23".
+        (lambda p: p.update(weights=[p["weights"]]), "weights\\[0\\] must be a JSON number, got array"),
+    ],
+    ids=["bias-null", "bias-array", "bias-true", "bias-string", "weights-nested"],
+)
+def test_filter_model_rejects_wrongly_typed_fields(tmp_path, edit, message):
+    path = tmp_path / "filter.json"
+    save_filter_model(path, FilterModel(np.ones(23), 0.0))
+    rewrite_json(path, path, edit)
+    with pytest.raises(ValueError, match=f"^filter model: {message}$"):
+        load_filter_model(path)
+
+
 def test_model_loaders_name_a_missing_field(tmp_path, rng):
     filter_path = tmp_path / "filter.json"
     save_filter_model(filter_path, FilterModel(np.ones(23), 0.0))

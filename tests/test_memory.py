@@ -34,7 +34,7 @@ def session(tmp_path_factory):
     audio, imu, labels = sf.synthesize(cfg)
     write_wav(root / "audio.wav", audio)
     write_imu_csv(root / "imu.csv", imu)
-    train_set, _ = shuffle_split(windows_from_labels(audio, labels, seed=3), 0.8, 3)
+    train_set, _ = shuffle_split(windows_from_labels(audio, labels, seed=3), 3)
     filter_model = sf.train_filter(train_set, sf.TrainConfig(max_epochs=1, seed=3))
     save_filter_model(root / "filter.json", filter_model)
     synced = synced_series(sf.audio_likelihood(audio, filter_model), imu)

@@ -33,7 +33,7 @@ def fixture_dir(tmp_path_factory):
     write_labels_csv(root / "labels.csv", labels)
 
     windows = windows_from_labels(audio, labels, seed=8)
-    train_set, _ = shuffle_split(windows, 0.8, 8)
+    train_set, _ = shuffle_split(windows, 8)
     filter_model = sf.train_filter(train_set, sf.TrainConfig(seed=8))
     save_filter_model(root / "filter.json", filter_model)
 
@@ -95,10 +95,11 @@ def test_run_pipeline_missing_model(fixture_dir, tmp_path):
         )
 
 
-def test_windows_snap_to_stream_frame_grid():
+def test_windows_snap_to_stream_frame_grid(monkeypatch):
     cfg = sf.SynthConfig(duration_s=30.0, shot_count=10, seed=85)
     audio, _, labels = sf.synthesize(cfg)
-    windows = windows_from_labels(audio, labels, seed=1, negatives_per_positive=2.0)
+    monkeypatch.setattr(sf.TrainConfig, "neg_pos_ratio", 2.0)
+    windows = windows_from_labels(audio, labels, seed=1)
     positives = [w for w in windows if w.label == 1]
     assert len(positives) == 10
     assert all(w.samples.size == 902 for w in windows)
@@ -155,7 +156,8 @@ def test_windows_from_labels_matches_scalar_draw_loop(monkeypatch, ratio, distan
     audio, _, labels = sf.synthesize(sf.SynthConfig(duration_s=40.0, shot_count=12, seed=86))
     labels = sf.LabelSet(np.r_[20.0, labels.shots, audio.end_time - 30.0])
     monkeypatch.setattr(pipeline, "MIN_LABEL_DISTANCE_MS", distance_ms)
-    windows = windows_from_labels(audio, labels, negatives_per_positive=ratio, seed=seed)
+    monkeypatch.setattr(sf.TrainConfig, "neg_pos_ratio", ratio)
+    windows = windows_from_labels(audio, labels, seed=seed)
     expected = reference_windows(audio, labels, ratio, distance_ms, seed)
     assert [w.label for w in windows] == [label for _, label in expected]
     for w, (samples, _) in zip(windows, expected):
@@ -190,7 +192,8 @@ def full_draw_negative_starts(audio, labels, ratio, distance_ms, seed):
 def test_negative_windows_match_a_full_draw(monkeypatch, ratio, distance_ms, seed):
     audio, _, labels = sf.synthesize(sf.SynthConfig(duration_s=120.0, shot_count=40, seed=88))
     monkeypatch.setattr(pipeline, "MIN_LABEL_DISTANCE_MS", distance_ms)
-    windows = windows_from_labels(audio, labels, negatives_per_positive=ratio, seed=seed)
+    monkeypatch.setattr(sf.TrainConfig, "neg_pos_ratio", ratio)
+    windows = windows_from_labels(audio, labels, seed=seed)
     negatives = [w.samples for w in windows if w.label == 0]
     expected = full_draw_negative_starts(audio, labels, ratio, distance_ms, seed)
     assert len(negatives) == expected.size > 0
@@ -203,8 +206,9 @@ def test_windows_from_labels_without_labels():
     assert windows_from_labels(audio, sf.LabelSet(np.empty(0))) == []
 
 
-def test_windows_view_the_audio():
+def test_windows_view_the_audio(monkeypatch):
     audio, _, labels = sf.synthesize(sf.SynthConfig(duration_s=20.0, shot_count=6, seed=89))
-    windows = windows_from_labels(audio, labels, negatives_per_positive=2.0)
+    monkeypatch.setattr(sf.TrainConfig, "neg_pos_ratio", 2.0)
+    windows = windows_from_labels(audio, labels)
     assert len(windows) == 18
     assert all(np.shares_memory(w.samples, audio.samples) for w in windows)

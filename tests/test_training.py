@@ -436,14 +436,6 @@ def test_train_filter_builds_the_forms_of_center_forms(rng, monkeypatch, length)
 def test_config_errors_name_the_bound():
     with pytest.raises(ValueError, match="^max_epochs must be non-negative$"):
         TrainConfig(max_epochs=-1)
-    with pytest.raises(ValueError, match="^learning_rate and batch_size must be positive$"):
-        TrainConfig(batch_size=0)
-    # NaN used to train every epoch on NaN and inf to fail only at the end;
-    # a NaN ratio died converting the negative count to an integer.
-    for field in ("learning_rate", "neg_pos_ratio"):
-        for bad in (float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
-                TrainConfig(**{field: bad})
 
 
 def test_window_metrics_score_held_out_windows_like_the_oracle(rng):
