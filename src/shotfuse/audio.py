@@ -6,9 +6,11 @@ against the mean of its surrounding macroframe. The resulting peak function
 is a 100 Hz likelihood series that spikes at impact sounds; adding the
 model bias and thresholding at zero turns it into a detector.
 
-A recording stays 16-bit PCM (:class:`PcmAudio`) from the WAV file to the
-filter: the FIR pass decodes it one chunk at a time, and training decodes
-one chunk of windows at a time.
+A recording stays 16-bit PCM from the WAV file to the filter, and the FIR
+pass decodes it one chunk at a time. Detection streams those chunks from
+the file (``dataio.WavFile``) and never holds the recording; training
+reads it whole (:class:`PcmAudio`) and decodes one chunk of windows at a
+time.
 """
 
 from __future__ import annotations
@@ -112,6 +114,10 @@ class PcmAudio:
         """Timestamp one sample period past the last sample."""
         return self.start_time + len(self) * 1000.0 / self.rate
 
+    def chunks(self, size: int):
+        """The samples in order as read-only views of size samples each; the last may be shorter."""
+        return (self.samples[i : i + size] for i in range(0, len(self), size))
+
 
 @dataclass(frozen=True, eq=False)
 class FilterModel:
@@ -156,19 +162,22 @@ class LabeledAudioWindow:
 def short_time_energy(x: PcmAudio, taps: np.ndarray) -> SampleSeries:
     """Sum of squared FIR-filtered samples per non-overlapping microframe.
 
-    The filter is causal with zero initial state (series.fir_frames) and
-    reads the decoded samples (PCM * PCM_SCALE). Each chunk of frames is
-    decoded, filtered, squared and summed into the energies as it is made,
-    so neither the decoded nor the filtered stream ever exists in full. A
-    trailing partial microframe is discarded. Each output value is
-    timestamped at the center of its microframe. The energies are the only
-    array this makes that outlives the call; it is frozen, so the series
-    adopts it, and nothing here keeps a reference to x.
+    x is a PcmAudio or anything that reads like one here: a len() in
+    samples, a start_time, the PCM scale and chunks(size), such as
+    dataio.WavFile. The filter is causal with zero initial state
+    (series.fir_frames) and reads the decoded samples (PCM * PCM_SCALE).
+    Each chunk of frames is read, decoded, filtered, squared and summed
+    into the energies as it is made, so neither the decoded nor the
+    filtered stream ever exists in full, and a WavFile's PCM does not
+    either. A trailing partial microframe is discarded. Each output value
+    is timestamped at the center of its microframe. The energies are the
+    only array this makes that outlives the call; it is frozen, so the
+    series adopts it, and nothing here keeps a reference to x.
     """
     if len(x) < MICROFRAME_SAMPLES:
         raise ValueError("insufficient samples")
     energy = np.empty(len(x) // MICROFRAME_SAMPLES)
-    for lo, hi, block in fir_frames(x.samples, x.scale, taps, MICROFRAME_SAMPLES, energy.size):
+    for lo, hi, block in fir_frames(x.chunks, x.scale, taps, MICROFRAME_SAMPLES, energy.size):
         np.einsum("ij,ij->i", block, block, out=energy[lo:hi])
     energy.flags.writeable = False
     return SampleSeries(FRAME_RATE_HZ, x.start_time + MICROFRAME_MS / 2.0, energy)
@@ -196,15 +205,16 @@ def audio_likelihood(x: PcmAudio, model: FilterModel) -> SampleSeries:
     """Likelihood series of the filtered stream; the bias is not applied here.
 
     Downstream consumers (synchronizer, fusion) want the raw peak function;
-    only :func:`detect_audio` folds in the decision bias. This is the last
-    stage that reads the PCM: the workflows pass read_wav's result straight
-    in, so the recording is freed when this returns.
+    only :func:`detect_audio` folds in the decision bias. x is a PcmAudio
+    or a dataio.WavFile (see :func:`short_time_energy`); the detection
+    workflows pass a WavFile, so the recording is read one chunk at a time
+    and never held.
     """
     return apf(short_time_energy(x, model.weights))
 
 
 def detect_audio(x: PcmAudio, model: FilterModel) -> list[ShotEvent]:
-    """One event per microframe whose biased likelihood is strictly positive."""
+    """One event per microframe whose biased likelihood is strictly positive; x as in audio_likelihood."""
     likelihood = audio_likelihood(x, model)
     scores = likelihood.values + model.bias
     hits = np.flatnonzero(scores > 0.0)

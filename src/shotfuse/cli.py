@@ -8,12 +8,12 @@ import sys
 
 from .audio import audio_likelihood
 from .dataio import (
+    WavFile,
     ensure_dir,
     load_filter_model,
     read_events_csv,
     read_imu_csv,
     read_labels_csv,
-    read_wav,
     write_imu_csv,
     write_labels_csv,
     write_wav,
@@ -68,7 +68,7 @@ def cmd_train_forest(args) -> int:
 
 def cmd_sync(args) -> int:
     filter_model = load_filter_model(args.filter)
-    synced = synced_series(audio_likelihood(read_wav(args.audio), filter_model), read_imu_csv(args.imu))
+    synced = synced_series(audio_likelihood(WavFile(args.audio), filter_model), read_imu_csv(args.imu))
     _emit(synced.sync_report())
     return 0
 

@@ -19,6 +19,7 @@ from .series import SampleSeries
 
 __all__ = [
     "read_wav",
+    "WavFile",
     "write_wav",
     "read_imu_csv",
     "write_imu_csv",
@@ -36,8 +37,9 @@ __all__ = [
 IMU_COLUMNS = ("t_ms", "ax", "ay", "az", "gx", "gy", "gz")
 
 
-def read_wav(path) -> PcmAudio:
-    """Load 16-bit mono PCM audio at SAMPLE_RATE_HZ as a read-only view of the bytes read."""
+@contextmanager
+def _open_wav(path):
+    """The open WAV file, once its header declares 16-bit mono PCM at SAMPLE_RATE_HZ."""
     with wave.open(str(path), "rb") as wav:
         if wav.getcomptype() != "NONE":
             raise ValueError(f"expected uncompressed PCM, got {wav.getcomptype()}")
@@ -47,9 +49,64 @@ def read_wav(path) -> PcmAudio:
             raise ValueError(f"expected mono audio, got {wav.getnchannels()} channels")
         if wav.getframerate() != SAMPLE_RATE_HZ:
             raise ValueError(f"expected {SAMPLE_RATE_HZ} Hz, got {wav.getframerate()} Hz")
-        raw = wav.readframes(wav.getnframes())
-    # wave hands over frames in native byte order.
-    return PcmAudio(np.frombuffer(raw, dtype=np.int16))
+        yield wav
+
+
+def _read_frames(wav, count: int, declared: int, before: int) -> np.ndarray:
+    """The next count frames as read-only int16 (wave hands them over in native byte order).
+
+    A file that ends early, even inside a frame, fails with the frame count
+    its header declares and the whole frames it holds (before this read,
+    plus those this read got).
+    """
+    raw = wav.readframes(count)
+    if len(raw) < 2 * count:
+        raise ValueError(f"truncated WAV: the header declares {declared} frames, "
+                         f"the file holds {before + len(raw) // 2}")
+    return np.frombuffer(raw, dtype=np.int16)
+
+
+def read_wav(path) -> PcmAudio:
+    """Load 16-bit mono PCM audio at SAMPLE_RATE_HZ as a read-only view of the bytes read."""
+    with _open_wav(path) as wav:
+        frames = wav.getnframes()
+        return PcmAudio(_read_frames(wav, frames, frames, 0))
+
+
+#: Blocks WavFile.chunks takes from each read of the file: reading 4 FIR chunks
+#: (160 kB) at a time costs per sample what one whole-file read does, and one
+#: read per chunk about twice that.
+_BLOCKS_PER_READ = 4
+
+
+class WavFile:
+    """A WAV recording read from disk one block at a time: a PcmAudio that is never held whole.
+
+    It reads like a PcmAudio to short_time_energy, audio_likelihood,
+    detect_audio and audio_only_events: len() is the frame count its header
+    declares, start_time is 0, and chunks(size) reads the samples afresh,
+    size frames at a time, as read_wav would return them. Opening checks
+    the header as read_wav does; a file that holds fewer frames than its
+    header declares fails while chunks reads it, with read_wav's message.
+    """
+
+    start_time = 0.0
+    scale = PcmAudio.scale
+
+    def __init__(self, path):
+        self.path = path
+        with _open_wav(path) as wav:
+            self._frames = wav.getnframes()
+
+    def __len__(self) -> int:
+        return self._frames
+
+    def chunks(self, size: int):
+        """The samples in order as read-only int16 blocks of size samples; the last may be shorter."""
+        with _open_wav(self.path) as wav:
+            for start in range(0, self._frames, size * _BLOCKS_PER_READ):
+                read = _read_frames(wav, min(size * _BLOCKS_PER_READ, self._frames - start), self._frames, start)
+                yield from (read[i : i + size] for i in range(0, read.size, size))
 
 
 def write_wav(path, audio: PcmAudio) -> None:
@@ -240,14 +297,42 @@ def write_series_csv(path, series: SampleSeries) -> None:
 
 
 @contextmanager
-def _model_errors(kind: str):
-    """Name the model in every error its payload raises; a missing key names the field."""
+def _model_errors(kind: str, fh):
+    """The JSON object in fh, for a block that builds the model from it.
+
+    Every error of the parse or the block names the model; a missing key
+    names the field, and so does an integer too large for a float.
+    """
+    payload = None
     try:
-        yield
+        payload = _expect(json.load(fh), "object", "top level")
+        yield payload
     except KeyError as exc:
         raise ValueError(f"{kind} model: missing field {exc.args[0]!r}") from None
+    except OverflowError as exc:
+        where = _oversized(payload, "")
+        if where is None:
+            raise ValueError(f"{kind} model: {exc}") from None
+        raise ValueError(f"{kind} model: {where} is too large for a float") from None
     except ValueError as exc:
         raise ValueError(f"{kind} model: {exc}") from None
+
+
+def _oversized(value, where: str) -> str | None:
+    """Path of the first JSON integer in value that no float can hold, in file order."""
+    if type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            return where
+        return None
+    if isinstance(value, dict):
+        children = ((f"{where}.{key}" if where else key, v) for key, v in value.items())
+    elif isinstance(value, list):
+        children = ((f"{where}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_oversized(v, path) for path, v in children)), None)
 
 
 #: JSON's name for each type json.load returns.
@@ -281,8 +366,7 @@ def save_filter_model(path, model: FilterModel) -> None:
 
 
 def load_filter_model(path) -> FilterModel:
-    with open(path) as fh, _model_errors("filter"):
-        payload = _expect(json.load(fh), "object", "top level")
+    with open(path) as fh, _model_errors("filter", fh) as payload:
         weights = _expect(payload["weights"], "array", "weights")
         weights = [_expect(w, "number", f"weights[{i}]") for i, w in enumerate(weights)]
         model = FilterModel(np.array(weights, dtype=float), float(_expect(payload["bias"], "number", "bias")))
@@ -299,8 +383,7 @@ def save_forest_model(path, model: ForestModel) -> None:
 
 
 def load_forest_model(path) -> ForestModel:
-    with open(path) as fh, _model_errors("forest"):
-        payload = _expect(json.load(fh), "object", "top level")
+    with open(path) as fh, _model_errors("forest", fh) as payload:
         for i, tree in enumerate(_expect(payload["trees"], "array", "trees")):
             _expect(tree, "object", f"trees[{i}]")
         return ForestModel.from_dict(payload)

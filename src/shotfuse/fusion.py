@@ -170,6 +170,6 @@ def detect_shots(synced: SyncedSeries, forest_model: ForestModel) -> list[ShotEv
 
 
 def audio_only_events(audio: PcmAudio, filter_model: FilterModel) -> list[ShotEvent]:
-    """Single-modality baseline: biased likelihood threshold plus dedup."""
+    """Single-modality baseline: biased likelihood threshold plus dedup; audio as in audio_likelihood."""
     return dedup(detect_audio(audio, filter_model))
 

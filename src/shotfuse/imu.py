@@ -132,23 +132,43 @@ class ImuComponents:
                 raise ValueError("component series must share rate, start and length")
 
 
-def _regrid(t: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Snap jittered timestamps onto an exact IMU_RATE_HZ grid by nearest-sample assignment.
+#: Samples per slice of the whole-stream checks in decompose and _regrid, so
+#: their temporaries stay small however long the stream is.
+_SLICE_SAMPLES = 8192
 
-    columns itself when every sample already sits on its own grid slot.
-    """
-    if t.size == 1:
-        return columns
-    period = 1000.0 / IMU_RATE_HZ
-    n = int(round((t[-1] - t[0]) / period)) + 1
-    grid = t[0] + np.arange(n) * period
+
+def _slices(n: int):
+    """(lo, hi) bounds that cut range(n) into pieces of _SLICE_SAMPLES."""
+    return ((lo, min(lo + _SLICE_SAMPLES, n)) for lo in range(0, n, _SLICE_SAMPLES))
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """A fresh array made read-only in place, so that a SampleSeries adopts it (or a view of it)."""
+    values.flags.writeable = False
+    return values
+
+
+def _nearest(t: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Index of the sample nearest to each grid slot lo .. hi - 1; a tie goes to the earlier one."""
+    grid = t[0] + np.arange(lo, hi) * (1000.0 / IMU_RATE_HZ)
     right = np.searchsorted(t, grid)
     right = np.clip(right, 1, t.size - 1)
     left = right - 1
-    pick = np.where(np.abs(t[left] - grid) <= np.abs(t[right] - grid), left, right)
-    if np.array_equal(pick, np.arange(t.size)):
+    return np.where(np.abs(t[left] - grid) <= np.abs(t[right] - grid), left, right)
+
+
+def _regrid(t: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Snap jittered timestamps onto an exact IMU_RATE_HZ grid by nearest-sample assignment.
+
+    columns itself when every sample already sits on its own grid slot,
+    which is checked one _SLICE_SAMPLES slice of slots at a time.
+    """
+    if t.size == 1:
         return columns
-    return columns[:, pick]
+    n = int(round((t[-1] - t[0]) / (1000.0 / IMU_RATE_HZ))) + 1
+    if n == t.size and all(np.array_equal(_nearest(t, lo, hi), np.arange(lo, hi)) for lo, hi in _slices(n)):
+        return columns
+    return columns[:, _nearest(t, 0, n)]
 
 
 def _butterworth_lowpass() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,7 +203,7 @@ def lowpass(x: SampleSeries) -> SampleSeries:
         raise ValueError("empty signal")
     if x.rate != IMU_RATE_HZ:
         raise ValueError(f"lowpass is designed for {IMU_RATE_HZ:g} Hz, not {x.rate:g} Hz")
-    return x.with_values(np.convolve(x.values, LOWPASS_RESPONSE)[: len(x)])
+    return x.with_values(_frozen(np.convolve(x.values, LOWPASS_RESPONSE))[: len(x)])
 
 
 def decompose(stream: ImuStream) -> ImuComponents:
@@ -191,27 +211,33 @@ def decompose(stream: ImuStream) -> ImuComponents:
 
     Radial terms are the x-axis readings; tangential terms are the y/z
     magnitudes (hence non-negative). Timestamps must be strictly increasing
-    with inter-sample gaps inside [period/2, 2*period].
+    with inter-sample gaps inside [period/2, 2*period]; the gaps are
+    checked one _SLICE_SAMPLES slice at a time. w_rad is a copy of the gx
+    samples, so that once a_rad is low-passed (prepare_components) nothing
+    the components hold keeps the stream's block alive.
     """
     if len(stream) == 0:
         raise ValueError("empty stream")
     t = stream.t
     period = 1000.0 / IMU_RATE_HZ
-    if t.size > 1:
-        gaps = np.diff(t)
-        if np.any(gaps <= 0):
-            raise ValueError("unordered stream")
-        if np.any(gaps > 2 * period) or np.any(gaps < period / 2):
-            raise ValueError("stream gap")
+    unordered = gap = False
+    for lo, hi in _slices(t.size - 1):
+        gaps = np.diff(t[lo : hi + 1])
+        unordered |= bool(np.any(gaps <= 0))
+        gap |= bool(np.any(gaps > 2 * period) or np.any(gaps < period / 2))
+    if unordered:
+        raise ValueError("unordered stream")
+    if gap:
+        raise ValueError("stream gap")
 
     ax, ay, az, gx, gy, gz = _regrid(t, stream.columns()[1:])
 
     start = float(t[0])
     return ImuComponents(
         a_rad=SampleSeries(IMU_RATE_HZ, start, ax),
-        a_tan=SampleSeries(IMU_RATE_HZ, start, np.hypot(ay, az)),
-        w_rad=SampleSeries(IMU_RATE_HZ, start, gx),
-        w_tan=SampleSeries(IMU_RATE_HZ, start, np.hypot(gy, gz)),
+        a_tan=SampleSeries(IMU_RATE_HZ, start, _frozen(np.hypot(ay, az))),
+        w_rad=SampleSeries(IMU_RATE_HZ, start, _frozen(gx.copy())),
+        w_tan=SampleSeries(IMU_RATE_HZ, start, _frozen(np.hypot(gy, gz))),
     )
 
 
@@ -219,15 +245,15 @@ def prepare_components(stream: ImuStream) -> ImuComponents:
     """Decompose and low-pass the two components the peak function consumes.
 
     Only a_rad and w_tan are filtered; a_tan and w_rad stay raw for the
-    fusion feature extractor.
+    fusion feature extractor. The raw w_tan is let go before a_rad is
+    filtered, so one series fewer is alive at the second low-pass (which,
+    like every np.convolve of a read-only array, copies its input).
     """
     comps = decompose(stream)
-    return ImuComponents(
-        a_rad=lowpass(comps.a_rad),
-        a_tan=comps.a_tan,
-        w_rad=comps.w_rad,
-        w_tan=lowpass(comps.w_tan),
-    )
+    w_tan = lowpass(comps.w_tan)
+    a_rad, a_tan, w_rad = comps.a_rad, comps.a_tan, comps.w_rad
+    del comps
+    return ImuComponents(a_rad=lowpass(a_rad), a_tan=a_tan, w_rad=w_rad, w_tan=w_tan)
 
 
 def ipf(components: ImuComponents) -> SampleSeries:

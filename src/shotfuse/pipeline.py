@@ -27,6 +27,7 @@ from .audio import (
     audio_likelihood,
 )
 from .dataio import (
+    WavFile,
     ensure_dir,
     load_filter_model,
     load_forest_model,
@@ -170,8 +171,10 @@ def synced_series(apf: SampleSeries, imu: ImuStream) -> SyncedSeries:
     """The IMU components, the motion likelihood and the validated offset, once per run.
 
     apf is the run's audio likelihood (audio_likelihood), computed by the
-    caller before it parses the IMU stream: the PCM is only read to make
-    it, so no caller holds the recording and the IMU samples at once. The
+    caller from the WAV file before it parses the IMU stream, so no caller
+    holds the recording. The stream itself is let go once it is decomposed:
+    the components own their samples, so the caller's IMU block is freed
+    before sync when nothing else holds it. The
     live streams calibrate their own quantizer: dense quantized trains
     correlate far better than sparse shot-peak quintiles. The offset is
     estimated on the whole overlap minus a sync.VALIDATION_SECONDS tail and
@@ -180,6 +183,7 @@ def synced_series(apf: SampleSeries, imu: ImuStream) -> SyncedSeries:
     validation is skipped (False).
     """
     comps = prepare_components(imu)
+    del imu
     ipf_raw = ipf(comps)
     q = self_calibrate_quantizer(apf, ipf_raw)
 
@@ -228,7 +232,7 @@ def train_forest_workflow(data_dir, filter_path, out_path, seed: int = 0) -> dic
     if not os.path.exists(filter_path):
         raise FileNotFoundError(f"model not found: {filter_path}")
     filter_model = load_filter_model(filter_path)
-    apf = audio_likelihood(read_wav(data_dir / "audio.wav"), filter_model)
+    apf = audio_likelihood(WavFile(data_dir / "audio.wav"), filter_model)
     synced = synced_series(apf, read_imu_csv(data_dir / "imu.csv"))
     labels = read_labels_csv(data_dir / "labels.csv")
     X, y = candidate_dataset(synced, labels)
@@ -285,11 +289,12 @@ def run_pipeline(
     out_dir = ensure_dir(options.out_dir)
     result: dict = {}
 
-    # The PCM lives only inside the call that reads it: nothing here binds it.
+    # The recording is read one FIR chunk at a time, and nothing here binds the IMU stream.
+    audio = WavFile(audio_path)
     if options.audio_only:
-        events = audio_only_events(read_wav(audio_path), filter_model)
+        events = audio_only_events(audio, filter_model)
     else:
-        synced = synced_series(audio_likelihood(read_wav(audio_path), filter_model), read_imu_csv(imu_path))
+        synced = synced_series(audio_likelihood(audio, filter_model), read_imu_csv(imu_path))
         forest_model = load_forest_model(forest_model_path)
         events = detect_shots(synced, forest_model)
         sync_payload = synced.sync_report()

@@ -128,17 +128,24 @@ TRIANGLE_TAPS = np.array([1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0]) / 16.0
 FIR_CHUNK_FRAMES = 256
 
 
-def fir_frames(values: np.ndarray, scale: float, taps: np.ndarray, frame: int, frames: int):
-    """Causal FIR output of values * scale cut into frames, as (lo, hi, block) per chunk, in order.
+def fir_frames(read_chunks, scale: float, taps: np.ndarray, frame: int, frames: int):
+    """Causal FIR output of the samples * scale cut into frames, as (lo, hi, block) per chunk, in order.
 
-    block[i, j] = sum_t taps[t] * scale * values[(lo + i) * frame + j - t]
-    for the frames lo <= lo + i < hi of range(frames); values reads as zero
+    read_chunks(size) yields the samples in order, size of them at a time
+    (the last chunk may be shorter); it is called once, with size
+    FIR_CHUNK_FRAMES * frame. An in-memory recording slices them and a WAV
+    file reads them (audio.PcmAudio.chunks, dataio.WavFile.chunks). With x
+    the samples,
+    block[i, j] = sum_t taps[t] * scale * x[(lo + i) * frame + j - t]
+    for the frames lo <= lo + i < hi of range(frames); x reads as zero
     before sample 0 and past its end. Each chunk of up to FIR_CHUNK_FRAMES
-    frames is decoded into a float64 buffer of its own size (values * scale,
-    zero-padded), so integer PCM is never converted whole, and is one
-    matmul: a strided read-only view of every frame's window (its own
-    samples and the taps - 1 before them) against the banded Toeplitz
-    matrix of the reversed taps.
+    frames is decoded into a float64 buffer of its own size (its chunk *
+    scale after the taps - 1 decoded samples before it, zero-padded), so
+    no source is ever held or converted whole, and is one matmul: a
+    strided read-only view of every frame's window (its own samples and
+    the taps - 1 before them) against the banded Toeplitz matrix of the
+    reversed taps. The chunks are read to their end, so a source that
+    checks its length does so on every call.
     """
     taps = np.asarray(taps, dtype=float)
     history = taps.size - 1
@@ -146,13 +153,20 @@ def fir_frames(values: np.ndarray, scale: float, taps: np.ndarray, frame: int, f
     # Window row r holds sample (frame start - history + r), so it meets output j at tap j + history - r.
     tap = np.arange(frame) + history - np.arange(span)[:, None]
     toeplitz = np.where((tap >= 0) & (tap <= history), taps[np.clip(tap, 0, history)], 0.0)
+    chunks = iter(read_chunks(FIR_CHUNK_FRAMES * frame))
+    before = np.zeros(history)  # decoded samples lo * frame - history .. lo * frame - 1
     for lo in range(0, frames, FIR_CHUNK_FRAMES):
         hi = min(lo + FIR_CHUNK_FRAMES, frames)
-        first, last = lo * frame - history, hi * frame
-        segment = np.zeros(last - first)
-        a, b = max(first, 0), min(last, values.size)
-        np.multiply(values[a:b], scale, out=segment[a - first : b - first])
+        segment = np.zeros(history + (hi - lo) * frame)
+        segment[:history] = before
+        chunk = next(chunks, segment[:0])[: (hi - lo) * frame]
+        np.multiply(chunk, scale, out=segment[history : history + chunk.size])
+        # A copy, not a view, so that the segment is freed when the next one
+        # is made: the matmul's speed depends on where its buffers land.
+        before = segment[segment.size - history :].copy()
         yield lo, hi, sliding_window_view(segment, span)[::frame] @ toeplitz
+    for _ in chunks:
+        pass
 
 
 def triangle_smooth(x: SampleSeries) -> SampleSeries:

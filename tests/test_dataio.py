@@ -10,6 +10,7 @@ import shotfuse.dataio
 import shotfuse.imu
 from shotfuse import (
     FilterModel,
+    audio_likelihood,
     ImuStream,
     LabelSet,
     PcmAudio,
@@ -18,7 +19,9 @@ from shotfuse import (
     synthesize,
     train_forest,
 )
+from shotfuse.series import FIR_CHUNK_FRAMES
 from shotfuse.dataio import (
+    WavFile,
     load_filter_model,
     load_forest_model,
     read_events_csv,
@@ -156,6 +159,63 @@ def test_wav_rejects_wrong_properties(tmp_path):
         w.writeframes(np.zeros(100, dtype="u1").tobytes())
     with pytest.raises(ValueError, match="16-bit"):
         read_wav(eight_bit)
+
+
+CHUNK = FIR_CHUNK_FRAMES * 80  # samples per FIR chunk
+
+
+@pytest.mark.parametrize(
+    "n",
+    [79, 5000, 3 * CHUNK, 3 * CHUNK + 37, CHUNK + 5 * 80 + 79],
+    ids=["under-a-microframe", "under-a-chunk", "three-chunks", "three-chunks-and-37", "ends-inside-a-microframe"],
+)
+def test_streamed_likelihood_is_bit_equal_to_the_in_memory_one(tmp_path, rng, n):
+    path = tmp_path / "a.wav"
+    write_wav(path, PcmAudio.from_float(0.2 * rng.standard_normal(n)))
+    model = FilterModel(rng.standard_normal(23))
+    streamed = WavFile(path)
+    assert len(streamed) == n and streamed.start_time == 0.0 and streamed.scale == PcmAudio.scale
+    if n < 80:
+        for audio in (streamed, read_wav(path)):
+            with pytest.raises(ValueError, match="insufficient samples"):
+                audio_likelihood(audio, model)
+        return
+    a, b = audio_likelihood(streamed, model), audio_likelihood(read_wav(path), model)
+    assert (a.rate, a.start_time) == (b.rate, b.start_time)
+    assert a.values.tobytes() == b.values.tobytes()
+    blocks = list(streamed.chunks(CHUNK))
+    assert [x.size for x in blocks[:-1]] == [CHUNK] * (len(blocks) - 1)
+    assert np.array_equal(np.concatenate(blocks), read_wav(path).samples)
+
+
+@pytest.mark.parametrize("cut", [0, 1], ids=["whole-frames", "half-a-frame"])
+@pytest.mark.parametrize("kept", [5000, 3 * CHUNK + 20])
+def test_truncated_wav_fails_naming_the_declared_and_the_present_frames(tmp_path, rng, cut, kept):
+    # kept = 3 chunks + 20 cuts inside a tail that holds no whole microframe (3 chunks + 37).
+    n = 3 * CHUNK + 37
+    whole, path = tmp_path / "whole.wav", tmp_path / "cut.wav"
+    write_wav(whole, PcmAudio.from_float(0.2 * rng.standard_normal(n)))
+    path.write_bytes(whole.read_bytes()[: 44 + 2 * kept + cut])  # a 44-byte header, then 2 bytes a frame
+    message = f"^truncated WAV: the header declares {n} frames, the file holds {kept}$"
+    with pytest.raises(ValueError, match=message):
+        read_wav(path)
+    streamed = WavFile(path)  # the header alone is whole
+    assert len(streamed) == n
+    with pytest.raises(ValueError, match=message):
+        audio_likelihood(streamed, FilterModel(rng.standard_normal(23)))
+    with pytest.raises(ValueError, match=message):
+        list(streamed.chunks(CHUNK))
+
+
+def test_streamed_wav_checks_the_header_as_read_wav_does(tmp_path):
+    path = tmp_path / "stereo.wav"
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(2)
+        w.setsampwidth(2)
+        w.setframerate(8000)
+        w.writeframes(np.zeros(100, dtype="<i2").tobytes())
+    with pytest.raises(ValueError, match="^expected mono audio, got 2 channels$"):
+        WavFile(path)
 
 
 # --- IMU CSV -------------------------------------------------------------------
@@ -471,6 +531,27 @@ def test_filter_model_rejects_wrongly_typed_fields(tmp_path, edit, message):
     rewrite_json(path, path, edit)
     with pytest.raises(ValueError, match=f"^filter model: {message}$"):
         load_filter_model(path)
+
+
+@pytest.mark.parametrize(
+    "kind, edit, field",
+    [
+        ("filter", lambda p: p.update(bias=10**400), "bias"),
+        ("filter", lambda p: p["weights"].__setitem__(0, 10**400), "weights\\[0\\]"),
+        ("forest", lambda p: p["trees"][0]["threshold"].__setitem__(0, 10**400), "trees\\[0\\]\\.threshold\\[0\\]"),
+    ],
+    ids=["filter-bias", "filter-weight", "forest-threshold"],
+)
+def test_model_loaders_name_an_integer_too_large_for_a_float(tmp_path, rng, kind, edit, field):
+    # Used to fail as a bare OverflowError, naming neither the model nor the field.
+    path = tmp_path / f"{kind}.json"
+    if kind == "filter":
+        save_filter_model(path, FilterModel(np.ones(23), 0.0))
+    else:
+        save_forest_model(path, train_forest(rng.standard_normal((20, 5)), np.arange(20) % 2, 2, 1))
+    rewrite_json(path, path, edit)
+    with pytest.raises(ValueError, match=f"^{kind} model: {field} is too large for a float$"):
+        (load_filter_model if kind == "filter" else load_forest_model)(path)
 
 
 def test_model_loaders_name_a_missing_field(tmp_path, rng):

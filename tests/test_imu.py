@@ -1,8 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
+import shotfuse.imu
 from shotfuse import ImuComponents, ImuStream, SampleSeries, decompose, ipf, prepare_components
-from shotfuse.imu import IMU_FIELDS, IPF_WINDOW, prepare_components
+from shotfuse.imu import IMU_FIELDS, IPF_WINDOW, LOWPASS_TAPS, prepare_components
 
 
 def samples(t, **cols):
@@ -110,18 +113,84 @@ def test_decompose_tolerates_jitter():
     assert len(comps.a_rad) == 4
 
 
-def test_on_grid_stream_is_decomposed_without_copies(rng):
+def test_on_grid_stream_is_decomposed_without_a_regrid_copy(rng):
     imu = stream(50, rng)
     block = imu.columns()
     assert block.shape == (7, 50) and not block.flags.writeable
     assert np.shares_memory(block, imu.t) and imu.columns() is block
     comps = decompose(imu)
-    # The radial components are the stream's own rows; the tangential ones are new magnitudes.
+    # a_rad is the stream's own row; w_rad is a copy of gx, and the tangential ones are new magnitudes.
     assert np.shares_memory(comps.a_rad.values, imu.ax)
-    assert np.shares_memory(comps.w_rad.values, imu.gx)
+    assert not np.shares_memory(comps.w_rad.values, block)
     assert np.array_equal(comps.a_rad.values, imu.ax) and np.array_equal(comps.w_rad.values, imu.gx)
     jittered = decompose(samples([0.0, 9.0, 20.5, 30.0], ax=[1.0, 2.0, 3.0, 4.0]))
     assert np.array_equal(jittered.a_rad.values, [1.0, 2.0, 3.0, 4.0])
+
+
+def test_prepared_components_let_the_stream_block_go(rng):
+    imu = stream(50, rng)
+    block = weakref.ref(imu.columns())
+    comps = prepare_components(imu)
+    for s in (comps.a_rad, comps.a_tan, comps.w_rad, comps.w_tan):
+        assert not np.shares_memory(s.values, block())
+    # Each new array is adopted as made, not copied again.
+    assert comps.a_tan.values.base is None and comps.w_rad.values.base is None
+    assert comps.a_rad.values.base.size == 50 + LOWPASS_TAPS - 1
+    del imu
+    assert block() is None
+
+
+def regrid_whole(t, columns):
+    """_regrid's result over whole arrays: the grid, its neighbors and the pick in one pass each."""
+    if t.size == 1:
+        return columns
+    n = int(round((t[-1] - t[0]) / 10.0)) + 1
+    grid = t[0] + np.arange(n) * 10.0
+    right = np.clip(np.searchsorted(t, grid), 1, t.size - 1)
+    left = right - 1
+    pick = np.where(np.abs(t[left] - grid) <= np.abs(t[right] - grid), left, right)
+    return columns if np.array_equal(pick, np.arange(t.size)) else columns[:, pick]
+
+
+def gap_check_whole(t):
+    gaps = np.diff(t)
+    if np.any(gaps <= 0):
+        return "unordered stream"
+    if np.any(gaps > 20.0) or np.any(gaps < 5.0):
+        return "stream gap"
+    return None
+
+
+@pytest.mark.parametrize("slice_samples", [1, 7, 64, 8192])
+def test_sliced_regrid_and_gap_check_match_the_whole_array_formula(monkeypatch, rng, slice_samples):
+    monkeypatch.setattr(shotfuse.imu, "_SLICE_SAMPLES", slice_samples)
+    n = 300
+    on_grid = 1234.5 + 10.0 * np.arange(n)
+    streams = {
+        "on grid": on_grid,
+        "jittered": on_grid + rng.uniform(-2.4, 2.4, n),  # every sample stays nearest its own slot
+        "off grid": 1234.5 + np.cumsum(rng.uniform(5.0, 20.0, n)),  # slots gain and lose samples
+        "tie": np.r_[0.0, 5.0, 15.0, 30.0],  # slot 1 (10 ms) sits halfway between two samples
+        "one sample": np.array([7.0]),
+    }
+    for name, t in streams.items():
+        columns = rng.standard_normal((6, t.size))
+        expected, got = regrid_whole(t, columns), shotfuse.imu._regrid(t, columns)
+        assert (got is columns) == (expected is columns), name
+        assert np.array_equal(got, expected), name
+    columns = rng.standard_normal((6, n))
+    assert shotfuse.imu._regrid(streams["jittered"], columns) is columns
+    assert shotfuse.imu._regrid(streams["off grid"], columns).shape != (6, n)
+
+    # An order break after a gap still reads as unordered, as on the whole stream.
+    for t in (on_grid, np.r_[on_grid[:100], on_grid[100:] + 50.0], np.r_[on_grid[:250], on_grid[250:] - 15.0],
+              np.r_[on_grid[:20], on_grid[20:] + 50.0][np.r_[:280, 281, 280, 282:n]]):
+        expected = gap_check_whole(t)
+        if expected is None:
+            assert len(decompose(samples(t)).a_rad) == round((t[-1] - t[0]) / 10.0) + 1
+        else:
+            with pytest.raises(ValueError, match=expected):
+                decompose(samples(t))
 
 
 # --- ipf ----------------------------------------------------------------------

@@ -104,7 +104,8 @@ def fir(x, taps):
     x = np.asarray(x, dtype=float)
     frames = -(-len(x) // FRAME)
     out = np.empty((frames, FRAME))
-    for lo, hi, block in fir_frames(x, 1.0, taps, FRAME, frames):
+    for lo, hi, block in fir_frames(lambda size: (x[i : i + size] for i in range(0, len(x), size)),
+                                    1.0, taps, FRAME, frames):
         out[lo:hi] = block
     return out.ravel()[: len(x)]
 
