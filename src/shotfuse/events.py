@@ -118,25 +118,48 @@ def evaluate(
     event). Matched pairs count as true positives, leftover events as false
     positives, leftover labels as false negatives. Precision is 1 when there
     are no events and recall 1 when there are no labels (vacuous truth).
-    tolerance_ms must be finite and non-negative.
+    tolerance_ms must be finite and non-negative, and event times finite.
     """
     check_tolerance(tolerance_ms)
-    times = np.array([e.time_ms for e in events], dtype=float)
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    matched = np.zeros(times.size, dtype=bool)
+    times = np.sort(np.array([e.time_ms for e in events], dtype=float))
+    if not np.all(np.isfinite(times)):
+        raise ValueError("event times must be finite")
+    n = times.size
+    # first[k] is the first event at times[k]. Two union-find forests over the
+    # sorted events, where free events and the sentinels n and 0 are roots:
+    # root(nxt, k) is the first free event at or after k (n if none), and
+    # root(prv, k) - 1 the last free event before k (-1 if none).
+    first = np.searchsorted(times, times).tolist()
+    at = times.tolist()
+    nxt = list(range(n + 1))
+    prv = list(range(n + 1))
+
+    def root(parent, k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
 
     tp = 0
-    for t in labels.shots:
-        free = np.flatnonzero(~matched)
-        if free.size == 0:
+    for t, pos in zip(labels.shots.tolist(), np.searchsorted(times, labels.shots).tolist()):
+        if tp == n:
             break
-        dist = np.abs(times[free] - t)
-        k = int(np.argmin(dist))
-        if dist[k] <= tolerance_ms:
-            matched[free[k]] = True
+        r = root(nxt, pos)  # nearest free event at or after t
+        l = root(prv, pos) - 1  # nearest free event before t
+        d = abs(at[r] - t) if r < n else math.inf
+        if l >= 0 and abs(at[l] - t) <= d:
+            d = abs(at[l] - t)
+            # Ties go to the earliest event: walk back over free events the
+            # distance rounds to the same value (equal times, or times the
+            # subtraction cannot tell apart).
+            while (k := root(prv, first[l]) - 1) >= 0 and abs(at[k] - t) == d:
+                l = k
+            r = root(nxt, first[l])
+        if d <= tolerance_ms:
+            nxt[r] = r + 1
+            prv[r + 1] = r
             tp += 1
 
-    fp = times.size - tp
+    fp = n - tp
     fn = len(labels) - tp
     return EvalReport(*precision_recall_f(tp, fp, fn), tp, fp, fn, tolerance_ms)

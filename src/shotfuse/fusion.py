@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import FilterModel, PcmAudio, detect_audio
 from .audio import audio_likelihood  # noqa: F401 -- still bound here for tools that wrap it
@@ -87,6 +86,20 @@ class SyncedSeries:
         }
 
 
+def _running_max(x: np.ndarray, width: int) -> np.ndarray:
+    """max(x[j : j + width]) for every j with a full window, by doubling spans.
+
+    Each step doubles the span every entry covers; two overlapping spans
+    then cover the width. A max is exact, so the result does not depend on
+    the order of comparisons.
+    """
+    m, span = x, 1
+    while 2 * span <= width:
+        m = np.maximum(m[:-span], m[span:])
+        span *= 2
+    return np.maximum(m[: m.size - (width - span)], m[width - span :])
+
+
 def select_candidates(ipf_series: SampleSeries) -> np.ndarray:
     """Timestamps of samples strictly greater than all others within +/-NEIGHBORHOOD_MS/2.
 
@@ -102,10 +115,9 @@ def select_candidates(ipf_series: SampleSeries) -> np.ndarray:
         return ipf_series.times()
     padded = np.full(n + 2 * half, -np.inf)
     padded[half : half + n] = v
-    windows = sliding_window_view(padded, 2 * half + 1)
-    peak_idx = np.flatnonzero(v >= windows.max(axis=1))
-    # Enforce strictness: the center must be the only occurrence of the max.
-    strict = peak_idx[np.count_nonzero(windows[peak_idx] == v[peak_idx, None], axis=1) == 1]
+    # spans[i] is the max of the half samples before sample i, spans[i + half + 1] of the half after it.
+    spans = _running_max(padded, half)
+    strict = np.flatnonzero((v > spans[:n]) & (v > spans[half + 1 :]))
     return ipf_series.start_time + strict.astype(float) * ipf_series.period_ms
 
 

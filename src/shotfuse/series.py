@@ -127,6 +127,11 @@ TRIANGLE_TAPS = np.array([1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0]) / 16.0
 #: Frames per matmul in fir_frames: about 200 kB per chunk buffer, less than the PCM of a minute of audio.
 FIR_CHUNK_FRAMES = 256
 
+#: Outputs per row of fir_frames' matmul, when it divides the frame. Each
+#: row reads taps - 1 + FIR_BAND samples, so a narrow band skips most of
+#: the zeros a frame-wide Toeplitz matrix multiplies.
+FIR_BAND = 16
+
 
 def fir_frames(read_chunks, scale: float, taps: np.ndarray, frame: int, frames: int):
     """Causal FIR output of the samples * scale cut into frames, as (lo, hi, block) per chunk, in order.
@@ -138,33 +143,42 @@ def fir_frames(read_chunks, scale: float, taps: np.ndarray, frame: int, frames: 
     the samples,
     block[i, j] = sum_t taps[t] * scale * x[(lo + i) * frame + j - t]
     for the frames lo <= lo + i < hi of range(frames); x reads as zero
-    before sample 0 and past its end. Each chunk of up to FIR_CHUNK_FRAMES
-    frames is decoded into a float64 buffer of its own size (its chunk *
-    scale after the taps - 1 decoded samples before it, zero-padded), so
-    no source is ever held or converted whole, and is one matmul: a
-    strided read-only view of every frame's window (its own samples and
-    the taps - 1 before them) against the banded Toeplitz matrix of the
-    reversed taps. The chunks are read to their end, so a source that
-    checks its length does so on every call.
+    before sample 0 and past its end.
+
+    Each block is a view of one result buffer that every step overwrites:
+    it is valid only until the generator is advanced, so a caller that
+    keeps blocks must copy them. Each chunk of up to FIR_CHUNK_FRAMES
+    frames is decoded into one reused float64 segment (its chunk * scale
+    after the taps - 1 decoded samples before it, which the segment
+    carries from the previous chunk, zero-padded), so no source is ever
+    held or converted whole, and is one matmul: a strided read-only view
+    of every band's window (its FIR_BAND outputs' samples and the taps - 1
+    before them) against the Toeplitz band of the reversed taps. A frame
+    that FIR_BAND does not divide is one band. The chunks are read to
+    their end, so a source that checks its length does so on every call.
     """
     taps = np.asarray(taps, dtype=float)
     history = taps.size - 1
-    span = history + frame
-    # Window row r holds sample (frame start - history + r), so it meets output j at tap j + history - r.
-    tap = np.arange(frame) + history - np.arange(span)[:, None]
+    band = FIR_BAND if frame % FIR_BAND == 0 else frame
+    # Window row r holds sample (band start - history + r), so it meets output j at tap j + history - r.
+    tap = np.arange(band) + history - np.arange(history + band)[:, None]
     toeplitz = np.where((tap >= 0) & (tap <= history), taps[np.clip(tap, 0, history)], 0.0)
     chunks = iter(read_chunks(FIR_CHUNK_FRAMES * frame))
-    before = np.zeros(history)  # decoded samples lo * frame - history .. lo * frame - 1
+    most = min(frames, FIR_CHUNK_FRAMES) * frame  # a short recording gets buffers of its own size
+    segment = np.zeros(history + most)
+    result = np.empty((most // band, band))
     for lo in range(0, frames, FIR_CHUNK_FRAMES):
         hi = min(lo + FIR_CHUNK_FRAMES, frames)
-        segment = np.zeros(history + (hi - lo) * frame)
-        segment[:history] = before
-        chunk = next(chunks, segment[:0])[: (hi - lo) * frame]
+        size = (hi - lo) * frame
+        if lo:  # the previous chunk was full: its last history samples precede this one
+            segment[:history] = segment[segment.size - history :]
+        chunk = next(chunks, segment[:0])[:size]
         np.multiply(chunk, scale, out=segment[history : history + chunk.size])
-        # A copy, not a view, so that the segment is freed when the next one
-        # is made: the matmul's speed depends on where its buffers land.
-        before = segment[segment.size - history :].copy()
-        yield lo, hi, sliding_window_view(segment, span)[::frame] @ toeplitz
+        segment[history + chunk.size : history + size] = 0.0
+        rows = size // band
+        windows = sliding_window_view(segment[: history + size], history + band)[::band]
+        np.matmul(windows, toeplitz, out=result[:rows])
+        yield lo, hi, result[:rows].reshape(hi - lo, frame)
     for _ in chunks:
         pass
 

@@ -370,8 +370,8 @@ def test_criterion_7_property_suites(monkeypatch):
     # linearity of the front convolution
     kernel = rng.standard_normal(11)
 
-    def filtered(v):  # the 50 samples, one chunk, as 5 frames of 10
-        return np.concatenate([block.ravel() for _, _, block in fir_frames(lambda size: [v], 1.0, kernel, 10, 5)])
+    def filtered(v):  # the 50 samples as 5 frames of 10; flatten copies, for a block lives one step
+        return np.concatenate([block.flatten() for _, _, block in fir_frames(lambda size: [v], 1.0, kernel, 10, 5)])
 
     ok = True
     for _ in range(100):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,62 @@ def test_greedy_equals_optimal_when_events_are_sparse():
         assert report.true_positives == optimal_matching_count(
             [e.time_ms for e in events], base, tol
         )
+
+
+def scan_true_positives(event_times, label_times, tol):
+    """Reference: each label, in order, scans every free event for the nearest (the earlier on ties)."""
+    times = np.sort(np.asarray(event_times, dtype=float))
+    matched = np.zeros(times.size, dtype=bool)
+    tp = 0
+    for t in label_times:
+        free = np.flatnonzero(~matched)
+        if free.size == 0:
+            break
+        dist = np.abs(times[free] - t)
+        k = int(np.argmin(dist))
+        if dist[k] <= tol:
+            matched[free[k]] = True
+            tp += 1
+    return tp
+
+
+def test_evaluate_matches_the_per_label_scan():
+    rng = np.random.default_rng(4242)
+    for case in range(3000):
+        span = int(rng.integers(1, 60))
+        if case % 4:  # an integer grid: duplicate times and equal-distance ties
+            e_times = rng.integers(0, span + 1, rng.integers(0, 30)).astype(float)
+            l_times = np.unique(rng.integers(0, span + 1, rng.integers(0, 30))).astype(float)
+        else:
+            e_times = rng.uniform(-5, span, rng.integers(0, 30))
+            l_times = np.unique(rng.uniform(0, span, rng.integers(0, 30)))
+        tol = (0.0, 1.0, 2.5, float(rng.integers(0, 10)), span + 10.0)[case % 5]
+        report = evaluate([ShotEvent(float(t), 1.0) for t in e_times], LabelSet(l_times), tol)
+        assert report.true_positives == scan_true_positives(e_times, l_times, tol), case
+
+
+def test_evaluate_takes_the_earliest_of_times_the_distance_cannot_tell_apart():
+    # With u one step of doubles near 90, events a and b = a + u / 2 lie the same
+    # rounded 90 ms before the first label, and the second label reaches only b.
+    u = np.spacing(90.0)
+    a, b = 10.0, 10.0 + u / 2
+    first, second = 100.0, 100.0 + 3 * u
+    assert first - a == first - b and second - b < second - a
+    report = evaluate(ev(a, b), labels(first, second), tolerance_ms=second - b)
+    assert report.true_positives == scan_true_positives([a, b], [first, second], second - b) == 2
+
+
+def test_evaluate_is_fast_on_10k_events_and_labels():
+    rng = np.random.default_rng(11)
+    e_times = rng.uniform(0, 1e7, 10_000)
+    l_times = np.sort(rng.choice(np.arange(0, 10_000_000, 7), 10_000, replace=False)).astype(float)
+    start = time.perf_counter()
+    report = evaluate([ShotEvent(float(t), 1.0) for t in e_times], LabelSet(l_times), 1e7)
+    assert report.true_positives == 10_000
+    assert time.perf_counter() - start < 10.0  # about 0.05 s; a find without a root never returns
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_rejects_non_finite_event_times(bad):
+    with pytest.raises(ValueError, match="event times must be finite"):
+        evaluate(ev(100.0, bad), labels(100.0))

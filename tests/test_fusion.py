@@ -12,6 +12,7 @@ from shotfuse import (
     extract_features,
     select_candidates,
 )
+from shotfuse.events import NEIGHBORHOOD_MS
 from shotfuse.forest import DecisionTree
 from shotfuse.imu import ipf, prepare_components
 from shotfuse.pipeline import candidate_dataset, synced_series
@@ -79,6 +80,46 @@ def test_scaling_invariance_property():
         base = select_candidates(series(v))
         scaled = select_candidates(series(alpha * v))
         assert np.array_equal(base, scaled)
+
+
+def window_view_candidates(ipf_series):
+    """Reference: the max over every sample's whole (2 * half + 1) window, then a count of the max."""
+    v = ipf_series.values
+    n = v.size
+    if n == 0:
+        return np.empty(0)
+    half = int(round((NEIGHBORHOOD_MS / 2.0) / ipf_series.period_ms))
+    if half < 1:
+        return ipf_series.times()
+    padded = np.full(n + 2 * half, -np.inf)
+    padded[half : half + n] = v
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
+    peak_idx = np.flatnonzero(v >= windows.max(axis=1))
+    strict = peak_idx[np.count_nonzero(windows[peak_idx] == v[peak_idx, None], axis=1) == 1]
+    return ipf_series.start_time + strict.astype(float) * ipf_series.period_ms
+
+
+def tied_series(rng, n):
+    """Values on a 0.1 grid with constant runs, plateaus and peaks at both edges."""
+    v = np.round(rng.uniform(0.0, 1.0, n), 1)
+    for _ in range(int(rng.integers(0, 6))):
+        lo = int(rng.integers(0, max(n, 1)))
+        v[lo : lo + int(rng.integers(1, 40))] = np.round(rng.uniform(0.0, 1.5), 1)
+    if n and rng.random() < 0.3:
+        v[0] = 2.0
+    if n and rng.random() < 0.3:
+        v[-1] = 2.0
+    return v
+
+
+def test_select_candidates_matches_the_window_view_reference():
+    rng = np.random.default_rng(2024)
+    # half = 25 at 100 Hz, 10 at 40 Hz, 4 at 16 Hz, 1 at 5 Hz and 0 at 1 Hz.
+    rates = (100.0, 100.0, 100.0, 40.0, 16.0, 5.0, 1.0)
+    for case in range(600):
+        n = int(rng.integers(0, 401))
+        s = series(tied_series(rng, n), start=float(rng.uniform(-50, 50)), rate=rates[case % len(rates)])
+        assert np.array_equal(select_candidates(s), window_view_candidates(s)), case
 
 
 # --- extract_features -----------------------------------------------------------

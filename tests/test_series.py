@@ -226,6 +226,64 @@ def test_filtered_energy_matches_bruteforce_then_frame_sums(rng, n_taps):
         assert np.allclose(out.values, frame_energy(filtered), rtol=1e-12, atol=0.0), n
 
 
+def frame_wide_fir_frames(read_chunks, scale, taps, frame, frames):
+    """Reference fir_frames: one fresh segment and result per chunk, and a frame-wide Toeplitz matrix."""
+    taps = np.asarray(taps, dtype=float)
+    history = taps.size - 1
+    span = history + frame
+    tap = np.arange(frame) + history - np.arange(span)[:, None]
+    toeplitz = np.where((tap >= 0) & (tap <= history), taps[np.clip(tap, 0, history)], 0.0)
+    chunks = iter(read_chunks(FIR_CHUNK_FRAMES * frame))
+    before = np.zeros(history)
+    for lo in range(0, frames, FIR_CHUNK_FRAMES):
+        hi = min(lo + FIR_CHUNK_FRAMES, frames)
+        segment = np.zeros(history + (hi - lo) * frame)
+        segment[:history] = before
+        chunk = next(chunks, segment[:0])[: (hi - lo) * frame]
+        np.multiply(chunk, scale, out=segment[history : history + chunk.size])
+        before = segment[segment.size - history :].copy()
+        yield lo, hi, np.lib.stride_tricks.sliding_window_view(segment, span)[::frame] @ toeplitz
+
+
+def block_energies(frames_of, audio, taps, frame):
+    """Energy of every frame that holds a sample, a last partial frame read as zero past the end."""
+    energy = np.empty(-(-len(audio) // frame))
+    for lo, hi, block in frames_of(audio.chunks, audio.scale, taps, frame, energy.size):
+        np.einsum("ij,ij->i", block, block, out=energy[lo:hi])
+    return energy
+
+
+@pytest.mark.parametrize("frame", (FRAME, 10))
+@pytest.mark.parametrize("n_taps", (1, 23, 81, 200))
+def test_banded_fir_energy_matches_the_frame_wide_reference(rng, n_taps, frame):
+    taps = rng.standard_normal(n_taps)
+    audio = PcmAudio.from_float(rng.standard_normal(3 * FIR_CHUNK_FRAMES * frame + 5 * frame + 3), 12.5)
+    expected = block_energies(frame_wide_fir_frames, audio, taps, frame)
+    assert expected.size > 3 * FIR_CHUNK_FRAMES
+    assert np.allclose(block_energies(fir_frames, audio, taps, frame), expected, rtol=1e-12, atol=0.0)
+    if frame == FRAME:  # which drops the partial frame
+        assert np.allclose(short_time_energy(audio, taps).values, expected[:-1], rtol=1e-12, atol=0.0)
+
+
+def test_fir_blocks_are_valid_until_the_next_step(rng):
+    # Every block is a view of one buffer that the next step overwrites, so kept blocks must be copies.
+    taps = rng.standard_normal(23)
+    x = rng.standard_normal(3 * FIR_CHUNK_FRAMES * FRAME)
+
+    def read(size):
+        return (x[i : i + size] for i in range(0, x.size, size))
+
+    kept, copies = [], []
+    for lo, hi, block in fir_frames(read, 1.0, taps, FRAME, 3 * FIR_CHUNK_FRAMES):
+        kept.append(block)
+        copies.append(block.copy())
+    assert len(kept) == 3 and all(np.shares_memory(block, kept[0]) for block in kept)
+    assert np.array_equal(kept[0], copies[-1])
+    reference = frame_wide_fir_frames(read, 1.0, taps, FRAME, 3 * FIR_CHUNK_FRAMES)
+    reference = np.concatenate([block for _, _, block in reference])
+    assert np.allclose(np.concatenate(copies), reference, rtol=1e-12, atol=1e-12)
+
+
 # --- lowpass ---------------------------------------------------------------
 
 # The 2nd-order Butterworth low-pass at 10 Hz for 100 Hz, as scipy.signal.butter(2, 10, fs=100) gives it.
