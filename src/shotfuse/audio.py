@@ -21,7 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from .events import ShotEvent
-from .series import SampleSeries, fir_frames, freeze
+from .series import SampleSeries, fir_frames, freeze, freeze_in_place
 
 __all__ = [
     "SAMPLE_RATE_HZ",
@@ -179,8 +179,7 @@ def short_time_energy(x: PcmAudio, taps: np.ndarray) -> SampleSeries:
     energy = np.empty(len(x) // MICROFRAME_SAMPLES)
     for lo, hi, block in fir_frames(x.chunks, x.scale, taps, MICROFRAME_SAMPLES, energy.size):
         np.einsum("ij,ij->i", block, block, out=energy[lo:hi])
-    energy.flags.writeable = False
-    return SampleSeries(FRAME_RATE_HZ, x.start_time + MICROFRAME_MS / 2.0, energy)
+    return SampleSeries(FRAME_RATE_HZ, x.start_time + MICROFRAME_MS / 2.0, freeze_in_place(energy))
 
 
 def apf(energy: SampleSeries) -> SampleSeries:
@@ -197,8 +196,7 @@ def apf(energy: SampleSeries) -> SampleSeries:
         raise ValueError("insufficient context")
     out = np.convolve(energy.values, np.ones(m) / m, mode="valid")
     np.subtract(energy.values[h : len(energy) - h], out, out=out)
-    out.flags.writeable = False
-    return SampleSeries(energy.rate, energy.start_time + h * energy.period_ms, out)
+    return SampleSeries(energy.rate, energy.start_time + h * energy.period_ms, freeze_in_place(out))
 
 
 def audio_likelihood(x: PcmAudio, model: FilterModel) -> SampleSeries:

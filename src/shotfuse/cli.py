@@ -6,13 +6,9 @@ import argparse
 import json
 import sys
 
-from .audio import audio_likelihood
 from .dataio import (
-    WavFile,
     ensure_dir,
-    load_filter_model,
     read_events_csv,
-    read_imu_csv,
     read_labels_csv,
     write_imu_csv,
     write_labels_csv,
@@ -22,7 +18,7 @@ from .events import MATCH_TOLERANCE_MS, evaluate
 from .pipeline import (
     PipelineOptions,
     run_pipeline,
-    synced_series,
+    sync_workflow,
     train_filter_workflow,
     train_forest_workflow,
 )
@@ -67,9 +63,7 @@ def cmd_train_forest(args) -> int:
 
 
 def cmd_sync(args) -> int:
-    filter_model = load_filter_model(args.filter)
-    synced = synced_series(audio_likelihood(WavFile(args.audio), filter_model), read_imu_csv(args.imu))
-    _emit(synced.sync_report())
+    _emit(sync_workflow(args.audio, args.imu, args.filter))
     return 0
 
 

@@ -125,39 +125,34 @@ def evaluate(
     if not np.all(np.isfinite(times)):
         raise ValueError("event times must be finite")
     n = times.size
-    # first[k] is the first event at times[k]. Two union-find forests over the
-    # sorted events, where free events and the sentinels n and 0 are roots:
-    # root(nxt, k) is the first free event at or after k (n if none), and
-    # root(prv, k) - 1 the last free event before k (-1 if none).
-    first = np.searchsorted(times, times).tolist()
     at = times.tolist()
-    nxt = list(range(n + 1))
-    prv = list(range(n + 1))
-
-    def root(parent, k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    tp = 0
-    for t, pos in zip(labels.shots.tolist(), np.searchsorted(times, labels.shots).tolist()):
-        if tp == n:
-            break
-        r = root(nxt, pos)  # nearest free event at or after t
-        l = root(prv, pos) - 1  # nearest free event before t
-        d = abs(at[r] - t) if r < n else math.inf
-        if l >= 0 and abs(at[l] - t) <= d:
-            d = abs(at[l] - t)
-            # Ties go to the earliest event: walk back over free events the
-            # distance rounds to the same value (equal times, or times the
-            # subtraction cannot tell apart).
-            while (k := root(prv, first[l]) - 1) >= 0 and abs(at[k] - t) == d:
-                l = k
-            r = root(nxt, first[l])
-        if d <= tolerance_ms:
-            nxt[r] = r + 1
-            prv[r + 1] = r
+    # One sweep: every event at or after the pointer p is free, and free
+    # holds the free events before it as [time, count] per distinct time,
+    # ascending. Labels ascend, so a label that takes a later event takes p.
+    free = []
+    p = tp = 0
+    for t in labels.shots.tolist():
+        while p < n and at[p] < t:
+            if free and free[-1][0] == at[p]:
+                free[-1][1] += 1
+            else:
+                free.append([at[p], 1])
+            p += 1
+        d = at[p] - t if p < n else math.inf
+        if free and t - free[-1][0] <= d:
+            d = t - free[-1][0]
+            # Ties go to the earliest event: walk back over the earlier times
+            # the distance rounds to the same value.
+            k = len(free) - 1
+            while k and t - free[k - 1][0] == d:
+                k -= 1
+            if d <= tolerance_ms:
+                free[k][1] -= 1
+                if not free[k][1]:
+                    del free[k]
+                tp += 1
+        elif d <= tolerance_ms:
+            p += 1
             tp += 1
 
     fp = n - tp

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import SampleSeries, freeze
+from .series import SampleSeries, freeze, freeze_in_place
 
 __all__ = [
     "ACCEL_RANGE_G",
@@ -142,12 +142,6 @@ def _slices(n: int):
     return ((lo, min(lo + _SLICE_SAMPLES, n)) for lo in range(0, n, _SLICE_SAMPLES))
 
 
-def _frozen(values: np.ndarray) -> np.ndarray:
-    """A fresh array made read-only in place, so that a SampleSeries adopts it (or a view of it)."""
-    values.flags.writeable = False
-    return values
-
-
 def _nearest(t: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Index of the sample nearest to each grid slot lo .. hi - 1; a tie goes to the earlier one."""
     grid = t[0] + np.arange(lo, hi) * (1000.0 / IMU_RATE_HZ)
@@ -203,7 +197,7 @@ def lowpass(x: SampleSeries) -> SampleSeries:
         raise ValueError("empty signal")
     if x.rate != IMU_RATE_HZ:
         raise ValueError(f"lowpass is designed for {IMU_RATE_HZ:g} Hz, not {x.rate:g} Hz")
-    return x.with_values(_frozen(np.convolve(x.values, LOWPASS_RESPONSE))[: len(x)])
+    return x.with_values(freeze_in_place(np.convolve(x.values, LOWPASS_RESPONSE))[: len(x)])
 
 
 def decompose(stream: ImuStream) -> ImuComponents:
@@ -235,9 +229,9 @@ def decompose(stream: ImuStream) -> ImuComponents:
     start = float(t[0])
     return ImuComponents(
         a_rad=SampleSeries(IMU_RATE_HZ, start, ax),
-        a_tan=SampleSeries(IMU_RATE_HZ, start, _frozen(np.hypot(ay, az))),
-        w_rad=SampleSeries(IMU_RATE_HZ, start, _frozen(gx.copy())),
-        w_tan=SampleSeries(IMU_RATE_HZ, start, _frozen(np.hypot(gy, gz))),
+        a_tan=SampleSeries(IMU_RATE_HZ, start, freeze_in_place(np.hypot(ay, az))),
+        w_rad=SampleSeries(IMU_RATE_HZ, start, freeze_in_place(gx.copy())),
+        w_tan=SampleSeries(IMU_RATE_HZ, start, freeze_in_place(np.hypot(gy, gz))),
     )
 
 
@@ -273,7 +267,7 @@ def ipf(components: ImuComponents) -> SampleSeries:
     mean_a = np.convolve(a, kernel, mode="valid")
     mean_w = np.convolve(w, kernel, mode="valid")
     lead = IPF_WINDOW // 2 - 1  # 4 past samples
-    out = (a[lead : n - 5] - mean_a) * (w[lead : n - 5] - mean_w)
+    out = freeze_in_place((a[lead : n - 5] - mean_a) * (w[lead : n - 5] - mean_w))
     src = components.a_rad
     return SampleSeries(src.rate, src.start_time + lead * src.period_ms, out)
 

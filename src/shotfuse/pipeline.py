@@ -62,6 +62,7 @@ __all__ = [
     "candidate_dataset",
     "train_filter_workflow",
     "train_forest_workflow",
+    "sync_workflow",
     "run_pipeline",
 ]
 
@@ -201,6 +202,18 @@ def synced_series(apf: SampleSeries, imu: ImuStream) -> SyncedSeries:
     return SyncedSeries.align(apf, ipf_raw, comps, est, validated)
 
 
+def _synced_files(audio_path, imu_path, filter_model: FilterModel) -> SyncedSeries:
+    """synced_series of a WAV and an IMU CSV: the likelihood is streamed from the WAV before the CSV is parsed."""
+    return synced_series(audio_likelihood(WavFile(audio_path), filter_model), read_imu_csv(imu_path))
+
+
+def _require_models(*paths) -> None:
+    """Fail with 'model not found: <path>' before any work when a model file is missing."""
+    for path in paths:
+        if path is None or not os.path.exists(path):
+            raise FileNotFoundError(f"model not found: {path}")
+
+
 def candidate_dataset(synced: SyncedSeries, labels: LabelSet) -> tuple[np.ndarray, np.ndarray]:
     """Candidate feature matrix (n, 5) and proximity-derived 0/1 labels (n,).
 
@@ -229,11 +242,8 @@ def train_filter_workflow(data_dir, out_path, train_cfg: TrainConfig = TrainConf
 def train_forest_workflow(data_dir, filter_path, out_path, seed: int = 0) -> dict:
     """train-forest subcommand: sync the streams, label candidates, fit DEFAULT_TREE_COUNT trees, save."""
     data_dir = Path(data_dir)
-    if not os.path.exists(filter_path):
-        raise FileNotFoundError(f"model not found: {filter_path}")
-    filter_model = load_filter_model(filter_path)
-    apf = audio_likelihood(WavFile(data_dir / "audio.wav"), filter_model)
-    synced = synced_series(apf, read_imu_csv(data_dir / "imu.csv"))
+    _require_models(filter_path)
+    synced = _synced_files(data_dir / "audio.wav", data_dir / "imu.csv", load_filter_model(filter_path))
     labels = read_labels_csv(data_dir / "labels.csv")
     X, y = candidate_dataset(synced, labels)
     train_rows, val_rows = shuffle_split(np.arange(y.size), seed)
@@ -250,6 +260,12 @@ def train_forest_workflow(data_dir, filter_path, out_path, seed: int = 0) -> dic
         "validation_accuracy": correct / len(val_rows) if val_rows else 1.0,
         "model_path": str(out_path),
     }
+
+
+def sync_workflow(audio_path, imu_path, filter_path) -> dict:
+    """sync subcommand: the validated IMU-vs-audio offset of one recording, as sync.json reports it."""
+    _require_models(filter_path)
+    return _synced_files(audio_path, imu_path, load_filter_model(filter_path)).sync_report()
 
 
 @dataclass(frozen=True)
@@ -277,24 +293,18 @@ def run_pipeline(
     sync.json to options.out_dir; optionally the likelihood series as CSVs.
     Returns a result dict mirroring what lands on disk.
     """
-    required_models = [filter_model_path]
+    _require_models(filter_model_path)
     if not options.audio_only:
-        required_models.append(forest_model_path)
-    for path in required_models:
-        if path is None or not os.path.exists(path):
-            raise FileNotFoundError(f"model not found: {path}")
-
+        _require_models(forest_model_path)
     filter_model = load_filter_model(filter_model_path)
     labels = read_labels_csv(options.labels_path) if options.labels_path else None
     out_dir = ensure_dir(options.out_dir)
     result: dict = {}
 
-    # The recording is read one FIR chunk at a time, and nothing here binds the IMU stream.
-    audio = WavFile(audio_path)
     if options.audio_only:
-        events = audio_only_events(audio, filter_model)
+        events = audio_only_events(WavFile(audio_path), filter_model)
     else:
-        synced = synced_series(audio_likelihood(audio, filter_model), read_imu_csv(imu_path))
+        synced = _synced_files(audio_path, imu_path, filter_model)
         forest_model = load_forest_model(forest_model_path)
         events = detect_shots(synced, forest_model)
         sync_payload = synced.sync_report()

@@ -42,6 +42,12 @@ def _is_frozen(values, dtype) -> bool:
     return (arr is None or type(arr) is bytes) and values.flags.c_contiguous
 
 
+def freeze_in_place(values: np.ndarray) -> np.ndarray:
+    """A fresh array made read-only in place, so that a SampleSeries adopts it (or a view of it)."""
+    values.flags.writeable = False
+    return values
+
+
 def freeze(values, dtype=np.float64) -> np.ndarray:
     """values as a read-only dtype array: a frozen array itself, anything else a frozen copy.
 
@@ -49,9 +55,7 @@ def freeze(values, dtype=np.float64) -> np.ndarray:
     """
     if _is_frozen(values, dtype):
         return values
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
+    return freeze_in_place(np.array(values, dtype=dtype))
 
 
 def _readonly_array(values, name: str) -> np.ndarray:
@@ -102,9 +106,8 @@ class SampleSeries:
         idx = np.rint((np.asarray(t_ms, dtype=float) - self.start_time) / self.period_ms)
         return int(idx) if idx.ndim == 0 else idx.astype(int)
 
-    def with_values(self, values, start_time: float | None = None) -> "SampleSeries":
-        start = self.start_time if start_time is None else start_time
-        return SampleSeries(self.rate, start, values)
+    def with_values(self, values) -> "SampleSeries":
+        return SampleSeries(self.rate, self.start_time, values)
 
     def shifted(self, delta_ms: float) -> "SampleSeries":
         """Same samples relocated in time by delta_ms."""
@@ -191,7 +194,7 @@ def triangle_smooth(x: SampleSeries) -> SampleSeries:
     if len(x) == 0:
         raise ValueError("empty signal")
     half = len(TRIANGLE_TAPS) // 2
-    full = np.convolve(x.values, TRIANGLE_TAPS)
+    full = freeze_in_place(np.convolve(x.values, TRIANGLE_TAPS))
     return x.with_values(full[half : half + len(x)])
 
 

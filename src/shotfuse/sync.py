@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import SampleSeries, cross_correlate, triangle_smooth
+from .series import SampleSeries, cross_correlate, freeze_in_place, triangle_smooth
 
 __all__ = [
     "QUANT_LEVELS",
@@ -115,7 +115,7 @@ def quantize(x: SampleSeries, boundaries) -> SampleSeries:
     """
     b = np.asarray(boundaries, dtype=float)
     levels = np.searchsorted(b, x.values, side="left").astype(float)
-    return x.with_values(levels)
+    return x.with_values(freeze_in_place(levels))
 
 
 def estimate_offset(apf: SampleSeries, ipf: SampleSeries, q: QuantizerModel) -> OffsetEstimate:

@@ -116,6 +116,15 @@ def test_detect_missing_model_fails(workspace, tmp_path):
     assert "model not found" in proc.stderr
 
 
+def test_sync_missing_model_fails(workspace, tmp_path):
+    data = workspace["data"]
+    missing = tmp_path / "nope.json"
+    proc = run_cli("sync", "--audio", data / "audio.wav", "--imu", data / "imu.csv",
+                   "--filter", missing, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: model not found: {missing}\n"
+
+
 def test_detect_determinism_byte_identical(workspace, tmp_path):
     data = workspace["data"]
     outputs = []

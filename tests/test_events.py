@@ -201,6 +201,16 @@ def test_evaluate_is_fast_on_10k_events_and_labels():
     assert time.perf_counter() - start < 10.0  # about 0.05 s; a find without a root never returns
 
 
+def test_evaluate_is_fast_on_10k_events_at_one_time():
+    # Every label ties over all the free events; they share one time, so the walk is one step.
+    events = [ShotEvent(0.0, 1.0)] * 10_000
+    l_times = np.arange(1.0, 10_001.0)
+    start = time.perf_counter()
+    report = evaluate(events, LabelSet(l_times), 1e7)
+    assert report.true_positives == 10_000
+    assert time.perf_counter() - start < 1.0  # about 0.01 s; walking each duplicate takes about 5 s
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_evaluate_rejects_non_finite_event_times(bad):
     with pytest.raises(ValueError, match="event times must be finite"):

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from shotfuse import PcmAudio, SampleSeries, cross_correlate, lowpass, short_time_energy, triangle_smooth
+import shotfuse.series
+from shotfuse import (
+    ImuComponents,
+    PcmAudio,
+    SampleSeries,
+    cross_correlate,
+    ipf,
+    lowpass,
+    quantize,
+    short_time_energy,
+    triangle_smooth,
+)
 from shotfuse.imu import LOWPASS_A, LOWPASS_B
 from shotfuse.series import FIR_CHUNK_FRAMES, TRIANGLE_TAPS, fir_frames
 
@@ -92,6 +103,25 @@ def test_series_copies_frozen_arrays_of_another_layout():
         assert not np.shares_memory(values, x)
         assert values.dtype == np.float64 and values.flags.c_contiguous
         assert values.tolist() == x.tolist()
+
+
+def test_stages_hand_over_the_arrays_they_make_without_a_copy(monkeypatch):
+    # ipf, quantize and triangle_smooth freeze their fresh outputs, so the series adopt them.
+    is_frozen = shotfuse.series._is_frozen
+    rejected = []
+
+    def spy(values, dtype):
+        adopted = is_frozen(values, dtype)
+        if not adopted and getattr(values, "dtype", None) == np.float64:
+            rejected.append(values.size)
+        return adopted
+
+    x = make(np.random.default_rng(5).uniform(0.0, 1.0, 200))
+    comps = ImuComponents(x, x, x, x)
+    monkeypatch.setattr(shotfuse.series, "_is_frozen", spy)
+    outputs = [ipf(comps), quantize(x, [0.2, 0.4, 0.6, 0.8]), triangle_smooth(x)]
+    assert [len(s) for s in outputs] == [191, 200, 200]
+    assert rejected == []
 
 
 # --- fir_frames ------------------------------------------------------------
