@@ -151,6 +151,27 @@ def _nearest(t: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.where(np.abs(t[left] - grid) <= np.abs(t[right] - grid), left, right)
 
 
+def _on_own_slots(t: np.ndarray, lo: int, hi: int) -> bool:
+    """Whether _nearest picks sample s for grid slot s, for every s in lo .. hi - 1.
+
+    With e = |t[s] - slot| the distance of sample s to its own slot, it
+    does when the next sample lies at least e after the slot and the
+    previous one more than e before it (a tie goes to the earlier sample).
+    These are the float differences _nearest compares: t strictly
+    increases, so their signs are exact. A False where _nearest would
+    still pick s (two samples before the slot whose distances round
+    equal) only costs _regrid its copy of the same samples.
+    """
+    grid = t[0] + np.arange(lo, hi) * (1000.0 / IMU_RATE_HZ)
+    own = np.abs(t[lo:hi] - grid)
+    after = t[lo + 1 : hi + 1]  # the last sample has none
+    first = 1 if lo == 0 else 0  # nor has the first a previous one
+    return bool(
+        np.all(after - grid[: after.size] >= own[: after.size])
+        and np.all(grid[first:] - t[lo - 1 + first : hi - 1] > own[first:])
+    )
+
+
 def _regrid(t: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Snap jittered timestamps onto an exact IMU_RATE_HZ grid by nearest-sample assignment.
 
@@ -160,7 +181,7 @@ def _regrid(t: np.ndarray, columns: np.ndarray) -> np.ndarray:
     if t.size == 1:
         return columns
     n = int(round((t[-1] - t[0]) / (1000.0 / IMU_RATE_HZ))) + 1
-    if n == t.size and all(np.array_equal(_nearest(t, lo, hi), np.arange(lo, hi)) for lo, hi in _slices(n)):
+    if n == t.size and all(_on_own_slots(t, lo, hi) for lo, hi in _slices(n)):
         return columns
     return columns[:, _nearest(t, 0, n)]
 

@@ -154,11 +154,12 @@ def fir_frames(read_chunks, scale: float, taps: np.ndarray, frame: int, frames: 
     frames is decoded into one reused float64 segment (its chunk * scale
     after the taps - 1 decoded samples before it, which the segment
     carries from the previous chunk, zero-padded), so no source is ever
-    held or converted whole, and is one matmul: a strided read-only view
-    of every band's window (its FIR_BAND outputs' samples and the taps - 1
-    before them) against the Toeplitz band of the reversed taps. A frame
-    that FIR_BAND does not divide is one band. The chunks are read to
-    their end, so a source that checks its length does so on every call.
+    held or converted whole, and is one matmul: rows of a strided read-only
+    view of every band's window in the segment (its FIR_BAND outputs'
+    samples and the taps - 1 before them), built once per call, against
+    the Toeplitz band of the reversed taps. A frame that FIR_BAND does not
+    divide is one band. The chunks are read to their end, so a source that
+    checks its length does so on every call.
     """
     taps = np.asarray(taps, dtype=float)
     history = taps.size - 1
@@ -169,6 +170,7 @@ def fir_frames(read_chunks, scale: float, taps: np.ndarray, frame: int, frames: 
     chunks = iter(read_chunks(FIR_CHUNK_FRAMES * frame))
     most = min(frames, FIR_CHUNK_FRAMES) * frame  # a short recording gets buffers of its own size
     segment = np.zeros(history + most)
+    windows = sliding_window_view(segment, history + band)[::band]
     result = np.empty((most // band, band))
     for lo in range(0, frames, FIR_CHUNK_FRAMES):
         hi = min(lo + FIR_CHUNK_FRAMES, frames)
@@ -179,8 +181,7 @@ def fir_frames(read_chunks, scale: float, taps: np.ndarray, frame: int, frames: 
         np.multiply(chunk, scale, out=segment[history : history + chunk.size])
         segment[history + chunk.size : history + size] = 0.0
         rows = size // band
-        windows = sliding_window_view(segment[: history + size], history + band)[::band]
-        np.matmul(windows, toeplitz, out=result[:rows])
+        np.matmul(windows[:rows], toeplitz, out=result[:rows])
         yield lo, hi, result[:rows].reshape(hi - lo, frame)
     for _ in chunks:
         pass
@@ -199,12 +200,65 @@ def triangle_smooth(x: SampleSeries) -> SampleSeries:
 
 
 def _window_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Sum, sum of squares and constancy of x[lo:hi] for each (lo, hi) pair."""
-    c1 = np.concatenate(([0.0], np.cumsum(x)))
-    c2 = np.concatenate(([0.0], np.cumsum(x * x)))
-    changes = np.concatenate(([0], np.cumsum(x[1:] != x[:-1])))
-    constant = changes[hi - 1] == changes[lo]
-    return c1[hi] - c1[lo], c2[hi] - c2[lo], constant
+    """Sum, sum of squares and constancy of x[lo:hi] for each (lo, hi) pair.
+
+    All three come from one reused array of running totals whose first entry is 0.
+    """
+    running = np.zeros(x.size + 1)
+    np.cumsum(x, out=running[1:])
+    sums = running[hi] - running[lo]
+    np.cumsum(np.square(x, out=running[1:]), out=running[1:])
+    squares = running[hi] - running[lo]
+    # running[i] counts the changes x[k] != x[k - 1] for 0 < k <= i.
+    np.cumsum(np.not_equal(x[1:], x[:-1], out=running[1 : x.size]), out=running[1 : x.size])
+    return sums, squares, running[hi - 1] == running[lo]
+
+
+#: Samples of u per row of _lagged_products' matmul, and the most rows per copy of v's windows.
+CORRELATE_BLOCK = 50
+CORRELATE_CHUNK_ROWS = 32
+
+
+def _lagged_products(u: np.ndarray, v: np.ndarray, max_lag: int) -> np.ndarray:
+    """sum_k u[k] * v[k + lag] for each lag in [-max_lag, +max_lag], in lag order; v reads as zero outside.
+
+    u is cut into rows of CORRELATE_BLOCK samples (a reshape, but for a
+    zero-padded copy of the chunk with a ragged last row), and row r meets
+    the window of zero-padded v that starts max_lag samples before it,
+    CORRELATE_BLOCK + 2 * max_lag samples wide. Those windows overlap, so
+    chunks of up to CORRELATE_CHUNK_ROWS rows, spread evenly, are copied
+    into one reused buffer, one matmul each, which sum into
+    gram[i, j] = sum_r u[r, i] * window[r, j]. The sum for a lag is then
+    the diagonal gram[i, i + lag + max_lag]. Besides the padded copy of v,
+    the buffers hold 2 * CORRELATE_BLOCK + CORRELATE_CHUNK_ROWS window
+    widths: 0.48 MB at max_lag 200, growing with max_lag.
+    """
+    block = CORRELATE_BLOCK
+    width = block + 2 * max_lag
+    count = -(-u.size // block)  # rows of u
+    # Rows per chunk: the fewest chunks, of even size (a one-row matmul is slow).
+    per = -(-count // -(-count // CORRELATE_CHUNK_ROWS))
+    # Row r of windows is padded[r * block : r * block + width], padded[j + max_lag] = v[j].
+    padded = np.zeros(count * block + 2 * max_lag)
+    kept = min(v.size, padded.size - max_lag)
+    padded[max_lag : max_lag + kept] = v[:kept]
+    step = padded.itemsize
+    windows = np.ndarray((count, width), buffer=padded, strides=(block * step, step))
+    copied = np.empty((per, width))
+    gram, product = np.empty((2, block, width))
+    for lo in range(0, count, per):
+        hi = min(lo + per, count)
+        if hi * block <= u.size:
+            u_rows = u[lo * block : hi * block].reshape(hi - lo, block)
+        else:
+            u_rows = np.zeros((hi - lo, block))
+            u_rows.reshape(-1)[: u.size - lo * block] = u[lo * block :]
+        np.copyto(copied[: hi - lo], windows[lo:hi])
+        np.matmul(u_rows.T, copied[: hi - lo], out=product if lo else gram)
+        if lo:
+            gram += product
+    diagonals = np.ndarray((block, 2 * max_lag + 1), buffer=gram, strides=((width + 1) * step, step))
+    return np.ones(block) @ diagonals
 
 
 def cross_correlate(a: SampleSeries, b: SampleSeries, max_lag: int) -> np.ndarray:
@@ -218,11 +272,13 @@ def cross_correlate(a: SampleSeries, b: SampleSeries, max_lag: int) -> np.ndarra
 
     All lags come from running sums (Lewis, "Fast Normalized
     Cross-Correlation", 1995): window sums and sums of squares by cumsum,
-    cross terms by one correlate over zero-padded ``b``. On values of a
-    binary grid such as the 1/16 steps of triangle-smoothed levels every
-    sum, numerator and window variance is exact, so rounding happens only
-    in the final product, square root and division, and windows with equal
-    statistics give bit-equal correlations.
+    cross terms by one blocked matmul of ``a`` against windows of
+    zero-padded ``b`` (_lagged_products). On values of a binary grid such
+    as the 1/16 steps of triangle-smoothed levels every product, sum,
+    numerator and window variance is exact, so rounding happens only in the
+    final product, square root and division: the result does not depend on
+    the summation order, the block size or the BLAS thread count, and
+    windows with equal statistics give bit-equal correlations.
     """
     if a.rate != b.rate:
         raise ValueError("rate mismatch")
@@ -237,10 +293,7 @@ def cross_correlate(a: SampleSeries, b: SampleSeries, max_lag: int) -> np.ndarra
     n = (i1 - i0).astype(float)
     su, suu, u_flat = _window_sums(u, i0, i1)
     sv, svv, v_flat = _window_sums(v, i0 + lags, i1 + lags)
-    # padded[k + lag + max_lag] = v[k + lag], zero outside v.
-    padded = np.zeros(max(u.size, v.size) + 2 * max_lag)
-    padded[max_lag : max_lag + v.size] = v
-    suv = np.correlate(padded, u, "valid")[: lags.size]
+    suv = _lagged_products(u, v, max_lag)
     num = n * suv - su * sv
     var = (n * suu - su * su) * (n * svv - sv * sv)
     # Off the grid, cancellation can leave a non-constant window a variance <= 0.

@@ -111,10 +111,12 @@ def quantize(x: SampleSeries, boundaries) -> SampleSeries:
     """Map each value to its level in {0..4}; intervals are right-closed.
 
     Level k collects values in (b[k-1], b[k]] with b[-1] = -inf and
-    b[4] = +inf, so a value equal to a boundary takes the lower level.
+    b[4] = +inf, so a value equal to a boundary takes the lower level: the
+    level is the number of boundaries strictly below the value, the four
+    comparisons summed into one float array.
     """
     b = np.asarray(boundaries, dtype=float)
-    levels = np.searchsorted(b, x.values, side="left").astype(float)
+    levels = (x.values > b[:, None]).sum(axis=0, dtype=float)
     return x.with_values(freeze_in_place(levels))
 
 

@@ -70,6 +70,11 @@ _C11 = np.full(MACROFRAME_FRAMES * MICROFRAME_SAMPLES, -1.0)
 _C11[MACROFRAME_HALF * MICROFRAME_SAMPLES : (MACROFRAME_HALF + 1) * MICROFRAME_SAMPLES] += MACROFRAME_FRAMES
 _STEPS = np.diff(_C11, prepend=0.0, append=0.0)
 _EDGES = np.flatnonzero(_STEPS)
+# t_{m-1}[i], sample m + n_taps - 2 - i of a window, for i < n_taps - 1 and
+# each edge m, as the tap view's row max(m - 1, 0) and the column that
+# completes that sample index.
+_EDGE_ROWS = np.maximum(_EDGES - 1, 0)[:, None]
+_EDGE_COLUMNS = _EDGES[:, None] + (FILTER_TAPS - 2) - np.arange(FILTER_TAPS - 1) - _EDGE_ROWS
 _FORM_SCALE = MACROFRAME_FRAMES / PCM_SCALE**2
 
 
@@ -110,8 +115,10 @@ def center_forms(rows) -> np.ndarray:
     FORM_CHUNK_WINDOWS or the BLAS thread count (_history_forms).
     """
     forms = np.empty((len(rows), PACKED_TAPS))
-    # Each chunk of windows is copied, as PCM steps, into one reused buffer.
+    # Each chunk of windows is copied, as PCM steps, into one reused buffer,
+    # whose tap view is built once.
     history = np.empty((min(FORM_CHUNK_WINDOWS, len(rows)), WINDOW_SAMPLES))
+    taps = sliding_window_view(history, FILTER_TAPS, axis=1)
     for lo in range(0, len(rows), FORM_CHUNK_WINDOWS):
         chunk = np.asarray(rows[lo : lo + FORM_CHUNK_WINDOWS])
         if chunk.dtype != np.int16 or chunk.shape[1:] != (WINDOW_SAMPLES,):
@@ -120,13 +127,14 @@ def center_forms(rows) -> np.ndarray:
                 f"got {chunk.dtype} rows of shape {chunk.shape[1:]}"
             )
         history[: len(chunk)] = chunk
-        _history_forms(history[: len(chunk)], forms[lo : lo + len(chunk)])
+        _history_forms(taps[: len(chunk)], forms[lo : lo + len(chunk)])
     return forms
 
 
-def _history_forms(history: np.ndarray, forms: np.ndarray) -> np.ndarray:
-    """center_forms of window rows of PCM steps, written into packed forms.
+def _history_forms(taps: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """center_forms of window rows of PCM steps, from their tap view, written into packed forms.
 
+    taps[n, k] is the FILTER_TAPS samples of window n from sample k on.
     Up to the final division everything is an integer below 2^45, which
     float64 holds exactly in any summation order: the samples are PCM
     steps and 11 c_k is 10 or -1, so this builds M = 11 * 2^30 * Q. The
@@ -137,11 +145,10 @@ def _history_forms(history: np.ndarray, forms: np.ndarray) -> np.ndarray:
     division rounds each entry of M / (11 * 2^30) once.
     """
     n_taps = FILTER_TAPS
-    taps = sliding_window_view(history, n_taps, axis=1)
-    forms[:, :n_taps] = np.einsum("nk,nkj->nj", history[:, n_taps - 1 :] * _C11, taps)[:, ::-1]
+    forms[:, :n_taps] = np.einsum("nk,nkj->nj", taps[:, :, -1] * _C11, taps)[:, ::-1]
     # Q[i+1, j+1] - Q[i, j] sums step[m] * t_{m-1}[i] * t_{m-1}[j] over the
     # edges m of the macroframe and of the center microframe.
-    u = history[:, _EDGES[:, None] + (n_taps - 2) - np.arange(n_taps - 1)]
+    u = taps[:, _EDGE_ROWS, _EDGE_COLUMNS]
     shift = (u * _STEPS[_EDGES, None]).transpose(0, 2, 1) @ u
     for i in range(n_taps - 1):
         row, below = _ROW_START[i], _ROW_START[i + 1]

@@ -193,6 +193,30 @@ def test_sliced_regrid_and_gap_check_match_the_whole_array_formula(monkeypatch, 
                 decompose(samples(t))
 
 
+@pytest.mark.parametrize("slice_samples", [1, 2, 8192])
+def test_on_grid_check_settles_ties_like_the_whole_array_formula(monkeypatch, rng, slice_samples):
+    monkeypatch.setattr(shotfuse.imu, "_SLICE_SAMPLES", slice_samples)
+    streams = {
+        "sample midway between two slots": ([0.0, 15.0, 20.0, 30.0], True),
+        "slot midway, tie to its own sample": ([0.0, 5.0, 15.0, 30.0], True),
+        "slot midway, tie to the sample before": ([0.0, 15.0, 25.0, 30.0], False),
+        "first slot midway, tie to sample 0": ([0.0, 20.0, 25.0], False),
+        "first slots near their samples": ([0.0, 5.0, 20.0, 30.0], True),
+        "last slot midway, tie to the sample before": ([0.0, 10.0, 20.0, 35.0, 45.0], False),
+        "last slot nearest its own sample": ([0.0, 10.0, 20.0, 30.0, 44.9], True),
+        "two samples": ([0.0, 10.0], True),
+    }
+    for name, (t, on_grid) in streams.items():
+        for start in (0.0, 1234.5, 1.7e9 + 0.3):  # the last start rounds the distances
+            t_ms = start + np.asarray(t)
+            columns = rng.standard_normal((6, t_ms.size))
+            expected, got = regrid_whole(t_ms, columns), shotfuse.imu._regrid(t_ms, columns)
+            assert (got is columns) == (expected is columns), (name, start)
+            assert np.array_equal(got, expected), (name, start)
+            if start != 1.7e9 + 0.3:
+                assert (got is columns) == on_grid, (name, start)
+
+
 # --- ipf ----------------------------------------------------------------------
 
 

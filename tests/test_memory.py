@@ -2,12 +2,14 @@
 
 On a seeded 3-min session, tracemalloc peaks are held to the sizes of the
 arrays a stage must keep (the packed training forms) plus a stated margin,
-and the workflows that stream the WAV to less than its PCM.
+and the workflows that stream the WAV to less than its PCM. The offset
+estimate is held to a stated size on series of a 10-min session.
 """
 
 import gc
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import shotfuse as sf
@@ -22,6 +24,7 @@ from shotfuse.pipeline import (
     train_forest_workflow,
     windows_from_labels,
 )
+from shotfuse.sync import estimate_offset, self_calibrate_quantizer
 
 MB = 1e6
 DURATION_S = 180.0
@@ -105,3 +108,18 @@ def test_train_filter_holds_the_forms_and_one_chunk_of_spans(session):
     # recursion's steps. Decoding and padding whole windows per
     # 128-window chunk took 4.26 MB; full (windows, 23, 23) forms, 3.1 MB more.
     assert peak < forms_bytes + 1.5 * MB, f"{(peak - forms_bytes) / MB:.2f} MB above the forms"
+
+
+def test_estimate_offset_temporaries_on_a_10_min_pair():
+    rng = np.random.default_rng(11)
+    n = 60_000  # 10 min at 100 Hz
+    apf, ipf = (sf.SampleSeries(100.0, start, rng.exponential(1.0, n) * (rng.random(n) < 0.05) + 1e-3 * rng.random(n))
+                for start in (0.0, 130.0))
+    q = self_calibrate_quantizer(apf, ipf)
+    peak = traced_peak(lambda: estimate_offset(apf, ipf, q))
+    # Above the 0.96 MB of inputs. Measured 1.95 MB: the two quantized and
+    # smoothed series (0.48 MB each), and inside cross_correlate the
+    # zero-padded second series (0.48 MB) and the blocked matmul's buffers.
+    # A searchsorted quantizer (int64 result and float copy), window sums by
+    # concatenated cumsums and np.correlate took 2.97 MB.
+    assert peak < 2.2 * MB, f"{peak / MB:.2f} MB"

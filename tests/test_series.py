@@ -534,3 +534,49 @@ def test_crosscorr_general_floats_match_brute_force(rng):
         fast = cross_correlate(make(a), make(b), max_lag)
         for c_fast, c_slow in zip(fast, brute_correlate(a, b, max_lag)):
             assert c_fast == pytest.approx(c_slow, abs=1e-9)
+
+
+def correlate_oracle(a, b, max_lag):
+    """cross_correlate as it was before the blocked matmul: window sums by concatenated cumsums, cross terms by np.correlate."""
+
+    def window_sums(x, lo, hi):
+        c1 = np.concatenate(([0.0], np.cumsum(x)))
+        c2 = np.concatenate(([0.0], np.cumsum(x * x)))
+        changes = np.concatenate(([0], np.cumsum(x[1:] != x[:-1])))
+        return c1[hi] - c1[lo], c2[hi] - c2[lo], changes[hi - 1] == changes[lo]
+
+    u, v = a.values, b.values
+    lags = np.arange(-max_lag, max_lag + 1)
+    i0 = np.maximum(0, -lags)
+    i1 = np.minimum(u.size, v.size - lags)
+    n = (i1 - i0).astype(float)
+    su, suu, u_flat = window_sums(u, i0, i1)
+    sv, svv, v_flat = window_sums(v, i0 + lags, i1 + lags)
+    padded = np.zeros(max(u.size, v.size) + 2 * max_lag)
+    padded[max_lag : max_lag + v.size] = v
+    suv = np.correlate(padded, u, "valid")[: lags.size]
+    num = n * suv - su * sv
+    var = (n * suu - su * su) * (n * svv - sv * sv)
+    live = ~(u_flat | v_flat) & (var > 0.0)
+    corr = np.zeros(lags.size)
+    corr[live] = num[live] / np.sqrt(var[live])
+    return corr
+
+
+def test_blocked_crosscorr_is_bit_equal_to_the_correlate_oracle_on_grid_trains():
+    rng = np.random.default_rng(29)
+    block = shotfuse.series.CORRELATE_BLOCK
+    chunk = block * shotfuse.series.CORRELATE_CHUNK_ROWS
+    # Lengths around one block, whole and ragged rows, and across one and two chunks of rows.
+    lengths = [1, 2, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 3,
+               chunk - 1, chunk, chunk + 1, chunk + block + 7, 2 * chunk + 11]
+    cases = [(500, 500, 200)]  # the validation window: 5 s at 100 Hz, 2 s of lags
+    for nu in lengths:
+        for nv in (nu, nu + 1, nu + block + 3, max(1, nu - block - 3)):
+            shortest = min(nu, nv)
+            cases += [(nu, nv, lag) for lag in {0, 1, block - 1, block, block + 1, 2 * block + 5, shortest - 1}
+                      if lag < shortest]
+    for nu, nv, max_lag in cases:
+        a, b = grid_train(rng, nu), grid_train(rng, nv)
+        got, want = cross_correlate(a, b, max_lag), correlate_oracle(a, b, max_lag)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (nu, nv, max_lag)

@@ -90,6 +90,16 @@ def test_quantize_matches_scan_oracle(rng):
         assert level == expected
 
 
+def test_quantize_counts_like_a_left_searchsorted(rng):
+    # The level of x is the number of boundaries strictly below it.
+    for b in (np.array([1.0, 2.0, 3.0, 4.0]), np.array([-0.5, 0.0, 0.25, 1.0]), np.sort(rng.uniform(-1.0, 1.0, 4))):
+        values = np.r_[b, -0.0, 0.0, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                       (b[:-1] + b[1:]) / 2, b[0] - 1.0, b[-1] + 1.0, rng.uniform(-2.0, 5.0, 500)]
+        levels = quantize(series(values), b).values
+        assert levels.dtype == np.float64
+        assert levels.tobytes() == np.searchsorted(b, values, "left").astype(float).tobytes()
+
+
 def test_quantize_monotonicity_property():
     rng = np.random.default_rng(31)
     for _ in range(100):
