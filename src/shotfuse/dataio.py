@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 import wave
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .audio import MICROFRAME_MS, SAMPLE_RATE_HZ, FilterModel, PcmAudio
 from .events import LabelSet, ShotEvent
-from .forest import ForestModel
+from .forest import NODE_FIELDS, ForestModel
 from .imu import ImuStream, first_invalid_sample
 from .series import SampleSeries
 
@@ -382,11 +384,63 @@ def save_forest_model(path, model: ForestModel) -> None:
         fh.write("\n")
 
 
+def _integer(value, where: str) -> int:
+    """value itself when json.load gave it a JSON integer; a boolean is not one."""
+    if type(value) is not int:
+        raise ValueError(f"{where} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+_INT64 = (-(1 << 63), (1 << 63) - 1)
+
+
+def _node_integer(value, where: str) -> None:
+    """Check that value is a JSON integer that a node table's int64 arrays can hold."""
+    if not _INT64[0] <= _integer(value, where) <= _INT64[1]:
+        raise ValueError(f"{where} is outside the 64-bit integer range")
+
+
+def _finite_number(value, where: str) -> None:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{where} must be a finite JSON number, got {json.dumps(value)}")
+
+
+def _node_column(trees: list, name: str) -> tuple[np.ndarray, list[int]]:
+    """The name arrays of all trees as one node-table array, and each tree's entry count.
+
+    Entries are checked in one pass over their types (thresholds must be
+    finite JSON numbers, the other fields JSON integers) and one over their
+    values; only a rejected field is walked again, for its first bad entry.
+    """
+    lists = [tree[name] for tree in trees]
+    if not set(map(type, lists)) <= {list}:
+        for i, entries in enumerate(lists):
+            _expect(entries, "array", f"trees[{i}].{name}")
+    flat = list(chain.from_iterable(lists))
+    kinds = set(map(type, flat))
+    if name == "threshold":
+        column = np.array(flat, dtype=float) if kinds <= {int, float} else None
+        valid, check = column is not None and bool(np.isfinite(column).all()), _finite_number
+    else:
+        valid = kinds <= {int} and (not flat or (min(flat) >= _INT64[0] and max(flat) <= _INT64[1]))
+        column, check = np.array(flat, dtype=np.int64) if valid else None, _node_integer
+    if not valid:
+        for i, entries in enumerate(lists):
+            for j, value in enumerate(entries):
+                check(value, f"trees[{i}].{name}[{j}]")
+    return column, list(map(len, lists))
+
+
 def load_forest_model(path) -> ForestModel:
+    """The forest in a model file, read straight into one node table."""
     with open(path) as fh, _model_errors("forest", fh) as payload:
-        for i, tree in enumerate(_expect(payload["trees"], "array", "trees")):
+        trees = _expect(payload["trees"], "array", "trees")
+        for i, tree in enumerate(trees):
             _expect(tree, "object", f"trees[{i}]")
-        return ForestModel.from_dict(payload)
+        columns = [_node_column(trees, name) for name in NODE_FIELDS]
+        tree_count = _integer(payload["tree_count"], "tree_count")
+        return ForestModel.from_table([c for c, _ in columns], [n for _, n in columns], tree_count,
+                                      _integer(payload["seed"], "seed"))
 
 
 def ensure_dir(path) -> Path:

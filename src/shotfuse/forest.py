@@ -3,8 +3,11 @@
 Plain CART trees on bootstrap samples: Gini-impurity splits over a random
 feature subset (floor(sqrt(n_features)) = 2 of the 5), grown until nodes
 are pure or too small. All trees of a forest grow in lockstep, one node
-per tree at a time (_LockstepForest). Trees are stored as parallel node
-arrays so models serialize to explicit JSON and evaluate without recursion.
+per tree at a time (_LockstepForest). A forest is one node table: the
+five node arrays of all its trees laid end to end, plus each tree's node
+count. Training and loading build that table directly and check it in one
+vectorized pass; votes descend it without recursion, and its trees are
+DecisionTree views of it, built on demand.
 """
 
 from __future__ import annotations
@@ -13,10 +16,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NUM_FEATURES", "DEFAULT_TREE_COUNT", "DecisionTree", "ForestModel", "train_forest", "classify"]
+__all__ = [
+    "NUM_FEATURES",
+    "DEFAULT_TREE_COUNT",
+    "NODE_FIELDS",
+    "DecisionTree",
+    "ForestModel",
+    "train_forest",
+    "classify",
+]
 
 NUM_FEATURES = 5
 DEFAULT_TREE_COUNT = 50
+#: A tree's node arrays, in the order DecisionTree and the node table take them.
+NODE_FIELDS = ("feature", "threshold", "left", "right", "leaf_class")
+
+
+def _node_arrays(nodes) -> list[np.ndarray]:
+    """The five node arrays, in NODE_FIELDS order, as float thresholds and int64 for the rest."""
+    return [np.asarray(a, dtype=float if name == "threshold" else np.int64) for name, a in zip(NODE_FIELDS, nodes)]
+
+
+def _check_nodes(feature, threshold, left, right, leaf_class, lengths) -> None:
+    """Raise ValueError unless the node arrays hold whole trees laid end to end.
+
+    lengths[f][t] is the number of entries tree t has in the f-th array; a
+    single row stands for all five arrays. Every tree needs at least one
+    node. Internal nodes carry leaf_class -1 and leaves 0 or 1. An internal
+    node's feature indexes a feature vector, and its children, counted from
+    its tree's root, lie after it and inside its tree, so every descent ends
+    at a leaf of the same tree.
+    """
+    lengths = np.asarray(lengths)
+    sizes = lengths[0]
+    if sizes.min() < 1 or (lengths != sizes).any() or any(
+        a.size != sizes.sum() for a in (feature, threshold, left, right, leaf_class)
+    ):
+        raise ValueError("node arrays must have equal length and at least one node")
+    if ((leaf_class < -1) | (leaf_class > 1)).any():
+        raise ValueError("leaf_class must be -1 (internal), 0 or 1")
+    node = np.flatnonzero(leaf_class < 0)
+    if node.size:
+        at = feature[node]
+        if at.min() < 0 or at.max() >= NUM_FEATURES:
+            raise ValueError("internal node with out-of-range feature index")
+        end = sizes.cumsum()
+        tree = end.searchsorted(node, side="right")
+        number = node - (end - sizes)[tree]
+        children = np.array((left[node], right[node]))
+        if (children <= number).any() or (children >= sizes[tree]).any():
+            raise ValueError("internal node with a child not after it inside the tree")
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,66 +85,92 @@ class DecisionTree:
     leaf_class: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "feature", np.asarray(self.feature, dtype=int))
-        object.__setattr__(self, "threshold", np.asarray(self.threshold, dtype=float))
-        object.__setattr__(self, "left", np.asarray(self.left, dtype=int))
-        object.__setattr__(self, "right", np.asarray(self.right, dtype=int))
-        object.__setattr__(self, "leaf_class", np.asarray(self.leaf_class, dtype=int))
-        n = self.feature.size
-        if n == 0 or not all(a.size == n for a in (self.threshold, self.left, self.right, self.leaf_class)):
-            raise ValueError("node arrays must have equal length and at least one node")
-        if np.abs(self.leaf_class).max() > 1:
-            raise ValueError("leaf_class must be -1 (internal), 0 or 1")
-        node = np.flatnonzero(self.leaf_class < 0)
-        if node.size:
-            feature = self.feature[node]
-            if feature.min() < 0 or feature.max() >= NUM_FEATURES:
-                raise ValueError("internal node with out-of-range feature index")
-            # Children lie after their node and inside the tree, as train_forest
-            # lays them out, so every descent ends at a leaf of this tree.
-            children = np.array((self.left[node], self.right[node]))
-            if (children <= node).any() or children.max() >= n:
-                raise ValueError("internal node with a child not after it inside the tree")
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "leaf_class": self.leaf_class.tolist(),
-        }
+        arrays = _node_arrays(getattr(self, name) for name in NODE_FIELDS)
+        for name, a in zip(NODE_FIELDS, arrays):
+            object.__setattr__(self, name, a)
+        _check_nodes(*arrays, [[a.size] for a in arrays])
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTree":
-        return cls(d["feature"], d["threshold"], d["left"], d["right"], d["leaf_class"])
+    def _checked(cls, nodes) -> "DecisionTree":
+        """The tree over node arrays that _check_nodes has already passed, as they are."""
+        tree = cls.__new__(cls)
+        for name, a in zip(NODE_FIELDS, nodes):
+            object.__setattr__(tree, name, a)
+        return tree
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ForestModel:
-    """Bagged decision trees with majority-vote classification."""
+    """Bagged decision trees with majority-vote classification, as one node table.
 
-    trees: tuple[DecisionTree, ...]
-    tree_count: int
+    feature, threshold, left, right and leaf_class hold every tree's node
+    arrays (as in DecisionTree) laid end to end, tree after tree; sizes[t]
+    is tree t's node count. Children keep their numbers within their own
+    tree. The arrays are read-only.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf_class: np.ndarray
+    sizes: np.ndarray
     seed: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "trees", tuple(self.trees))
-        if self.tree_count < 1:
+    def __init__(self, trees, tree_count: int, seed: int):
+        """The forest of the given trees, whose node arrays it copies into one table."""
+        trees = tuple(trees)
+        nodes = [np.concatenate([getattr(t, name) for t in trees]) if trees else np.empty(0) for name in NODE_FIELDS]
+        self._adopt(nodes, [[t.feature.size for t in trees]], tree_count, seed)
+
+    @classmethod
+    def from_table(cls, nodes, lengths, tree_count: int, seed: int) -> "ForestModel":
+        """The forest whose trees lie end to end in the five arrays nodes, in NODE_FIELDS order.
+
+        lengths[f][t] is the number of entries tree t has in nodes[f]; one
+        row stands for all five. The table adopts the arrays and checks them.
+        """
+        model = cls.__new__(cls)
+        model._adopt(nodes, lengths, tree_count, seed)
+        return model
+
+    def _adopt(self, nodes, lengths, tree_count: int, seed: int) -> None:
+        if tree_count < 1:
             raise ValueError("a forest needs at least one tree")
-        if len(self.trees) != self.tree_count:
+        if len(lengths[0]) != tree_count:
             raise ValueError("tree_count must match the number of trees")
+        nodes = _node_arrays(nodes)
+        _check_nodes(*nodes, lengths)
+        sizes = np.array(lengths[0], dtype=np.int64)
+        for name, a in zip(NODE_FIELDS + ("sizes",), nodes + [sizes]):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "seed", seed)
+
+    @property
+    def tree_count(self) -> int:
+        return self.sizes.size
+
+    def _spans(self) -> list[tuple[int, int]]:
+        end = self.sizes.cumsum().tolist()
+        return list(zip([0] + end[:-1], end))
+
+    @property
+    def trees(self) -> tuple[DecisionTree, ...]:
+        """Every tree as a DecisionTree viewing its stretch of the checked table."""
+        nodes = [getattr(self, name) for name in NODE_FIELDS]
+        return tuple(DecisionTree._checked([a[begin:end] for a in nodes]) for begin, end in self._spans())
 
     def to_dict(self) -> dict:
+        columns = [getattr(self, name).tolist() for name in NODE_FIELDS]
         return {
             "tree_count": self.tree_count,
             "seed": self.seed,
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": [
+                {name: column[begin:end] for name, column in zip(NODE_FIELDS, columns)}
+                for begin, end in self._spans()
+            ],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ForestModel":
-        return cls(tuple(DecisionTree.from_dict(t) for t in d["trees"]), d["tree_count"], d["seed"])
 
 
 def _ranges(first: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -176,8 +251,8 @@ class _LockstepForest:
                 for a in (self.nodes, self.leaf_class, self.feature, self.left, self.threshold)
             )
 
-    def grow(self) -> list[DecisionTree]:
-        """Step until every stack is empty, then return the trees."""
+    def grow(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """Step until every stack is empty, then return the node table and the tree sizes."""
         stacks, rngs = self.stacks, self.rngs
         live = [t for t in range(len(stacks)) if stacks[t]]
         while live:
@@ -191,7 +266,7 @@ class _LockstepForest:
                 block_rows += size
             self._split(popped[begin:], draws[begin:])
             live = [t for t in live if stacks[t]]
-        return self._trees()
+        return self._table()
 
     def _split(self, popped: list, draws: list) -> None:
         """Split or close each popped node (of distinct trees) on its drawn features."""
@@ -289,23 +364,20 @@ class _LockstepForest:
         for t, g in zip(children[waiting, 0].tolist(), (waiting + top).tolist()):
             self.stacks[t].append(g)
 
-    def _trees(self) -> list[DecisionTree]:
-        """Every tree's nodes laid out by their number in the tree."""
+    def _table(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """Every tree's nodes laid out by their number in the tree, tree after tree, and each tree's size."""
         top, node_count = self.top, self.node_count
         at = (node_count.cumsum() - node_count)[self.nodes[:top, 0]] + self.nodes[:top, 1]
         leaf_class = self.leaf_class[:top]
         internal = leaf_class < 0
-        out = [np.empty(top, dtype=np.int64) for _ in range(4)] + [np.empty(top)]
-        out[0][at] = np.where(internal, self.feature[:top], -1)
-        out[1][at] = np.where(internal, self.left[:top], -1)
-        out[2][at] = np.where(internal, self.left[:top] + 1, -1)
-        out[3][at] = leaf_class
-        out[4][at] = np.where(internal, self.threshold[:top], 0.0)
-        bounds = node_count.cumsum()[:-1]
-        return [
-            DecisionTree(feature, threshold, left, right, leaf)
-            for feature, left, right, leaf, threshold in zip(*(np.split(a, bounds) for a in out))
-        ]
+        feature, left, right, leaf = (np.empty(top, dtype=np.int64) for _ in range(4))
+        threshold = np.empty(top)
+        feature[at] = np.where(internal, self.feature[:top], -1)
+        threshold[at] = np.where(internal, self.threshold[:top], 0.0)
+        left[at] = np.where(internal, self.left[:top], -1)
+        right[at] = np.where(internal, self.left[:top] + 1, -1)
+        leaf[at] = leaf_class
+        return [feature, threshold, left, right, leaf], node_count
 
 
 def train_forest(X, y, tree_count: int = DEFAULT_TREE_COUNT, seed: int = 0) -> ForestModel:
@@ -339,8 +411,8 @@ def train_forest(X, y, tree_count: int = DEFAULT_TREE_COUNT, seed: int = 0) -> F
     rngs = [np.random.default_rng([seed, k]) for k in range(tree_count)]
     counts = np.array([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs])
     n_draw = max(1, int(np.sqrt(X.shape[1])))
-    trees = _LockstepForest(X, y, rngs, counts, n_draw).grow()
-    return ForestModel(tuple(trees), tree_count, seed)
+    nodes, sizes = _LockstepForest(X, y, rngs, counts, n_draw).grow()
+    return ForestModel.from_table(nodes, [sizes], tree_count, seed)
 
 
 def classify(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
@@ -348,30 +420,27 @@ def classify(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (labels, scores) arrays where a score is the fraction of trees
     voting shot; an exact tie counts as non-shot. All (row, tree) pairs
-    descend together, one tree level per step, on the trees' node arrays
-    laid end to end (batched traversal, cf. Lucchese et al., QuickScorer,
-    SIGIR 2015).
+    descend together, one tree level per step, on the forest's node table
+    (batched traversal, cf. Lucchese et al., QuickScorer, SIGIR 2015).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != NUM_FEATURES:
         raise ValueError(f"expected an (n, {NUM_FEATURES}) feature matrix")
-    trees = model.trees
-    sizes = [t.feature.size for t in trees]
-    roots = np.cumsum([0] + sizes[:-1])
-    feature = np.concatenate([t.feature for t in trees])
-    threshold = np.concatenate([t.threshold for t in trees])
-    left = np.concatenate([t.left + r for t, r in zip(trees, roots)])
-    right = np.concatenate([t.right + r for t, r in zip(trees, roots)])
-    leaf_class = np.concatenate([t.leaf_class for t in trees])
+    sizes = model.sizes
+    roots = sizes.cumsum() - sizes
+    base = roots.repeat(sizes)  # each node's tree root in the table
+    feature, threshold, leaf_class = model.feature, model.threshold, model.leaf_class
+    left = model.left + base
+    right = model.right + base
 
     node = np.tile(roots, X.shape[0])  # pair p = row p // n_trees, tree p % n_trees
-    row = np.repeat(np.arange(X.shape[0]), len(trees))
+    row = np.repeat(np.arange(X.shape[0]), sizes.size)
     pending = np.flatnonzero(leaf_class[node] < 0)
     while pending.size:
         at = node[pending]
         go_left = X[row[pending], feature[at]] <= threshold[at]
         node[pending] = np.where(go_left, left[at], right[at])
         pending = pending[leaf_class[node[pending]] < 0]
-    votes = leaf_class[node].reshape(X.shape[0], len(trees)).sum(axis=1)
+    votes = leaf_class[node].reshape(X.shape[0], sizes.size).sum(axis=1)
     scores = votes / model.tree_count
     return (scores > 0.5).astype(int), scores

@@ -40,12 +40,37 @@ VALIDATION_MIN_CORRELATION = 0.4
 CALIBRATION_TOP_FRACTION = 0.1
 
 
+def _percentile(values: np.ndarray, q) -> np.ndarray:
+    """np.percentile(values, q) of a non-empty 1-D float array, bit for bit, at a fraction of its cost.
+
+    numpy's default linear method: the virtual index (n - 1) * (q / 100)
+    lies between the order statistics at its floor and the next index,
+    and numpy's _lerp interpolates between them, from the upper one when
+    the fraction is at least 0.5. One single-index np.partition at the
+    lowest floor and a sort of the values above it put every needed order
+    statistic in place (numpy's own partition on several indices costs
+    several times as much). A NaN anywhere gives NaN, as numpy's does.
+    """
+    index = (values.size - 1) * (np.asarray(q, dtype=float) / 100)
+    below = np.floor(index)
+    fraction = index - below
+    below = below.astype(np.intp)
+    lowest = int(below.min())
+    ordered = np.partition(values, lowest)
+    ordered[lowest + 1 :].sort()
+    if np.isnan(ordered[-1]):
+        return np.full(index.shape, np.nan)
+    a, b = ordered[below], ordered[np.minimum(below + 1, values.size - 1)]
+    step = b - a
+    return np.where(fraction >= 0.5, b - step * (1 - fraction), a + step * fraction)
+
+
 def _quantile_boundaries(values, name: str) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.size < QUANT_LEVELS:
         raise ValueError(f"{name}: insufficient calibration data")
     # Linear-interpolation percentiles, fixed so boundaries are reproducible.
-    b = np.percentile(v, [20.0, 40.0, 60.0, 80.0])
+    b = _percentile(v, [20.0, 40.0, 60.0, 80.0])
     if np.any(np.diff(b) <= 0):
         raise ValueError(f"{name}: degenerate distribution")
     return b
@@ -101,7 +126,7 @@ def self_calibrate_quantizer(apf: SampleSeries, ipf: SampleSeries) -> QuantizerM
     """
 
     def upper(values: np.ndarray) -> np.ndarray:
-        cut = np.percentile(values, 100.0 * (1.0 - CALIBRATION_TOP_FRACTION))
+        cut = _percentile(values, 100.0 * (1.0 - CALIBRATION_TOP_FRACTION))
         return values[values >= cut]
 
     return fit_quantizer(upper(apf.values), upper(ipf.values))

@@ -609,3 +609,48 @@ def test_forest_model_json_schema(tmp_path, rng):
     assert node_keys == ["feature", "leaf_class", "left", "right", "threshold"]
     back = load_forest_model(path)
     assert back.to_dict() == model.to_dict()
+
+
+def set_entry(field, tree, index, value):
+    return lambda p: p["trees"][tree][field].__setitem__(index, value)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (set_entry("feature", 0, 0, 0.7), "trees\\[0\\]\\.feature\\[0\\] must be a JSON integer, got 0\\.7"),
+        (set_entry("left", 1, 0, 1.9), "trees\\[1\\]\\.left\\[0\\] must be a JSON integer, got 1\\.9"),
+        (set_entry("right", 1, 0, 2.0), "trees\\[1\\]\\.right\\[0\\] must be a JSON integer, got 2\\.0"),
+        (set_entry("threshold", 0, 0, None), "trees\\[0\\]\\.threshold\\[0\\] must be a finite JSON number, got null"),
+        (set_entry("threshold", 1, 0, float("nan")), "trees\\[1\\]\\.threshold\\[0\\] must be a finite JSON number, got NaN"),
+        (set_entry("threshold", 0, 0, float("-inf")),
+         "trees\\[0\\]\\.threshold\\[0\\] must be a finite JSON number, got -Infinity"),
+        (set_entry("threshold", 0, 0, "1.0"), "trees\\[0\\]\\.threshold\\[0\\] must be a finite JSON number, got \"1\\.0\""),
+        (set_entry("threshold", 0, 0, True), "trees\\[0\\]\\.threshold\\[0\\] must be a finite JSON number, got true"),
+        (set_entry("leaf_class", 1, 0, False), "trees\\[1\\]\\.leaf_class\\[0\\] must be a JSON integer, got false"),
+        (set_entry("leaf_class", 0, 0, True), "trees\\[0\\]\\.leaf_class\\[0\\] must be a JSON integer, got true"),
+        (set_entry("feature", 0, 0, 1 << 63), "trees\\[0\\]\\.feature\\[0\\] is outside the 64-bit integer range"),
+        (set_entry("left", 0, 0, -(1 << 63) - 1), "trees\\[0\\]\\.left\\[0\\] is outside the 64-bit integer range"),
+        (lambda p: p["trees"][1].update(right=2), "trees\\[1\\]\\.right must be a JSON array, got number"),
+        (lambda p: p.update(seed="x"), "seed must be a JSON integer, got \"x\""),
+        (lambda p: p.update(seed=1.0), "seed must be a JSON integer, got 1\\.0"),
+        (lambda p: p.update(tree_count=2.0), "tree_count must be a JSON integer, got 2\\.0"),
+        (lambda p: p.update(tree_count=True), "tree_count must be a JSON integer, got true"),
+    ],
+)
+def test_forest_model_rejects_entries_the_node_table_cannot_hold(tmp_path, rng, edit, message):
+    # Each of these used to load: floats truncated to indices, null and NaN thresholds that send
+    # every row right, a threshold string parsed as a number, booleans as classes, a text seed.
+    path = tmp_path / "forest.json"
+    save_forest_model(path, train_forest(rng.standard_normal((20, 5)), np.arange(20) % 2, 2, 1))
+    broken = rewrite_json(path, tmp_path / "t.json", edit)
+    with pytest.raises(ValueError, match=f"^forest model: {message}$"):
+        load_forest_model(broken)
+
+
+def test_forest_model_accepts_integer_thresholds(tmp_path, rng):
+    path = tmp_path / "forest.json"
+    model = train_forest(rng.standard_normal((20, 5)), np.arange(20) % 2, 2, 1)
+    save_forest_model(path, model)
+    rewrite_json(path, path, lambda p: p["trees"][0]["threshold"].__setitem__(0, 3))
+    assert load_forest_model(path).threshold[0] == 3.0

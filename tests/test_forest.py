@@ -116,10 +116,11 @@ def test_forest_deterministic_given_seed(rng):
     assert c.to_dict() != a.to_dict()
 
 
-def test_forest_serialization_round_trip(rng):
+def test_forest_serialization_round_trip(rng, tmp_path):
     X, y = separable_dataset(rng, n=30)
     model = train_forest(X, y, tree_count=5, seed=2)
-    rebuilt = ForestModel.from_dict(model.to_dict())
+    save_forest_model(tmp_path / "forest.json", model)
+    rebuilt = load_forest_model(tmp_path / "forest.json")
     for _ in range(50):
         x = rng.uniform(-2.0, 5.0, 5)
         assert classify_one(rebuilt, x) == classify_one(model, x)
@@ -163,6 +164,66 @@ def test_tree_rejects_a_bad_leaf_class():
         DecisionTree([0, -1, -1], [0.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [-1, 0, 2])
     with pytest.raises(ValueError, match="leaf_class"):
         DecisionTree([-1], [0.0], [-1], [-1], [-2])
+
+
+
+def stump_nodes():
+    return {"feature": [0, -1, -1], "threshold": [1.0, 0.0, 0.0], "left": [1, -1, -1], "right": [2, -1, -1],
+            "leaf_class": [-1, 0, 1]}
+
+
+def broken(**fields):
+    return lambda: {**stump_nodes(), **fields}
+
+
+#: Trees DecisionTree rejects, each with its message.
+MALFORMED_TREES = [
+    (broken(threshold=[1.0, 0.0]), "node arrays must have equal length and at least one node"),
+    (broken(leaf_class=[-1, 0, 1, 1]), "node arrays must have equal length and at least one node"),
+    (lambda: {name: [] for name in stump_nodes()}, "node arrays must have equal length and at least one node"),
+    (broken(leaf_class=[-1, 0, 2]), "leaf_class must be -1 \\(internal\\), 0 or 1"),
+    (broken(leaf_class=[-2, 0, 1]), "leaf_class must be -1 \\(internal\\), 0 or 1"),
+    (broken(feature=[5, -1, -1]), "internal node with out-of-range feature index"),
+    (broken(feature=[-1, -1, -1]), "internal node with out-of-range feature index"),
+    (broken(left=[0, -1, -1]), "internal node with a child not after it inside the tree"),
+    (broken(right=[-1, -1, -1]), "internal node with a child not after it inside the tree"),
+    # One past the end: laid end to end with a next tree, this child would be that tree's root.
+    (broken(right=[3, -1, -1]), "internal node with a child not after it inside the tree"),
+    (broken(left=[1, 2, -1], right=[2, 0, -1], leaf_class=[-1, -1, 1], feature=[0, 1, -1]),
+     "internal node with a child not after it inside the tree"),
+]
+
+
+@pytest.mark.parametrize("make, message", MALFORMED_TREES)
+@pytest.mark.parametrize("position", [2, 1, 0])
+def test_loader_rejects_every_tree_the_tree_type_rejects(tmp_path, make, message, position):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DecisionTree(**make())
+    # The same defect in one tree of a 3-tree file; the last tree has no next tree to fall into.
+    trees = [stump_nodes() for _ in range(3)]
+    trees[position] = make()
+    path = tmp_path / "forest.json"
+    path.write_text(json.dumps({"tree_count": 3, "seed": 0, "trees": trees}))
+    with pytest.raises(ValueError, match=f"^forest model: {message}$"):
+        load_forest_model(path)
+
+
+def test_trained_forest_round_trips_through_its_file(tmp_path):
+    rng = np.random.default_rng(93)
+    X, y = tied_dataset(rng, 600)
+    model = train_forest(X, y, tree_count=50, seed=5)
+    save_forest_model(tmp_path / "a.json", model)
+    loaded = load_forest_model(tmp_path / "a.json")
+    save_forest_model(tmp_path / "b.json", loaded)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    queries = np.concatenate((X, rng.uniform(-1.0, 4.0, (200, 5))))
+    for got, want in zip(classify(loaded, queries), classify(model, queries)):
+        assert np.array_equal(got, want)
+    # The trees are views of the table, and a forest rebuilt from them is the same table.
+    rebuilt = ForestModel(loaded.trees, loaded.tree_count, loaded.seed)
+    for name in ("feature", "threshold", "left", "right", "leaf_class", "sizes"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(model, name))
+    assert all(np.shares_memory(t.threshold, loaded.threshold) for t in loaded.trees)
 
 
 def random_tree(rng, values, max_depth):

@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 import shotfuse as sf
-from shotfuse import pipeline
+from shotfuse import forest, pipeline
 from shotfuse.dataio import (
+    load_filter_model,
+    load_forest_model,
+    read_imu_csv,
+    read_labels_csv,
+    read_wav,
     save_filter_model,
     write_imu_csv,
     write_labels_csv,
@@ -212,3 +217,25 @@ def test_windows_view_the_audio(monkeypatch):
     windows = windows_from_labels(audio, labels)
     assert len(windows) == 18
     assert all(np.shares_memory(w.samples, audio.samples) for w in windows)
+
+
+def test_loading_detecting_and_training_build_no_per_tree_objects(fixture_dir, tmp_path, monkeypatch):
+    # A forest is one node table from the file or the trainer to the votes; trees are only views of it.
+    def refuse(self):
+        raise AssertionError("a DecisionTree was constructed")
+
+    monkeypatch.setattr(forest.DecisionTree, "__post_init__", refuse)
+    model = load_forest_model(fixture_dir / "forest.json")
+    assert model.tree_count == 50
+    result = run_pipeline(
+        fixture_dir / "audio.wav", fixture_dir / "imu.csv", fixture_dir / "filter.json",
+        fixture_dir / "forest.json", PipelineOptions(out_dir=str(tmp_path / "out")),
+    )
+    assert result["event_count"] > 0
+    audio = read_wav(fixture_dir / "audio.wav")
+    apf = sf.audio_likelihood(audio, load_filter_model(fixture_dir / "filter.json"))
+    synced = synced_series(apf, read_imu_csv(fixture_dir / "imu.csv"))
+    X, y = candidate_dataset(synced, read_labels_csv(fixture_dir / "labels.csv"))
+    sf.train_forest(X, y, tree_count=50, seed=8)
+    # Views of the checked table are not checked again.
+    assert sum(t.feature.size for t in model.trees) == model.feature.size

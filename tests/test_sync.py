@@ -292,3 +292,24 @@ def test_exactly_tied_peaks_resolve_to_smaller_lag():
     est = estimate_offset(SampleSeries(100.0, 0.0, np.zeros(601)), b, q)
     assert est.offset_ms == 0.0
     assert est.peak_correlation == 0.0
+
+
+def test_percentile_helper_equals_numpy_bit_for_bit():
+    rng = np.random.default_rng(61)
+    arrays = []
+    for n in (5, 6, 7, 11, 100, 999, 2900, 6001, 60_000):
+        arrays += [
+            rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3),
+            np.round(rng.exponential(1.0, n), 1),  # rounded values, many ties
+            rng.integers(0, 4, n).astype(float),  # a handful of distinct values
+            np.abs(rng.normal(0.0, 0.01, n)) + (rng.random(n) < 0.05) * rng.uniform(1.0, 4.0, n),
+        ]
+    for v in arrays:
+        v.flags.writeable = False  # series values are read-only
+        for q in (90.0, [20.0, 40.0, 60.0, 80.0], [0.0, 100.0, 50.0, 12.5], float(rng.uniform(0, 100))):
+            got = sync._percentile(v, q)
+            assert np.array_equal(got, np.percentile(v, q)), (v.size, q)
+            assert np.shape(got) == np.shape(np.percentile(v, q))
+    with_nan = rng.random(50)
+    with_nan[7] = np.nan
+    assert np.isnan(sync._percentile(with_nan, [20.0, 90.0])).all()
