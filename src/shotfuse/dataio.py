@@ -439,8 +439,13 @@ def load_forest_model(path) -> ForestModel:
             _expect(tree, "object", f"trees[{i}]")
         columns = [_node_column(trees, name) for name in NODE_FIELDS]
         tree_count = _integer(payload["tree_count"], "tree_count")
-        return ForestModel.from_table([c for c, _ in columns], [n for _, n in columns], tree_count,
-                                      _integer(payload["seed"], "seed"))
+        seed = _integer(payload["seed"], "seed")
+        if tree_count != len(trees):
+            raise ValueError("tree_count must match the number of trees")
+        sizes = columns[0][1]
+        if any(lengths != sizes for _, lengths in columns):
+            raise ValueError("node arrays must have equal length and at least one node")
+        return ForestModel(*(column for column, _ in columns), sizes, seed)
 
 
 def ensure_dir(path) -> Path:

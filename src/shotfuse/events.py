@@ -31,7 +31,7 @@ class ShotEvent:
 
 @dataclass(frozen=True, eq=False)
 class LabelSet:
-    """Ground-truth shot timestamps (ms), strictly ascending and non-negative."""
+    """Ground-truth shot timestamps (ms), finite, strictly ascending and non-negative."""
 
     shots: np.ndarray = field(default_factory=lambda: np.empty(0))
 
@@ -39,6 +39,8 @@ class LabelSet:
         arr = np.array(self.shots, dtype=float)
         if arr.ndim != 1:
             raise ValueError("shots must be one-dimensional")
+        if not np.isfinite(arr).all():
+            raise ValueError("shot timestamps must be finite")
         if arr.size and arr[0] < 0:
             raise ValueError("shot timestamps must be non-negative")
         if arr.size > 1 and not np.all(np.diff(arr) > 0):

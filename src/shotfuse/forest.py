@@ -5,9 +5,10 @@ feature subset (floor(sqrt(n_features)) = 2 of the 5), grown until nodes
 are pure or too small. All trees of a forest grow in lockstep, one node
 per tree at a time (_LockstepForest). A forest is one node table: the
 five node arrays of all its trees laid end to end, plus each tree's node
-count. Training and loading build that table directly and check it in one
-vectorized pass; votes descend it without recursion, and its trees are
-DecisionTree views of it, built on demand.
+count. ForestModel has one constructor, which training and loading call
+with the whole table and which checks it in one vectorized pass; votes
+descend it without recursion, and its trees are one-tree forests viewing
+their stretch of it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "NUM_FEATURES",
     "DEFAULT_TREE_COUNT",
     "NODE_FIELDS",
-    "DecisionTree",
     "ForestModel",
     "train_forest",
     "classify",
@@ -28,30 +28,22 @@ __all__ = [
 
 NUM_FEATURES = 5
 DEFAULT_TREE_COUNT = 50
-#: A tree's node arrays, in the order DecisionTree and the node table take them.
+#: A forest's node arrays, in the order ForestModel takes them.
 NODE_FIELDS = ("feature", "threshold", "left", "right", "leaf_class")
 
 
-def _node_arrays(nodes) -> list[np.ndarray]:
-    """The five node arrays, in NODE_FIELDS order, as float thresholds and int64 for the rest."""
-    return [np.asarray(a, dtype=float if name == "threshold" else np.int64) for name, a in zip(NODE_FIELDS, nodes)]
+def _check_nodes(feature, threshold, left, right, leaf_class, sizes) -> None:
+    """Raise ValueError unless the node arrays hold whole trees of sizes[t] nodes laid end to end.
 
-
-def _check_nodes(feature, threshold, left, right, leaf_class, lengths) -> None:
-    """Raise ValueError unless the node arrays hold whole trees laid end to end.
-
-    lengths[f][t] is the number of entries tree t has in the f-th array; a
-    single row stands for all five arrays. Every tree needs at least one
+    There must be at least one tree, and every tree needs at least one
     node. Internal nodes carry leaf_class -1 and leaves 0 or 1. An internal
     node's feature indexes a feature vector, and its children, counted from
     its tree's root, lie after it and inside its tree, so every descent ends
     at a leaf of the same tree.
     """
-    lengths = np.asarray(lengths)
-    sizes = lengths[0]
-    if sizes.min() < 1 or (lengths != sizes).any() or any(
-        a.size != sizes.sum() for a in (feature, threshold, left, right, leaf_class)
-    ):
+    if sizes.ndim != 1 or not sizes.size:
+        raise ValueError("a forest needs at least one tree")
+    if sizes.min() < 1 or any(a.shape != (sizes.sum(),) for a in (feature, threshold, left, right, leaf_class)):
         raise ValueError("node arrays must have equal length and at least one node")
     if ((leaf_class < -1) | (leaf_class > 1)).any():
         raise ValueError("leaf_class must be -1 (internal), 0 or 1")
@@ -69,44 +61,17 @@ def _check_nodes(feature, threshold, left, right, leaf_class, lengths) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class DecisionTree:
-    """Binary tree as parallel arrays; node 0 is the root.
-
-    Internal nodes carry (feature, threshold, left, right) and leaf_class
-    -1; leaves carry leaf_class 0/1 and -1 elsewhere. An internal node's
-    children have larger indices than the node. Samples with feature value
-    <= threshold go left.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    leaf_class: np.ndarray
-
-    def __post_init__(self):
-        arrays = _node_arrays(getattr(self, name) for name in NODE_FIELDS)
-        for name, a in zip(NODE_FIELDS, arrays):
-            object.__setattr__(self, name, a)
-        _check_nodes(*arrays, [[a.size] for a in arrays])
-
-    @classmethod
-    def _checked(cls, nodes) -> "DecisionTree":
-        """The tree over node arrays that _check_nodes has already passed, as they are."""
-        tree = cls.__new__(cls)
-        for name, a in zip(NODE_FIELDS, nodes):
-            object.__setattr__(tree, name, a)
-        return tree
-
-
-@dataclass(frozen=True, eq=False, init=False)
 class ForestModel:
     """Bagged decision trees with majority-vote classification, as one node table.
 
     feature, threshold, left, right and leaf_class hold every tree's node
-    arrays (as in DecisionTree) laid end to end, tree after tree; sizes[t]
-    is tree t's node count. Children keep their numbers within their own
-    tree. The arrays are read-only.
+    arrays laid end to end, tree after tree; sizes[t] is tree t's node
+    count. Within a tree, nodes are numbered from its root, 0. Internal
+    nodes carry (feature, threshold, left, right), with children numbered
+    after them, and leaf_class -1; leaves carry leaf_class 0/1 and -1
+    elsewhere. Samples with feature value <= threshold go left. The
+    constructor takes the arrays as int64 (thresholds as float), without a
+    copy where they already are, makes them read-only and checks them.
     """
 
     feature: np.ndarray
@@ -117,35 +82,13 @@ class ForestModel:
     sizes: np.ndarray
     seed: int
 
-    def __init__(self, trees, tree_count: int, seed: int):
-        """The forest of the given trees, whose node arrays it copies into one table."""
-        trees = tuple(trees)
-        nodes = [np.concatenate([getattr(t, name) for t in trees]) if trees else np.empty(0) for name in NODE_FIELDS]
-        self._adopt(nodes, [[t.feature.size for t in trees]], tree_count, seed)
-
-    @classmethod
-    def from_table(cls, nodes, lengths, tree_count: int, seed: int) -> "ForestModel":
-        """The forest whose trees lie end to end in the five arrays nodes, in NODE_FIELDS order.
-
-        lengths[f][t] is the number of entries tree t has in nodes[f]; one
-        row stands for all five. The table adopts the arrays and checks them.
-        """
-        model = cls.__new__(cls)
-        model._adopt(nodes, lengths, tree_count, seed)
-        return model
-
-    def _adopt(self, nodes, lengths, tree_count: int, seed: int) -> None:
-        if tree_count < 1:
-            raise ValueError("a forest needs at least one tree")
-        if len(lengths[0]) != tree_count:
-            raise ValueError("tree_count must match the number of trees")
-        nodes = _node_arrays(nodes)
-        _check_nodes(*nodes, lengths)
-        sizes = np.array(lengths[0], dtype=np.int64)
-        for name, a in zip(NODE_FIELDS + ("sizes",), nodes + [sizes]):
+    def __post_init__(self):
+        fields = NODE_FIELDS + ("sizes",)
+        for name in fields:
+            a = np.asarray(getattr(self, name), dtype=float if name == "threshold" else np.int64)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "seed", seed)
+        _check_nodes(*(getattr(self, name) for name in fields))
 
     @property
     def tree_count(self) -> int:
@@ -156,10 +99,12 @@ class ForestModel:
         return list(zip([0] + end[:-1], end))
 
     @property
-    def trees(self) -> tuple[DecisionTree, ...]:
-        """Every tree as a DecisionTree viewing its stretch of the checked table."""
+    def trees(self) -> tuple[ForestModel, ...]:
+        """Every tree as a one-tree forest viewing its stretch of the table."""
         nodes = [getattr(self, name) for name in NODE_FIELDS]
-        return tuple(DecisionTree._checked([a[begin:end] for a in nodes]) for begin, end in self._spans())
+        return tuple(
+            ForestModel(*(a[begin:end] for a in nodes), [end - begin], self.seed) for begin, end in self._spans()
+        )
 
     def to_dict(self) -> dict:
         columns = [getattr(self, name).tolist() for name in NODE_FIELDS]
@@ -412,7 +357,7 @@ def train_forest(X, y, tree_count: int = DEFAULT_TREE_COUNT, seed: int = 0) -> F
     counts = np.array([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs])
     n_draw = max(1, int(np.sqrt(X.shape[1])))
     nodes, sizes = _LockstepForest(X, y, rngs, counts, n_draw).grow()
-    return ForestModel.from_table(nodes, [sizes], tree_count, seed)
+    return ForestModel(*nodes, sizes, seed)
 
 
 def classify(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:

@@ -85,7 +85,7 @@ class ImuStream:
         cols = [np.asarray(getattr(self, name), dtype=float) for name in IMU_FIELDS]
         if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
             raise ValueError("columns must be one-dimensional and of equal length")
-        self._adopt(np.array(cols))
+        self._take_block(np.array(cols))
 
     @classmethod
     def from_block(cls, block: np.ndarray) -> "ImuStream":
@@ -96,10 +96,10 @@ class ImuStream:
         if block.dtype != float or block.ndim != 2 or block.shape[0] != len(IMU_FIELDS):
             raise ValueError(f"expected a ({len(IMU_FIELDS)}, n) float block")
         stream = cls.__new__(cls)
-        stream._adopt(block)
+        stream._take_block(block)
         return stream
 
-    def _adopt(self, block: np.ndarray) -> None:
+    def _take_block(self, block: np.ndarray) -> None:
         bad = first_invalid_sample(block)
         if bad is not None:
             raise ValueError(f"sample {bad[0]}: {bad[1]}")

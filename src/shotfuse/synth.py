@@ -11,6 +11,7 @@ amount, which is what the synchronizer must recover.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +46,18 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # json.load reads true and false as bools, which Python counts as integers.
+        for name in ("shot_count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("duration_s", "audio_snr_db", "imu_noise_g", "injected_offset_ms",
                      "distractor_rate_per_min"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if self.shot_count < 0 or self.distractor_rate_per_min < 0:

@@ -194,6 +194,17 @@ def test_eval_rejects_a_bad_tolerance(workspace, tmp_path):
         assert proc.stderr == f"error: tolerance_ms must be finite and non-negative, got {float(value)}\n"
 
 
+def test_eval_rejects_non_finite_labels(tmp_path):
+    # A NaN label used to be scored as a missed shot.
+    events = tmp_path / "events.csv"
+    events.write_text("time_ms,score\n1000.0,1.0\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("t_ms\n1000.0\nnan\n")
+    proc = run_cli("eval", "--events", events, "--labels", labels, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: shot timestamps must be finite\n"
+
+
 def test_detect_rejects_a_bad_tolerance_before_it_runs(workspace, tmp_path):
     # With --labels it used to write detections.csv and only then fail; without, NaN passed.
     data = workspace["data"]

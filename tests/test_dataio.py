@@ -413,6 +413,16 @@ def test_labels_round_trip(tmp_path):
     assert np.allclose(back.shots, labels.shots)
 
 
+def test_labels_reject_non_finite_timestamps(tmp_path):
+    # NaN and infinity used to load, and evaluate counted a NaN label as a missed shot; a NaN
+    # among other labels failed as "not strictly ascending".
+    path = tmp_path / "labels.csv"
+    for text in ("t_ms\nnan\n", "t_ms\n100\ninf\n", "t_ms\n100\nnan\n300\n", "t_ms\n-inf\n100\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^shot timestamps must be finite$"):
+            read_labels_csv(path)
+
+
 def test_labels_missing_header(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("time\n100\n")
@@ -595,6 +605,23 @@ def test_forest_model_rejects_trees_that_are_not_objects(tmp_path, rng):
             load_forest_model(broken)
     path.write_text("null")
     with pytest.raises(ValueError, match="^forest model: top level must be a JSON object, got null$"):
+        load_forest_model(path)
+
+
+def test_forest_model_rejects_per_tree_lengths_that_differ_between_fields(tmp_path, rng):
+    # Equal totals: only the per-tree lengths show tree 0's threshold one entry long and tree 1's short.
+    path = tmp_path / "forest.json"
+    save_forest_model(path, train_forest(rng.standard_normal((20, 5)), np.arange(20) % 2, 2, 1))
+
+    def shift(p):
+        p["trees"][0]["threshold"].append(0.0)
+        p["trees"][1]["threshold"].pop()
+
+    rewrite_json(path, path, shift)
+    with pytest.raises(ValueError, match="^forest model: node arrays must have equal length and at least one node$"):
+        load_forest_model(path)
+    path.write_text(json.dumps({"tree_count": 0, "seed": 0, "trees": []}))
+    with pytest.raises(ValueError, match="^forest model: a forest needs at least one tree$"):
         load_forest_model(path)
 
 

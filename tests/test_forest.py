@@ -6,7 +6,7 @@ import pytest
 
 from shotfuse import ForestModel, classify, train_forest
 from shotfuse.dataio import load_forest_model, save_forest_model
-from shotfuse.forest import DecisionTree
+from shotfuse.forest import NODE_FIELDS
 
 
 def classify_one(model, features):
@@ -44,12 +44,24 @@ def test_forest_rejects_single_class(rng):
         train_forest(rng.standard_normal((10, 5)), np.ones(10, dtype=int), tree_count=5, seed=0)
 
 
+def tree(feature, threshold, left, right, leaf_class):
+    """A hand-made tree as a one-tree forest."""
+    return ForestModel(feature, threshold, left, right, leaf_class, [len(feature)], seed=0)
+
+
+def forest_of(trees, seed=0):
+    """The forest whose node table lays the one-tree forests trees end to end."""
+    trees = tuple(trees)
+    nodes = (np.concatenate([getattr(t, name) for t in trees]) for name in NODE_FIELDS)
+    return ForestModel(*nodes, [t.feature.size for t in trees], seed)
+
+
 def leaf(cls):
-    return DecisionTree([-1], [0.0], [-1], [-1], [cls])
+    return tree([-1], [0.0], [-1], [-1], [cls])
 
 
 def stump(feature, threshold, left_cls, right_cls):
-    return DecisionTree(
+    return tree(
         [feature, -1, -1],
         [threshold, 0.0, 0.0],
         [1, -1, -1],
@@ -59,11 +71,7 @@ def stump(feature, threshold, left_cls, right_cls):
 
 
 def test_hand_built_three_tree_majority():
-    model = ForestModel(
-        (stump(0, 1.0, 0, 1), stump(1, 0.5, 1, 0), leaf(1)),
-        tree_count=3,
-        seed=0,
-    )
+    model = forest_of((stump(0, 1.0, 0, 1), stump(1, 0.5, 1, 0), leaf(1)))
     # votes: feature0=2 -> tree1 votes 1; feature1=0.2 -> tree2 votes 1; leaf votes 1
     label, score = classify_one(model, [2.0, 0.2, 0, 0, 0])
     assert (label, score) == (1, 1.0)
@@ -74,16 +82,16 @@ def test_hand_built_three_tree_majority():
 
 
 def test_classify_unanimous_and_tie():
-    all_shot = ForestModel((leaf(1), leaf(1)), tree_count=2, seed=0)
+    all_shot = forest_of((leaf(1), leaf(1)))
     assert classify_one(all_shot, np.zeros(5)) == (1, 1.0)
-    split = ForestModel((leaf(1), leaf(0)), tree_count=2, seed=0)
+    split = forest_of((leaf(1), leaf(0)))
     label, score = classify_one(split, np.zeros(5))
     assert (label, score) == (0, 0.5)  # exact tie counts as non-shot
 
 
 def test_twenty_of_fifty_votes():
     trees = tuple(leaf(1) for _ in range(20)) + tuple(leaf(0) for _ in range(30))
-    model = ForestModel(trees, tree_count=50, seed=0)
+    model = forest_of(trees)
     label, score = classify_one(model, np.zeros(5))
     assert (label, score) == (0, 0.4)
 
@@ -126,14 +134,26 @@ def test_forest_serialization_round_trip(rng, tmp_path):
         assert classify_one(rebuilt, x) == classify_one(model, x)
 
 
+def test_forest_takes_its_node_arrays_as_read_only_int64_and_float():
+    model = stump(0, 1, 0, 1)
+    for name in ("feature", "left", "right", "leaf_class", "sizes"):
+        assert getattr(model, name).dtype == np.int64
+    assert model.threshold.dtype == float and model.threshold[0] == 1.0
+    for name in NODE_FIELDS + ("sizes",):
+        assert not getattr(model, name).flags.writeable
+    # An int64 array is taken as it is, not copied.
+    left = np.array([1, -1, -1])
+    assert ForestModel([0, -1, -1], [1.0, 0.0, 0.0], left, [2, -1, -1], [-1, 0, 1], [3], seed=0).left is left
+
+
 def test_tree_rejects_bad_feature_index():
     with pytest.raises(ValueError, match="feature index"):
-        DecisionTree([7, -1, -1], [0.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [-1, 0, 1])
+        tree([7, -1, -1], [0.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [-1, 0, 1])
 
 
 def test_forest_needs_a_tree(rng):
     with pytest.raises(ValueError, match="at least one tree"):
-        ForestModel((), tree_count=0, seed=0)
+        ForestModel([], [], [], [], [], [], seed=0)
     X, y = separable_dataset(rng, n=20)
     with pytest.raises(ValueError, match="at least one tree"):
         train_forest(X, y, tree_count=0, seed=0)
@@ -141,9 +161,9 @@ def test_forest_needs_a_tree(rng):
 
 def test_tree_rejects_a_child_that_is_its_node(tmp_path):
     with pytest.raises(ValueError, match="child not after it"):
-        DecisionTree([0, -1, -1], [0.0, 0.0, 0.0], [0, -1, -1], [2, -1, -1], [-1, 0, 1])
+        tree([0, -1, -1], [0.0, 0.0, 0.0], [0, -1, -1], [2, -1, -1], [-1, 0, 1])
     # The same tree read from a model file fails to load instead of looping in classify.
-    payload = ForestModel((stump(0, 1.0, 0, 1),), tree_count=1, seed=0).to_dict()
+    payload = stump(0, 1.0, 0, 1).to_dict()
     payload["trees"][0]["right"][0] = 0
     path = tmp_path / "forest.json"
     path.write_text(json.dumps(payload))
@@ -154,16 +174,16 @@ def test_tree_rejects_a_child_that_is_its_node(tmp_path):
 def test_tree_rejects_a_child_past_its_end():
     # Concatenated with a next tree, node 3 would be that tree's root.
     with pytest.raises(ValueError, match="child not after it"):
-        DecisionTree([0, -1, -1], [0.0, 0.0, 0.0], [1, -1, -1], [3, -1, -1], [-1, 0, 1])
+        tree([0, -1, -1], [0.0, 0.0, 0.0], [1, -1, -1], [3, -1, -1], [-1, 0, 1])
     with pytest.raises(ValueError, match="at least one node"):
-        DecisionTree([], [], [], [], [])
+        tree([], [], [], [], [])
 
 
 def test_tree_rejects_a_bad_leaf_class():
     with pytest.raises(ValueError, match="leaf_class"):
-        DecisionTree([0, -1, -1], [0.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [-1, 0, 2])
+        tree([0, -1, -1], [0.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [-1, 0, 2])
     with pytest.raises(ValueError, match="leaf_class"):
-        DecisionTree([-1], [0.0], [-1], [-1], [-2])
+        tree([-1], [0.0], [-1], [-1], [-2])
 
 
 
@@ -176,7 +196,7 @@ def broken(**fields):
     return lambda: {**stump_nodes(), **fields}
 
 
-#: Trees DecisionTree rejects, each with its message.
+#: Trees that fail to make a one-tree forest, each with its message.
 MALFORMED_TREES = [
     (broken(threshold=[1.0, 0.0]), "node arrays must have equal length and at least one node"),
     (broken(leaf_class=[-1, 0, 1, 1]), "node arrays must have equal length and at least one node"),
@@ -198,7 +218,7 @@ MALFORMED_TREES = [
 @pytest.mark.parametrize("position", [2, 1, 0])
 def test_loader_rejects_every_tree_the_tree_type_rejects(tmp_path, make, message, position):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        DecisionTree(**make())
+        tree(**make())
     # The same defect in one tree of a 3-tree file; the last tree has no next tree to fall into.
     trees = [stump_nodes() for _ in range(3)]
     trees[position] = make()
@@ -219,8 +239,9 @@ def test_trained_forest_round_trips_through_its_file(tmp_path):
     queries = np.concatenate((X, rng.uniform(-1.0, 4.0, (200, 5))))
     for got, want in zip(classify(loaded, queries), classify(model, queries)):
         assert np.array_equal(got, want)
-    # The trees are views of the table, and a forest rebuilt from them is the same table.
-    rebuilt = ForestModel(loaded.trees, loaded.tree_count, loaded.seed)
+    # The trees are one-tree forests viewing the table, and a forest rebuilt from them is the same table.
+    assert [t.tree_count for t in loaded.trees] == [1] * 50
+    rebuilt = forest_of(loaded.trees, loaded.seed)
     for name in ("feature", "threshold", "left", "right", "leaf_class", "sizes"):
         assert np.array_equal(getattr(rebuilt, name), getattr(model, name))
     assert all(np.shares_memory(t.threshold, loaded.threshold) for t in loaded.trees)
@@ -247,7 +268,7 @@ def random_tree(rng, values, max_depth):
         return node
 
     grow(0)
-    return DecisionTree(feature, threshold, left, right, leaf_class)
+    return tree(feature, threshold, left, right, leaf_class)
 
 
 def test_batched_votes_match_per_tree_descent():
@@ -256,7 +277,7 @@ def test_batched_votes_match_per_tree_descent():
     for _ in range(30):
         n_trees = int(rng.integers(1, 12))
         trees = tuple(random_tree(rng, values, int(rng.integers(0, 7))) for _ in range(n_trees))
-        model = ForestModel(trees, tree_count=n_trees, seed=0)
+        model = forest_of(trees)
         # Most cells equal some threshold, so "<= goes left" is exercised.
         X = rng.choice(values, size=(int(rng.integers(0, 40)), 5))
         X[rng.random(X.shape) < 0.3] += 0.1
@@ -270,7 +291,7 @@ def test_batched_votes_match_per_tree_descent():
 
 def test_classify_rejects_a_vector():
     with pytest.raises(ValueError, match="feature matrix"):
-        classify(ForestModel((leaf(1),), tree_count=1, seed=0), np.zeros(5))
+        classify(leaf(1), np.zeros(5))
 
 
 # ---------------------------------------------------------------- reference builder
@@ -333,7 +354,7 @@ def _per_node_tree(X, y, rng, n_split, events):
         left[node], right[node] = new_node(), new_node()
         stack.append((node_indices[order[pos + 1 :]], right[node]))
         stack.append((node_indices[order[: pos + 1]], left[node]))
-    return DecisionTree(feature, threshold, left, right, leaf_class)
+    return tree(feature, threshold, left, right, leaf_class)
 
 
 def per_node_forest(X, y, tree_count, seed):
@@ -349,7 +370,7 @@ def per_node_forest(X, y, tree_count, seed):
         sample = rng.integers(0, n, size=n)
         events["duplicate bootstrap rows"] += np.unique(sample).size < n
         trees.append(_per_node_tree(X[sample], y[sample], rng, n_split, events))
-    return ForestModel(tuple(trees), tree_count, seed), events
+    return forest_of(trees, seed), events
 
 
 def tied_dataset(rng, n):

@@ -13,7 +13,6 @@ from shotfuse import (
     select_candidates,
 )
 from shotfuse.events import NEIGHBORHOOD_MS
-from shotfuse.forest import DecisionTree
 from shotfuse.imu import ipf, prepare_components
 from shotfuse.pipeline import candidate_dataset, synced_series
 
@@ -174,14 +173,9 @@ def test_candidate_out_of_range():
 # --- detect_shots ------------------------------------------------------------------
 
 
-def leaf(cls):
-    return DecisionTree([-1], [0.0], [-1], [-1], [cls])
-
-
 def apf_threshold_forest(threshold):
     """Single stump voting shot iff the APF feature exceeds threshold."""
-    stump = DecisionTree([0, -1, -1], [threshold, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [-1, 0, 1])
-    return ForestModel((stump,), tree_count=1, seed=0)
+    return ForestModel([0, -1, -1], [threshold, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [-1, 0, 1], [3], seed=0)
 
 
 def aligned(audio, imu, model, offset):

@@ -220,22 +220,32 @@ def test_windows_view_the_audio(monkeypatch):
 
 
 def test_loading_detecting_and_training_build_no_per_tree_objects(fixture_dir, tmp_path, monkeypatch):
-    # A forest is one node table from the file or the trainer to the votes; trees are only views of it.
-    def refuse(self):
-        raise AssertionError("a DecisionTree was constructed")
+    # A forest is one node table from the file or the trainer to the votes: each load and each
+    # training builds and checks one ForestModel of all 50 trees, and nothing per tree.
+    built = []
+    check = forest.ForestModel.__post_init__
 
-    monkeypatch.setattr(forest.DecisionTree, "__post_init__", refuse)
+    def count(self):
+        check(self)
+        built.append(self.tree_count)
+
+    monkeypatch.setattr(forest.ForestModel, "__post_init__", count)
     model = load_forest_model(fixture_dir / "forest.json")
-    assert model.tree_count == 50
+    assert built == [50]
     result = run_pipeline(
         fixture_dir / "audio.wav", fixture_dir / "imu.csv", fixture_dir / "filter.json",
         fixture_dir / "forest.json", PipelineOptions(out_dir=str(tmp_path / "out")),
     )
     assert result["event_count"] > 0
+    assert built == [50, 50]
     audio = read_wav(fixture_dir / "audio.wav")
     apf = sf.audio_likelihood(audio, load_filter_model(fixture_dir / "filter.json"))
     synced = synced_series(apf, read_imu_csv(fixture_dir / "imu.csv"))
     X, y = candidate_dataset(synced, read_labels_csv(fixture_dir / "labels.csv"))
     sf.train_forest(X, y, tree_count=50, seed=8)
-    # Views of the checked table are not checked again.
-    assert sum(t.feature.size for t in model.trees) == model.feature.size
+    assert built == [50, 50, 50]
+    # Only asking for the trees builds one-tree forests, as views of the table.
+    trees = model.trees
+    assert built == [50, 50, 50] + [1] * 50
+    assert all(np.shares_memory(t.feature, model.feature) for t in trees)
+    assert sum(t.feature.size for t in trees) == model.feature.size

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,26 @@ def test_non_finite_fields_rejected(field):
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
             SynthConfig(**{field: bad})
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ('{"shot_count": 2.5}', "shot_count must be an integer, got 2.5"),
+        ('{"shot_count": true}', "shot_count must be an integer, got True"),
+        ('{"shot_count": "3"}', "shot_count must be an integer, got '3'"),
+        ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
+        ('{"seed": false}', "seed must be an integer, got False"),
+        ('{"duration_s": "5"}', "duration_s must be a real number, got '5'"),
+        ('{"imu_noise_g": true}', "imu_noise_g must be a real number, got True"),
+        ('{"injected_offset_ms": null}', "injected_offset_ms must be a real number, got None"),
+    ],
+)
+def test_config_rejects_values_of_the_wrong_type(config, message):
+    # As `shotfuse synth` reads them. A float count or seed used to die inside numpy, a text
+    # duration in math.isfinite, and a true shot count synthesized one shot.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SynthConfig(**json.loads(config))
 
 
 def test_distractor_counts_scale_with_rate():
