@@ -10,7 +10,9 @@ A recording stays 16-bit PCM from the WAV file to the filter, and the FIR
 pass decodes it one chunk at a time. Detection streams those chunks from
 the file (``dataio.WavFile``) and never holds the recording; training
 reads it whole (:class:`PcmAudio`) and decodes one chunk of windows at a
-time.
+time. The audio clock starts at 0 ms with the first sample; the IMU runs
+on its own clock, whose offset the synchronizer estimates. Every value
+type here takes its arrays through series.freeze.
 """
 
 from __future__ import annotations
@@ -80,14 +82,13 @@ def _pcm(samples, name: str) -> np.ndarray:
 class PcmAudio:
     """A recording as read-only 16-bit PCM: the only in-memory form of audio.
 
-    Sample k stands for samples[k] * PCM_SCALE at start_time + k / 8 ms;
-    the rate is SAMPLE_RATE_HZ. Every int16 decodes exactly to float64, so
-    consumers decode a chunk at a time and never hold the whole stream as
-    floats.
+    Sample k stands for samples[k] * PCM_SCALE at k / 8 ms: the audio clock
+    starts at 0 and the rate is SAMPLE_RATE_HZ. Every int16 decodes exactly
+    to float64, so consumers decode a chunk at a time and never hold the
+    whole stream as floats.
     """
 
     samples: np.ndarray
-    start_time: float = 0.0
 
     rate: ClassVar[float] = float(SAMPLE_RATE_HZ)
     scale: ClassVar[float] = PCM_SCALE
@@ -96,7 +97,7 @@ class PcmAudio:
         object.__setattr__(self, "samples", _pcm(self.samples, "audio samples"))
 
     @classmethod
-    def from_float(cls, values, start_time: float = 0.0) -> "PcmAudio":
+    def from_float(cls, values) -> "PcmAudio":
         """Quantize float samples once: clip(round(v / PCM_SCALE)) to the int16 range."""
         values = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(values)):
@@ -104,7 +105,7 @@ class PcmAudio:
         scaled = values / PCM_SCALE
         np.round(scaled, out=scaled)
         np.clip(scaled, -32768, 32767, out=scaled)
-        return cls(scaled.astype(np.int16), start_time)
+        return cls(freeze_in_place(scaled.astype(np.int16)))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -112,7 +113,7 @@ class PcmAudio:
     @property
     def end_time(self) -> float:
         """Timestamp one sample period past the last sample."""
-        return self.start_time + len(self) * 1000.0 / self.rate
+        return len(self) * 1000.0 / self.rate
 
     def chunks(self, size: int):
         """The samples in order as read-only views of size samples each; the last may be shorter."""
@@ -127,14 +128,13 @@ class FilterModel:
     bias: float = 0.0
 
     def __post_init__(self):
-        arr = np.array(self.weights, dtype=float)
+        arr = freeze(self.weights)
         if arr.ndim != 1:
             raise ValueError(f"weights must be one-dimensional, got shape {arr.shape}")
         if arr.size != FILTER_TAPS:
             raise ValueError(f"weights must hold {FILTER_TAPS} values, got {arr.size}")
         if not (np.all(np.isfinite(arr)) and np.isfinite(self.bias)):
             raise ValueError("model parameters must be finite")
-        arr.flags.writeable = False
         object.__setattr__(self, "weights", arr)
 
 
@@ -163,23 +163,24 @@ def short_time_energy(x: PcmAudio, taps: np.ndarray) -> SampleSeries:
     """Sum of squared FIR-filtered samples per non-overlapping microframe.
 
     x is a PcmAudio or anything that reads like one here: a len() in
-    samples, a start_time, the PCM scale and chunks(size), such as
-    dataio.WavFile. The filter is causal with zero initial state
-    (series.fir_frames) and reads the decoded samples (PCM * PCM_SCALE).
-    Each chunk of frames is read, decoded, filtered, squared and summed
-    into the energies as it is made, so neither the decoded nor the
-    filtered stream ever exists in full, and a WavFile's PCM does not
-    either. A trailing partial microframe is discarded. Each output value
-    is timestamped at the center of its microframe. The energies are the
-    only array this makes that outlives the call; it is frozen, so the
-    series adopts it, and nothing here keeps a reference to x.
+    samples, the PCM scale and chunks(size), such as dataio.WavFile. The
+    filter is causal with zero initial state (series.fir_frames) and reads
+    the decoded samples (PCM * PCM_SCALE). Each chunk of frames is read,
+    decoded, filtered, squared and summed into the energies as it is made,
+    so neither the decoded nor the filtered stream ever exists in full, and
+    a WavFile's PCM does not either. A trailing partial microframe is
+    discarded. Each output value is timestamped at the center of its
+    microframe on the audio clock, which starts at 0, so the first sits at
+    MICROFRAME_MS / 2. The energies are the only array this makes that
+    outlives the call; it is frozen, so the series adopts it, and nothing
+    here keeps a reference to x.
     """
     if len(x) < MICROFRAME_SAMPLES:
         raise ValueError("insufficient samples")
     energy = np.empty(len(x) // MICROFRAME_SAMPLES)
     for lo, hi, block in fir_frames(x.chunks, x.scale, taps, MICROFRAME_SAMPLES, energy.size):
         np.einsum("ij,ij->i", block, block, out=energy[lo:hi])
-    return SampleSeries(FRAME_RATE_HZ, x.start_time + MICROFRAME_MS / 2.0, freeze_in_place(energy))
+    return SampleSeries(FRAME_RATE_HZ, MICROFRAME_MS / 2.0, freeze_in_place(energy))
 
 
 def apf(energy: SampleSeries) -> SampleSeries:

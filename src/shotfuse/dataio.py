@@ -17,7 +17,7 @@ from .audio import MICROFRAME_MS, SAMPLE_RATE_HZ, FilterModel, PcmAudio
 from .events import LabelSet, ShotEvent
 from .forest import NODE_FIELDS, ForestModel
 from .imu import ImuStream, first_invalid_sample
-from .series import SampleSeries
+from .series import SampleSeries, freeze_in_place
 
 __all__ = [
     "read_wav",
@@ -86,13 +86,12 @@ class WavFile:
 
     It reads like a PcmAudio to short_time_energy, audio_likelihood,
     detect_audio and audio_only_events: len() is the frame count its header
-    declares, start_time is 0, and chunks(size) reads the samples afresh,
-    size frames at a time, as read_wav would return them. Opening checks
-    the header as read_wav does; a file that holds fewer frames than its
-    header declares fails while chunks reads it, with read_wav's message.
+    declares, and chunks(size) reads the samples afresh, size frames at a
+    time, as read_wav would return them. Opening checks the header as
+    read_wav does; a file that holds fewer frames than its header declares
+    fails while chunks reads it, with read_wav's message.
     """
 
-    start_time = 0.0
     scale = PcmAudio.scale
 
     def __init__(self, path):
@@ -236,7 +235,7 @@ def read_imu_csv(path) -> ImuStream:
     # The stream adopts the parsed block and checks it once; only a rejected block is
     # scanned again for its CSV row.
     try:
-        return ImuStream.from_block(block)
+        return ImuStream(freeze_in_place(block))
     except ValueError:
         bad = first_invalid_sample(block)
         if bad is None:
@@ -249,7 +248,7 @@ _IMU_ROW = "%.3f" + ",%.6f" * 6 + "\r\n"
 
 
 def write_imu_csv(path, stream: ImuStream) -> None:
-    rows = [_IMU_ROW % tuple(row) for row in stream.columns().T.tolist()]
+    rows = [_IMU_ROW % tuple(row) for row in stream.block.T.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(IMU_COLUMNS) + "\r\n" + "".join(rows))
 
@@ -263,7 +262,7 @@ def read_labels_csv(path) -> LabelSet:
         return [0]
 
     block, _ = _read_numeric_csv(path, ("t_ms",), locate)
-    return LabelSet(block[0])
+    return LabelSet(freeze_in_place(block)[0])
 
 
 def write_labels_csv(path, labels: LabelSet) -> None:
@@ -371,7 +370,7 @@ def load_filter_model(path) -> FilterModel:
     with open(path) as fh, _model_errors("filter", fh) as payload:
         weights = _expect(payload["weights"], "array", "weights")
         weights = [_expect(w, "number", f"weights[{i}]") for i, w in enumerate(weights)]
-        model = FilterModel(np.array(weights, dtype=float), float(_expect(payload["bias"], "number", "bias")))
+        model = FilterModel(weights, float(_expect(payload["bias"], "number", "bias")))
         for name, fixed in _FILTER_GEOMETRY.items():
             if payload[name] != fixed:
                 raise ValueError(f"{name} must be {fixed}, got {payload[name]!r}")
@@ -419,11 +418,11 @@ def _node_column(trees: list, name: str) -> tuple[np.ndarray, list[int]]:
     flat = list(chain.from_iterable(lists))
     kinds = set(map(type, flat))
     if name == "threshold":
-        column = np.array(flat, dtype=float) if kinds <= {int, float} else None
+        column = freeze_in_place(np.array(flat, dtype=float)) if kinds <= {int, float} else None
         valid, check = column is not None and bool(np.isfinite(column).all()), _finite_number
     else:
         valid = kinds <= {int} and (not flat or (min(flat) >= _INT64[0] and max(flat) <= _INT64[1]))
-        column, check = np.array(flat, dtype=np.int64) if valid else None, _node_integer
+        column, check = freeze_in_place(np.array(flat, dtype=np.int64)) if valid else None, _node_integer
     if not valid:
         for i, entries in enumerate(lists):
             for j, value in enumerate(entries):

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .series import freeze
+
 __all__ = ["NEIGHBORHOOD_MS", "MATCH_TOLERANCE_MS", "ShotEvent", "LabelSet", "EvalReport", "dedup",
            "check_tolerance", "precision_recall_f", "evaluate"]
 
@@ -36,7 +38,7 @@ class LabelSet:
     shots: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
-        arr = np.array(self.shots, dtype=float)
+        arr = freeze(self.shots)
         if arr.ndim != 1:
             raise ValueError("shots must be one-dimensional")
         if not np.isfinite(arr).all():
@@ -45,7 +47,6 @@ class LabelSet:
             raise ValueError("shot timestamps must be non-negative")
         if arr.size > 1 and not np.all(np.diff(arr) > 0):
             raise ValueError("shot timestamps must be strictly ascending")
-        arr.flags.writeable = False
         object.__setattr__(self, "shots", arr)
 
     def __len__(self) -> int:

@@ -17,11 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .series import freeze, freeze_in_place
+
 __all__ = [
     "NUM_FEATURES",
     "DEFAULT_TREE_COUNT",
     "NODE_FIELDS",
     "ForestModel",
+    "check_seed",
     "train_forest",
     "classify",
 ]
@@ -70,8 +73,8 @@ class ForestModel:
     nodes carry (feature, threshold, left, right), with children numbered
     after them, and leaf_class -1; leaves carry leaf_class 0/1 and -1
     elsewhere. Samples with feature value <= threshold go left. The
-    constructor takes the arrays as int64 (thresholds as float), without a
-    copy where they already are, makes them read-only and checks them.
+    constructor takes the arrays through series.freeze as int64 (thresholds
+    as float), so it adopts frozen ones and copies the rest, and checks them.
     """
 
     feature: np.ndarray
@@ -85,9 +88,7 @@ class ForestModel:
     def __post_init__(self):
         fields = NODE_FIELDS + ("sizes",)
         for name in fields:
-            a = np.asarray(getattr(self, name), dtype=float if name == "threshold" else np.int64)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, freeze(getattr(self, name), float if name == "threshold" else np.int64))
         _check_nodes(*(getattr(self, name) for name in fields))
 
     @property
@@ -322,7 +323,17 @@ class _LockstepForest:
         left[at] = np.where(internal, self.left[:top], -1)
         right[at] = np.where(internal, self.left[:top] + 1, -1)
         leaf[at] = leaf_class
-        return [feature, threshold, left, right, leaf], node_count
+        return [freeze_in_place(a) for a in (feature, threshold, left, right, leaf)], freeze_in_place(node_count)
+
+
+def check_seed(seed: int) -> None:
+    """Reject a negative seed by name, before numpy's generator does.
+
+    SynthConfig, TrainConfig, train_forest and the train-forest workflow
+    all check their seed here.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def train_forest(X, y, tree_count: int = DEFAULT_TREE_COUNT, seed: int = 0) -> ForestModel:
@@ -351,6 +362,7 @@ def train_forest(X, y, tree_count: int = DEFAULT_TREE_COUNT, seed: int = 0) -> F
         raise ValueError("degenerate training set")
     if tree_count < 1:
         raise ValueError("a forest needs at least one tree")
+    check_seed(seed)
 
     n = X.shape[0]
     rngs = [np.random.default_rng([seed, k]) for k in range(tree_count)]

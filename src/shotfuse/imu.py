@@ -5,6 +5,11 @@ forearm) carries radial acceleration and the y/z magnitude the tangential
 part; the same split applies to angular velocity. The peak function is the
 product of the macroframe-mean-subtracted radial acceleration and
 tangential angular velocity, which spikes at impacts.
+
+A stream is one read-only (7, n) float block (:class:`ImuStream`), a row
+per IMU_FIELDS entry. read_imu_csv and synthesize each build that block
+once and freeze it in place, so the stream adopts it without a copy, and
+decompose reads its rows in place.
 """
 
 from __future__ import annotations
@@ -71,49 +76,27 @@ def first_invalid_sample(columns: np.ndarray) -> tuple[int, str] | None:
 
 @dataclass(frozen=True, eq=False)
 class ImuStream:
-    """IMU samples as columns: timestamps (ms), acceleration (g), angular velocity (deg/s)."""
+    """IMU samples as one read-only (7, n) float block whose rows follow IMU_FIELDS.
 
-    t: np.ndarray
-    ax: np.ndarray
-    ay: np.ndarray
-    az: np.ndarray
-    gx: np.ndarray
-    gy: np.ndarray
-    gz: np.ndarray
+    Row 0 holds the timestamps (ms), rows 1-3 acceleration (g) and rows
+    4-6 angular velocity (deg/s). The block is taken through series.freeze,
+    so a frozen block is adopted and anything else copied, then checked
+    once by first_invalid_sample.
+    """
+
+    block: np.ndarray
 
     def __post_init__(self):
-        cols = [np.asarray(getattr(self, name), dtype=float) for name in IMU_FIELDS]
-        if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
-            raise ValueError("columns must be one-dimensional and of equal length")
-        self._take_block(np.array(cols))
-
-    @classmethod
-    def from_block(cls, block: np.ndarray) -> "ImuStream":
-        """A stream whose columns are the rows of the (7, n) float array block, without a copy.
-
-        block becomes read-only.
-        """
-        if block.dtype != float or block.ndim != 2 or block.shape[0] != len(IMU_FIELDS):
-            raise ValueError(f"expected a ({len(IMU_FIELDS)}, n) float block")
-        stream = cls.__new__(cls)
-        stream._take_block(block)
-        return stream
-
-    def _take_block(self, block: np.ndarray) -> None:
+        block = freeze(self.block)
+        if block.ndim != 2 or block.shape[0] != len(IMU_FIELDS):
+            raise ValueError(f"expected a ({len(IMU_FIELDS)}, n) float block, got shape {block.shape}")
         bad = first_invalid_sample(block)
         if bad is not None:
             raise ValueError(f"sample {bad[0]}: {bad[1]}")
-        block.flags.writeable = False
-        object.__setattr__(self, "_block", block)
-        for name, column in zip(IMU_FIELDS, block):
-            object.__setattr__(self, name, column)
+        object.__setattr__(self, "block", block)
 
     def __len__(self) -> int:
-        return self.t.size
-
-    def columns(self) -> np.ndarray:
-        """The read-only (7, n) block the columns are rows of, in IMU_FIELDS order."""
-        return self._block
+        return self.block.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +216,7 @@ def decompose(stream: ImuStream) -> ImuComponents:
     """
     if len(stream) == 0:
         raise ValueError("empty stream")
-    t = stream.t
+    t = stream.block[0]
     period = 1000.0 / IMU_RATE_HZ
     unordered = gap = False
     for lo, hi in _slices(t.size - 1):
@@ -245,7 +228,7 @@ def decompose(stream: ImuStream) -> ImuComponents:
     if gap:
         raise ValueError("stream gap")
 
-    ax, ay, az, gx, gy, gz = _regrid(t, stream.columns()[1:])
+    ax, ay, az, gx, gy, gz = _regrid(t, stream.block[1:])
 
     start = float(t[0])
     return ImuComponents(

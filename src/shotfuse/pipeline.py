@@ -40,7 +40,7 @@ from .dataio import (
     write_series_csv,
 )
 from .events import MATCH_TOLERANCE_MS, LabelSet, check_tolerance, evaluate, precision_recall_f
-from .forest import DEFAULT_TREE_COUNT, classify, train_forest
+from .forest import DEFAULT_TREE_COUNT, check_seed, classify, train_forest
 from .fusion import (
     SyncedSeries,
     audio_only_events,
@@ -110,7 +110,7 @@ def windows_from_labels(audio: PcmAudio, labels: LabelSet, seed: int = 0) -> lis
 
     def frames(center_ms: np.ndarray) -> np.ndarray:
         """Stream microframe of each time, or -1 where it lacks the draw margin."""
-        frame = ((center_ms - audio.start_time) / MICROFRAME_MS).astype(int)
+        frame = (center_ms / MICROFRAME_MS).astype(int)
         inside = (frame >= DRAW_MARGIN_FRAMES) & (frame + DRAW_MARGIN_FRAMES < n_frames)
         return np.where(inside, frame, -1)
 
@@ -124,7 +124,7 @@ def windows_from_labels(audio: PcmAudio, labels: LabelSet, seed: int = 0) -> lis
     # stops once enough are kept.
     wanted = int(round(TrainConfig.neg_pos_ratio * positive.size))
     margin_ms = (DRAW_MARGIN_FRAMES + 0.5) * MICROFRAME_MS
-    lo = audio.start_time + margin_ms
+    lo = margin_ms
     hi = audio.end_time - margin_ms
     kept = [np.empty(0, dtype=int)]
     budget = 100 * wanted
@@ -241,6 +241,7 @@ def train_filter_workflow(data_dir, out_path, train_cfg: TrainConfig = TrainConf
 
 def train_forest_workflow(data_dir, filter_path, out_path, seed: int = 0) -> dict:
     """train-forest subcommand: sync the streams, label candidates, fit DEFAULT_TREE_COUNT trees, save."""
+    check_seed(seed)
     data_dir = Path(data_dir)
     _require_models(filter_path)
     synced = _synced_files(data_dir / "audio.wav", data_dir / "imu.csv", load_filter_model(filter_path))

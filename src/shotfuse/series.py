@@ -27,12 +27,13 @@ __all__ = [
 def _is_frozen(values, dtype) -> bool:
     """Whether values can be stored as is: no alias can ever write it.
 
-    That is a contiguous 1-D ndarray of dtype that is read-only, as is every
-    array in its .base chain, where the chain ends in a buffer numpy owns
-    or in an immutable bytes object. Contiguity keeps results independent
-    of adoption: every kernel sees the layout a copy would have.
+    That is a C-contiguous ndarray of dtype, of any number of dimensions,
+    that is read-only, as is every array in its .base chain, where the
+    chain ends in a buffer numpy owns or in an immutable bytes object.
+    Contiguity keeps results independent of adoption: every kernel sees
+    the layout a copy would have.
     """
-    if type(values) is not np.ndarray or values.dtype != dtype or values.ndim != 1:
+    if type(values) is not np.ndarray or values.dtype != dtype:
         return False
     arr = values
     while isinstance(arr, np.ndarray):
@@ -43,19 +44,20 @@ def _is_frozen(values, dtype) -> bool:
 
 
 def freeze_in_place(values: np.ndarray) -> np.ndarray:
-    """A fresh array made read-only in place, so that a SampleSeries adopts it (or a view of it)."""
+    """A fresh array made read-only in place, so that freeze adopts it (or a contiguous view of it)."""
     values.flags.writeable = False
     return values
 
 
 def freeze(values, dtype=np.float64) -> np.ndarray:
-    """values as a read-only dtype array: a frozen array itself, anything else a frozen copy.
+    """values as a read-only C-contiguous dtype array: a frozen array itself, anything else a frozen copy.
 
-    Adopting a view keeps its whole parent buffer alive.
+    Every value type takes its arrays through here. Adopting a view keeps
+    its whole parent buffer alive.
     """
     if _is_frozen(values, dtype):
         return values
-    return freeze_in_place(np.array(values, dtype=dtype))
+    return freeze_in_place(np.array(values, dtype=dtype, order="C"))
 
 
 def _readonly_array(values, name: str) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import SampleSeries, cross_correlate, freeze_in_place, triangle_smooth
+from .series import SampleSeries, cross_correlate, freeze, freeze_in_place, triangle_smooth
 
 __all__ = [
     "QUANT_LEVELS",
@@ -85,12 +85,11 @@ class QuantizerModel:
 
     def __post_init__(self):
         for name in ("apf_boundaries", "ipf_boundaries"):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = freeze(getattr(self, name))
             if arr.shape != (QUANT_LEVELS - 1,):
                 raise ValueError(f"{name} must hold exactly 4 values")
             if np.any(np.diff(arr) <= 0):
                 raise ValueError(f"{name} must be strictly ascending")
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
 

@@ -18,7 +18,9 @@ import numpy as np
 
 from .audio import SAMPLE_RATE_HZ, PcmAudio
 from .events import LabelSet
+from .forest import check_seed
 from .imu import ACCEL_RANGE_G, GYRO_RANGE_DPS, IMU_RATE_HZ, ImuStream
+from .series import freeze_in_place
 
 __all__ = ["SynthConfig", "synthesize"]
 
@@ -51,6 +53,7 @@ class SynthConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_seed(self.seed)
         for name in ("duration_s", "audio_snr_db", "imu_noise_g", "injected_offset_ms",
                      "distractor_rate_per_min"):
             value = getattr(self, name)
@@ -145,15 +148,12 @@ def synthesize(cfg: SynthConfig) -> tuple[PcmAudio, ImuStream, LabelSet]:
         if lo < hi:
             audio[lo:hi] += wave[lo - start : hi - start]
 
-    # IMU stream on its own clock.
+    # IMU stream on its own clock, as one block with a row per IMU_FIELDS entry.
     n_imu = int(round(cfg.duration_s * IMU_RATE_HZ))
-    ax = AX_BASELINE_G + rng.normal(0.0, cfg.imu_noise_g, n_imu)
-    ay = rng.normal(0.0, cfg.imu_noise_g, n_imu)
-    az = rng.normal(0.0, cfg.imu_noise_g, n_imu)
-    gyro_noise = GYRO_NOISE_SCALE * cfg.imu_noise_g
-    gx = rng.normal(0.0, gyro_noise, n_imu)
-    gy = rng.normal(0.0, gyro_noise, n_imu)
-    gz = rng.normal(0.0, gyro_noise, n_imu)
+    noise = 3 * [cfg.imu_noise_g] + 3 * [GYRO_NOISE_SCALE * cfg.imu_noise_g]
+    block = np.stack([np.arange(n_imu) * (1000.0 / IMU_RATE_HZ)] + [rng.normal(0.0, s, n_imu) for s in noise])
+    _, ax, _, _, _, gy, gz = block
+    ax += AX_BASELINE_G
     for t in np.concatenate([shot_times, imu_only_times]):
         center = int(round((t + cfg.injected_offset_ms) / 1000.0 * IMU_RATE_HZ))
         accel_peak = rng.uniform(*BUMP_ACCEL_RANGE_G)
@@ -163,16 +163,7 @@ def synthesize(cfg: SynthConfig) -> tuple[PcmAudio, ImuStream, LabelSet]:
         _add_bump(gy, center, gyro_peak * np.cos(angle))
         _add_bump(gz, center, gyro_peak * np.sin(angle))
 
-    np.clip(ax, -ACCEL_RANGE_G, ACCEL_RANGE_G, out=ax)
-    np.clip(ay, -ACCEL_RANGE_G, ACCEL_RANGE_G, out=ay)
-    np.clip(az, -ACCEL_RANGE_G, ACCEL_RANGE_G, out=az)
-    np.clip(gx, -GYRO_RANGE_DPS, GYRO_RANGE_DPS, out=gx)
-    np.clip(gy, -GYRO_RANGE_DPS, GYRO_RANGE_DPS, out=gy)
-    np.clip(gz, -GYRO_RANGE_DPS, GYRO_RANGE_DPS, out=gz)
+    np.clip(block[1:4], -ACCEL_RANGE_G, ACCEL_RANGE_G, out=block[1:4])
+    np.clip(block[4:], -GYRO_RANGE_DPS, GYRO_RANGE_DPS, out=block[4:])
 
-    t = np.arange(n_imu) * (1000.0 / IMU_RATE_HZ)
-    return (
-        PcmAudio.from_float(audio),
-        ImuStream(t, ax, ay, az, gx, gy, gz),
-        LabelSet(shot_times),
-    )
+    return PcmAudio.from_float(audio), ImuStream(freeze_in_place(block)), LabelSet(freeze_in_place(shot_times))

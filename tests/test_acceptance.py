@@ -73,7 +73,7 @@ def test_criterion_1_formula_oracles():
         # axis decomposition vs per-sample formula
         a = rng.uniform(-2.0, 2.0, (12, 3))
         g = rng.uniform(-500.0, 500.0, (12, 3))
-        comps = decompose(ImuStream(10.0 * np.arange(12), *a.T, *g.T))
+        comps = decompose(ImuStream([10.0 * np.arange(12), *a.T, *g.T]))
         for k in range(12):
             worst = max(worst, abs(comps.a_rad.values[k] - a[k, 0]))
             expected = float(np.sqrt(a[k, 1] ** 2 + a[k, 2] ** 2))

@@ -19,8 +19,8 @@ from shotfuse import (
 )
 
 
-def audio_series(values, start=0.0):
-    return PcmAudio.from_float(values, start)
+def audio_series(values):
+    return PcmAudio.from_float(values)
 
 
 def decoded(audio):
@@ -36,10 +36,10 @@ def frame_series(values, start=5.0):
 
 def test_pcm_quantizes_once_by_round_then_clip():
     # Half steps round to even; full scale clips to the 16-bit range.
-    audio = PcmAudio.from_float([1.0, -1.0, 0.5 / 32768, 1.5 / 32768, 2.0, -2.0], 2.5)
+    audio = PcmAudio.from_float([1.0, -1.0, 0.5 / 32768, 1.5 / 32768, 2.0, -2.0])
     assert audio.samples.dtype == np.int16 and not audio.samples.flags.writeable
     assert audio.samples.tolist() == [32767, -32768, 0, 2, 32767, -32768]
-    assert (len(audio), audio.rate, audio.start_time, audio.end_time) == (6, 8000.0, 2.5, 3.25)
+    assert (len(audio), audio.rate, audio.end_time) == (6, 8000.0, 0.75)
 
 
 def test_pcm_rejects_floats_and_non_finite_values():
@@ -95,8 +95,9 @@ def test_ste_insufficient_samples():
 
 
 def test_ste_frame_center_timestamps():
-    out = short_time_energy(audio_series(np.zeros(240), start=100.0), np.array([1.0]))
-    assert np.allclose(out.times(), [105.0, 115.0, 125.0])
+    # The audio clock starts at 0 with the first sample.
+    out = short_time_energy(audio_series(np.zeros(240)), np.array([1.0]))
+    assert np.allclose(out.times(), [5.0, 15.0, 25.0])
 
 
 # --- apf --------------------------------------------------------------------

@@ -183,6 +183,22 @@ def test_synth_rejects_non_finite_config(tmp_path):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "train-filter", "train-forest"])
+def test_commands_reject_a_negative_seed_by_name(workspace, tmp_path, command):
+    # Each used to die in numpy's generator as "error: expected non-negative integer".
+    cfg_path = tmp_path / "synth.json"
+    cfg_path.write_text('{"duration_s": 5.0, "shot_count": 1, "seed": -1}')
+    args = {
+        "synth": ("--config", cfg_path, "--out-dir", tmp_path / "data"),
+        "train-filter": ("--data", workspace["data"], "--out", tmp_path / "model.json", "--seed", -1),
+        "train-forest": ("--data", workspace["data"], "--filter", workspace["filter"],
+                         "--out", tmp_path / "model.json", "--seed", -1),
+    }[command]
+    proc = run_cli(command, *args, check=False)
+    assert (proc.returncode, proc.stderr) == (1, "error: seed must be non-negative, got -1\n")
+    assert not (tmp_path / "data").exists() and not (tmp_path / "model.json").exists()
+
+
 def test_eval_rejects_a_bad_tolerance(workspace, tmp_path):
     data = workspace["data"]
     events = tmp_path / "events.csv"

@@ -129,7 +129,7 @@ def test_synthesized_audio_is_what_the_wav_holds(tmp_path):
     back = read_wav(path)
     assert back.samples.dtype == audio.samples.dtype == np.int16
     assert np.array_equal(back.samples, audio.samples)
-    assert back.start_time == audio.start_time and back.rate == audio.rate
+    assert back.rate == audio.rate
 
 
 def test_wav_rejects_wrong_properties(tmp_path):
@@ -174,7 +174,7 @@ def test_streamed_likelihood_is_bit_equal_to_the_in_memory_one(tmp_path, rng, n)
     write_wav(path, PcmAudio.from_float(0.2 * rng.standard_normal(n)))
     model = FilterModel(rng.standard_normal(23))
     streamed = WavFile(path)
-    assert len(streamed) == n and streamed.start_time == 0.0 and streamed.scale == PcmAudio.scale
+    assert len(streamed) == n and streamed.scale == PcmAudio.scale
     if n < 80:
         for audio in (streamed, read_wav(path)):
             with pytest.raises(ValueError, match="insufficient samples"):
@@ -235,10 +235,10 @@ def test_imu_csv_round_trip(tmp_path):
     assert len(back) == len(imu) == 1000
     # t sits on the 10 ms grid, so its 3 decimals are exact; the sensor
     # columns come back as exactly the 6-decimal values written
-    assert np.array_equal(back.t, imu.t)
-    for name in ("ax", "ay", "az", "gx", "gy", "gz"):
-        written = np.array([float(f"{v:.6f}") for v in getattr(imu, name)])
-        assert np.array_equal(getattr(back, name), written), name
+    assert np.array_equal(back.block[0], imu.block[0])
+    for row in range(1, 7):
+        written = np.array([float(f"{v:.6f}") for v in imu.block[row]])
+        assert np.array_equal(back.block[row], written), row
     again = tmp_path / "again.csv"
     write_imu_csv(again, back)
     assert again.read_bytes() == path.read_bytes()
@@ -249,22 +249,24 @@ def csv_writer_imu_file(path, stream):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("t_ms", "ax", "ay", "az", "gx", "gy", "gz"))
-        for t, *sensors in stream.columns().T.tolist():
+        for t, *sensors in stream.block.T.tolist():
             writer.writerow([f"{t:.3f}"] + [f"{v:.6f}" for v in sensors])
 
 
 def test_imu_csv_bytes_match_csv_writer(tmp_path, rng):
     _, imu, _ = synthesize(SynthConfig(duration_s=10.0, shot_count=5, seed=32))
     edges = ImuStream(
-        np.array([0.0, -0.0, 10.0, 20.0, 1e6 + 0.0005]),
-        np.array([-0.0, 8.0, -8.0, 1e-7, -1e-7]),
-        np.array([8.0, -0.0, -8.0, 7.9999995, -7.9999995]),
-        np.array([0.0, -8.0, 8.0, 0.5, -0.5]),
-        np.array([-0.0, 2000.0, -2000.0, 1999.9999995, -1999.9999995]),
-        np.array([2000.0, -0.0, -2000.0, 0.0, 1e-9]),
-        np.array([-2000.0, 2000.0, -0.0, -1e-9, 123.4567895]),
+        [
+            [0.0, -0.0, 10.0, 20.0, 1e6 + 0.0005],
+            [-0.0, 8.0, -8.0, 1e-7, -1e-7],
+            [8.0, -0.0, -8.0, 7.9999995, -7.9999995],
+            [0.0, -8.0, 8.0, 0.5, -0.5],
+            [-0.0, 2000.0, -2000.0, 1999.9999995, -1999.9999995],
+            [2000.0, -0.0, -2000.0, 0.0, 1e-9],
+            [-2000.0, 2000.0, -0.0, -1e-9, 123.4567895],
+        ]
     )
-    for name, stream in (("synth", imu), ("edges", edges), ("empty", ImuStream(*np.empty((7, 0))))):
+    for name, stream in (("synth", imu), ("edges", edges), ("empty", ImuStream(np.empty((7, 0))))):
         ours, oracle = tmp_path / f"{name}.csv", tmp_path / f"{name}.oracle.csv"
         write_imu_csv(ours, stream)
         csv_writer_imu_file(oracle, stream)
@@ -294,7 +296,7 @@ def test_imu_csv_validates_the_samples_once(tmp_path, monkeypatch):
 
 def test_imu_csv_read_holds_one_copy_of_the_samples(tmp_path, rng):
     n = 60_000  # a 10-min session
-    stream = ImuStream(10.0 * np.arange(n), *rng.uniform(-2.0, 2.0, (3, n)), *rng.uniform(-500.0, 500.0, (3, n)))
+    stream = ImuStream([10.0 * np.arange(n), *rng.uniform(-2.0, 2.0, (3, n)), *rng.uniform(-500.0, 500.0, (3, n))])
     path = tmp_path / "imu.csv"
     write_imu_csv(path, stream)
     tracemalloc.start()
@@ -304,15 +306,15 @@ def test_imu_csv_read_holds_one_copy_of_the_samples(tmp_path, rng):
     finally:
         tracemalloc.stop()
     assert len(back) == n
-    assert peak <= 1.3 * back.columns().nbytes
+    assert peak <= 1.3 * back.block.nbytes
 
 
 def test_imu_csv_line_endings_and_blank_lines_parse_alike(tmp_path, rng):
     n = 2500  # spans several parse chunks
-    stream = ImuStream(10.0 * np.arange(n), *rng.uniform(-2.0, 2.0, (6, n)))
+    stream = ImuStream([10.0 * np.arange(n), *rng.uniform(-2.0, 2.0, (6, n))])
     path = tmp_path / "imu.csv"
     write_imu_csv(path, stream)
-    expected = read_imu_csv(path).columns()
+    expected = read_imu_csv(path).block
     lines = path.read_text().splitlines()
     variants = {
         "lf": "\n".join(lines) + "\n",
@@ -322,14 +324,14 @@ def test_imu_csv_line_endings_and_blank_lines_parse_alike(tmp_path, rng):
     }
     for name, text in variants.items():
         path.write_bytes(text.encode())
-        block = read_imu_csv(path).columns()
+        block = read_imu_csv(path).block
         assert block.shape == expected.shape and np.array_equal(block, expected), name
         assert block.flags.c_contiguous, name
 
 
 def test_imu_csv_reports_a_bad_row_past_the_first_parse_chunk(tmp_path):
     n = 5000
-    stream = ImuStream(10.0 * np.arange(n), *np.zeros((6, n)))
+    stream = ImuStream([10.0 * np.arange(n), *np.zeros((6, n))])
     path = tmp_path / "imu.csv"
     write_imu_csv(path, stream)
     lines = path.read_text().splitlines(keepends=True)
@@ -383,9 +385,10 @@ def test_imu_csv_extra_trailing_fields_and_column_order(tmp_path):
     path = tmp_path / "imu.csv"
     path.write_text("gz,t_ms,ax,ay,az,gx,gy,note\n3,0,0.5,0,0,0,0,x\n4,10,0,0,0,0,0,y,extra\n")
     imu = read_imu_csv(path)
-    assert np.array_equal(imu.t, [0.0, 10.0])
-    assert np.array_equal(imu.ax, [0.5, 0.0])
-    assert np.array_equal(imu.gz, [3.0, 4.0])
+    t, ax, _, _, _, _, gz = imu.block
+    assert np.array_equal(t, [0.0, 10.0])
+    assert np.array_equal(ax, [0.5, 0.0])
+    assert np.array_equal(gz, [3.0, 4.0])
 
 
 def test_imu_csv_hash_cell_is_not_a_comment(tmp_path):

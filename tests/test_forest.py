@@ -7,6 +7,7 @@ import pytest
 from shotfuse import ForestModel, classify, train_forest
 from shotfuse.dataio import load_forest_model, save_forest_model
 from shotfuse.forest import NODE_FIELDS
+from shotfuse.series import freeze_in_place
 
 
 def classify_one(model, features):
@@ -141,9 +142,22 @@ def test_forest_takes_its_node_arrays_as_read_only_int64_and_float():
     assert model.threshold.dtype == float and model.threshold[0] == 1.0
     for name in NODE_FIELDS + ("sizes",):
         assert not getattr(model, name).flags.writeable
-    # An int64 array is taken as it is, not copied.
-    left = np.array([1, -1, -1])
+    # A frozen int64 array is taken as it is, not copied.
+    left = freeze_in_place(np.array([1, -1, -1]))
     assert ForestModel([0, -1, -1], [1.0, 0.0, 0.0], left, [2, -1, -1], [-1, 0, 1], [3], seed=0).left is left
+
+
+@pytest.mark.parametrize("alias", ["writeable array", "read-only view of a writeable array"])
+def test_forest_copies_node_arrays_an_alias_can_write(alias):
+    base = np.array([-1, 0, 1])
+    given = base if alias == "writeable array" else base[:]
+    given.flags.writeable = alias == "writeable array"
+    model = ForestModel([0, -1, -1], [1.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1], given, [3], seed=0)
+    assert not np.shares_memory(model.leaf_class, base) and not model.leaf_class.flags.writeable
+    assert given.flags.writeable == (alias == "writeable array")  # the caller's flag is left as it was
+    # A 7 written through the base after the checks does not reach the votes (it once scored 7.0).
+    base[2] = 7
+    assert classify_one(model, [2.0, 0.0, 0.0, 0.0, 0.0]) == (1, 1.0)
 
 
 def test_tree_rejects_bad_feature_index():

@@ -188,7 +188,7 @@ def silence_and_stillness(duration_s=10.0):
     n_audio = int(duration_s * 8000)
     n_imu = int(duration_s * 100)
     audio = sf.PcmAudio(np.zeros(n_audio, dtype=np.int16))
-    imu = ImuStream(10.0 * np.arange(n_imu), *np.zeros((6, n_imu)))
+    imu = ImuStream([10.0 * np.arange(n_imu), *np.zeros((6, n_imu))])
     return audio, imu
 
 

@@ -6,12 +6,13 @@ import pytest
 import shotfuse.imu
 from shotfuse import ImuComponents, ImuStream, SampleSeries, decompose, ipf, prepare_components
 from shotfuse.imu import IMU_FIELDS, IPF_WINDOW, LOWPASS_TAPS, prepare_components
+from shotfuse.series import freeze_in_place
 
 
 def samples(t, **cols):
     """Stream at timestamps t; each sensor column is an array or a constant (default 0)."""
     t = np.asarray(t, dtype=float)
-    return ImuStream(t, *(np.broadcast_to(cols.get(name, 0.0), t.shape) for name in IMU_FIELDS[1:]))
+    return ImuStream([t, *(np.broadcast_to(cols.get(name, 0.0), t.shape) for name in IMU_FIELDS[1:])])
 
 
 def stream(n, rng=None):
@@ -20,7 +21,7 @@ def stream(n, rng=None):
         return samples(t)
     a = rng.uniform(-2.0, 2.0, (3, n))
     g = rng.uniform(-500.0, 500.0, (3, n))
-    return ImuStream(t, *a, *g)
+    return ImuStream([t, *a, *g])
 
 
 def components(a_rad, w_tan, rate=100.0):
@@ -45,24 +46,41 @@ def test_record_range_checks():
     # the first bad sample is reported, and a non-finite value outranks a range breach
     with pytest.raises(ValueError, match="sample 2: values must be finite"):
         samples([0.0, 10.0, 20.0, 30.0], ay=[0.0, 0.0, np.nan, 0.0], gx=[0.0, 0.0, 3000.0, 3000.0])
-    with pytest.raises(ValueError, match="equal length"):
-        ImuStream(np.zeros(2), *np.zeros((6, 3)))
+    with pytest.raises(ValueError, match=r"expected a \(7, n\) float block, got shape \(6, 3\)"):
+        ImuStream(np.zeros((6, 3)))
     ok = samples([0.0, 10.0], ax=8.0, gz=-2000.0)  # boundary values allowed
     assert len(ok) == 2
 
 
-def test_stream_adopts_a_block_without_copying():
-    table = np.zeros((3000, 7))
-    table[:, 0] = 10.0 * np.arange(3000)
-    s = ImuStream.from_block(table.T)
-    assert np.shares_memory(s.columns(), table)
-    assert not s.gz.flags.writeable
-    assert np.array_equal(s.t, table[:, 0])
-    table[2500, 4] = 9000.0
+def test_stream_adopts_a_frozen_block_without_copying():
+    block = np.zeros((7, 3000))
+    block[0] = 10.0 * np.arange(3000)
+    freeze_in_place(block)
+    s = ImuStream(block)
+    assert s.block is block and len(s) == 3000
+    # A transposed (n, 7) table is not C-contiguous: it is copied into a block of rows.
+    table = block.T.copy()
+    s = ImuStream(freeze_in_place(table).T)
+    assert not np.shares_memory(s.block, table) and s.block.flags.c_contiguous
+    assert np.array_equal(s.block, block)
+    bad = block.copy()
+    bad[4, 2500] = 9000.0
     with pytest.raises(ValueError, match="sample 2500: angular velocity exceeds"):
-        ImuStream.from_block(table.T)
-    with pytest.raises(ValueError, match="float block"):
-        ImuStream.from_block(np.zeros((6, 3)))
+        ImuStream(freeze_in_place(bad))
+
+
+@pytest.mark.parametrize("alias", ["writeable array", "read-only view of a writeable array"])
+def test_stream_copies_a_block_an_alias_can_write(alias):
+    base = np.zeros((7, 50))
+    base[0] = 10.0 * np.arange(50)
+    given = base if alias == "writeable array" else base[:]
+    given.flags.writeable = alias == "writeable array"
+    s = ImuStream(given)
+    assert not np.shares_memory(s.block, base) and not s.block.flags.writeable
+    assert given.flags.writeable == (alias == "writeable array")  # the caller's flag is left as it was
+    # A NaN written through the base after the check does not reach the stream.
+    base[1, 10] = np.nan
+    assert np.isfinite(s.block).all()
 
 
 # --- decompose ---------------------------------------------------------------
@@ -84,16 +102,17 @@ def test_decompose_matches_formula(rng):
     s = stream(40, rng=rng)
     comps = decompose(s)
     for k in range(40):
-        assert comps.a_rad.values[k] == pytest.approx(s.ax[k], abs=1e-12)
-        assert comps.a_tan.values[k] == pytest.approx(np.sqrt(s.ay[k]**2 + s.az[k]**2), rel=1e-12)
-        assert comps.w_rad.values[k] == pytest.approx(s.gx[k], abs=1e-12)
-        assert comps.w_tan.values[k] == pytest.approx(np.sqrt(s.gy[k]**2 + s.gz[k]**2), rel=1e-12)
+        _, ax, ay, az, gx, gy, gz = s.block[:, k]
+        assert comps.a_rad.values[k] == pytest.approx(ax, abs=1e-12)
+        assert comps.a_tan.values[k] == pytest.approx(np.sqrt(ay**2 + az**2), rel=1e-12)
+        assert comps.w_rad.values[k] == pytest.approx(gx, abs=1e-12)
+        assert comps.w_tan.values[k] == pytest.approx(np.sqrt(gy**2 + gz**2), rel=1e-12)
 
 
 def test_decompose_tangential_magnitudes_squared(rng):
     s = stream(50, rng=rng)
     comps = decompose(s)
-    assert np.allclose(comps.a_tan.values**2, s.ay**2 + s.az**2, atol=1e-12)
+    assert np.allclose(comps.a_tan.values**2, s.block[2] ** 2 + s.block[3] ** 2, atol=1e-12)
 
 
 def test_decompose_unordered_stream():
@@ -115,21 +134,20 @@ def test_decompose_tolerates_jitter():
 
 def test_on_grid_stream_is_decomposed_without_a_regrid_copy(rng):
     imu = stream(50, rng)
-    block = imu.columns()
+    block = imu.block
     assert block.shape == (7, 50) and not block.flags.writeable
-    assert np.shares_memory(block, imu.t) and imu.columns() is block
     comps = decompose(imu)
     # a_rad is the stream's own row; w_rad is a copy of gx, and the tangential ones are new magnitudes.
-    assert np.shares_memory(comps.a_rad.values, imu.ax)
+    assert np.shares_memory(comps.a_rad.values, block[1])
     assert not np.shares_memory(comps.w_rad.values, block)
-    assert np.array_equal(comps.a_rad.values, imu.ax) and np.array_equal(comps.w_rad.values, imu.gx)
+    assert np.array_equal(comps.a_rad.values, block[1]) and np.array_equal(comps.w_rad.values, block[4])
     jittered = decompose(samples([0.0, 9.0, 20.5, 30.0], ax=[1.0, 2.0, 3.0, 4.0]))
     assert np.array_equal(jittered.a_rad.values, [1.0, 2.0, 3.0, 4.0])
 
 
 def test_prepared_components_let_the_stream_block_go(rng):
     imu = stream(50, rng)
-    block = weakref.ref(imu.columns())
+    block = weakref.ref(imu.block)
     comps = prepare_components(imu)
     for s in (comps.a_rad, comps.a_tan, comps.w_rad, comps.w_tan):
         assert not np.shares_memory(s.values, block())

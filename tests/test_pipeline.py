@@ -128,7 +128,7 @@ def reference_windows(audio, labels, negatives_per_positive, min_label_distance_
     n_frames = len(audio) // 80
 
     def cut(center_ms):
-        start_frame = int((center_ms - audio.start_time) / 10) - 10
+        start_frame = int(center_ms / 10) - 10
         if start_frame < 0 or start_frame + 21 > n_frames:
             return None
         return audio.samples[start_frame * 80 + 378 : start_frame * 80 + 1280]
@@ -141,7 +141,7 @@ def reference_windows(audio, labels, negatives_per_positive, min_label_distance_
     negatives = attempts = 0
     while negatives < wanted and attempts < 100 * wanted:
         attempts += 1
-        t = rng.uniform(audio.start_time + half_ms, audio.end_time - half_ms)
+        t = rng.uniform(half_ms, audio.end_time - half_ms)
         if np.min(np.abs(labels.shots - t)) < min_label_distance_ms:
             continue
         samples = cut(t)
@@ -178,11 +178,11 @@ def full_draw_negative_starts(audio, labels, ratio, distance_ms, seed):
     rng = np.random.default_rng(seed)
     shots = labels.shots
     n_frames = len(audio) // 80
-    frames = ((shots - audio.start_time) / 10).astype(int) - 10
+    frames = (shots / 10).astype(int) - 10
     wanted = int(round(ratio * np.count_nonzero((frames >= 0) & (frames + 21 <= n_frames))))
     half_ms = 21 * 80 / 2 / 8000 * 1000.0
-    centers = rng.uniform(audio.start_time + half_ms, audio.end_time - half_ms, 100 * wanted)
-    frames = ((centers - audio.start_time) / 10).astype(int) - 10
+    centers = rng.uniform(half_ms, audio.end_time - half_ms, 100 * wanted)
+    frames = (centers / 10).astype(int) - 10
     fits = (frames >= 0) & (frames + 21 <= n_frames)
     far = np.min(np.abs(centers[:, None] - shots[None, :]), axis=1) >= distance_ms
     return (frames * 80 + 378)[fits & far][:wanted]

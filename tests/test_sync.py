@@ -55,7 +55,7 @@ def test_quantizer_degenerate_distribution(identity_model):
     apf_s = sf.audio_likelihood(audio, identity_model)
     ipf_s = sf.ipf(sf.prepare_components(imu))
     silent = sf.audio_likelihood(sf.PcmAudio(np.zeros(len(audio), dtype=np.int16)), identity_model)
-    still = sf.ipf(sf.prepare_components(sf.ImuStream(imu.t, *np.zeros((6, len(imu))))))
+    still = sf.ipf(sf.prepare_components(sf.ImuStream([imu.block[0], *np.zeros((6, len(imu)))])))
     with pytest.raises(ValueError, match="^apf: degenerate distribution"):
         self_calibrate_quantizer(silent, ipf_s)
     with pytest.raises(ValueError, match="^ipf: degenerate distribution"):

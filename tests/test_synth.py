@@ -14,7 +14,7 @@ def test_empty_config_yields_noise_only():
     assert len(imu) == 500
     # background only: no sample anywhere near burst amplitude
     assert np.max(np.abs(audio.samples / 32768.0)) < 0.05
-    assert np.max(np.abs(imu.gy)) < 200.0
+    assert np.max(np.abs(imu.block[5])) < 200.0  # gy
 
 
 def test_twenty_shots_sixty_seconds():
@@ -28,7 +28,7 @@ def test_injected_offset_places_imu_bumps_late_on_their_clock():
     cfg = SynthConfig(duration_s=30.0, shot_count=8, injected_offset_ms=-270.0,
                       imu_noise_g=0.001, seed=3)
     _, imu, labels = synthesize(cfg)
-    ax, t = imu.ax, imu.t
+    t, ax = imu.block[:2]
     for shot in labels.shots:
         window = (t >= shot - 600.0) & (t <= shot + 600.0)
         peak_t = t[window][np.argmax(ax[window])]
@@ -41,7 +41,7 @@ def test_determinism_bit_identical():
     a_audio, a_imu, a_labels = synthesize(cfg)
     b_audio, b_imu, b_labels = synthesize(cfg)
     assert np.array_equal(a_audio.samples, b_audio.samples)
-    assert np.array_equal(a_imu.columns(), b_imu.columns())
+    assert np.array_equal(a_imu.block, b_imu.block)
     assert np.array_equal(a_labels.shots, b_labels.shots)
 
 
@@ -99,6 +99,6 @@ def test_distractor_counts_scale_with_rate():
     audio, imu, labels = synthesize(cfg)
     assert len(labels) == 5
     # five shots + six imu-only distractors produce eleven accel bumps
-    strong = (imu.ax > 1.5).astype(int)
+    strong = (imu.block[1] > 1.5).astype(int)  # ax
     rising_edges = int(np.sum(np.diff(np.r_[0, strong]) == 1))
     assert rising_edges == 11

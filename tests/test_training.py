@@ -9,7 +9,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import shotfuse
-from shotfuse import LabeledAudioWindow, PcmAudio, TrainConfig, train_filter
+from shotfuse import LabeledAudioWindow, PcmAudio, SynthConfig, TrainConfig, train_filter, train_forest
 from shotfuse import training
 from shotfuse.audio import PCM_SCALE, WINDOW_SAMPLES
 from shotfuse.pipeline import window_metrics
@@ -436,6 +436,23 @@ def test_train_filter_builds_the_forms_of_center_forms(rng, monkeypatch, length)
 def test_config_errors_name_the_bound():
     with pytest.raises(ValueError, match="^max_epochs must be non-negative$"):
         TrainConfig(max_epochs=-1)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SynthConfig(seed=-1), "seed must be non-negative, got -1"),
+        (lambda: TrainConfig(seed=-1), "seed must be non-negative, got -1"),
+        (lambda: train_forest(np.eye(2, 5), [0, 1], seed=-1), "seed must be non-negative, got -1"),
+        (lambda: TrainConfig(seed=2.5), "seed must be an integer, got 2.5"),
+        (lambda: TrainConfig(seed=True), "seed must be an integer, got True"),
+        (lambda: TrainConfig(max_epochs=3.0), "max_epochs must be an integer, got 3.0"),
+    ],
+    ids=["synth-seed", "train-seed", "forest-seed", "float-seed", "bool-seed", "float-epochs"],
+)
+def test_seeds_and_epochs_are_checked_before_numpy_sees_them(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
 
 
 def test_window_metrics_score_held_out_windows_like_the_oracle(rng):
