@@ -22,9 +22,7 @@ from .imu import ImuComponents, ImuStream, decompose, ipf, lowpass, prepare_comp
 from .series import SampleSeries, cross_correlate, triangle_smooth
 from .sync import (
     OffsetEstimate,
-    QuantizerModel,
     estimate_offset,
-    fit_quantizer,
     quantize,
     self_calibrate_quantizer,
     validate_offset,
@@ -44,7 +42,6 @@ __all__ = [
     "LabeledAudioWindow",
     "OffsetEstimate",
     "PcmAudio",
-    "QuantizerModel",
     "SampleSeries",
     "ShotEvent",
     "SynthConfig",
@@ -62,7 +59,6 @@ __all__ = [
     "estimate_offset",
     "evaluate",
     "extract_features",
-    "fit_quantizer",
     "ipf",
     "lowpass",
     "prepare_components",

@@ -76,10 +76,11 @@ class EvalReport:
 
 
 def dedup(events: list[ShotEvent]) -> list[ShotEvent]:
-    """Keep the first of any run of events closer than NEIGHBORHOOD_MS.
+    """Keep the first of any run of events at most NEIGHBORHOOD_MS apart.
 
     An event is dropped iff it falls within NEIGHBORHOOD_MS after the
-    previously kept event; the first event is always kept.
+    previously kept event, exactly NEIGHBORHOOD_MS included; the first
+    event is always kept.
     """
     kept: list[ShotEvent] = []
     last_time = None

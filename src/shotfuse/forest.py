@@ -13,6 +13,7 @@ their stretch of it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "DEFAULT_TREE_COUNT",
     "NODE_FIELDS",
     "ForestModel",
+    "check_integer",
     "check_seed",
     "train_forest",
     "classify",
@@ -74,7 +76,8 @@ class ForestModel:
     after them, and leaf_class -1; leaves carry leaf_class 0/1 and -1
     elsewhere. Samples with feature value <= threshold go left. The
     constructor takes the arrays through series.freeze as int64 (thresholds
-    as float), so it adopts frozen ones and copies the rest, and checks them.
+    as float), so it adopts frozen ones and copies the rest, and checks
+    them; the seed must be an integer and is stored as an int.
     """
 
     feature: np.ndarray
@@ -90,6 +93,7 @@ class ForestModel:
         for name in fields:
             object.__setattr__(self, name, freeze(getattr(self, name), float if name == "threshold" else np.int64))
         _check_nodes(*(getattr(self, name) for name in fields))
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed"))
 
     @property
     def tree_count(self) -> int:
@@ -326,14 +330,23 @@ class _LockstepForest:
         return [freeze_in_place(a) for a in (feature, threshold, left, right, leaf)], freeze_in_place(node_count)
 
 
-def check_seed(seed: int) -> None:
-    """Reject a negative seed by name, before numpy's generator does.
+def check_integer(value, name: str) -> int:
+    """value as an int; anything else is rejected by name, a bool too (json.load's true and false)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_seed(seed) -> int:
+    """seed as an int; a non-integer or negative seed is rejected by name, before numpy sees it.
 
     SynthConfig, TrainConfig, train_forest and the train-forest workflow
     all check their seed here.
     """
+    seed = check_integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def train_forest(X, y, tree_count: int = DEFAULT_TREE_COUNT, seed: int = 0) -> ForestModel:
@@ -360,9 +373,9 @@ def train_forest(X, y, tree_count: int = DEFAULT_TREE_COUNT, seed: int = 0) -> F
     y = y.astype(int)
     if np.all(y == y[0]):
         raise ValueError("degenerate training set")
-    if tree_count < 1:
+    if check_integer(tree_count, "tree_count") < 1:
         raise ValueError("a forest needs at least one tree")
-    check_seed(seed)
+    seed = check_seed(seed)
 
     n = X.shape[0]
     rngs = [np.random.default_rng([seed, k]) for k in range(tree_count)]

@@ -177,16 +177,17 @@ def synced_series(apf: SampleSeries, imu: ImuStream) -> SyncedSeries:
     the components own their samples, so the caller's IMU block is freed
     before sync when nothing else holds it. The
     live streams calibrate their own quantizer: dense quantized trains
-    correlate far better than sparse shot-peak quintiles. The offset is
-    estimated on the whole overlap minus a sync.VALIDATION_SECONDS tail and
-    validated on that tail, the fresh data after it. When that leaves less
+    correlate far better than sparse shot-peak quintiles. Both sync windows
+    are cut here: the offset is estimated on the whole overlap minus a
+    sync.VALIDATION_SECONDS tail, and validate_offset re-estimates on that
+    tail, the fresh data after it. When that leaves less
     than sync.MIN_OVERLAP_SECONDS, the estimate uses the whole overlap and
     validation is skipped (False).
     """
     comps = prepare_components(imu)
     del imu
     ipf_raw = ipf(comps)
-    q = self_calibrate_quantizer(apf, ipf_raw)
+    boundaries = self_calibrate_quantizer(apf, ipf_raw)
 
     t0 = max(apf.start_time, ipf_raw.start_time)
     t1 = min(apf.end_time, ipf_raw.end_time)
@@ -195,10 +196,14 @@ def synced_series(apf: SampleSeries, imu: ImuStream) -> SyncedSeries:
     if window < sync.MIN_OVERLAP_SECONDS:
         window = have_seconds
     end = t0 + window * 1000.0
-    est = estimate_offset(apf.slice_time(t0, end), ipf_raw.slice_time(t0, end), q)
+    est = estimate_offset(apf.slice_time(t0, end), ipf_raw.slice_time(t0, end), boundaries)
     validated = False
     if have_seconds >= est.window_seconds + sync.VALIDATION_SECONDS:
-        validated = validate_offset(apf, ipf_raw, q, est)
+        tail = t0 + est.window_seconds * 1000.0
+        tail_end = tail + sync.VALIDATION_SECONDS * 1000.0
+        validated = validate_offset(
+            apf.slice_time(tail, tail_end), ipf_raw.slice_time(tail, tail_end), boundaries, est
+        )
     return SyncedSeries.align(apf, ipf_raw, comps, est, validated)
 
 
@@ -279,6 +284,8 @@ class PipelineOptions:
 
     def __post_init__(self):
         check_tolerance(self.tolerance_ms)
+        if self.audio_only and self.emit_series:
+            raise ValueError("--audio-only and --emit-series cannot be combined: audio-only detection writes no series")
 
 
 def run_pipeline(

@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import SampleSeries, cross_correlate, freeze, freeze_in_place, triangle_smooth
+from .series import SampleSeries, cross_correlate, freeze_in_place, triangle_smooth
 
 __all__ = [
     "QUANT_LEVELS",
-    "QuantizerModel",
     "OffsetEstimate",
-    "fit_quantizer",
     "self_calibrate_quantizer",
     "quantize",
     "estimate_offset",
@@ -66,6 +64,7 @@ def _percentile(values: np.ndarray, q) -> np.ndarray:
 
 
 def _quantile_boundaries(values, name: str) -> np.ndarray:
+    """Read-only 20/40/60/80 percentiles of at least 5 values with a non-degenerate spread."""
     v = np.asarray(values, dtype=float)
     if v.size < QUANT_LEVELS:
         raise ValueError(f"{name}: insufficient calibration data")
@@ -73,24 +72,7 @@ def _quantile_boundaries(values, name: str) -> np.ndarray:
     b = _percentile(v, [20.0, 40.0, 60.0, 80.0])
     if np.any(np.diff(b) <= 0):
         raise ValueError(f"{name}: degenerate distribution")
-    return b
-
-
-@dataclass(frozen=True, eq=False)
-class QuantizerModel:
-    """Per-modality level boundaries splitting values into 5 quantized levels."""
-
-    apf_boundaries: np.ndarray
-    ipf_boundaries: np.ndarray
-
-    def __post_init__(self):
-        for name in ("apf_boundaries", "ipf_boundaries"):
-            arr = freeze(getattr(self, name))
-            if arr.shape != (QUANT_LEVELS - 1,):
-                raise ValueError(f"{name} must hold exactly 4 values")
-            if np.any(np.diff(arr) <= 0):
-                raise ValueError(f"{name} must be strictly ascending")
-            object.__setattr__(self, name, arr)
+    return freeze_in_place(b)
 
 
 @dataclass(frozen=True)
@@ -102,33 +84,18 @@ class OffsetEstimate:
     window_seconds: float
 
 
-def fit_quantizer(apf_peak_values, ipf_peak_values) -> QuantizerModel:
-    """Quintile boundaries from samples of each likelihood's strong values.
-
-    The samples stand for the values each likelihood takes at shots;
-    self_calibrate_quantizer passes the upper decile of each live series.
-    Boundaries are the 20/40/60/80 percentiles of each empirical
-    distribution. Needs at least 5 values per modality and a non-degenerate
-    spread.
-    """
-    return QuantizerModel(
-        _quantile_boundaries(apf_peak_values, "apf"),
-        _quantile_boundaries(ipf_peak_values, "ipf"),
-    )
-
-
-def self_calibrate_quantizer(apf: SampleSeries, ipf: SampleSeries) -> QuantizerModel:
-    """Quintiles of the upper decile of each live series.
+def self_calibrate_quantizer(apf: SampleSeries, ipf: SampleSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Level boundaries of each live series, APF first: quintiles of its upper decile.
 
     Used when no labeled shots are available: the strongest values of a
     snippet stand in for the shot-conditional peak distribution.
     """
 
-    def upper(values: np.ndarray) -> np.ndarray:
+    def boundaries(values: np.ndarray, name: str) -> np.ndarray:
         cut = _percentile(values, 100.0 * (1.0 - CALIBRATION_TOP_FRACTION))
-        return values[values >= cut]
+        return _quantile_boundaries(values[values >= cut], name)
 
-    return fit_quantizer(upper(apf.values), upper(ipf.values))
+    return boundaries(apf.values, "apf"), boundaries(ipf.values, "ipf")
 
 
 def quantize(x: SampleSeries, boundaries) -> SampleSeries:
@@ -144,14 +111,15 @@ def quantize(x: SampleSeries, boundaries) -> SampleSeries:
     return x.with_values(freeze_in_place(levels))
 
 
-def estimate_offset(apf: SampleSeries, ipf: SampleSeries, q: QuantizerModel) -> OffsetEstimate:
+def estimate_offset(apf: SampleSeries, ipf: SampleSeries, boundaries) -> OffsetEstimate:
     """Offset of the IMU stream relative to the audio stream.
 
-    Both series are quantized and triangle-smoothed, then cross-correlated
-    over lags within MAX_LAG_MS. Ties between equal correlation maxima
-    break toward the smallest |lag| (the clocks are near-aligned a priori),
-    then toward the negative lag. The differing series start times are
-    folded into the reported offset.
+    Both series are quantized by their boundaries (a pair, APF's first)
+    and triangle-smoothed, then cross-correlated over lags within
+    MAX_LAG_MS. Ties between equal correlation maxima break toward the
+    smallest |lag| (the clocks are near-aligned a priori), then toward the
+    negative lag. The differing series start times are folded into the
+    reported offset.
     """
     if apf.rate != ipf.rate:
         raise ValueError("rate mismatch")
@@ -160,8 +128,9 @@ def estimate_offset(apf: SampleSeries, ipf: SampleSeries, q: QuantizerModel) -> 
     if overlap_ms < MIN_OVERLAP_SECONDS * 1000.0 - apf.period_ms:
         raise ValueError("snippet too short")
 
-    qa = triangle_smooth(quantize(apf, q.apf_boundaries))
-    qi = triangle_smooth(quantize(ipf, q.ipf_boundaries))
+    apf_boundaries, ipf_boundaries = boundaries
+    qa = triangle_smooth(quantize(apf, apf_boundaries))
+    qi = triangle_smooth(quantize(ipf, ipf_boundaries))
     max_lag = int(round(MAX_LAG_MS / apf.period_ms))
     correlations = cross_correlate(qa, qi, max_lag)
     peak = correlations.max()
@@ -173,19 +142,15 @@ def estimate_offset(apf: SampleSeries, ipf: SampleSeries, q: QuantizerModel) -> 
 
 
 def validate_offset(
-    apf: SampleSeries, ipf: SampleSeries, q: QuantizerModel, candidate: OffsetEstimate
+    apf_tail: SampleSeries, ipf_tail: SampleSeries, boundaries, candidate: OffsetEstimate
 ) -> bool:
-    """Re-estimate on the window following the estimation snippet.
+    """Re-estimate on the fresh tail that follows the estimation snippet.
 
     True iff the fresh estimate lands within +/-50 ms of the candidate and
-    its correlation peak reaches 0.4. Requires both streams to extend
-    VALIDATION_SECONDS past the snippet used for the candidate.
+    its correlation peak reaches 0.4. The caller cuts the tail
+    (pipeline.synced_series).
     """
-    t0 = max(apf.start_time, ipf.start_time) + candidate.window_seconds * 1000.0
-    t1 = t0 + VALIDATION_SECONDS * 1000.0
-    if min(apf.end_time, ipf.end_time) < t1:
-        raise ValueError("validation window unavailable")
-    fresh = estimate_offset(apf.slice_time(t0, t1), ipf.slice_time(t0, t1), q)
+    fresh = estimate_offset(apf_tail, ipf_tail, boundaries)
     return (
         abs(fresh.offset_ms - candidate.offset_ms) <= VALIDATION_OFFSET_TOLERANCE_MS
         and fresh.peak_correlation >= VALIDATION_MIN_CORRELATION

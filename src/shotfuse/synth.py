@@ -18,7 +18,7 @@ import numpy as np
 
 from .audio import SAMPLE_RATE_HZ, PcmAudio
 from .events import LabelSet
-from .forest import check_seed
+from .forest import check_integer, check_seed
 from .imu import ACCEL_RANGE_G, GYRO_RANGE_DPS, IMU_RATE_HZ, ImuStream
 from .series import freeze_in_place
 
@@ -48,11 +48,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # json.load reads true and false as bools, which Python counts as integers.
-        for name in ("shot_count", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_integer(self.shot_count, "shot_count")
         check_seed(self.seed)
         for name in ("duration_s", "audio_snr_db", "imu_noise_g", "injected_offset_ms",
                      "distractor_rate_per_min"):

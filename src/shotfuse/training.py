@@ -13,7 +13,6 @@ Adam loop. Held-out windows are scored from the same forms (form_scores).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -30,7 +29,7 @@ from .audio import (
     FilterModel,
     LabeledAudioWindow,
 )
-from .forest import check_seed
+from .forest import check_integer, check_seed
 
 __all__ = [
     "ADAM_BETA1",
@@ -98,11 +97,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_epochs", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.max_epochs < 0:
+        if check_integer(self.max_epochs, "max_epochs") < 0:
             raise ValueError("max_epochs must be non-negative")
         check_seed(self.seed)
 

@@ -233,6 +233,17 @@ def test_detect_rejects_a_bad_tolerance_before_it_runs(workspace, tmp_path):
         assert not (out_dir / "detections.csv").exists()
 
 
+def test_detect_rejects_emit_series_in_audio_only_mode(workspace, tmp_path):
+    # It used to exit 0 having written neither apf.csv nor ipf.csv.
+    data = workspace["data"]
+    out_dir = tmp_path / "out"
+    proc = run_cli("detect", "--audio", data / "audio.wav", "--filter", workspace["filter"],
+                   "--audio-only", "--emit-series", "--out-dir", out_dir, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: --audio-only and --emit-series cannot be combined: audio-only detection writes no series\n"
+    assert not (out_dir / "detections.csv").exists()
+
+
 def test_sync_and_detect_take_no_sync_settings(workspace, tmp_path):
     # The lag range, validation tail and estimation window are fixed by the sync module.
     data = workspace["data"]

@@ -16,6 +16,9 @@ def ev(*times):
 def test_dedup_drops_trailing_neighbors():
     out = dedup(ev(0, 300, 900))
     assert [e.time_ms for e in out] == [0, 900]
+    # An event exactly NEIGHBORHOOD_MS after the kept one is a neighbor too.
+    out = dedup(ev(0, 500, 1000.5))
+    assert [e.time_ms for e in out] == [0, 1000.5]
 
 
 def test_dedup_single_event():

@@ -173,6 +173,17 @@ def test_forest_needs_a_tree(rng):
         train_forest(X, y, tree_count=0, seed=0)
 
 
+def test_a_numpy_integer_seed_trains_the_forest_of_its_int(rng, tmp_path):
+    # An np.int64 seed used to fail inside json.dump, after the model file was opened and truncated.
+    X, y = separable_dataset(rng, n=20)
+    model = train_forest(X, y, tree_count=3, seed=np.int64(4))
+    assert type(model.seed) is int
+    save_forest_model(tmp_path / "numpy.json", model)
+    save_forest_model(tmp_path / "int.json", train_forest(X, y, tree_count=3, seed=4))
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "int.json").read_bytes()
+    assert load_forest_model(tmp_path / "numpy.json").seed == 4
+
+
 def test_tree_rejects_a_child_that_is_its_node(tmp_path):
     with pytest.raises(ValueError, match="child not after it"):
         tree([0, -1, -1], [0.0, 0.0, 0.0], [0, -1, -1], [2, -1, -1], [-1, 0, 1])

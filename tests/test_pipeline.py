@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import shotfuse as sf
-from shotfuse import forest, pipeline
+from shotfuse import forest, pipeline, sync
 from shotfuse.dataio import (
     load_filter_model,
     load_forest_model,
@@ -249,3 +249,53 @@ def test_loading_detecting_and_training_build_no_per_tree_objects(fixture_dir, t
     assert built == [50, 50, 50] + [1] * 50
     assert all(np.shares_memory(t.feature, model.feature) for t in trees)
     assert sum(t.feature.size for t in trees) == model.feature.size
+
+
+@pytest.mark.parametrize("duration_s", [20.0, 8.0])
+def test_synced_series_estimates_before_the_validation_tail(identity_model, monkeypatch, duration_s):
+    # The estimate takes the overlap minus a VALIDATION_SECONDS tail and validation re-estimates
+    # on that tail; an overlap too short to leave MIN_OVERLAP_SECONDS is estimated whole, unvalidated.
+    cfg = sf.SynthConfig(duration_s=duration_s, shot_count=5, injected_offset_ms=-150.0, seed=24)
+    audio, imu, _ = sf.synthesize(cfg)
+    apf = sf.audio_likelihood(audio, identity_model)
+    ipf = sf.ipf(sf.prepare_components(imu))
+    t0 = max(apf.start_time, ipf.start_time)
+    overlap_ms = min(apf.end_time, ipf.end_time) - t0
+    validation_ms = sync.VALIDATION_SECONDS * 1000.0
+    validates = overlap_ms - validation_ms >= sync.MIN_OVERLAP_SECONDS * 1000.0
+    assert validates == (duration_s == 20.0)
+
+    estimate, fresh, validations = [], [], []
+
+    def spy(calls, fn):
+        def record(*args):
+            calls.append(args)
+            out = fn(*args)
+            calls[-1] += (out,)
+            return out
+
+        return record
+
+    monkeypatch.setattr(pipeline, "estimate_offset", spy(estimate, sync.estimate_offset))
+    monkeypatch.setattr(sync, "estimate_offset", spy(fresh, sync.estimate_offset))
+    monkeypatch.setattr(pipeline, "validate_offset", spy(validations, sync.validate_offset))
+    synced = synced_series(apf, imu)
+
+    def same(cut, series):
+        return cut.start_time == series.start_time and np.array_equal(cut.values, series.values)
+
+    end = t0 + overlap_ms - (validation_ms if validates else 0.0)
+    [(a, i, boundaries, est)] = estimate
+    assert same(a, apf.slice_time(t0, end)) and same(i, ipf.slice_time(t0, end))
+    assert synced.offset == est
+    if not validates:
+        assert fresh == validations == []
+        assert synced.validated is False
+        return
+    tail = t0 + est.window_seconds * 1000.0
+    [(a, i, tail_boundaries, _)] = fresh
+    assert same(a, apf.slice_time(tail, tail + validation_ms))
+    assert same(i, ipf.slice_time(tail, tail + validation_ms))
+    assert tail_boundaries is boundaries
+    [call] = validations
+    assert call[3] == est and synced.validated is call[-1]

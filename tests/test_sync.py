@@ -4,11 +4,9 @@ import pytest
 from shotfuse import sync
 from shotfuse import (
     OffsetEstimate,
-    QuantizerModel,
     SampleSeries,
     cross_correlate,
     estimate_offset,
-    fit_quantizer,
     quantize,
     self_calibrate_quantizer,
     triangle_smooth,
@@ -32,24 +30,25 @@ def quantizer_for(apf_s, ipf_s):
     return self_calibrate_quantizer(apf_s, ipf_s)
 
 
-# --- fit_quantizer ------------------------------------------------------------
+# --- quantizer boundaries ------------------------------------------------------
 
 
 def test_quantizer_boundaries_1_to_100():
-    q = fit_quantizer(np.arange(1.0, 101.0), np.arange(1.0, 101.0))
-    assert np.allclose(q.apf_boundaries, [20.8, 40.6, 60.4, 80.2])
+    b = sync._quantile_boundaries(np.arange(1.0, 101.0), "apf")
+    assert np.allclose(b, [20.8, 40.6, 60.4, 80.2])
+    assert not b.flags.writeable
 
 
 def test_quantizer_boundaries_five_values():
-    q = fit_quantizer([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0, 4.0])
-    assert np.allclose(q.ipf_boundaries, [0.8, 1.6, 2.4, 3.2])
+    b = sync._quantile_boundaries([0.0, 1.0, 2.0, 3.0, 4.0], "ipf")
+    assert np.allclose(b, [0.8, 1.6, 2.4, 3.2])
 
 
 def test_quantizer_degenerate_distribution(identity_model):
     import shotfuse as sf
 
     with pytest.raises(ValueError, match="^apf: degenerate distribution"):
-        fit_quantizer(np.full(10, 3.0), np.arange(10.0))
+        sync._quantile_boundaries(np.full(10, 3.0), "apf")
     # a silent audio stream and a still IMU stream each name their modality
     audio, imu, _ = sf.synthesize(sf.SynthConfig(duration_s=20.0, shot_count=10, seed=45))
     apf_s = sf.audio_likelihood(audio, identity_model)
@@ -64,7 +63,7 @@ def test_quantizer_degenerate_distribution(identity_model):
 
 def test_quantizer_insufficient_data():
     with pytest.raises(ValueError, match="insufficient calibration data"):
-        fit_quantizer([1.0, 2.0, 3.0], np.arange(10.0))
+        sync._quantile_boundaries([1.0, 2.0, 3.0], "apf")
 
 
 # --- quantize -------------------------------------------------------------------
@@ -181,8 +180,8 @@ def test_estimate_invariant_under_quintile_preserving_transform(rng, monkeypatch
     base, idx = peaked_stream(rng, n=1200, n_peaks=30)
     other = series(np.roll(base.values, 7))
     peaks = base.values[idx]
-    q1 = fit_quantizer(peaks, peaks)
-    q2 = fit_quantizer(peaks**3, peaks)
+    q1 = sync._quantile_boundaries(peaks, "apf"), sync._quantile_boundaries(peaks, "ipf")
+    q2 = sync._quantile_boundaries(peaks**3, "apf"), q1[1]
     a = estimate_offset(base, other, q1)
     b = estimate_offset(series(base.values**3), other, q2)
     assert a.offset_ms == b.offset_ms
@@ -223,23 +222,25 @@ def _dense_fixture(seed, injected=-270.0, duration=50.0, shots=40):
     return apf_s, ipf_s, self_calibrate_quantizer(apf_s, ipf_s)
 
 
-def test_validate_stationary_offset(monkeypatch):
-    monkeypatch.setattr(sync, "VALIDATION_SECONDS", 10.0)
+def tail(s):
+    """The 10-s validation tail after a 20-s estimation snippet, cut as synced_series cuts its 5-s one."""
+    return s.slice_time(20000, 30000)
+
+
+def test_validate_stationary_offset():
     apf_s, ipf_s, q = _dense_fixture(3)
     est = estimate_offset(apf_s.slice_time(0, 20000), ipf_s.slice_time(0, 20000), q)
-    assert validate_offset(apf_s, ipf_s, q, est)
+    assert validate_offset(tail(apf_s), tail(ipf_s), q, est)
 
 
-def test_validate_rejects_drifted_candidate(monkeypatch):
-    monkeypatch.setattr(sync, "VALIDATION_SECONDS", 10.0)
+def test_validate_rejects_drifted_candidate():
     apf_s, ipf_s, q = _dense_fixture(4)
     est = estimate_offset(apf_s.slice_time(0, 20000), ipf_s.slice_time(0, 20000), q)
     drifted = OffsetEstimate(est.offset_ms + 200.0, est.peak_correlation, est.window_seconds)
-    assert not validate_offset(apf_s, ipf_s, q, drifted)
+    assert not validate_offset(tail(apf_s), tail(ipf_s), q, drifted)
 
 
-def test_validate_rejects_silent_window(rng, monkeypatch):
-    monkeypatch.setattr(sync, "VALIDATION_SECONDS", 10.0)
+def test_validate_rejects_silent_window(rng):
     active, _ = peaked_stream(rng, n=2000, n_peaks=30)
     # streams share peaks during estimation, then go quiet (independent noise)
     a_vals = np.concatenate([active.values, np.abs(rng.normal(0.0, 0.005, 1000))])
@@ -248,23 +249,15 @@ def test_validate_rejects_silent_window(rng, monkeypatch):
     b = series(b_vals)
     q = quantizer_for(a, b)
     est = estimate_offset(a.slice_time(0, 20000), b.slice_time(0, 20000), q)
-    assert not validate_offset(a, b, q, est)
-
-
-def test_validate_window_unavailable(rng):
-    a, _ = peaked_stream(rng, n=2000)
-    b, _ = peaked_stream(rng, n=2000)
-    q = quantizer_for(a, b)
-    est = estimate_offset(a, b, q)
-    with pytest.raises(ValueError, match="validation window unavailable"):
-        validate_offset(a, b, q, est)
+    assert not validate_offset(tail(a), tail(b), q, est)
 
 
 def test_exactly_tied_peaks_resolve_to_smaller_lag():
     # Levels equal the values under these boundaries. One event in the
     # audio train; two equal events in the longer IMU train align with it
     # at lags 2 and 20 with identical window statistics.
-    q = QuantizerModel([0.5, 1.5, 2.5, 3.5], [0.5, 1.5, 2.5, 3.5])
+    levels = np.array([0.5, 1.5, 2.5, 3.5])
+    q = levels, levels
     apf = np.zeros(600)
     apf[300] = 4.0
     ipf = np.zeros(620)

@@ -9,7 +9,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import shotfuse
-from shotfuse import LabeledAudioWindow, PcmAudio, SynthConfig, TrainConfig, train_filter, train_forest
+from shotfuse import ForestModel, LabeledAudioWindow, PcmAudio, SynthConfig, TrainConfig, train_filter, train_forest
 from shotfuse import training
 from shotfuse.audio import PCM_SCALE, WINDOW_SAMPLES
 from shotfuse.pipeline import window_metrics
@@ -447,8 +447,14 @@ def test_config_errors_name_the_bound():
         (lambda: TrainConfig(seed=2.5), "seed must be an integer, got 2.5"),
         (lambda: TrainConfig(seed=True), "seed must be an integer, got True"),
         (lambda: TrainConfig(max_epochs=3.0), "max_epochs must be an integer, got 3.0"),
+        # True is an int to Python: as a seed it made a forest file the loader rejects,
+        # and as a tree count it trained one tree.
+        (lambda: train_forest(np.eye(2, 5), [0, 1], seed=True), "seed must be an integer, got True"),
+        (lambda: train_forest(np.eye(2, 5), [0, 1], tree_count=True), "tree_count must be an integer, got True"),
+        (lambda: ForestModel([-1], [0.0], [-1], [-1], [1], [1], seed=False), "seed must be an integer, got False"),
     ],
-    ids=["synth-seed", "train-seed", "forest-seed", "float-seed", "bool-seed", "float-epochs"],
+    ids=["synth-seed", "train-seed", "forest-seed", "float-seed", "bool-seed", "float-epochs",
+         "forest-bool-seed", "bool-tree-count", "model-bool-seed"],
 )
 def test_seeds_and_epochs_are_checked_before_numpy_sees_them(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
