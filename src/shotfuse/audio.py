@@ -3,8 +3,9 @@
 The microphone stream is filtered, cut into short non-overlapping
 microframes whose energy is summed, and each frame's energy is compared
 against the mean of its surrounding macroframe. The resulting peak function
-is a 100 Hz likelihood series that spikes at impact sounds; adding the
-model bias and thresholding at zero turns it into a detector.
+is a likelihood series on the 100 Hz clock of series.PERIOD_MS, one value
+per microframe, that spikes at impact sounds; adding the model bias and
+thresholding at zero turns it into a detector.
 
 A recording stays 16-bit PCM from the WAV file to the filter, and the FIR
 pass decodes it one chunk at a time. Detection streams those chunks from
@@ -18,19 +19,17 @@ type here takes its arrays through series.freeze.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .events import ShotEvent
-from .series import SampleSeries, fir_frames, freeze, freeze_in_place
+from .series import PERIOD_MS, SampleSeries, fir_frames, freeze, freeze_in_place
 
 __all__ = [
     "SAMPLE_RATE_HZ",
     "PCM_SCALE",
     "MICROFRAME_MS",
     "MICROFRAME_SAMPLES",
-    "FRAME_RATE_HZ",
     "MACROFRAME_HALF",
     "MACROFRAME_FRAMES",
     "FILTER_TAPS",
@@ -48,11 +47,10 @@ __all__ = [
 SAMPLE_RATE_HZ = 8000
 #: Amplitude of one 16-bit PCM step: PCM sample s stands for s * PCM_SCALE, in [-1, 1).
 PCM_SCALE = 1.0 / 32768.0
-#: Microframe length: the unit of frame energy and of the 100 Hz likelihood clock.
-MICROFRAME_MS = 10
+#: Microframe length: the unit of frame energy, one period of the likelihood clock.
+#: An int, as filter.json records it.
+MICROFRAME_MS = int(PERIOD_MS)
 MICROFRAME_SAMPLES = SAMPLE_RATE_HZ * MICROFRAME_MS // 1000
-#: Rate of the energy and likelihood series.
-FRAME_RATE_HZ = 1000.0 / MICROFRAME_MS
 #: Microframes of context on each side of a frame; the macroframe spans 11 (110 ms).
 MACROFRAME_HALF = 5
 MACROFRAME_FRAMES = 2 * MACROFRAME_HALF + 1
@@ -90,9 +88,6 @@ class PcmAudio:
 
     samples: np.ndarray
 
-    rate: ClassVar[float] = float(SAMPLE_RATE_HZ)
-    scale: ClassVar[float] = PCM_SCALE
-
     def __post_init__(self):
         object.__setattr__(self, "samples", _pcm(self.samples, "audio samples"))
 
@@ -113,7 +108,7 @@ class PcmAudio:
     @property
     def end_time(self) -> float:
         """Timestamp one sample period past the last sample."""
-        return len(self) * 1000.0 / self.rate
+        return len(self) * 1000.0 / SAMPLE_RATE_HZ
 
     def chunks(self, size: int):
         """The samples in order as read-only views of size samples each; the last may be shorter."""
@@ -162,25 +157,24 @@ class LabeledAudioWindow:
 def short_time_energy(x: PcmAudio, taps: np.ndarray) -> SampleSeries:
     """Sum of squared FIR-filtered samples per non-overlapping microframe.
 
-    x is a PcmAudio or anything that reads like one here: a len() in
-    samples, the PCM scale and chunks(size), such as dataio.WavFile. The
-    filter is causal with zero initial state (series.fir_frames) and reads
-    the decoded samples (PCM * PCM_SCALE). Each chunk of frames is read,
-    decoded, filtered, squared and summed into the energies as it is made,
-    so neither the decoded nor the filtered stream ever exists in full, and
-    a WavFile's PCM does not either. A trailing partial microframe is
-    discarded. Each output value is timestamped at the center of its
-    microframe on the audio clock, which starts at 0, so the first sits at
-    MICROFRAME_MS / 2. The energies are the only array this makes that
-    outlives the call; it is frozen, so the series adopts it, and nothing
-    here keeps a reference to x.
+    x is a PcmAudio or anything with its len() in samples and chunks(size),
+    such as dataio.WavFile. The filter is causal with zero initial state
+    (series.fir_frames) and reads the decoded samples (PCM * PCM_SCALE).
+    Each chunk of frames is read, decoded, filtered, squared and summed
+    into the energies as it is made, so neither the decoded nor the
+    filtered stream ever exists in full, and a WavFile's PCM does not
+    either. A trailing partial microframe is discarded. Each output value
+    is timestamped at the center of its microframe on the audio clock,
+    which starts at 0, so the first sits at MICROFRAME_MS / 2. The energies
+    are the only array this makes that outlives the call; it is frozen, so
+    the series adopts it, and nothing here keeps a reference to x.
     """
     if len(x) < MICROFRAME_SAMPLES:
         raise ValueError("insufficient samples")
     energy = np.empty(len(x) // MICROFRAME_SAMPLES)
-    for lo, hi, block in fir_frames(x.chunks, x.scale, taps, MICROFRAME_SAMPLES, energy.size):
+    for lo, hi, block in fir_frames(x.chunks, PCM_SCALE, taps, MICROFRAME_SAMPLES, energy.size):
         np.einsum("ij,ij->i", block, block, out=energy[lo:hi])
-    return SampleSeries(FRAME_RATE_HZ, MICROFRAME_MS / 2.0, freeze_in_place(energy))
+    return SampleSeries(MICROFRAME_MS / 2.0, freeze_in_place(energy))
 
 
 def apf(energy: SampleSeries) -> SampleSeries:
@@ -197,7 +191,7 @@ def apf(energy: SampleSeries) -> SampleSeries:
         raise ValueError("insufficient context")
     out = np.convolve(energy.values, np.ones(m) / m, mode="valid")
     np.subtract(energy.values[h : len(energy) - h], out, out=out)
-    return SampleSeries(energy.rate, energy.start_time + h * energy.period_ms, freeze_in_place(out))
+    return SampleSeries(energy.start_time + h * PERIOD_MS, freeze_in_place(out))
 
 
 def audio_likelihood(x: PcmAudio, model: FilterModel) -> SampleSeries:
@@ -217,5 +211,5 @@ def detect_audio(x: PcmAudio, model: FilterModel) -> list[ShotEvent]:
     likelihood = audio_likelihood(x, model)
     scores = likelihood.values + model.bias
     hits = np.flatnonzero(scores > 0.0)
-    times = likelihood.start_time + hits * likelihood.period_ms
+    times = likelihood.start_time + hits * PERIOD_MS
     return [ShotEvent(float(t), float(s)) for t, s in zip(times, scores[hits])]

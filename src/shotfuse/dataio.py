@@ -85,14 +85,13 @@ class WavFile:
     """A WAV recording read from disk one block at a time: a PcmAudio that is never held whole.
 
     It reads like a PcmAudio to short_time_energy, audio_likelihood,
-    detect_audio and audio_only_events: len() is the frame count its header
-    declares, and chunks(size) reads the samples afresh, size frames at a
-    time, as read_wav would return them. Opening checks the header as
-    read_wav does; a file that holds fewer frames than its header declares
-    fails while chunks reads it, with read_wav's message.
+    detect_audio and audio_only_events, which read only these two: len() is
+    the frame count its header declares, and chunks(size) reads the samples
+    afresh, size frames at a time, as read_wav would return them; they
+    decode by audio.PCM_SCALE. Opening checks the header as read_wav does;
+    a file that holds fewer frames than its header declares fails while
+    chunks reads it, with read_wav's message.
     """
-
-    scale = PcmAudio.scale
 
     def __init__(self, path):
         self.path = path

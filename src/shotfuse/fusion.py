@@ -18,7 +18,7 @@ from .events import NEIGHBORHOOD_MS, ShotEvent, dedup
 from .forest import ForestModel, classify
 from .imu import ImuComponents
 from .imu import ipf, prepare_components  # noqa: F401 -- still bound here for tools that wrap them
-from .series import SampleSeries
+from .series import PERIOD_MS, SampleSeries
 from .sync import OffsetEstimate
 
 __all__ = [
@@ -108,25 +108,21 @@ def select_candidates(ipf_series: SampleSeries) -> np.ndarray:
     """
     v = ipf_series.values
     n = v.size
-    if n == 0:
-        return np.empty(0)
-    half = int(round((NEIGHBORHOOD_MS / 2.0) / ipf_series.period_ms))
-    if half < 1:
-        return ipf_series.times()
+    half = int(round((NEIGHBORHOOD_MS / 2.0) / PERIOD_MS))
     padded = np.full(n + 2 * half, -np.inf)
     padded[half : half + n] = v
     # spans[i] is the max of the half samples before sample i, spans[i + half + 1] of the half after it.
     spans = _running_max(padded, half)
     strict = np.flatnonzero((v > spans[:n]) & (v > spans[half + 1 :]))
-    return ipf_series.start_time + strict.astype(float) * ipf_series.period_ms
+    return ipf_series.start_time + strict.astype(float) * PERIOD_MS
 
 
 def _window_maxima(series: SampleSeries, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
     """Max of the samples timed in [t0, t1] per window; the nearest sample if there are none."""
     eps = 1e-9
     n = len(series)
-    i0 = np.maximum(np.ceil((t0 - series.start_time) / series.period_ms - eps).astype(int), 0)
-    i1 = np.minimum(np.floor((t1 - series.start_time) / series.period_ms + eps).astype(int) + 1, n)
+    i0 = np.maximum(np.ceil((t0 - series.start_time) / PERIOD_MS - eps).astype(int), 0)
+    i1 = np.minimum(np.floor((t1 - series.start_time) / PERIOD_MS + eps).astype(int) + 1, n)
     empty = i0 >= i1
     # Interleaved bounds: every even reduceat slot is values[i0:i1]; a
     # trailing pad keeps i1 == n a valid index.

@@ -4,7 +4,9 @@ A swing is roughly circular motion of the forearm, so the x axis (along the
 forearm) carries radial acceleration and the y/z magnitude the tangential
 part; the same split applies to angular velocity. The peak function is the
 product of the macroframe-mean-subtracted radial acceleration and
-tangential angular velocity, which spikes at impacts.
+tangential angular velocity, which spikes at impacts. Components sit on
+the series.PERIOD_MS grid of the audio likelihood; decompose snaps a
+jittered stream onto it.
 
 A stream is one read-only (7, n) float block (:class:`ImuStream`), a row
 per IMU_FIELDS entry. read_imu_csv and synthesize each build that block
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import SampleSeries, freeze, freeze_in_place
+from .series import PERIOD_MS, SampleSeries, freeze, freeze_in_place
 
 __all__ = [
     "ACCEL_RANGE_G",
@@ -38,7 +40,7 @@ __all__ = [
 
 ACCEL_RANGE_G = 8.0
 GYRO_RANGE_DPS = 2000.0
-IMU_RATE_HZ = 100.0
+IMU_RATE_HZ = 1000.0 / PERIOD_MS
 #: Cutoff of the low-pass that smooths the IMU components before the motion peak function.
 LOWPASS_CUTOFF_HZ = 10.0
 #: Samples of the low-pass impulse response kept: its poles sit at radius 0.642,
@@ -111,8 +113,8 @@ class ImuComponents:
     def __post_init__(self):
         first = self.a_rad
         for s in (self.a_tan, self.w_rad, self.w_tan):
-            if s.rate != first.rate or s.start_time != first.start_time or len(s) != len(first):
-                raise ValueError("component series must share rate, start and length")
+            if s.start_time != first.start_time or len(s) != len(first):
+                raise ValueError("component series must share start and length")
 
 
 #: Samples per slice of the whole-stream checks in decompose and _regrid, so
@@ -127,7 +129,7 @@ def _slices(n: int):
 
 def _nearest(t: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Index of the sample nearest to each grid slot lo .. hi - 1; a tie goes to the earlier one."""
-    grid = t[0] + np.arange(lo, hi) * (1000.0 / IMU_RATE_HZ)
+    grid = t[0] + np.arange(lo, hi) * PERIOD_MS
     right = np.searchsorted(t, grid)
     right = np.clip(right, 1, t.size - 1)
     left = right - 1
@@ -145,7 +147,7 @@ def _on_own_slots(t: np.ndarray, lo: int, hi: int) -> bool:
     still pick s (two samples before the slot whose distances round
     equal) only costs _regrid its copy of the same samples.
     """
-    grid = t[0] + np.arange(lo, hi) * (1000.0 / IMU_RATE_HZ)
+    grid = t[0] + np.arange(lo, hi) * PERIOD_MS
     own = np.abs(t[lo:hi] - grid)
     after = t[lo + 1 : hi + 1]  # the last sample has none
     first = 1 if lo == 0 else 0  # nor has the first a previous one
@@ -163,7 +165,7 @@ def _regrid(t: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """
     if t.size == 1:
         return columns
-    n = int(round((t[-1] - t[0]) / (1000.0 / IMU_RATE_HZ))) + 1
+    n = int(round((t[-1] - t[0]) / PERIOD_MS)) + 1
     if n == t.size and all(_on_own_slots(t, lo, hi) for lo, hi in _slices(n)):
         return columns
     return columns[:, _nearest(t, 0, n)]
@@ -192,15 +194,13 @@ LOWPASS_B, LOWPASS_A, LOWPASS_RESPONSE = _butterworth_lowpass()
 
 
 def lowpass(x: SampleSeries) -> SampleSeries:
-    """2nd-order Butterworth low-pass at LOWPASS_CUTOFF_HZ of an IMU_RATE_HZ series.
+    """2nd-order Butterworth low-pass at LOWPASS_CUTOFF_HZ of a series sampled at IMU_RATE_HZ.
 
     Causal with zero initial state, length kept: the input convolved with
     LOWPASS_RESPONSE and cut to its length.
     """
     if len(x) == 0:
         raise ValueError("empty signal")
-    if x.rate != IMU_RATE_HZ:
-        raise ValueError(f"lowpass is designed for {IMU_RATE_HZ:g} Hz, not {x.rate:g} Hz")
     return x.with_values(freeze_in_place(np.convolve(x.values, LOWPASS_RESPONSE))[: len(x)])
 
 
@@ -209,7 +209,7 @@ def decompose(stream: ImuStream) -> ImuComponents:
 
     Radial terms are the x-axis readings; tangential terms are the y/z
     magnitudes (hence non-negative). Timestamps must be strictly increasing
-    with inter-sample gaps inside [period/2, 2*period]; the gaps are
+    with inter-sample gaps inside [PERIOD_MS/2, 2*PERIOD_MS]; the gaps are
     checked one _SLICE_SAMPLES slice at a time. w_rad is a copy of the gx
     samples, so that once a_rad is low-passed (prepare_components) nothing
     the components hold keeps the stream's block alive.
@@ -217,12 +217,11 @@ def decompose(stream: ImuStream) -> ImuComponents:
     if len(stream) == 0:
         raise ValueError("empty stream")
     t = stream.block[0]
-    period = 1000.0 / IMU_RATE_HZ
     unordered = gap = False
     for lo, hi in _slices(t.size - 1):
         gaps = np.diff(t[lo : hi + 1])
         unordered |= bool(np.any(gaps <= 0))
-        gap |= bool(np.any(gaps > 2 * period) or np.any(gaps < period / 2))
+        gap |= bool(np.any(gaps > 2 * PERIOD_MS) or np.any(gaps < PERIOD_MS / 2))
     if unordered:
         raise ValueError("unordered stream")
     if gap:
@@ -232,10 +231,10 @@ def decompose(stream: ImuStream) -> ImuComponents:
 
     start = float(t[0])
     return ImuComponents(
-        a_rad=SampleSeries(IMU_RATE_HZ, start, ax),
-        a_tan=SampleSeries(IMU_RATE_HZ, start, freeze_in_place(np.hypot(ay, az))),
-        w_rad=SampleSeries(IMU_RATE_HZ, start, freeze_in_place(gx.copy())),
-        w_tan=SampleSeries(IMU_RATE_HZ, start, freeze_in_place(np.hypot(gy, gz))),
+        a_rad=SampleSeries(start, ax),
+        a_tan=SampleSeries(start, freeze_in_place(np.hypot(ay, az))),
+        w_rad=SampleSeries(start, freeze_in_place(gx.copy())),
+        w_tan=SampleSeries(start, freeze_in_place(np.hypot(gy, gz))),
     )
 
 
@@ -272,6 +271,5 @@ def ipf(components: ImuComponents) -> SampleSeries:
     mean_w = np.convolve(w, kernel, mode="valid")
     lead = IPF_WINDOW // 2 - 1  # 4 past samples
     out = freeze_in_place((a[lead : n - 5] - mean_a) * (w[lead : n - 5] - mean_w))
-    src = components.a_rad
-    return SampleSeries(src.rate, src.start_time + lead * src.period_ms, out)
+    return SampleSeries(components.a_rad.start_time + lead * PERIOD_MS, out)
 

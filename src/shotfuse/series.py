@@ -1,11 +1,11 @@
 """Uniform sample series and the shared DSP primitives.
 
 Every signal the pipeline derives (frame energies, likelihood functions,
-IMU components) is a :class:`SampleSeries`: a uniformly sampled scalar
-sequence with a rate and a start timestamp. Sample ``k`` of a series is
-located at ``start_time + 1000 * k / rate`` milliseconds. Raw audio stays
-16-bit PCM (``audio.PcmAudio``) and is decoded by :func:`fir_frames` one
-chunk at a time.
+IMU components) is a :class:`SampleSeries`: a start timestamp and values
+on the one 100 Hz clock, so sample ``k`` is located at
+``start_time + k * PERIOD_MS`` milliseconds. Raw audio stays 16-bit PCM
+(``audio.PcmAudio``) and is decoded by :func:`fir_frames` one chunk at a
+time.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
+    "PERIOD_MS",
     "SampleSeries",
     "TRIANGLE_TAPS",
     "fir_frames",
@@ -69,60 +70,58 @@ def _readonly_array(values, name: str) -> np.ndarray:
     return arr
 
 
+#: Sample period of every series: the 10 ms microframe of the audio path
+#: and the 100 Hz IMU, which the likelihoods line up sample by sample.
+PERIOD_MS = 10.0
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSeries:
-    """Immutable uniformly sampled scalar time series.
+    """Immutable scalar time series on the PERIOD_MS clock.
 
-    rate is in Hz, start_time in milliseconds since the stream epoch.
+    start_time is in milliseconds since the stream epoch.
     """
 
-    rate: float
     start_time: float = 0.0
     values: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError("rate must be positive")
         object.__setattr__(self, "values", _readonly_array(self.values, "values"))
 
     def __len__(self) -> int:
         return self.values.size
 
     @property
-    def period_ms(self) -> float:
-        return 1000.0 / self.rate
-
-    @property
     def end_time(self) -> float:
         """Timestamp one sample period past the last sample."""
-        return self.start_time + len(self) * self.period_ms
+        return self.start_time + len(self) * PERIOD_MS
 
     def times(self) -> np.ndarray:
-        return self.start_time + np.arange(len(self)) * self.period_ms
+        return self.start_time + np.arange(len(self)) * PERIOD_MS
 
     def index_at(self, t_ms):
         """Nearest sample index of a timestamp, or of each timestamp in an array.
 
         Ties round to even; the index may fall outside the series.
         """
-        idx = np.rint((np.asarray(t_ms, dtype=float) - self.start_time) / self.period_ms)
+        idx = np.rint((np.asarray(t_ms, dtype=float) - self.start_time) / PERIOD_MS)
         return int(idx) if idx.ndim == 0 else idx.astype(int)
 
     def with_values(self, values) -> "SampleSeries":
-        return SampleSeries(self.rate, self.start_time, values)
+        return SampleSeries(self.start_time, values)
 
     def shifted(self, delta_ms: float) -> "SampleSeries":
         """Same samples relocated in time by delta_ms."""
-        return SampleSeries(self.rate, self.start_time + delta_ms, self.values)
+        return SampleSeries(self.start_time + delta_ms, self.values)
 
     def slice_time(self, t0_ms: float, t1_ms: float) -> "SampleSeries":
         """Sub-series of samples with timestamps in [t0_ms, t1_ms)."""
         eps = 1e-9
-        i0 = int(np.ceil((t0_ms - self.start_time) / self.period_ms - eps))
-        i1 = int(np.ceil((t1_ms - self.start_time) / self.period_ms - eps))
+        i0 = int(np.ceil((t0_ms - self.start_time) / PERIOD_MS - eps))
+        i1 = int(np.ceil((t1_ms - self.start_time) / PERIOD_MS - eps))
         i0 = max(i0, 0)
         i1 = min(max(i1, i0), len(self))
-        return SampleSeries(self.rate, self.start_time + i0 * self.period_ms, self.values[i0:i1])
+        return SampleSeries(self.start_time + i0 * PERIOD_MS, self.values[i0:i1])
 
 
 #: Peak-spreading kernel used before stream alignment, normalized to unit sum.
@@ -282,8 +281,6 @@ def cross_correlate(a: SampleSeries, b: SampleSeries, max_lag: int) -> np.ndarra
     the summation order, the block size or the BLAS thread count, and
     windows with equal statistics give bit-equal correlations.
     """
-    if a.rate != b.rate:
-        raise ValueError("rate mismatch")
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty signal")
     if max_lag < 0 or max_lag >= min(len(a), len(b)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import SampleSeries, cross_correlate, freeze_in_place, triangle_smooth
+from .series import PERIOD_MS, SampleSeries, cross_correlate, freeze_in_place, triangle_smooth
 
 __all__ = [
     "QUANT_LEVELS",
@@ -121,23 +121,21 @@ def estimate_offset(apf: SampleSeries, ipf: SampleSeries, boundaries) -> OffsetE
     negative lag. The differing series start times are folded into the
     reported offset.
     """
-    if apf.rate != ipf.rate:
-        raise ValueError("rate mismatch")
     overlap_ms = min(apf.end_time, ipf.end_time) - max(apf.start_time, ipf.start_time)
     # One period of slack so sub-period start misalignment cannot trip the check.
-    if overlap_ms < MIN_OVERLAP_SECONDS * 1000.0 - apf.period_ms:
+    if overlap_ms < MIN_OVERLAP_SECONDS * 1000.0 - PERIOD_MS:
         raise ValueError("snippet too short")
 
     apf_boundaries, ipf_boundaries = boundaries
     qa = triangle_smooth(quantize(apf, apf_boundaries))
     qi = triangle_smooth(quantize(ipf, ipf_boundaries))
-    max_lag = int(round(MAX_LAG_MS / apf.period_ms))
+    max_lag = int(round(MAX_LAG_MS / PERIOD_MS))
     correlations = cross_correlate(qa, qi, max_lag)
     peak = correlations.max()
     # Tied lags ascend, so the first of the smallest |lag| is the negative one.
     tied = np.flatnonzero(correlations == peak) - max_lag
     best_lag = tied[np.argmin(np.abs(tied))]
-    offset_ms = best_lag * apf.period_ms + (ipf.start_time - apf.start_time)
+    offset_ms = best_lag * PERIOD_MS + (ipf.start_time - apf.start_time)
     return OffsetEstimate(float(offset_ms), float(peak), overlap_ms / 1000.0)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shotfuse import FilterModel, SampleSeries
+from shotfuse import FilterModel
 
 
 @pytest.fixture
@@ -12,12 +12,3 @@ def identity_model():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
-
-
-def series(values, rate=100.0, start=0.0):
-    return SampleSeries(rate, start, np.asarray(values, dtype=float))
-
-
-@pytest.fixture
-def make_series():
-    return series

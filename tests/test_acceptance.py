@@ -64,7 +64,7 @@ def test_criterion_1_formula_oracles():
 
         # audio peak function vs direct formula
         e = rng.uniform(0.0, 5.0, 20)
-        out = apf(SampleSeries(100.0, 0.0, e)).values
+        out = apf(SampleSeries(0.0, e)).values
         for j in range(out.size):
             i = j + 5
             expected = e[i] - sum(e[i - 5 : i + 6]) / 11.0
@@ -85,10 +85,10 @@ def test_criterion_1_formula_oracles():
         # motion peak function (mean convention) vs direct formula
         ar = rng.uniform(-2.0, 2.0, 25)
         wt = rng.uniform(0.0, 500.0, 25)
-        zero = SampleSeries(100.0, 0.0, np.zeros(25))
+        zero = SampleSeries(0.0, np.zeros(25))
         out = ipf(
             sf.ImuComponents(
-                SampleSeries(100.0, 0.0, ar), zero, zero, SampleSeries(100.0, 0.0, wt)
+                SampleSeries(0.0, ar), zero, zero, SampleSeries(0.0, wt)
             )
         ).values
         for j in range(out.size):
@@ -385,14 +385,14 @@ def test_criterion_7_property_suites(monkeypatch):
     # shift equivariance of the offset estimator
     base = np.abs(rng.normal(0.0, 0.01, 1200))
     base[rng.choice(np.arange(50, 1150), 25, replace=False)] += rng.uniform(1, 4, 25)
-    s = SampleSeries(100.0, 0.0, base)
+    s = SampleSeries(0.0, base)
     q = self_calibrate_quantizer(s, s)
     monkeypatch.setattr(sf.sync, "MAX_LAG_MS", 500.0)
     ref = estimate_offset(s, s, q).offset_ms
     ok = True
     for _ in range(100):
         k = int(rng.integers(-25, 26))
-        moved = SampleSeries(100.0, 0.0, np.roll(base, k))
+        moved = SampleSeries(0.0, np.roll(base, k))
         ok = ok and estimate_offset(s, moved, q).offset_ms == pytest.approx(ref + 10.0 * k)
     checks.append(("offset shift equivariance", ok))
 
@@ -401,8 +401,8 @@ def test_criterion_7_property_suites(monkeypatch):
     for _ in range(100):
         bounds = np.cumsum(rng.uniform(0.1, 1.0, 4))
         x, y = np.sort(rng.uniform(-1.0, 6.0, 2))
-        lx = quantize(SampleSeries(100.0, 0.0, [x]), bounds).values[0]
-        ly = quantize(SampleSeries(100.0, 0.0, [y]), bounds).values[0]
+        lx = quantize(SampleSeries(0.0, [x]), bounds).values[0]
+        ly = quantize(SampleSeries(0.0, [y]), bounds).values[0]
         ok = ok and lx <= ly
     checks.append(("quantization monotonicity", ok))
 

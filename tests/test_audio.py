@@ -28,7 +28,7 @@ def decoded(audio):
 
 
 def frame_series(values, start=5.0):
-    return SampleSeries(100.0, start, np.asarray(values, dtype=float))
+    return SampleSeries(start, np.asarray(values, dtype=float))
 
 
 # --- PcmAudio -----------------------------------------------------------------
@@ -39,7 +39,7 @@ def test_pcm_quantizes_once_by_round_then_clip():
     audio = PcmAudio.from_float([1.0, -1.0, 0.5 / 32768, 1.5 / 32768, 2.0, -2.0])
     assert audio.samples.dtype == np.int16 and not audio.samples.flags.writeable
     assert audio.samples.tolist() == [32767, -32768, 0, 2, 32767, -32768]
-    assert (len(audio), audio.rate, audio.end_time) == (6, 8000.0, 0.75)
+    assert (len(audio), audio.end_time) == (6, 0.75)
 
 
 def test_pcm_rejects_floats_and_non_finite_values():
@@ -65,7 +65,7 @@ def test_filter_model_holds_exactly_the_filter_taps(taps):
 def test_ste_zeros():
     out = short_time_energy(audio_series(np.zeros(80)), np.array([1.0]))
     assert np.array_equal(out.values, [0.0])
-    assert out.rate == 100.0
+    assert out.start_time == 5.0
 
 
 def test_ste_constant_half():

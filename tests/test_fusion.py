@@ -13,12 +13,14 @@ from shotfuse import (
     select_candidates,
 )
 from shotfuse.events import NEIGHBORHOOD_MS
+from shotfuse.fusion import _running_max
 from shotfuse.imu import ipf, prepare_components
 from shotfuse.pipeline import candidate_dataset, synced_series
+from shotfuse.series import PERIOD_MS
 
 
-def series(values, start=0.0, rate=100.0):
-    return SampleSeries(rate, start, np.asarray(values, dtype=float))
+def series(values, start=0.0):
+    return SampleSeries(start, np.asarray(values, dtype=float))
 
 
 # --- select_candidates -------------------------------------------------------
@@ -87,15 +89,13 @@ def window_view_candidates(ipf_series):
     n = v.size
     if n == 0:
         return np.empty(0)
-    half = int(round((NEIGHBORHOOD_MS / 2.0) / ipf_series.period_ms))
-    if half < 1:
-        return ipf_series.times()
+    half = int(round((NEIGHBORHOOD_MS / 2.0) / PERIOD_MS))
     padded = np.full(n + 2 * half, -np.inf)
     padded[half : half + n] = v
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
     peak_idx = np.flatnonzero(v >= windows.max(axis=1))
     strict = peak_idx[np.count_nonzero(windows[peak_idx] == v[peak_idx, None], axis=1) == 1]
-    return ipf_series.start_time + strict.astype(float) * ipf_series.period_ms
+    return ipf_series.start_time + strict.astype(float) * PERIOD_MS
 
 
 def tied_series(rng, n):
@@ -113,12 +113,22 @@ def tied_series(rng, n):
 
 def test_select_candidates_matches_the_window_view_reference():
     rng = np.random.default_rng(2024)
-    # half = 25 at 100 Hz, 10 at 40 Hz, 4 at 16 Hz, 1 at 5 Hz and 0 at 1 Hz.
-    rates = (100.0, 100.0, 100.0, 40.0, 16.0, 5.0, 1.0)
     for case in range(600):
         n = int(rng.integers(0, 401))
-        s = series(tied_series(rng, n), start=float(rng.uniform(-50, 50)), rate=rates[case % len(rates)])
+        s = series(tied_series(rng, n), start=float(rng.uniform(-50, 50)))
         assert np.array_equal(select_candidates(s), window_view_candidates(s)), case
+
+
+def test_running_max_matches_the_sliding_window_max():
+    # Every width up to 64, so the half windows 0, 1, 4 and 10 are covered
+    # as well as 25, over lengths on both sides of each power of two.
+    rng = np.random.default_rng(2025)
+    powers = [2**k + d for k in range(8) for d in (-1, 0, 1)]
+    for width in range(1, 65):
+        for n in sorted({width, *(p for p in powers if p >= width)}):
+            x = np.round(rng.uniform(0.0, 1.0, n), 1)
+            want = np.lib.stride_tricks.sliding_window_view(x, width).max(axis=1)
+            assert np.array_equal(_running_max(x, width), want), (width, n)
 
 
 # --- extract_features -----------------------------------------------------------
@@ -255,7 +265,7 @@ def test_detect_shots_deterministic(identity_model):
 
 def scan_window_max(s, t, half=250.0):
     """Per-candidate oracle: max over samples timed within [t - half, t + half]."""
-    eps = 1e-9 * s.period_ms
+    eps = 1e-9 * PERIOD_MS
     inside = [v for ts, v in zip(s.times(), s.values) if t - half - eps <= ts <= t + half + eps]
     if inside:
         return max(inside), len(inside)

@@ -24,14 +24,14 @@ def stream(n, rng=None):
     return ImuStream([t, *a, *g])
 
 
-def components(a_rad, w_tan, rate=100.0):
+def components(a_rad, w_tan):
     n = len(a_rad)
-    zero = SampleSeries(rate, 0.0, np.zeros(n))
+    zero = SampleSeries(0.0, np.zeros(n))
     return ImuComponents(
-        a_rad=SampleSeries(rate, 0.0, a_rad),
+        a_rad=SampleSeries(0.0, a_rad),
         a_tan=zero,
         w_rad=zero,
-        w_tan=SampleSeries(rate, 0.0, w_tan),
+        w_tan=SampleSeries(0.0, w_tan),
     )
 
 

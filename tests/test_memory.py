@@ -113,7 +113,7 @@ def test_train_filter_holds_the_forms_and_one_chunk_of_spans(session):
 def test_estimate_offset_temporaries_on_a_10_min_pair():
     rng = np.random.default_rng(11)
     n = 60_000  # 10 min at 100 Hz
-    apf, ipf = (sf.SampleSeries(100.0, start, rng.exponential(1.0, n) * (rng.random(n) < 0.05) + 1e-3 * rng.random(n))
+    apf, ipf = (sf.SampleSeries(start, rng.exponential(1.0, n) * (rng.random(n) < 0.05) + 1e-3 * rng.random(n))
                 for start in (0.0, 130.0))
     q = self_calibrate_quantizer(apf, ipf)
     peak = traced_peak(lambda: estimate_offset(apf, ipf, q))

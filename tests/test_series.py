@@ -13,12 +13,13 @@ from shotfuse import (
     short_time_energy,
     triangle_smooth,
 )
+from shotfuse.audio import PCM_SCALE
 from shotfuse.imu import LOWPASS_A, LOWPASS_B
 from shotfuse.series import FIR_CHUNK_FRAMES, TRIANGLE_TAPS, fir_frames
 
 
-def make(values, rate=100.0, start=0.0):
-    return SampleSeries(rate, start, np.asarray(values, dtype=float))
+def make(values, start=0.0):
+    return SampleSeries(start, np.asarray(values, dtype=float))
 
 
 # --- SampleSeries basics -------------------------------------------------
@@ -27,19 +28,17 @@ def make(values, rate=100.0, start=0.0):
 def test_series_rejects_nonfinite():
     with pytest.raises(ValueError):
         make([1.0, np.nan])
-    with pytest.raises(ValueError):
-        SampleSeries(0.0, 0.0, [1.0])
 
 
 def test_series_timestamps():
-    s = make([0, 1, 2], rate=100.0, start=40.0)
+    s = make([0, 1, 2], start=40.0)
     assert np.allclose(s.times(), [40.0, 50.0, 60.0])
     assert s.end_time == 70.0
     assert s.index_at(51.0) == 1
 
 
 def test_series_slice_time():
-    s = make(np.arange(10), rate=100.0, start=0.0)
+    s = make(np.arange(10))
     sub = s.slice_time(20.0, 50.0)
     assert sub.start_time == 20.0
     assert np.array_equal(sub.values, [2, 3, 4])
@@ -61,17 +60,17 @@ def test_series_adopts_frozen_arrays():
     owned = frozen([1.0, 2.0, 3.0])
     over_bytes = np.frombuffer(np.arange(3.0).tobytes())
     for x in (owned, owned[1:], over_bytes):
-        assert np.shares_memory(SampleSeries(100.0, 0.0, x).values, x)
+        assert np.shares_memory(SampleSeries(0.0, x).values, x)
 
 
 def test_series_checks_adopted_arrays():
     with pytest.raises(ValueError, match="finite"):
-        SampleSeries(100.0, 0.0, frozen([1.0, np.inf]))
+        SampleSeries(0.0, frozen([1.0, np.inf]))
 
 
 def test_series_copies_writeable_input():
     x = np.array([1.0, 2.0])
-    s = SampleSeries(100.0, 0.0, x)
+    s = SampleSeries(0.0, x)
     x[0] = 9.0
     assert s.values.tolist() == [1.0, 2.0]
     assert not s.values.flags.writeable
@@ -81,7 +80,7 @@ def test_series_copies_read_only_view_of_writeable_base():
     base = np.array([1.0, 2.0, 3.0])
     view = base[1:]
     view.flags.writeable = False
-    s = SampleSeries(100.0, 0.0, view)
+    s = SampleSeries(0.0, view)
     base[1] = 9.0
     assert s.values.tolist() == [2.0, 3.0]
 
@@ -90,7 +89,7 @@ def test_series_copies_read_only_array_over_mutable_buffer():
     buffer = bytearray(np.array([1.0, 2.0]).tobytes())
     x = np.frombuffer(buffer)
     x.flags.writeable = False
-    s = SampleSeries(100.0, 0.0, x)
+    s = SampleSeries(0.0, x)
     buffer[:8] = np.array([9.0]).tobytes()
     assert s.values.tolist() == [1.0, 2.0]
 
@@ -99,7 +98,7 @@ def test_series_copies_frozen_arrays_of_another_layout():
     wide = frozen(np.arange(6.0))
     for x in (wide.astype(np.float32), wide[::2], wide.astype(">f8")):
         x.flags.writeable = False
-        values = SampleSeries(100.0, 0.0, x).values
+        values = SampleSeries(0.0, x).values
         assert not np.shares_memory(values, x)
         assert values.dtype == np.float64 and values.flags.c_contiguous
         assert values.tolist() == x.tolist()
@@ -252,7 +251,7 @@ def test_filtered_energy_matches_bruteforce_then_frame_sums(rng, n_taps):
         x = audio.samples / 32768.0
         filtered = brute_force_convolve(x, taps) if n < LONG else np.convolve(x, taps)[:n]
         out = short_time_energy(audio, taps)
-        assert (out.rate, out.start_time) == (100.0, 5.0)
+        assert out.start_time == 5.0
         assert np.allclose(out.values, frame_energy(filtered), rtol=1e-12, atol=0.0), n
 
 
@@ -278,7 +277,7 @@ def frame_wide_fir_frames(read_chunks, scale, taps, frame, frames):
 def block_energies(frames_of, audio, taps, frame):
     """Energy of every frame that holds a sample, a last partial frame read as zero past the end."""
     energy = np.empty(-(-len(audio) // frame))
-    for lo, hi, block in frames_of(audio.chunks, audio.scale, taps, frame, energy.size):
+    for lo, hi, block in frames_of(audio.chunks, PCM_SCALE, taps, frame, energy.size):
         np.einsum("ij,ij->i", block, block, out=energy[lo:hi])
     return energy
 
@@ -359,14 +358,12 @@ def test_lowpass_attenuates_high_frequency():
 
 
 def test_iir_identity_and_zero():
-    x = make(np.zeros(20), rate=100.0, start=30.0)
+    x = make(np.zeros(20), start=30.0)
     out = lowpass(x)
     assert np.array_equal(out.values, x.values)
-    assert (out.rate, out.start_time, len(out)) == (x.rate, x.start_time, len(x))
+    assert (out.start_time, len(out)) == (x.start_time, len(x))
     with pytest.raises(ValueError, match="empty signal"):
         lowpass(make([]))
-    with pytest.raises(ValueError, match="100 Hz"):
-        lowpass(make(np.zeros(20), rate=50.0))
 
 
 def direct_recursion(b, a, x):
@@ -467,11 +464,6 @@ def test_crosscorr_constant_is_zero():
     a = make(np.full(50, 2.0))
     b = make(np.full(50, -1.0))
     assert np.all(cross_correlate(a, b, 5) == 0.0)
-
-
-def test_crosscorr_rate_mismatch():
-    with pytest.raises(ValueError, match="rate mismatch"):
-        cross_correlate(make(np.ones(10), rate=100.0), make(np.ones(10), rate=50.0), 2)
 
 
 def test_crosscorr_lag_symmetry_property():

@@ -14,8 +14,8 @@ from shotfuse import (
 )
 
 
-def series(values, start=0.0, rate=100.0):
-    return SampleSeries(rate, start, np.asarray(values, dtype=float))
+def series(values, start=0.0):
+    return SampleSeries(start, np.asarray(values, dtype=float))
 
 
 def peaked_stream(rng, n=2000, n_peaks=20, start=0.0):
@@ -147,14 +147,6 @@ def test_estimate_pure_noise_low_correlation(rng):
     assert est.peak_correlation < 0.3
 
 
-def test_estimate_rate_mismatch(rng):
-    a, _ = peaked_stream(rng)
-    b = series(a.values, rate=50.0)
-    q = quantizer_for(a, a)
-    with pytest.raises(ValueError, match="rate mismatch"):
-        estimate_offset(a, b, q)
-
-
 def test_estimate_snippet_too_short(rng):
     a = series(np.abs(rng.normal(0.0, 1.0, 300)))
     q = quantizer_for(a, a)
@@ -262,7 +254,7 @@ def test_exactly_tied_peaks_resolve_to_smaller_lag():
     apf[300] = 4.0
     ipf = np.zeros(620)
     ipf[[302, 320]] = 4.0
-    a, b = SampleSeries(100.0, 0.0, apf), SampleSeries(100.0, 0.0, ipf)
+    a, b = SampleSeries(0.0, apf), SampleSeries(0.0, ipf)
     corr = cross_correlate(triangle_smooth(a), triangle_smooth(b), 200)
     assert corr[2 + 200] == corr[20 + 200] == corr.max()
     est = estimate_offset(a, b, q)
@@ -274,7 +266,7 @@ def test_exactly_tied_peaks_resolve_to_smaller_lag():
     apf[300] = 4.0
     ipf = np.zeros(601)
     ipf[[280, 320]] = 4.0
-    a, b = SampleSeries(100.0, 0.0, apf), SampleSeries(100.0, 0.0, ipf)
+    a, b = SampleSeries(0.0, apf), SampleSeries(0.0, ipf)
     corr = cross_correlate(triangle_smooth(a), triangle_smooth(b), 200)
     assert corr[-20 + 200] == corr[20 + 200] == corr.max()
     est = estimate_offset(a, b, q)
@@ -282,7 +274,7 @@ def test_exactly_tied_peaks_resolve_to_smaller_lag():
     assert est.peak_correlation == corr[20 + 200]
 
     # A silent audio train correlates 0 at every lag; the tie goes to lag 0.
-    est = estimate_offset(SampleSeries(100.0, 0.0, np.zeros(601)), b, q)
+    est = estimate_offset(SampleSeries(0.0, np.zeros(601)), b, q)
     assert est.offset_ms == 0.0
     assert est.peak_correlation == 0.0
 
