@@ -371,7 +371,7 @@ def load_filter_model(path) -> FilterModel:
         weights = [_expect(w, "number", f"weights[{i}]") for i, w in enumerate(weights)]
         model = FilterModel(weights, float(_expect(payload["bias"], "number", "bias")))
         for name, fixed in _FILTER_GEOMETRY.items():
-            if payload[name] != fixed:
+            if _integer(payload[name], name) != fixed:
                 raise ValueError(f"{name} must be {fixed}, got {payload[name]!r}")
     return model
 

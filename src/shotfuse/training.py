@@ -8,6 +8,13 @@ weights, so each window's form is built once (center_forms), exactly and
 as its 276-entry upper triangle, and every epoch scores and differentiates
 windows from it in O(taps^2); the gradients are applied with a mini-batch
 Adam loop. Held-out windows are scored from the same forms (form_scores).
+
+A form's first row is one blocked matmul of the window's macroframe
+samples, in rows of _BLOCK, against the overlapping spans each row meets;
+the other rows follow by a diagonal recursion. Every product and partial
+sum is an integer below 2^45, which float64 holds exactly, so any
+summation order gives the same bytes: the forms do not depend on the
+block size, the chunking or the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -53,6 +60,10 @@ ADAM_EPSILON = 1e-8
 INIT_STD = 1.0 / math.sqrt(FILTER_TAPS)
 #: Windows center_forms copies per chunk.
 FORM_CHUNK_WINDOWS = 64
+# Macroframe samples per row of the first form row's blocked product
+# (_history_forms). It divides MICROFRAME_SAMPLES, so that the center
+# microframe is whole rows.
+_BLOCK = 10
 #: Entries of a packed form: the upper triangle of a FILTER_TAPS square, row by row.
 PACKED_TAPS = FILTER_TAPS * (FILTER_TAPS + 1) // 2
 
@@ -64,18 +75,15 @@ _SYMMETRIC = np.empty((FILTER_TAPS, FILTER_TAPS), dtype=np.intp)
 _SYMMETRIC[_UPPER] = _SYMMETRIC.T[_UPPER] = np.arange(PACKED_TAPS)
 _ROW_START = np.r_[0, np.cumsum(np.arange(FILTER_TAPS, 0, -1))]
 _PAIR_SCALE = np.where(_UPPER[0] == _UPPER[1], 1.0, 2.0)
-# 11 c over the center macroframe (10 on the center microframe, -1 on the
-# rest), the nonzero steps of 11 c (0 outside the macroframe) and where
-# they are, and 11 / PCM_SCALE^2 = 11 * 2^30, which turns M into Q.
+# The nonzero steps of 11 c over the center macroframe (10 on the center
+# microframe, -1 on the rest, 0 outside) and where they are, the samples of
+# t_{m-1}[i] = window[m + n_taps - 2 - i], i < n_taps - 1, at each step m,
+# and 11 / PCM_SCALE^2 = 11 * 2^30, which turns M into Q.
 _C11 = np.full(MACROFRAME_FRAMES * MICROFRAME_SAMPLES, -1.0)
 _C11[MACROFRAME_HALF * MICROFRAME_SAMPLES : (MACROFRAME_HALF + 1) * MICROFRAME_SAMPLES] += MACROFRAME_FRAMES
 _STEPS = np.diff(_C11, prepend=0.0, append=0.0)
 _EDGES = np.flatnonzero(_STEPS)
-# t_{m-1}[i], sample m + n_taps - 2 - i of a window, for i < n_taps - 1 and
-# each edge m, as the tap view's row max(m - 1, 0) and the column that
-# completes that sample index.
-_EDGE_ROWS = np.maximum(_EDGES - 1, 0)[:, None]
-_EDGE_COLUMNS = _EDGES[:, None] + (FILTER_TAPS - 2) - np.arange(FILTER_TAPS - 1) - _EDGE_ROWS
+_EDGE_SAMPLES = _EDGES[:, None] + (FILTER_TAPS - 2) - np.arange(FILTER_TAPS - 1)
 _FORM_SCALE = MACROFRAME_FRAMES / PCM_SCALE**2
 
 
@@ -113,14 +121,14 @@ def center_forms(rows) -> np.ndarray:
     Filtered output k of the macroframe is w @ t_k, where
     t_k[i] = window[k + n_taps - 1 - i], and Q = sum_k c_k t_k t_k^T with
     c_k = 1 - 1/11 on the center microframe and -1/11 on the rest of the
-    macroframe. Each entry is the correctly rounded exact value, whatever
-    FORM_CHUNK_WINDOWS or the BLAS thread count (_history_forms).
+    macroframe. The first row is one blocked matmul per chunk of windows,
+    the rest a diagonal recursion (_history_forms). Each entry is the
+    correctly rounded exact value, whatever FORM_CHUNK_WINDOWS, _BLOCK or
+    the BLAS thread count.
     """
     forms = np.empty((len(rows), PACKED_TAPS))
-    # Each chunk of windows is copied, as PCM steps, into one reused buffer,
-    # whose tap view is built once.
+    # Each chunk of windows is copied, as PCM steps, into one reused buffer.
     history = np.empty((min(FORM_CHUNK_WINDOWS, len(rows)), WINDOW_SAMPLES))
-    taps = sliding_window_view(history, FILTER_TAPS, axis=1)
     for lo in range(0, len(rows), FORM_CHUNK_WINDOWS):
         chunk = np.asarray(rows[lo : lo + FORM_CHUNK_WINDOWS])
         if chunk.dtype != np.int16 or chunk.shape[1:] != (WINDOW_SAMPLES,):
@@ -129,28 +137,49 @@ def center_forms(rows) -> np.ndarray:
                 f"got {chunk.dtype} rows of shape {chunk.shape[1:]}"
             )
         history[: len(chunk)] = chunk
-        _history_forms(taps[: len(chunk)], forms[lo : lo + len(chunk)])
+        _history_forms(history[: len(chunk)], forms[lo : lo + len(chunk)])
     return forms
 
 
-def _history_forms(taps: np.ndarray, forms: np.ndarray) -> np.ndarray:
-    """center_forms of window rows of PCM steps, from their tap view, written into packed forms.
+def _history_forms(history: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """center_forms of window rows of PCM steps, written into packed forms.
 
-    taps[n, k] is the FILTER_TAPS samples of window n from sample k on.
     Up to the final division everything is an integer below 2^45, which
     float64 holds exactly in any summation order: the samples are PCM
-    steps and 11 c_k is 10 or -1, so this builds M = 11 * 2^30 * Q. The
-    first row is one pass over the taps. Shifting both indices by one
-    moves every t_k back one output, so Q[i+1, j+1] = Q[i, j] plus one
-    rank-one term per step of c (c is 0 outside the macroframe): packed
-    row i+1 is row i without its last entry plus that step's row. The
-    division rounds each entry of M / (11 * 2^30) once.
+    steps and 11 c_k is 10 or -1, so this builds M = 11 * 2^30 * Q, and no
+    blocking, chunking or BLAS thread count can change a bit of it.
+
+    The first row holds the lagged sums sum_k 11 c_k x[k] window[k + j],
+    j < n_taps, of the macroframe's samples x[k] = window[k + n_taps - 1].
+    They come from one batched matmul: x, reshaped into rows of _BLOCK
+    samples, times the overlapping spans window[b * _BLOCK :][:width] of
+    width = _BLOCK + n_taps - 1 that row b meets, so that entry (r, s) of a
+    window's _BLOCK x width product sums x[k] window[k + s - r] over the k
+    of column r of the rows, and diagonal j of the product sums to lag j.
+    _BLOCK divides the microframe, so the center microframe is whole rows,
+    and their product, times 11, adds the center's weight without a
+    weighted copy of x. Shifting both indices by one moves every t_k back
+    one output, so Q[i+1, j+1] = Q[i, j] plus one rank-one term per step
+    of c (c is 0 outside the macroframe): packed row i+1 is row i without
+    its last entry plus that step's row. The division rounds each entry of
+    M / (11 * 2^30) once.
     """
-    n_taps = FILTER_TAPS
-    forms[:, :n_taps] = np.einsum("nk,nkj->nj", taps[:, :, -1] * _C11, taps)[:, ::-1]
+    n, n_taps, block = len(history), FILTER_TAPS, _BLOCK
+    width = block + n_taps - 1
+    rows = history[:, n_taps - 1 :].reshape(n, -1, block).transpose(0, 2, 1)
+    spans = sliding_window_view(history, width, axis=1)[:, ::block]
+    center = slice(MACROFRAME_HALF * MICROFRAME_SAMPLES // block, (MACROFRAME_HALF + 1) * MICROFRAME_SAMPLES // block)
+    product = np.empty((n, block, width))
+    diagonals = sliding_window_view(product.reshape(n, -1), n_taps, axis=1)[:, :: width + 1]
+    ones = np.ones(block)
+    np.matmul(rows, spans, out=product)
+    lagged = ones @ diagonals
+    np.matmul(rows[:, :, center], spans[:, center], out=product)
+    forms[:, :n_taps] = (MACROFRAME_FRAMES * (ones @ diagonals) - lagged)[:, ::-1]
+    del product, diagonals  # before the edge terms, so the chunk's peak falls
     # Q[i+1, j+1] - Q[i, j] sums step[m] * t_{m-1}[i] * t_{m-1}[j] over the
     # edges m of the macroframe and of the center microframe.
-    u = taps[:, _EDGE_ROWS, _EDGE_COLUMNS]
+    u = history[:, _EDGE_SAMPLES]
     shift = (u * _STEPS[_EDGES, None]).transpose(0, 2, 1) @ u
     for i in range(n_taps - 1):
         row, below = _ROW_START[i], _ROW_START[i + 1]

@@ -542,8 +542,13 @@ def test_filter_model_rejects_another_tap_count(tmp_path):
         (lambda p: p.update(bias="1.5"), "bias must be a JSON number, got string"),
         # Used to report "weights must hold 23 values, got 23".
         (lambda p: p.update(weights=[p["weights"]]), "weights\\[0\\] must be a JSON number, got array"),
+        # 10.0 and 8000.0 used to load, and saving the model again wrote 10 and 8000.
+        (lambda p: p.update(microframe_ms=10.0), "microframe_ms must be a JSON integer, got 10.0"),
+        (lambda p: p.update(sample_rate=8000.0), "sample_rate must be a JSON integer, got 8000.0"),
+        (lambda p: p.update(sample_rate=True), "sample_rate must be a JSON integer, got true"),
     ],
-    ids=["bias-null", "bias-array", "bias-true", "bias-string", "weights-nested"],
+    ids=["bias-null", "bias-array", "bias-true", "bias-string", "weights-nested",
+         "microframe-float", "rate-float", "rate-true"],
 )
 def test_filter_model_rejects_wrongly_typed_fields(tmp_path, edit, message):
     path = tmp_path / "filter.json"

@@ -103,10 +103,13 @@ def test_train_filter_holds_the_forms_and_one_chunk_of_spans(session):
     positives = sum(w.label for w in train_set)
     negatives = min(len(train_set) - positives, round(cfg.neg_pos_ratio * positives))
     forms_bytes = (positives + negatives) * PACKED_TAPS * 8
-    # Margin: 1.5 MB above the packed forms (3.3 MB here). Measured 1.20 MB:
-    # one chunk's windows and their weighted copy, 0.46 MB each, and the
-    # recursion's steps. Decoding and padding whole windows per
-    # 128-window chunk took 4.26 MB; full (windows, 23, 23) forms, 3.1 MB more.
+    # Margin: 1.5 MB above the packed forms (3.3 MB here). Measured 0.98 MB:
+    # one chunk's windows as PCM steps (0.46 MB) and as int16 (0.12 MB), and
+    # the recursion's steps (0.34 MB, 0.25 MB of it their products); the
+    # first row's 0.16 MB blocked product is freed before the steps. A
+    # weighted copy of the chunk's windows for an einsum took 1.20 MB;
+    # decoding and padding whole windows per 128-window chunk, 4.26 MB;
+    # full (windows, 23, 23) forms, 3.1 MB more.
     assert peak < forms_bytes + 1.5 * MB, f"{(peak - forms_bytes) / MB:.2f} MB above the forms"
 
 

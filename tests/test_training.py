@@ -199,6 +199,10 @@ def test_center_forms_bytes_do_not_depend_on_chunking(rng, monkeypatch):
         monkeypatch.setattr(training, "FORM_CHUNK_WINDOWS", chunk)
         digests.add(hashlib.sha256(center_forms(samples).tobytes()).hexdigest())
         digests.add(hashlib.sha256(center_forms(list(samples)).tobytes()).hexdigest())
+    # Every block size that divides the 80-sample microframe.
+    for block in (5, 8, 10, 16, 20, 40, 80):
+        monkeypatch.setattr(training, "_BLOCK", block)
+        digests.add(hashlib.sha256(center_forms(samples).tobytes()).hexdigest())
     assert len(digests) == 1
 
 
