@@ -3,7 +3,8 @@
 Candidate points are strict local maxima of the motion likelihood within a
 500 ms neighborhood. Each candidate is described by the maxima of five
 synchronized series in that neighborhood and handed to the forest; runs of
-consecutive positives collapse to their first event.
+consecutive positives collapse to their first event. candidate_table is the
+one source of candidate times and features for detection and forest training.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "SyncedSeries",
     "select_candidates",
     "extract_features",
+    "candidate_table",
     "detect_shots",
     "audio_only_events",
 ]
@@ -70,11 +72,6 @@ class SyncedSeries:
             offset,
             validated,
         )
-
-    @property
-    def feature_series(self) -> tuple[SampleSeries, ...]:
-        """The five series in FEATURE_NAMES order."""
-        return (self.apf, self.ipf, self.a_rad, self.a_tan, self.w_rad)
 
     def sync_report(self) -> dict:
         """The sync.json payload."""
@@ -146,19 +143,30 @@ def extract_features(
     """Neighborhood maxima of the five series around each candidate time.
 
     Returns the (len(times), 5) feature matrix, columns in FEATURE_NAMES
-    order. All series must already sit on the common clock. Partial
-    windows at the stream edges use whatever samples are available.
+    order. All series must already sit on the common clock and hold
+    samples. Partial windows at the stream edges use whatever samples are
+    available.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     series = (apf, ipf_series, a_rad, a_tan, w_rad)
+    for name, s in zip(FEATURE_NAMES, series):
+        if len(s) == 0:
+            raise ValueError(f"{name.removesuffix('_max')} series is empty")
     outside = np.ones(times.size, dtype=bool)
     for s in series:
-        outside &= (times < s.start_time) | (times >= s.end_time)
+        # Written positively so that a NaN time counts as outside.
+        outside &= ~((times >= s.start_time) & (times < s.end_time))
     if outside.any():
         raise ValueError("candidate out of range")
     half = NEIGHBORHOOD_MS / 2.0
     t0, t1 = times - half, times + half
     return np.column_stack([_window_maxima(s, t0, t1) for s in series])
+
+
+def candidate_table(synced: SyncedSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate times (n,) and their (n, 5) feature matrix, columns in FEATURE_NAMES order."""
+    times = select_candidates(synced.ipf)
+    return times, extract_features(times, synced.apf, synced.ipf, synced.a_rad, synced.a_tan, synced.w_rad)
 
 
 def detect_shots(synced: SyncedSeries, forest_model: ForestModel) -> list[ShotEvent]:
@@ -169,8 +177,7 @@ def detect_shots(synced: SyncedSeries, forest_model: ForestModel) -> list[ShotEv
     deduplicated. Deterministic end to end; every emitted timestamp is a
     candidate timestamp.
     """
-    times = select_candidates(synced.ipf)
-    X = extract_features(times, *synced.feature_series)
+    times, X = candidate_table(synced)
     labels, scores = classify(forest_model, X)
     shot = labels == 1
     hits = [ShotEvent(t, s) for t, s in zip(times[shot].tolist(), scores[shot].tolist())]

@@ -41,13 +41,8 @@ from .dataio import (
 )
 from .events import MATCH_TOLERANCE_MS, LabelSet, check_tolerance, evaluate, precision_recall_f
 from .forest import DEFAULT_TREE_COUNT, check_seed, classify, train_forest
-from .fusion import (
-    SyncedSeries,
-    audio_only_events,
-    detect_shots,
-    extract_features,
-    select_candidates,
-)
+from .fusion import SyncedSeries, audio_only_events, candidate_table, detect_shots
+from .fusion import extract_features, select_candidates  # noqa: F401 -- still bound here for tools that wrap them
 from .imu import ImuStream, ipf, prepare_components
 from .series import SampleSeries
 from .sync import estimate_offset, self_calibrate_quantizer, validate_offset
@@ -220,13 +215,12 @@ def _require_models(*paths) -> None:
 
 
 def candidate_dataset(synced: SyncedSeries, labels: LabelSet) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate feature matrix (n, 5) and proximity-derived 0/1 labels (n,).
+    """candidate_table's feature matrix (n, 5) and proximity-derived 0/1 labels (n,).
 
     A candidate is positive iff it lies within CANDIDATE_LABEL_TOLERANCE_MS
     of some ground-truth shot.
     """
-    times = select_candidates(synced.ipf)
-    X = extract_features(times, *synced.feature_series)
+    times, X = candidate_table(synced)
     return X, (_label_distance(labels, times) <= CANDIDATE_LABEL_TOLERANCE_MS).astype(int)
 
 
@@ -259,9 +253,7 @@ def train_forest_workflow(data_dir, filter_path, out_path, seed: int = 0) -> dic
     predicted, _ = classify(model, X[val_rows])
     correct = int(np.count_nonzero(predicted == y[val_rows]))
     return {
-        "offset_ms": synced.offset.offset_ms,
-        "peak_correlation": synced.offset.peak_correlation,
-        "validated": synced.validated,
+        **synced.sync_report(),
         "candidates": int(y.size),
         "validation_accuracy": correct / len(val_rows) if val_rows else 1.0,
         "model_path": str(out_path),

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -30,3 +31,27 @@ def test_import_loads_only_numpy_and_the_standard_library():
     env = dict(os.environ, PYTHONPATH=str(Path(shotfuse.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert set(out.stdout.split()) - set(sys.stdlib_module_names) <= {"numpy", "shotfuse"}
+
+
+def test_benchmark_tracer_finds_every_binding_it_wraps():
+    # The benchmark's tracer wraps library functions where modules bind them; a binding a module
+    # no longer has would stop every traced run. Loaded by path, so perfbench stays off sys.path.
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    bound = [
+        (mod, name.split(".", 1)[1])
+        for name, modules in spans.BINDINGS.items()
+        for mod in (importlib.import_module(f"shotfuse.{m}") for m in modules)
+    ]
+    missing = [f"{mod.__name__}.{attr}" for mod, attr in bound if not hasattr(mod, attr)]
+    assert missing == []
+    originals = [getattr(mod, attr) for mod, attr in bound]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert all(getattr(mod, attr).__wrapped__ is fn for (mod, attr), fn in zip(bound, originals))
+    finally:
+        tracer.uninstall()
+    assert all(getattr(mod, attr) is fn for (mod, attr), fn in zip(bound, originals))

@@ -174,10 +174,19 @@ def test_partial_window_at_edge(rng):
         assert c[k] == pytest.approx(np.max(a[:29]), rel=1e-12)
 
 
-def test_candidate_out_of_range():
+@pytest.mark.parametrize("t", [99999.0, np.inf, -np.inf, np.nan])
+def test_candidate_out_of_range(t):
     ss = five_series()
     with pytest.raises(ValueError, match="candidate out of range"):
-        extract_features([99999.0], *ss)
+        extract_features([t], *ss)
+
+
+def test_empty_series_is_named():
+    for k, name in enumerate(["apf", "ipf", "a_rad", "a_tan", "w_rad"]):
+        ss = list(five_series())
+        ss[k] = series(np.empty(0))
+        with pytest.raises(ValueError, match=f"^{name} series is empty$"):
+            extract_features([500.0], *ss)
 
 
 # --- detect_shots ------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import shotfuse as sf
-from shotfuse import forest, pipeline, sync
+from shotfuse import forest, fusion, pipeline, sync
 from shotfuse.dataio import (
     load_filter_model,
     load_forest_model,
@@ -22,7 +22,9 @@ from shotfuse.pipeline import (
     candidate_dataset,
     run_pipeline,
     shuffle_split,
+    sync_workflow,
     synced_series,
+    train_forest_workflow,
     windows_from_labels,
 )
 
@@ -98,6 +100,52 @@ def test_run_pipeline_missing_model(fixture_dir, tmp_path):
             fixture_dir / "forest.json",
             PipelineOptions(out_dir=str(tmp_path)),
         )
+
+
+def test_detection_and_training_read_one_candidate_table(fixture_dir, tmp_path, monkeypatch):
+    # Both workflows take their candidates and features from fusion.candidate_table, once per run,
+    # and training sees the very matrix the forest votes on in detection.
+    calls = {"select_candidates": 0, "extract_features": 0}
+    voted = []
+
+    def counting(name):
+        fn = getattr(fusion, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return spy
+
+    def classify(model, X):
+        voted.append(X)
+        return forest.classify(model, X)
+
+    for name in calls:
+        monkeypatch.setattr(fusion, name, counting(name))
+    monkeypatch.setattr(fusion, "classify", classify)
+    run_pipeline(
+        fixture_dir / "audio.wav", fixture_dir / "imu.csv", fixture_dir / "filter.json",
+        fixture_dir / "forest.json", PipelineOptions(out_dir=str(tmp_path / "out")),
+    )
+    assert calls == {"select_candidates": 1, "extract_features": 1}
+    train_forest_workflow(fixture_dir, fixture_dir / "filter.json", tmp_path / "forest.json", seed=8)
+    assert calls == {"select_candidates": 2, "extract_features": 2}
+
+    apf = sf.audio_likelihood(read_wav(fixture_dir / "audio.wav"), load_filter_model(fixture_dir / "filter.json"))
+    synced = synced_series(apf, read_imu_csv(fixture_dir / "imu.csv"))
+    voted.clear()
+    fusion.detect_shots(synced, load_forest_model(fixture_dir / "forest.json"))
+    [X] = voted
+    labels = read_labels_csv(fixture_dir / "labels.csv")
+    assert candidate_dataset(synced, labels)[0].tobytes() == X.tobytes()
+
+
+def test_train_forest_reports_the_sync_payload(fixture_dir, tmp_path):
+    result = train_forest_workflow(fixture_dir, fixture_dir / "filter.json", tmp_path / "forest.json", seed=8)
+    payload = sync_workflow(fixture_dir / "audio.wav", fixture_dir / "imu.csv", fixture_dir / "filter.json")
+    assert set(payload) == {"offset_ms", "peak_correlation", "validated", "window_seconds"}
+    assert {key: result[key] for key in payload} == payload
 
 
 def test_windows_snap_to_stream_frame_grid(monkeypatch):
