@@ -9,7 +9,7 @@ from .audio import (
     detect_audio,
     short_time_energy,
 )
-from .events import EvalReport, LabelSet, ShotEvent, dedup, evaluate
+from .events import EvalReport, LabelSet, dedup, evaluate
 from .forest import ForestModel, classify, train_forest
 from .fusion import (
     SyncedSeries,
@@ -43,7 +43,6 @@ __all__ = [
     "OffsetEstimate",
     "PcmAudio",
     "SampleSeries",
-    "ShotEvent",
     "SynthConfig",
     "SyncedSeries",
     "TrainConfig",

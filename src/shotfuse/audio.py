@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import ShotEvent
 from .series import PERIOD_MS, SampleSeries, fir_frames, freeze, freeze_in_place
 
 __all__ = [
@@ -206,10 +205,13 @@ def audio_likelihood(x: PcmAudio, model: FilterModel) -> SampleSeries:
     return apf(short_time_energy(x, model.weights))
 
 
-def detect_audio(x: PcmAudio, model: FilterModel) -> list[ShotEvent]:
-    """One event per microframe whose biased likelihood is strictly positive; x as in audio_likelihood."""
+def detect_audio(x: PcmAudio, model: FilterModel) -> np.ndarray:
+    """One event per microframe whose biased likelihood is strictly positive; x as in audio_likelihood.
+
+    Returns the (n, 2) event table: time_ms, then the biased likelihood as score.
+    """
     likelihood = audio_likelihood(x, model)
     scores = likelihood.values + model.bias
     hits = np.flatnonzero(scores > 0.0)
     times = likelihood.start_time + hits * PERIOD_MS
-    return [ShotEvent(float(t), float(s)) for t, s in zip(times, scores[hits])]
+    return np.column_stack((times, scores[hits]))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .dataio import (
     ensure_dir,
@@ -68,8 +69,6 @@ def cmd_sync(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    if not args.audio_only and (args.imu is None or args.forest is None):
-        raise ValueError("detect needs --imu and --forest unless --audio-only is given")
     options = PipelineOptions(
         out_dir=args.out_dir,
         labels_path=args.labels,
@@ -85,8 +84,7 @@ def cmd_detect(args) -> int:
 def cmd_eval(args) -> int:
     events = read_events_csv(args.events)
     labels = read_labels_csv(args.labels)
-    report = evaluate(events, labels, args.tolerance_ms)
-    _emit(report.to_dict())
+    _emit(asdict(evaluate(events[:, 0], labels, args.tolerance_ms)))
     return 0
 
 

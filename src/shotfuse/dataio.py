@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import MICROFRAME_MS, SAMPLE_RATE_HZ, FilterModel, PcmAudio
-from .events import LabelSet, ShotEvent
+from .events import LabelSet
 from .forest import NODE_FIELDS, ForestModel
 from .imu import ImuStream, first_invalid_sample
 from .series import SampleSeries, freeze_in_place
@@ -271,21 +271,23 @@ def write_labels_csv(path, labels: LabelSet) -> None:
             fh.write(f"{t:.3f}\n")
 
 
-def read_events_csv(path) -> list[ShotEvent]:
+def read_events_csv(path) -> np.ndarray:
+    """The (n, 2) event table of a time_ms,score CSV, in file order."""
+
     def locate(header):
         if header is None or header[:2] != ["time_ms", "score"]:
             raise ValueError("expected header time_ms,score")
         return [0, 1]
 
     block, _ = _read_numeric_csv(path, ("time_ms", "score"), locate)
-    return [ShotEvent(t, score) for t, score in block.T.tolist()]
+    return block.T
 
 
-def write_events_csv(path, events: list[ShotEvent]) -> None:
+def write_events_csv(path, events: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("time_ms,score\n")
-        for e in events:
-            fh.write(f"{e.time_ms:.3f},{e.score:.6f}\n")
+        for t, s in events.tolist():
+            fh.write(f"{t:.3f},{s:.6f}\n")
 
 
 def write_series_csv(path, series: SampleSeries) -> None:

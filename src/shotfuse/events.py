@@ -1,4 +1,9 @@
-"""Shot events, ground-truth labels, and tolerance-based evaluation."""
+"""Shot events, ground-truth labels, and tolerance-based evaluation.
+
+An event list is an (n, 2) float array, one row per event: time_ms, then a
+score (a vote fraction in [0, 1] from the fused classifier, the biased
+likelihood from the audio-only path), the two columns of detections.csv.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ import numpy as np
 
 from .series import freeze
 
-__all__ = ["NEIGHBORHOOD_MS", "MATCH_TOLERANCE_MS", "ShotEvent", "LabelSet", "EvalReport", "dedup",
+__all__ = ["NEIGHBORHOOD_MS", "MATCH_TOLERANCE_MS", "LabelSet", "EvalReport", "dedup",
            "check_tolerance", "precision_recall_f", "evaluate"]
 
 #: Width of a shot's neighborhood: the candidate and feature window of
@@ -17,18 +22,6 @@ __all__ = ["NEIGHBORHOOD_MS", "MATCH_TOLERANCE_MS", "ShotEvent", "LabelSet", "Ev
 NEIGHBORHOOD_MS = 500.0
 #: Default distance within which a detection matches a label (evaluate).
 MATCH_TOLERANCE_MS = 100.0
-
-
-@dataclass(frozen=True)
-class ShotEvent:
-    """A detected (or hypothesized) shot: timestamp in ms plus a score.
-
-    Scores from the fused classifier are vote fractions in [0, 1]; the
-    audio-only path emits raw thresholded likelihood values instead.
-    """
-
-    time_ms: float
-    score: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,35 +56,27 @@ class EvalReport:
     false_negatives: int
     match_tolerance_ms: float
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_score": self.f_score,
-            "true_positives": self.true_positives,
-            "false_positives": self.false_positives,
-            "false_negatives": self.false_negatives,
-            "match_tolerance_ms": self.match_tolerance_ms,
-        }
 
+def dedup(times) -> np.ndarray:
+    """Positions of the events kept: the first of any run at most NEIGHBORHOOD_MS apart.
 
-def dedup(events: list[ShotEvent]) -> list[ShotEvent]:
-    """Keep the first of any run of events at most NEIGHBORHOOD_MS apart.
-
-    An event is dropped iff it falls within NEIGHBORHOOD_MS after the
-    previously kept event, exactly NEIGHBORHOOD_MS included; the first
-    event is always kept.
+    times must be finite and ascending. An event is dropped iff it falls
+    within NEIGHBORHOOD_MS after the previously kept event, exactly
+    NEIGHBORHOOD_MS included (as t - last_kept <= NEIGHBORHOOD_MS); the
+    first event is always kept.
     """
-    kept: list[ShotEvent] = []
-    last_time = None
-    for e in events:
-        if last_time is not None and e.time_ms < last_time:
-            raise ValueError("unordered events")
-        last_time = e.time_ms
-        if kept and e.time_ms - kept[-1].time_ms <= NEIGHBORHOOD_MS:
-            continue
-        kept.append(e)
-    return kept
+    times = np.asarray(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError("event times must be finite")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("unordered events")
+    kept = []
+    last = -math.inf
+    for i, t in enumerate(times.tolist()):
+        if t - last > NEIGHBORHOOD_MS:
+            kept.append(i)
+            last = t
+    return np.array(kept, dtype=np.intp)
 
 
 def check_tolerance(tolerance_ms: float) -> None:
@@ -112,10 +97,8 @@ def precision_recall_f(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f_score
 
 
-def evaluate(
-    events: list[ShotEvent], labels: LabelSet, tolerance_ms: float = MATCH_TOLERANCE_MS
-) -> EvalReport:
-    """Score detections against labels with greedy one-to-one matching.
+def evaluate(times, labels: LabelSet, tolerance_ms: float = MATCH_TOLERANCE_MS) -> EvalReport:
+    """Score detection times (ms, any order) against labels with greedy one-to-one matching.
 
     Labels are processed in time order; each label claims the nearest
     still-unmatched event within +/- tolerance_ms (ties go to the earlier
@@ -125,7 +108,9 @@ def evaluate(
     tolerance_ms must be finite and non-negative, and event times finite.
     """
     check_tolerance(tolerance_ms)
-    times = np.sort(np.array([e.time_ms for e in events], dtype=float))
+    times = np.sort(np.asarray(times, dtype=float))
+    if times.ndim != 1:
+        raise ValueError("event times must be one-dimensional")
     if not np.all(np.isfinite(times)):
         raise ValueError("event times must be finite")
     n = times.size

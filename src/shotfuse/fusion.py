@@ -15,7 +15,7 @@ import numpy as np
 
 from .audio import FilterModel, PcmAudio, detect_audio
 from .audio import audio_likelihood  # noqa: F401 -- still bound here for tools that wrap it
-from .events import NEIGHBORHOOD_MS, ShotEvent, dedup
+from .events import NEIGHBORHOOD_MS, dedup
 from .forest import ForestModel, classify
 from .imu import ImuComponents
 from .imu import ipf, prepare_components  # noqa: F401 -- still bound here for tools that wrap them
@@ -169,22 +169,23 @@ def candidate_table(synced: SyncedSeries) -> tuple[np.ndarray, np.ndarray]:
     return times, extract_features(times, synced.apf, synced.ipf, synced.a_rad, synced.a_tan, synced.w_rad)
 
 
-def detect_shots(synced: SyncedSeries, forest_model: ForestModel) -> list[ShotEvent]:
-    """Full fused pipeline on synchronized streams.
+def detect_shots(synced: SyncedSeries, forest_model: ForestModel) -> np.ndarray:
+    """Full fused pipeline on synchronized streams: the (n, 2) event table of time_ms and score.
 
     Candidates come from the motion likelihood, features from both
     modalities, decisions from the forest, and consecutive positives are
-    deduplicated. Deterministic end to end; every emitted timestamp is a
-    candidate timestamp.
+    deduplicated. Deterministic end to end; each row holds a candidate_table
+    time and its vote fraction.
     """
     times, X = candidate_table(synced)
     labels, scores = classify(forest_model, X)
-    shot = labels == 1
-    hits = [ShotEvent(t, s) for t, s in zip(times[shot].tolist(), scores[shot].tolist())]
-    return dedup(hits)
+    hits = np.flatnonzero(labels == 1)
+    kept = hits[dedup(times[hits])]
+    return np.column_stack((times[kept], scores[kept]))
 
 
-def audio_only_events(audio: PcmAudio, filter_model: FilterModel) -> list[ShotEvent]:
+def audio_only_events(audio: PcmAudio, filter_model: FilterModel) -> np.ndarray:
     """Single-modality baseline: biased likelihood threshold plus dedup; audio as in audio_likelihood."""
-    return dedup(detect_audio(audio, filter_model))
+    events = detect_audio(audio, filter_model)
+    return events[dedup(events[:, 0])]
 

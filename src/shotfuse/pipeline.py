@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +293,8 @@ def run_pipeline(
     sync.json to options.out_dir; optionally the likelihood series as CSVs.
     Returns a result dict mirroring what lands on disk.
     """
+    if not options.audio_only and (imu_path is None or forest_model_path is None):
+        raise ValueError("detect needs --imu and --forest unless --audio-only is given")
     _require_models(filter_model_path)
     if not options.audio_only:
         _require_models(forest_model_path)
@@ -324,5 +326,5 @@ def run_pipeline(
     result["event_count"] = len(events)
 
     if labels is not None:
-        result["report"] = evaluate(events, labels, options.tolerance_ms).to_dict()
+        result["report"] = asdict(evaluate(events[:, 0], labels, options.tolerance_ms))
     return result

@@ -17,7 +17,6 @@ from shotfuse import (
     LabeledAudioWindow,
     LabelSet,
     PcmAudio,
-    ShotEvent,
     SynthConfig,
     TrainConfig,
 )
@@ -211,7 +210,7 @@ def test_criterion_4_synchronization():
 # --- 5 + 6. end-to-end fusion and determinism ---------------------------------------
 
 
-def imu_only_events(imu: ImuStream, threshold: float, offset_ms: float = 0.0) -> list[ShotEvent]:
+def imu_only_events(imu: ImuStream, threshold: float, offset_ms: float = 0.0) -> np.ndarray:
     """Single-modality baseline: IPF candidates above a fixed threshold.
 
     offset_ms (IMU minus audio time) relocates the events onto the audio
@@ -221,9 +220,9 @@ def imu_only_events(imu: ImuStream, threshold: float, offset_ms: float = 0.0) ->
     likelihood = ipf(prepare_components(imu)).shifted(-offset_ms)
     times = select_candidates(likelihood)
     values = likelihood.values[likelihood.index_at(times)]
-    keep = values > threshold
-    hits = [ShotEvent(t, v) for t, v in zip(times[keep].tolist(), values[keep].tolist())]
-    return dedup(hits)
+    hits = np.flatnonzero(values > threshold)
+    kept = hits[dedup(times[hits])]
+    return np.column_stack((times[kept], values[kept]))
 
 
 def calibrate_ipf_threshold(
@@ -243,8 +242,8 @@ def calibrate_ipf_threshold(
     best_f = -1.0
     best_cut = 0.0
     for cut in cuts:
-        events = dedup([ShotEvent(float(t), float(v)) for t, v in zip(times, values) if v > cut])
-        f = evaluate(events, labels, tolerance_ms).f_score
+        above = times[values > cut]
+        f = evaluate(above[dedup(above)], labels, tolerance_ms).f_score
         if f > best_f or (f == best_f and cut > best_cut):
             best_f = f
             best_cut = cut
@@ -290,10 +289,10 @@ def test_criterion_5_end_to_end_fusion(trained_models, monkeypatch):
     elapsed = time.time() - t0
     est = synced.offset
 
-    fused = evaluate(events, labels, 100.0)
-    audio_only = evaluate(sf.audio_only_events(audio, filter_model), labels, 100.0)
+    fused = evaluate(events[:, 0], labels, 100.0)
+    audio_only = evaluate(sf.audio_only_events(audio, filter_model)[:, 0], labels, 100.0)
     imu_only = evaluate(
-        imu_only_events(imu, ipf_threshold, est.offset_ms), labels, 100.0
+        imu_only_events(imu, ipf_threshold, est.offset_ms)[:, 0], labels, 100.0
     )
     gap_audio = fused.f_score - audio_only.f_score
     gap_imu = fused.f_score - imu_only.f_score
@@ -410,9 +409,8 @@ def test_criterion_7_property_suites(monkeypatch):
     ok = True
     for _ in range(100):
         times = np.sort(rng.uniform(0, 30000, int(rng.integers(0, 50))))
-        events = [ShotEvent(float(t), 1.0) for t in times]
-        once = dedup(events)
-        ok = ok and dedup(once) == once
+        once = times[dedup(times)]
+        ok = ok and np.array_equal(dedup(once), np.arange(once.size))
     checks.append(("dedup idempotence", ok))
 
     # vote-majority consistency
@@ -442,8 +440,7 @@ def test_criterion_7_property_suites(monkeypatch):
     for _ in range(100):
         e_times = np.sort(rng.uniform(0, 10000, int(rng.integers(0, 20))))
         l_times = np.unique(rng.uniform(0, 10000, int(rng.integers(1, 20))))
-        events = [ShotEvent(float(t), 1.0) for t in e_times]
-        report = evaluate(events, LabelSet(l_times), 120.0)
+        report = evaluate(e_times, LabelSet(l_times), 120.0)
         ok = ok and report.true_positives + report.false_negatives == l_times.size
         ok = ok and report.true_positives + report.false_positives == e_times.size
     checks.append(("match accounting", ok))

@@ -227,11 +227,11 @@ def test_likelihood_deterministic(identity_model, rng):
 def test_detect_none_with_huge_negative_bias(rng):
     model = FilterModel(np.r_[1.0, np.zeros(22)], bias=-1e12)
     x = rng.standard_normal(8000)
-    assert detect_audio(audio_series(x), model) == []
+    assert detect_audio(audio_series(x), model).shape == (0, 2)
 
 
 def test_detect_zero_audio_zero_bias(identity_model):
-    assert detect_audio(audio_series(np.zeros(8000)), identity_model) == []
+    assert detect_audio(audio_series(np.zeros(8000)), identity_model).shape == (0, 2)
 
 
 def test_detect_single_event_at_peak():
@@ -245,8 +245,8 @@ def test_detect_single_event_at_peak():
     events = detect_audio(audio_series(x), model)
     assert len(events) == len(expected_hits) == 1
     hit_time = likelihood.start_time + expected_hits[0] * 10.0
-    assert events[0].time_ms == pytest.approx(hit_time)
-    assert events[0].score == pytest.approx(
+    assert events[0, 0] == pytest.approx(hit_time)
+    assert events[0, 1] == pytest.approx(
         float(likelihood.values[expected_hits[0]]) + model.bias
     )
 
@@ -254,4 +254,4 @@ def test_detect_single_event_at_peak():
 def test_detect_strict_inequality_at_zero(identity_model):
     # all-zero audio gives APF exactly 0; bias 0 must not fire
     events = detect_audio(audio_series(np.zeros(2400)), identity_model)
-    assert events == []
+    assert events.shape == (0, 2)

@@ -116,6 +116,16 @@ def test_detect_missing_model_fails(workspace, tmp_path):
     assert "model not found" in proc.stderr
 
 
+def test_detect_needs_imu_and_forest_unless_audio_only(workspace, tmp_path):
+    data = workspace["data"]
+    out_dir = tmp_path / "out"
+    proc = run_cli("detect", "--audio", data / "audio.wav", "--filter", workspace["filter"],
+                   "--forest", workspace["forest"], "--out-dir", out_dir, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: detect needs --imu and --forest unless --audio-only is given\n"
+    assert not out_dir.exists()
+
+
 def test_sync_missing_model_fails(workspace, tmp_path):
     data = workspace["data"]
     missing = tmp_path / "nope.json"

@@ -14,7 +14,6 @@ from shotfuse import (
     ImuStream,
     LabelSet,
     PcmAudio,
-    ShotEvent,
     SynthConfig,
     synthesize,
     train_forest,
@@ -452,7 +451,7 @@ def test_labels_and_events_skip_blank_lines_and_extra_fields(tmp_path):
     assert np.array_equal(read_labels_csv(labels).shots, [100.0, 250.5])
     events = tmp_path / "events.csv"
     events.write_text("time_ms,score,why\n\n105.0,0.9,x\n210.0,0.5\n")
-    assert read_events_csv(events) == [ShotEvent(105.0, 0.9), ShotEvent(210.0, 0.5)]
+    assert np.array_equal(read_events_csv(events), [[105.0, 0.9], [210.0, 0.5]])
 
 
 def test_header_only_files_are_empty(tmp_path):
@@ -464,16 +463,15 @@ def test_header_only_files_are_empty(tmp_path):
     assert len(read_labels_csv(labels)) == 0
     events = tmp_path / "events.csv"
     events.write_text("time_ms,score\n")
-    assert read_events_csv(events) == []
+    assert read_events_csv(events).shape == (0, 2)
 
 
 def test_events_round_trip(tmp_path):
-    events = [ShotEvent(105.0, 0.92), ShotEvent(2310.0, 0.54)]
+    events = np.array([[105.0, 0.92], [2310.0, 0.54]])
     path = tmp_path / "events.csv"
     write_events_csv(path, events)
-    back = read_events_csv(path)
-    assert back[0].time_ms == pytest.approx(105.0)
-    assert back[1].score == pytest.approx(0.54)
+    assert path.read_text() == "time_ms,score\n105.000,0.920000\n2310.000,0.540000\n"
+    assert np.array_equal(read_events_csv(path), events)
 
 
 # --- model JSON --------------------------------------------------------------------

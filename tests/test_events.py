@@ -3,32 +3,34 @@ import time
 import numpy as np
 import pytest
 
-from shotfuse import LabelSet, ShotEvent, dedup, evaluate
+from shotfuse import LabelSet, dedup, evaluate
+from shotfuse.events import NEIGHBORHOOD_MS
 
 
 def ev(*times):
-    return [ShotEvent(float(t), 1.0) for t in times]
+    return np.array(times, dtype=float)
 
 
 # --- dedup -------------------------------------------------------------------
 
 
 def test_dedup_drops_trailing_neighbors():
-    out = dedup(ev(0, 300, 900))
-    assert [e.time_ms for e in out] == [0, 900]
+    assert dedup(ev(0, 300, 900)).tolist() == [0, 2]
     # An event exactly NEIGHBORHOOD_MS after the kept one is a neighbor too.
-    out = dedup(ev(0, 500, 1000.5))
-    assert [e.time_ms for e in out] == [0, 1000.5]
+    assert dedup(ev(0, 500, 1000.5)).tolist() == [0, 2]
 
 
 def test_dedup_single_event():
-    out = dedup(ev(42))
-    assert [e.time_ms for e in out] == [42]
+    assert dedup(ev(42)).tolist() == [0]
+
+
+def test_dedup_of_nothing_is_an_empty_index():
+    kept = dedup(ev())
+    assert kept.size == 0 and kept.dtype == np.intp
 
 
 def test_dedup_keeps_spaced_events():
-    out = dedup(ev(0, 600, 1200))
-    assert [e.time_ms for e in out] == [0, 600, 1200]
+    assert dedup(ev(0, 600, 1200)).tolist() == [0, 1, 2]
 
 
 def test_dedup_unordered_rejected():
@@ -36,13 +38,47 @@ def test_dedup_unordered_rejected():
         dedup(ev(100, 50))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dedup_rejects_non_finite_times(bad):
+    # A NaN used to pass both the order check and the neighborhood rule, so
+    # the event 100 ms after a kept one survived.
+    with pytest.raises(ValueError, match="event times must be finite"):
+        dedup(ev(0, bad, 100))
+
+
+def test_dedup_compares_the_difference_not_the_sum():
+    # 800.69 - 300.69 rounds to 500.00000000000006, outside the neighborhood,
+    # though 300.69 + 500 rounds to exactly 800.69.
+    assert 800.69 - 300.69 > NEIGHBORHOOD_MS and 300.69 + NEIGHBORHOOD_MS == 800.69
+    assert dedup([300.69, 800.69]).tolist() == [0, 1]
+
+
+def reference_dedup(times):
+    """The list loop dedup ran before it returned positions, over plain times."""
+    kept = []
+    last_time = None
+    for i, t in enumerate(times):
+        if last_time is not None and t < last_time:
+            raise ValueError("unordered events")
+        last_time = t
+        if kept and t - times[kept[-1]] <= NEIGHBORHOOD_MS:
+            continue
+        kept.append(i)
+    return kept
+
+
 def test_dedup_idempotence_property():
     rng = np.random.default_rng(29)
-    for _ in range(100):
-        times = np.sort(rng.uniform(0, 20000, rng.integers(0, 40)))
-        once = dedup([ShotEvent(float(t), 0.5) for t in times])
-        twice = dedup(once)
-        assert twice == once
+    for _ in range(300):
+        n = int(rng.integers(0, 40))
+        # About a third of the gaps are exactly NEIGHBORHOOD_MS, some are 0.
+        gaps = np.where(rng.random(n) < 0.3, NEIGHBORHOOD_MS, rng.uniform(0, 1200, n))
+        gaps[rng.random(n) < 0.1] = 0.0
+        times = rng.uniform(0, 1000) + np.cumsum(gaps)
+        kept = dedup(times)
+        assert kept.tolist() == reference_dedup(times.tolist())
+        once = times[kept]
+        assert dedup(once).tolist() == list(range(once.size))
 
 
 # --- evaluate -----------------------------------------------------------------
@@ -128,8 +164,7 @@ def test_counts_are_consistent_property():
         l_times = np.sort(rng.uniform(0, 10000, rng.integers(0, 25)))
         while np.any(np.diff(l_times) <= 0):
             l_times = np.sort(rng.uniform(0, 10000, rng.integers(1, 25)))
-        events = [ShotEvent(float(t), 1.0) for t in e_times]
-        report = evaluate(events, LabelSet(l_times), tolerance_ms=150.0)
+        report = evaluate(e_times, LabelSet(l_times), tolerance_ms=150.0)
         assert report.true_positives + report.false_negatives == len(l_times)
         assert report.true_positives + report.false_positives == len(e_times)
         optimal = optimal_matching_count(e_times, l_times, 150.0)
@@ -144,11 +179,9 @@ def test_greedy_equals_optimal_when_events_are_sparse():
         base = np.cumsum(rng.uniform(2 * tol + 1, 1000, 15))
         jitter = rng.uniform(-tol, tol, 15)
         keep = rng.random(15) < 0.7
-        events = [ShotEvent(float(t + j), 1.0) for t, j, k in zip(base, jitter, keep) if k]
+        events = (base + jitter)[keep]
         report = evaluate(events, LabelSet(base), tolerance_ms=tol)
-        assert report.true_positives == optimal_matching_count(
-            [e.time_ms for e in events], base, tol
-        )
+        assert report.true_positives == optimal_matching_count(events, base, tol)
 
 
 def scan_true_positives(event_times, label_times, tol):
@@ -179,7 +212,7 @@ def test_evaluate_matches_the_per_label_scan():
             e_times = rng.uniform(-5, span, rng.integers(0, 30))
             l_times = np.unique(rng.uniform(0, span, rng.integers(0, 30)))
         tol = (0.0, 1.0, 2.5, float(rng.integers(0, 10)), span + 10.0)[case % 5]
-        report = evaluate([ShotEvent(float(t), 1.0) for t in e_times], LabelSet(l_times), tol)
+        report = evaluate(e_times, LabelSet(l_times), tol)
         assert report.true_positives == scan_true_positives(e_times, l_times, tol), case
 
 
@@ -199,14 +232,14 @@ def test_evaluate_is_fast_on_10k_events_and_labels():
     e_times = rng.uniform(0, 1e7, 10_000)
     l_times = np.sort(rng.choice(np.arange(0, 10_000_000, 7), 10_000, replace=False)).astype(float)
     start = time.perf_counter()
-    report = evaluate([ShotEvent(float(t), 1.0) for t in e_times], LabelSet(l_times), 1e7)
+    report = evaluate(e_times, LabelSet(l_times), 1e7)
     assert report.true_positives == 10_000
     assert time.perf_counter() - start < 10.0  # about 0.05 s; a find without a root never returns
 
 
 def test_evaluate_is_fast_on_10k_events_at_one_time():
     # Every label ties over all the free events; they share one time, so the walk is one step.
-    events = [ShotEvent(0.0, 1.0)] * 10_000
+    events = np.zeros(10_000)
     l_times = np.arange(1.0, 10_001.0)
     start = time.perf_counter()
     report = evaluate(events, LabelSet(l_times), 1e7)
@@ -218,3 +251,9 @@ def test_evaluate_is_fast_on_10k_events_at_one_time():
 def test_evaluate_rejects_non_finite_event_times(bad):
     with pytest.raises(ValueError, match="event times must be finite"):
         evaluate(ev(100.0, bad), labels(100.0))
+
+
+def test_evaluate_rejects_an_event_table():
+    # The (n, 2) table sorted row by row would count its scores as times.
+    with pytest.raises(ValueError, match="event times must be one-dimensional"):
+        evaluate(np.array([[100.0, 0.9]]), labels(100.0))

@@ -215,7 +215,7 @@ def test_detect_shots_empty_on_silence(identity_model):
     audio, imu = silence_and_stillness()
     forest = apf_threshold_forest(0.5)
     offset = OffsetEstimate(0.0, 1.0, 5.0)
-    assert detect_shots(aligned(audio, imu, identity_model, offset), forest) == []
+    assert detect_shots(aligned(audio, imu, identity_model, offset), forest).shape == (0, 2)
 
 
 def test_detect_shots_synthetic_game(identity_model):
@@ -226,8 +226,8 @@ def test_detect_shots_synthetic_game(identity_model):
 
     events = detect_shots(synced, forest)
     assert len(events) == 20
-    for e in events:
-        assert np.min(np.abs(labels.shots - e.time_ms)) <= 100.0
+    for t in events[:, 0]:
+        assert np.min(np.abs(labels.shots - t)) <= 100.0
 
 
 def _trained_forest(identity_model, seed=77):
@@ -247,7 +247,7 @@ def test_detect_shots_suppresses_audio_only_distractors(identity_model):
     assert len(labels) == 0
     offset = OffsetEstimate(0.0, 1.0, 5.0)
     events = detect_shots(aligned(audio, imu, identity_model, offset), forest)
-    assert events == []
+    assert events.shape == (0, 2)
 
 
 def test_detect_shots_events_are_candidate_times(identity_model):
@@ -258,8 +258,7 @@ def test_detect_shots_events_are_candidate_times(identity_model):
     events = detect_shots(aligned(audio, imu, identity_model, offset), forest)
     candidates = select_candidates(ipf(prepare_components(imu)))
     assert len(events) > 0
-    for e in events:
-        assert e.time_ms in candidates
+    assert np.isin(events[:, 0], candidates).all()
 
 
 def test_detect_shots_deterministic(identity_model):
@@ -269,7 +268,7 @@ def test_detect_shots_deterministic(identity_model):
     offset = OffsetEstimate(-100.0, 0.9, 10.0)
     a = detect_shots(aligned(audio, imu, identity_model, offset), forest)
     b = detect_shots(aligned(audio, imu, identity_model, offset), forest)
-    assert a == b
+    assert np.array_equal(a, b)
 
 
 def scan_window_max(s, t, half=250.0):

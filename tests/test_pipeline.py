@@ -102,6 +102,17 @@ def test_run_pipeline_missing_model(fixture_dir, tmp_path):
         )
 
 
+@pytest.mark.parametrize("missing", ["imu", "forest"])
+def test_run_pipeline_needs_imu_and_forest_before_it_touches_a_file(fixture_dir, tmp_path, missing):
+    # Without an IMU path it used to make out_dir, then die in read_imu_csv with a bare TypeError.
+    paths = {"imu": fixture_dir / "imu.csv", "forest": fixture_dir / "forest.json", missing: None}
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match="^detect needs --imu and --forest unless --audio-only is given$"):
+        run_pipeline(fixture_dir / "audio.wav", paths["imu"], fixture_dir / "filter.json", paths["forest"],
+                     PipelineOptions(out_dir=str(out_dir)))
+    assert not out_dir.exists()
+
+
 def test_detection_and_training_read_one_candidate_table(fixture_dir, tmp_path, monkeypatch):
     # Both workflows take their candidates and features from fusion.candidate_table, once per run,
     # and training sees the very matrix the forest votes on in detection.
