@@ -2,7 +2,6 @@
 
 from .audio import (
     FilterModel,
-    LabeledAudioWindow,
     PcmAudio,
     apf,
     audio_likelihood,
@@ -28,7 +27,7 @@ from .sync import (
     validate_offset,
 )
 from .synth import SynthConfig, synthesize
-from .training import TrainConfig, train_filter
+from .training import TrainConfig, train_filter, window_table
 
 __version__ = "0.1.0"
 
@@ -39,7 +38,6 @@ __all__ = [
     "ImuComponents",
     "ImuStream",
     "LabelSet",
-    "LabeledAudioWindow",
     "OffsetEstimate",
     "PcmAudio",
     "SampleSeries",
@@ -70,4 +68,5 @@ __all__ = [
     "train_forest",
     "triangle_smooth",
     "validate_offset",
+    "window_table",
 ]

@@ -10,8 +10,9 @@ thresholding at zero turns it into a detector.
 A recording stays 16-bit PCM from the WAV file to the filter, and the FIR
 pass decodes it one chunk at a time. Detection streams those chunks from
 the file (``dataio.WavFile``) and never holds the recording; training
-reads it whole (:class:`PcmAudio`) and decodes one chunk of windows at a
-time. The audio clock starts at 0 ms with the first sample; the IMU runs
+reads it whole (:class:`PcmAudio`), cuts its windows as rows of a table of
+start samples (training.window_table) and decodes one chunk of windows at
+a time. The audio clock starts at 0 ms with the first sample; the IMU runs
 on its own clock, whose offset the synchronizer estimates. Every value
 type here takes its arrays through series.freeze.
 """
@@ -35,7 +36,6 @@ __all__ = [
     "WINDOW_SAMPLES",
     "PcmAudio",
     "FilterModel",
-    "LabeledAudioWindow",
     "short_time_energy",
     "apf",
     "audio_likelihood",
@@ -59,22 +59,6 @@ FILTER_TAPS = 23
 WINDOW_SAMPLES = FILTER_TAPS - 1 + MACROFRAME_FRAMES * MICROFRAME_SAMPLES
 
 
-def _pcm(samples, name: str) -> np.ndarray:
-    """samples as frozen 1-D int16: adopted when frozen (see series.freeze), else copied.
-
-    Anything that is not a 16-bit integer array, floats and NaNs included,
-    is rejected rather than silently truncated.
-    """
-    dtype = getattr(samples, "dtype", None)
-    if not isinstance(samples, np.ndarray) or dtype.kind != "i" or dtype.itemsize != 2:
-        got = dtype if dtype is not None else type(samples).__name__
-        raise ValueError(f"{name} must be 16-bit PCM (int16), got {got}")
-    arr = freeze(samples, np.int16)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class PcmAudio:
     """A recording as read-only 16-bit PCM: the only in-memory form of audio.
@@ -82,13 +66,22 @@ class PcmAudio:
     Sample k stands for samples[k] * PCM_SCALE at k / 8 ms: the audio clock
     starts at 0 and the rate is SAMPLE_RATE_HZ. Every int16 decodes exactly
     to float64, so consumers decode a chunk at a time and never hold the
-    whole stream as floats.
+    whole stream as floats. Frozen samples are adopted (see series.freeze),
+    others copied; anything that is not a 16-bit integer array, floats and
+    NaNs included, is rejected rather than silently truncated.
     """
 
     samples: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _pcm(self.samples, "audio samples"))
+        dtype = getattr(self.samples, "dtype", None)
+        if not isinstance(self.samples, np.ndarray) or dtype.kind != "i" or dtype.itemsize != 2:
+            got = dtype if dtype is not None else type(self.samples).__name__
+            raise ValueError(f"audio samples must be 16-bit PCM (int16), got {got}")
+        arr = freeze(self.samples, np.int16)
+        if arr.ndim != 1:
+            raise ValueError("audio samples must be one-dimensional")
+        object.__setattr__(self, "samples", arr)
 
     @classmethod
     def from_float(cls, values) -> "PcmAudio":
@@ -130,27 +123,6 @@ class FilterModel:
         if not (np.all(np.isfinite(arr)) and np.isfinite(self.bias)):
             raise ValueError("model parameters must be finite")
         object.__setattr__(self, "weights", arr)
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledAudioWindow:
-    """The WINDOW_SAMPLES 16-bit PCM samples one likelihood value reads, with a binary shot label.
-
-    FILTER_TAPS - 1 samples of filter history come first, then the
-    macroframe centered on the labeled microframe; training scores that
-    microframe.
-    """
-
-    samples: np.ndarray
-    label: int = 0
-
-    def __post_init__(self):
-        arr = _pcm(self.samples, "audio window samples")
-        if arr.size != WINDOW_SAMPLES:
-            raise ValueError(f"audio window must hold {WINDOW_SAMPLES} samples, got {arr.size}")
-        if self.label not in (0, 1):
-            raise ValueError("label must be 0 or 1")
-        object.__setattr__(self, "samples", arr)
 
 
 def short_time_energy(x: PcmAudio, taps: np.ndarray) -> SampleSeries:

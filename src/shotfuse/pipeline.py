@@ -20,9 +20,7 @@ from .audio import (
     MACROFRAME_HALF,
     MICROFRAME_MS,
     MICROFRAME_SAMPLES,
-    WINDOW_SAMPLES,
     FilterModel,
-    LabeledAudioWindow,
     PcmAudio,
     audio_likelihood,
 )
@@ -46,7 +44,7 @@ from .fusion import extract_features, select_candidates  # noqa: F401 -- still b
 from .imu import ImuStream, ipf, prepare_components
 from .series import SampleSeries
 from .sync import estimate_offset, self_calibrate_quantizer, validate_offset
-from .training import TrainConfig, center_forms, form_scores, train_filter
+from .training import TrainConfig, center_forms, form_scores, train_filter, window_table
 
 __all__ = [
     "PipelineOptions",
@@ -86,19 +84,18 @@ def _label_distance(labels: LabelSet, times: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(shots[before] - times), np.abs(shots[after] - times))
 
 
-def windows_from_labels(audio: PcmAudio, labels: LabelSet, seed: int = 0) -> list[LabeledAudioWindow]:
-    """Cut labeled training windows out of a recorded stream.
+def windows_from_labels(audio: PcmAudio, labels: LabelSet, seed: int = 0) -> np.recarray:
+    """Labeled training windows of a recorded stream: a window table over it (training.window_table).
 
     One positive window per label, centered on the stream microframe that
     contains it; windows snap to the stream's own frame grid so training
     sees exactly the frame phases the live detector will see. For
     microframe f the window is samples[(f - 5) * 80 - 22 : (f + 6) * 80],
-    the WINDOW_SAMPLES the filter reads to score f. Negative windows are
-    sampled uniformly at least MIN_LABEL_DISTANCE_MS away from every
-    label, TrainConfig.neg_pos_ratio of them per positive. Only microframes
-    with DRAW_MARGIN_FRAMES whole microframes on each side are drawn. Each
-    window's samples are a read-only int16 view of the stream, so the
-    windows keep audio.samples alive rather than copying it.
+    the WINDOW_SAMPLES the filter reads to score f, so its start is
+    (f - 5) * 80 - 22. Negative windows are sampled uniformly at least
+    MIN_LABEL_DISTANCE_MS away from every label, TrainConfig.neg_pos_ratio
+    of them per positive, and follow the positives. Only microframes with
+    DRAW_MARGIN_FRAMES whole microframes on each side are drawn.
     """
     rng = np.random.default_rng(seed)
     n_frames = len(audio) // MICROFRAME_SAMPLES
@@ -134,28 +131,25 @@ def windows_from_labels(audio: PcmAudio, labels: LabelSet, seed: int = 0) -> lis
     negative = np.concatenate(kept)[:wanted]
 
     lead = FILTER_TAPS - 1 + MACROFRAME_HALF * MICROFRAME_SAMPLES
-    return [
-        LabeledAudioWindow(audio.samples[s : s + WINDOW_SAMPLES], label)
-        for label, frame in ((1, positive), (0, negative))
-        for s in frame * MICROFRAME_SAMPLES - lead
-    ]
+    starts = np.concatenate([positive, negative]) * MICROFRAME_SAMPLES - lead
+    return window_table(starts, np.repeat([1, 0], [positive.size, negative.size]))
 
 
-def shuffle_split(items: list, seed: int = 0) -> tuple[list, list]:
-    """Seeded shuffle split; first part gets round(TRAIN_FRACTION * n) items."""
+def shuffle_split(items: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded shuffle split of an array's rows; the first part gets round(TRAIN_FRACTION * n) of them."""
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(items))
+    shuffled = items[rng.permutation(len(items))]
     cut = int(round(TRAIN_FRACTION * len(items)))
-    return [items[i] for i in order[:cut]], [items[i] for i in order[cut:]]
+    return shuffled[:cut], shuffled[cut:]
 
 
-def window_metrics(model: FilterModel, windows: list[LabeledAudioWindow]) -> dict:
-    """Window-level precision/recall/F of the biased-threshold classifier.
+def window_metrics(model: FilterModel, windows: np.recarray, audio: PcmAudio) -> dict:
+    """Window-level precision/recall/F of the biased-threshold classifier on a window table over audio.
 
     Scores each window's center from its packed form, as training does.
     """
-    labels = np.array([w.label for w in windows], dtype=int)
-    predicted = form_scores(center_forms([w.samples for w in windows]), model.weights, model.bias) > 0.0
+    labels = windows["label"]
+    predicted = form_scores(center_forms(audio.samples, windows["start"]), model.weights, model.bias) > 0.0
     tp = int(np.count_nonzero(predicted & (labels == 1)))
     fp = int(np.count_nonzero(predicted & (labels == 0)))
     fn = int(np.count_nonzero(~predicted & (labels == 1)))
@@ -231,9 +225,9 @@ def train_filter_workflow(data_dir, out_path, train_cfg: TrainConfig = TrainConf
     labels = read_labels_csv(data_dir / "labels.csv")
     windows = windows_from_labels(audio, labels, train_cfg.seed)
     train_set, val_set = shuffle_split(windows, train_cfg.seed)
-    model = train_filter(train_set, train_cfg)
+    model = train_filter(train_set, train_cfg, audio)
     save_filter_model(out_path, model)
-    metrics = window_metrics(model, val_set)
+    metrics = window_metrics(model, val_set, audio)
     metrics["model_path"] = str(out_path)
     return metrics
 
@@ -255,7 +249,7 @@ def train_forest_workflow(data_dir, filter_path, out_path, seed: int = 0) -> dic
     return {
         **synced.sync_report(),
         "candidates": int(y.size),
-        "validation_accuracy": correct / len(val_rows) if val_rows else 1.0,
+        "validation_accuracy": correct / len(val_rows) if len(val_rows) else 1.0,
         "model_path": str(out_path),
     }
 

@@ -1,5 +1,6 @@
 """Gradient training of the audio front filter and decision bias.
 
+Training data is one window table over one recording (window_table).
 The detector is differentiable end to end: convolution -> per-frame energy
 -> macroframe mean subtraction -> bias threshold. Misclassified windows
 contribute the (signed) decision score as their loss; correct ones
@@ -9,7 +10,7 @@ as its 276-entry upper triangle, and every epoch scores and differentiates
 windows from it in O(taps^2); the gradients are applied with a mini-batch
 Adam loop. Held-out windows are scored from the same forms (form_scores).
 
-A form's first row is one blocked matmul of the window's macroframe
+A form's first row is a blocked matmul of the window's macroframe
 samples, in rows of _BLOCK, against the overlapping spans each row meets;
 the other rows follow by a diagonal recursion. Every product and partial
 sum is an integer below 2^45, which float64 holds exactly, so any
@@ -34,7 +35,7 @@ from .audio import (
     PCM_SCALE,
     WINDOW_SAMPLES,
     FilterModel,
-    LabeledAudioWindow,
+    PcmAudio,
 )
 from .forest import check_integer, check_seed
 
@@ -49,6 +50,7 @@ __all__ = [
     "form_scores",
     "total_gradients",
     "train_filter",
+    "window_table",
 ]
 
 
@@ -110,34 +112,58 @@ class TrainConfig:
         check_seed(self.seed)
 
 
-def center_forms(rows) -> np.ndarray:
-    """Packed quadratic form of each window's center score: (windows, PACKED_TAPS).
+def window_table(starts, labels) -> np.recarray:
+    """Training windows as one record array of int fields start and label, one row per window.
 
-    rows are int16 PCM windows of WINDOW_SAMPLES samples each: a list of
-    sample arrays or a (windows, WINDOW_SAMPLES) matrix. A window's center
+    A window is the WINDOW_SAMPLES samples of a recording from its start:
+    the filter history, then the macroframe of the microframe it scores.
+    Its samples stay in the recording; center_forms reads and checks them.
+    """
+    starts, labels = np.asarray(starts), np.asarray(labels)
+    if starts.ndim != 1 or labels.shape != starts.shape:
+        raise ValueError(f"need one label per window start, got {labels.shape} labels for {starts.shape} starts")
+    if starts.size and (starts.dtype.kind not in "iu" or labels.dtype.kind not in "iu"):
+        raise ValueError(f"window starts and labels must be integers, got {starts.dtype} and {labels.dtype}")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    table = np.recarray(starts.size, dtype=[("start", np.int64), ("label", np.int64)])
+    table.start, table.label = starts, labels
+    return table
+
+
+def center_forms(samples: np.ndarray, starts) -> np.ndarray:
+    """Packed quadratic form of the center score of each window of a recording: (windows, PACKED_TAPS).
+
+    samples is a recording's int16 PCM and starts the first sample of each
+    window in it, in any order, overlapping or repeated. A window's center
     score, its center microframe's filtered energy minus its macroframe's
     mean energy plus the bias, is w @ Q @ w + bias for a symmetric Q of its
     samples; its row here is Q's upper triangle, row by row (form_scores).
     Filtered output k of the macroframe is w @ t_k, where
     t_k[i] = window[k + n_taps - 1 - i], and Q = sum_k c_k t_k t_k^T with
     c_k = 1 - 1/11 on the center microframe and -1/11 on the rest of the
-    macroframe. The first row is one blocked matmul per chunk of windows,
+    macroframe. The first row is a few blocked matmuls per chunk of windows,
     the rest a diagonal recursion (_history_forms). Each entry is the
     correctly rounded exact value, whatever FORM_CHUNK_WINDOWS, _BLOCK or
     the BLAS thread count.
     """
-    forms = np.empty((len(rows), PACKED_TAPS))
+    if samples.dtype != np.int16 or samples.ndim != 1:
+        raise ValueError(f"samples must be one-dimensional 16-bit PCM (int16), got {samples.dtype} {samples.shape}")
+    starts = np.asarray(starts)
+    last = samples.size - WINDOW_SAMPLES
+    outside = starts.size and (starts.dtype.kind not in "iu" or starts.min() < 0 or starts.max() > last)
+    if starts.ndim != 1 or outside:
+        raise ValueError(f"window starts must be integers from 0 to {last}, so that every window lies in the samples")
+    forms = np.empty((starts.size, PACKED_TAPS))
+    if not starts.size:
+        return forms
+    windows = sliding_window_view(samples, WINDOW_SAMPLES)
     # Each chunk of windows is copied, as PCM steps, into one reused buffer.
-    history = np.empty((min(FORM_CHUNK_WINDOWS, len(rows)), WINDOW_SAMPLES))
-    for lo in range(0, len(rows), FORM_CHUNK_WINDOWS):
-        chunk = np.asarray(rows[lo : lo + FORM_CHUNK_WINDOWS])
-        if chunk.dtype != np.int16 or chunk.shape[1:] != (WINDOW_SAMPLES,):
-            raise ValueError(
-                f"windows must be rows of {WINDOW_SAMPLES} 16-bit PCM (int16) samples, "
-                f"got {chunk.dtype} rows of shape {chunk.shape[1:]}"
-            )
-        history[: len(chunk)] = chunk
-        _history_forms(history[: len(chunk)], forms[lo : lo + len(chunk)])
+    history = np.empty((min(FORM_CHUNK_WINDOWS, starts.size), WINDOW_SAMPLES))
+    for lo in range(0, starts.size, FORM_CHUNK_WINDOWS):
+        chunk = starts[lo : lo + FORM_CHUNK_WINDOWS]
+        history[: chunk.size] = windows[chunk]
+        _history_forms(history[: chunk.size], forms[lo : lo + chunk.size])
     return forms
 
 
@@ -151,11 +177,14 @@ def _history_forms(history: np.ndarray, forms: np.ndarray) -> np.ndarray:
 
     The first row holds the lagged sums sum_k 11 c_k x[k] window[k + j],
     j < n_taps, of the macroframe's samples x[k] = window[k + n_taps - 1].
-    They come from one batched matmul: x, reshaped into rows of _BLOCK
+    They come from batched matmuls: x, reshaped into rows of _BLOCK
     samples, times the overlapping spans window[b * _BLOCK :][:width] of
     width = _BLOCK + n_taps - 1 that row b meets, so that entry (r, s) of a
     window's _BLOCK x width product sums x[k] window[k + s - r] over the k
     of column r of the rows, and diagonal j of the product sums to lag j.
+    The rows go in interleaved groups whose spans lie groups * _BLOCK >=
+    width samples apart: spans that do not overlap take BLAS, not numpy's
+    slower loop, and the groups' diagonal sums add up to the lags.
     _BLOCK divides the microframe, so the center microframe is whole rows,
     and their product, times 11, adds the center's weight without a
     weighted copy of x. Shifting both indices by one moves every t_k back
@@ -166,14 +195,17 @@ def _history_forms(history: np.ndarray, forms: np.ndarray) -> np.ndarray:
     """
     n, n_taps, block = len(history), FILTER_TAPS, _BLOCK
     width = block + n_taps - 1
+    groups = -(-width // block)
     rows = history[:, n_taps - 1 :].reshape(n, -1, block).transpose(0, 2, 1)
     spans = sliding_window_view(history, width, axis=1)[:, ::block]
     center = slice(MACROFRAME_HALF * MICROFRAME_SAMPLES // block, (MACROFRAME_HALF + 1) * MICROFRAME_SAMPLES // block)
     product = np.empty((n, block, width))
     diagonals = sliding_window_view(product.reshape(n, -1), n_taps, axis=1)[:, :: width + 1]
     ones = np.ones(block)
-    np.matmul(rows, spans, out=product)
-    lagged = ones @ diagonals
+    lagged = np.zeros((n, n_taps))
+    for g in range(groups):
+        np.matmul(rows[:, :, g::groups], spans[:, g::groups], out=product)
+        lagged += ones @ diagonals
     np.matmul(rows[:, :, center], spans[:, center], out=product)
     forms[:, :n_taps] = (MACROFRAME_FRAMES * (ones @ diagonals) - lagged)[:, ::-1]
     del product, diagonals  # before the edge terms, so the chunk's peak falls
@@ -231,40 +263,39 @@ class _Adam:
         return params - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
-def train_filter(data: list[LabeledAudioWindow], cfg: TrainConfig = TrainConfig()) -> FilterModel:
+def train_filter(windows: np.recarray, cfg: TrainConfig, audio: PcmAudio) -> FilterModel:
     """Fit FILTER_TAPS filter weights and the bias by mini-batch Adam on the decision loss.
 
-    Weights start from N(0, INIT_STD^2) under cfg.seed, bias from 0.
-    Negatives are subsampled (without replacement, when enough exist) to
-    neg_pos_ratio per positive. Training stops at max_epochs or after an
-    epoch whose total loss is zero. Batch gradients are means, keeping the
-    learning rate scale-free in batch size.
+    windows is a window table (window_table) over audio. Weights start
+    from N(0, INIT_STD^2) under cfg.seed, bias from 0. Negatives are
+    subsampled (without replacement, when enough exist) to neg_pos_ratio
+    per positive. Training stops at max_epochs or after an epoch whose
+    total loss is zero. Batch gradients are means, keeping the learning
+    rate scale-free in batch size.
     """
-    positives = [w for w in data if w.label == 1]
-    negatives = [w for w in data if w.label == 0]
-    if not positives or not negatives:
+    positives = np.flatnonzero(windows["label"] == 1)
+    negatives = np.flatnonzero(windows["label"] == 0)
+    if not positives.size or not negatives.size:
         raise ValueError("degenerate training set")
 
     rng = np.random.default_rng(cfg.seed)
     weights = rng.normal(0.0, INIT_STD, FILTER_TAPS)
 
-    wanted = int(round(cfg.neg_pos_ratio * len(positives)))
-    if len(negatives) > wanted:
-        picked = rng.choice(len(negatives), size=wanted, replace=False)
-        negatives = [negatives[i] for i in picked]
-    windows = positives + negatives
+    wanted = int(round(cfg.neg_pos_ratio * positives.size))
+    if negatives.size > wanted:
+        negatives = negatives[rng.choice(negatives.size, size=wanted, replace=False)]
 
     if cfg.max_epochs == 0:
         return FilterModel(weights, 0.0)
 
     # The packed forms are the only per-window state the epochs read.
-    forms = center_forms([w.samples for w in windows])
-    labels = np.repeat([1, 0], [len(positives), len(negatives)])
+    forms = center_forms(audio.samples, windows["start"][np.concatenate([positives, negatives])])
+    labels = np.repeat([1, 0], [positives.size, negatives.size])
 
     params = np.concatenate([weights, [0.0]])
     opt = _Adam(params.size, cfg.learning_rate)
     for _ in range(cfg.max_epochs):
-        order = rng.permutation(len(windows))
+        order = rng.permutation(len(forms))
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             rows = order[start : start + cfg.batch_size]

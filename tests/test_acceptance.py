@@ -14,7 +14,6 @@ import pytest
 import shotfuse as sf
 from shotfuse import (
     FilterModel,
-    LabeledAudioWindow,
     LabelSet,
     PcmAudio,
     SynthConfig,
@@ -35,7 +34,7 @@ from shotfuse.sync import estimate_offset, quantize, self_calibrate_quantizer
 from shotfuse.training import center_forms, total_gradients, train_filter
 from shotfuse.forest import classify, train_forest
 from shotfuse.events import dedup, evaluate
-from test_training import stack_windows, window_scores
+from test_training import labeled, stack_windows, window_scores
 
 
 def verdict(number, ok, detail):
@@ -116,9 +115,10 @@ def test_criterion_2_gradient_check():
         # The window of the center microframe of 21 drawn microframes.
         draw = PcmAudio.from_float(0.3 * rng.standard_normal(21 * MICROFRAME_SAMPLES)).samples
         samples = draw[None, 378:1280]
+        forms = center_forms(draw, [378])
         score = window_scores(samples / 32768.0, weights, bias)[0]
         labels = [1 if score <= 0.0 else 0]  # force a nonzero loss
-        loss, d_w, d_b = total_gradients(center_forms(samples), labels, weights, bias)
+        loss, d_w, d_b = total_gradients(forms, labels, weights, bias)
         assert loss != 0.0
 
         grads = np.r_[d_w, d_b]
@@ -132,8 +132,8 @@ def test_criterion_2_gradient_check():
                 up_b = bias + step
                 down_b = bias - step
             fd = (
-                total_gradients(center_forms(samples), labels, up_w, up_b)[0]
-                - total_gradients(center_forms(samples), labels, down_w, down_b)[0]
+                total_gradients(forms, labels, up_w, up_b)[0]
+                - total_gradients(forms, labels, down_w, down_b)[0]
             ) / (2 * step)
             rel = abs(fd - grads[t]) / max(abs(fd), abs(grads[t]), 1e-8)
             worst = max(worst, rel)
@@ -155,22 +155,24 @@ def test_criterion_3_filter_training():
         tone = np.sin(2 * np.pi * 1000.0 * np.arange(80) / 8000.0)
         mid = span // 2
         x[mid - 40 : mid + 40] += tone
-        return LabeledAudioWindow(PcmAudio.from_float(x[window]).samples, 1)
+        return PcmAudio.from_float(x[window]).samples
 
     def noise_window():
-        return LabeledAudioWindow(PcmAudio.from_float(0.02 * rng.standard_normal(span)[window]).samples, 0)
+        return PcmAudio.from_float(0.02 * rng.standard_normal(span)[window]).samples
 
-    corpus = [burst_window() for _ in range(30)]
-    corpus += [noise_window() for _ in range(600)]  # 1:20 ratio
+    # The windows lie end to end in one recording, bursts first.
+    rows = [burst_window() for _ in range(30)]
+    rows += [noise_window() for _ in range(600)]  # 1:20 ratio
+    corpus, audio = labeled(rows, np.repeat([1, 0], [30, 600]))
     train_set, held_out = shuffle_split(corpus, seed=300)
 
     cfg = TrainConfig(seed=300, max_epochs=200)
-    model = train_filter(train_set, cfg)
+    model = train_filter(train_set, cfg, audio)
 
-    samples, labels = stack_windows(train_set)
+    samples, labels = stack_windows(train_set, audio)
     scores = window_scores(samples, model.weights, model.bias)
     wrong = int(np.count_nonzero((scores > 0.0) != labels))
-    metrics = window_metrics(model, held_out)
+    metrics = window_metrics(model, held_out, audio)
     verdict(
         3,
         wrong == 0 and metrics["f_score"] >= 0.9,
@@ -263,7 +265,7 @@ def trained_models(tmp_path_factory):
     audio, imu, labels = sf.synthesize(cfg)
     windows = windows_from_labels(audio, labels, seed=510)
     train_set, _ = shuffle_split(windows, seed=510)
-    filter_model = train_filter(train_set, TrainConfig(seed=510))
+    filter_model = train_filter(train_set, TrainConfig(seed=510), audio)
 
     synced = synced_series(sf.audio_likelihood(audio, filter_model), imu)
     forest = train_forest(*candidate_dataset(synced, labels), tree_count=50, seed=510)

@@ -47,6 +47,22 @@ def test_pcm_rejects_floats_and_non_finite_values():
         PcmAudio(np.zeros(80))
     with pytest.raises(ValueError, match="^audio values must be finite$"):
         PcmAudio.from_float([0.0, np.nan])
+    # A NaN is not PCM either, nor is a wider integer or a list.
+    for bad, got in ((np.full(80, np.nan), "float64"), (np.zeros(80, dtype=np.int32), "int32"), ([0] * 10, "list")):
+        with pytest.raises(ValueError, match=rf"^audio samples must be 16-bit PCM \(int16\), got {got}$"):
+            PcmAudio(bad)
+    with pytest.raises(ValueError, match="^audio samples must be one-dimensional$"):
+        PcmAudio(np.zeros((2, 5), dtype=np.int16))
+
+
+def test_pcm_adopts_frozen_samples_and_copies_the_rest():
+    x = np.arange(82, dtype=np.int16)
+    copied = PcmAudio(x[:80])
+    x[0] = 5
+    assert copied.samples[0] == 0 and not copied.samples.flags.writeable
+    x.flags.writeable = False
+    assert np.shares_memory(PcmAudio(x[2:]).samples, x)
+    assert PcmAudio(x[2:].astype(">i2")).samples.dtype == np.int16
 
 
 @pytest.mark.parametrize("taps", [1, 5, 22, 24])

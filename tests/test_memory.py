@@ -32,7 +32,7 @@ DURATION_S = 180.0
 
 @pytest.fixture(scope="module")
 def session(tmp_path_factory):
-    """A 3-min recording on disk with 1-epoch models, and its training windows."""
+    """A 3-min recording on disk with 1-epoch models, its training window table and the recording."""
     root = tmp_path_factory.mktemp("memory")
     cfg = sf.SynthConfig(duration_s=DURATION_S, shot_count=90, injected_offset_ms=-210.0,
                          distractor_rate_per_min=5.0, seed=1234)
@@ -41,12 +41,12 @@ def session(tmp_path_factory):
     write_imu_csv(root / "imu.csv", imu)
     write_labels_csv(root / "labels.csv", labels)
     train_set, _ = shuffle_split(windows_from_labels(audio, labels, seed=3), 3)
-    filter_model = sf.train_filter(train_set, sf.TrainConfig(max_epochs=1, seed=3))
+    filter_model = sf.train_filter(train_set, sf.TrainConfig(max_epochs=1, seed=3), audio)
     save_filter_model(root / "filter.json", filter_model)
     synced = synced_series(sf.audio_likelihood(audio, filter_model), imu)
     forest = sf.train_forest(*candidate_dataset(synced, labels), tree_count=10, seed=3)
     save_forest_model(root / "forest.json", forest)
-    return root, train_set
+    return root, train_set, audio
 
 
 def traced_peak(fn) -> int:
@@ -64,7 +64,7 @@ PCM_BYTES = 2 * int(DURATION_S * 8000)  # 2.88 MB
 
 
 def test_run_pipeline_never_holds_the_pcm_and_the_imu_samples_together(session, tmp_path):
-    root, _ = session
+    root, _, _ = session
     peak = traced_peak(lambda: run_pipeline(
         root / "audio.wav", root / "imu.csv", root / "filter.json", root / "forest.json",
         PipelineOptions(out_dir=str(tmp_path)),
@@ -77,7 +77,7 @@ def test_run_pipeline_never_holds_the_pcm_and_the_imu_samples_together(session, 
 
 
 def test_audio_only_detect_streams_the_wav(session, tmp_path):
-    root, _ = session
+    root, _, _ = session
     peak = traced_peak(lambda: run_pipeline(
         root / "audio.wav", None, root / "filter.json", None,
         PipelineOptions(out_dir=str(tmp_path), audio_only=True),
@@ -89,7 +89,7 @@ def test_audio_only_detect_streams_the_wav(session, tmp_path):
 
 
 def test_train_forest_workflow_streams_the_wav(session, tmp_path):
-    root, _ = session
+    root, _, _ = session
     peak = traced_peak(lambda: train_forest_workflow(root, root / "filter.json", tmp_path / "forest.json", seed=3))
     # Measured 2.18 MB: the IMU block, its components and the forest's
     # tables. Reading the whole PCM put the peak at 3.68 MB.
@@ -97,16 +97,17 @@ def test_train_forest_workflow_streams_the_wav(session, tmp_path):
 
 
 def test_train_filter_holds_the_forms_and_one_chunk_of_spans(session):
-    _, train_set = session
+    _, train_set, audio = session
     cfg = sf.TrainConfig(max_epochs=1, seed=3)
-    peak = traced_peak(lambda: sf.train_filter(train_set, cfg))
-    positives = sum(w.label for w in train_set)
+    peak = traced_peak(lambda: sf.train_filter(train_set, cfg, audio))
+    positives = int(train_set.label.sum())
     negatives = min(len(train_set) - positives, round(cfg.neg_pos_ratio * positives))
     forms_bytes = (positives + negatives) * PACKED_TAPS * 8
-    # Margin: 1.5 MB above the packed forms (3.3 MB here). Measured 0.98 MB:
+    # Margin: 1.5 MB above the packed forms (3.3 MB here). Measured 0.86 MB:
     # one chunk's windows as PCM steps (0.46 MB) and as int16 (0.12 MB), and
     # the recursion's steps (0.34 MB, 0.25 MB of it their products); the
-    # first row's 0.16 MB blocked product is freed before the steps. A
+    # first row's 0.16 MB blocked product is freed before the steps. A list
+    # of one window object per row added 0.13 MB (0.98 MB). A
     # weighted copy of the chunk's windows for an einsum took 1.20 MB;
     # decoding and padding whole windows per 128-window chunk, 4.26 MB;
     # full (windows, 23, 23) forms, 3.1 MB more.

@@ -41,7 +41,7 @@ def fixture_dir(tmp_path_factory):
 
     windows = windows_from_labels(audio, labels, seed=8)
     train_set, _ = shuffle_split(windows, 8)
-    filter_model = sf.train_filter(train_set, sf.TrainConfig(seed=8))
+    filter_model = sf.train_filter(train_set, sf.TrainConfig(seed=8), audio)
     save_filter_model(root / "filter.json", filter_model)
 
     X, y = candidate_dataset(synced_series(sf.audio_likelihood(audio, filter_model), imu), labels)
@@ -164,16 +164,13 @@ def test_windows_snap_to_stream_frame_grid(monkeypatch):
     audio, _, labels = sf.synthesize(cfg)
     monkeypatch.setattr(sf.TrainConfig, "neg_pos_ratio", 2.0)
     windows = windows_from_labels(audio, labels, seed=1)
-    positives = [w for w in windows if w.label == 1]
-    assert len(positives) == 10
-    assert all(w.samples.size == 902 for w in windows)
-    # A positive window is the 22 samples of filter history and the
-    # macroframe centered on the microframe that contains its label, viewed
-    # in the PCM.
-    for w, t in zip(positives, labels.shots):
-        f = int(t / 10.0)
-        assert np.array_equal(w.samples, audio.samples[(f - 5) * 80 - 22 : (f + 6) * 80])
-        assert np.shares_memory(w.samples, audio.samples)
+    # Positives come first, one per label: the window of a label's
+    # microframe f is the 22 samples of filter history and the macroframe
+    # centered on f, samples (f - 5) * 80 - 22 to (f + 6) * 80.
+    assert windows.label.tolist() == [1] * 10 + [0] * 20
+    assert windows.start[:10].tolist() == [(int(t / 10.0) - 5) * 80 - 22 for t in labels.shots]
+    # Every window, negatives too, starts on the stream's frame grid.
+    assert np.all((windows.start + 22) % 80 == 0)
 
 
 def reference_windows(audio, labels, negatives_per_positive, min_label_distance_ms, seed):
@@ -223,9 +220,9 @@ def test_windows_from_labels_matches_scalar_draw_loop(monkeypatch, ratio, distan
     monkeypatch.setattr(sf.TrainConfig, "neg_pos_ratio", ratio)
     windows = windows_from_labels(audio, labels, seed=seed)
     expected = reference_windows(audio, labels, ratio, distance_ms, seed)
-    assert [w.label for w in windows] == [label for _, label in expected]
-    for w, (samples, _) in zip(windows, expected):
-        assert np.array_equal(w.samples, samples)
+    assert windows.label.tolist() == [label for _, label in expected]
+    for start, (samples, _) in zip(windows.start, expected):
+        assert np.array_equal(audio.samples[start : start + 902], samples)
 
 
 def full_draw_negative_starts(audio, labels, ratio, distance_ms, seed):
@@ -258,24 +255,36 @@ def test_negative_windows_match_a_full_draw(monkeypatch, ratio, distance_ms, see
     monkeypatch.setattr(pipeline, "MIN_LABEL_DISTANCE_MS", distance_ms)
     monkeypatch.setattr(sf.TrainConfig, "neg_pos_ratio", ratio)
     windows = windows_from_labels(audio, labels, seed=seed)
-    negatives = [w.samples for w in windows if w.label == 0]
     expected = full_draw_negative_starts(audio, labels, ratio, distance_ms, seed)
-    assert len(negatives) == expected.size > 0
-    for samples, first in zip(negatives, expected):
-        assert np.array_equal(samples, audio.samples[first : first + 902])
+    assert windows.start[windows.label == 0].tolist() == expected.tolist() and expected.size > 0
 
 
 def test_windows_from_labels_without_labels():
     audio, _, _ = sf.synthesize(sf.SynthConfig(duration_s=10.0, shot_count=3, seed=87))
-    assert windows_from_labels(audio, sf.LabelSet(np.empty(0))) == []
+    windows = windows_from_labels(audio, sf.LabelSet(np.empty(0)))
+    assert len(windows) == 0 and windows.dtype.names == ("start", "label")
 
 
-def test_windows_view_the_audio(monkeypatch):
+def test_windows_are_a_table_of_starts_and_labels(monkeypatch):
     audio, _, labels = sf.synthesize(sf.SynthConfig(duration_s=20.0, shot_count=6, seed=89))
     monkeypatch.setattr(sf.TrainConfig, "neg_pos_ratio", 2.0)
     windows = windows_from_labels(audio, labels)
+    assert isinstance(windows, np.recarray) and windows.dtype.names == ("start", "label")
     assert len(windows) == 18
-    assert all(np.shares_memory(w.samples, audio.samples) for w in windows)
+    assert windows.start.min() >= 0 and windows.start.max() <= len(audio) - 902
+
+
+def test_shuffle_split_permutes_rows_with_one_index():
+    rows = np.arange(10)
+    train, held_out = shuffle_split(rows, seed=4)
+    order = np.random.default_rng(4).permutation(10)
+    assert type(train) is type(held_out) is np.ndarray
+    assert train.tolist() == order[:8].tolist() and held_out.tolist() == order[8:].tolist()
+    table = sf.window_table(rows, rows % 2)
+    train, held_out = shuffle_split(table, seed=4)
+    assert isinstance(train, np.recarray) and train.start.tolist() == order[:8].tolist()
+    assert train.label.tolist() == (order[:8] % 2).tolist() and held_out.start.tolist() == order[8:].tolist()
+    assert [len(part) for part in shuffle_split(rows[:0])] == [0, 0]
 
 
 def test_loading_detecting_and_training_build_no_per_tree_objects(fixture_dir, tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import shotfuse
-from shotfuse import ForestModel, LabeledAudioWindow, PcmAudio, SynthConfig, TrainConfig, train_filter, train_forest
+from shotfuse import ForestModel, PcmAudio, SynthConfig, TrainConfig, train_filter, train_forest
 from shotfuse import training
 from shotfuse.audio import PCM_SCALE, WINDOW_SAMPLES
 from shotfuse.pipeline import window_metrics
@@ -20,6 +20,7 @@ from shotfuse.training import (
     center_forms,
     form_scores,
     total_gradients,
+    window_table,
 )
 
 #: Random training windows are cut from 21-microframe draws: CENTER is the
@@ -67,10 +68,27 @@ def reference_score(draw, weights, bias):
     return energy[5] - energy.mean() + bias
 
 
-def stack_windows(windows):
-    """Decoded (windows, WINDOW_SAMPLES) matrix and (windows,) labels."""
-    samples = np.array([w.samples for w in windows], dtype=np.int16).reshape(len(windows), WINDOW_SAMPLES)
-    return samples * PCM_SCALE, np.array([w.label for w in windows], dtype=int)
+def end_to_end(rows):
+    """One recording of the rows of a (windows, samples) int16 matrix laid end to end, and each row's start."""
+    rows = np.asarray(rows, dtype=np.int16)
+    return PcmAudio(rows.ravel()), rows.shape[1] * np.arange(len(rows))
+
+
+def forms_of(rows):
+    """center_forms of the rows of a (windows, WINDOW_SAMPLES) int16 matrix, laid end to end."""
+    audio, starts = end_to_end(rows)
+    return center_forms(audio.samples, starts)
+
+
+def labeled(rows, labels):
+    """A window table over the rows of a (windows, WINDOW_SAMPLES) int16 matrix laid end to end, and that recording."""
+    audio, starts = end_to_end(rows)
+    return window_table(starts, labels), audio
+
+
+def stack_windows(windows, audio):
+    """Decoded (windows, WINDOW_SAMPLES) matrix and (windows,) labels of a window table over audio."""
+    return sliding_window_view(audio.samples, WINDOW_SAMPLES)[windows.start] * PCM_SCALE, windows.label
 
 
 def window_scores(samples, weights, bias):
@@ -92,7 +110,7 @@ def window_scores(samples, weights, bias):
 
 
 def loss(samples, labels, weights, bias):
-    return total_gradients(center_forms(samples), labels, weights, bias)[0]
+    return total_gradients(forms_of(samples), labels, weights, bias)[0]
 
 
 # --- the oracle scorer against the full-window oracle ------------------------
@@ -119,29 +137,72 @@ def test_window_scores_reject_short_and_unbatched_windows():
             window_scores(bad, weights, 0.0)
 
 
-def test_mixed_window_lengths_rejected():
-    with pytest.raises(ValueError):
-        center_forms([silence(WINDOW_SAMPLES), silence(WINDOW_SAMPLES + 1)])
+OUTSIDE = r"^window starts must be integers from 0 to 98, so that every window lies in the samples$"
 
 
-@pytest.mark.parametrize("length", [901, 903, DRAW_SAMPLES])
-def test_windows_of_another_length_rejected(length):
-    with pytest.raises(ValueError, match=f"^audio window must hold 902 samples, got {length}$"):
-        LabeledAudioWindow(silence(length), 0)
-    message = rf"^windows must be rows of 902 16-bit PCM \(int16\) samples, got int16 rows of shape \({length},\)"
-    for rows in (np.zeros((2, length), dtype=np.int16), [silence(length)] * 2):
-        with pytest.raises(ValueError, match=message):
-            center_forms(rows)
+@pytest.mark.parametrize(
+    "starts",
+    # A negative start would wrap round to the end of the recording through the window view.
+    [[-1], [0, -902], [99], [0, 98, 1000], [0.0], np.array([[0]]), np.int64(0)],
+    ids=["negative", "wrapping", "one-past-last", "far-past", "float", "2-d", "scalar"],
+)
+def test_center_forms_reject_windows_outside_the_samples(starts):
+    samples = silence(WINDOW_SAMPLES + 98)
+    with pytest.raises(ValueError, match=OUTSIDE):
+        center_forms(samples, starts)
+    assert center_forms(samples, [0, 98]).shape == (2, PACKED_TAPS)
 
 
 def test_stack_windows_keeps_rows_and_labels():
-    windows = [LabeledAudioWindow(np.full(WINDOW_SAMPLES, i, dtype=np.int16), i % 2) for i in range(3)]
-    samples, labels = stack_windows(windows)
+    windows, audio = labeled(np.repeat(np.arange(3, dtype=np.int16)[:, None], WINDOW_SAMPLES, axis=1), [0, 1, 0])
+    samples, labels = stack_windows(windows, audio)
     # Rows come back decoded: PCM step i is i / 32768.
     assert np.array_equal(samples, np.repeat([[0.0], [1.0], [2.0]], WINDOW_SAMPLES, axis=1) / 32768)
     assert np.array_equal(labels, [0, 1, 0])
-    samples, labels = stack_windows([])
+    samples, labels = stack_windows(windows[:0], audio)
     assert samples.shape == (0, WINDOW_SAMPLES) and labels.shape == (0,)
+
+
+# --- the window table ---------------------------------------------------------
+
+
+def test_window_table_is_a_record_array_of_starts_and_labels():
+    table = window_table(np.array([5, 0, 5], dtype=np.int32), np.array([1, 0, 0], dtype=np.uint8))
+    assert isinstance(table, np.recarray) and table.dtype.names == ("start", "label")
+    assert table.start.tolist() == [5, 0, 5] and table.label.tolist() == [1, 0, 0]
+    assert [w.label for w in table] == [1, 0, 0]  # rows read as records, as the benchmark's tracer reads them
+    assert len(window_table([], [])) == 0
+
+
+@pytest.mark.parametrize(
+    "starts, labels, message",
+    [
+        ([0, 1], [1], r"^need one label per window start, got \(1,\) labels for \(2,\) starts$"),
+        ([[0, 1]], [[1, 0]], r"^need one label per window start, got \(1, 2\) labels for \(1, 2\) starts$"),
+        ([0.0, 1.0], [1, 0], "^window starts and labels must be integers, got float64 and int64$"),
+        ([0, 1], [1.0, 0.0], "^window starts and labels must be integers, got int64 and float64$"),
+        ([0, 1], [1, 2], "^labels must be 0 or 1$"),
+        ([0, 1], [-1, 0], "^labels must be 0 or 1$"),
+    ],
+    ids=["short-labels", "2-d", "float-starts", "float-labels", "label-2", "label-minus-1"],
+)
+def test_window_table_checks_its_starts_and_labels(starts, labels, message):
+    with pytest.raises(ValueError, match=message):
+        window_table(starts, labels)
+
+
+def test_training_and_metrics_reject_windows_outside_the_recording(rng):
+    rows = random_pcm(rng, (4, WINDOW_SAMPLES))
+    audio, starts = end_to_end(rows)
+    model = train_filter(window_table(starts, [1, 0, 0, 0]), TrainConfig(max_epochs=1), audio)
+    last = 3 * WINDOW_SAMPLES  # the last window of the four
+    for start in (-1, last + 1):
+        windows = window_table(np.r_[starts[:3], start], [1, 0, 0, 0])
+        message = rf"^window starts must be integers from 0 to {last}, so that every window lies in the samples$"
+        with pytest.raises(ValueError, match=message):
+            train_filter(windows, TrainConfig(max_epochs=1), audio)
+        with pytest.raises(ValueError, match=message):
+            window_metrics(model, windows, audio)
 
 
 # --- the packed forms against exact and dense oracles ------------------------
@@ -173,8 +234,8 @@ def exact_form(pcm_window, n_taps=23):
 
 @pytest.mark.parametrize("length", [902, 959, DRAW_SAMPLES])
 def test_center_forms_equal_the_exact_integer_form(length):
-    # Each window is the last WINDOW_SAMPLES of a row of `length` samples:
-    # a view that starts inside its row, as windows_from_labels cuts them.
+    # Each window is the last WINDOW_SAMPLES of a row of `length` samples,
+    # and the rows lie end to end in one recording.
     rng = np.random.default_rng(length)
     draws = [
         rng.integers(-32768, 32768, length, dtype=np.int16),
@@ -184,33 +245,46 @@ def test_center_forms_equal_the_exact_integer_form(length):
         np.where(rng.random(length) < 0.5, -32768, 32767).astype(np.int16),
         silence(length),
     ]
-    rows = [draw[-WINDOW_SAMPLES:] for draw in draws]
-    forms = center_forms(rows)
-    assert forms.shape == (len(rows), PACKED_TAPS)
-    for form, row in zip(forms, rows):
-        assert form.tolist() == exact_form(row)
+    audio, starts = end_to_end(draws)
+    forms = center_forms(audio.samples, starts + length - WINDOW_SAMPLES)
+    assert forms.shape == (len(draws), PACKED_TAPS)
+    for form, draw in zip(forms, draws):
+        assert form.tolist() == exact_form(draw[-WINDOW_SAMPLES:])
     assert not forms[-1].any()
 
 
+def test_center_forms_at_unsorted_overlapping_and_repeated_starts(rng, monkeypatch):
+    # Seven windows in chunks of three leave a partial last chunk; the
+    # windows overlap, one repeats and they are not in order.
+    samples = rng.integers(-32768, 32768, 2 * WINDOW_SAMPLES, dtype=np.int16)
+    starts = np.array([900, 0, 1, 450, 900, WINDOW_SAMPLES, 37])
+    monkeypatch.setattr(training, "FORM_CHUNK_WINDOWS", 3)
+    forms = center_forms(samples, starts)
+    assert forms.shape == (starts.size, PACKED_TAPS)
+    for form, start in zip(forms, starts):
+        assert form.tolist() == exact_form(samples[start : start + WINDOW_SAMPLES])
+
+
 def test_center_forms_bytes_do_not_depend_on_chunking(rng, monkeypatch):
-    samples = rng.integers(-32768, 32768, (100, WINDOW_SAMPLES), dtype=np.int16)
+    samples = rng.integers(-32768, 32768, 20 * WINDOW_SAMPLES, dtype=np.int16)
+    starts = rng.integers(0, samples.size - WINDOW_SAMPLES + 1, 100)
     digests = set()
-    for chunk in (1, 7, 64):
+    for chunk in (1, 7, 64, 100, 128):
         monkeypatch.setattr(training, "FORM_CHUNK_WINDOWS", chunk)
-        digests.add(hashlib.sha256(center_forms(samples).tobytes()).hexdigest())
-        digests.add(hashlib.sha256(center_forms(list(samples)).tobytes()).hexdigest())
+        digests.add(hashlib.sha256(center_forms(samples, starts).tobytes()).hexdigest())
     # Every block size that divides the 80-sample microframe.
     for block in (5, 8, 10, 16, 20, 40, 80):
         monkeypatch.setattr(training, "_BLOCK", block)
-        digests.add(hashlib.sha256(center_forms(samples).tobytes()).hexdigest())
+        digests.add(hashlib.sha256(center_forms(samples, starts).tobytes()).hexdigest())
     assert len(digests) == 1
 
 
 FORMS_DIGEST = """
 import hashlib, numpy as np
 from shotfuse.training import center_forms
-samples = np.random.default_rng(5).integers(-32768, 32768, (300, 902), dtype=np.int16)
-print(hashlib.sha256(center_forms(samples).tobytes()).hexdigest())
+rng = np.random.default_rng(5)
+samples = rng.integers(-32768, 32768, 100_000, dtype=np.int16)
+print(hashlib.sha256(center_forms(samples, rng.integers(0, 100_000 - 901, 300)).tobytes()).hexdigest())
 """
 
 
@@ -226,10 +300,15 @@ def test_center_forms_bytes_do_not_depend_on_blas_threads():
     assert len(digests) == 1 and len(digests.pop()) == 64
 
 
-def test_center_forms_reject_float_windows():
-    with pytest.raises(ValueError, match=r"^windows must be rows of 902 .*, got float64 rows"):
-        center_forms(np.zeros((2, WINDOW_SAMPLES)))
-    assert center_forms([]).shape == (0, PACKED_TAPS)
+def test_center_forms_read_only_one_dimensional_pcm():
+    message = r"^samples must be one-dimensional 16-bit PCM \(int16\), got "
+    with pytest.raises(ValueError, match=message + r"float64 \(902,\)$"):
+        center_forms(np.zeros(WINDOW_SAMPLES), [0])
+    with pytest.raises(ValueError, match=message + r"int16 \(2, 902\)$"):
+        center_forms(np.zeros((2, WINDOW_SAMPLES), dtype=np.int16), [0])
+    assert center_forms(silence(WINDOW_SAMPLES), []).shape == (0, PACKED_TAPS)
+    # No window fits in a short recording, but none is asked for either.
+    assert center_forms(silence(10), np.empty(0, dtype=int)).shape == (0, PACKED_TAPS)
 
 
 @pytest.mark.parametrize("length", [902, 1000, DRAW_SAMPLES])
@@ -238,14 +317,14 @@ def test_center_forms_match_dense_oracle_and_scores(length):
     rng = np.random.default_rng(10 + length)
     samples = random_pcm(rng, (5, length))[:, -WINDOW_SAMPLES:]
     decoded = samples * PCM_SCALE
-    forms = unpack(center_forms(samples))
+    forms = unpack(forms_of(samples))
     for form, row in zip(forms, decoded):
         expected = dense_form(row)
         np.testing.assert_allclose(form, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
     for bias in (0.0, -0.4):
         weights = rng.normal(0.0, 0.3, 23)
         np.testing.assert_allclose(
-            form_scores(center_forms(samples), weights, bias),
+            form_scores(forms_of(samples), weights, bias),
             window_scores(decoded, weights, bias),
             rtol=1e-12,
         )
@@ -268,7 +347,7 @@ def test_form_gradients_match_central_differences_of_the_scorer():
         samples = random_windows(rng, 4)
         labels = (window_scores(samples * PCM_SCALE, weights, bias) <= 0.0).astype(int)
         labels[0] = 1 - labels[0]  # one correctly classified window contributes nothing
-        value, d_w, d_b = total_gradients(center_forms(samples), labels, weights, bias)
+        value, d_w, d_b = total_gradients(forms_of(samples), labels, weights, bias)
         assert value == pytest.approx(scorer_loss(samples, labels, weights, bias), rel=1e-12)
         for t in range(24):
             up_w, down_w = weights.copy(), weights.copy()
@@ -286,7 +365,7 @@ def test_form_gradients_match_central_differences_of_the_scorer():
 
 
 def test_total_gradients_reject_mismatched_shapes():
-    forms = center_forms(np.zeros((2, WINDOW_SAMPLES), dtype=np.int16))
+    forms = forms_of(np.zeros((2, WINDOW_SAMPLES), dtype=np.int16))
     with pytest.raises(ValueError, match="stack"):
         total_gradients(forms[0], [0], np.ones(23), 0.0)
     with pytest.raises(ValueError, match="stack"):
@@ -301,7 +380,7 @@ def test_total_gradients_reject_mismatched_shapes():
 
 
 def check_central_differences(samples, labels, weights, bias, step=1e-4):
-    value, d_w, d_b = total_gradients(center_forms(samples), labels, weights, bias)
+    value, d_w, d_b = total_gradients(forms_of(samples), labels, weights, bias)
     for t in range(weights.size):
         up, down = weights.copy(), weights.copy()
         up[t] += step
@@ -362,56 +441,58 @@ def test_loss_is_nonnegative_everywhere(rng):
 # --- training behavior ------------------------------------------------------
 
 
-def burst_window(rng, amplitude=1.0):
+def burst_window():
     x = np.zeros(WINDOW_SAMPLES)
     # A 1 kHz tone over the center microframe, after 22 samples of history and 5 microframes.
-    x[422:502] = amplitude * np.sin(2 * np.pi * 1000.0 * np.arange(80) / 8000.0)
-    return LabeledAudioWindow(pcm(x), 1)
+    x[422:502] = np.sin(2 * np.pi * 1000.0 * np.arange(80) / 8000.0)
+    return pcm(x)
 
 
 def noise_window(rng, scale=0.02):
-    return LabeledAudioWindow(pcm(scale * rng.standard_normal(DRAW_SAMPLES))[CENTER], 0)
+    return pcm(scale * rng.standard_normal(DRAW_SAMPLES))[CENTER]
 
 
 def separable_corpus(rng, positives=12):
-    data = [burst_window(rng) for _ in range(positives)]
-    data += [noise_window(rng) for _ in range(20 * positives)]
-    return data
+    """A window table of bursts, then 20 noise windows per burst, over one recording of them."""
+    rows = [burst_window() for _ in range(positives)]
+    rows += [noise_window(rng) for _ in range(20 * positives)]
+    return labeled(rows, (np.arange(len(rows)) < positives).astype(int))
 
 
-def count_misclassified(model, data):
-    samples, labels = stack_windows(data)
+def count_misclassified(model, windows, audio):
+    samples, labels = stack_windows(windows, audio)
     predicted = window_scores(samples, model.weights, model.bias) > 0.0
     return int(np.count_nonzero(predicted != labels))
 
 
 def test_training_converges_on_separable_corpus(rng):
-    data = separable_corpus(rng)
+    windows, audio = separable_corpus(rng)
     cfg = TrainConfig(seed=42, max_epochs=200)
-    model = train_filter(data, cfg)
-    assert count_misclassified(model, data) == 0
+    model = train_filter(windows, cfg, audio)
+    assert count_misclassified(model, windows, audio) == 0
 
 
 def test_zero_epochs_returns_initialized_model(rng):
-    data = separable_corpus(rng, positives=2)
+    windows, audio = separable_corpus(rng, positives=2)
     cfg = TrainConfig(seed=9, max_epochs=0)
-    model = train_filter(data, cfg)
+    model = train_filter(windows, cfg, audio)
     assert model.bias == 0.0
     expected = np.random.default_rng(9).normal(0.0, INIT_STD, 23)
     assert np.array_equal(model.weights, expected)
 
 
 def test_single_class_data_rejected(rng):
-    data = [noise_window(rng) for _ in range(10)]
-    with pytest.raises(ValueError, match="degenerate training set"):
-        train_filter(data, TrainConfig())
+    for label in (0, 1):
+        windows, audio = labeled([noise_window(rng) for _ in range(10)], np.full(10, label))
+        with pytest.raises(ValueError, match="^degenerate training set$"):
+            train_filter(windows, TrainConfig(), audio)
 
 
 def test_training_is_deterministic(rng):
-    data = separable_corpus(rng, positives=4)
+    windows, audio = separable_corpus(rng, positives=4)
     cfg = TrainConfig(seed=3, max_epochs=10)
-    a = train_filter(data, cfg)
-    b = train_filter(data, cfg)
+    a = train_filter(windows, cfg, audio)
+    b = train_filter(windows, cfg, audio)
     assert np.array_equal(a.weights, b.weights)
     assert a.bias == b.bias
 
@@ -419,10 +500,14 @@ def test_training_is_deterministic(rng):
 @pytest.mark.parametrize("length", [902, 959, DRAW_SAMPLES])
 def test_train_filter_builds_the_forms_of_center_forms(rng, monkeypatch, length):
     # Each window is the last WINDOW_SAMPLES of a row of `length` samples;
-    # 10 + 59 windows leave a partial last chunk.
+    # 10 + 59 windows leave a partial last chunk. Labels interleave, so the
+    # positives train_filter puts first are not the first rows.
     positives, negatives = 10, FORM_CHUNK_WINDOWS - 5
     draws = rng.integers(-3000, 3000, (positives + negatives, length)).astype(np.int16)
-    data = [LabeledAudioWindow(draw[-WINDOW_SAMPLES:], int(i < positives)) for i, draw in enumerate(draws)]
+    audio, starts = end_to_end(draws)
+    labels = np.zeros(draws.shape[0], dtype=int)
+    labels[::7] = 1
+    windows = window_table(starts + length - WINDOW_SAMPLES, labels)
     built = []
     history_forms = training._history_forms
 
@@ -432,9 +517,10 @@ def test_train_filter_builds_the_forms_of_center_forms(rng, monkeypatch, length)
         return forms
 
     monkeypatch.setattr(training, "_history_forms", spy)
-    train_filter(data, TrainConfig(max_epochs=1))
-    samples = np.array([w.samples for w in data])  # positives come first, as train_filter orders them
-    assert np.array_equal(np.concatenate(built), center_forms(samples))
+    train_filter(windows, TrainConfig(max_epochs=1), audio)
+    # Positives come first, as train_filter orders them.
+    order = np.r_[np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)]
+    assert np.array_equal(np.concatenate(built), forms_of(draws[order, -WINDOW_SAMPLES:]))
 
 
 def test_config_errors_name_the_bound():
@@ -466,43 +552,14 @@ def test_seeds_and_epochs_are_checked_before_numpy_sees_them(make, message):
 
 
 def test_window_metrics_score_held_out_windows_like_the_oracle(rng):
-    data = separable_corpus(rng, positives=6)
-    model = train_filter(data, TrainConfig(seed=4, max_epochs=3))
-    held_out = separable_corpus(rng, positives=6)
-    samples, labels = stack_windows(held_out)
+    windows, audio = separable_corpus(rng, positives=6)
+    model = train_filter(windows, TrainConfig(seed=4, max_epochs=3), audio)
+    held_out, held_audio = separable_corpus(rng, positives=6)
+    samples, labels = stack_windows(held_out, held_audio)
     predicted = window_scores(samples, model.weights, model.bias) > 0.0
     tp = np.count_nonzero(predicted & (labels == 1))
-    metrics = window_metrics(model, held_out)
+    metrics = window_metrics(model, held_out, held_audio)
     assert metrics["windows"] == len(held_out)
     assert metrics["precision"] == (tp / np.count_nonzero(predicted) if predicted.any() else 1.0)
     assert metrics["recall"] == tp / np.count_nonzero(labels)
-    assert window_metrics(model, [])["windows"] == 0
-
-
-def test_short_window_rejected():
-    # Samples have no default: the empty window is as invalid as a short one.
-    with pytest.raises(TypeError):
-        LabeledAudioWindow(label=1)
-    with pytest.raises(ValueError, match="^audio window must hold 902 samples, got 0$"):
-        LabeledAudioWindow(silence(0), 1)
-
-
-def test_window_adopts_frozen_samples_and_copies_the_rest():
-    x = np.arange(WINDOW_SAMPLES + 2, dtype=np.int16)
-    copied = LabeledAudioWindow(x[:WINDOW_SAMPLES], 1)
-    x[0] = 5
-    assert copied.samples[0] == 0 and not copied.samples.flags.writeable
-    x.flags.writeable = False
-    assert np.shares_memory(LabeledAudioWindow(x[2:], 0).samples, x)
-    assert LabeledAudioWindow(x[2:].astype(">i2"), 0).samples.dtype == np.int16
-
-
-def test_window_rejects_nan_and_float_samples_at_construction():
-    # A NaN window used to train every epoch and fail only as "model parameters must be finite".
-    with pytest.raises(ValueError, match=r"^audio window samples must be 16-bit PCM \(int16\), got float64$"):
-        LabeledAudioWindow(np.full(WINDOW_SAMPLES, np.nan), 1)
-    for bad in (np.zeros(WINDOW_SAMPLES), np.zeros(WINDOW_SAMPLES, dtype=np.int32), [0] * 10):
-        with pytest.raises(ValueError, match="^audio window samples must be 16-bit PCM"):
-            LabeledAudioWindow(bad, 0)
-    with pytest.raises(ValueError, match="^audio window samples must be one-dimensional$"):
-        LabeledAudioWindow(np.zeros((2, 5), dtype=np.int16), 0)
+    assert window_metrics(model, held_out[:0], held_audio)["windows"] == 0
