@@ -1,4 +1,7 @@
-"""File formats: WAV audio, IMU/label/event CSVs, and model JSON."""
+"""File formats: WAV audio, IMU/label/event/series CSVs, model and sync JSON; no other module knows a layout.
+
+Every JSON file goes through write_json and every CSV through _write_csv; a CSV's reader and writer share its columns.
+"""
 
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ __all__ = [
     "read_events_csv",
     "write_events_csv",
     "write_series_csv",
+    "write_json",
     "save_filter_model",
     "load_filter_model",
     "save_forest_model",
@@ -37,6 +41,8 @@ __all__ = [
 ]
 
 IMU_COLUMNS = ("t_ms", "ax", "ay", "az", "gx", "gy", "gz")
+LABEL_COLUMNS = ("t_ms",)
+EVENT_COLUMNS = ("time_ms", "score")
 
 
 @contextmanager
@@ -242,60 +248,60 @@ def read_imu_csv(path) -> ImuStream:
     raise ValueError(f"row {row_of(bad[0])}: {bad[1]}")
 
 
-#: One IMU CSV row: t_ms to 3 decimals, the six sensors to 6; "\r\n" is csv.writer's terminator.
-_IMU_ROW = "%.3f" + ",%.6f" * 6 + "\r\n"
+def _write_csv(path, columns, row_format: str, table: np.ndarray, end: str = "\n") -> None:
+    """Write the header, then row_format % row for each row of the 2-D table, lines ended by end, in one write."""
+    row_format += end
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + end + "".join([row_format % tuple(row) for row in table.tolist()]))
 
 
 def write_imu_csv(path, stream: ImuStream) -> None:
-    rows = [_IMU_ROW % tuple(row) for row in stream.block.T.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(IMU_COLUMNS) + "\r\n" + "".join(rows))
+    """The time to 3 decimals and the six sensors to 6, in lines ended by CRLF, csv.writer's terminator."""
+    _write_csv(path, IMU_COLUMNS, "%.3f" + ",%.6f" * 6, stream.block.T, end="\r\n")
 
 
 def read_labels_csv(path) -> LabelSet:
     """Single-column CSV of shot timestamps with header t_ms."""
 
     def locate(header):
-        if not header or header[0] != "t_ms":
-            raise ValueError("missing column t_ms")
+        if not header or header[0] != LABEL_COLUMNS[0]:
+            raise ValueError(f"missing column {LABEL_COLUMNS[0]}")
         return [0]
 
-    block, _ = _read_numeric_csv(path, ("t_ms",), locate)
+    block, _ = _read_numeric_csv(path, LABEL_COLUMNS, locate)
     return LabelSet(freeze_in_place(block)[0])
 
 
 def write_labels_csv(path, labels: LabelSet) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t_ms\n")
-        for t in labels.shots:
-            fh.write(f"{t:.3f}\n")
+    _write_csv(path, LABEL_COLUMNS, "%.3f", labels.shots[:, None])
 
 
 def read_events_csv(path) -> np.ndarray:
     """The (n, 2) event table of a time_ms,score CSV, in file order."""
 
     def locate(header):
-        if header is None or header[:2] != ["time_ms", "score"]:
-            raise ValueError("expected header time_ms,score")
+        if header is None or header[:2] != list(EVENT_COLUMNS):
+            raise ValueError(f"expected header {','.join(EVENT_COLUMNS)}")
         return [0, 1]
 
-    block, _ = _read_numeric_csv(path, ("time_ms", "score"), locate)
+    block, _ = _read_numeric_csv(path, EVENT_COLUMNS, locate)
     return block.T
 
 
 def write_events_csv(path, events: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("time_ms,score\n")
-        for t, s in events.tolist():
-            fh.write(f"{t:.3f},{s:.6f}\n")
+    _write_csv(path, EVENT_COLUMNS, "%.3f,%.6f", events)
 
 
 def write_series_csv(path, series: SampleSeries) -> None:
     """Dump a series as time_ms,value rows for external plotting."""
-    with open(path, "w", newline="") as fh:
-        fh.write("time_ms,value\n")
-        for t, v in zip(series.times(), series.values):
-            fh.write(f"{t:.3f},{v:.9g}\n")
+    _write_csv(path, ("time_ms", "value"), "%.3f,%.9g", np.column_stack((series.times(), series.values)))
+
+
+def write_json(path, payload) -> None:
+    """Write payload as JSON indented by 2, with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @contextmanager
@@ -362,9 +368,7 @@ def save_filter_model(path, model: FilterModel) -> None:
         "bias": float(model.bias),
         **_FILTER_GEOMETRY,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_filter_model(path) -> FilterModel:
@@ -379,9 +383,11 @@ def load_filter_model(path) -> FilterModel:
 
 
 def save_forest_model(path, model: ForestModel) -> None:
-    with open(path, "w") as fh:
-        json.dump(model.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write the node table as {"tree_count", "seed", "trees"}: one object of NODE_FIELDS arrays per tree."""
+    ends = model.sizes.cumsum()[:-1]
+    columns = [[part.tolist() for part in np.split(getattr(model, name), ends)] for name in NODE_FIELDS]
+    trees = [dict(zip(NODE_FIELDS, nodes)) for nodes in zip(*columns)]
+    write_json(path, {"tree_count": model.tree_count, "seed": model.seed, "trees": trees})
 
 
 def _integer(value, where: str) -> int:

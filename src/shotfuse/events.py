@@ -60,12 +60,14 @@ class EvalReport:
 def dedup(times) -> np.ndarray:
     """Positions of the events kept: the first of any run at most NEIGHBORHOOD_MS apart.
 
-    times must be finite and ascending. An event is dropped iff it falls
+    times must be one-dimensional, finite and ascending. An event is dropped iff it falls
     within NEIGHBORHOOD_MS after the previously kept event, exactly
     NEIGHBORHOOD_MS included (as t - last_kept <= NEIGHBORHOOD_MS); the
     first event is always kept.
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("event times must be one-dimensional")
     if not np.isfinite(times).all():
         raise ValueError("event times must be finite")
     if np.any(np.diff(times) < 0):

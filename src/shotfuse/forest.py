@@ -8,7 +8,7 @@ five node arrays of all its trees laid end to end, plus each tree's node
 count. ForestModel has one constructor, which training and loading call
 with the whole table and which checks it in one vectorized pass; votes
 descend it without recursion, and its trees are one-tree forests viewing
-their stretch of it.
+their stretch of it. dataio alone writes and reads forest.json.
 """
 
 from __future__ import annotations
@@ -110,17 +110,6 @@ class ForestModel:
         return tuple(
             ForestModel(*(a[begin:end] for a in nodes), [end - begin], self.seed) for begin, end in self._spans()
         )
-
-    def to_dict(self) -> dict:
-        columns = [getattr(self, name).tolist() for name in NODE_FIELDS]
-        return {
-            "tree_count": self.tree_count,
-            "seed": self.seed,
-            "trees": [
-                {name: column[begin:end] for name, column in zip(NODE_FIELDS, columns)}
-                for begin, end in self._spans()
-            ],
-        }
 
 
 def _ranges(first: np.ndarray, length: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ something to print.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -35,6 +34,7 @@ from .dataio import (
     save_filter_model,
     save_forest_model,
     write_events_csv,
+    write_json,
     write_series_csv,
 )
 from .events import MATCH_TOLERANCE_MS, LabelSet, check_tolerance, evaluate, precision_recall_f
@@ -305,9 +305,7 @@ def run_pipeline(
         events = detect_shots(synced, forest_model)
         sync_payload = synced.sync_report()
         sync_path = out_dir / "sync.json"
-        with open(sync_path, "w") as fh:
-            json.dump(sync_payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(sync_path, sync_payload)
         result["sync"] = sync_payload
         result["sync_path"] = str(sync_path)
         if options.emit_series:

@@ -168,7 +168,7 @@ def center_forms(samples: np.ndarray, starts) -> np.ndarray:
 
 
 def _history_forms(history: np.ndarray, forms: np.ndarray) -> np.ndarray:
-    """center_forms of window rows of PCM steps, written into packed forms.
+    """center_forms of C-contiguous window rows of PCM steps, written into packed forms.
 
     Up to the final division everything is an integer below 2^45, which
     float64 holds exactly in any summation order: the samples are PCM
@@ -193,14 +193,15 @@ def _history_forms(history: np.ndarray, forms: np.ndarray) -> np.ndarray:
     its last entry plus that step's row. The division rounds each entry of
     M / (11 * 2^30) once.
     """
-    n, n_taps, block = len(history), FILTER_TAPS, _BLOCK
+    (n, size), n_taps, block = history.shape, FILTER_TAPS, _BLOCK
     width = block + n_taps - 1
     groups = -(-width // block)
+    step = history.itemsize
     rows = history[:, n_taps - 1 :].reshape(n, -1, block).transpose(0, 2, 1)
-    spans = sliding_window_view(history, width, axis=1)[:, ::block]
+    spans = np.ndarray((n, (size - width) // block + 1, width), buffer=history, strides=(size * step, block * step, step))
     center = slice(MACROFRAME_HALF * MICROFRAME_SAMPLES // block, (MACROFRAME_HALF + 1) * MICROFRAME_SAMPLES // block)
     product = np.empty((n, block, width))
-    diagonals = sliding_window_view(product.reshape(n, -1), n_taps, axis=1)[:, :: width + 1]
+    diagonals = np.ndarray((n, block, n_taps), buffer=product, strides=(block * width * step, (width + 1) * step, step))
     ones = np.ones(block)
     lagged = np.zeros((n, n_taps))
     for g in range(groups):

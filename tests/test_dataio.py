@@ -10,10 +10,12 @@ import shotfuse.dataio
 import shotfuse.imu
 from shotfuse import (
     FilterModel,
+    ForestModel,
     audio_likelihood,
     ImuStream,
     LabelSet,
     PcmAudio,
+    SampleSeries,
     SynthConfig,
     synthesize,
     train_forest,
@@ -33,8 +35,10 @@ from shotfuse.dataio import (
     write_events_csv,
     write_imu_csv,
     write_labels_csv,
+    write_series_csv,
     write_wav,
 )
+from test_forest import same_forest
 
 
 # --- WAV ---------------------------------------------------------------------
@@ -414,6 +418,20 @@ def test_labels_round_trip(tmp_path):
     assert np.allclose(back.shots, labels.shots)
 
 
+def test_labels_csv_bytes(tmp_path):
+    path = tmp_path / "labels.csv"
+    write_labels_csv(path, LabelSet(np.array([0.0, 100.0, 2500.5, 60000.0004])))
+    assert path.read_bytes() == b"t_ms\n0.000\n100.000\n2500.500\n60000.000\n"
+
+
+def test_series_csv_bytes(tmp_path):
+    path = tmp_path / "apf.csv"
+    write_series_csv(path, SampleSeries(-270.0, [0.0, 1.0 / 3.0, 2.5e-7, 123456789.0, -4.5]))
+    assert path.read_bytes() == (
+        b"time_ms,value\n-270.000,0\n-260.000,0.333333333\n-250.000,2.5e-07\n-240.000,123456789\n-230.000,-4.5\n"
+    )
+
+
 def test_labels_reject_non_finite_timestamps(tmp_path):
     # NaN and infinity used to load, and evaluate counted a NaN label as a missed shot; a NaN
     # among other labels failed as "not strictly ascending".
@@ -489,6 +507,15 @@ def test_filter_model_json_schema(tmp_path, rng):
     back = load_filter_model(path)
     assert np.allclose(back.weights, model.weights)
     assert back.bias == model.bias
+
+
+def test_filter_model_bytes(tmp_path):
+    path = tmp_path / "filter.json"
+    save_filter_model(path, FilterModel(np.r_[0.25, -1.5, np.zeros(20), 3.0], bias=-0.125))
+    assert path.read_text() == (
+        '{\n  "bias": -0.125,\n  "microframe_ms": 10,\n  "sample_rate": 8000,\n  "weights": [\n'
+        + "    0.25,\n    -1.5,\n" + "    0.0,\n" * 20 + "    3.0\n  ]\n}\n"
+    )
 
 
 def test_filter_model_geometry_is_written_as_json_integers(tmp_path):
@@ -647,8 +674,70 @@ def test_forest_model_json_schema(tmp_path, rng):
     assert payload["tree_count"] == 3
     node_keys = sorted(payload["trees"][0])
     assert node_keys == ["feature", "leaf_class", "left", "right", "threshold"]
-    back = load_forest_model(path)
-    assert back.to_dict() == model.to_dict()
+    assert same_forest(load_forest_model(path), model)
+
+
+#: A stump on feature 2 and a one-leaf tree, as forest.json holds them.
+TWO_TREES_JSON = """{
+  "seed": 5,
+  "tree_count": 2,
+  "trees": [
+    {
+      "feature": [
+        2,
+        -1,
+        -1
+      ],
+      "leaf_class": [
+        -1,
+        0,
+        1
+      ],
+      "left": [
+        1,
+        -1,
+        -1
+      ],
+      "right": [
+        2,
+        -1,
+        -1
+      ],
+      "threshold": [
+        1.5,
+        0.0,
+        0.0
+      ]
+    },
+    {
+      "feature": [
+        -1
+      ],
+      "leaf_class": [
+        1
+      ],
+      "left": [
+        -1
+      ],
+      "right": [
+        -1
+      ],
+      "threshold": [
+        0.0
+      ]
+    }
+  ]
+}
+"""
+
+
+def test_forest_model_bytes(tmp_path):
+    model = ForestModel([2, -1, -1, -1], [1.5, 0.0, 0.0, 0.0], [1, -1, -1, -1], [2, -1, -1, -1], [-1, 0, 1, 1],
+                        [3, 1], seed=5)
+    path = tmp_path / "forest.json"
+    save_forest_model(path, model)
+    assert path.read_text() == TWO_TREES_JSON
+    assert same_forest(load_forest_model(path), model)
 
 
 def set_entry(field, tree, index, value):

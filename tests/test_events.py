@@ -38,6 +38,14 @@ def test_dedup_unordered_rejected():
         dedup(ev(100, 50))
 
 
+@pytest.mark.parametrize("table", [[[100.0, 0.9], [700.0, 0.8]], np.empty((0, 2))], ids=["two-events", "empty"])
+def test_dedup_rejects_an_event_table(table):
+    # dedup takes the time column: a whole (n, 2) table used to fail as
+    # "unordered events", and an empty one passed silently.
+    with pytest.raises(ValueError, match="^event times must be one-dimensional$"):
+        dedup(table)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dedup_rejects_non_finite_times(bad):
     # A NaN used to pass both the order check and the neighborhood rule, so

@@ -45,6 +45,14 @@ def test_forest_rejects_single_class(rng):
         train_forest(rng.standard_normal((10, 5)), np.ones(10, dtype=int), tree_count=5, seed=0)
 
 
+def same_forest(a, b) -> bool:
+    """Whether two forests hold equal node arrays and tree sizes, values and dtype, and the same seed."""
+    return a.seed == b.seed and all(
+        getattr(a, name).dtype == getattr(b, name).dtype and np.array_equal(getattr(a, name), getattr(b, name))
+        for name in NODE_FIELDS + ("sizes",)
+    )
+
+
 def tree(feature, threshold, left, right, leaf_class):
     """A hand-made tree as a one-tree forest."""
     return ForestModel(feature, threshold, left, right, leaf_class, [len(feature)], seed=0)
@@ -120,9 +128,9 @@ def test_forest_deterministic_given_seed(rng):
     X, y = separable_dataset(rng)
     a = train_forest(X, y, tree_count=10, seed=7)
     b = train_forest(X, y, tree_count=10, seed=7)
-    assert a.to_dict() == b.to_dict()
+    assert same_forest(a, b)
     c = train_forest(X, y, tree_count=10, seed=8)
-    assert c.to_dict() != a.to_dict()
+    assert not same_forest(c, a)
 
 
 def test_forest_serialization_round_trip(rng, tmp_path):
@@ -188,9 +196,10 @@ def test_tree_rejects_a_child_that_is_its_node(tmp_path):
     with pytest.raises(ValueError, match="child not after it"):
         tree([0, -1, -1], [0.0, 0.0, 0.0], [0, -1, -1], [2, -1, -1], [-1, 0, 1])
     # The same tree read from a model file fails to load instead of looping in classify.
-    payload = stump(0, 1.0, 0, 1).to_dict()
-    payload["trees"][0]["right"][0] = 0
     path = tmp_path / "forest.json"
+    save_forest_model(path, stump(0, 1.0, 0, 1))
+    payload = json.loads(path.read_text())
+    payload["trees"][0]["right"][0] = 0
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="child not after it"):
         load_forest_model(path)
@@ -422,7 +431,7 @@ def tied_dataset(rng, n):
 def assert_same_models(X, y, tree_count, seed, tmp_path):
     reference, events = per_node_forest(X, y, tree_count, seed)
     model = train_forest(X, y, tree_count, seed)
-    assert model.to_dict() == reference.to_dict()
+    assert same_forest(model, reference)
     save_forest_model(tmp_path / "lockstep.json", model)
     save_forest_model(tmp_path / "reference.json", reference)
     assert (tmp_path / "lockstep.json").read_bytes() == (tmp_path / "reference.json").read_bytes()

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from shotfuse.dataio import (
     read_labels_csv,
     read_wav,
     save_filter_model,
+    save_forest_model,
     write_imu_csv,
     write_labels_csv,
     write_wav,
@@ -68,6 +70,24 @@ def test_run_pipeline_on_fixture(fixture_dir, tmp_path):
     lines = (out_dir / "detections.csv").read_text().splitlines()
     assert lines[0] == "time_ms,score"
     assert len(lines) == result["event_count"] + 1
+
+
+def test_run_pipeline_sync_json_and_detections_bytes(tmp_path, monkeypatch):
+    # The files run_pipeline writes, apart from what sync and fusion compute: those are stubbed.
+    save_filter_model(tmp_path / "filter.json", sf.FilterModel(np.ones(23), 0.0))
+    save_forest_model(tmp_path / "forest.json", sf.ForestModel([-1], [0.0], [-1], [-1], [1], [1], seed=0))
+    synced = types.SimpleNamespace(offset=sync.OffsetEstimate(-270.0, 0.8125, 55.0), validated=True)
+    synced.sync_report = lambda: fusion.SyncedSeries.sync_report(synced)
+    monkeypatch.setattr(pipeline, "_synced_files", lambda audio_path, imu_path, filter_model: synced)
+    monkeypatch.setattr(pipeline, "detect_shots", lambda synced, model: np.array([[1234.5, 0.96], [5000.0, 0.5]]))
+    out_dir = tmp_path / "out"
+    run_pipeline("audio.wav", "imu.csv", tmp_path / "filter.json", tmp_path / "forest.json",
+                 PipelineOptions(out_dir=str(out_dir)))
+    assert (out_dir / "sync.json").read_text() == (
+        '{\n  "offset_ms": -270.0,\n  "peak_correlation": 0.8125,\n  "validated": true,\n'
+        '  "window_seconds": 55.0\n}\n'
+    )
+    assert (out_dir / "detections.csv").read_bytes() == b"time_ms,score\n1234.500,0.960000\n5000.000,0.500000\n"
 
 
 def test_run_pipeline_never_decodes_the_whole_recording(fixture_dir, tmp_path):
