@@ -8,13 +8,15 @@ per microframe, that spikes at impact sounds; adding the model bias and
 thresholding at zero turns it into a detector.
 
 A recording stays 16-bit PCM from the WAV file to the filter, and the FIR
-pass decodes it one chunk at a time. Detection streams those chunks from
-the file (``dataio.WavFile``) and never holds the recording; training
-reads it whole (:class:`PcmAudio`), cuts its windows as rows of a table of
-start samples (training.window_table) and decodes one chunk of windows at
-a time. The audio clock starts at 0 ms with the first sample; the IMU runs
-on its own clock, whose offset the synchronizer estimates. Every value
-type here takes its arrays through series.freeze.
+pass decodes it one chunk at a time. The workflows stream those chunks
+from the file (``dataio.WavFile``) and never hold the recording;
+training cuts its windows, rows of a table of start samples
+(training.window_table), from one ordered pass over them and decodes one
+chunk of windows at a time. A :class:`PcmAudio` is the same recording in
+memory, and every reader takes either. The audio clock starts at 0 ms
+with the first sample; the IMU runs on its own clock, whose offset the
+synchronizer estimates. Every value type here takes its arrays through
+series.freeze.
 """
 
 from __future__ import annotations

@@ -81,22 +81,26 @@ def read_wav(path) -> PcmAudio:
         return PcmAudio(_read_frames(wav, frames, frames, 0))
 
 
-#: Blocks WavFile.chunks takes from each read of the file: reading 4 FIR chunks
-#: (160 kB) at a time costs per sample what one whole-file read does, and one
-#: read per chunk about twice that.
-_BLOCKS_PER_READ = 4
+#: Frames WavFile.chunks reads from the file at a time (160 kB), in whole
+#: blocks, or one block where a block is longer: 4 FIR chunks a read costs
+#: per sample what one whole-file read does, one read per FIR chunk about
+#: twice that, and 4 of center_forms' 81,920-sample blocks a read (640 kB)
+#: made center_forms on a 3-min recording about 20% slower than one.
+_READ_FRAMES = 81920
 
 
 class WavFile:
     """A WAV recording read from disk one block at a time: a PcmAudio that is never held whole.
 
     It reads like a PcmAudio to short_time_energy, audio_likelihood,
-    detect_audio and audio_only_events, which read only these two: len() is
-    the frame count its header declares, and chunks(size) reads the samples
-    afresh, size frames at a time, as read_wav would return them; they
-    decode by audio.PCM_SCALE. Opening checks the header as read_wav does;
-    a file that holds fewer frames than its header declares fails while
-    chunks reads it, with read_wav's message.
+    detect_audio, audio_only_events and training.center_forms (so to
+    train_filter, window_metrics and windows_from_labels too), which read
+    only these two: len() is the frame count its header declares, and
+    chunks(size) reads the samples afresh, size frames at a time, as
+    read_wav would return them; they decode by audio.PCM_SCALE. Opening
+    checks the header as read_wav does; a file that holds fewer frames than
+    its header declares fails while chunks reads it, with read_wav's
+    message.
     """
 
     def __init__(self, path):
@@ -109,9 +113,10 @@ class WavFile:
 
     def chunks(self, size: int):
         """The samples in order as read-only int16 blocks of size samples; the last may be shorter."""
+        step = size * max(1, _READ_FRAMES // size)
         with _open_wav(self.path) as wav:
-            for start in range(0, self._frames, size * _BLOCKS_PER_READ):
-                read = _read_frames(wav, min(size * _BLOCKS_PER_READ, self._frames - start), self._frames, start)
+            for start in range(0, self._frames, step):
+                read = _read_frames(wav, min(step, self._frames - start), self._frames, start)
                 yield from (read[i : i + size] for i in range(0, read.size, size))
 
 

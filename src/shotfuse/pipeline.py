@@ -19,6 +19,7 @@ from .audio import (
     MACROFRAME_HALF,
     MICROFRAME_MS,
     MICROFRAME_SAMPLES,
+    SAMPLE_RATE_HZ,
     FilterModel,
     PcmAudio,
     audio_likelihood,
@@ -30,13 +31,13 @@ from .dataio import (
     load_forest_model,
     read_imu_csv,
     read_labels_csv,
-    read_wav,
     save_filter_model,
     save_forest_model,
     write_events_csv,
     write_json,
     write_series_csv,
 )
+from .dataio import read_wav  # noqa: F401 -- still bound here for tools that wrap it
 from .events import MATCH_TOLERANCE_MS, LabelSet, check_tolerance, evaluate, precision_recall_f
 from .forest import DEFAULT_TREE_COUNT, check_seed, classify, train_forest
 from .fusion import SyncedSeries, audio_only_events, candidate_table, detect_shots
@@ -95,7 +96,8 @@ def windows_from_labels(audio: PcmAudio, labels: LabelSet, seed: int = 0) -> np.
     (f - 5) * 80 - 22. Negative windows are sampled uniformly at least
     MIN_LABEL_DISTANCE_MS away from every label, TrainConfig.neg_pos_ratio
     of them per positive, and follow the positives. Only microframes with
-    DRAW_MARGIN_FRAMES whole microframes on each side are drawn.
+    DRAW_MARGIN_FRAMES whole microframes on each side are drawn. Of audio,
+    a PcmAudio or a dataio.WavFile, only len() is read.
     """
     rng = np.random.default_rng(seed)
     n_frames = len(audio) // MICROFRAME_SAMPLES
@@ -117,7 +119,7 @@ def windows_from_labels(audio: PcmAudio, labels: LabelSet, seed: int = 0) -> np.
     wanted = int(round(TrainConfig.neg_pos_ratio * positive.size))
     margin_ms = (DRAW_MARGIN_FRAMES + 0.5) * MICROFRAME_MS
     lo = margin_ms
-    hi = audio.end_time - margin_ms
+    hi = len(audio) * 1000.0 / SAMPLE_RATE_HZ - margin_ms
     kept = [np.empty(0, dtype=int)]
     budget = 100 * wanted
     chunk = 2 * wanted
@@ -146,10 +148,15 @@ def shuffle_split(items: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndar
 def window_metrics(model: FilterModel, windows: np.recarray, audio: PcmAudio) -> dict:
     """Window-level precision/recall/F of the biased-threshold classifier on a window table over audio.
 
-    Scores each window's center from its packed form, as training does.
+    audio is a PcmAudio or a dataio.WavFile, read once by center_forms.
+
+    Scores each window's center from its packed form, as training does;
+    the counts do not depend on the order of the windows, so their forms
+    are built in ascending start order (center_forms).
     """
-    labels = windows["label"]
-    predicted = form_scores(center_forms(audio.samples, windows["start"]), model.weights, model.bias) > 0.0
+    by_start = np.argsort(windows["start"])
+    labels = windows["label"][by_start]
+    predicted = form_scores(center_forms(audio, windows["start"][by_start]), model.weights, model.bias) > 0.0
     tp = int(np.count_nonzero(predicted & (labels == 1)))
     fp = int(np.count_nonzero(predicted & (labels == 0)))
     fn = int(np.count_nonzero(~predicted & (labels == 1)))
@@ -219,9 +226,9 @@ def candidate_dataset(synced: SyncedSeries, labels: LabelSet) -> tuple[np.ndarra
 
 
 def train_filter_workflow(data_dir, out_path, train_cfg: TrainConfig = TrainConfig()) -> dict:
-    """train-filter subcommand: windows from labels, 80/20 split, fit, save."""
+    """train-filter subcommand: windows from labels, 80/20 split, fit, save; the WAV is streamed, twice."""
     data_dir = Path(data_dir)
-    audio = read_wav(data_dir / "audio.wav")
+    audio = WavFile(data_dir / "audio.wav")
     labels = read_labels_csv(data_dir / "labels.csv")
     windows = windows_from_labels(audio, labels, train_cfg.seed)
     train_set, val_set = shuffle_split(windows, train_cfg.seed)

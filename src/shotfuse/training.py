@@ -1,7 +1,9 @@
 """Gradient training of the audio front filter and decision bias.
 
-Training data is one window table over one recording (window_table).
-The detector is differentiable end to end: convolution -> per-frame energy
+Training data is one window table over one recording (window_table),
+a PcmAudio or a dataio.WavFile: the forms are cut from one ordered pass
+over its chunks, so training on a WavFile never holds the PCM. The
+detector is differentiable end to end: convolution -> per-frame energy
 -> macroframe mean subtraction -> bias threshold. Misclassified windows
 contribute the (signed) decision score as their loss; correct ones
 contribute nothing. The whole chain is a quadratic form in the filter
@@ -60,8 +62,10 @@ ADAM_EPSILON = 1e-8
 #: Spread of the initial weights: 1/sqrt(taps) gives the initial filter unit
 #: energy on average.
 INIT_STD = 1.0 / math.sqrt(FILTER_TAPS)
-#: Windows center_forms copies per chunk.
+#: Windows whose forms center_forms builds at once.
 FORM_CHUNK_WINDOWS = 64
+#: Samples center_forms reads from its source at a time.
+FORM_READ_SAMPLES = 81920
 # Macroframe samples per row of the first form row's blocked product
 # (_history_forms). It divides MICROFRAME_SAMPLES, so that the center
 # microframe is whole rows.
@@ -131,39 +135,71 @@ def window_table(starts, labels) -> np.recarray:
     return table
 
 
-def center_forms(samples: np.ndarray, starts) -> np.ndarray:
+def center_forms(audio: PcmAudio, starts) -> np.ndarray:
     """Packed quadratic form of the center score of each window of a recording: (windows, PACKED_TAPS).
 
-    samples is a recording's int16 PCM and starts the first sample of each
-    window in it, in any order, overlapping or repeated. A window's center
+    audio is a PcmAudio or anything with its len() in samples and
+    chunks(size), such as dataio.WavFile, and starts the first sample of
+    each window in it, in any order, overlapping or repeated; the rows
+    come back in the order of starts. A window's center
     score, its center microframe's filtered energy minus its macroframe's
     mean energy plus the bias, is w @ Q @ w + bias for a symmetric Q of its
     samples; its row here is Q's upper triangle, row by row (form_scores).
     Filtered output k of the macroframe is w @ t_k, where
     t_k[i] = window[k + n_taps - 1 - i], and Q = sum_k c_k t_k t_k^T with
     c_k = 1 - 1/11 on the center microframe and -1/11 on the rest of the
-    macroframe. The first row is a few blocked matmuls per chunk of windows,
-    the rest a diagonal recursion (_history_forms). Each entry is the
-    correctly rounded exact value, whatever FORM_CHUNK_WINDOWS, _BLOCK or
-    the BLAS thread count.
+    macroframe.
+
+    The source is read once, in order and to its end, FORM_READ_SAMPLES
+    at a time, so a source that checks its length does so on every call,
+    and a WavFile's PCM is never held. Each read goes into one reused
+    int16 segment after the last WINDOW_SAMPLES - 1 samples before it; the
+    windows it completes are cut from it in ascending start order, as PCM
+    steps, into one reused buffer of FORM_CHUNK_WINDOWS rows, which fills
+    across reads. Each full buffer's forms are built at once, into the
+    next rows of the stack (the first row a few blocked matmuls, the rest
+    a diagonal recursion: _history_forms). Ascending starts are thus built
+    in place; any other order is built ascending and then put in the order
+    of starts through one copy of the stack, so callers with many windows,
+    such as train_filter and window_metrics, pass them ascending. Each
+    entry is the correctly rounded exact value, whatever
+    FORM_READ_SAMPLES, FORM_CHUNK_WINDOWS, _BLOCK or the BLAS thread
+    count.
     """
-    if samples.dtype != np.int16 or samples.ndim != 1:
-        raise ValueError(f"samples must be one-dimensional 16-bit PCM (int16), got {samples.dtype} {samples.shape}")
     starts = np.asarray(starts)
-    last = samples.size - WINDOW_SAMPLES
+    last = len(audio) - WINDOW_SAMPLES
     outside = starts.size and (starts.dtype.kind not in "iu" or starts.min() < 0 or starts.max() > last)
     if starts.ndim != 1 or outside:
         raise ValueError(f"window starts must be integers from 0 to {last}, so that every window lies in the samples")
+    # Windows with equal starts have equal forms, so any order of ties will do.
+    order = None if (np.diff(starts) >= 0).all() else np.argsort(starts)
+    ordered = starts if order is None else starts[order]
     forms = np.empty((starts.size, PACKED_TAPS))
-    if not starts.size:
-        return forms
-    windows = sliding_window_view(samples, WINDOW_SAMPLES)
-    # Each chunk of windows is copied, as PCM steps, into one reused buffer.
+    # After a read of `read` samples that ends at sample `end`, the segment
+    # holds samples end - read - carry to end; no window still to cut starts
+    # before them. The carry is junk before the first read, where no window starts.
+    carry = WINDOW_SAMPLES - 1
+    segment = np.empty(carry + FORM_READ_SAMPLES, dtype=np.int16)
+    windows = sliding_window_view(segment, WINDOW_SAMPLES)
     history = np.empty((min(FORM_CHUNK_WINDOWS, starts.size), WINDOW_SAMPLES))
-    for lo in range(0, starts.size, FORM_CHUNK_WINDOWS):
-        chunk = starts[lo : lo + FORM_CHUNK_WINDOWS]
-        history[: chunk.size] = windows[chunk]
-        _history_forms(history[: chunk.size], forms[lo : lo + chunk.size])
+    done = filled = end = 0  # windows cut, those of them waiting in history, samples read
+    for chunk in audio.chunks(FORM_READ_SAMPLES):
+        if done == starts.size:  # the rest is read only for the source's length check
+            continue
+        read = chunk.size
+        segment[carry : carry + read] = chunk
+        end += read
+        ready = np.searchsorted(ordered, end - WINDOW_SAMPLES, side="right")
+        while done < ready:
+            take = min(ready - done, len(history) - filled)
+            history[filled : filled + take] = windows[ordered[done : done + take] - (end - read - carry)]
+            filled, done = filled + take, done + take
+            if filled == len(history) or done == starts.size:
+                _history_forms(history[:filled], forms[done - filled : done])
+                filled = 0
+        segment[:carry] = segment[read : read + carry]
+    if order is not None:
+        forms[order] = forms.copy()
     return forms
 
 
@@ -267,7 +303,8 @@ class _Adam:
 def train_filter(windows: np.recarray, cfg: TrainConfig, audio: PcmAudio) -> FilterModel:
     """Fit FILTER_TAPS filter weights and the bias by mini-batch Adam on the decision loss.
 
-    windows is a window table (window_table) over audio. Weights start
+    windows is a window table (window_table) over audio, a PcmAudio or
+    a dataio.WavFile, which center_forms reads once. Weights start
     from N(0, INIT_STD^2) under cfg.seed, bias from 0. Negatives are
     subsampled (without replacement, when enough exist) to neg_pos_ratio
     per positive. Training stops at max_epochs or after an epoch whose
@@ -289,14 +326,21 @@ def train_filter(windows: np.recarray, cfg: TrainConfig, audio: PcmAudio) -> Fil
     if cfg.max_epochs == 0:
         return FilterModel(weights, 0.0)
 
-    # The packed forms are the only per-window state the epochs read.
-    forms = center_forms(audio.samples, windows["start"][np.concatenate([positives, negatives])])
-    labels = np.repeat([1, 0], [positives.size, negatives.size])
+    # The packed forms are the only per-window state the epochs read. They
+    # are built in ascending start order; row_of maps each chosen window,
+    # positives first, to its row, so each epoch's permutation picks the
+    # same windows in the same order whatever the row order.
+    chosen = windows[np.concatenate([positives, negatives])]
+    by_start = np.argsort(chosen["start"])
+    forms = center_forms(audio, chosen["start"][by_start])
+    labels = chosen["label"][by_start]
+    row_of = np.empty_like(by_start)
+    row_of[by_start] = np.arange(by_start.size)
 
     params = np.concatenate([weights, [0.0]])
     opt = _Adam(params.size, cfg.learning_rate)
     for _ in range(cfg.max_epochs):
-        order = rng.permutation(len(forms))
+        order = row_of[rng.permutation(len(forms))]
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             rows = order[start : start + cfg.batch_size]

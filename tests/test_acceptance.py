@@ -115,7 +115,7 @@ def test_criterion_2_gradient_check():
         # The window of the center microframe of 21 drawn microframes.
         draw = PcmAudio.from_float(0.3 * rng.standard_normal(21 * MICROFRAME_SAMPLES)).samples
         samples = draw[None, 378:1280]
-        forms = center_forms(draw, [378])
+        forms = center_forms(PcmAudio(draw), [378])
         score = window_scores(samples / 32768.0, weights, bias)[0]
         labels = [1 if score <= 0.0 else 0]  # force a nonzero loss
         loss, d_w, d_b = total_gradients(forms, labels, weights, bias)

@@ -116,6 +116,22 @@ def test_detect_missing_model_fails(workspace, tmp_path):
     assert "model not found" in proc.stderr
 
 
+def test_training_on_a_truncated_wav_fails_naming_the_frames(workspace, tmp_path):
+    # 50 s is 400,000 frames; keep 399,800 and half of the next. No training
+    # window reaches the last 400 samples, so every one ends before the cut.
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("imu.csv", "labels.csv"):
+        (data / name).write_bytes((workspace["data"] / name).read_bytes())
+    (data / "audio.wav").write_bytes((workspace["data"] / "audio.wav").read_bytes()[: 44 + 2 * 399_800 + 1])
+    expected = "error: truncated WAV: the header declares 400000 frames, the file holds 399800\n"
+    for command, out, *rest in (("train-filter", "filter.json", "--epochs", 1),
+                                ("train-forest", "forest.json", "--filter", workspace["filter"])):
+        proc = run_cli(command, "--data", data, "--out", tmp_path / out, *rest, check=False)
+        assert proc.returncode == 1 and proc.stderr == expected, (command, proc.stderr)
+        assert not (tmp_path / out).exists()
+
+
 def test_detect_needs_imu_and_forest_unless_audio_only(workspace, tmp_path):
     data = workspace["data"]
     out_dir = tmp_path / "out"

@@ -2,7 +2,8 @@
 
 On a seeded 3-min session, tracemalloc peaks are held to the sizes of the
 arrays a stage must keep (the packed training forms) plus a stated margin,
-and the workflows that stream the WAV to less than its PCM. The offset
+and the workflows that stream the WAV to less than its PCM above those
+arrays. The offset
 estimate is held to a stated size on series of a 10-min session.
 """
 
@@ -21,6 +22,7 @@ from shotfuse.pipeline import (
     run_pipeline,
     shuffle_split,
     synced_series,
+    train_filter_workflow,
     train_forest_workflow,
     windows_from_labels,
 )
@@ -96,13 +98,18 @@ def test_train_forest_workflow_streams_the_wav(session, tmp_path):
     assert peak < PCM_BYTES, f"{peak / MB:.2f} MB"
 
 
+def forms_bytes_of(train_set, cfg) -> int:
+    """Bytes of the packed forms train_filter builds for a training window table."""
+    positives = int(train_set.label.sum())
+    negatives = min(len(train_set) - positives, round(cfg.neg_pos_ratio * positives))
+    return (positives + negatives) * PACKED_TAPS * 8
+
+
 def test_train_filter_holds_the_forms_and_one_chunk_of_spans(session):
     _, train_set, audio = session
     cfg = sf.TrainConfig(max_epochs=1, seed=3)
     peak = traced_peak(lambda: sf.train_filter(train_set, cfg, audio))
-    positives = int(train_set.label.sum())
-    negatives = min(len(train_set) - positives, round(cfg.neg_pos_ratio * positives))
-    forms_bytes = (positives + negatives) * PACKED_TAPS * 8
+    forms_bytes = forms_bytes_of(train_set, cfg)
     # Margin: 1.5 MB above the packed forms (3.3 MB here). Measured 0.86 MB:
     # one chunk's windows as PCM steps (0.46 MB) and as int16 (0.12 MB), and
     # the recursion's steps (0.34 MB, 0.25 MB of it their products); the
@@ -112,6 +119,19 @@ def test_train_filter_holds_the_forms_and_one_chunk_of_spans(session):
     # decoding and padding whole windows per 128-window chunk, 4.26 MB;
     # full (windows, 23, 23) forms, 3.1 MB more.
     assert peak < forms_bytes + 1.5 * MB, f"{(peak - forms_bytes) / MB:.2f} MB above the forms"
+
+
+def test_train_filter_workflow_streams_the_wav(session, tmp_path):
+    root, train_set, _ = session
+    cfg = sf.TrainConfig(max_epochs=1, seed=3)  # the session's split, so the same training windows
+    peak = traced_peak(lambda: train_filter_workflow(root, tmp_path / "filter.json", cfg))
+    forms_bytes = forms_bytes_of(train_set, cfg)
+    # Margin: 2.0 MB above the packed forms (3.3 MB here), less than the
+    # PCM. Measured 4.75 MB, 1.41 MB above the forms: train_filter's chunk
+    # buffers (above), the int16 segment the WAV is read into (0.17 MB) and
+    # one read of the file (0.16 MB). Reading the whole PCM put the peak at
+    # 7.13 MB: the forms, the PCM (2.88 MB) and 0.91 MB.
+    assert peak < forms_bytes + 2.0 * MB, f"{(peak - forms_bytes) / MB:.2f} MB above the forms"
 
 
 def test_estimate_offset_temporaries_on_a_10_min_pair():

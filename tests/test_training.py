@@ -10,8 +10,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import shotfuse
 from shotfuse import ForestModel, PcmAudio, SynthConfig, TrainConfig, train_filter, train_forest
-from shotfuse import training
+from shotfuse import dataio, training
 from shotfuse.audio import PCM_SCALE, WINDOW_SAMPLES
+from shotfuse.dataio import WavFile, read_wav, write_wav
 from shotfuse.pipeline import window_metrics
 from shotfuse.training import (
     FORM_CHUNK_WINDOWS,
@@ -77,7 +78,7 @@ def end_to_end(rows):
 def forms_of(rows):
     """center_forms of the rows of a (windows, WINDOW_SAMPLES) int16 matrix, laid end to end."""
     audio, starts = end_to_end(rows)
-    return center_forms(audio.samples, starts)
+    return center_forms(audio, starts)
 
 
 def labeled(rows, labels):
@@ -147,10 +148,10 @@ OUTSIDE = r"^window starts must be integers from 0 to 98, so that every window l
     ids=["negative", "wrapping", "one-past-last", "far-past", "float", "2-d", "scalar"],
 )
 def test_center_forms_reject_windows_outside_the_samples(starts):
-    samples = silence(WINDOW_SAMPLES + 98)
+    audio = PcmAudio(silence(WINDOW_SAMPLES + 98))
     with pytest.raises(ValueError, match=OUTSIDE):
-        center_forms(samples, starts)
-    assert center_forms(samples, [0, 98]).shape == (2, PACKED_TAPS)
+        center_forms(audio, starts)
+    assert center_forms(audio, [0, 98]).shape == (2, PACKED_TAPS)
 
 
 def test_stack_windows_keeps_rows_and_labels():
@@ -246,7 +247,7 @@ def test_center_forms_equal_the_exact_integer_form(length):
         silence(length),
     ]
     audio, starts = end_to_end(draws)
-    forms = center_forms(audio.samples, starts + length - WINDOW_SAMPLES)
+    forms = center_forms(audio, starts + length - WINDOW_SAMPLES)
     assert forms.shape == (len(draws), PACKED_TAPS)
     for form, draw in zip(forms, draws):
         assert form.tolist() == exact_form(draw[-WINDOW_SAMPLES:])
@@ -259,32 +260,74 @@ def test_center_forms_at_unsorted_overlapping_and_repeated_starts(rng, monkeypat
     samples = rng.integers(-32768, 32768, 2 * WINDOW_SAMPLES, dtype=np.int16)
     starts = np.array([900, 0, 1, 450, 900, WINDOW_SAMPLES, 37])
     monkeypatch.setattr(training, "FORM_CHUNK_WINDOWS", 3)
-    forms = center_forms(samples, starts)
+    forms = center_forms(PcmAudio(samples), starts)
     assert forms.shape == (starts.size, PACKED_TAPS)
     for form, start in zip(forms, starts):
         assert form.tolist() == exact_form(samples[start : start + WINDOW_SAMPLES])
 
 
 def test_center_forms_bytes_do_not_depend_on_chunking(rng, monkeypatch):
-    samples = rng.integers(-32768, 32768, 20 * WINDOW_SAMPLES, dtype=np.int16)
-    starts = rng.integers(0, samples.size - WINDOW_SAMPLES + 1, 100)
+    audio = PcmAudio(rng.integers(-32768, 32768, 20 * WINDOW_SAMPLES, dtype=np.int16))
+    starts = rng.integers(0, len(audio) - WINDOW_SAMPLES + 1, 100)
     digests = set()
     for chunk in (1, 7, 64, 100, 128):
         monkeypatch.setattr(training, "FORM_CHUNK_WINDOWS", chunk)
-        digests.add(hashlib.sha256(center_forms(samples, starts).tobytes()).hexdigest())
+        digests.add(hashlib.sha256(center_forms(audio, starts).tobytes()).hexdigest())
     # Every block size that divides the 80-sample microframe.
     for block in (5, 8, 10, 16, 20, 40, 80):
         monkeypatch.setattr(training, "_BLOCK", block)
-        digests.add(hashlib.sha256(center_forms(samples, starts).tobytes()).hexdigest())
+        digests.add(hashlib.sha256(center_forms(audio, starts).tobytes()).hexdigest())
+    # Reads shorter than a window, one sample short of it, as long, and
+    # reads that hold many windows or the whole recording.
+    for read in (1, 450, WINDOW_SAMPLES - 1, WINDOW_SAMPLES, 1000, 4096, len(audio)):
+        monkeypatch.setattr(training, "FORM_READ_SAMPLES", read)
+        digests.add(hashlib.sha256(center_forms(audio, starts).tobytes()).hexdigest())
     assert len(digests) == 1
+
+
+@pytest.mark.parametrize(
+    "read, file_read",
+    # One read and one file read for the whole recording; reads that end
+    # inside windows, 4 to a file read; reads shorter than a window, one
+    # file read each.
+    [(None, None), (1000, 4000), (WINDOW_SAMPLES - 1, 1)],
+    ids=["whole", "straddling", "shorter-than-a-window"],
+)
+def test_center_forms_from_a_wav_file_equal_those_from_its_pcm(tmp_path, rng, monkeypatch, read, file_read):
+    path = tmp_path / "a.wav"
+    write_wav(path, PcmAudio(rng.integers(-32768, 32768, 5 * WINDOW_SAMPLES + 37, dtype=np.int16)))
+    last = 4 * WINDOW_SAMPLES + 37
+    # Unsorted, overlapping and repeated starts, the first and the last window among them.
+    starts = np.r_[rng.integers(0, last + 1, 40), last, 0, 901, 902, 900, 0, last]
+    monkeypatch.setattr(training, "FORM_CHUNK_WINDOWS", 5)  # the buffer fills across reads
+    if read:
+        monkeypatch.setattr(training, "FORM_READ_SAMPLES", read)
+        monkeypatch.setattr(dataio, "_READ_FRAMES", file_read)
+    streamed, pcm = center_forms(WavFile(path), starts), read_wav(path)
+    assert streamed.tobytes() == center_forms(pcm, starts).tobytes()
+    for form, start in zip(streamed[-7:], starts[-7:]):
+        assert form.tolist() == exact_form(pcm.samples[start : start + WINDOW_SAMPLES])
+
+
+def test_center_forms_read_a_truncated_wav_to_the_cut(tmp_path, rng):
+    whole, path = tmp_path / "whole.wav", tmp_path / "cut.wav"
+    read = training.FORM_READ_SAMPLES
+    n, kept = 3 * read + 5000, 2 * read + 2000
+    write_wav(whole, PcmAudio(rng.integers(-32768, 32768, n, dtype=np.int16)))
+    path.write_bytes(whole.read_bytes()[: 44 + 2 * kept + 1])  # a 44-byte header, then 2 bytes a frame
+    # Every window ends in the first read; the cut lies in the third.
+    starts = [0, 500, read - WINDOW_SAMPLES]
+    with pytest.raises(ValueError, match=f"^truncated WAV: the header declares {n} frames, the file holds {kept}$"):
+        center_forms(WavFile(path), starts)
 
 
 FORMS_DIGEST = """
 import hashlib, numpy as np
+from shotfuse import PcmAudio
 from shotfuse.training import center_forms
 rng = np.random.default_rng(5)
-samples = rng.integers(-32768, 32768, 100_000, dtype=np.int16)
-print(hashlib.sha256(center_forms(samples, rng.integers(0, 100_000 - 901, 300)).tobytes()).hexdigest())
+audio = PcmAudio(rng.integers(-32768, 32768, 100_000, dtype=np.int16))
+print(hashlib.sha256(center_forms(audio, rng.integers(0, 100_000 - 901, 300)).tobytes()).hexdigest())
 """
 
 
@@ -301,14 +344,14 @@ def test_center_forms_bytes_do_not_depend_on_blas_threads():
 
 
 def test_center_forms_read_only_one_dimensional_pcm():
-    message = r"^samples must be one-dimensional 16-bit PCM \(int16\), got "
-    with pytest.raises(ValueError, match=message + r"float64 \(902,\)$"):
-        center_forms(np.zeros(WINDOW_SAMPLES), [0])
-    with pytest.raises(ValueError, match=message + r"int16 \(2, 902\)$"):
-        center_forms(np.zeros((2, WINDOW_SAMPLES), dtype=np.int16), [0])
-    assert center_forms(silence(WINDOW_SAMPLES), []).shape == (0, PACKED_TAPS)
+    # center_forms reads a PcmAudio, which rejects anything else as it is made.
+    with pytest.raises(ValueError, match=r"^audio samples must be 16-bit PCM \(int16\), got float64$"):
+        PcmAudio(np.zeros(WINDOW_SAMPLES))
+    with pytest.raises(ValueError, match="^audio samples must be one-dimensional$"):
+        PcmAudio(np.zeros((2, WINDOW_SAMPLES), dtype=np.int16))
+    assert center_forms(PcmAudio(silence(WINDOW_SAMPLES)), []).shape == (0, PACKED_TAPS)
     # No window fits in a short recording, but none is asked for either.
-    assert center_forms(silence(10), np.empty(0, dtype=int)).shape == (0, PACKED_TAPS)
+    assert center_forms(PcmAudio(silence(10)), np.empty(0, dtype=int)).shape == (0, PACKED_TAPS)
 
 
 @pytest.mark.parametrize("length", [902, 1000, DRAW_SAMPLES])
@@ -501,7 +544,8 @@ def test_training_is_deterministic(rng):
 def test_train_filter_builds_the_forms_of_center_forms(rng, monkeypatch, length):
     # Each window is the last WINDOW_SAMPLES of a row of `length` samples;
     # 10 + 59 windows leave a partial last chunk. Labels interleave, so the
-    # positives train_filter puts first are not the first rows.
+    # positives train_filter puts first are not the first rows. Reads of
+    # 1000 samples end inside windows, so each chunk fills across reads.
     positives, negatives = 10, FORM_CHUNK_WINDOWS - 5
     draws = rng.integers(-3000, 3000, (positives + negatives, length)).astype(np.int16)
     audio, starts = end_to_end(draws)
@@ -517,10 +561,11 @@ def test_train_filter_builds_the_forms_of_center_forms(rng, monkeypatch, length)
         return forms
 
     monkeypatch.setattr(training, "_history_forms", spy)
+    monkeypatch.setattr(training, "FORM_READ_SAMPLES", 1000)
     train_filter(windows, TrainConfig(max_epochs=1), audio)
-    # Positives come first, as train_filter orders them.
-    order = np.r_[np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)]
-    assert np.array_equal(np.concatenate(built), forms_of(draws[order, -WINDOW_SAMPLES:]))
+    # One build per chunk of windows, in ascending start order, as the recording is read.
+    assert [len(forms) for forms in built] == [FORM_CHUNK_WINDOWS, 5]
+    assert np.array_equal(np.concatenate(built), forms_of(draws[:, -WINDOW_SAMPLES:]))
 
 
 def test_config_errors_name_the_bound():
