@@ -44,7 +44,7 @@ __all__ = [
     "detect_audio",
 ]
 
-#: Microphone sample rate; read_wav accepts no other.
+#: Microphone sample rate; the WAV readers (read_wav and WavFile, through dataio._open_wav) accept no other.
 SAMPLE_RATE_HZ = 8000
 #: Amplitude of one 16-bit PCM step: PCM sample s stands for s * PCM_SCALE, in [-1, 1).
 PCM_SCALE = 1.0 / 32768.0

@@ -124,7 +124,10 @@ def estimate_offset(apf: SampleSeries, ipf: SampleSeries, boundaries) -> OffsetE
     overlap_ms = min(apf.end_time, ipf.end_time) - max(apf.start_time, ipf.start_time)
     # One period of slack so sub-period start misalignment cannot trip the check.
     if overlap_ms < MIN_OVERLAP_SECONDS * 1000.0 - PERIOD_MS:
-        raise ValueError("snippet too short")
+        raise ValueError(
+            f"snippet too short: the audio and IMU series overlap for {max(overlap_ms, 0.0) / 1000.0:g} s,"
+            f" the offset estimate needs {MIN_OVERLAP_SECONDS:g} s"
+        )
 
     apf_boundaries, ipf_boundaries = boundaries
     qa = triangle_smooth(quantize(apf, apf_boundaries))

@@ -140,8 +140,8 @@ def center_forms(audio: PcmAudio, starts) -> np.ndarray:
 
     audio is a PcmAudio or anything with its len() in samples and
     chunks(size), such as dataio.WavFile, and starts the first sample of
-    each window in it, in any order, overlapping or repeated; the rows
-    come back in the order of starts. A window's center
+    each window in it, ascending, overlapping or repeated; row i is the
+    form of the window at starts[i]. A window's center
     score, its center microframe's filtered energy minus its macroframe's
     mean energy plus the bias, is w @ Q @ w + bias for a symmetric Q of its
     samples; its row here is Q's upper triangle, row by row (form_scores).
@@ -158,11 +158,8 @@ def center_forms(audio: PcmAudio, starts) -> np.ndarray:
     steps, into one reused buffer of FORM_CHUNK_WINDOWS rows, which fills
     across reads. Each full buffer's forms are built at once, into the
     next rows of the stack (the first row a few blocked matmuls, the rest
-    a diagonal recursion: _history_forms). Ascending starts are thus built
-    in place; any other order is built ascending and then put in the order
-    of starts through one copy of the stack, so callers with many windows,
-    such as train_filter and window_metrics, pass them ascending. Each
-    entry is the correctly rounded exact value, whatever
+    a diagonal recursion: _history_forms), so the stack is built in place.
+    Each entry is the correctly rounded exact value, whatever
     FORM_READ_SAMPLES, FORM_CHUNK_WINDOWS, _BLOCK or the BLAS thread
     count.
     """
@@ -171,9 +168,9 @@ def center_forms(audio: PcmAudio, starts) -> np.ndarray:
     outside = starts.size and (starts.dtype.kind not in "iu" or starts.min() < 0 or starts.max() > last)
     if starts.ndim != 1 or outside:
         raise ValueError(f"window starts must be integers from 0 to {last}, so that every window lies in the samples")
-    # Windows with equal starts have equal forms, so any order of ties will do.
-    order = None if (np.diff(starts) >= 0).all() else np.argsort(starts)
-    ordered = starts if order is None else starts[order]
+    starts = starts.astype(np.intp, copy=False)  # signed: a window's place in the segment may be negative
+    if (np.diff(starts) < 0).any():
+        raise ValueError("window starts must ascend, so that each window is cut as the recording is read")
     forms = np.empty((starts.size, PACKED_TAPS))
     # After a read of `read` samples that ends at sample `end`, the segment
     # holds samples end - read - carry to end; no window still to cut starts
@@ -189,17 +186,15 @@ def center_forms(audio: PcmAudio, starts) -> np.ndarray:
         read = chunk.size
         segment[carry : carry + read] = chunk
         end += read
-        ready = np.searchsorted(ordered, end - WINDOW_SAMPLES, side="right")
+        ready = np.searchsorted(starts, end - WINDOW_SAMPLES, side="right")
         while done < ready:
             take = min(ready - done, len(history) - filled)
-            history[filled : filled + take] = windows[ordered[done : done + take] - (end - read - carry)]
+            history[filled : filled + take] = windows[starts[done : done + take] - (end - read - carry)]
             filled, done = filled + take, done + take
             if filled == len(history) or done == starts.size:
                 _history_forms(history[:filled], forms[done - filled : done])
                 filled = 0
         segment[:carry] = segment[read : read + carry]
-    if order is not None:
-        forms[order] = forms.copy()
     return forms
 
 

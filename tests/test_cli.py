@@ -151,6 +151,19 @@ def test_sync_missing_model_fails(workspace, tmp_path):
     assert proc.stderr == f"error: model not found: {missing}\n"
 
 
+def test_sync_on_an_imu_clock_that_misses_the_audio_names_the_overlap(workspace, tmp_path):
+    # t_ms on another clock, such as device uptime: the IMU samples start
+    # 1,000 s after the audio ends, so the two series do not overlap.
+    lines = (workspace["data"] / "imu.csv").read_text().splitlines()
+    rows = [line.split(",", 1) for line in lines[1:]]
+    shifted = tmp_path / "imu.csv"
+    shifted.write_text("\n".join([lines[0]] + [f"{float(t) + 1_000_000.0:.3f},{rest}" for t, rest in rows]) + "\n")
+    proc = run_cli("sync", "--audio", workspace["data"] / "audio.wav", "--imu", shifted,
+                   "--filter", workspace["filter"], check=False)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: snippet too short: the audio and IMU series overlap for 0 s, the offset estimate needs 5 s\n"
+
+
 def test_detect_determinism_byte_identical(workspace, tmp_path):
     data = workspace["data"]
     outputs = []

@@ -13,7 +13,7 @@ from shotfuse import (
     select_candidates,
 )
 from shotfuse.events import NEIGHBORHOOD_MS
-from shotfuse.fusion import _running_max
+from shotfuse.fusion import _running_max, candidate_table
 from shotfuse.imu import ipf, prepare_components
 from shotfuse.pipeline import candidate_dataset, synced_series
 from shotfuse.series import PERIOD_MS
@@ -285,13 +285,14 @@ def test_feature_matrix_matches_window_scan():
     rng = np.random.default_rng(31)
     sizes = set()
     for _ in range(10):
-        # The motion series sets the candidate grid; the others start off it,
-        # one far enough away that some windows miss it entirely.
+        # Every series starts on the candidates' 10 ms grid, as the synced
+        # series do; windows reach past the ends of the shorter ones, and the
+        # far series starts late enough that some windows miss it entirely.
         ipf_s = series(rng.standard_normal(300))
         others = []
         for _ in range(3):
             n = int(rng.integers(50, 400))
-            others.append(series(rng.standard_normal(n), start=float(rng.uniform(-800, 800))))
+            others.append(series(rng.standard_normal(n), start=float(rng.integers(-80, 81)) * PERIOD_MS))
         far = series(rng.standard_normal(40), start=2600.0)
         ss = (others[0], ipf_s, others[1], others[2], far)
         times = np.r_[0.0, 10.0, 2990.0, rng.choice(ipf_s.times(), 20)]
@@ -303,3 +304,27 @@ def test_feature_matrix_matches_window_scan():
                 assert X[i, k] == want
                 sizes.add(size)
     assert {0, 50, 51} <= sizes
+
+
+def test_candidate_table_matches_window_scan_where_the_imu_starts_first(identity_model):
+    # The IMU records 1.5 s before the audio, so the first candidates' windows
+    # end before the audio likelihood's first sample and read its edge.
+    cfg = sf.SynthConfig(duration_s=30.0, injected_offset_ms=1500.0, seed=7)
+    audio, imu, _ = sf.synthesize(cfg)
+    synced = synced_series(sf.audio_likelihood(audio, identity_model), imu)
+    times, X = candidate_table(synced)
+    assert np.any(times + NEIGHBORHOOD_MS / 2.0 < synced.apf.start_time)
+    ss = (synced.apf, synced.ipf, synced.a_rad, synced.a_tan, synced.w_rad)
+    for i, t in enumerate(times):
+        for k, s in enumerate(ss):
+            assert X[i, k] == scan_window_max(s, t)[0]
+
+
+def test_no_candidates_give_empty_tables():
+    X = extract_features([], *five_series())
+    assert X.shape == (0, 5) and X.dtype == float
+    # A constant motion likelihood has no strict maximum, so no candidate.
+    apf, ipf_s, a_rad, a_tan, w_rad = five_series(apf=np.linspace(0.0, 1.0, 100), ipf=np.full(100, 0.3))
+    synced = SyncedSeries(apf, ipf_s, a_rad, a_tan, w_rad, OffsetEstimate(0.0, 1.0, 5.0), False)
+    events = detect_shots(synced, apf_threshold_forest(0.5))
+    assert events.shape == (0, 2) and events.dtype == float

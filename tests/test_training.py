@@ -254,11 +254,11 @@ def test_center_forms_equal_the_exact_integer_form(length):
     assert not forms[-1].any()
 
 
-def test_center_forms_at_unsorted_overlapping_and_repeated_starts(rng, monkeypatch):
+def test_center_forms_at_overlapping_and_repeated_starts(rng, monkeypatch):
     # Seven windows in chunks of three leave a partial last chunk; the
-    # windows overlap, one repeats and they are not in order.
+    # windows overlap and one repeats.
     samples = rng.integers(-32768, 32768, 2 * WINDOW_SAMPLES, dtype=np.int16)
-    starts = np.array([900, 0, 1, 450, 900, WINDOW_SAMPLES, 37])
+    starts = np.array([0, 1, 37, 450, 900, 900, WINDOW_SAMPLES])
     monkeypatch.setattr(training, "FORM_CHUNK_WINDOWS", 3)
     forms = center_forms(PcmAudio(samples), starts)
     assert forms.shape == (starts.size, PACKED_TAPS)
@@ -266,9 +266,20 @@ def test_center_forms_at_unsorted_overlapping_and_repeated_starts(rng, monkeypat
         assert form.tolist() == exact_form(samples[start : start + WINDOW_SAMPLES])
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+def test_center_forms_reject_starts_that_do_not_ascend(rng, dtype):
+    # Unsigned starts too: their differences wrap round, and their places
+    # in the read segment can be negative.
+    audio = PcmAudio(rng.integers(-32768, 32768, WINDOW_SAMPLES + 98, dtype=np.int16))
+    with pytest.raises(ValueError, match="^window starts must ascend, so that each window is cut as the recording is read$"):
+        center_forms(audio, np.array([0, 98, 97], dtype=dtype))
+    ascending = np.array([0, 97, 97, 98])
+    assert center_forms(audio, ascending.astype(dtype)).tobytes() == center_forms(audio, ascending).tobytes()
+
+
 def test_center_forms_bytes_do_not_depend_on_chunking(rng, monkeypatch):
     audio = PcmAudio(rng.integers(-32768, 32768, 20 * WINDOW_SAMPLES, dtype=np.int16))
-    starts = rng.integers(0, len(audio) - WINDOW_SAMPLES + 1, 100)
+    starts = np.sort(rng.integers(0, len(audio) - WINDOW_SAMPLES + 1, 100))
     digests = set()
     for chunk in (1, 7, 64, 100, 128):
         monkeypatch.setattr(training, "FORM_CHUNK_WINDOWS", chunk)
@@ -297,16 +308,18 @@ def test_center_forms_from_a_wav_file_equal_those_from_its_pcm(tmp_path, rng, mo
     path = tmp_path / "a.wav"
     write_wav(path, PcmAudio(rng.integers(-32768, 32768, 5 * WINDOW_SAMPLES + 37, dtype=np.int16)))
     last = 4 * WINDOW_SAMPLES + 37
-    # Unsorted, overlapping and repeated starts, the first and the last window among them.
-    starts = np.r_[rng.integers(0, last + 1, 40), last, 0, 901, 902, 900, 0, last]
+    # Overlapping and repeated starts, the first and the last window among them.
+    picked = np.array([last, 0, 901, 902, 900, 0, last])
+    starts = np.sort(np.r_[rng.integers(0, last + 1, 40), picked])
     monkeypatch.setattr(training, "FORM_CHUNK_WINDOWS", 5)  # the buffer fills across reads
     if read:
         monkeypatch.setattr(training, "FORM_READ_SAMPLES", read)
         monkeypatch.setattr(dataio, "_READ_FRAMES", file_read)
     streamed, pcm = center_forms(WavFile(path), starts), read_wav(path)
     assert streamed.tobytes() == center_forms(pcm, starts).tobytes()
-    for form, start in zip(streamed[-7:], starts[-7:]):
-        assert form.tolist() == exact_form(pcm.samples[start : start + WINDOW_SAMPLES])
+    for start in np.unique(picked):
+        row = np.searchsorted(starts, start)
+        assert streamed[row].tolist() == exact_form(pcm.samples[start : start + WINDOW_SAMPLES])
 
 
 def test_center_forms_read_a_truncated_wav_to_the_cut(tmp_path, rng):
@@ -327,7 +340,7 @@ from shotfuse import PcmAudio
 from shotfuse.training import center_forms
 rng = np.random.default_rng(5)
 audio = PcmAudio(rng.integers(-32768, 32768, 100_000, dtype=np.int16))
-print(hashlib.sha256(center_forms(audio, rng.integers(0, 100_000 - 901, 300)).tobytes()).hexdigest())
+print(hashlib.sha256(center_forms(audio, np.sort(rng.integers(0, 100_000 - 901, 300))).tobytes()).hexdigest())
 """
 
 
