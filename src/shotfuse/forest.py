@@ -374,13 +374,20 @@ def train_forest(X, y, tree_count: int = DEFAULT_TREE_COUNT, seed: int = 0) -> F
     return ForestModel(*nodes, sizes, seed)
 
 
+#: Rows of X whose (row, tree) pairs classify descends together: its index
+#: arrays hold CLASSIFY_ROWS * tree-count entries, however many rows X has.
+CLASSIFY_ROWS = 256
+
+
 def classify(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
     """Majority vote over the trees for every row of the (n, 5) matrix X.
 
     Returns (labels, scores) arrays where a score is the fraction of trees
-    voting shot; an exact tie counts as non-shot. All (row, tree) pairs
-    descend together, one tree level per step, on the forest's node table
-    (batched traversal, cf. Lucchese et al., QuickScorer, SIGIR 2015).
+    voting shot; an exact tie counts as non-shot. The (row, tree) pairs of
+    each block of CLASSIFY_ROWS rows descend together, one tree level per
+    step, on the forest's node table (block-wise batched traversal, cf.
+    Lucchese et al., QuickScorer, SIGIR 2015); a vote is per row, so the
+    blocks do not change it.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != NUM_FEATURES:
@@ -392,14 +399,17 @@ def classify(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
     left = model.left + base
     right = model.right + base
 
-    node = np.tile(roots, X.shape[0])  # pair p = row p // n_trees, tree p % n_trees
-    row = np.repeat(np.arange(X.shape[0]), sizes.size)
-    pending = np.flatnonzero(leaf_class[node] < 0)
-    while pending.size:
-        at = node[pending]
-        go_left = X[row[pending], feature[at]] <= threshold[at]
-        node[pending] = np.where(go_left, left[at], right[at])
-        pending = pending[leaf_class[node[pending]] < 0]
-    votes = leaf_class[node].reshape(X.shape[0], sizes.size).sum(axis=1)
+    votes = np.empty(X.shape[0], dtype=leaf_class.dtype)
+    for lo in range(0, X.shape[0], CLASSIFY_ROWS):
+        rows = X[lo : lo + CLASSIFY_ROWS]
+        node = np.tile(roots, rows.shape[0])  # pair p = row p // n_trees, tree p % n_trees
+        row = np.repeat(np.arange(rows.shape[0]), sizes.size)
+        pending = np.flatnonzero(leaf_class[node] < 0)
+        while pending.size:
+            at = node[pending]
+            go_left = rows[row[pending], feature[at]] <= threshold[at]
+            node[pending] = np.where(go_left, left[at], right[at])
+            pending = pending[leaf_class[node[pending]] < 0]
+        votes[lo : lo + rows.shape[0]] = leaf_class[node].reshape(rows.shape[0], sizes.size).sum(axis=1)
     scores = votes / model.tree_count
     return (scores > 0.5).astype(int), scores

@@ -5,13 +5,15 @@ forearm) carries radial acceleration and the y/z magnitude the tangential
 part; the same split applies to angular velocity. The peak function is the
 product of the macroframe-mean-subtracted radial acceleration and
 tangential angular velocity, which spikes at impacts. Components sit on
-the series.PERIOD_MS grid of the audio likelihood; decompose snaps a
-jittered stream onto it.
+the series.PERIOD_MS grid of the audio likelihood.
 
-A stream is one read-only (7, n) float block (:class:`ImuStream`), a row
-per IMU_FIELDS entry. read_imu_csv and synthesize each build that block
-once and freeze it in place, so the stream adopts it without a copy, and
-decompose reads its rows in place.
+There is one split path and one grid path. split_components turns (7, k)
+IMU_FIELDS columns into the timestamps and four component rows, and
+grid_components checks the timestamps and snaps the rows onto the grid.
+dataio.read_imu_csv runs the split on each parsed chunk, so a file's
+samples are never held as one (7, n) block, and decompose runs both on an
+in-memory :class:`ImuStream` (synthesize, tests). prepare_components only
+low-passes the components it is given.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ __all__ = [
     "ImuStream",
     "first_invalid_sample",
     "ImuComponents",
+    "split_components",
+    "grid_components",
     "decompose",
     "lowpass",
     "prepare_components",
@@ -57,7 +61,7 @@ IMU_FIELDS = ("t", "ax", "ay", "az", "gx", "gy", "gz")
 def first_invalid_sample(columns: np.ndarray) -> tuple[int, str] | None:
     """Index and reason of the first sample that breaks a finite or range invariant.
 
-    columns is the (7, n) array of IMU_FIELDS. Within one sample a
+    columns is a (7, n) array of IMU_FIELDS rows. Within one sample a
     non-finite value is reported first, then acceleration, then angular
     velocity out of range. Every temporary is boolean, so the check holds
     no float copy of the samples.
@@ -116,8 +120,11 @@ class ImuComponents:
             if s.start_time != first.start_time or len(s) != len(first):
                 raise ValueError("component series must share start and length")
 
+    def __len__(self) -> int:
+        return len(self.a_rad)
 
-#: Samples per slice of the whole-stream checks in decompose and _regrid, so
+
+#: Samples per slice of the whole-stream checks and the grid pick, so
 #: their temporaries stay small however long the stream is.
 _SLICE_SAMPLES = 8192
 
@@ -145,7 +152,7 @@ def _on_own_slots(t: np.ndarray, lo: int, hi: int) -> bool:
     These are the float differences _nearest compares: t strictly
     increases, so their signs are exact. A False where _nearest would
     still pick s (two samples before the slot whose distances round
-    equal) only costs _regrid its copy of the same samples.
+    equal) only costs grid_components its copy of the same samples.
     """
     grid = t[0] + np.arange(lo, hi) * PERIOD_MS
     own = np.abs(t[lo:hi] - grid)
@@ -157,18 +164,42 @@ def _on_own_slots(t: np.ndarray, lo: int, hi: int) -> bool:
     )
 
 
-def _regrid(t: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Snap jittered timestamps onto an exact IMU_RATE_HZ grid by nearest-sample assignment.
+def _grid_pick(t: np.ndarray) -> np.ndarray | None:
+    """Index of the sample nearest to each slot of an exact IMU_RATE_HZ grid from t[0] (_nearest).
 
-    columns itself when every sample already sits on its own grid slot,
-    which is checked one _SLICE_SAMPLES slice of slots at a time.
+    None when every sample already sits on its own slot. The check and
+    the pick run one _SLICE_SAMPLES slice of slots at a time.
     """
     if t.size == 1:
-        return columns
+        return None
     n = int(round((t[-1] - t[0]) / PERIOD_MS)) + 1
     if n == t.size and all(_on_own_slots(t, lo, hi) for lo, hi in _slices(n)):
-        return columns
-    return columns[:, _nearest(t, 0, n)]
+        return None
+    pick = np.empty(n, dtype=np.intp)
+    for lo, hi in _slices(n):
+        pick[lo:hi] = _nearest(t, lo, hi)
+    return pick
+
+
+def _timing_fault(t: np.ndarray) -> tuple[int, str] | None:
+    """Index and reason of the sample that breaks the timestamp invariants, or None.
+
+    Timestamps must strictly increase, with gaps inside [PERIOD_MS/2,
+    2*PERIOD_MS]. The sample after the first step that goes back is
+    reported, else the sample after the first gap; the steps are checked
+    one _SLICE_SAMPLES slice at a time.
+    """
+    gap = None
+    for lo, hi in _slices(t.size - 1):
+        steps = np.diff(t[lo : hi + 1])
+        back = steps <= 0
+        if back.any():
+            return lo + int(np.argmax(back)) + 1, "unordered stream"
+        if gap is None:
+            off = (steps > 2 * PERIOD_MS) | (steps < PERIOD_MS / 2)
+            if off.any():
+                gap = lo + int(np.argmax(off)) + 1
+    return None if gap is None else (gap, "stream gap")
 
 
 def _butterworth_lowpass() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,53 +235,63 @@ def lowpass(x: SampleSeries) -> SampleSeries:
     return x.with_values(freeze_in_place(np.convolve(x.values, LOWPASS_RESPONSE))[: len(x)])
 
 
-def decompose(stream: ImuStream) -> ImuComponents:
-    """Split a stream into radial/tangential acceleration and angular velocity.
+def split_components(columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """t, a_rad, a_tan, w_rad and w_tan of a (7, n) array of IMU_FIELDS rows.
 
-    Radial terms are the x-axis readings; tangential terms are the y/z
-    magnitudes (hence non-negative). Timestamps must be strictly increasing
-    with inter-sample gaps inside [PERIOD_MS/2, 2*PERIOD_MS]; the gaps are
-    checked one _SLICE_SAMPLES slice at a time. w_rad is a copy of the gx
-    samples, so that once a_rad is low-passed (prepare_components) nothing
-    the components hold keeps the stream's block alive.
+    Radial terms are the x-axis rows, as they are; tangential terms are the
+    y/z magnitudes (hence non-negative), new arrays. Every term is per
+    sample, so splitting a stream chunk by chunk gives the same values as
+    splitting it whole, and picking grid samples before or after the split
+    gives the same components.
     """
-    if len(stream) == 0:
+    t, ax, ay, az, gx, gy, gz = columns
+    return t, ax, np.hypot(ay, az), gx, np.hypot(gy, gz)
+
+
+def grid_components(rows: list, where) -> ImuComponents:
+    """The components on the PERIOD_MS grid, once the timestamps pass their checks.
+
+    rows is the list [t, a_rad, a_tan, w_rad, w_tan] of split_components,
+    t holding the timestamps of the others' samples. A stream that is
+    empty, goes back in time or has a gap fails, where(i) naming its
+    sample i (_timing_fault). Off the grid, snapping by nearest-sample
+    assignment (_grid_pick) replaces each component row in the list by its
+    pick at the grid's samples, so a row the list alone holds is freed
+    once it is picked. Each row is then adopted as a component and frozen
+    in place: pass arrays that nothing else writes.
+    """
+    t = rows[0]
+    if t.size == 0:
         raise ValueError("empty stream")
-    t = stream.block[0]
-    unordered = gap = False
-    for lo, hi in _slices(t.size - 1):
-        gaps = np.diff(t[lo : hi + 1])
-        unordered |= bool(np.any(gaps <= 0))
-        gap |= bool(np.any(gaps > 2 * PERIOD_MS) or np.any(gaps < PERIOD_MS / 2))
-    if unordered:
-        raise ValueError("unordered stream")
-    if gap:
-        raise ValueError("stream gap")
-
-    ax, ay, az, gx, gy, gz = _regrid(t, stream.block[1:])
-
+    fault = _timing_fault(t)
+    if fault is not None:
+        raise ValueError(f"{where(fault[0])}: {fault[1]}")
+    pick = _grid_pick(t)
+    if pick is not None:
+        for i in range(1, len(rows)):
+            rows[i] = rows[i][pick]
     start = float(t[0])
-    return ImuComponents(
-        a_rad=SampleSeries(start, ax),
-        a_tan=SampleSeries(start, freeze_in_place(np.hypot(ay, az))),
-        w_rad=SampleSeries(start, freeze_in_place(gx.copy())),
-        w_tan=SampleSeries(start, freeze_in_place(np.hypot(gy, gz))),
-    )
+    return ImuComponents(*(SampleSeries(start, freeze_in_place(row)) for row in rows[1:]))
 
 
-def prepare_components(stream: ImuStream) -> ImuComponents:
-    """Decompose and low-pass the two components the peak function consumes.
+def decompose(stream: ImuStream) -> ImuComponents:
+    """The radial/tangential components of an in-memory stream, on the PERIOD_MS grid.
+
+    split_components and grid_components on the stream's block, errors
+    naming the sample index. On the grid, a_rad and w_rad view the
+    stream's read-only block.
+    """
+    return grid_components(list(split_components(stream.block)), where=lambda i: f"sample {i}")
+
+
+def prepare_components(comps: ImuComponents) -> ImuComponents:
+    """Low-pass the two components the peak function consumes.
 
     Only a_rad and w_tan are filtered; a_tan and w_rad stay raw for the
-    fusion feature extractor. The raw w_tan is let go before a_rad is
-    filtered, so one series fewer is alive at the second low-pass (which,
-    like every np.convolve of a read-only array, copies its input).
+    fusion feature extractor and are passed on as they are.
     """
-    comps = decompose(stream)
-    w_tan = lowpass(comps.w_tan)
-    a_rad, a_tan, w_rad = comps.a_rad, comps.a_tan, comps.w_rad
-    del comps
-    return ImuComponents(a_rad=lowpass(a_rad), a_tan=a_tan, w_rad=w_rad, w_tan=w_tan)
+    return ImuComponents(a_rad=lowpass(comps.a_rad), a_tan=comps.a_tan, w_rad=comps.w_rad,
+                         w_tan=lowpass(comps.w_tan))
 
 
 def ipf(components: ImuComponents) -> SampleSeries:

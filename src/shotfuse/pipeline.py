@@ -42,7 +42,7 @@ from .events import MATCH_TOLERANCE_MS, LabelSet, check_tolerance, evaluate, pre
 from .forest import DEFAULT_TREE_COUNT, check_seed, classify, train_forest
 from .fusion import SyncedSeries, audio_only_events, candidate_table, detect_shots
 from .fusion import extract_features, select_candidates  # noqa: F401 -- still bound here for tools that wrap them
-from .imu import ImuStream, ipf, prepare_components
+from .imu import ImuComponents, ipf, prepare_components
 from .series import SampleSeries
 from .sync import estimate_offset, self_calibrate_quantizer, validate_offset
 from .training import TrainConfig, center_forms, form_scores, train_filter, window_table
@@ -164,24 +164,21 @@ def window_metrics(model: FilterModel, windows: np.recarray, audio: PcmAudio) ->
     return {"precision": precision, "recall": recall, "f_score": f_score, "windows": len(windows)}
 
 
-def synced_series(apf: SampleSeries, imu: ImuStream) -> SyncedSeries:
-    """The IMU components, the motion likelihood and the validated offset, once per run.
+def synced_series(apf: SampleSeries, comps: ImuComponents) -> SyncedSeries:
+    """The low-passed IMU components, the motion likelihood and the validated offset, once per run.
 
     apf is the run's audio likelihood (audio_likelihood), computed by the
-    caller from the WAV file before it parses the IMU stream, so no caller
-    holds the recording. The stream itself is let go once it is decomposed:
-    the components own their samples, so the caller's IMU block is freed
-    before sync when nothing else holds it. The
-    live streams calibrate their own quantizer: dense quantized trains
-    correlate far better than sparse shot-peak quintiles. Both sync windows
-    are cut here: the offset is estimated on the whole overlap minus a
-    sync.VALIDATION_SECONDS tail, and validate_offset re-estimates on that
-    tail, the fresh data after it. When that leaves less
-    than sync.MIN_OVERLAP_SECONDS, the estimate uses the whole overlap and
-    validation is skipped (False).
+    caller from the WAV file before it parses the IMU CSV into comps
+    (read_imu_csv, or decompose of an in-memory stream), so no caller
+    holds the recording. The live streams calibrate their own quantizer:
+    dense quantized trains correlate far better than sparse shot-peak
+    quintiles. Both sync windows are cut here: the offset is estimated on
+    the whole overlap minus a sync.VALIDATION_SECONDS tail, and
+    validate_offset re-estimates on that tail, the fresh data after it.
+    When that leaves less than sync.MIN_OVERLAP_SECONDS, the estimate uses
+    the whole overlap and validation is skipped (False).
     """
-    comps = prepare_components(imu)
-    del imu
+    comps = prepare_components(comps)
     ipf_raw = ipf(comps)
     boundaries = self_calibrate_quantizer(apf, ipf_raw)
 

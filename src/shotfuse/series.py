@@ -195,9 +195,17 @@ def triangle_smooth(x: SampleSeries) -> SampleSeries:
     """
     if len(x) == 0:
         raise ValueError("empty signal")
+    return x.with_values(triangle_convolve(x.values))
+
+
+def triangle_convolve(values: np.ndarray) -> np.ndarray:
+    """triangle_smooth's values for a non-empty 1-D array, as a read-only view of a fresh array.
+
+    np.convolve copies a read-only input first, so a caller that made the
+    values itself smooths them while they are still writeable.
+    """
     half = len(TRIANGLE_TAPS) // 2
-    full = freeze_in_place(np.convolve(x.values, TRIANGLE_TAPS))
-    return x.with_values(full[half : half + len(x)])
+    return freeze_in_place(np.convolve(values, TRIANGLE_TAPS))[half : half + values.size]
 
 
 def _window_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -225,26 +233,33 @@ def _lagged_products(u: np.ndarray, v: np.ndarray, max_lag: int) -> np.ndarray:
 
     u is cut into rows of CORRELATE_BLOCK samples (a reshape, but for a
     zero-padded copy of the chunk with a ragged last row), and row r meets
-    the window of zero-padded v that starts max_lag samples before it,
-    CORRELATE_BLOCK + 2 * max_lag samples wide. Those windows overlap, so
+    the window of v that starts max_lag samples before it,
+    CORRELATE_BLOCK + 2 * max_lag samples wide, zero outside v. A window
+    inside v is a view of v; the few edge rows' windows view zero-padded
+    copies of their stretch of v (_padded). The windows overlap, so
     chunks of up to CORRELATE_CHUNK_ROWS rows, spread evenly, are copied
     into one reused buffer, one matmul each, which sum into
     gram[i, j] = sum_r u[r, i] * window[r, j]. The sum for a lag is then
-    the diagonal gram[i, i + lag + max_lag]. Besides the padded copy of v,
-    the buffers hold 2 * CORRELATE_BLOCK + CORRELATE_CHUNK_ROWS window
-    widths: 0.48 MB at max_lag 200, growing with max_lag.
+    the diagonal gram[i, i + lag + max_lag]. The buffers hold
+    2 * CORRELATE_BLOCK + CORRELATE_CHUNK_ROWS window widths plus the edge
+    stretches: about 0.5 MB at max_lag 200, growing with max_lag.
     """
     block = CORRELATE_BLOCK
     width = block + 2 * max_lag
     count = -(-u.size // block)  # rows of u
     # Rows per chunk: the fewest chunks, of even size (a one-row matmul is slow).
     per = -(-count // -(-count // CORRELATE_CHUNK_ROWS))
-    # Row r of windows is padded[r * block : r * block + width], padded[j + max_lag] = v[j].
-    padded = np.zeros(count * block + 2 * max_lag)
-    kept = min(v.size, padded.size - max_lag)
-    padded[max_lag : max_lag + kept] = v[:kept]
-    step = padded.itemsize
-    windows = np.ndarray((count, width), buffer=padded, strides=(block * step, step))
+    # Row r's window is v[r * block - max_lag :][:width]; rows inner_lo .. inner_hi - 1 lie inside v.
+    inner_lo = min(-(-max_lag // block), count)
+    inner_hi = min(max((v.size - width + max_lag) // block + 1, inner_lo), count)
+    stretches = (
+        (0, inner_lo, _padded(v, -max_lag, inner_lo * block + max_lag)),
+        (inner_lo, inner_hi, v[inner_lo * block - max_lag :]),
+        (inner_hi, count, _padded(v, inner_hi * block - max_lag, count * block + max_lag)),
+    )
+    step = v.itemsize
+    parts = [(lo, hi, np.ndarray((hi - lo, width), buffer=stretch, strides=(block * step, step)))
+             for lo, hi, stretch in stretches if lo < hi]
     copied = np.empty((per, width))
     gram, product = np.empty((2, block, width))
     for lo in range(0, count, per):
@@ -254,12 +269,24 @@ def _lagged_products(u: np.ndarray, v: np.ndarray, max_lag: int) -> np.ndarray:
         else:
             u_rows = np.zeros((hi - lo, block))
             u_rows.reshape(-1)[: u.size - lo * block] = u[lo * block :]
-        np.copyto(copied[: hi - lo], windows[lo:hi])
+        for first, last, windows in parts:
+            a, b = max(lo, first), min(hi, last)
+            if a < b:
+                np.copyto(copied[a - lo : b - lo], windows[a - first : b - first])
         np.matmul(u_rows.T, copied[: hi - lo], out=product if lo else gram)
         if lo:
             gram += product
     diagonals = np.ndarray((block, 2 * max_lag + 1), buffer=gram, strides=((width + 1) * step, step))
     return np.ones(block) @ diagonals
+
+
+def _padded(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """v[lo:hi] for bounds that may lie past either end of v, zero there."""
+    out = np.zeros(hi - lo)
+    a, b = max(lo, 0), min(hi, v.size)
+    if a < b:
+        out[a - lo : b - lo] = v[a:b]
+    return out
 
 
 def cross_correlate(a: SampleSeries, b: SampleSeries, max_lag: int) -> np.ndarray:

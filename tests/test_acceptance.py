@@ -196,7 +196,7 @@ def test_criterion_4_synchronization():
         t0 = time.time()
         audio, imu, _ = sf.synthesize(cfg)
         apf_s = sf.audio_likelihood(audio, model)
-        ipf_s = ipf(prepare_components(imu))
+        ipf_s = ipf(prepare_components(decompose(imu)))
         q = self_calibrate_quantizer(apf_s, ipf_s)
         est = estimate_offset(apf_s, ipf_s, q)
         slowest = max(slowest, time.time() - t0)
@@ -219,7 +219,7 @@ def imu_only_events(imu: ImuStream, threshold: float, offset_ms: float = 0.0) ->
     clock so they can be scored against audio-clock labels; a standalone
     IMU system would keep its own clock and pass 0.
     """
-    likelihood = ipf(prepare_components(imu)).shifted(-offset_ms)
+    likelihood = ipf(prepare_components(decompose(imu))).shifted(-offset_ms)
     times = select_candidates(likelihood)
     values = likelihood.values[likelihood.index_at(times)]
     hits = np.flatnonzero(values > threshold)
@@ -267,7 +267,7 @@ def trained_models(tmp_path_factory):
     train_set, _ = shuffle_split(windows, seed=510)
     filter_model = train_filter(train_set, TrainConfig(seed=510), audio)
 
-    synced = synced_series(sf.audio_likelihood(audio, filter_model), imu)
+    synced = synced_series(sf.audio_likelihood(audio, filter_model), decompose(imu))
     forest = train_forest(*candidate_dataset(synced, labels), tree_count=50, seed=510)
     threshold = calibrate_ipf_threshold(synced.ipf, labels)
     return filter_model, forest, threshold
@@ -286,7 +286,7 @@ def test_criterion_5_end_to_end_fusion(trained_models, monkeypatch):
 
     monkeypatch.setattr(sf.sync, "VALIDATION_SECONDS", 60.0)
     t0 = time.time()
-    synced = synced_series(sf.audio_likelihood(audio, filter_model), imu)
+    synced = synced_series(sf.audio_likelihood(audio, filter_model), decompose(imu))
     events = sf.detect_shots(synced, forest)
     elapsed = time.time() - t0
     est = synced.offset

@@ -226,7 +226,25 @@ def test_streamed_wav_checks_the_header_as_read_wav_does(tmp_path):
 def test_imu_csv_empty_data(tmp_path):
     path = tmp_path / "imu.csv"
     path.write_text("t_ms,ax,ay,az,gx,gy,gz\n")
-    assert len(read_imu_csv(path)) == 0
+    with pytest.raises(ValueError, match="^empty stream$"):
+        read_imu_csv(path)
+
+
+def components_of(comps):
+    """The start and the four value arrays of ImuComponents."""
+    return comps.a_rad.start_time, *(s.values for s in (comps.a_rad, comps.a_tan, comps.w_rad, comps.w_tan))
+
+
+def assert_same_components(got, expected, name=""):
+    for a, b in zip(components_of(got), components_of(expected)):
+        assert np.array_equal(a, b), name
+
+
+def as_written(stream):
+    """The stream the IMU CSV of stream reads as: t to 3 decimals, the sensors to 6."""
+    block = stream.block
+    return ImuStream([[float(f"{v:.3f}") for v in block[0]],
+                      *([float(f"{v:.6f}") for v in row] for row in block[1:])])
 
 
 def test_imu_csv_round_trip(tmp_path):
@@ -237,13 +255,91 @@ def test_imu_csv_round_trip(tmp_path):
     assert len(back) == len(imu) == 1000
     # t sits on the 10 ms grid, so its 3 decimals are exact; the sensor
     # columns come back as exactly the 6-decimal values written
-    assert np.array_equal(back.block[0], imu.block[0])
-    for row in range(1, 7):
-        written = np.array([float(f"{v:.6f}") for v in imu.block[row]])
-        assert np.array_equal(back.block[row], written), row
+    assert np.array_equal(as_written(imu).block[0], imu.block[0])
+    assert_same_components(back, shotfuse.imu.decompose(as_written(imu)))
     again = tmp_path / "again.csv"
-    write_imu_csv(again, back)
+    write_imu_csv(again, as_written(imu))
     assert again.read_bytes() == path.read_bytes()
+
+
+def shuffled_imu_file(path, stream, rng):
+    """write_imu_csv's rows with the columns in a random order and a last column of text."""
+    write_imu_csv(path, stream)
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    order = rng.permutation(len(rows[0]))
+    path.write_text("".join(",".join([row[i] for i in order] + [f"note{k}"]) + "\n" for k, row in enumerate(rows)))
+
+
+@pytest.mark.parametrize("parse_rows", [7, 4096])
+def test_imu_csv_reads_as_decompose_of_the_stream_written(tmp_path, rng, monkeypatch, parse_rows):
+    monkeypatch.setattr(shotfuse.dataio, "_PARSE_ROWS", parse_rows)
+    n = 300
+    on_grid = 1234.5 + 10.0 * np.arange(n)
+    timings = {
+        "on grid": on_grid,
+        "jittered on its own slots": on_grid + rng.uniform(-2.4, 2.4, n),
+        "off grid": 1234.5 + np.cumsum(rng.uniform(5.0, 20.0, n)),  # the reader picks grid samples
+    }
+    for name, t in timings.items():
+        stream = as_written(ImuStream([t, *rng.uniform(-8.0, 8.0, (3, n)), *rng.uniform(-2000.0, 2000.0, (3, n))]))
+        path = tmp_path / "imu.csv"
+        shuffled_imu_file(path, stream, rng)
+        expected = shotfuse.imu.decompose(stream)
+        assert (len(expected) == n) == (name != "off grid"), name
+        assert_same_components(read_imu_csv(path), expected, name)
+
+
+def test_imu_csv_range_error_waits_for_the_parse_of_later_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(shotfuse.dataio, "_PARSE_ROWS", 16)
+    path = tmp_path / "imu.csv"
+    rows = [f"{10 * k},0,0,0,0,0,0\n" for k in range(100)]
+    rows[1] = "10,9.5,0,0,0,0,0\n"  # CSV row 3
+    path.write_text("t_ms,ax,ay,az,gx,gy,gz\n" + "".join(rows))
+    with pytest.raises(ValueError, match="^row 3: acceleration exceeds"):
+        read_imu_csv(path)
+    rows[60] = "600,0,0,0,x,0,0\n"  # CSV row 62, in the fourth parse chunk
+    path.write_text("t_ms,ax,ay,az,gx,gy,gz\n" + "".join(rows))
+    with pytest.raises(ValueError, match="^row 62: non-numeric value 'x' in column gx$") as caught:
+        read_imu_csv(path)
+    # The scan names the row that np.loadtxt rejected.
+    assert isinstance(caught.value.__context__, ValueError)
+
+
+def test_imu_csv_timestamp_errors_name_the_row(tmp_path):
+    header = "t_ms,ax,ay,az,gx,gy,gz\n"
+    path = tmp_path / "imu.csv"
+    path.write_text(header + "0,0,0,0,0,0,0\n\n10,0,0,0,0,0,0\n5,0,0,0,0,0,0\n")
+    with pytest.raises(ValueError, match="^row 5: unordered stream$"):
+        read_imu_csv(path)
+    # An order break anywhere outranks an earlier gap.
+    path.write_text(header + "0,0,0,0,0,0,0\n35,0,0,0,0,0,0\n\n45,0,0,0,0,0,0\n45,0,0,0,0,0,0\n")
+    with pytest.raises(ValueError, match="^row 6: unordered stream$"):
+        read_imu_csv(path)
+    path.write_text(header + "0,0,0,0,0,0,0\n\n10,0,0,0,0,0,0\n35,0,0,0,0,0,0\n40,0,0,0,0,0,0\n")
+    with pytest.raises(ValueError, match="^row 5: stream gap$"):
+        read_imu_csv(path)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_csv_readers_drop_a_utf8_byte_order_mark(tmp_path, ending):
+    _, imu, labels = synthesize(SynthConfig(duration_s=10.0, shot_count=5, seed=33))
+    events = np.array([[105.0, 0.9], [210.5, 0.25]])
+    files = {"imu": (write_imu_csv, imu, read_imu_csv, components_of),
+             "labels": (write_labels_csv, labels, read_labels_csv, lambda x: (x.shots,)),
+             "events": (write_events_csv, events, read_events_csv, lambda x: (x,))}
+    for name, (write, value, read, parts) in files.items():
+        plain, marked = tmp_path / f"{name}.csv", tmp_path / f"{name}.bom.csv"
+        write(plain, value)
+        text = plain.read_bytes().replace(b"\r\n", b"\n").replace(b"\n", ending.encode())
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        for a, b in zip(parts(read(marked)), parts(read(plain))):
+            assert np.array_equal(a, b), name
+    # A marked file still names its rows.
+    marked = tmp_path / "labels.bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbft_ms\n100\n\nlate\n")
+    with pytest.raises(ValueError, match="^row 4: non-numeric value 'late' in column t_ms$"):
+        read_labels_csv(marked)
 
 
 def csv_writer_imu_file(path, stream):
@@ -308,15 +404,21 @@ def test_imu_csv_read_holds_one_copy_of_the_samples(tmp_path, rng):
     finally:
         tracemalloc.stop()
     assert len(back) == n
-    assert peak <= 1.3 * back.block.nbytes
+    # The timestamps and the four components (2.4 MB), plus a 1.5 MB margin
+    # for one parse chunk's buffers. Measured 3.15 MB: 0.75 MB of chunk
+    # buffers at 4096 rows (1.47 MB at 8192). Parsing into one (7, n) block,
+    # which decompose then split, took 4.02 MB, and the block (3.36 MB) lived
+    # on next to the components.
+    assert peak < 5 * 8 * n + 1.5e6, f"{peak / 1e6:.2f} MB"
 
 
-def test_imu_csv_line_endings_and_blank_lines_parse_alike(tmp_path, rng):
+def test_imu_csv_line_endings_and_blank_lines_parse_alike(tmp_path, rng, monkeypatch):
+    monkeypatch.setattr(shotfuse.dataio, "_PARSE_ROWS", 1024)
     n = 2500  # spans several parse chunks
     stream = ImuStream([10.0 * np.arange(n), *rng.uniform(-2.0, 2.0, (6, n))])
     path = tmp_path / "imu.csv"
     write_imu_csv(path, stream)
-    expected = read_imu_csv(path).block
+    expected = read_imu_csv(path)
     lines = path.read_text().splitlines()
     variants = {
         "lf": "\n".join(lines) + "\n",
@@ -326,9 +428,9 @@ def test_imu_csv_line_endings_and_blank_lines_parse_alike(tmp_path, rng):
     }
     for name, text in variants.items():
         path.write_bytes(text.encode())
-        block = read_imu_csv(path).block
-        assert block.shape == expected.shape and np.array_equal(block, expected), name
-        assert block.flags.c_contiguous, name
+        comps = read_imu_csv(path)
+        assert_same_components(comps, expected, name)
+        assert all(s.values.flags.c_contiguous for s in (comps.a_rad, comps.a_tan, comps.w_rad, comps.w_tan)), name
 
 
 def test_imu_csv_reports_a_bad_row_past_the_first_parse_chunk(tmp_path):
@@ -337,7 +439,7 @@ def test_imu_csv_reports_a_bad_row_past_the_first_parse_chunk(tmp_path):
     path = tmp_path / "imu.csv"
     write_imu_csv(path, stream)
     lines = path.read_text().splitlines(keepends=True)
-    lines[4097] = "40960.000,0,0,0,0,2500,0\n"  # data row 4096, in the fifth parse chunk
+    lines[4097] = "40960.000,0,0,0,0,2500,0\n"  # data row 4096, in the second parse chunk
     path.write_text("".join(lines))
     with pytest.raises(ValueError, match="row 4098: angular velocity exceeds"):
         read_imu_csv(path)
@@ -385,12 +487,11 @@ def test_imu_csv_short_row(tmp_path):
 
 def test_imu_csv_extra_trailing_fields_and_column_order(tmp_path):
     path = tmp_path / "imu.csv"
-    path.write_text("gz,t_ms,ax,ay,az,gx,gy,note\n3,0,0.5,0,0,0,0,x\n4,10,0,0,0,0,0,y,extra\n")
+    path.write_text("gz,t_ms,ax,ay,az,gx,gy,note\n-3,0,0.5,0,0,0,0,x\n4,10,0,0,0,0,0,y,extra\n")
     imu = read_imu_csv(path)
-    t, ax, _, _, _, _, gz = imu.block
-    assert np.array_equal(t, [0.0, 10.0])
-    assert np.array_equal(ax, [0.5, 0.0])
-    assert np.array_equal(gz, [3.0, 4.0])
+    assert imu.a_rad.start_time == 0.0
+    assert np.array_equal(imu.a_rad.values, [0.5, 0.0])
+    assert np.array_equal(imu.w_tan.values, [3.0, 4.0])
 
 
 def test_imu_csv_hash_cell_is_not_a_comment(tmp_path):
@@ -475,7 +576,8 @@ def test_labels_and_events_skip_blank_lines_and_extra_fields(tmp_path):
 def test_header_only_files_are_empty(tmp_path):
     imu = tmp_path / "imu.csv"
     imu.write_text("t_ms,ax,ay,az,gx,gy,gz\n\n")
-    assert len(read_imu_csv(imu)) == 0
+    with pytest.raises(ValueError, match="^empty stream$"):  # an IMU stream needs a sample
+        read_imu_csv(imu)
     labels = tmp_path / "labels.csv"
     labels.write_text("t_ms\n")
     assert len(read_labels_csv(labels)) == 0

@@ -14,7 +14,7 @@ from shotfuse import (
 )
 from shotfuse.events import NEIGHBORHOOD_MS
 from shotfuse.fusion import _running_max, candidate_table
-from shotfuse.imu import ipf, prepare_components
+from shotfuse.imu import decompose, ipf, prepare_components
 from shotfuse.pipeline import candidate_dataset, synced_series
 from shotfuse.series import PERIOD_MS
 
@@ -199,7 +199,7 @@ def apf_threshold_forest(threshold):
 
 def aligned(audio, imu, model, offset):
     """The synced bundle at a given offset, skipping the offset estimate."""
-    comps = prepare_components(imu)
+    comps = prepare_components(decompose(imu))
     return SyncedSeries.align(sf.audio_likelihood(audio, model), ipf(comps), comps, offset, False)
 
 
@@ -221,7 +221,7 @@ def test_detect_shots_empty_on_silence(identity_model):
 def test_detect_shots_synthetic_game(identity_model):
     cfg = sf.SynthConfig(duration_s=60.0, shot_count=20, injected_offset_ms=-180.0, seed=77)
     audio, imu, labels = sf.synthesize(cfg)
-    synced = synced_series(sf.audio_likelihood(audio, identity_model), imu)
+    synced = synced_series(sf.audio_likelihood(audio, identity_model), decompose(imu))
     forest = sf.train_forest(*candidate_dataset(synced, labels), tree_count=15, seed=4)
 
     events = detect_shots(synced, forest)
@@ -234,7 +234,7 @@ def _trained_forest(identity_model, seed=77):
     cfg = sf.SynthConfig(duration_s=60.0, shot_count=20, injected_offset_ms=0.0,
                          distractor_rate_per_min=4.0, seed=seed)
     audio, imu, labels = sf.synthesize(cfg)
-    synced = synced_series(sf.audio_likelihood(audio, identity_model), imu)
+    synced = synced_series(sf.audio_likelihood(audio, identity_model), decompose(imu))
     return sf.train_forest(*candidate_dataset(synced, labels), tree_count=15, seed=4)
 
 
@@ -256,7 +256,7 @@ def test_detect_shots_events_are_candidate_times(identity_model):
     forest = apf_threshold_forest(0.0)
     offset = OffsetEstimate(0.0, 1.0, 5.0)
     events = detect_shots(aligned(audio, imu, identity_model, offset), forest)
-    candidates = select_candidates(ipf(prepare_components(imu)))
+    candidates = select_candidates(ipf(prepare_components(decompose(imu))))
     assert len(events) > 0
     assert np.isin(events[:, 0], candidates).all()
 
@@ -311,7 +311,7 @@ def test_candidate_table_matches_window_scan_where_the_imu_starts_first(identity
     # end before the audio likelihood's first sample and read its edge.
     cfg = sf.SynthConfig(duration_s=30.0, injected_offset_ms=1500.0, seed=7)
     audio, imu, _ = sf.synthesize(cfg)
-    synced = synced_series(sf.audio_likelihood(audio, identity_model), imu)
+    synced = synced_series(sf.audio_likelihood(audio, identity_model), decompose(imu))
     times, X = candidate_table(synced)
     assert np.any(times + NEIGHBORHOOD_MS / 2.0 < synced.apf.start_time)
     ss = (synced.apf, synced.ipf, synced.a_rad, synced.a_tan, synced.w_rad)

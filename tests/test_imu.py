@@ -1,10 +1,9 @@
-import weakref
 
 import numpy as np
 import pytest
 
 import shotfuse.imu
-from shotfuse import ImuComponents, ImuStream, SampleSeries, decompose, ipf, prepare_components
+from shotfuse import ImuComponents, ImuStream, SampleSeries, decompose, ipf, lowpass, prepare_components
 from shotfuse.imu import IMU_FIELDS, IPF_WINDOW, LOWPASS_TAPS, prepare_components
 from shotfuse.series import freeze_in_place
 
@@ -116,15 +115,20 @@ def test_decompose_tangential_magnitudes_squared(rng):
 
 
 def test_decompose_unordered_stream():
-    with pytest.raises(ValueError, match="unordered stream"):
+    with pytest.raises(ValueError, match="^sample 2: unordered stream$"):
         decompose(samples([0.0, 10.0, 5.0]))
 
 
 def test_decompose_stream_gap():
-    with pytest.raises(ValueError, match="stream gap"):
+    with pytest.raises(ValueError, match="^sample 2: stream gap$"):
         decompose(samples([0.0, 10.0, 35.0]))
-    with pytest.raises(ValueError, match="stream gap"):
+    with pytest.raises(ValueError, match="^sample 1: stream gap$"):
         decompose(samples([0.0, 2.0, 12.0]))
+
+
+def test_decompose_empty_stream():
+    with pytest.raises(ValueError, match="^empty stream$"):
+        decompose(ImuStream(np.empty((7, 0))))
 
 
 def test_decompose_tolerates_jitter():
@@ -137,29 +141,34 @@ def test_on_grid_stream_is_decomposed_without_a_regrid_copy(rng):
     block = imu.block
     assert block.shape == (7, 50) and not block.flags.writeable
     comps = decompose(imu)
-    # a_rad is the stream's own row; w_rad is a copy of gx, and the tangential ones are new magnitudes.
-    assert np.shares_memory(comps.a_rad.values, block[1])
-    assert not np.shares_memory(comps.w_rad.values, block)
+    # a_rad and w_rad are the stream's own rows, and the tangential ones are new magnitudes.
+    assert np.shares_memory(comps.a_rad.values, block[1]) and np.shares_memory(comps.w_rad.values, block[4])
+    assert not np.shares_memory(comps.a_tan.values, block) and not np.shares_memory(comps.w_tan.values, block)
     assert np.array_equal(comps.a_rad.values, block[1]) and np.array_equal(comps.w_rad.values, block[4])
     jittered = decompose(samples([0.0, 9.0, 20.5, 30.0], ax=[1.0, 2.0, 3.0, 4.0]))
     assert np.array_equal(jittered.a_rad.values, [1.0, 2.0, 3.0, 4.0])
 
 
-def test_prepared_components_let_the_stream_block_go(rng):
-    imu = stream(50, rng)
-    block = weakref.ref(imu.block)
-    comps = prepare_components(imu)
-    for s in (comps.a_rad, comps.a_tan, comps.w_rad, comps.w_tan):
-        assert not np.shares_memory(s.values, block())
-    # Each new array is adopted as made, not copied again.
-    assert comps.a_tan.values.base is None and comps.w_rad.values.base is None
-    assert comps.a_rad.values.base.size == 50 + LOWPASS_TAPS - 1
-    del imu
-    assert block() is None
+def test_prepare_components_low_passes_two_and_passes_two_on(rng):
+    raw = decompose(stream(50, rng))
+    comps = prepare_components(raw)
+    assert len(comps) == len(raw) == 50
+    assert comps.a_tan is raw.a_tan and comps.w_rad is raw.w_rad
+    for name in ("a_rad", "w_tan"):
+        filtered = getattr(comps, name).values
+        assert np.array_equal(filtered, lowpass(getattr(raw, name)).values), name
+        # Each low-passed array is adopted as made, not copied again.
+        assert filtered.base.size == 50 + LOWPASS_TAPS - 1, name
+
+
+def regrid(t, columns):
+    """columns picked at _grid_pick's samples, or columns itself where it picks none."""
+    pick = shotfuse.imu._grid_pick(t)
+    return columns if pick is None else columns[:, pick]
 
 
 def regrid_whole(t, columns):
-    """_regrid's result over whole arrays: the grid, its neighbors and the pick in one pass each."""
+    """regrid's result over whole arrays: the grid, its neighbors and the pick in one pass each."""
     if t.size == 1:
         return columns
     n = int(round((t[-1] - t[0]) / 10.0)) + 1
@@ -193,12 +202,12 @@ def test_sliced_regrid_and_gap_check_match_the_whole_array_formula(monkeypatch, 
     }
     for name, t in streams.items():
         columns = rng.standard_normal((6, t.size))
-        expected, got = regrid_whole(t, columns), shotfuse.imu._regrid(t, columns)
+        expected, got = regrid_whole(t, columns), regrid(t, columns)
         assert (got is columns) == (expected is columns), name
         assert np.array_equal(got, expected), name
     columns = rng.standard_normal((6, n))
-    assert shotfuse.imu._regrid(streams["jittered"], columns) is columns
-    assert shotfuse.imu._regrid(streams["off grid"], columns).shape != (6, n)
+    assert shotfuse.imu._grid_pick(streams["jittered"]) is None
+    assert shotfuse.imu._grid_pick(streams["off grid"]).shape != (n,)
 
     # An order break after a gap still reads as unordered, as on the whole stream.
     for t in (on_grid, np.r_[on_grid[:100], on_grid[100:] + 50.0], np.r_[on_grid[:250], on_grid[250:] - 15.0],
@@ -228,7 +237,7 @@ def test_on_grid_check_settles_ties_like_the_whole_array_formula(monkeypatch, rn
         for start in (0.0, 1234.5, 1.7e9 + 0.3):  # the last start rounds the distances
             t_ms = start + np.asarray(t)
             columns = rng.standard_normal((6, t_ms.size))
-            expected, got = regrid_whole(t_ms, columns), shotfuse.imu._regrid(t_ms, columns)
+            expected, got = regrid_whole(t_ms, columns), regrid(t_ms, columns)
             assert (got is columns) == (expected is columns), (name, start)
             assert np.array_equal(got, expected), (name, start)
             if start != 1.7e9 + 0.3:
@@ -286,7 +295,7 @@ def test_ipf_sign_symmetry(rng):
 
 
 def test_likelihood_zero_stream():
-    out = ipf(prepare_components(stream(100)))
+    out = ipf(prepare_components(decompose(stream(100))))
     assert np.allclose(out.values, 0.0, atol=1e-12)
 
 
@@ -304,14 +313,14 @@ def bump_stream(n, center_idx, a_peak=3.0, w_peak=400.0, with_gyro=True, rng=Non
 
 
 def test_likelihood_colocated_bump_peak_location():
-    out = ipf(prepare_components(bump_stream(300, 150)))
+    out = ipf(prepare_components(decompose(bump_stream(300, 150))))
     peak_time = out.times()[int(np.argmax(out.values))]
     assert abs(peak_time - 1500.0) <= 50.0
 
 
 def test_likelihood_accel_only_bump_is_negligible():
-    both = ipf(prepare_components(bump_stream(300, 150, with_gyro=True)))
-    accel_only = ipf(prepare_components(bump_stream(300, 150, with_gyro=False)))
+    both = ipf(prepare_components(decompose(bump_stream(300, 150, with_gyro=True))))
+    accel_only = ipf(prepare_components(decompose(bump_stream(300, 150, with_gyro=False))))
     assert np.max(np.abs(accel_only.values)) < 0.01 * np.max(np.abs(both.values))
 
 
@@ -320,5 +329,5 @@ def test_lowpass_reduces_ipf_noise_variance():
     for _ in range(10):
         s = stream(200, rng=rng)
         raw = ipf(decompose(s))
-        filtered = ipf(prepare_components(s))
+        filtered = ipf(prepare_components(decompose(s)))
         assert np.var(filtered.values) < np.var(raw.values)

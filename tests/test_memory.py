@@ -3,8 +3,9 @@
 On a seeded 3-min session, tracemalloc peaks are held to the sizes of the
 arrays a stage must keep (the packed training forms) plus a stated margin,
 and the workflows that stream the WAV to less than its PCM above those
-arrays. The offset
-estimate is held to a stated size on series of a 10-min session.
+arrays. The offset estimate is held to a stated size on series of a
+10-min session, and the forest vote to one that does not grow with the
+number of rows.
 """
 
 import gc
@@ -26,6 +27,7 @@ from shotfuse.pipeline import (
     train_forest_workflow,
     windows_from_labels,
 )
+from shotfuse.forest import CLASSIFY_ROWS, classify
 from shotfuse.sync import estimate_offset, self_calibrate_quantizer
 
 MB = 1e6
@@ -45,7 +47,7 @@ def session(tmp_path_factory):
     train_set, _ = shuffle_split(windows_from_labels(audio, labels, seed=3), 3)
     filter_model = sf.train_filter(train_set, sf.TrainConfig(max_epochs=1, seed=3), audio)
     save_filter_model(root / "filter.json", filter_model)
-    synced = synced_series(sf.audio_likelihood(audio, filter_model), imu)
+    synced = synced_series(sf.audio_likelihood(audio, filter_model), sf.decompose(imu))
     forest = sf.train_forest(*candidate_dataset(synced, labels), tree_count=10, seed=3)
     save_forest_model(root / "forest.json", forest)
     return root, train_set, audio
@@ -72,9 +74,11 @@ def test_run_pipeline_never_holds_the_pcm_and_the_imu_samples_together(session, 
         PipelineOptions(out_dir=str(tmp_path)),
     ))
     # The WAV is streamed, so the peak stays below the PCM alone. Measured
-    # 1.91 MB: the 1.0 MB IMU block and the components made from it.
-    # Reading the whole PCM first put the peak at 3.68 MB, and holding it
-    # through IMU parsing and sync at 5.5 MB.
+    # 1.70 MB, set by the offset estimate: the likelihoods, the components
+    # and the correlation's buffers; the IMU parse peaks at 1.62 MB. Parsing
+    # the IMU CSV into one (7, n) block, alive next to the components made
+    # from it, put the peak at 1.91 MB; reading the whole PCM first at 3.68
+    # MB, and holding it through IMU parsing and sync at 5.5 MB.
     assert peak < 0.85 * PCM_BYTES, f"{peak / MB:.2f} MB"
 
 
@@ -93,8 +97,8 @@ def test_audio_only_detect_streams_the_wav(session, tmp_path):
 def test_train_forest_workflow_streams_the_wav(session, tmp_path):
     root, _, _ = session
     peak = traced_peak(lambda: train_forest_workflow(root, root / "filter.json", tmp_path / "forest.json", seed=3))
-    # Measured 2.18 MB: the IMU block, its components and the forest's
-    # tables. Reading the whole PCM put the peak at 3.68 MB.
+    # Measured 2.16 MB: the synced series, the candidate table and the
+    # forest's training tables. Reading the whole PCM put the peak at 3.68 MB.
     assert peak < PCM_BYTES, f"{peak / MB:.2f} MB"
 
 
@@ -141,9 +145,24 @@ def test_estimate_offset_temporaries_on_a_10_min_pair():
                 for start in (0.0, 130.0))
     q = self_calibrate_quantizer(apf, ipf)
     peak = traced_peak(lambda: estimate_offset(apf, ipf, q))
-    # Above the 0.96 MB of inputs. Measured 1.95 MB: the two quantized and
-    # smoothed series (0.48 MB each), and inside cross_correlate the
-    # zero-padded second series (0.48 MB) and the blocked matmul's buffers.
-    # A searchsorted quantizer (int64 result and float copy), window sums by
-    # concatenated cumsums and np.correlate took 2.97 MB.
-    assert peak < 2.2 * MB, f"{peak / MB:.2f} MB"
+    # Above the 0.96 MB of inputs; margin 0.25 MB. Measured 1.49 MB: the two
+    # quantized and smoothed series (0.48 MB each), and inside
+    # cross_correlate one series' running sums (0.48 MB) and the blocked
+    # matmul's buffers. A zero-padded copy of the second series (0.48 MB
+    # more) put it at 1.95 MB; a searchsorted quantizer (int64 result and
+    # float copy), window sums by concatenated cumsums and np.correlate at
+    # 2.97 MB.
+    assert peak < 1.75 * MB, f"{peak / MB:.2f} MB"
+
+
+def test_classify_holds_one_block_of_row_tree_pairs():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((600, 5))
+    forest = sf.train_forest(X, (X[:, 0] + 0.5 * rng.standard_normal(600) > 0).astype(int), tree_count=50, seed=5)
+    rows = rng.standard_normal((4000, 5))
+    peak = traced_peak(lambda: classify(forest, rows))
+    pair_bytes = CLASSIFY_ROWS * 50 * 8  # one int64 entry per (row, tree) pair of a block: 0.1 MB
+    # A bound that does not grow with the rows. Measured 0.94 MB: a block's
+    # index arrays, the node table's offset links and the 4000 votes and
+    # scores. Descending all 200,000 pairs at once took 11.6 MB.
+    assert peak < 12 * pair_bytes, f"{peak / MB:.2f} MB"

@@ -46,7 +46,7 @@ def fixture_dir(tmp_path_factory):
     filter_model = sf.train_filter(train_set, sf.TrainConfig(seed=8), audio)
     save_filter_model(root / "filter.json", filter_model)
 
-    X, y = candidate_dataset(synced_series(sf.audio_likelihood(audio, filter_model), imu), labels)
+    X, y = candidate_dataset(synced_series(sf.audio_likelihood(audio, filter_model), sf.decompose(imu)), labels)
     forest = sf.train_forest(X, y, tree_count=50, seed=8)
     from shotfuse.dataio import save_forest_model
 
@@ -346,7 +346,7 @@ def test_synced_series_estimates_before_the_validation_tail(identity_model, monk
     cfg = sf.SynthConfig(duration_s=duration_s, shot_count=5, injected_offset_ms=-150.0, seed=24)
     audio, imu, _ = sf.synthesize(cfg)
     apf = sf.audio_likelihood(audio, identity_model)
-    ipf = sf.ipf(sf.prepare_components(imu))
+    ipf = sf.ipf(sf.prepare_components(sf.decompose(imu)))
     t0 = max(apf.start_time, ipf.start_time)
     overlap_ms = min(apf.end_time, ipf.end_time) - t0
     validation_ms = sync.VALIDATION_SECONDS * 1000.0
@@ -367,7 +367,7 @@ def test_synced_series_estimates_before_the_validation_tail(identity_model, monk
     monkeypatch.setattr(pipeline, "estimate_offset", spy(estimate, sync.estimate_offset))
     monkeypatch.setattr(sync, "estimate_offset", spy(fresh, sync.estimate_offset))
     monkeypatch.setattr(pipeline, "validate_offset", spy(validations, sync.validate_offset))
-    synced = synced_series(apf, imu)
+    synced = synced_series(apf, sf.decompose(imu))
 
     def same(cut, series):
         return cut.start_time == series.start_time and np.array_equal(cut.values, series.values)

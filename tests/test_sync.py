@@ -52,9 +52,9 @@ def test_quantizer_degenerate_distribution(identity_model):
     # a silent audio stream and a still IMU stream each name their modality
     audio, imu, _ = sf.synthesize(sf.SynthConfig(duration_s=20.0, shot_count=10, seed=45))
     apf_s = sf.audio_likelihood(audio, identity_model)
-    ipf_s = sf.ipf(sf.prepare_components(imu))
+    ipf_s = sf.ipf(sf.prepare_components(sf.decompose(imu)))
     silent = sf.audio_likelihood(sf.PcmAudio(np.zeros(len(audio), dtype=np.int16)), identity_model)
-    still = sf.ipf(sf.prepare_components(sf.ImuStream([imu.block[0], *np.zeros((6, len(imu)))])))
+    still = sf.ipf(sf.prepare_components(sf.decompose(sf.ImuStream([imu.block[0], *np.zeros((6, len(imu)))]))))
     with pytest.raises(ValueError, match="^apf: degenerate distribution"):
         self_calibrate_quantizer(silent, ipf_s)
     with pytest.raises(ValueError, match="^ipf: degenerate distribution"):
@@ -123,7 +123,7 @@ def test_estimate_same_series_is_zero(rng):
 def test_estimate_recovers_injected_offset_synthetic_streams():
     # paired streams: identical peak pattern, IMU copy delayed by -270 ms
     import shotfuse as sf
-    from shotfuse.imu import ipf, prepare_components
+    from shotfuse.imu import decompose, ipf, prepare_components
 
     errors = []
     for seed in range(5):
@@ -132,7 +132,7 @@ def test_estimate_recovers_injected_offset_synthetic_streams():
         audio, imu, _ = sf.synthesize(cfg)
         model = sf.FilterModel(np.r_[1.0, np.zeros(22)], 0.0)
         apf_s = sf.audio_likelihood(audio, model)
-        ipf_s = ipf(prepare_components(imu))
+        ipf_s = ipf(prepare_components(decompose(imu)))
         q = self_calibrate_quantizer(apf_s, ipf_s)
         est = estimate_offset(apf_s, ipf_s, q)
         errors.append(est.offset_ms - (-270.0))
@@ -203,14 +203,14 @@ def test_estimate_deterministic(rng):
 
 def _dense_fixture(seed, injected=-270.0, duration=50.0, shots=40):
     import shotfuse as sf
-    from shotfuse.imu import ipf, prepare_components
+    from shotfuse.imu import decompose, ipf, prepare_components
 
     cfg = sf.SynthConfig(duration_s=duration, shot_count=shots,
                          injected_offset_ms=injected, seed=seed)
     audio, imu, _ = sf.synthesize(cfg)
     model = sf.FilterModel(np.r_[1.0, np.zeros(22)], 0.0)
     apf_s = sf.audio_likelihood(audio, model)
-    ipf_s = ipf(prepare_components(imu))
+    ipf_s = ipf(prepare_components(decompose(imu)))
     return apf_s, ipf_s, self_calibrate_quantizer(apf_s, ipf_s)
 
 
