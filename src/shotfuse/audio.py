@@ -8,15 +8,16 @@ per microframe, that spikes at impact sounds; adding the model bias and
 thresholding at zero turns it into a detector.
 
 A recording stays 16-bit PCM from the WAV file to the filter, and the FIR
-pass decodes it one chunk at a time. The workflows stream those chunks
-from the file (``dataio.WavFile``) and never hold the recording;
-training cuts its windows, rows of a table of start samples
-(training.window_table), from one ordered pass over them and decodes one
-chunk of windows at a time. A :class:`PcmAudio` is the same recording in
-memory, and every reader takes either. The audio clock starts at 0 ms
-with the first sample; the IMU runs on its own clock, whose offset the
-synchronizer estimates. Every value type here takes its arrays through
-series.freeze.
+pass decodes it one chunk at a time. Every reader owns an int16 buffer
+and has its source read the samples into it, one buffer at a time
+(read_into): the workflows read the file (``dataio.WavFile``) straight
+into those buffers and never hold the recording; training cuts its
+windows, rows of a table of start samples (training.window_table), from
+one ordered pass over them and decodes one chunk of windows at a time.
+A :class:`PcmAudio` is the same recording in memory, and every reader
+takes either. The audio clock starts at 0 ms with the first sample; the
+IMU runs on its own clock, whose offset the synchronizer estimates. Every
+value type here takes its arrays through series.freeze.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ MACROFRAME_FRAMES = 2 * MACROFRAME_HALF + 1
 FILTER_TAPS = 23
 #: Samples of a training window: the filter's history, then the macroframe it scores.
 WINDOW_SAMPLES = FILTER_TAPS - 1 + MACROFRAME_FRAMES * MICROFRAME_SAMPLES
+#: Outputs per np.convolve in apf: 32 kB pieces, where one convolution of 10 min copied 0.48 MB of energies.
+APF_PIECE_FRAMES = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +107,15 @@ class PcmAudio:
         """Timestamp one sample period past the last sample."""
         return len(self) * 1000.0 / SAMPLE_RATE_HZ
 
-    def chunks(self, size: int):
-        """The samples in order as read-only views of size samples each; the last may be shorter."""
-        return (self.samples[i : i + size] for i in range(0, len(self), size))
+    def read_into(self, buffer: np.ndarray):
+        """Copy the samples in order into the int16 buffer, len(buffer) at a time; yield each copy's count.
+
+        Every copy but the last fills the whole buffer, as dataio.WavFile's reads do.
+        """
+        for start in range(0, len(self), buffer.size):
+            count = min(buffer.size, len(self) - start)
+            buffer[:count] = self.samples[start : start + count]
+            yield count
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,22 +139,23 @@ class FilterModel:
 def short_time_energy(x: PcmAudio, taps: np.ndarray) -> SampleSeries:
     """Sum of squared FIR-filtered samples per non-overlapping microframe.
 
-    x is a PcmAudio or anything with its len() in samples and chunks(size),
-    such as dataio.WavFile. The filter is causal with zero initial state
-    (series.fir_frames) and reads the decoded samples (PCM * PCM_SCALE).
-    Each chunk of frames is read, decoded, filtered, squared and summed
-    into the energies as it is made, so neither the decoded nor the
-    filtered stream ever exists in full, and a WavFile's PCM does not
-    either. A trailing partial microframe is discarded. Each output value
-    is timestamped at the center of its microframe on the audio clock,
-    which starts at 0, so the first sits at MICROFRAME_MS / 2. The energies
+    x is a PcmAudio or anything with its len() in samples and
+    read_into(buffer), such as dataio.WavFile. The filter is causal with
+    zero initial state (series.fir_frames) and reads the decoded samples
+    (PCM * PCM_SCALE). Each chunk of frames is read into the filter's own
+    int16 buffer, decoded, filtered, squared and summed into the energies
+    as it is made, so neither the decoded nor the filtered stream ever
+    exists in full, and a WavFile's PCM does not either. A trailing
+    partial microframe is discarded. Each output value is timestamped at
+    the center of its microframe on the audio clock, which starts at 0, so
+    the first sits at MICROFRAME_MS / 2. The energies
     are the only array this makes that outlives the call; it is frozen, so
     the series adopts it, and nothing here keeps a reference to x.
     """
     if len(x) < MICROFRAME_SAMPLES:
         raise ValueError("insufficient samples")
     energy = np.empty(len(x) // MICROFRAME_SAMPLES)
-    for lo, hi, block in fir_frames(x.chunks, PCM_SCALE, taps, MICROFRAME_SAMPLES, energy.size):
+    for lo, hi, block in fir_frames(x.read_into, PCM_SCALE, taps, MICROFRAME_SAMPLES, energy.size):
         np.einsum("ij,ij->i", block, block, out=energy[lo:hi])
     return SampleSeries(MICROFRAME_MS / 2.0, freeze_in_place(energy))
 
@@ -156,14 +166,20 @@ def apf(energy: SampleSeries) -> SampleSeries:
     Only indices with a full macroframe of context are emitted, so the
     output is shorter by 2 * MACROFRAME_HALF frames and starts
     MACROFRAME_HALF frames later (50 ms of inherent lookahead). The output
-    array is frozen and adopted, not copied.
+    array is frozen and adopted, not copied. np.convolve copies a read-only
+    input, so the means are taken APF_PIECE_FRAMES outputs at a time: each
+    output is the same 11-term dot product as in one whole convolution.
     """
     m = MACROFRAME_FRAMES
     h = MACROFRAME_HALF
     if len(energy) < m:
         raise ValueError("insufficient context")
-    out = np.convolve(energy.values, np.ones(m) / m, mode="valid")
-    np.subtract(energy.values[h : len(energy) - h], out, out=out)
+    values, kernel = energy.values, np.ones(m) / m
+    out = np.empty(len(energy) - m + 1)
+    for lo in range(0, out.size, APF_PIECE_FRAMES):
+        hi = min(lo + APF_PIECE_FRAMES, out.size)
+        out[lo:hi] = np.convolve(values[lo : hi + m - 1], kernel, mode="valid")
+    np.subtract(values[h : len(energy) - h], out, out=out)
     return SampleSeries(energy.start_time + h * PERIOD_MS, freeze_in_place(out))
 
 
@@ -173,8 +189,8 @@ def audio_likelihood(x: PcmAudio, model: FilterModel) -> SampleSeries:
     Downstream consumers (synchronizer, fusion) want the raw peak function;
     only :func:`detect_audio` folds in the decision bias. x is a PcmAudio
     or a dataio.WavFile (see :func:`short_time_energy`); the detection
-    workflows pass a WavFile, so the recording is read one chunk at a time
-    and never held.
+    workflows pass a WavFile, so the recording is read one FIR chunk at a
+    time and never held.
     """
     return apf(short_time_energy(x, model.weights))
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import warnings
 import wave
 from contextlib import contextmanager
@@ -47,8 +48,8 @@ EVENT_COLUMNS = ("time_ms", "score")
 
 @contextmanager
 def _open_wav(path):
-    """The open WAV file, once its header declares 16-bit mono PCM at SAMPLE_RATE_HZ."""
-    with wave.open(str(path), "rb") as wav:
+    """The file at its first sample and its frame count, once the header declares 16-bit mono PCM at SAMPLE_RATE_HZ."""
+    with open(str(path), "rb") as fh, wave.open(fh) as wav:
         if wav.getcomptype() != "NONE":
             raise ValueError(f"expected uncompressed PCM, got {wav.getcomptype()}")
         if wav.getsampwidth() != 2:
@@ -57,67 +58,68 @@ def _open_wav(path):
             raise ValueError(f"expected mono audio, got {wav.getnchannels()} channels")
         if wav.getframerate() != SAMPLE_RATE_HZ:
             raise ValueError(f"expected {SAMPLE_RATE_HZ} Hz, got {wav.getframerate()} Hz")
-        yield wav
+        # The header parse stops on the data chunk's header, so the file is at its first sample.
+        yield fh, wav.getnframes()
 
 
-def _read_frames(wav, count: int, declared: int, before: int) -> np.ndarray:
-    """The next count frames as read-only int16 (wave hands them over in native byte order).
+def _read_into(fh, buffer: np.ndarray, frames: int):
+    """Read the file's frames samples in order into the int16 buffer, len(buffer) at a time; yield each read's count.
 
-    A file that ends early, even inside a frame, fails with the frame count
-    its header declares and the whole frames it holds (before this read,
-    plus those this read got).
+    Each read fills the buffer from its start, all of it but on the last
+    read, straight from the file, in native byte order. A file that ends
+    early, even inside a frame, fails with the frame count its header
+    declares and the whole frames it holds.
     """
-    raw = wav.readframes(count)
-    if len(raw) < 2 * count:
-        raise ValueError(f"truncated WAV: the header declares {declared} frames, "
-                         f"the file holds {before + len(raw) // 2}")
-    return np.frombuffer(raw, dtype=np.int16)
+    raw = memoryview(buffer).cast("B")
+    for start in range(0, frames, buffer.size or 1):  # an empty buffer reads only an empty recording
+        count = min(buffer.size, frames - start)
+        got = fh.readinto(raw[: 2 * count])
+        if got < 2 * count:
+            raise ValueError(f"truncated WAV: the header declares {frames} frames, the file holds {start + got // 2}")
+        if sys.byteorder == "big":  # WAV samples are little-endian
+            buffer[:count].byteswap(inplace=True)
+        yield count
 
 
 def read_wav(path) -> PcmAudio:
-    """Load 16-bit mono PCM audio at SAMPLE_RATE_HZ as a read-only view of the bytes read."""
-    with _open_wav(path) as wav:
-        frames = wav.getnframes()
-        return PcmAudio(_read_frames(wav, frames, frames, 0))
-
-
-#: Frames WavFile.chunks reads from the file at a time (160 kB), in whole
-#: blocks, or one block where a block is longer: 4 FIR chunks a read costs
-#: per sample what one whole-file read does, one read per FIR chunk about
-#: twice that, and 4 of center_forms' 81,920-sample blocks a read (640 kB)
-#: made center_forms on a 3-min recording about 20% slower than one.
-_READ_FRAMES = 81920
+    """Load 16-bit mono PCM audio at SAMPLE_RATE_HZ, read straight into one read-only int16 array."""
+    with _open_wav(path) as (fh, frames):
+        samples = np.empty(frames, dtype=np.int16)
+        for _ in _read_into(fh, samples, frames):
+            pass
+    return PcmAudio(freeze_in_place(samples))
 
 
 class WavFile:
-    """A WAV recording read from disk one block at a time: a PcmAudio that is never held whole.
+    """A WAV recording read from disk one buffer at a time: a PcmAudio that is never held whole.
 
     It reads like a PcmAudio to short_time_energy, audio_likelihood,
     detect_audio, audio_only_events and training.center_forms (so to
     train_filter, window_metrics and windows_from_labels too), which read
     only these two: len() is the frame count its header declares, and
-    chunks(size) reads the samples afresh, size frames at a time, as
-    read_wav would return them; they decode by audio.PCM_SCALE. Opening
-    checks the header as read_wav does; a file that holds fewer frames than
-    its header declares fails while chunks reads it, with read_wav's
-    message.
+    read_into(buffer) reads the samples afresh, in order, into the
+    caller's int16 buffer, as read_wav would return them; they decode by
+    audio.PCM_SCALE. Opening checks the header as read_wav does; a file
+    that holds fewer frames than its header declares fails while
+    read_into reads it, with read_wav's message.
     """
 
     def __init__(self, path):
         self.path = path
-        with _open_wav(path) as wav:
-            self._frames = wav.getnframes()
+        with _open_wav(path) as (_, frames):
+            self._frames = frames
 
     def __len__(self) -> int:
         return self._frames
 
-    def chunks(self, size: int):
-        """The samples in order as read-only int16 blocks of size samples; the last may be shorter."""
-        step = size * max(1, _READ_FRAMES // size)
-        with _open_wav(self.path) as wav:
-            for start in range(0, self._frames, step):
-                read = _read_frames(wav, min(step, self._frames - start), self._frames, start)
-                yield from (read[i : i + size] for i in range(0, read.size, size))
+    def read_into(self, buffer: np.ndarray):
+        """Read the samples in order into the int16 buffer, len(buffer) at a time; yield each read's count.
+
+        Every read but the last fills the whole buffer. The file stays open
+        until the last read or until the generator is closed.
+        """
+        with _open_wav(self.path) as (fh, _):
+            yield from _read_into(fh, buffer, self._frames)
 
 
 def write_wav(path, audio: PcmAudio) -> None:

@@ -137,14 +137,16 @@ FIR_CHUNK_FRAMES = 256
 FIR_BAND = 16
 
 
-def fir_frames(read_chunks, scale: float, taps: np.ndarray, frame: int, frames: int):
+def fir_frames(read_into, scale: float, taps: np.ndarray, frame: int, frames: int):
     """Causal FIR output of the samples * scale cut into frames, as (lo, hi, block) per chunk, in order.
 
-    read_chunks(size) yields the samples in order, size of them at a time
-    (the last chunk may be shorter); it is called once, with size
-    FIR_CHUNK_FRAMES * frame. An in-memory recording slices them and a WAV
-    file reads them (audio.PcmAudio.chunks, dataio.WavFile.chunks). With x
-    the samples,
+    read_into(buffer) reads the int16 samples in order into buffer,
+    len(buffer) of them at a time, and yields after each read how many it
+    holds (all of buffer but on the last read); it is called once, with
+    an int16 buffer of up to FIR_CHUNK_FRAMES * frame samples that this
+    call owns. An in-memory recording copies them and a WAV file reads
+    them (audio.PcmAudio.read_into, dataio.WavFile.read_into). With x the
+    samples,
     block[i, j] = sum_t taps[t] * scale * x[(lo + i) * frame + j - t]
     for the frames lo <= lo + i < hi of range(frames); x reads as zero
     before sample 0 and past its end.
@@ -152,15 +154,15 @@ def fir_frames(read_chunks, scale: float, taps: np.ndarray, frame: int, frames: 
     Each block is a view of one result buffer that every step overwrites:
     it is valid only until the generator is advanced, so a caller that
     keeps blocks must copy them. Each chunk of up to FIR_CHUNK_FRAMES
-    frames is decoded into one reused float64 segment (its chunk * scale
-    after the taps - 1 decoded samples before it, which the segment
-    carries from the previous chunk, zero-padded), so no source is ever
-    held or converted whole, and is one matmul: rows of a strided read-only
-    view of every band's window in the segment (its FIR_BAND outputs'
-    samples and the taps - 1 before them), built once per call, against
-    the Toeplitz band of the reversed taps. A frame that FIR_BAND does not
-    divide is one band. The chunks are read to their end, so a source that
-    checks its length does so on every call.
+    frames is one read, decoded into one reused float64 segment (its
+    samples * scale after the taps - 1 decoded samples before it, which
+    the segment carries from the previous chunk, zero-padded), so no
+    source is ever held or converted whole, and is one matmul: rows of a
+    strided read-only view of every band's window in the segment (its
+    FIR_BAND outputs' samples and the taps - 1 before them), built once
+    per call, against the Toeplitz band of the reversed taps. A frame that
+    FIR_BAND does not divide is one band. The source is read to its end,
+    so a source that checks its length does so on every call.
     """
     taps = np.asarray(taps, dtype=float)
     history = taps.size - 1
@@ -168,8 +170,9 @@ def fir_frames(read_chunks, scale: float, taps: np.ndarray, frame: int, frames: 
     # Window row r holds sample (band start - history + r), so it meets output j at tap j + history - r.
     tap = np.arange(band) + history - np.arange(history + band)[:, None]
     toeplitz = np.where((tap >= 0) & (tap <= history), taps[np.clip(tap, 0, history)], 0.0)
-    chunks = iter(read_chunks(FIR_CHUNK_FRAMES * frame))
     most = min(frames, FIR_CHUNK_FRAMES) * frame  # a short recording gets buffers of its own size
+    pcm = np.empty(most, dtype=np.int16)
+    reads = read_into(pcm)
     segment = np.zeros(history + most)
     windows = sliding_window_view(segment, history + band)[::band]
     result = np.empty((most // band, band))
@@ -178,13 +181,13 @@ def fir_frames(read_chunks, scale: float, taps: np.ndarray, frame: int, frames: 
         size = (hi - lo) * frame
         if lo:  # the previous chunk was full: its last history samples precede this one
             segment[:history] = segment[segment.size - history :]
-        chunk = next(chunks, segment[:0])[:size]
-        np.multiply(chunk, scale, out=segment[history : history + chunk.size])
-        segment[history + chunk.size : history + size] = 0.0
+        count = min(next(reads, 0), size)
+        np.multiply(pcm[:count], scale, out=segment[history : history + count])
+        segment[history + count : history + size] = 0.0
         rows = size // band
         np.matmul(windows[:rows], toeplitz, out=result[:rows])
         yield lo, hi, result[:rows].reshape(hi - lo, frame)
-    for _ in chunks:
+    for _ in reads:
         pass
 
 

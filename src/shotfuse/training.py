@@ -1,16 +1,16 @@
 """Gradient training of the audio front filter and decision bias.
 
-Training data is one window table over one recording (window_table),
-a PcmAudio or a dataio.WavFile: the forms are cut from one ordered pass
-over its chunks, so training on a WavFile never holds the PCM. The
-detector is differentiable end to end: convolution -> per-frame energy
--> macroframe mean subtraction -> bias threshold. Misclassified windows
-contribute the (signed) decision score as their loss; correct ones
-contribute nothing. The whole chain is a quadratic form in the filter
-weights, so each window's form is built once (center_forms), exactly and
-as its 276-entry upper triangle, and every epoch scores and differentiates
-windows from it in O(taps^2); the gradients are applied with a mini-batch
-Adam loop. Held-out windows are scored from the same forms (form_scores).
+Training data is one window table over one recording (window_table), a
+PcmAudio or a dataio.WavFile: the forms are cut from one ordered pass that
+reads it into one reused buffer, so training on a WavFile never holds the PCM.
+The detector is differentiable end to end: convolution -> per-frame energy ->
+macroframe mean subtraction -> bias threshold. Misclassified windows
+contribute the (signed) decision score as their loss; correct ones contribute
+nothing. The whole chain is a quadratic form in the filter weights, so each
+window's form is built once (center_forms), exactly and as its 276-entry upper
+triangle, and every epoch scores and differentiates windows from it in
+O(taps^2); the gradients are applied with a mini-batch Adam loop. Held-out
+windows are scored from the same forms (form_scores).
 
 A form's first row is a blocked matmul of the window's macroframe
 samples, in rows of _BLOCK, against the overlapping spans each row meets;
@@ -139,24 +139,23 @@ def center_forms(audio: PcmAudio, starts) -> np.ndarray:
     """Packed quadratic form of the center score of each window of a recording: (windows, PACKED_TAPS).
 
     audio is a PcmAudio or anything with its len() in samples and
-    chunks(size), such as dataio.WavFile, and starts the first sample of
-    each window in it, ascending, overlapping or repeated; row i is the
-    form of the window at starts[i]. A window's center
-    score, its center microframe's filtered energy minus its macroframe's
-    mean energy plus the bias, is w @ Q @ w + bias for a symmetric Q of its
-    samples; its row here is Q's upper triangle, row by row (form_scores).
-    Filtered output k of the macroframe is w @ t_k, where
-    t_k[i] = window[k + n_taps - 1 - i], and Q = sum_k c_k t_k t_k^T with
-    c_k = 1 - 1/11 on the center microframe and -1/11 on the rest of the
-    macroframe.
+    read_into(buffer), such as dataio.WavFile, and starts the first sample of
+    each window in it, ascending, overlapping or repeated; row i is the form
+    of the window at starts[i]. A window's center score, its center
+    microframe's filtered energy minus its macroframe's mean energy plus the
+    bias, is w @ Q @ w + bias for a symmetric Q of its samples; its row here
+    is Q's upper triangle, row by row (form_scores). Filtered output k of the
+    macroframe is w @ t_k, where t_k[i] = window[k + n_taps - 1 - i], and
+    Q = sum_k c_k t_k t_k^T with c_k = 1 - 1/11 on the center microframe and
+    -1/11 on the rest of the macroframe.
 
     The source is read once, in order and to its end, FORM_READ_SAMPLES
     at a time, so a source that checks its length does so on every call,
-    and a WavFile's PCM is never held. Each read goes into one reused
-    int16 segment after the last WINDOW_SAMPLES - 1 samples before it; the
-    windows it completes are cut from it in ascending start order, as PCM
-    steps, into one reused buffer of FORM_CHUNK_WINDOWS rows, which fills
-    across reads. Each full buffer's forms are built at once, into the
+    and a WavFile's PCM is never held. Each read goes straight into one
+    reused int16 segment, after the last WINDOW_SAMPLES - 1 samples before
+    it; the windows it completes are cut from it in ascending start order,
+    as PCM steps, into one reused buffer of FORM_CHUNK_WINDOWS rows, which
+    fills across reads. Each full buffer's forms are built at once, into the
     next rows of the stack (the first row a few blocked matmuls, the rest
     a diagonal recursion: _history_forms), so the stack is built in place.
     Each entry is the correctly rounded exact value, whatever
@@ -180,11 +179,9 @@ def center_forms(audio: PcmAudio, starts) -> np.ndarray:
     windows = sliding_window_view(segment, WINDOW_SAMPLES)
     history = np.empty((min(FORM_CHUNK_WINDOWS, starts.size), WINDOW_SAMPLES))
     done = filled = end = 0  # windows cut, those of them waiting in history, samples read
-    for chunk in audio.chunks(FORM_READ_SAMPLES):
+    for read in audio.read_into(segment[carry:]):
         if done == starts.size:  # the rest is read only for the source's length check
             continue
-        read = chunk.size
-        segment[carry : carry + read] = chunk
         end += read
         ready = np.searchsorted(starts, end - WINDOW_SAMPLES, side="right")
         while done < ready:
@@ -199,7 +196,7 @@ def center_forms(audio: PcmAudio, starts) -> np.ndarray:
 
 
 def _history_forms(history: np.ndarray, forms: np.ndarray) -> np.ndarray:
-    """center_forms of C-contiguous window rows of PCM steps, written into packed forms.
+    """center_forms of C-contiguous window rows of PCM steps, written into packed forms; spends the rows.
 
     Up to the final division everything is an integer below 2^45, which
     float64 holds exactly in any summation order: the samples are PCM
@@ -221,7 +218,9 @@ def _history_forms(history: np.ndarray, forms: np.ndarray) -> np.ndarray:
     weighted copy of x. Shifting both indices by one moves every t_k back
     one output, so Q[i+1, j+1] = Q[i, j] plus one rank-one term per step
     of c (c is 0 outside the macroframe): packed row i+1 is row i without
-    its last entry plus that step's row. The division rounds each entry of
+    its last entry plus that step's row. Those rows are built in the
+    window rows' own memory once the samples they read are gathered, so
+    the rows hold junk after the call. The division rounds each entry of
     M / (11 * 2^30) once.
     """
     (n, size), n_taps, block = history.shape, FILTER_TAPS, _BLOCK
@@ -243,8 +242,12 @@ def _history_forms(history: np.ndarray, forms: np.ndarray) -> np.ndarray:
     del product, diagonals  # before the edge terms, so the chunk's peak falls
     # Q[i+1, j+1] - Q[i, j] sums step[m] * t_{m-1}[i] * t_{m-1}[j] over the
     # edges m of the macroframe and of the center microframe.
+    # u holds every sample the steps read, so the spent rows take its weighted copy and the steps.
     u = history[:, _EDGE_SAMPLES]
-    shift = (u * _STEPS[_EDGES, None]).transpose(0, 2, 1) @ u
+    spent = history.reshape(-1)
+    weighted = spent[: u.size].reshape(u.shape)
+    shift = spent[u.size : u.size + n * (n_taps - 1) ** 2].reshape(n, n_taps - 1, n_taps - 1)
+    np.matmul(np.multiply(u, _STEPS[_EDGES, None], out=weighted).transpose(0, 2, 1), u, out=shift)
     for i in range(n_taps - 1):
         row, below = _ROW_START[i], _ROW_START[i + 1]
         forms[:, below : below + n_taps - 1 - i] = forms[:, row : below - 1] + shift[:, i, i:]

@@ -371,13 +371,15 @@ def test_criterion_7_property_suites(monkeypatch):
     # linearity of the front convolution
     kernel = rng.standard_normal(11)
 
-    def filtered(v):  # the 50 samples as 5 frames of 10; flatten copies, for a block lives one step
-        return np.concatenate([block.flatten() for _, _, block in fir_frames(lambda size: [v], 1.0, kernel, 10, 5)])
+    def filtered(v):  # the 50 PCM samples as 5 frames of 10; flatten copies, for a block lives one step
+        blocks = fir_frames(PcmAudio(v.astype(np.int16)).read_into, 1.0, kernel, 10, 5)
+        return np.concatenate([block.flatten() for _, _, block in blocks])
 
     ok = True
     for _ in range(100):
-        x, y = rng.standard_normal((2, 50))
-        a, b = rng.standard_normal(2)
+        # Integer weights on samples of at most 1024 steps keep every sum a PCM sample.
+        x, y = rng.integers(-1024, 1024, (2, 50))
+        a, b = rng.integers(-15, 16, 2)
         lhs = filtered(a * x + b * y)
         rhs = a * filtered(x) + b * filtered(y)
         ok = ok and np.allclose(lhs, rhs, atol=1e-9)

@@ -142,6 +142,15 @@ def test_apf_matches_direct_formula(rng):
         assert out.values[j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+def test_apf_pieces_are_bit_equal_to_one_convolution(rng, monkeypatch):
+    # Each output is the same 11-term dot product, wherever the pieces end.
+    e = rng.exponential(1.0, 3 * 50 + 17) ** 3
+    whole = e[5:-5] - np.convolve(e, np.ones(11) / 11, mode="valid")
+    for piece in (1, 7, 50, e.size):
+        monkeypatch.setattr(shotfuse.audio, "APF_PIECE_FRAMES", piece)
+        assert apf(frame_series(e)).values.tobytes() == whole.tobytes()
+
+
 def test_apf_start_time_advances_by_lookahead():
     out = apf(frame_series(np.zeros(20), start=5.0))
     assert out.start_time == 55.0  # 50 ms of inherent lookahead
@@ -202,10 +211,11 @@ def test_likelihood_adopts_its_energy_and_apf_arrays(identity_model):
     finally:
         tracemalloc.stop()
     assert not out.values.flags.writeable and out.values.base is None
-    # The energies, the likelihood and np.convolve's own output-sized
-    # temporary: three frame-rate arrays (measured 1.45 MB). A copy of either
-    # series on top of them took the peak to 1.99 MB.
-    assert peak < 3.5 * frames * 8, f"{peak / 1e6:.2f} MB"
+    # The energies, the likelihood and one piece of the macroframe mean
+    # (measured 1.03 MB). One np.convolve of the read-only energies, which
+    # copies them, put it at 1.45 MB; a copy of either series on top of
+    # that at 1.99 MB.
+    assert peak < 2.5 * frames * 8, f"{peak / 1e6:.2f} MB"
 
 
 def test_likelihood_burst_argmax(identity_model, rng):

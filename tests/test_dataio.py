@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 import tracemalloc
 import wave
 
@@ -20,8 +21,9 @@ from shotfuse import (
     synthesize,
     train_forest,
 )
-from shotfuse.audio import PCM_SCALE
+from shotfuse.audio import PCM_SCALE, WINDOW_SAMPLES
 from shotfuse.series import FIR_CHUNK_FRAMES
+from shotfuse.training import center_forms
 from shotfuse.dataio import (
     WavFile,
     load_filter_model,
@@ -88,6 +90,13 @@ def test_wav_decode_matches_float_conversion_then_scale(tmp_path, rng):
     assert out.dtype == np.float64
     assert out.tobytes() == expected.tobytes()
     assert out[:3].tolist() == [-1.0, 0.0, 32767 / 32768]
+
+
+def test_empty_wav_reads_as_no_samples(tmp_path):
+    path = tmp_path / "empty.wav"
+    write_wav(path, PcmAudio(np.empty(0, dtype=np.int16)))
+    assert len(read_wav(path)) == len(WavFile(path)) == 0
+    assert reads(WavFile(path), 80) == []
 
 
 def test_wav_values_are_read_only(tmp_path):
@@ -166,6 +175,12 @@ def test_wav_rejects_wrong_properties(tmp_path):
 CHUNK = FIR_CHUNK_FRAMES * 80  # samples per FIR chunk
 
 
+def reads(source, size):
+    """Copies of every read of the source into one int16 buffer of size samples."""
+    buffer = np.empty(size, dtype=np.int16)
+    return [buffer[:count].copy() for count in source.read_into(buffer)]
+
+
 @pytest.mark.parametrize(
     "n",
     [79, 5000, 3 * CHUNK, 3 * CHUNK + 37, CHUNK + 5 * 80 + 79],
@@ -185,9 +200,10 @@ def test_streamed_likelihood_is_bit_equal_to_the_in_memory_one(tmp_path, rng, n)
     a, b = audio_likelihood(streamed, model), audio_likelihood(read_wav(path), model)
     assert a.start_time == b.start_time
     assert a.values.tobytes() == b.values.tobytes()
-    blocks = list(streamed.chunks(CHUNK))
+    blocks = reads(streamed, CHUNK)
     assert [x.size for x in blocks[:-1]] == [CHUNK] * (len(blocks) - 1)
     assert np.array_equal(np.concatenate(blocks), read_wav(path).samples)
+    assert all(np.array_equal(x, y) for x, y in zip(reads(read_wav(path), CHUNK), blocks, strict=True))
 
 
 @pytest.mark.parametrize("cut", [0, 1], ids=["whole-frames", "half-a-frame"])
@@ -206,7 +222,31 @@ def test_truncated_wav_fails_naming_the_declared_and_the_present_frames(tmp_path
     with pytest.raises(ValueError, match=message):
         audio_likelihood(streamed, FilterModel(rng.standard_normal(23)))
     with pytest.raises(ValueError, match=message):
-        list(streamed.chunks(CHUNK))
+        reads(streamed, CHUNK)
+
+
+def with_chunks_around_the_data(plain: bytes) -> bytes:
+    """A 44-byte-header WAV with an odd-sized LIST chunk and its pad byte before data, and a chunk after it."""
+    fmt, data = plain[12:36], plain[36:]
+    listed = b"LIST" + struct.pack("<I", 9) + b"INFOISFT\x07\x00"
+    body = b"WAVE" + fmt + listed + data + b"junk" + struct.pack("<I", 4) + b"tail"
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def test_chunks_around_the_data_do_not_move_the_samples(tmp_path, rng):
+    # The reads start where the header parse leaves the file, past the LIST chunk, and stop at the data's end.
+    n = 3 * CHUNK + 37
+    plain, padded = tmp_path / "plain.wav", tmp_path / "padded.wav"
+    write_wav(plain, PcmAudio.from_float(0.2 * rng.standard_normal(n)))
+    padded.write_bytes(with_chunks_around_the_data(plain.read_bytes()))
+    assert len(WavFile(padded)) == n
+    assert read_wav(padded).samples.tobytes() == read_wav(plain).samples.tobytes()
+    model = FilterModel(rng.standard_normal(23))
+    a, b = audio_likelihood(WavFile(padded), model), audio_likelihood(WavFile(plain), model)
+    assert a.start_time == b.start_time
+    assert a.values.tobytes() == b.values.tobytes()
+    starts = np.sort(np.r_[rng.integers(0, n - WINDOW_SAMPLES + 1, 50), 0, n - WINDOW_SAMPLES])
+    assert center_forms(WavFile(padded), starts).tobytes() == center_forms(WavFile(plain), starts).tobytes()
 
 
 def test_streamed_wav_checks_the_header_as_read_wav_does(tmp_path):

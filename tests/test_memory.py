@@ -114,15 +114,16 @@ def test_train_filter_holds_the_forms_and_one_chunk_of_spans(session):
     cfg = sf.TrainConfig(max_epochs=1, seed=3)
     peak = traced_peak(lambda: sf.train_filter(train_set, cfg, audio))
     forms_bytes = forms_bytes_of(train_set, cfg)
-    # Margin: 1.5 MB above the packed forms (3.3 MB here). Measured 0.86 MB:
-    # one chunk's windows as PCM steps (0.46 MB) and as int16 (0.12 MB), and
-    # the recursion's steps (0.34 MB, 0.25 MB of it their products); the
-    # first row's 0.16 MB blocked product is freed before the steps. A list
-    # of one window object per row added 0.13 MB (0.98 MB). A
-    # weighted copy of the chunk's windows for an einsum took 1.20 MB;
-    # decoding and padding whole windows per 128-window chunk, 4.26 MB;
-    # full (windows, 23, 23) forms, 3.1 MB more.
-    assert peak < forms_bytes + 1.5 * MB, f"{(peak - forms_bytes) / MB:.2f} MB above the forms"
+    # Margin: 1.15 MB above the packed forms (3.3 MB here), 0.25 MB above
+    # the measured 0.90 MB: one chunk's windows as PCM steps (0.46 MB), the
+    # int16 segment the reads go into (0.17 MB) and the first row's blocked
+    # product (0.16 MB); the recursion's steps and their products are
+    # written into the spent windows. Building them as fresh arrays (0.29
+    # MB) put the peak at 1.05 MB. A list of one window object per row
+    # added 0.13 MB. A weighted copy of the chunk's windows for an einsum
+    # took 1.20 MB; decoding and padding whole windows per 128-window
+    # chunk, 4.26 MB; full (windows, 23, 23) forms, 3.1 MB more.
+    assert peak < forms_bytes + 1.15 * MB, f"{(peak - forms_bytes) / MB:.2f} MB above the forms"
 
 
 def test_train_filter_workflow_streams_the_wav(session, tmp_path):
@@ -130,12 +131,13 @@ def test_train_filter_workflow_streams_the_wav(session, tmp_path):
     cfg = sf.TrainConfig(max_epochs=1, seed=3)  # the session's split, so the same training windows
     peak = traced_peak(lambda: train_filter_workflow(root, tmp_path / "filter.json", cfg))
     forms_bytes = forms_bytes_of(train_set, cfg)
-    # Margin: 2.0 MB above the packed forms (3.3 MB here), less than the
-    # PCM. Measured 4.75 MB, 1.41 MB above the forms: train_filter's chunk
-    # buffers (above), the int16 segment the WAV is read into (0.17 MB) and
-    # one read of the file (0.16 MB). Reading the whole PCM put the peak at
+    # Margin: 1.22 MB above the packed forms (3.3 MB here), 0.25 MB above
+    # the measured 4.31 MB, 0.97 MB above the forms: train_filter's chunk
+    # buffers (above), which the WAV is read straight into. Handing each
+    # file read over as a fresh 0.16 MB bytes object, with the steps built
+    # as fresh arrays, put the peak at 4.62 MB; reading the whole PCM at
     # 7.13 MB: the forms, the PCM (2.88 MB) and 0.91 MB.
-    assert peak < forms_bytes + 2.0 * MB, f"{(peak - forms_bytes) / MB:.2f} MB above the forms"
+    assert peak < forms_bytes + 1.22 * MB, f"{(peak - forms_bytes) / MB:.2f} MB above the forms"
 
 
 def test_estimate_offset_temporaries_on_a_10_min_pair():

@@ -128,26 +128,31 @@ def test_stages_hand_over_the_arrays_they_make_without_a_copy(monkeypatch):
 FRAME = 80  # audio microframe: one row of the blocked matmul
 
 
+def steps(rng, n, most=32768):
+    """n random decoded PCM samples: steps of PCM_SCALE below most steps in size."""
+    return rng.integers(-most, most, n) * PCM_SCALE
+
+
 def fir(x, taps):
-    """Causal "same"-length FIR output of x, stitched from fir_frames' blocks."""
-    x = np.asarray(x, dtype=float)
+    """Causal "same"-length FIR output of x, decoded PCM samples, stitched from fir_frames' blocks."""
+    audio = PcmAudio.from_float(x)
+    assert np.array_equal(audio.samples * PCM_SCALE, x), "x must be whole PCM steps"
     frames = -(-len(x) // FRAME)
     out = np.empty((frames, FRAME))
-    for lo, hi, block in fir_frames(lambda size: (x[i : i + size] for i in range(0, len(x), size)),
-                                    1.0, taps, FRAME, frames):
+    for lo, hi, block in fir_frames(audio.read_into, PCM_SCALE, taps, FRAME, frames):
         out[lo:hi] = block
     return out.ravel()[: len(x)]
 
 
 def test_fir_impulse_response():
     taps = np.array([0.5, -0.25, 0.125])
-    out = fir(np.r_[1.0, np.zeros(9)], taps)
-    assert np.allclose(out[:3], taps)
+    out = fir(np.r_[0.5, np.zeros(9)], taps)
+    assert np.allclose(out[:3], 0.5 * taps)
     assert np.allclose(out[3:], 0.0)
 
 
 def test_fir_single_tap_identity(rng):
-    x = rng.standard_normal(30)
+    x = steps(rng, 30)
     assert np.array_equal(fir(x, np.array([1.0])), x)
 
 
@@ -162,7 +167,7 @@ def brute_force_convolve(x, taps):
 
 
 def test_fir_matches_bruteforce(rng):
-    x = rng.standard_normal(50)
+    x = steps(rng, 50)
     taps = rng.standard_normal(23)
     expected = brute_force_convolve(x, taps)
     assert np.allclose(fir(x, taps), expected, rtol=1e-12, atol=1e-12)
@@ -178,9 +183,10 @@ def test_fir_linearity_property():
     rng = np.random.default_rng(7)
     w = rng.standard_normal(11)
     for _ in range(100):
-        x = rng.standard_normal(40)
-        y = rng.standard_normal(40)
-        a, b = rng.standard_normal(2)
+        # Integer weights on samples of at most 1024 steps keep the sum whole PCM steps.
+        x = steps(rng, 40, 1024)
+        y = steps(rng, 40, 1024)
+        a, b = rng.integers(-15, 16, 2)
         combined = fir(a * x + b * y, w)
         split = a * fir(x, w) + b * fir(y, w)
         assert np.allclose(combined, split, atol=1e-9)
@@ -217,7 +223,7 @@ def frame_energy(filtered):
 def test_blocked_fir_matches_bruteforce_at_every_short_length(rng, n_taps):
     taps = rng.standard_normal(n_taps)
     for n in short_lengths(n_taps):
-        x = rng.standard_normal(n)
+        x = steps(rng, n)
         out = fir(x, taps)
         assert len(out) == n
         assert np.allclose(out, brute_force_convolve(x, taps), rtol=1e-12, atol=1e-12), n
@@ -226,7 +232,7 @@ def test_blocked_fir_matches_bruteforce_at_every_short_length(rng, n_taps):
 @pytest.mark.parametrize("n_taps", TAP_COUNTS)
 def test_blocked_fir_across_chunk_boundaries(rng, n_taps):
     taps = rng.standard_normal(n_taps)
-    x = rng.standard_normal(LONG)
+    x = steps(rng, LONG)
     out = fir(x, taps)
     assert len(out) == LONG
     chunk = FIR_CHUNK_FRAMES * FRAME
@@ -255,21 +261,22 @@ def test_filtered_energy_matches_bruteforce_then_frame_sums(rng, n_taps):
         assert np.allclose(out.values, frame_energy(filtered), rtol=1e-12, atol=0.0), n
 
 
-def frame_wide_fir_frames(read_chunks, scale, taps, frame, frames):
+def frame_wide_fir_frames(read_into, scale, taps, frame, frames):
     """Reference fir_frames: one fresh segment and result per chunk, and a frame-wide Toeplitz matrix."""
     taps = np.asarray(taps, dtype=float)
     history = taps.size - 1
     span = history + frame
     tap = np.arange(frame) + history - np.arange(span)[:, None]
     toeplitz = np.where((tap >= 0) & (tap <= history), taps[np.clip(tap, 0, history)], 0.0)
-    chunks = iter(read_chunks(FIR_CHUNK_FRAMES * frame))
+    pcm = np.empty(FIR_CHUNK_FRAMES * frame, dtype=np.int16)
+    reads = read_into(pcm)
     before = np.zeros(history)
     for lo in range(0, frames, FIR_CHUNK_FRAMES):
         hi = min(lo + FIR_CHUNK_FRAMES, frames)
         segment = np.zeros(history + (hi - lo) * frame)
         segment[:history] = before
-        chunk = next(chunks, segment[:0])[: (hi - lo) * frame]
-        np.multiply(chunk, scale, out=segment[history : history + chunk.size])
+        count = min(next(reads, 0), (hi - lo) * frame)
+        np.multiply(pcm[:count], scale, out=segment[history : history + count])
         before = segment[segment.size - history :].copy()
         yield lo, hi, np.lib.stride_tricks.sliding_window_view(segment, span)[::frame] @ toeplitz
 
@@ -277,7 +284,7 @@ def frame_wide_fir_frames(read_chunks, scale, taps, frame, frames):
 def block_energies(frames_of, audio, taps, frame):
     """Energy of every frame that holds a sample, a last partial frame read as zero past the end."""
     energy = np.empty(-(-len(audio) // frame))
-    for lo, hi, block in frames_of(audio.chunks, PCM_SCALE, taps, frame, energy.size):
+    for lo, hi, block in frames_of(audio.read_into, PCM_SCALE, taps, frame, energy.size):
         np.einsum("ij,ij->i", block, block, out=energy[lo:hi])
     return energy
 
@@ -297,18 +304,14 @@ def test_banded_fir_energy_matches_the_frame_wide_reference(rng, n_taps, frame):
 def test_fir_blocks_are_valid_until_the_next_step(rng):
     # Every block is a view of one buffer that the next step overwrites, so kept blocks must be copies.
     taps = rng.standard_normal(23)
-    x = rng.standard_normal(3 * FIR_CHUNK_FRAMES * FRAME)
-
-    def read(size):
-        return (x[i : i + size] for i in range(0, x.size, size))
-
+    read = PcmAudio.from_float(steps(rng, 3 * FIR_CHUNK_FRAMES * FRAME)).read_into
     kept, copies = [], []
-    for lo, hi, block in fir_frames(read, 1.0, taps, FRAME, 3 * FIR_CHUNK_FRAMES):
+    for lo, hi, block in fir_frames(read, PCM_SCALE, taps, FRAME, 3 * FIR_CHUNK_FRAMES):
         kept.append(block)
         copies.append(block.copy())
     assert len(kept) == 3 and all(np.shares_memory(block, kept[0]) for block in kept)
     assert np.array_equal(kept[0], copies[-1])
-    reference = frame_wide_fir_frames(read, 1.0, taps, FRAME, 3 * FIR_CHUNK_FRAMES)
+    reference = frame_wide_fir_frames(read, PCM_SCALE, taps, FRAME, 3 * FIR_CHUNK_FRAMES)
     reference = np.concatenate([block for _, _, block in reference])
     assert np.allclose(np.concatenate(copies), reference, rtol=1e-12, atol=1e-12)
 

@@ -10,7 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import shotfuse
 from shotfuse import ForestModel, PcmAudio, SynthConfig, TrainConfig, train_filter, train_forest
-from shotfuse import dataio, training
+from shotfuse import training
 from shotfuse.audio import PCM_SCALE, WINDOW_SAMPLES
 from shotfuse.dataio import WavFile, read_wav, write_wav
 from shotfuse.pipeline import window_metrics
@@ -297,14 +297,13 @@ def test_center_forms_bytes_do_not_depend_on_chunking(rng, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "read, file_read",
-    # One read and one file read for the whole recording; reads that end
-    # inside windows, 4 to a file read; reads shorter than a window, one
-    # file read each.
-    [(None, None), (1000, 4000), (WINDOW_SAMPLES - 1, 1)],
+    "read",
+    # One file read for the whole recording; file reads that end inside
+    # windows; file reads shorter than a window.
+    [None, 1000, WINDOW_SAMPLES - 1],
     ids=["whole", "straddling", "shorter-than-a-window"],
 )
-def test_center_forms_from_a_wav_file_equal_those_from_its_pcm(tmp_path, rng, monkeypatch, read, file_read):
+def test_center_forms_from_a_wav_file_equal_those_from_its_pcm(tmp_path, rng, monkeypatch, read):
     path = tmp_path / "a.wav"
     write_wav(path, PcmAudio(rng.integers(-32768, 32768, 5 * WINDOW_SAMPLES + 37, dtype=np.int16)))
     last = 4 * WINDOW_SAMPLES + 37
@@ -313,8 +312,7 @@ def test_center_forms_from_a_wav_file_equal_those_from_its_pcm(tmp_path, rng, mo
     starts = np.sort(np.r_[rng.integers(0, last + 1, 40), picked])
     monkeypatch.setattr(training, "FORM_CHUNK_WINDOWS", 5)  # the buffer fills across reads
     if read:
-        monkeypatch.setattr(training, "FORM_READ_SAMPLES", read)
-        monkeypatch.setattr(dataio, "_READ_FRAMES", file_read)
+        monkeypatch.setattr(training, "FORM_READ_SAMPLES", read)  # each read is one file read
     streamed, pcm = center_forms(WavFile(path), starts), read_wav(path)
     assert streamed.tobytes() == center_forms(pcm, starts).tobytes()
     for start in np.unique(picked):
