@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PERIOD_MS, SampleSeries, fir_frames, freeze, freeze_in_place
+from .series import PERIOD_MS, SampleSeries, deviation, fir_frames, freeze, freeze_in_place
 
 __all__ = [
     "SAMPLE_RATE_HZ",
@@ -60,8 +60,6 @@ MACROFRAME_FRAMES = 2 * MACROFRAME_HALF + 1
 FILTER_TAPS = 23
 #: Samples of a training window: the filter's history, then the macroframe it scores.
 WINDOW_SAMPLES = FILTER_TAPS - 1 + MACROFRAME_FRAMES * MICROFRAME_SAMPLES
-#: Outputs per np.convolve in apf: 32 kB pieces, where one convolution of 10 min copied 0.48 MB of energies.
-APF_PIECE_FRAMES = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,22 +163,11 @@ def apf(energy: SampleSeries) -> SampleSeries:
 
     Only indices with a full macroframe of context are emitted, so the
     output is shorter by 2 * MACROFRAME_HALF frames and starts
-    MACROFRAME_HALF frames later (50 ms of inherent lookahead). The output
-    array is frozen and adopted, not copied. np.convolve copies a read-only
-    input, so the means are taken APF_PIECE_FRAMES outputs at a time: each
-    output is the same 11-term dot product as in one whole convolution.
+    MACROFRAME_HALF frames later (50 ms of inherent lookahead). It is
+    series.deviation of the energies, frozen and adopted, not copied.
     """
-    m = MACROFRAME_FRAMES
-    h = MACROFRAME_HALF
-    if len(energy) < m:
-        raise ValueError("insufficient context")
-    values, kernel = energy.values, np.ones(m) / m
-    out = np.empty(len(energy) - m + 1)
-    for lo in range(0, out.size, APF_PIECE_FRAMES):
-        hi = min(lo + APF_PIECE_FRAMES, out.size)
-        out[lo:hi] = np.convolve(values[lo : hi + m - 1], kernel, mode="valid")
-    np.subtract(values[h : len(energy) - h], out, out=out)
-    return SampleSeries(energy.start_time + h * PERIOD_MS, freeze_in_place(out))
+    out = deviation(energy.values, MACROFRAME_FRAMES, MACROFRAME_HALF)
+    return SampleSeries(energy.start_time + MACROFRAME_HALF * PERIOD_MS, freeze_in_place(out))
 
 
 def audio_likelihood(x: PcmAudio, model: FilterModel) -> SampleSeries:

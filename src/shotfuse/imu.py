@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PERIOD_MS, SampleSeries, freeze, freeze_in_place
+from .series import PERIOD_MS, SampleSeries, convolve, deviation, freeze, freeze_in_place
 
 __all__ = [
     "ACCEL_RANGE_G",
@@ -232,7 +232,7 @@ def lowpass(x: SampleSeries) -> SampleSeries:
     """
     if len(x) == 0:
         raise ValueError("empty signal")
-    return x.with_values(freeze_in_place(np.convolve(x.values, LOWPASS_RESPONSE))[: len(x)])
+    return x.with_values(freeze_in_place(convolve(x.values, LOWPASS_RESPONSE, 0, len(x))))
 
 
 def split_components(columns: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -302,15 +302,8 @@ def ipf(components: ImuComponents) -> SampleSeries:
     4 sample periods later. Callers are expected to pass low-passed a_rad
     and w_tan (see :func:`prepare_components`).
     """
-    a = components.a_rad.values
-    w = components.w_tan.values
-    n = a.size
-    if n < IPF_WINDOW:
-        raise ValueError("insufficient context")
-    kernel = np.ones(IPF_WINDOW) / IPF_WINDOW
-    mean_a = np.convolve(a, kernel, mode="valid")
-    mean_w = np.convolve(w, kernel, mode="valid")
     lead = IPF_WINDOW // 2 - 1  # 4 past samples
-    out = freeze_in_place((a[lead : n - 5] - mean_a) * (w[lead : n - 5] - mean_w))
-    return SampleSeries(components.a_rad.start_time + lead * PERIOD_MS, out)
+    out = deviation(components.a_rad.values, IPF_WINDOW, lead)
+    out *= deviation(components.w_tan.values, IPF_WINDOW, lead)
+    return SampleSeries(components.a_rad.start_time + lead * PERIOD_MS, freeze_in_place(out))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PERIOD_MS, SampleSeries, cross_correlate, freeze_in_place, triangle_convolve
+from .series import PERIOD_MS, SampleSeries, cross_correlate, freeze_in_place, triangle_smooth
 
 __all__ = [
     "QUANT_LEVELS",
@@ -98,12 +98,6 @@ def self_calibrate_quantizer(apf: SampleSeries, ipf: SampleSeries) -> tuple[np.n
     return boundaries(apf.values, "apf"), boundaries(ipf.values, "ipf")
 
 
-def _levels(values: np.ndarray, boundaries) -> np.ndarray:
-    """quantize's levels of the values as a fresh, writeable float array."""
-    b = np.asarray(boundaries, dtype=float)
-    return (values > b[:, None]).sum(axis=0, dtype=float)
-
-
 def quantize(x: SampleSeries, boundaries) -> SampleSeries:
     """Map each value to its level in {0..4}; intervals are right-closed.
 
@@ -112,7 +106,8 @@ def quantize(x: SampleSeries, boundaries) -> SampleSeries:
     level is the number of boundaries strictly below the value, the four
     comparisons summed into one float array.
     """
-    return x.with_values(freeze_in_place(_levels(x.values, boundaries)))
+    b = np.asarray(boundaries, dtype=float)
+    return x.with_values(freeze_in_place((x.values > b[:, None]).sum(axis=0, dtype=float)))
 
 
 def estimate_offset(apf: SampleSeries, ipf: SampleSeries, boundaries) -> OffsetEstimate:
@@ -133,10 +128,7 @@ def estimate_offset(apf: SampleSeries, ipf: SampleSeries, boundaries) -> OffsetE
             f" the offset estimate needs {MIN_OVERLAP_SECONDS:g} s"
         )
 
-    apf_boundaries, ipf_boundaries = boundaries
-    # triangle_smooth(quantize(...)), smoothed while the levels are writeable: np.convolve reads them as they are.
-    qa = apf.with_values(triangle_convolve(_levels(apf.values, apf_boundaries)))
-    qi = ipf.with_values(triangle_convolve(_levels(ipf.values, ipf_boundaries)))
+    qa, qi = (triangle_smooth(quantize(x, b)) for x, b in zip((apf, ipf), boundaries))
     max_lag = int(round(MAX_LAG_MS / PERIOD_MS))
     correlations = cross_correlate(qa, qi, max_lag)
     peak = correlations.max()

@@ -142,15 +142,6 @@ def test_apf_matches_direct_formula(rng):
         assert out.values[j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-def test_apf_pieces_are_bit_equal_to_one_convolution(rng, monkeypatch):
-    # Each output is the same 11-term dot product, wherever the pieces end.
-    e = rng.exponential(1.0, 3 * 50 + 17) ** 3
-    whole = e[5:-5] - np.convolve(e, np.ones(11) / 11, mode="valid")
-    for piece in (1, 7, 50, e.size):
-        monkeypatch.setattr(shotfuse.audio, "APF_PIECE_FRAMES", piece)
-        assert apf(frame_series(e)).values.tobytes() == whole.tobytes()
-
-
 def test_apf_start_time_advances_by_lookahead():
     out = apf(frame_series(np.zeros(20), start=5.0))
     assert out.start_time == 55.0  # 50 ms of inherent lookahead

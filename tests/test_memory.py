@@ -3,9 +3,9 @@
 On a seeded 3-min session, tracemalloc peaks are held to the sizes of the
 arrays a stage must keep (the packed training forms) plus a stated margin,
 and the workflows that stream the WAV to less than its PCM above those
-arrays. The offset estimate is held to a stated size on series of a
-10-min session, and the forest vote to one that does not grow with the
-number of rows.
+arrays. The offset estimate, the low-pass and the IMU peak function are
+held to stated sizes on series of a 10-min session, and the forest vote
+to one that does not grow with the number of rows.
 """
 
 import gc
@@ -155,6 +155,21 @@ def test_estimate_offset_temporaries_on_a_10_min_pair():
     # float copy), window sums by concatenated cumsums and np.correlate at
     # 2.97 MB.
     assert peak < 1.75 * MB, f"{peak / MB:.2f} MB"
+
+
+def test_lowpass_and_ipf_never_copy_their_read_only_inputs():
+    rng = np.random.default_rng(13)
+    n = 60_000  # 10 min at 100 Hz
+    a, w = (sf.SampleSeries(0.0, rng.standard_normal(n)) for _ in range(2))
+    comps = sf.ImuComponents(a, a, a, w)
+    lowpass_peak = traced_peak(lambda: sf.lowpass(a))
+    ipf_peak = traced_peak(lambda: sf.ipf(comps))
+    # Above the 0.48 MB inputs; margin 0.25 MB. Measured 0.52 MB for lowpass,
+    # its result and one piece's slice and convolution, and 0.99 MB for ipf,
+    # its two deviations. One np.convolve of each read-only input, which
+    # numpy copies whole first, put them at 0.96 and 1.92 MB.
+    assert lowpass_peak < 0.77 * MB, f"lowpass {lowpass_peak / MB:.2f} MB"
+    assert ipf_peak < 1.25 * MB, f"ipf {ipf_peak / MB:.2f} MB"
 
 
 def test_classify_holds_one_block_of_row_tree_pairs():

@@ -6,6 +6,7 @@ from shotfuse import (
     ImuComponents,
     PcmAudio,
     SampleSeries,
+    apf,
     cross_correlate,
     ipf,
     lowpass,
@@ -13,9 +14,9 @@ from shotfuse import (
     short_time_energy,
     triangle_smooth,
 )
-from shotfuse.audio import PCM_SCALE
-from shotfuse.imu import LOWPASS_A, LOWPASS_B
-from shotfuse.series import FIR_CHUNK_FRAMES, TRIANGLE_TAPS, fir_frames
+from shotfuse.audio import MACROFRAME_FRAMES, PCM_SCALE
+from shotfuse.imu import IPF_WINDOW, LOWPASS_A, LOWPASS_B, LOWPASS_RESPONSE
+from shotfuse.series import CONVOLVE_PIECE, FIR_CHUNK_FRAMES, TRIANGLE_TAPS, convolve, fir_frames
 
 
 def make(values, start=0.0):
@@ -64,8 +65,9 @@ def test_series_adopts_frozen_arrays():
 
 
 def test_series_checks_adopted_arrays():
-    with pytest.raises(ValueError, match="finite"):
-        SampleSeries(0.0, frozen([1.0, np.inf]))
+    for values in ([1.0, np.inf], [1.0, -np.inf], [np.nan, 1.0], [np.nan, np.inf], [np.inf, 2.0, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            SampleSeries(0.0, frozen(values))
 
 
 def test_series_copies_writeable_input():
@@ -105,7 +107,7 @@ def test_series_copies_frozen_arrays_of_another_layout():
 
 
 def test_stages_hand_over_the_arrays_they_make_without_a_copy(monkeypatch):
-    # ipf, quantize and triangle_smooth freeze their fresh outputs, so the series adopt them.
+    # lowpass, apf, ipf, quantize and triangle_smooth freeze their fresh outputs, so the series adopt them.
     is_frozen = shotfuse.series._is_frozen
     rejected = []
 
@@ -118,8 +120,8 @@ def test_stages_hand_over_the_arrays_they_make_without_a_copy(monkeypatch):
     x = make(np.random.default_rng(5).uniform(0.0, 1.0, 200))
     comps = ImuComponents(x, x, x, x)
     monkeypatch.setattr(shotfuse.series, "_is_frozen", spy)
-    outputs = [ipf(comps), quantize(x, [0.2, 0.4, 0.6, 0.8]), triangle_smooth(x)]
-    assert [len(s) for s in outputs] == [191, 200, 200]
+    outputs = [lowpass(x), apf(x), ipf(comps), quantize(x, [0.2, 0.4, 0.6, 0.8]), triangle_smooth(x)]
+    assert [len(s) for s in outputs] == [200, 190, 191, 200, 200]
     assert rejected == []
 
 
@@ -397,6 +399,32 @@ def test_iir_bounded_output_property():
         x = rng.uniform(-1.0, 1.0, 300)
         out = lowpass(make(x))
         assert np.max(np.abs(out.values)) <= 100.0 * np.max(np.abs(x))
+
+
+# --- convolve ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kernel, outputs", [
+    (np.ones(MACROFRAME_FRAMES) / MACROFRAME_FRAMES, lambda n: (MACROFRAME_FRAMES - 1, n)),  # apf: whole windows
+    (np.ones(IPF_WINDOW) / IPF_WINDOW, lambda n: (IPF_WINDOW - 1, n)),  # ipf: whole windows
+    (LOWPASS_RESPONSE, lambda n: (0, n)),  # lowpass: the causal outputs
+    (TRIANGLE_TAPS, lambda n: (3, 3 + n)),  # triangle_smooth: the centered outputs
+], ids=["apf", "ipf", "lowpass", "triangle_smooth"])
+def test_convolve_pieces_are_bit_equal_to_one_convolution(rng, monkeypatch, kernel, outputs):
+    # Each output is the same dot product, wherever the pieces end, also where a piece's
+    # slice would be shorter than the kernel, for which np.convolve swaps its operands.
+    m = kernel.size
+    steps = (-m - 1, -m, -m + 1, -1, 0, 1, m - 1, m, m + 1)
+    for piece in (1, 7, 50, CONVOLVE_PIECE, None):  # None: one piece for every length
+        monkeypatch.setattr(shotfuse.series, "CONVOLVE_PIECE", piece or 3 * CONVOLVE_PIECE)
+        near = {k * (piece or CONVOLVE_PIECE) + d for k in (1, 2) for d in steps}
+        for n in sorted(set(range(1, 131)) | {n for n in near if n > 0}):
+            values = frozen(rng.exponential(1.0, n) ** 3)
+            lo, hi = outputs(n)
+            if hi <= lo:
+                continue  # its caller needs a whole window
+            whole = np.convolve(values, kernel)[lo:hi]
+            assert convolve(values, kernel, lo, hi).tobytes() == whole.tobytes(), (piece, n)
 
 
 # --- triangle_smooth ------------------------------------------------------
