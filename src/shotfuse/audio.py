@@ -56,6 +56,8 @@ MICROFRAME_SAMPLES = SAMPLE_RATE_HZ * MICROFRAME_MS // 1000
 #: Microframes of context on each side of a frame; the macroframe spans 11 (110 ms).
 MACROFRAME_HALF = 5
 MACROFRAME_FRAMES = 2 * MACROFRAME_HALF + 1
+#: Samples PcmAudio.from_float quantizes at a time: 0.5 MB of float64.
+_QUANTIZE_SAMPLES = 1 << 16
 #: Length of the trainable front FIR filter.
 FILTER_TAPS = 23
 #: Samples of a training window: the filter's history, then the macroframe it scores.
@@ -88,14 +90,19 @@ class PcmAudio:
 
     @classmethod
     def from_float(cls, values) -> "PcmAudio":
-        """Quantize float samples once: clip(round(v / PCM_SCALE)) to the int16 range."""
+        """Quantize float samples once: clip(round(v / PCM_SCALE)) to the int16 range, _QUANTIZE_SAMPLES at a time."""
         values = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("audio values must be finite")
-        scaled = values / PCM_SCALE
-        np.round(scaled, out=scaled)
-        np.clip(scaled, -32768, 32767, out=scaled)
-        return cls(freeze_in_place(scaled.astype(np.int16)))
+        samples = np.empty(values.shape, dtype=np.int16)
+        flat, out = values.reshape(-1), samples.reshape(-1)
+        for start in range(0, flat.size, _QUANTIZE_SAMPLES):
+            part = flat[start : start + _QUANTIZE_SAMPLES]
+            if not np.isfinite(part).all():
+                raise ValueError("audio values must be finite")
+            scaled = part / PCM_SCALE
+            np.round(scaled, out=scaled)
+            np.clip(scaled, -32768, 32767, out=scaled)
+            out[start : start + _QUANTIZE_SAMPLES] = scaled
+        return cls(freeze_in_place(samples))
 
     def __len__(self) -> int:
         return self.samples.size

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import sys
 import warnings
 import wave
@@ -286,11 +287,101 @@ def read_imu_csv(path) -> ImuComponents:
     return grid_components(rows, where=lambda i: f"row {row_of(i)}")
 
 
+#: Rows formatted per chunk by _fixed_rows: an IMU chunk peaks at about 1.7 MB of slots, masks and text.
+_FORMAT_ROWS = 4096
+
+#: Tables shorter than this are written by % rows. _fixed_rows costs about
+#: 60 us per column whatever the row count, % rows about 0.9 us per row and
+#: column: measured on 1, 2 and 7 columns, % rows were faster up to 128 rows
+#: and _fixed_rows from 256 on.
+_FIXED_MIN_ROWS = 256
+
+#: The two ASCII decimal digits of 0-99, as one 16-bit entry each.
+_DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)
+
+
+def _digits(values: np.ndarray, count: int) -> np.ndarray:
+    """The (k, count) ASCII digits of k non-negative integers below 10**count, zero-padded, two at a time."""
+    pairs = np.empty((values.size, (count + 1) // 2), dtype=np.uint16)
+    for j in range(pairs.shape[1] - 1, -1, -1):
+        quotient = values // 100  # a division by a constant is vectorized; % is not
+        pairs[:, j] = _DIGIT_PAIRS[values - 100 * quotient]
+        values = quotient
+    return pairs.view(np.uint8)[:, count % 2 :]
+
+
+def _fixed_rows(table: np.ndarray, decimals, row_format: str, end: bytes) -> bytes:
+    """The bytes of row_format % row for each row of the 2-D float table, where row_format is "%.{p}f" per column.
+
+    Each column is formatted at once: y = x * 10**p, N = rint(y). When
+    |y - N| < 0.5 - spacing(|y|), the exact value x * 10**p (y is within
+    half a spacing of it) is strictly nearer N than any other integer, so
+    the correctly rounded "%.{p}f" of x prints the digits of |N|, after a
+    minus sign when x's sign bit is set (-0.0 and negatives that round to
+    0 print -0.000). A row with a value that fails this test (a possible
+    tie, |y| >= 2**52, a NaN or an infinity) is formatted by row_format.
+    Each field has a fixed-width slot: a minus sign, its whole digits
+    zero-padded to the column's widest, the point, the decimals and the
+    comma or line end. One mask keeps the sign of negative values and the
+    whole digits from the first significant one, so compacting the slots
+    by it leaves the text in row order.
+    """
+    rows = table.shape[0]
+    slots, keep = [], []
+    exact = np.ones(rows, dtype=bool)
+    for i, (column, p) in enumerate(zip(table.T, decimals)):
+        y = np.abs(column * 10.0**p)  # |x| * 10**p: the product of |x| rounds as that of x
+        n = np.rint(y)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            ok = np.abs(y - n) < 0.5 - np.spacing(y)
+        exact &= ok
+        n = np.where(ok, n, 0).astype(np.uint64)
+        whole = n // np.uint64(10**p)
+        width = len(str(int(whole.max(initial=0))))  # digits of the widest whole part
+        digits = _digits(n, width + p)
+        tail = end if i == len(decimals) - 1 else b","
+        slot = np.empty((rows, 2 + width + p + len(tail)), dtype=np.uint8)
+        slot[:, 0] = ord("-")
+        slot[:, 1 : 1 + width] = digits[:, :width]
+        slot[:, 1 + width] = ord(".")
+        slot[:, 2 + width : 2 + width + p] = digits[:, width:]
+        slot[:, 2 + width + p :] = np.frombuffer(tail, dtype=np.uint8)
+        kept = np.ones(slot.shape, dtype=bool)
+        kept[:, 0] = np.signbit(column)  # not out=: numpy 2.4.6's signbit fills a strided out wrongly
+        for k in range(1, width):  # the digit of 10**k, at slot byte width - k
+            np.greater_equal(whole, 10**k, out=kept[:, width - k])
+        slots.append(slot)
+        keep.append(kept)
+    mask = np.concatenate(keep, axis=1)
+    mask[~exact] = False
+    text = np.concatenate(slots, axis=1)[mask].tobytes()
+    if exact.all():
+        return text
+    # A row left out holds no bytes, so the rows before it end where its text goes.
+    ends = np.cumsum(mask.sum(axis=1))
+    pieces, at = [], 0
+    for row in np.flatnonzero(~exact):
+        pieces += [text[at : ends[row]], (row_format % tuple(table[row].tolist())).encode() + end]
+        at = ends[row]
+    return b"".join(pieces + [text[at:]])
+
+
 def _write_csv(path, columns, row_format: str, table: np.ndarray, end: str = "\n") -> None:
-    """Write the header, then row_format % row for each row of the 2-D table, lines ended by end, in one write."""
-    row_format += end
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + end + "".join([row_format % tuple(row) for row in table.tolist()]))
+    """Write the header, then row_format % row for each row of the 2-D table, lines ended by end.
+
+    A table of _FIXED_MIN_ROWS rows or more whose row_format is "%.{p}f"
+    per column is formatted a column at a time by _fixed_rows, with the
+    same bytes, _FORMAT_ROWS rows per write.
+    """
+    fields = row_format.split(",")
+    decimals = [int(f[2:-1]) for f in fields if re.fullmatch(r"%\.[1-9]f", f)]
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + end).encode())
+        if len(table) < _FIXED_MIN_ROWS or len(decimals) < len(fields):
+            fh.write("".join([(row_format + end) % tuple(row) for row in table.tolist()]).encode())
+            return
+        for start in range(0, len(table), _FORMAT_ROWS):
+            fh.write(_fixed_rows(table[start : start + _FORMAT_ROWS], decimals, row_format, end.encode()))
 
 
 def write_imu_csv(path, stream: ImuStream) -> None:
@@ -336,10 +427,10 @@ def write_series_csv(path, series: SampleSeries) -> None:
 
 
 def write_json(path, payload) -> None:
-    """Write payload as JSON indented by 2, with sorted keys and a final newline."""
+    """Write payload as JSON indented by 2, with sorted keys and a final newline, in one write."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 @contextmanager

@@ -35,6 +35,8 @@ GYRO_NOISE_SCALE = 200.0  # deg/s of gyro noise per g of accel noise
 AX_BASELINE_G = 0.5
 EVENT_MIN_GAP_MS = 1000.0
 EDGE_MARGIN_MS = 1000.0
+#: The shortest session synthesize makes: one IMU sample, 80 audio samples.
+MIN_DURATION_S = 1.0 / IMU_RATE_HZ
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,9 @@ class SynthConfig:
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if self.duration_s < MIN_DURATION_S:
+            # Shorter, the IMU stream has no sample and the audio too few for one noise spectrum.
+            raise ValueError(f"duration_s must be at least one IMU period, {MIN_DURATION_S} s, got {self.duration_s}")
         if self.shot_count < 0 or self.distractor_rate_per_min < 0:
             raise ValueError("counts and rates must be non-negative")
         if self.imu_noise_g < 0:
@@ -68,14 +71,18 @@ class SynthConfig:
 
 
 def _pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
-    """1/f-shaped Gaussian noise, unit RMS."""
-    white = rng.standard_normal(n)
-    spectrum = np.fft.rfft(white)
-    f = np.fft.rfftfreq(n)
-    scale = np.zeros_like(f)
-    scale[1:] = 1.0 / np.sqrt(f[1:])
-    shaped = np.fft.irfft(spectrum * scale, n)
-    return shaped / np.sqrt(np.mean(shaped**2))
+    """1/f-shaped Gaussian noise, unit RMS, with no full-length temporary but the spectrum and the squares."""
+    spectrum = np.fft.rfft(rng.standard_normal(n))
+    scale = np.fft.rfftfreq(n)
+    np.sqrt(scale, out=scale)
+    np.divide(1.0, scale[1:], out=scale[1:])
+    scale[0] = 0.0
+    spectrum *= scale
+    del scale
+    shaped = np.fft.irfft(spectrum, n)
+    del spectrum
+    shaped /= np.sqrt(np.mean(shaped**2))
+    return shaped
 
 
 def _burst(rng: np.random.Generator) -> np.ndarray:
@@ -135,7 +142,8 @@ def synthesize(cfg: SynthConfig) -> tuple[PcmAudio, ImuStream, LabelSet]:
 
     # Audio stream (audio clock starts at 0).
     n_audio = int(round(cfg.duration_s * SAMPLE_RATE_HZ))
-    audio = NOISE_RMS * _pink_noise(n_audio, rng)
+    audio = _pink_noise(n_audio, rng)
+    audio *= NOISE_RMS
     burst_rms = NOISE_RMS * 10.0 ** (cfg.audio_snr_db / 20.0)
     for t in np.concatenate([shot_times, audio_only_times]):
         wave = burst_rms * _burst(rng)

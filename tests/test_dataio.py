@@ -22,6 +22,7 @@ from shotfuse import (
     train_forest,
 )
 from shotfuse.audio import PCM_SCALE, WINDOW_SAMPLES
+from shotfuse.imu import ACCEL_RANGE_G, GYRO_RANGE_DPS
 from shotfuse.series import FIR_CHUNK_FRAMES
 from shotfuse.training import center_forms
 from shotfuse.dataio import (
@@ -412,6 +413,48 @@ def test_imu_csv_bytes_match_csv_writer(tmp_path, rng):
     assert (tmp_path / "edges.csv").read_bytes().splitlines()[2] == (
         b"-0.000,8.000000,-0.000000,-8.000000,2000.000000,-0.000000,2000.000000"
     )
+
+
+def percent_rows(header, row_format, table, end="\n"):
+    """The CSV text of % formatting, one row at a time: the byte oracle of the column formatter."""
+    return (header + end + "".join([(row_format + end) % tuple(row) for row in table.tolist()])).encode()
+
+
+def decimal_edge_values(rng, decimals, count=600):
+    """Values of both signs whose "%.{decimals}f" text a column-at-a-time formatter can get wrong."""
+    halves = (rng.integers(0, 10**7, count) + 0.5) / 10.0**decimals
+    epoch = 1.7e12 + rng.integers(0, 10**9, count) * 0.0005  # epoch-scale t_ms, ties among them
+    values = np.concatenate([
+        10.0 ** rng.uniform(-9, 12, 5 * count),  # magnitudes from 1e-9 to 1e12
+        rng.integers(1, 2**12, count) / 2.0 ** rng.integers(1, 16, count),  # exact binary fractions, ties among them
+        halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf),
+        epoch, np.nextafter(epoch, np.inf), 1.7e12 + rng.uniform(0.0, 1e9, count),
+        [0.0, 0.0078125, 5e-4, 5e-7, 4e-7, 1e-300, 5e-324, ACCEL_RANGE_G, GYRO_RANGE_DPS,
+         np.nextafter(ACCEL_RANGE_G, 0.0), np.nextafter(GYRO_RANGE_DPS, 0.0), 2.0**52 / 10**decimals, 2.0**53, 1e22],
+    ])
+    return np.concatenate([values, -values])  # -0.0 and tiny negatives among them
+
+
+@pytest.mark.parametrize("format_rows", [97, 4096])
+def test_fixed_decimal_csv_text_is_percent_rows_byte_for_byte(tmp_path, rng, monkeypatch, format_rows):
+    monkeypatch.setattr(shotfuse.dataio, "_FORMAT_ROWS", format_rows)
+    path = tmp_path / "out.csv"
+    ms, sensor = decimal_edge_values(rng, 3), decimal_edge_values(rng, 6)
+    events = np.column_stack((rng.permutation(ms), rng.permutation(sensor)[: ms.size]))
+    assert len(events) >= shotfuse.dataio._FIXED_MIN_ROWS
+    write_events_csv(path, events)
+    assert path.read_bytes() == percent_rows("time_ms,score", "%.3f,%.6f", events)
+    shots = np.unique(np.abs(ms))
+    write_labels_csv(path, LabelSet(shots))
+    assert path.read_bytes() == percent_rows("t_ms", "%.3f", shots[:, None])
+    # The IMU columns within the sensor ranges.
+    accel = sensor[np.abs(sensor) <= ACCEL_RANGE_G]
+    gyro = sensor[np.abs(sensor) <= GYRO_RANGE_DPS]
+    n = accel.size
+    block = np.stack([rng.permutation(ms)[:n], *(rng.permutation(accel) for _ in range(3)),
+                      *(rng.permutation(gyro)[:n] for _ in range(3))])
+    write_imu_csv(path, ImuStream(block))
+    assert path.read_bytes() == percent_rows(",".join(shotfuse.dataio.IMU_COLUMNS), "%.3f" + ",%.6f" * 6, block.T, "\r\n")
 
 
 def test_imu_csv_validates_the_samples_once(tmp_path, monkeypatch):

@@ -5,7 +5,9 @@ arrays a stage must keep (the packed training forms) plus a stated margin,
 and the workflows that stream the WAV to less than its PCM above those
 arrays. The offset estimate, the low-pass and the IMU peak function are
 held to stated sizes on series of a 10-min session, and the forest vote
-to one that does not grow with the number of rows.
+to one that does not grow with the number of rows. Synthesis and the
+IMU CSV writer are held to their one float copy of the audio and one
+chunk of text.
 """
 
 import gc
@@ -170,6 +172,24 @@ def test_lowpass_and_ipf_never_copy_their_read_only_inputs():
     # numpy copies whole first, put them at 0.96 and 1.92 MB.
     assert lowpass_peak < 0.77 * MB, f"lowpass {lowpass_peak / MB:.2f} MB"
     assert ipf_peak < 1.25 * MB, f"ipf {ipf_peak / MB:.2f} MB"
+
+
+def test_set_up_holds_no_full_length_temporaries(tmp_path):
+    rng = np.random.default_rng(17)
+    n = 60_000  # 10 min at 100 Hz
+    stream = sf.ImuStream([10.0 * np.arange(n), *rng.uniform(-2.0, 2.0, (3, n)), *rng.uniform(-500.0, 500.0, (3, n))])
+    write_peak = traced_peak(lambda: write_imu_csv(tmp_path / "imu.csv", stream))
+    # A bound that does not grow with the rows; margin 0.25 MB. Measured
+    # 1.76 MB: one 4096-row chunk's slots, masks and text. Formatting every
+    # row by % and joining the file's text took 25.2 MB.
+    assert write_peak < 2.0 * MB, f"write_imu_csv {write_peak / MB:.2f} MB"
+    cfg = sf.SynthConfig(duration_s=60.0, shot_count=20, distractor_rate_per_min=4.0, seed=7)
+    noise_bytes = 8 * 60 * 8000  # one float64 array of the audio: 3.84 MB
+    synth_peak = traced_peak(lambda: sf.synthesize(cfg))
+    # Measured 7.75 MB: the shaped noise and its squares, for the RMS. A
+    # product for each scaling step and a float copy for quantizing took
+    # 19.2 MB.
+    assert synth_peak < 2.1 * noise_bytes, f"synthesize {synth_peak / MB:.2f} MB"
 
 
 def test_classify_holds_one_block_of_row_tree_pairs():

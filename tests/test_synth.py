@@ -102,3 +102,18 @@ def test_distractor_counts_scale_with_rate():
     strong = (imu.block[1] > 1.5).astype(int)  # ax
     rising_edges = int(np.sum(np.diff(np.r_[0, strong]) == 1))
     assert rising_edges == 11
+
+
+@pytest.mark.parametrize("duration_s", [1e-5, 1e-4, 0.004, 0.0099])
+def test_durations_shorter_than_one_imu_period_are_rejected(duration_s):
+    # 1e-5 s used to fail inside np.fft (no FFT data points), 1e-4 s to warn
+    # of a 0/0 noise RMS and then fail on non-finite audio, and 0.004 s to
+    # synthesize an IMU stream with no sample.
+    with pytest.raises(ValueError, match=f"^duration_s must be at least one IMU period, 0.01 s, got {duration_s}$"):
+        SynthConfig(duration_s=duration_s, shot_count=0)
+
+
+def test_one_imu_period_synthesizes_one_imu_sample():
+    audio, imu, labels = synthesize(SynthConfig(duration_s=0.01, shot_count=0, seed=9))
+    assert (len(audio), len(imu), len(labels)) == (80, 1, 0)
+    assert np.isclose(np.sqrt(np.mean((audio.samples / 32768.0) ** 2)), 0.005, rtol=0.1)
