@@ -148,9 +148,12 @@ def short_time_energy(x: PcmAudio, taps: np.ndarray) -> SampleSeries:
     read_into(buffer), such as dataio.WavFile. The filter is causal with
     zero initial state (series.fir_frames) and reads the decoded samples
     (PCM * PCM_SCALE). Each chunk of frames is read into the filter's own
-    int16 buffer, decoded, filtered, squared and summed into the energies
-    as it is made, so neither the decoded nor the filtered stream ever
-    exists in full, and a WavFile's PCM does not either. A trailing
+    int16 buffer, filtered as integers, squared and summed into the
+    energies as it is made, so the filtered stream never exists in full,
+    and a WavFile's PCM does not either; the energies are then scaled by
+    PCM_SCALE**2 once. That is the decoded computation bit for bit:
+    PCM_SCALE is 2**-15, and scaling by a power of two commutes with every
+    rounding while the values stay normal. A trailing
     partial microframe is discarded. Each output value is timestamped at
     the center of its microframe on the audio clock, which starts at 0, so
     the first sits at MICROFRAME_MS / 2. The energies
@@ -160,8 +163,9 @@ def short_time_energy(x: PcmAudio, taps: np.ndarray) -> SampleSeries:
     if len(x) < MICROFRAME_SAMPLES:
         raise ValueError("insufficient samples")
     energy = np.empty(len(x) // MICROFRAME_SAMPLES)
-    for lo, hi, block in fir_frames(x.read_into, PCM_SCALE, taps, MICROFRAME_SAMPLES, energy.size):
+    for lo, hi, block in fir_frames(x.read_into, taps, MICROFRAME_SAMPLES, energy.size):
         np.einsum("ij,ij->i", block, block, out=energy[lo:hi])
+    energy *= PCM_SCALE**2
     return SampleSeries(MICROFRAME_MS / 2.0, freeze_in_place(energy))
 
 

@@ -138,8 +138,8 @@ def _is_number(cell: str) -> bool:
         float(cell)
     except ValueError:
         return False
-    # float() also takes digit-group underscores and non-ASCII digits; loadtxt does not.
-    return "_" not in cell and cell.strip().isascii()
+    # float() also takes digit-group underscores and non-ASCII digits and spaces; loadtxt does not.
+    return "_" not in cell and cell.isascii()
 
 
 #: Data rows np.loadtxt parses at a time. Each chunk is split and checked
@@ -149,19 +149,33 @@ def _is_number(cell: str) -> bool:
 _PARSE_ROWS = 4096
 
 
-def _line_count(path) -> int:
-    """Lines of the file: its \\n characters, plus a last line without one."""
-    lines, last = 0, b"\n"
+#: Bytes _line_ends reads at a time.
+_COUNT_BYTES = 1 << 16
+
+
+def _line_ends(path) -> tuple[int, bool]:
+    """The lines of the file as the CSV parser ends them, and whether any ends at a lone \\r.
+
+    A line ends at \\n, at \\r\\n or at a \\r that no \\n follows; a last
+    line without an end counts too.
+    """
+    lines = lone_cr = 0
+    last = b""
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 16):
-            lines += int(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n")))
+        while chunk := fh.read(_COUNT_BYTES):
+            data = np.frombuffer(chunk, dtype=np.uint8)
+            lf, cr = data == ord("\n"), data == ord("\r")
+            lines += int(np.count_nonzero(lf))
+            crs = int(np.count_nonzero(cr))
+            if crs or last == b"\r":  # every \r, less those a \n follows, here or across the chunk start
+                lone_cr += crs - int(np.count_nonzero(cr[:-1] & lf[1:])) - (last == b"\r" and bool(lf[0]))
             last = chunk[-1:]
-    return lines + (last != b"\n")
+    return lines + lone_cr + (last not in (b"", b"\n", b"\r")), lone_cr > 0
 
 
-def _open_csv(path):
-    """The CSV as text; a UTF-8 byte-order mark before the header is dropped."""
-    return open(path, newline="", encoding="utf-8-sig")
+def _open_text(path, encoding="utf-8-sig"):
+    """The CSV as text, each line ended at \\n, \\r\\n or a lone \\r; a byte the encoding rejects reads as U+FFFD."""
+    return open(path, newline="", encoding=encoding, errors="replace")
 
 
 def _keep_all(part, first):
@@ -174,24 +188,38 @@ def _read_numeric_csv(path, columns, locate, split=_keep_all, width=None):
     locate(header) checks the stripped header fields (None for an empty
     file) and returns the position of each column. Cells are plain decimal
     text: no quoting, no comments; blank lines are skipped and fields past
-    the last parsed column are ignored. np.loadtxt parses _PARSE_ROWS rows
-    at a time from the open file, and split(part, first) maps each chunk,
-    a contiguous (len(columns), k) array of the k data rows from data row
-    first on, to the width (default len(columns)) 1-D arrays of k values
-    to keep, or to () to keep none of it. Each kept array goes into its
-    own array, sized from the file's line count, so no array but those is
-    the size of the data. Returns the arrays and row_of, which maps a
-    data-row index to its CSV row number (header = row 1, blank lines
-    counted). A rejected file is scanned row by row, only then, for the
-    first offending row.
+    the last parsed column are ignored. The header is UTF-8 without its
+    byte-order mark. The rows are parsed from a binary handle, which
+    np.loadtxt decodes as latin-1, so a byte that is not UTF-8 fails only
+    in a parsed cell. numpy's binary reader ends lines at \\n alone, so a
+    file with a line ended by a lone \\r (see _line_ends) is parsed from a
+    latin-1 text handle instead, which hands np.loadtxt the same strings.
+    np.loadtxt parses _PARSE_ROWS rows at a time from the open file, and
+    split(part, first) maps each chunk, a contiguous (len(columns), k)
+    array of the k data rows from data row first on, to the width (default
+    len(columns)) 1-D arrays of k values to keep, or to () to keep none of
+    it. Each kept array goes into its own array, sized from the file's
+    line count, so no array but those is the size of the data. Returns the
+    arrays and row_of, which maps a data-row index to its CSV row number
+    (header = row 1, blank lines counted), reading the file as UTF-8 text
+    with U+FFFD for a bad byte. A rejected file is scanned so, row by row,
+    only then, for the first offending row.
     """
-    capacity = max(_line_count(path) - 1, 0)
+    lines, lone_cr = _line_ends(path)
+    capacity = max(lines - 1, 0)
     arrays = [np.empty(capacity) for _ in range(len(columns) if width is None else width)]
     filled = 0
-    with _open_csv(path) as fh:
+    with _open_text(path, "latin-1") if lone_cr else open(path, "rb") as fh:
         first = fh.readline()
+        first = (first.encode("latin-1") if lone_cr else first).decode("utf-8-sig", "replace")
         header = [h.strip() for h in next(csv.reader([first]), [])] if first else None
         positions = locate(header)
+
+        def row_of(index: int | None) -> int:
+            with _open_text(path) as rows:
+                rows.readline()
+                return _scan_rows(rows, columns, positions, len(header), stop_at=index)
+
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -201,30 +229,17 @@ def _read_numeric_csv(path, columns, locate, split=_keep_all, width=None):
                     part = np.ascontiguousarray(np.loadtxt(fh, delimiter=",", usecols=positions, comments=None,
                                                            ndmin=2, max_rows=_PARSE_ROWS).T)
                     rows = part.shape[1]
-                    if filled + rows > capacity:  # lines ended by a lone \r
-                        capacity = 2 * (filled + rows)
-                        for i, array in enumerate(arrays):
-                            arrays[i] = np.empty(capacity)
-                            arrays[i][:filled] = array[:filled]
                     for array, row in zip(arrays, split(part, filled)):
                         array[filled : filled + rows] = row
                     filled += rows
                     if rows < _PARSE_ROWS:
                         break
         except ValueError as exc:
-            fh.seek(0)
-            fh.readline()
-            _scan_rows(fh, columns, positions, len(header), stop_at=None)
+            row_of(None)
             raise ValueError(f"unparsable data: {exc}") from exc
     if filled < capacity:  # blank lines
         for i, array in enumerate(arrays):
             arrays[i] = array[:filled].copy()
-
-    def row_of(index: int) -> int:
-        with _open_csv(path) as fh:
-            fh.readline()
-            return _scan_rows(fh, columns, positions, len(header), stop_at=index)
-
     return arrays, row_of
 
 
@@ -426,9 +441,34 @@ def write_series_csv(path, series: SampleSeries) -> None:
     _write_csv(path, ("time_ms", "value"), "%.3f,%.9g", np.column_stack((series.times(), series.values)))
 
 
+def _json_text(value, indent: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) as it reads nested at indent, a list of plain numbers in one join.
+
+    json writes an int by int.__repr__ and a finite float by float.__repr__,
+    so the join is its text; a NaN or an infinity, whose repr holds an n,
+    and every other value go to json itself.
+    """
+    inner = indent + "  "
+    if type(value) is list and value and set(map(type, value)) <= {int, float}:
+        text = (",\n" + inner).join(map(repr, value))
+        if "n" not in text:
+            return f"[\n{inner}{text}\n{indent}]"
+    elif type(value) is list and value:
+        return "[\n" + ",\n".join(inner + _json_text(v, inner) for v in value) + f"\n{indent}]"
+    elif type(value) is dict and value and set(map(type, value)) == {str}:
+        items = (f"{inner}{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def write_json(path, payload) -> None:
-    """Write payload as JSON indented by 2, with sorted keys and a final newline, in one write."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write payload as JSON indented by 2, with sorted keys and a final newline, in one write.
+
+    The text is json.dumps(payload, indent=2, sort_keys=True) + "\\n", byte
+    for byte; json's encoder, pure Python when it indents, writes lists of
+    numbers one item at a time, and _json_text joins them.
+    """
+    text = _json_text(payload, "") + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 

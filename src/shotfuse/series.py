@@ -4,8 +4,8 @@ Every signal the pipeline derives (frame energies, likelihood functions,
 IMU components) is a :class:`SampleSeries`: a start timestamp and values
 on the one 100 Hz clock, so sample ``k`` is located at
 ``start_time + k * PERIOD_MS`` milliseconds. Raw audio stays 16-bit PCM
-(``audio.PcmAudio``) and is decoded by :func:`fir_frames` one chunk at a
-time.
+(``audio.PcmAudio``) and is filtered by :func:`fir_frames` one chunk at a
+time, as integers.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ FIR_CHUNK_FRAMES = 256
 FIR_BAND = 16
 
 
-def fir_frames(read_into, scale: float, taps: np.ndarray, frame: int, frames: int):
-    """Causal FIR output of the samples * scale cut into frames, as (lo, hi, block) per chunk, in order.
+def fir_frames(read_into, taps: np.ndarray, frame: int, frames: int):
+    """Causal FIR output of the PCM samples cut into frames, as (lo, hi, block) per chunk, in order.
 
     read_into(buffer) reads the int16 samples in order into buffer,
     len(buffer) of them at a time, and yields after each read how many it
@@ -150,16 +150,16 @@ def fir_frames(read_into, scale: float, taps: np.ndarray, frame: int, frames: in
     call owns. An in-memory recording copies them and a WAV file reads
     them (audio.PcmAudio.read_into, dataio.WavFile.read_into). With x the
     samples,
-    block[i, j] = sum_t taps[t] * scale * x[(lo + i) * frame + j - t]
+    block[i, j] = sum_t taps[t] * x[(lo + i) * frame + j - t]
     for the frames lo <= lo + i < hi of range(frames); x reads as zero
     before sample 0 and past its end.
 
     Each block is a view of one result buffer that every step overwrites:
     it is valid only until the generator is advanced, so a caller that
     keeps blocks must copy them. Each chunk of up to FIR_CHUNK_FRAMES
-    frames is one read, decoded into one reused float64 segment (its
-    samples * scale after the taps - 1 decoded samples before it, which
-    the segment carries from the previous chunk, zero-padded), so no
+    frames is one read, cast into one reused float64 segment (its samples
+    as float integers after the taps - 1 samples before it, which the
+    segment carries from the previous chunk, zero-padded), so no
     source is ever held or converted whole, and is one matmul: rows of a
     strided read-only view of every band's window in the segment (its
     FIR_BAND outputs' samples and the taps - 1 before them), built once
@@ -185,7 +185,7 @@ def fir_frames(read_into, scale: float, taps: np.ndarray, frame: int, frames: in
         if lo:  # the previous chunk was full: its last history samples precede this one
             segment[:history] = segment[segment.size - history :]
         count = min(next(reads, 0), size)
-        np.multiply(pcm[:count], scale, out=segment[history : history + count])
+        segment[history : history + count] = pcm[:count]
         segment[history + count : history + size] = 0.0
         rows = size // band
         np.matmul(windows[:rows], toeplitz, out=result[:rows])

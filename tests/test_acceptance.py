@@ -372,7 +372,7 @@ def test_criterion_7_property_suites(monkeypatch):
     kernel = rng.standard_normal(11)
 
     def filtered(v):  # the 50 PCM samples as 5 frames of 10; flatten copies, for a block lives one step
-        blocks = fir_frames(PcmAudio(v.astype(np.int16)).read_into, 1.0, kernel, 10, 5)
+        blocks = fir_frames(PcmAudio(v.astype(np.int16)).read_into, kernel, 10, 5)
         return np.concatenate([block.flatten() for _, _, block in blocks])
 
     ok = True

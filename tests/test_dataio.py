@@ -38,6 +38,7 @@ from shotfuse.dataio import (
     write_events_csv,
     write_imu_csv,
     write_labels_csv,
+    write_json,
     write_series_csv,
     write_wav,
 )
@@ -361,7 +362,7 @@ def test_imu_csv_timestamp_errors_name_the_row(tmp_path):
         read_imu_csv(path)
 
 
-@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
 def test_csv_readers_drop_a_utf8_byte_order_mark(tmp_path, ending):
     _, imu, labels = synthesize(SynthConfig(duration_s=10.0, shot_count=5, seed=33))
     events = np.array([[105.0, 0.9], [210.5, 0.25]])
@@ -381,6 +382,47 @@ def test_csv_readers_drop_a_utf8_byte_order_mark(tmp_path, ending):
     marked.write_bytes(b"\xef\xbb\xbft_ms\n100\n\nlate\n")
     with pytest.raises(ValueError, match="^row 4: non-numeric value 'late' in column t_ms$"):
         read_labels_csv(marked)
+
+
+# A byte that is not UTF-8: in a parsed cell the error names its row, elsewhere it is ignored text.
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+def test_imu_csv_names_the_row_of_a_byte_that_is_not_utf8(tmp_path, ending):
+    path = tmp_path / "imu.csv"
+    rows = [b"t_ms,ax,ay,az,gx,gy,gz,note", b"0,0.5,0,0,0,0,0,x", b"10,0.25,0,0,0,0,0,y"]
+    path.write_bytes(ending.join(rows) + ending)
+    expected = read_imu_csv(path)
+    rows[2] = b"10,0.\xff,0,0,0,0,0,y"
+    path.write_bytes(ending.join(rows) + ending)
+    with pytest.raises(ValueError, match="^row 3: non-numeric value '0.\ufffd' in column ax$"):
+        read_imu_csv(path)
+    rows[2] = b"10,0.25,0,0,0,0,0,caf\xe9"  # latin-1, in a column the reader ignores
+    path.write_bytes(ending.join(rows) + ending)
+    assert_same_components(read_imu_csv(path), expected)
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+def test_labels_csv_names_the_row_of_a_byte_that_is_not_utf8(tmp_path, ending):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(ending.join([b"t_ms,who", b"100,ann", b"2\xff0,bob"]) + ending)
+    with pytest.raises(ValueError, match="^row 3: non-numeric value '2\ufffd0' in column t_ms$"):
+        read_labels_csv(path)
+    path.write_bytes(ending.join([b"t_ms,caf\xe9", b"100,\xe9", b"250.5,bob\xff"]) + ending)
+    assert np.array_equal(read_labels_csv(path).shots, [100.0, 250.5])
+    # A non-ASCII space around a number is no more a number than a bad byte.
+    path.write_bytes(ending.join([b"t_ms", b"100", "250\u00a0".encode()]) + ending)
+    with pytest.raises(ValueError, match=r"^row 3: non-numeric value '250\\xa0' in column t_ms$"):
+        read_labels_csv(path)
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+def test_events_csv_names_the_row_of_a_byte_that_is_not_utf8(tmp_path, ending):
+    path = tmp_path / "events.csv"
+    path.write_bytes(ending.join([b"time_ms,score", b"105.0,0.9", b"", b"210.0,\x800.5"]) + ending)
+    with pytest.raises(ValueError, match="^row 4: non-numeric value '\ufffd0.5' in column score$"):
+        read_events_csv(path)
+    path.write_bytes(ending.join([b"time_ms,score,why", b"105.0,0.9,\xe9t\xe9", b"210.0,0.5"]) + ending)
+    assert np.array_equal(read_events_csv(path), [[105.0, 0.9], [210.0, 0.5]])
 
 
 def csv_writer_imu_file(path, stream):
@@ -503,17 +545,38 @@ def test_imu_csv_line_endings_and_blank_lines_parse_alike(tmp_path, rng, monkeyp
     write_imu_csv(path, stream)
     expected = read_imu_csv(path)
     lines = path.read_text().splitlines()
+    mixed = "".join(line + ("\r" if k % 3 else "\n") for k, line in enumerate(lines))
+    bom = "\ufeff"
+    # Each variant's text, the lines the parser ends in it and whether one ends at a lone \r.
     variants = {
-        "lf": "\n".join(lines) + "\n",
-        "no final newline": "\n".join(lines),
-        "lone cr": "\r".join(lines) + "\r",
-        "blank lines": "\n\n".join(lines) + "\n\n",
+        "lf": ("\n".join(lines) + "\n", n + 1, False),
+        "no final newline": ("\n".join(lines), n + 1, False),
+        "crlf": ("\r\n".join(lines) + "\r\n", n + 1, False),
+        "bom and crlf": (bom + "\r\n".join(lines) + "\r\n", n + 1, False),
+        "lone cr": ("\r".join(lines) + "\r", n + 1, True),
+        "bom and lone cr": (bom + "\r".join(lines) + "\r", n + 1, True),
+        "lone cr, no final one": ("\r".join(lines), n + 1, True),
+        "mixed lf and lone cr": (mixed, n + 1, True),
+        "blank lines": ("\n\n".join(lines) + "\n\n", 2 * (n + 1), False),
     }
-    for name, text in variants.items():
+    for name, (text, line_count, lone_cr) in variants.items():
         path.write_bytes(text.encode())
+        assert shotfuse.dataio._line_ends(path) == (line_count, lone_cr), name
         comps = read_imu_csv(path)
         assert_same_components(comps, expected, name)
         assert all(s.values.flags.c_contiguous for s in (comps.a_rad, comps.a_tan, comps.w_rad, comps.w_tan)), name
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 1 << 16])
+def test_line_ends_are_counted_across_read_chunks(tmp_path, monkeypatch, chunk):
+    # A \r\n split between two reads is one line end; a \r that ends the file is one too.
+    monkeypatch.setattr(shotfuse.dataio, "_COUNT_BYTES", chunk)
+    path = tmp_path / "lines.csv"
+    for text, expected in [(b"", (0, False)), (b"a", (1, False)), (b"a\r\nb\r\nc", (3, False)),
+                           (b"ab\r\ncd\r\n", (2, False)), (b"abc\r\r\n\n\r", (4, True)),
+                           (b"a\rb\nc\r\n\r", (4, True)), (b"\r\n\r\n\r\n", (3, False))]:
+        path.write_bytes(text)
+        assert shotfuse.dataio._line_ends(path) == expected, text
 
 
 def test_imu_csv_reports_a_bad_row_past_the_first_parse_chunk(tmp_path):
@@ -709,6 +772,43 @@ def test_filter_model_geometry_is_written_as_json_integers(tmp_path):
     save_filter_model(path, FilterModel(np.ones(23), 0.0))
     payload = json.loads(path.read_text())
     assert (type(payload["sample_rate"]), type(payload["microframe_ms"])) == (int, int)
+
+
+def json_fuzz_values(rng, depth=0):
+    """A random JSON value: numbers json can get wrong, lists and objects of them, and the other JSON types."""
+    edges = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, 1e-7, 0.1, 1.7976931348623157e308, 2**53, 2**53 + 1,
+             -(2**63), 2**64 + 7, 10**30, True, False, None, float("nan"), float("inf"), -float("inf"),
+             "", "caf\u00e9", "\u2603 \"quoted\"\n", "\U0001f3be"]
+    kind = rng.integers(0, 6 if depth < 3 else 3)
+    if kind == 0:
+        return edges[rng.integers(len(edges))]
+    if kind == 1:
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+    if kind == 2:
+        return int(rng.integers(-(2**62), 2**62)) * int(rng.integers(1, 4))
+    if kind == 3:  # a list of plain numbers, maybe with one other value among them
+        numbers = [float(v) for v in rng.standard_normal(rng.integers(0, 6))] + list(range(rng.integers(0, 3)))
+        if rng.integers(2):
+            numbers.insert(rng.integers(len(numbers) + 1), edges[rng.integers(len(edges))])
+        return numbers
+    if kind == 4:
+        return [json_fuzz_values(rng, depth + 1) for _ in range(rng.integers(0, 4))]
+    keys = ["a", "b", "caf\u00e9", "trees", "z", "\u2603"]
+    return {keys[k]: json_fuzz_values(rng, depth + 1) for k in rng.permutation(len(keys))[: rng.integers(0, 5)]}
+
+
+def test_write_json_is_json_dumps_byte_for_byte(tmp_path, rng):
+    path = tmp_path / "out.json"
+    payloads = [
+        {"weights": [-0.0, 5e-324, 1e16, 1e22, 2**53 + 1, 2**64, 0.1], "flags": [True, None, 1, 2.5],
+         "empty": [], "nothing": {}, "bad": [float("nan"), 1.0, float("inf"), -float("inf")],
+         "name": "caf\u00e9 \u2603", "nested": {"x": [[1, 2], [3.5]], "y": [{"z": []}, {}]}},
+        [], {}, 1.5, [[]], [1, False], {"v": [np.float64(0.1), 2.0]},
+    ]
+    payloads += [json_fuzz_values(rng) for _ in range(300)]
+    for payload in payloads:
+        write_json(path, payload)
+        assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n", payload
 
 
 def rewrite_json(src, dst, edit):

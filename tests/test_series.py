@@ -141,8 +141,8 @@ def fir(x, taps):
     assert np.array_equal(audio.samples * PCM_SCALE, x), "x must be whole PCM steps"
     frames = -(-len(x) // FRAME)
     out = np.empty((frames, FRAME))
-    for lo, hi, block in fir_frames(audio.read_into, PCM_SCALE, taps, FRAME, frames):
-        out[lo:hi] = block
+    for lo, hi, block in fir_frames(audio.read_into, taps, FRAME, frames):
+        out[lo:hi] = block * PCM_SCALE
     return out.ravel()[: len(x)]
 
 
@@ -263,7 +263,7 @@ def test_filtered_energy_matches_bruteforce_then_frame_sums(rng, n_taps):
         assert np.allclose(out.values, frame_energy(filtered), rtol=1e-12, atol=0.0), n
 
 
-def frame_wide_fir_frames(read_into, scale, taps, frame, frames):
+def frame_wide_fir_frames(read_into, taps, frame, frames):
     """Reference fir_frames: one fresh segment and result per chunk, and a frame-wide Toeplitz matrix."""
     taps = np.asarray(taps, dtype=float)
     history = taps.size - 1
@@ -278,15 +278,15 @@ def frame_wide_fir_frames(read_into, scale, taps, frame, frames):
         segment = np.zeros(history + (hi - lo) * frame)
         segment[:history] = before
         count = min(next(reads, 0), (hi - lo) * frame)
-        np.multiply(pcm[:count], scale, out=segment[history : history + count])
+        segment[history : history + count] = pcm[:count]
         before = segment[segment.size - history :].copy()
         yield lo, hi, np.lib.stride_tricks.sliding_window_view(segment, span)[::frame] @ toeplitz
 
 
 def block_energies(frames_of, audio, taps, frame):
-    """Energy of every frame that holds a sample, a last partial frame read as zero past the end."""
+    """Energy in squared PCM steps of every frame that holds a sample, a last partial frame read as zero past the end."""
     energy = np.empty(-(-len(audio) // frame))
-    for lo, hi, block in frames_of(audio.read_into, PCM_SCALE, taps, frame, energy.size):
+    for lo, hi, block in frames_of(audio.read_into, taps, frame, energy.size):
         np.einsum("ij,ij->i", block, block, out=energy[lo:hi])
     return energy
 
@@ -300,7 +300,51 @@ def test_banded_fir_energy_matches_the_frame_wide_reference(rng, n_taps, frame):
     assert expected.size > 3 * FIR_CHUNK_FRAMES
     assert np.allclose(block_energies(fir_frames, audio, taps, frame), expected, rtol=1e-12, atol=0.0)
     if frame == FRAME:  # which drops the partial frame
-        assert np.allclose(short_time_energy(audio, taps).values, expected[:-1], rtol=1e-12, atol=0.0)
+        assert np.allclose(short_time_energy(audio, taps).values, expected[:-1] * PCM_SCALE**2, rtol=1e-12, atol=0.0)
+
+
+def decoded_fir_frames(read_into, taps, frame, frames):
+    """fir_frames as it filtered decoded samples: each chunk's int16 samples times PCM_SCALE, then the banded matmul."""
+    taps = np.asarray(taps, dtype=float)
+    history = taps.size - 1
+    band = shotfuse.series.FIR_BAND if frame % shotfuse.series.FIR_BAND == 0 else frame
+    tap = np.arange(band) + history - np.arange(history + band)[:, None]
+    toeplitz = np.where((tap >= 0) & (tap <= history), taps[np.clip(tap, 0, history)], 0.0)
+    most = min(frames, FIR_CHUNK_FRAMES) * frame
+    pcm = np.empty(most, dtype=np.int16)
+    reads = read_into(pcm)
+    segment = np.zeros(history + most)
+    windows = np.lib.stride_tricks.sliding_window_view(segment, history + band)[::band]
+    result = np.empty((most // band, band))
+    for lo in range(0, frames, FIR_CHUNK_FRAMES):
+        hi = min(lo + FIR_CHUNK_FRAMES, frames)
+        size = (hi - lo) * frame
+        if lo:
+            segment[:history] = segment[segment.size - history :]
+        count = min(next(reads, 0), size)
+        np.multiply(pcm[:count], PCM_SCALE, out=segment[history : history + count])
+        segment[history + count : history + size] = 0.0
+        rows = size // band
+        np.matmul(windows[:rows], toeplitz, out=result[:rows])
+        yield lo, hi, result[:rows].reshape(hi - lo, frame)
+
+
+@pytest.mark.parametrize("n_taps", (1, 23, 81, 200))
+def test_energy_of_integer_pcm_is_the_decoded_energy_bit_for_bit(rng, n_taps):
+    # PCM_SCALE is 2**-15: scaling by it commutes with every rounding of the filter and the squares.
+    n = 3 * FIR_CHUNK_FRAMES * FRAME + 5 * FRAME + 37
+    recordings = {
+        "random": rng.integers(-32768, 32768, n),
+        "silence": np.zeros(n, dtype=int),
+        "full scale": rng.choice([-32768, 32767], n),
+    }
+    for name, samples in recordings.items():
+        audio = PcmAudio(samples.astype(np.int16))
+        # Magnitudes from 1e-3 to 1e3, of both signs.
+        taps = 10.0 ** rng.uniform(-3.0, 3.0, n_taps) * rng.choice([-1.0, 1.0], n_taps)
+        decoded = block_energies(decoded_fir_frames, audio, taps, FRAME)[:-1]  # short_time_energy drops the partial frame
+        assert np.array_equal(short_time_energy(audio, taps).values, decoded), name
+        assert name == "silence" or decoded.min() > 0.0, name
 
 
 def test_fir_blocks_are_valid_until_the_next_step(rng):
@@ -308,12 +352,12 @@ def test_fir_blocks_are_valid_until_the_next_step(rng):
     taps = rng.standard_normal(23)
     read = PcmAudio.from_float(steps(rng, 3 * FIR_CHUNK_FRAMES * FRAME)).read_into
     kept, copies = [], []
-    for lo, hi, block in fir_frames(read, PCM_SCALE, taps, FRAME, 3 * FIR_CHUNK_FRAMES):
+    for lo, hi, block in fir_frames(read, taps, FRAME, 3 * FIR_CHUNK_FRAMES):
         kept.append(block)
         copies.append(block.copy())
     assert len(kept) == 3 and all(np.shares_memory(block, kept[0]) for block in kept)
     assert np.array_equal(kept[0], copies[-1])
-    reference = frame_wide_fir_frames(read, PCM_SCALE, taps, FRAME, 3 * FIR_CHUNK_FRAMES)
+    reference = frame_wide_fir_frames(read, taps, FRAME, 3 * FIR_CHUNK_FRAMES)
     reference = np.concatenate([block for _, _, block in reference])
     assert np.allclose(np.concatenate(copies), reference, rtol=1e-12, atol=1e-12)
 
