@@ -478,38 +478,14 @@ def _model_errors(kind: str, fh):
     """The JSON object in fh, for a block that builds the model from it.
 
     Every error of the parse or the block names the model; a missing key
-    names the field, and so does an integer too large for a float.
+    names the field.
     """
-    payload = None
     try:
-        payload = _expect(json.load(fh), "object", "top level")
-        yield payload
+        yield _expect(json.load(fh), "object", "top level")
     except KeyError as exc:
         raise ValueError(f"{kind} model: missing field {exc.args[0]!r}") from None
-    except OverflowError as exc:
-        where = _oversized(payload, "")
-        if where is None:
-            raise ValueError(f"{kind} model: {exc}") from None
-        raise ValueError(f"{kind} model: {where} is too large for a float") from None
     except ValueError as exc:
         raise ValueError(f"{kind} model: {exc}") from None
-
-
-def _oversized(value, where: str) -> str | None:
-    """Path of the first JSON integer in value that no float can hold, in file order."""
-    if type(value) is int:
-        try:
-            float(value)
-        except OverflowError:
-            return where
-        return None
-    if isinstance(value, dict):
-        children = ((f"{where}.{key}" if where else key, v) for key, v in value.items())
-    elif isinstance(value, list):
-        children = ((f"{where}[{i}]", v) for i, v in enumerate(value))
-    else:
-        return None
-    return next(filter(None, (_oversized(v, path) for path, v in children)), None)
 
 
 #: JSON's name for each type json.load returns.
@@ -525,6 +501,14 @@ def _expect(value, json_type: str, where: str):
     if _JSON_TYPES[type(value)] != json_type:
         raise ValueError(f"{where} must be a JSON {json_type}, got {_JSON_TYPES[type(value)]}")
     return value
+
+
+def _float(value, where: str) -> float:
+    """The JSON number json.load gave at `where` as a float; an integer no float can hold is named."""
+    try:
+        return float(_expect(value, "number", where))
+    except OverflowError:
+        raise ValueError(f"{where} is too large for a float") from None
 
 
 #: The frame geometry a filter model is written for; loading accepts no other.
@@ -543,8 +527,8 @@ def save_filter_model(path, model: FilterModel) -> None:
 def load_filter_model(path) -> FilterModel:
     with open(path) as fh, _model_errors("filter", fh) as payload:
         weights = _expect(payload["weights"], "array", "weights")
-        weights = [_expect(w, "number", f"weights[{i}]") for i, w in enumerate(weights)]
-        model = FilterModel(weights, float(_expect(payload["bias"], "number", "bias")))
+        weights = [_float(w, f"weights[{i}]") for i, w in enumerate(weights)]
+        model = FilterModel(weights, _float(payload["bias"], "bias"))
         for name, fixed in _FILTER_GEOMETRY.items():
             if _integer(payload[name], name) != fixed:
                 raise ValueError(f"{name} must be {fixed}, got {payload[name]!r}")
@@ -576,7 +560,7 @@ def _node_integer(value, where: str) -> None:
 
 
 def _finite_number(value, where: str) -> None:
-    if type(value) not in (int, float) or not math.isfinite(value):
+    if type(value) not in (int, float) or not math.isfinite(_float(value, where)):
         raise ValueError(f"{where} must be a finite JSON number, got {json.dumps(value)}")
 
 
@@ -594,7 +578,10 @@ def _node_column(trees: list, name: str) -> tuple[np.ndarray, list[int]]:
     flat = list(chain.from_iterable(lists))
     kinds = set(map(type, flat))
     if name == "threshold":
-        column = freeze_in_place(np.array(flat, dtype=float)) if kinds <= {int, float} else None
+        try:
+            column = freeze_in_place(np.array(flat, dtype=float)) if kinds <= {int, float} else None
+        except OverflowError:  # an integer no float can hold; the walk names it
+            column = None
         valid, check = column is not None and bool(np.isfinite(column).all()), _finite_number
     else:
         valid = kinds <= {int} and (not flat or (min(flat) >= _INT64[0] and max(flat) <= _INT64[1]))

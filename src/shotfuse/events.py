@@ -110,9 +110,10 @@ def evaluate(times, labels: LabelSet, tolerance_ms: float = MATCH_TOLERANCE_MS) 
     tolerance_ms must be finite and non-negative, and event times finite.
     """
     check_tolerance(tolerance_ms)
-    times = np.sort(np.asarray(times, dtype=float))
+    times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("event times must be one-dimensional")
+    times = np.sort(times)
     if not np.all(np.isfinite(times)):
         raise ValueError("event times must be finite")
     n = times.size

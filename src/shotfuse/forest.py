@@ -353,9 +353,9 @@ def train_forest(X, y, tree_count: int = DEFAULT_TREE_COUNT, seed: int = 0) -> F
         raise ValueError("no training candidates")
     if y.shape != (X.shape[0],):
         raise ValueError("need one label per candidate")
-    nan_rows = np.flatnonzero(np.isnan(X).any(axis=1))
-    if nan_rows.size:
-        raise ValueError(f"features must not be NaN, found in row {nan_rows[0]}")
+    bad_rows = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad_rows.size:
+        raise ValueError(f"features must not be infinite or NaN, found in row {bad_rows[0]}")
     other = y[(y != 0) & (y != 1)]
     if other.size:
         raise ValueError(f"labels must be 0 or 1, found {other[0]}")

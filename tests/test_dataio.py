@@ -874,11 +874,17 @@ def test_filter_model_rejects_wrongly_typed_fields(tmp_path, edit, message):
         ("filter", lambda p: p.update(bias=10**400), "bias"),
         ("filter", lambda p: p["weights"].__setitem__(0, 10**400), "weights\\[0\\]"),
         ("forest", lambda p: p["trees"][0]["threshold"].__setitem__(0, 10**400), "trees\\[0\\]\\.threshold\\[0\\]"),
+        ("filter", lambda p: (p.update(microframe_ms=10**400), p["weights"].__setitem__(0, 10**400)),
+         "weights\\[0\\]"),
+        ("forest", lambda p: (p.update(seed=10**400), p["trees"][0]["threshold"].__setitem__(0, 10**400)),
+         "trees\\[0\\]\\.threshold\\[0\\]"),
     ],
-    ids=["filter-bias", "filter-weight", "forest-threshold"],
+    ids=["filter-bias", "filter-weight", "forest-threshold", "filter-geometry-and-weight", "forest-seed-and-threshold"],
 )
 def test_model_loaders_name_an_integer_too_large_for_a_float(tmp_path, rng, kind, edit, field):
-    # Used to fail as a bare OverflowError, naming neither the model nor the field.
+    # Used to fail as a bare OverflowError, naming neither the model nor the
+    # field; then named the first huge integer in the file, also one that is
+    # never converted to a float (microframe_ms, seed).
     path = tmp_path / f"{kind}.json"
     if kind == "filter":
         save_filter_model(path, FilterModel(np.ones(23), 0.0))

@@ -481,3 +481,13 @@ def test_forest_rejects_nan_features(rng):
     X[7, 2] = np.nan
     with pytest.raises(ValueError, match="NaN, found in row 7"):
         train_forest(X, y, tree_count=3, seed=0)
+
+
+@pytest.mark.parametrize("column, row", [([-np.inf, np.inf], 0), ([0.0, np.inf], 1)], ids=["both-signs", "positive"])
+def test_forest_rejects_infinite_features(rng, column, row):
+    # Used to grow a NaN or an infinite threshold, so that save_forest_model
+    # wrote a model load_forest_model refuses.
+    X, y = separable_dataset(rng, n=20)
+    X[:, 1] = np.resize(column, 20)
+    with pytest.raises(ValueError, match=f"^features must not be infinite or NaN, found in row {row}$"):
+        train_forest(X, y, tree_count=3, seed=0)
