@@ -1,12 +1,13 @@
-"""End-to-end workflows: training data preparation, sync, detection, evaluation.
+"""End-to-end workflows: synthesis, training data preparation, sync, detection, evaluation.
 
-These functions are the substance behind the CLI subcommands; they work on
-in-memory objects plus paths and return plain dicts where the CLI needs
-something to print.
+Each CLI subcommand is one workflow here (synth_workflow,
+train_filter_workflow, train_forest_workflow, sync_workflow, run_pipeline,
+eval_workflow); each takes paths and returns the plain dict the CLI prints.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -29,13 +30,17 @@ from .dataio import (
     ensure_dir,
     load_filter_model,
     load_forest_model,
+    read_events_csv,
     read_imu_csv,
     read_labels_csv,
     save_filter_model,
     save_forest_model,
     write_events_csv,
+    write_imu_csv,
     write_json,
+    write_labels_csv,
     write_series_csv,
+    write_wav,
 )
 from .dataio import read_wav  # noqa: F401 -- still bound here for tools that wrap it
 from .events import MATCH_TOLERANCE_MS, LabelSet, check_tolerance, evaluate, precision_recall_f
@@ -45,6 +50,7 @@ from .fusion import extract_features, select_candidates  # noqa: F401 -- still b
 from .imu import ImuComponents, ipf, prepare_components
 from .series import SampleSeries
 from .sync import estimate_offset, self_calibrate_quantizer, validate_offset
+from .synth import SynthConfig, synthesize
 from .training import TrainConfig, center_forms, form_scores, train_filter, window_table
 
 __all__ = [
@@ -54,10 +60,12 @@ __all__ = [
     "window_metrics",
     "synced_series",
     "candidate_dataset",
+    "synth_workflow",
     "train_filter_workflow",
     "train_forest_workflow",
     "sync_workflow",
     "run_pipeline",
+    "eval_workflow",
 ]
 
 #: Candidates within this distance of a ground-truth shot count as positive.
@@ -222,6 +230,24 @@ def candidate_dataset(synced: SyncedSeries, labels: LabelSet) -> tuple[np.ndarra
     return X, (_label_distance(labels, times) <= CANDIDATE_LABEL_TOLERANCE_MS).astype(int)
 
 
+def synth_workflow(config_path, out_dir) -> dict:
+    """synth subcommand: the corpus of the SynthConfig fields in a JSON file, as audio.wav, imu.csv and labels.csv."""
+    with open(config_path) as fh:
+        cfg = SynthConfig(**json.load(fh))
+    audio, imu, labels = synthesize(cfg)
+    out = ensure_dir(out_dir)
+    write_wav(out / "audio.wav", audio)
+    write_imu_csv(out / "imu.csv", imu)
+    write_labels_csv(out / "labels.csv", labels)
+    return {
+        "out_dir": str(out),
+        "duration_s": cfg.duration_s,
+        "shots": len(labels),
+        "imu_records": len(imu),
+        "audio_samples": len(audio),
+    }
+
+
 def train_filter_workflow(data_dir, out_path, train_cfg: TrainConfig = TrainConfig()) -> dict:
     """train-filter subcommand: windows from labels, 80/20 split, fit, save; the WAV is streamed, twice."""
     data_dir = Path(data_dir)
@@ -324,3 +350,10 @@ def run_pipeline(
     if labels is not None:
         result["report"] = asdict(evaluate(events[:, 0], labels, options.tolerance_ms))
     return result
+
+
+def eval_workflow(events_path, labels_path, tolerance_ms: float = MATCH_TOLERANCE_MS) -> dict:
+    """eval subcommand: a detections CSV scored against a labels CSV (events.evaluate)."""
+    events = read_events_csv(events_path)
+    labels = read_labels_csv(labels_path)
+    return asdict(evaluate(events[:, 0], labels, tolerance_ms))
