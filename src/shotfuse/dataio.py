@@ -1,4 +1,4 @@
-"""File formats: WAV audio, IMU/label/event/series CSVs, model and sync JSON; no other module knows a layout.
+"""File formats: WAV audio, IMU/label/event/series CSVs, model, config and sync JSON; no other module knows a layout.
 
 Every JSON file goes through write_json and every CSV through _write_csv; a CSV's reader and writer share its columns.
 """
@@ -13,7 +13,7 @@ import sys
 import warnings
 import wave
 from contextlib import contextmanager
-from itertools import chain
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +21,9 @@ import numpy as np
 from .audio import MICROFRAME_MS, SAMPLE_RATE_HZ, FilterModel, PcmAudio
 from .events import LabelSet
 from .forest import NODE_FIELDS, ForestModel
-from .imu import ImuComponents, ImuStream, first_invalid_sample, grid_components, split_components
+from .imu import IMU_FIELDS, ImuComponents, ImuStream, first_invalid_sample, grid_components, split_components
 from .series import SampleSeries, freeze_in_place
+from .synth import SynthConfig
 
 __all__ = [
     "read_wav",
@@ -36,13 +37,13 @@ __all__ = [
     "write_events_csv",
     "write_series_csv",
     "write_json",
+    "read_synth_config",
     "save_filter_model",
     "load_filter_model",
     "save_forest_model",
     "load_forest_model",
 ]
 
-IMU_COLUMNS = ("t_ms", "ax", "ay", "az", "gx", "gy", "gz")
 LABEL_COLUMNS = ("t_ms",)
 EVENT_COLUMNS = ("time_ms", "score")
 
@@ -281,10 +282,10 @@ def read_imu_csv(path) -> ImuComponents:
     def locate(header):
         if header is None:
             raise ValueError("missing header")
-        for col in IMU_COLUMNS:
+        for col in IMU_FIELDS:
             if col not in header:
                 raise ValueError(f"missing column {col}")
-        return [header.index(col) for col in IMU_COLUMNS]
+        return [header.index(col) for col in IMU_FIELDS]
 
     bad = []  # the first sample out of range, reported once the whole file has parsed
 
@@ -296,7 +297,7 @@ def read_imu_csv(path) -> ImuComponents:
             bad.append((first + fault[0], fault[1]))
         return ()
 
-    rows, row_of = _read_numeric_csv(path, IMU_COLUMNS, locate, split, width=5)
+    rows, row_of = _read_numeric_csv(path, IMU_FIELDS, locate, split, width=5)
     if bad:
         raise ValueError(f"row {row_of(bad[0][0])}: {bad[0][1]}")
     return grid_components(rows, where=lambda i: f"row {row_of(i)}")
@@ -401,7 +402,7 @@ def _write_csv(path, columns, row_format: str, table: np.ndarray, end: str = "\n
 
 def write_imu_csv(path, stream: ImuStream) -> None:
     """The time to 3 decimals and the six sensors to 6, in lines ended by CRLF, csv.writer's terminator."""
-    _write_csv(path, IMU_COLUMNS, "%.3f" + ",%.6f" * 6, stream.block.T, end="\r\n")
+    _write_csv(path, IMU_FIELDS, "%.3f" + ",%.6f" * 6, stream.block.T, end="\r\n")
 
 
 def read_labels_csv(path) -> LabelSet:
@@ -453,8 +454,6 @@ def _json_text(value, indent: str) -> str:
         text = (",\n" + inner).join(map(repr, value))
         if "n" not in text:
             return f"[\n{inner}{text}\n{indent}]"
-    elif type(value) is list and value:
-        return "[\n" + ",\n".join(inner + _json_text(v, inner) for v in value) + f"\n{indent}]"
     elif type(value) is dict and value and set(map(type, value)) == {str}:
         items = (f"{inner}{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
         return "{\n" + ",\n".join(items) + f"\n{indent}}}"
@@ -474,18 +473,18 @@ def write_json(path, payload) -> None:
 
 
 @contextmanager
-def _model_errors(kind: str, fh):
-    """The JSON object in fh, for a block that builds the model from it.
+def _json_object(what: str, fh):
+    """The JSON object in fh, for a block that reads what (a model or a config) from it.
 
-    Every error of the parse or the block names the model; a missing key
-    names the field.
+    Every error of the parse or the block names what; a missing key names
+    the field.
     """
     try:
         yield _expect(json.load(fh), "object", "top level")
     except KeyError as exc:
-        raise ValueError(f"{kind} model: missing field {exc.args[0]!r}") from None
+        raise ValueError(f"{what}: missing field {exc.args[0]!r}") from None
     except ValueError as exc:
-        raise ValueError(f"{kind} model: {exc}") from None
+        raise ValueError(f"{what}: {exc}") from None
 
 
 #: JSON's name for each type json.load returns.
@@ -494,7 +493,7 @@ _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", floa
 
 
 def _expect(value, json_type: str, where: str):
-    """value itself when json.load gave it the JSON type a model payload needs at `where`.
+    """value itself when json.load gave it the JSON type a payload needs at `where`.
 
     Types are matched by their JSON names, so a boolean is not a number.
     """
@@ -525,7 +524,7 @@ def save_filter_model(path, model: FilterModel) -> None:
 
 
 def load_filter_model(path) -> FilterModel:
-    with open(path) as fh, _model_errors("filter", fh) as payload:
+    with open(path) as fh, _json_object("filter model", fh) as payload:
         weights = _expect(payload["weights"], "array", "weights")
         weights = [_float(w, f"weights[{i}]") for i, w in enumerate(weights)]
         model = FilterModel(weights, _float(payload["bias"], "bias"))
@@ -536,11 +535,8 @@ def load_filter_model(path) -> FilterModel:
 
 
 def save_forest_model(path, model: ForestModel) -> None:
-    """Write the node table as {"tree_count", "seed", "trees"}: one object of NODE_FIELDS arrays per tree."""
-    ends = model.sizes.cumsum()[:-1]
-    columns = [[part.tolist() for part in np.split(getattr(model, name), ends)] for name in NODE_FIELDS]
-    trees = [dict(zip(NODE_FIELDS, nodes)) for nodes in zip(*columns)]
-    write_json(path, {"tree_count": model.tree_count, "seed": model.seed, "trees": trees})
+    """Write the node table as it is: the seed, then sizes and the NODE_FIELDS as flat arrays, by their field names."""
+    write_json(path, {"seed": model.seed, **{name: getattr(model, name).tolist() for name in NODE_FIELDS + ("sizes",)}})
 
 
 def _integer(value, where: str) -> int:
@@ -564,50 +560,45 @@ def _finite_number(value, where: str) -> None:
         raise ValueError(f"{where} must be a finite JSON number, got {json.dumps(value)}")
 
 
-def _node_column(trees: list, name: str) -> tuple[np.ndarray, list[int]]:
-    """The name arrays of all trees as one node-table array, and each tree's entry count.
+def _node_column(payload, name: str) -> np.ndarray:
+    """The JSON array payload[name] as a frozen node-table array: thresholds as float, the rest as int64.
 
-    Entries are checked in one pass over their types (thresholds must be
-    finite JSON numbers, the other fields JSON integers) and one over their
-    values; only a rejected field is walked again, for its first bad entry.
+    Its entries are checked in one pass over their types (thresholds must
+    be finite JSON numbers, the other arrays JSON integers) and one over
+    their values; only a rejected array is walked again, for its first bad
+    entry.
     """
-    lists = [tree[name] for tree in trees]
-    if not set(map(type, lists)) <= {list}:
-        for i, entries in enumerate(lists):
-            _expect(entries, "array", f"trees[{i}].{name}")
-    flat = list(chain.from_iterable(lists))
-    kinds = set(map(type, flat))
+    entries = _expect(payload[name], "array", name)
+    kinds = set(map(type, entries))
     if name == "threshold":
         try:
-            column = freeze_in_place(np.array(flat, dtype=float)) if kinds <= {int, float} else None
+            column = np.array(entries, dtype=float) if kinds <= {int, float} else None
         except OverflowError:  # an integer no float can hold; the walk names it
             column = None
         valid, check = column is not None and bool(np.isfinite(column).all()), _finite_number
     else:
-        valid = kinds <= {int} and (not flat or (min(flat) >= _INT64[0] and max(flat) <= _INT64[1]))
-        column, check = freeze_in_place(np.array(flat, dtype=np.int64)) if valid else None, _node_integer
+        valid = kinds <= {int} and (not entries or (min(entries) >= _INT64[0] and max(entries) <= _INT64[1]))
+        column, check = np.array(entries, dtype=np.int64) if valid else None, _node_integer
     if not valid:
-        for i, entries in enumerate(lists):
-            for j, value in enumerate(entries):
-                check(value, f"trees[{i}].{name}[{j}]")
-    return column, list(map(len, lists))
+        for i, value in enumerate(entries):
+            check(value, f"{name}[{i}]")
+    return freeze_in_place(column)
 
 
 def load_forest_model(path) -> ForestModel:
-    """The forest in a model file, read straight into one node table."""
-    with open(path) as fh, _model_errors("forest", fh) as payload:
-        trees = _expect(payload["trees"], "array", "trees")
-        for i, tree in enumerate(trees):
-            _expect(tree, "object", f"trees[{i}]")
-        columns = [_node_column(trees, name) for name in NODE_FIELDS]
-        tree_count = _integer(payload["tree_count"], "tree_count")
-        seed = _integer(payload["seed"], "seed")
-        if tree_count != len(trees):
-            raise ValueError("tree_count must match the number of trees")
-        sizes = columns[0][1]
-        if any(lengths != sizes for _, lengths in columns):
-            raise ValueError("node arrays must have equal length and at least one node")
-        return ForestModel(*(column for column, _ in columns), sizes, seed)
+    """The forest in a model file, its arrays read straight into the node table that ForestModel checks."""
+    with open(path) as fh, _json_object("forest model", fh) as payload:
+        columns = [_node_column(payload, name) for name in NODE_FIELDS + ("sizes",)]
+        return ForestModel(*columns, _integer(payload["seed"], "seed"))
+
+
+def read_synth_config(path) -> SynthConfig:
+    """The SynthConfig of the fields a JSON object sets, the others at their defaults; SynthConfig checks the values."""
+    with open(path) as fh, _json_object("synth config", fh) as payload:
+        unknown = [key for key in payload if key not in {f.name for f in fields(SynthConfig)}]
+        if unknown:
+            raise ValueError(f"unknown field {unknown[0]!r}")
+    return SynthConfig(**payload)
 
 
 def ensure_dir(path) -> Path:

@@ -8,7 +8,9 @@ five node arrays of all its trees laid end to end, plus each tree's node
 count. ForestModel has one constructor, which training and loading call
 with the whole table and which checks it in one vectorized pass; votes
 descend it without recursion, and its trees are one-tree forests viewing
-their stretch of it. dataio alone writes and reads forest.json.
+their stretch of it. forest.json holds this table as it is: the seed,
+sizes and the five node arrays, each flat. dataio alone writes and reads
+it.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ def _check_nodes(feature, threshold, left, right, leaf_class, sizes) -> None:
     """
     if sizes.ndim != 1 or not sizes.size:
         raise ValueError("a forest needs at least one tree")
-    if sizes.min() < 1 or any(a.shape != (sizes.sum(),) for a in (feature, threshold, left, right, leaf_class)):
+    nodes = (feature, threshold, left, right, leaf_class)
+    # No size past the arrays, so the int64 sum of sizes cannot wrap round to their length.
+    if sizes.min() < 1 or sizes.max() > feature.size or any(a.shape != (sizes.sum(),) for a in nodes):
         raise ValueError("node arrays must have equal length and at least one node")
     if ((leaf_class < -1) | (leaf_class > 1)).any():
         raise ValueError("leaf_class must be -1 (internal), 0 or 1")
@@ -99,17 +103,11 @@ class ForestModel:
     def tree_count(self) -> int:
         return self.sizes.size
 
-    def _spans(self) -> list[tuple[int, int]]:
-        end = self.sizes.cumsum().tolist()
-        return list(zip([0] + end[:-1], end))
-
     @property
     def trees(self) -> tuple[ForestModel, ...]:
         """Every tree as a one-tree forest viewing its stretch of the table."""
-        nodes = [getattr(self, name) for name in NODE_FIELDS]
-        return tuple(
-            ForestModel(*(a[begin:end] for a in nodes), [end - begin], self.seed) for begin, end in self._spans()
-        )
+        nodes = [np.split(getattr(self, name), self.sizes.cumsum()[:-1]) for name in NODE_FIELDS]
+        return tuple(ForestModel(*tree, [tree[0].size], self.seed) for tree in zip(*nodes))
 
 
 def _ranges(first: np.ndarray, length: np.ndarray) -> np.ndarray:

@@ -54,8 +54,8 @@ LOWPASS_TAPS = 100
 IPF_WINDOW = 10
 
 
-#: Column order of an IMU stream: timestamp, then acceleration and angular velocity.
-IMU_FIELDS = ("t", "ax", "ay", "az", "gx", "gy", "gz")
+#: Column order of an IMU stream, and the IMU CSV's column names: timestamp, then acceleration and angular velocity.
+IMU_FIELDS = ("t_ms", "ax", "ay", "az", "gx", "gy", "gz")
 
 
 def first_invalid_sample(columns: np.ndarray) -> tuple[int, str] | None:

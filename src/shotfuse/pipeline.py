@@ -7,7 +7,6 @@ eval_workflow); each takes paths and returns the plain dict the CLI prints.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -33,6 +32,7 @@ from .dataio import (
     read_events_csv,
     read_imu_csv,
     read_labels_csv,
+    read_synth_config,
     save_filter_model,
     save_forest_model,
     write_events_csv,
@@ -50,7 +50,7 @@ from .fusion import extract_features, select_candidates  # noqa: F401 -- still b
 from .imu import ImuComponents, ipf, prepare_components
 from .series import SampleSeries
 from .sync import estimate_offset, self_calibrate_quantizer, validate_offset
-from .synth import SynthConfig, synthesize
+from .synth import synthesize
 from .training import TrainConfig, center_forms, form_scores, train_filter, window_table
 
 __all__ = [
@@ -232,8 +232,7 @@ def candidate_dataset(synced: SyncedSeries, labels: LabelSet) -> tuple[np.ndarra
 
 def synth_workflow(config_path, out_dir) -> dict:
     """synth subcommand: the corpus of the SynthConfig fields in a JSON file, as audio.wav, imu.csv and labels.csv."""
-    with open(config_path) as fh:
-        cfg = SynthConfig(**json.load(fh))
+    cfg = read_synth_config(config_path)
     audio, imu, labels = synthesize(cfg)
     out = ensure_dir(out_dir)
     write_wav(out / "audio.wav", audio)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -54,8 +55,10 @@ def test_trained_model_files(workspace):
     filter_payload = json.loads(workspace["filter"].read_text())
     assert sorted(filter_payload) == ["bias", "microframe_ms", "sample_rate", "weights"]
     forest_payload = json.loads(workspace["forest"].read_text())
-    assert forest_payload["tree_count"] == 50
-    assert len(forest_payload["trees"]) == 50
+    assert sorted(forest_payload) == ["feature", "leaf_class", "left", "right", "seed", "sizes", "threshold"]
+    assert len(forest_payload["sizes"]) == 50
+    for name in ("feature", "threshold", "left", "right", "leaf_class"):
+        assert len(forest_payload[name]) == sum(forest_payload["sizes"])
 
 
 def test_sync_outputs_json(workspace):
@@ -210,6 +213,34 @@ def test_training_takes_only_epochs_and_seed(workspace, tmp_path):
         TrainConfig(learning_rate=0.01)
 
 
+def json_error(text: str) -> str:
+    """What json.loads says of malformed text; its wording varies between Python releases."""
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} parses")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "top level must be a JSON object, got array"),
+        ('{"duration_s": 5.0, "shots": 3}', "unknown field 'shots'"),
+        ('{"duration_s": 5.0,}', json_error('{"duration_s": 5.0,}')),
+    ],
+    ids=["array", "unknown-field", "malformed"],
+)
+def test_synth_names_the_config_it_rejects(tmp_path, text, message):
+    # Each used to print a bare Python or json message, naming neither the config nor what it must hold.
+    cfg_path = tmp_path / "synth.json"
+    cfg_path.write_text(text)
+    proc = run_cli("synth", "--config", cfg_path, "--out-dir", tmp_path / "data", check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: synth config: {message}\n"
+    assert not (tmp_path / "data").exists()
+
+
 def test_synth_rejects_non_finite_config(tmp_path):
     # json reads NaN and Infinity; they used to reach synthesize and crash there.
     for field, text in (("duration_s", "NaN"), ("distractor_rate_per_min", "Infinity")):
@@ -297,6 +328,14 @@ def test_sync_and_detect_take_no_sync_settings(workspace, tmp_path):
     assert not (tmp_path / "detections.csv").exists()
 
 
+def per_tree_forest(payload):
+    """The forest of a forest.json payload as the per-tree layout wrote it: {"tree_count", "seed", "trees"}."""
+    ends = list(itertools.accumulate(payload["sizes"]))
+    trees = [{name: payload[name][end - size : end] for name in ("feature", "threshold", "left", "right", "leaf_class")}
+             for size, end in zip(payload["sizes"], ends)]
+    return {"tree_count": len(trees), "seed": payload["seed"], "trees": trees}
+
+
 def test_detect_rejects_broken_model_files(workspace, tmp_path):
     data = workspace["data"]
     filter_payload = json.loads(workspace["filter"].read_text())
@@ -308,8 +347,10 @@ def test_detect_rejects_broken_model_files(workspace, tmp_path):
          "filter model: microframe_ms must be 10, got 7"),
         ("filter", {**filter_payload, "sample_rate": 16000},
          "filter model: sample_rate must be 8000, got 16000"),
-        ("forest", {k: v for k, v in forest_payload.items() if k != "trees"},
-         "forest model: missing field 'trees'"),
+        ("forest", {k: v for k, v in forest_payload.items() if k != "sizes"},
+         "forest model: missing field 'sizes'"),
+        # The layout before forest.json was the node table: one object per tree and a tree_count.
+        ("forest", per_tree_forest(forest_payload), "forest model: missing field 'feature'"),
     ]
     for i, (kind, payload, message) in enumerate(cases):
         models = {"filter": workspace["filter"], "forest": workspace["forest"]}

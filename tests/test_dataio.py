@@ -496,7 +496,7 @@ def test_fixed_decimal_csv_text_is_percent_rows_byte_for_byte(tmp_path, rng, mon
     block = np.stack([rng.permutation(ms)[:n], *(rng.permutation(accel) for _ in range(3)),
                       *(rng.permutation(gyro)[:n] for _ in range(3))])
     write_imu_csv(path, ImuStream(block))
-    assert path.read_bytes() == percent_rows(",".join(shotfuse.dataio.IMU_COLUMNS), "%.3f" + ",%.6f" * 6, block.T, "\r\n")
+    assert path.read_bytes() == percent_rows(",".join(shotfuse.imu.IMU_FIELDS), "%.3f" + ",%.6f" * 6, block.T, "\r\n")
 
 
 def test_imu_csv_validates_the_samples_once(tmp_path, monkeypatch):
@@ -873,11 +873,10 @@ def test_filter_model_rejects_wrongly_typed_fields(tmp_path, edit, message):
     [
         ("filter", lambda p: p.update(bias=10**400), "bias"),
         ("filter", lambda p: p["weights"].__setitem__(0, 10**400), "weights\\[0\\]"),
-        ("forest", lambda p: p["trees"][0]["threshold"].__setitem__(0, 10**400), "trees\\[0\\]\\.threshold\\[0\\]"),
+        ("forest", lambda p: p["threshold"].__setitem__(0, 10**400), "threshold\\[0\\]"),
         ("filter", lambda p: (p.update(microframe_ms=10**400), p["weights"].__setitem__(0, 10**400)),
          "weights\\[0\\]"),
-        ("forest", lambda p: (p.update(seed=10**400), p["trees"][0]["threshold"].__setitem__(0, 10**400)),
-         "trees\\[0\\]\\.threshold\\[0\\]"),
+        ("forest", lambda p: (p.update(seed=10**400), p["threshold"].__setitem__(0, 10**400)), "threshold\\[0\\]"),
     ],
     ids=["filter-bias", "filter-weight", "forest-threshold", "filter-geometry-and-weight", "forest-seed-and-threshold"],
 )
@@ -905,13 +904,10 @@ def test_model_loaders_name_a_missing_field(tmp_path, rng):
 
     forest_path = tmp_path / "forest.json"
     save_forest_model(forest_path, train_forest(rng.standard_normal((20, 5)), np.arange(20) % 2, 2, 1))
-    for field in ("trees", "tree_count", "seed"):
+    for field in ("feature", "threshold", "left", "right", "leaf_class", "sizes", "seed"):
         broken = rewrite_json(forest_path, tmp_path / "t.json", lambda p: p.pop(field))
         with pytest.raises(ValueError, match=f"^forest model: missing field '{field}'$"):
             load_forest_model(broken)
-    broken = rewrite_json(forest_path, tmp_path / "t.json", lambda p: p["trees"][1].pop("left"))
-    with pytest.raises(ValueError, match="^forest model: missing field 'left'$"):
-        load_forest_model(broken)
 
 
 def test_filter_model_rejects_json_that_is_not_an_object(tmp_path):
@@ -921,38 +917,31 @@ def test_filter_model_rejects_json_that_is_not_an_object(tmp_path):
         load_filter_model(path)
 
 
-def test_forest_model_rejects_trees_that_are_not_objects(tmp_path, rng):
+def test_forest_model_rejects_json_that_is_not_an_object(tmp_path):
     path = tmp_path / "forest.json"
-    save_forest_model(path, train_forest(rng.standard_normal((20, 5)), np.arange(20) % 2, 2, 1))
-    cases = [
-        (lambda p: p.update(trees=[[1]]), "trees\\[0\\] must be a JSON object, got array"),
-        (lambda p: p["trees"].append("tree"), "trees\\[2\\] must be a JSON object, got string"),
-        (lambda p: p.update(trees={"0": {}}), "trees must be a JSON array, got object"),
-        (lambda p: p.update(tree_count=3), "tree_count must match the number of trees"),
-    ]
-    for edit, message in cases:
-        broken = rewrite_json(path, tmp_path / "t.json", edit)
-        with pytest.raises(ValueError, match=f"^forest model: {message}$"):
-            load_forest_model(broken)
     path.write_text("null")
     with pytest.raises(ValueError, match="^forest model: top level must be a JSON object, got null$"):
         load_forest_model(path)
 
 
-def test_forest_model_rejects_per_tree_lengths_that_differ_between_fields(tmp_path, rng):
-    # Equal totals: only the per-tree lengths show tree 0's threshold one entry long and tree 1's short.
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        # One node more than the arrays hold, and one fewer: the table is the one fact about where trees lie.
+        (lambda n: [n - 1, 2], "node arrays must have equal length and at least one node"),
+        (lambda n: [n - 2, 1], "node arrays must have equal length and at least one node"),
+        (lambda n: [n, 0], "node arrays must have equal length and at least one node"),
+        # Sizes whose int64 sum wraps round to the node count.
+        (lambda n: [(1 << 63) - 1, (1 << 63) - 1, n + 2], "node arrays must have equal length and at least one node"),
+        (lambda n: [], "a forest needs at least one tree"),
+    ],
+    ids=["one-past", "one-short", "empty-tree", "wrapped-sum", "no-tree"],
+)
+def test_forest_model_rejects_sizes_that_do_not_fit_the_arrays(tmp_path, rng, sizes, message):
     path = tmp_path / "forest.json"
     save_forest_model(path, train_forest(rng.standard_normal((20, 5)), np.arange(20) % 2, 2, 1))
-
-    def shift(p):
-        p["trees"][0]["threshold"].append(0.0)
-        p["trees"][1]["threshold"].pop()
-
-    rewrite_json(path, path, shift)
-    with pytest.raises(ValueError, match="^forest model: node arrays must have equal length and at least one node$"):
-        load_forest_model(path)
-    path.write_text(json.dumps({"tree_count": 0, "seed": 0, "trees": []}))
-    with pytest.raises(ValueError, match="^forest model: a forest needs at least one tree$"):
+    rewrite_json(path, path, lambda p: p.update(sizes=sizes(sum(p["sizes"]))))
+    with pytest.raises(ValueError, match=f"^forest model: {message}$"):
         load_forest_model(path)
 
 
@@ -961,62 +950,48 @@ def test_forest_model_json_schema(tmp_path, rng):
     path = tmp_path / "forest.json"
     save_forest_model(path, model)
     payload = json.loads(path.read_text())
-    assert sorted(payload) == ["seed", "tree_count", "trees"]
-    assert payload["tree_count"] == 3
-    node_keys = sorted(payload["trees"][0])
-    assert node_keys == ["feature", "leaf_class", "left", "right", "threshold"]
+    assert sorted(payload) == ["feature", "leaf_class", "left", "right", "seed", "sizes", "threshold"]
+    assert payload["seed"] == 1 and len(payload["sizes"]) == 3
+    assert all(len(payload[name]) == sum(payload["sizes"]) for name in ("feature", "threshold", "left", "right", "leaf_class"))
     assert same_forest(load_forest_model(path), model)
 
 
 #: A stump on feature 2 and a one-leaf tree, as forest.json holds them.
 TWO_TREES_JSON = """{
+  "feature": [
+    2,
+    -1,
+    -1,
+    -1
+  ],
+  "leaf_class": [
+    -1,
+    0,
+    1,
+    1
+  ],
+  "left": [
+    1,
+    -1,
+    -1,
+    -1
+  ],
+  "right": [
+    2,
+    -1,
+    -1,
+    -1
+  ],
   "seed": 5,
-  "tree_count": 2,
-  "trees": [
-    {
-      "feature": [
-        2,
-        -1,
-        -1
-      ],
-      "leaf_class": [
-        -1,
-        0,
-        1
-      ],
-      "left": [
-        1,
-        -1,
-        -1
-      ],
-      "right": [
-        2,
-        -1,
-        -1
-      ],
-      "threshold": [
-        1.5,
-        0.0,
-        0.0
-      ]
-    },
-    {
-      "feature": [
-        -1
-      ],
-      "leaf_class": [
-        1
-      ],
-      "left": [
-        -1
-      ],
-      "right": [
-        -1
-      ],
-      "threshold": [
-        0.0
-      ]
-    }
+  "sizes": [
+    3,
+    1
+  ],
+  "threshold": [
+    1.5,
+    0.0,
+    0.0,
+    0.0
   ]
 }
 """
@@ -1031,31 +1006,48 @@ def test_forest_model_bytes(tmp_path):
     assert same_forest(load_forest_model(path), model)
 
 
-def set_entry(field, tree, index, value):
-    return lambda p: p["trees"][tree][field].__setitem__(index, value)
+@pytest.mark.parametrize(
+    "model",
+    [
+        ForestModel([3, -1, -1], [-0.25, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [-1, 1, 0], [3], seed=0),
+        ForestModel([-1] * 4, [0.0] * 4, [-1] * 4, [-1] * 4, [1, 0, 0, 1], [1] * 4, seed=9),
+    ],
+    ids=["one-tree", "one-node-trees"],
+)
+def test_forest_model_load_then_save_writes_the_same_bytes(tmp_path, model):
+    save_forest_model(tmp_path / "a.json", model)
+    loaded = load_forest_model(tmp_path / "a.json")
+    assert same_forest(loaded, model)
+    save_forest_model(tmp_path / "b.json", loaded)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def set_entry(field, index, value):
+    return lambda p: p[field].__setitem__(index, value)
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (set_entry("feature", 0, 0, 0.7), "trees\\[0\\]\\.feature\\[0\\] must be a JSON integer, got 0\\.7"),
-        (set_entry("left", 1, 0, 1.9), "trees\\[1\\]\\.left\\[0\\] must be a JSON integer, got 1\\.9"),
-        (set_entry("right", 1, 0, 2.0), "trees\\[1\\]\\.right\\[0\\] must be a JSON integer, got 2\\.0"),
-        (set_entry("threshold", 0, 0, None), "trees\\[0\\]\\.threshold\\[0\\] must be a finite JSON number, got null"),
-        (set_entry("threshold", 1, 0, float("nan")), "trees\\[1\\]\\.threshold\\[0\\] must be a finite JSON number, got NaN"),
-        (set_entry("threshold", 0, 0, float("-inf")),
-         "trees\\[0\\]\\.threshold\\[0\\] must be a finite JSON number, got -Infinity"),
-        (set_entry("threshold", 0, 0, "1.0"), "trees\\[0\\]\\.threshold\\[0\\] must be a finite JSON number, got \"1\\.0\""),
-        (set_entry("threshold", 0, 0, True), "trees\\[0\\]\\.threshold\\[0\\] must be a finite JSON number, got true"),
-        (set_entry("leaf_class", 1, 0, False), "trees\\[1\\]\\.leaf_class\\[0\\] must be a JSON integer, got false"),
-        (set_entry("leaf_class", 0, 0, True), "trees\\[0\\]\\.leaf_class\\[0\\] must be a JSON integer, got true"),
-        (set_entry("feature", 0, 0, 1 << 63), "trees\\[0\\]\\.feature\\[0\\] is outside the 64-bit integer range"),
-        (set_entry("left", 0, 0, -(1 << 63) - 1), "trees\\[0\\]\\.left\\[0\\] is outside the 64-bit integer range"),
-        (lambda p: p["trees"][1].update(right=2), "trees\\[1\\]\\.right must be a JSON array, got number"),
+        (set_entry("feature", 0, 0.7), "feature\\[0\\] must be a JSON integer, got 0\\.7"),
+        (set_entry("left", 1, 1.9), "left\\[1\\] must be a JSON integer, got 1\\.9"),
+        (set_entry("right", 1, 2.0), "right\\[1\\] must be a JSON integer, got 2\\.0"),
+        (set_entry("threshold", 0, None), "threshold\\[0\\] must be a finite JSON number, got null"),
+        (set_entry("threshold", 1, float("nan")), "threshold\\[1\\] must be a finite JSON number, got NaN"),
+        (set_entry("threshold", 0, float("-inf")), "threshold\\[0\\] must be a finite JSON number, got -Infinity"),
+        (set_entry("threshold", 0, "1.0"), "threshold\\[0\\] must be a finite JSON number, got \"1\\.0\""),
+        (set_entry("threshold", 0, True), "threshold\\[0\\] must be a finite JSON number, got true"),
+        (set_entry("leaf_class", 1, False), "leaf_class\\[1\\] must be a JSON integer, got false"),
+        (set_entry("leaf_class", 0, True), "leaf_class\\[0\\] must be a JSON integer, got true"),
+        (set_entry("feature", 0, 1 << 63), "feature\\[0\\] is outside the 64-bit integer range"),
+        (set_entry("left", 0, -(1 << 63) - 1), "left\\[0\\] is outside the 64-bit integer range"),
+        (set_entry("sizes", 1, 1.0), "sizes\\[1\\] must be a JSON integer, got 1\\.0"),
+        (set_entry("sizes", 0, True), "sizes\\[0\\] must be a JSON integer, got true"),
+        (set_entry("sizes", 0, 1 << 64), "sizes\\[0\\] is outside the 64-bit integer range"),
+        (lambda p: p.update(right=2), "right must be a JSON array, got number"),
+        (lambda p: p.update(sizes={"0": 3}), "sizes must be a JSON array, got object"),
         (lambda p: p.update(seed="x"), "seed must be a JSON integer, got \"x\""),
         (lambda p: p.update(seed=1.0), "seed must be a JSON integer, got 1\\.0"),
-        (lambda p: p.update(tree_count=2.0), "tree_count must be a JSON integer, got 2\\.0"),
-        (lambda p: p.update(tree_count=True), "tree_count must be a JSON integer, got true"),
     ],
 )
 def test_forest_model_rejects_entries_the_node_table_cannot_hold(tmp_path, rng, edit, message):
@@ -1072,5 +1064,5 @@ def test_forest_model_accepts_integer_thresholds(tmp_path, rng):
     path = tmp_path / "forest.json"
     model = train_forest(rng.standard_normal((20, 5)), np.arange(20) % 2, 2, 1)
     save_forest_model(path, model)
-    rewrite_json(path, path, lambda p: p["trees"][0]["threshold"].__setitem__(0, 3))
+    rewrite_json(path, path, lambda p: p["threshold"].__setitem__(0, 3))
     assert load_forest_model(path).threshold[0] == 3.0

@@ -199,7 +199,7 @@ def test_tree_rejects_a_child_that_is_its_node(tmp_path):
     path = tmp_path / "forest.json"
     save_forest_model(path, stump(0, 1.0, 0, 1))
     payload = json.loads(path.read_text())
-    payload["trees"][0]["right"][0] = 0
+    payload["right"][0] = 0
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="child not after it"):
         load_forest_model(path)
@@ -256,8 +256,10 @@ def test_loader_rejects_every_tree_the_tree_type_rejects(tmp_path, make, message
     # The same defect in one tree of a 3-tree file; the last tree has no next tree to fall into.
     trees = [stump_nodes() for _ in range(3)]
     trees[position] = make()
+    payload = {name: sum((t[name] for t in trees), []) for name in NODE_FIELDS}
+    payload.update(sizes=[len(t["feature"]) for t in trees], seed=0)
     path = tmp_path / "forest.json"
-    path.write_text(json.dumps({"tree_count": 3, "seed": 0, "trees": trees}))
+    path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=f"^forest model: {message}$"):
         load_forest_model(path)
 
