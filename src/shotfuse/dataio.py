@@ -594,6 +594,8 @@ def load_forest_model(path) -> ForestModel:
 
 def read_synth_config(path) -> SynthConfig:
     """The SynthConfig of the fields a JSON object sets, the others at their defaults; SynthConfig checks the values."""
+    if not Path(path).exists():
+        raise FileNotFoundError(f"synth config not found: {path}")
     with open(path) as fh, _json_object("synth config", fh) as payload:
         unknown = [key for key in payload if key not in {f.name for f in fields(SynthConfig)}]
         if unknown:

@@ -81,7 +81,7 @@ class ForestModel:
     elsewhere. Samples with feature value <= threshold go left. The
     constructor takes the arrays through series.freeze as int64 (thresholds
     as float), so it adopts frozen ones and copies the rest, and checks
-    them; the seed must be an integer and is stored as an int.
+    them; the seed must be a non-negative integer and is stored as an int.
     """
 
     feature: np.ndarray
@@ -97,7 +97,7 @@ class ForestModel:
         for name in fields:
             object.__setattr__(self, name, freeze(getattr(self, name), float if name == "threshold" else np.int64))
         _check_nodes(*(getattr(self, name) for name in fields))
-        object.__setattr__(self, "seed", check_integer(self.seed, "seed"))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
     @property
     def tree_count(self) -> int:
@@ -327,8 +327,8 @@ def check_integer(value, name: str) -> int:
 def check_seed(seed) -> int:
     """seed as an int; a non-integer or negative seed is rejected by name, before numpy sees it.
 
-    SynthConfig, TrainConfig, train_forest and the train-forest workflow
-    all check their seed here.
+    SynthConfig, TrainConfig, ForestModel, train_forest and the
+    train-forest workflow all check their seed here.
     """
     seed = check_integer(seed, "seed")
     if seed < 0:

@@ -40,7 +40,7 @@ _HALF = int(round((NEIGHBORHOOD_MS / 2.0) / PERIOD_MS))
 
 @dataclass(frozen=True, eq=False)
 class SyncedSeries:
-    """One run's five fusion series on the audio clock, with the sync verdict.
+    """One run's five fusion series on the audio clock, with the sync verdict (sync.OffsetEstimate).
 
     Build it with :meth:`align`, which moves the IMU-derived series onto
     the audio clock.
@@ -52,37 +52,14 @@ class SyncedSeries:
     a_tan: SampleSeries
     w_rad: SampleSeries
     offset: OffsetEstimate
-    validated: bool
 
     @classmethod
     def align(
-        cls,
-        apf: SampleSeries,
-        imu_ipf: SampleSeries,
-        comps: ImuComponents,
-        offset: OffsetEstimate,
-        validated: bool,
+        cls, apf: SampleSeries, imu_ipf: SampleSeries, comps: ImuComponents, offset: OffsetEstimate
     ) -> "SyncedSeries":
         """Shift the IMU-clock series by -offset (IMU minus audio time)."""
-        shift = -offset.offset_ms
-        return cls(
-            apf,
-            imu_ipf.shifted(shift),
-            comps.a_rad.shifted(shift),
-            comps.a_tan.shifted(shift),
-            comps.w_rad.shifted(shift),
-            offset,
-            validated,
-        )
-
-    def sync_report(self) -> dict:
-        """The sync.json payload."""
-        return {
-            "offset_ms": self.offset.offset_ms,
-            "peak_correlation": self.offset.peak_correlation,
-            "validated": self.validated,
-            "window_seconds": self.offset.window_seconds,
-        }
+        shifted = (s.shifted(-offset.offset_ms) for s in (imu_ipf, comps.a_rad, comps.a_tan, comps.w_rad))
+        return cls(apf, *shifted, offset)
 
 
 def _running_max(x: np.ndarray, width: int) -> np.ndarray:

@@ -8,7 +8,7 @@ eval_workflow); each takes paths and returns the plain dict the CLI prints.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -184,7 +184,8 @@ def synced_series(apf: SampleSeries, comps: ImuComponents) -> SyncedSeries:
     the whole overlap minus a sync.VALIDATION_SECONDS tail, and
     validate_offset re-estimates on that tail, the fresh data after it.
     When that leaves less than sync.MIN_OVERLAP_SECONDS, the estimate uses
-    the whole overlap and validation is skipped (False).
+    the whole overlap and validation is skipped: the offset's validated
+    field stays False.
     """
     comps = prepare_components(comps)
     ipf_raw = ipf(comps)
@@ -198,14 +199,12 @@ def synced_series(apf: SampleSeries, comps: ImuComponents) -> SyncedSeries:
         window = have_seconds
     end = t0 + window * 1000.0
     est = estimate_offset(apf.slice_time(t0, end), ipf_raw.slice_time(t0, end), boundaries)
-    validated = False
     if have_seconds >= est.window_seconds + sync.VALIDATION_SECONDS:
         tail = t0 + est.window_seconds * 1000.0
         tail_end = tail + sync.VALIDATION_SECONDS * 1000.0
-        validated = validate_offset(
-            apf.slice_time(tail, tail_end), ipf_raw.slice_time(tail, tail_end), boundaries, est
-        )
-    return SyncedSeries.align(apf, ipf_raw, comps, est, validated)
+        fresh = apf.slice_time(tail, tail_end), ipf_raw.slice_time(tail, tail_end)
+        est = replace(est, validated=validate_offset(*fresh, boundaries, est))
+    return SyncedSeries.align(apf, ipf_raw, comps, est)
 
 
 def _synced_files(audio_path, imu_path, filter_model: FilterModel) -> SyncedSeries:
@@ -276,7 +275,7 @@ def train_forest_workflow(data_dir, filter_path, out_path, seed: int = 0) -> dic
     predicted, _ = classify(model, X[val_rows])
     correct = int(np.count_nonzero(predicted == y[val_rows]))
     return {
-        **synced.sync_report(),
+        **asdict(synced.offset),
         "candidates": int(y.size),
         "validation_accuracy": correct / len(val_rows) if len(val_rows) else 1.0,
         "model_path": str(out_path),
@@ -284,9 +283,9 @@ def train_forest_workflow(data_dir, filter_path, out_path, seed: int = 0) -> dic
 
 
 def sync_workflow(audio_path, imu_path, filter_path) -> dict:
-    """sync subcommand: the validated IMU-vs-audio offset of one recording, as sync.json reports it."""
+    """sync subcommand: the sync verdict of one recording (sync.OffsetEstimate), as sync.json holds it."""
     _require_models(filter_path)
-    return _synced_files(audio_path, imu_path, load_filter_model(filter_path)).sync_report()
+    return asdict(_synced_files(audio_path, imu_path, load_filter_model(filter_path)).offset)
 
 
 @dataclass(frozen=True)
@@ -332,10 +331,9 @@ def run_pipeline(
         synced = _synced_files(audio_path, imu_path, filter_model)
         forest_model = load_forest_model(forest_model_path)
         events = detect_shots(synced, forest_model)
-        sync_payload = synced.sync_report()
+        result["sync"] = asdict(synced.offset)
         sync_path = out_dir / "sync.json"
-        write_json(sync_path, sync_payload)
-        result["sync"] = sync_payload
+        write_json(sync_path, result["sync"])
         result["sync_path"] = str(sync_path)
         if options.emit_series:
             write_series_csv(out_dir / "apf.csv", synced.apf)

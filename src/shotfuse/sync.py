@@ -5,7 +5,8 @@ disagree by an unknown offset (typically a few hundred ms). Both
 likelihood series are quantized to five levels, spread with a triangle
 kernel so misalignment is penalized gradually, and cross-correlated; the
 lag of the correlation peak is the offset. A fresh window re-estimate
-validates the lock before the synchronizer is cut off.
+validates the lock before the synchronizer is cut off. One OffsetEstimate
+holds the whole verdict; sync.json is its fields.
 """
 
 from __future__ import annotations
@@ -77,11 +78,16 @@ def _quantile_boundaries(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OffsetEstimate:
-    """Estimated clock offset: IMU time minus audio time, in milliseconds."""
+    """The sync verdict, and the sync.json payload: its fields are the file's keys.
+
+    offset_ms is IMU time minus audio time; validated says whether a fresh
+    window confirmed the lock (validate_offset), False until it is checked.
+    """
 
     offset_ms: float
     peak_correlation: float
     window_seconds: float
+    validated: bool = False
 
 
 def self_calibrate_quantizer(apf: SampleSeries, ipf: SampleSeries) -> tuple[np.ndarray, np.ndarray]:
@@ -145,8 +151,8 @@ def validate_offset(
     """Re-estimate on the fresh tail that follows the estimation snippet.
 
     True iff the fresh estimate lands within +/-50 ms of the candidate and
-    its correlation peak reaches 0.4. The caller cuts the tail
-    (pipeline.synced_series).
+    its correlation peak reaches 0.4. The caller cuts the tail and keeps
+    the answer as the candidate's validated field (pipeline.synced_series).
     """
     fresh = estimate_offset(apf_tail, ipf_tail, boundaries)
     return (

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from shotfuse.sync import OffsetEstimate
 from shotfuse.training import TrainConfig
 
 CLI = [sys.executable, "-m", "shotfuse"]
@@ -68,6 +70,22 @@ def test_sync_outputs_json(workspace):
     payload = json.loads(proc.stdout)
     assert set(payload) == {"offset_ms", "peak_correlation", "validated", "window_seconds"}
     assert abs(payload["offset_ms"] - (-270.0)) <= 40.0
+
+
+def test_sync_json_sync_and_train_forest_print_the_offset_estimate_fields(workspace, tmp_path):
+    # All three are asdict of one sync.OffsetEstimate, so a new field reaches each of them.
+    names = sorted(f.name for f in dataclasses.fields(OffsetEstimate))
+    data = workspace["data"]
+    printed = json.loads(run_cli("sync", "--audio", data / "audio.wav", "--imu", data / "imu.csv",
+                                 "--filter", workspace["filter"]).stdout)
+    run_cli("detect", "--audio", data / "audio.wav", "--imu", data / "imu.csv", "--filter", workspace["filter"],
+            "--forest", workspace["forest"], "--out-dir", tmp_path / "out")
+    written = json.loads((tmp_path / "out" / "sync.json").read_text())
+    trained = json.loads(run_cli("train-forest", "--data", data, "--filter", workspace["filter"],
+                                 "--out", tmp_path / "forest.json", "--seed", 3).stdout)
+    sync_fields = {key: trained[key] for key in trained.keys() - {"candidates", "validation_accuracy", "model_path"}}
+    assert sorted(printed) == sorted(written) == sorted(sync_fields) == names
+    assert printed == written == sync_fields
 
 
 def test_detect_end_to_end_with_labels(workspace, tmp_path):
@@ -238,6 +256,15 @@ def test_synth_names_the_config_it_rejects(tmp_path, text, message):
     proc = run_cli("synth", "--config", cfg_path, "--out-dir", tmp_path / "data", check=False)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == f"error: synth config: {message}\n"
+    assert not (tmp_path / "data").exists()
+
+
+def test_synth_names_a_missing_config(tmp_path):
+    # It used to print the bare "[Errno 2] No such file or directory".
+    missing = tmp_path / "nope.json"
+    proc = run_cli("synth", "--config", missing, "--out-dir", tmp_path / "data", check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: synth config not found: {missing}\n"
     assert not (tmp_path / "data").exists()
 
 

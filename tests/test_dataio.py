@@ -1048,11 +1048,12 @@ def set_entry(field, index, value):
         (lambda p: p.update(sizes={"0": 3}), "sizes must be a JSON array, got object"),
         (lambda p: p.update(seed="x"), "seed must be a JSON integer, got \"x\""),
         (lambda p: p.update(seed=1.0), "seed must be a JSON integer, got 1\\.0"),
+        (lambda p: p.update(seed=-5), "seed must be non-negative, got -5"),
     ],
 )
 def test_forest_model_rejects_entries_the_node_table_cannot_hold(tmp_path, rng, edit, message):
     # Each of these used to load: floats truncated to indices, null and NaN thresholds that send
-    # every row right, a threshold string parsed as a number, booleans as classes, a text seed.
+    # every row right, a threshold string parsed as a number, booleans as classes, a text or negative seed.
     path = tmp_path / "forest.json"
     save_forest_model(path, train_forest(rng.standard_normal((20, 5)), np.arange(20) % 2, 2, 1))
     broken = rewrite_json(path, tmp_path / "t.json", edit)

@@ -200,7 +200,7 @@ def apf_threshold_forest(threshold):
 def aligned(audio, imu, model, offset):
     """The synced bundle at a given offset, skipping the offset estimate."""
     comps = prepare_components(decompose(imu))
-    return SyncedSeries.align(sf.audio_likelihood(audio, model), ipf(comps), comps, offset, False)
+    return SyncedSeries.align(sf.audio_likelihood(audio, model), ipf(comps), comps, offset)
 
 
 def silence_and_stillness(duration_s=10.0):
@@ -325,6 +325,6 @@ def test_no_candidates_give_empty_tables():
     assert X.shape == (0, 5) and X.dtype == float
     # A constant motion likelihood has no strict maximum, so no candidate.
     apf, ipf_s, a_rad, a_tan, w_rad = five_series(apf=np.linspace(0.0, 1.0, 100), ipf=np.full(100, 0.3))
-    synced = SyncedSeries(apf, ipf_s, a_rad, a_tan, w_rad, OffsetEstimate(0.0, 1.0, 5.0), False)
+    synced = SyncedSeries(apf, ipf_s, a_rad, a_tan, w_rad, OffsetEstimate(0.0, 1.0, 5.0))
     events = detect_shots(synced, apf_threshold_forest(0.5))
     assert events.shape == (0, 2) and events.dtype == float

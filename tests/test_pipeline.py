@@ -1,6 +1,6 @@
+import dataclasses
 import json
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from shotfuse.pipeline import (
     train_forest_workflow,
     windows_from_labels,
 )
+from shotfuse.series import SampleSeries
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +77,7 @@ def test_run_pipeline_sync_json_and_detections_bytes(tmp_path, monkeypatch):
     # The files run_pipeline writes, apart from what sync and fusion compute: those are stubbed.
     save_filter_model(tmp_path / "filter.json", sf.FilterModel(np.ones(23), 0.0))
     save_forest_model(tmp_path / "forest.json", sf.ForestModel([-1], [0.0], [-1], [-1], [1], [1], seed=0))
-    synced = types.SimpleNamespace(offset=sync.OffsetEstimate(-270.0, 0.8125, 55.0), validated=True)
-    synced.sync_report = lambda: fusion.SyncedSeries.sync_report(synced)
+    synced = fusion.SyncedSeries(*[SampleSeries()] * 5, sync.OffsetEstimate(-270.0, 0.8125, 55.0, validated=True))
     monkeypatch.setattr(pipeline, "_synced_files", lambda audio_path, imu_path, filter_model: synced)
     monkeypatch.setattr(pipeline, "detect_shots", lambda synced, model: np.array([[1234.5, 0.96], [5000.0, 0.5]]))
     out_dir = tmp_path / "out"
@@ -375,10 +375,9 @@ def test_synced_series_estimates_before_the_validation_tail(identity_model, monk
     end = t0 + overlap_ms - (validation_ms if validates else 0.0)
     [(a, i, boundaries, est)] = estimate
     assert same(a, apf.slice_time(t0, end)) and same(i, ipf.slice_time(t0, end))
-    assert synced.offset == est
     if not validates:
         assert fresh == validations == []
-        assert synced.validated is False
+        assert synced.offset == est and synced.offset.validated is False
         return
     tail = t0 + est.window_seconds * 1000.0
     [(a, i, tail_boundaries, _)] = fresh
@@ -386,4 +385,5 @@ def test_synced_series_estimates_before_the_validation_tail(identity_model, monk
     assert same(i, ipf.slice_time(tail, tail + validation_ms))
     assert tail_boundaries is boundaries
     [call] = validations
-    assert call[3] == est and synced.validated is call[-1]
+    assert call[3] == est and synced.offset == dataclasses.replace(est, validated=call[-1])
+    assert synced.offset.validated is call[-1]
