@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PERIOD_MS, SampleSeries, deviation, fir_frames, freeze, freeze_in_place
+from .series import PERIOD_MS, SampleSeries, deviation, finite_vector, fir_frames, freeze, freeze_in_place
 
 __all__ = [
     "SAMPLE_RATE_HZ",
@@ -131,13 +131,11 @@ class FilterModel:
     bias: float = 0.0
 
     def __post_init__(self):
-        arr = freeze(self.weights)
-        if arr.ndim != 1:
-            raise ValueError(f"weights must be one-dimensional, got shape {arr.shape}")
+        arr = finite_vector(self.weights, "weights")
         if arr.size != FILTER_TAPS:
             raise ValueError(f"weights must hold {FILTER_TAPS} values, got {arr.size}")
-        if not (np.all(np.isfinite(arr)) and np.isfinite(self.bias)):
-            raise ValueError("model parameters must be finite")
+        if not np.isfinite(self.bias):
+            raise ValueError("bias must be finite")
         object.__setattr__(self, "weights", arr)
 
 

@@ -179,27 +179,24 @@ def _open_text(path, encoding="utf-8-sig"):
     return open(path, newline="", encoding=encoding, errors="replace")
 
 
-def _keep_all(part, first):
-    return part
-
-
-def _read_numeric_csv(path, columns, locate, split=_keep_all, width=None):
+def _read_numeric_csv(path, columns, split=None):
     """Parse the named columns of every data row into 1-D arrays, one chunk of rows at a time.
 
-    locate(header) checks the stripped header fields (None for an empty
-    file) and returns the position of each column. Cells are plain decimal
-    text: no quoting, no comments; blank lines are skipped and fields past
-    the last parsed column are ignored. The header is UTF-8 without its
-    byte-order mark. The rows are parsed from a binary handle, which
-    np.loadtxt decodes as latin-1, so a byte that is not UTF-8 fails only
-    in a parsed cell. numpy's binary reader ends lines at \\n alone, so a
-    file with a line ended by a lone \\r (see _line_ends) is parsed from a
-    latin-1 text handle instead, which hands np.loadtxt the same strings.
-    np.loadtxt parses _PARSE_ROWS rows at a time from the open file, and
-    split(part, first) maps each chunk, a contiguous (len(columns), k)
-    array of the k data rows from data row first on, to the width (default
-    len(columns)) 1-D arrays of k values to keep, or to () to keep none of
-    it. Each kept array goes into its own array, sized from the file's
+    The header's stripped fields must name every column, in any order,
+    beside any others; an empty file fails as missing header. Cells are
+    plain decimal text: no quoting, no comments; blank lines are skipped
+    and fields past the last parsed column are ignored. The header is
+    UTF-8 without its byte-order mark. The rows are parsed from a binary
+    handle, which np.loadtxt decodes as latin-1, so a byte that is not
+    UTF-8 fails only in a parsed cell. numpy's binary reader ends lines at
+    \\n alone, so a file with a line ended by a lone \\r (see _line_ends)
+    is parsed from a latin-1 text handle instead, which hands np.loadtxt
+    the same strings. np.loadtxt parses _PARSE_ROWS rows at a time from
+    the open file, and split(part, first) maps each chunk, a contiguous
+    (len(columns), k) array of the k data rows from data row first on, to
+    the 1-D arrays of k values to keep, or to () to keep none of it;
+    without split every column is kept. Each kept array goes into its own
+    array, one per array of the first chunk kept and sized from the file's
     line count, so no array but those is the size of the data. Returns the
     arrays and row_of, which maps a data-row index to its CSV row number
     (header = row 1, blank lines counted), reading the file as UTF-8 text
@@ -208,13 +205,18 @@ def _read_numeric_csv(path, columns, locate, split=_keep_all, width=None):
     """
     lines, lone_cr = _line_ends(path)
     capacity = max(lines - 1, 0)
-    arrays = [np.empty(capacity) for _ in range(len(columns) if width is None else width)]
+    arrays = []
     filled = 0
     with _open_text(path, "latin-1") if lone_cr else open(path, "rb") as fh:
         first = fh.readline()
         first = (first.encode("latin-1") if lone_cr else first).decode("utf-8-sig", "replace")
-        header = [h.strip() for h in next(csv.reader([first]), [])] if first else None
-        positions = locate(header)
+        if not first:
+            raise ValueError("missing header")
+        header = [h.strip() for h in next(csv.reader([first]), [])]
+        for col in columns:
+            if col not in header:
+                raise ValueError(f"missing column {col}")
+        positions = [header.index(col) for col in columns]
 
         def row_of(index: int | None) -> int:
             with _open_text(path) as rows:
@@ -230,7 +232,9 @@ def _read_numeric_csv(path, columns, locate, split=_keep_all, width=None):
                     part = np.ascontiguousarray(np.loadtxt(fh, delimiter=",", usecols=positions, comments=None,
                                                            ndmin=2, max_rows=_PARSE_ROWS).T)
                     rows = part.shape[1]
-                    for array, row in zip(arrays, split(part, filled)):
+                    kept = part if split is None else split(part, filled)
+                    arrays = arrays or [np.empty(capacity) for _ in kept]
+                    for array, row in zip(arrays, kept):
                         array[filled : filled + rows] = row
                     filled += rows
                     if rows < _PARSE_ROWS:
@@ -279,14 +283,6 @@ def read_imu_csv(path) -> ImuComponents:
     parse fails as such, even after a range error in an earlier row.
     """
 
-    def locate(header):
-        if header is None:
-            raise ValueError("missing header")
-        for col in IMU_FIELDS:
-            if col not in header:
-                raise ValueError(f"missing column {col}")
-        return [header.index(col) for col in IMU_FIELDS]
-
     bad = []  # the first sample out of range, reported once the whole file has parsed
 
     def split(part, first):
@@ -297,7 +293,7 @@ def read_imu_csv(path) -> ImuComponents:
             bad.append((first + fault[0], fault[1]))
         return ()
 
-    rows, row_of = _read_numeric_csv(path, IMU_FIELDS, locate, split, width=5)
+    rows, row_of = _read_numeric_csv(path, IMU_FIELDS, split)
     if bad:
         raise ValueError(f"row {row_of(bad[0][0])}: {bad[0][1]}")
     return grid_components(rows, where=lambda i: f"row {row_of(i)}")
@@ -406,14 +402,8 @@ def write_imu_csv(path, stream: ImuStream) -> None:
 
 
 def read_labels_csv(path) -> LabelSet:
-    """Single-column CSV of shot timestamps with header t_ms."""
-
-    def locate(header):
-        if not header or header[0] != LABEL_COLUMNS[0]:
-            raise ValueError(f"missing column {LABEL_COLUMNS[0]}")
-        return [0]
-
-    (shots,), _ = _read_numeric_csv(path, LABEL_COLUMNS, locate)
+    """The shot timestamps in the t_ms column of a CSV."""
+    (shots,), _ = _read_numeric_csv(path, LABEL_COLUMNS)
     return LabelSet(freeze_in_place(shots))
 
 
@@ -422,14 +412,8 @@ def write_labels_csv(path, labels: LabelSet) -> None:
 
 
 def read_events_csv(path) -> np.ndarray:
-    """The (n, 2) event table of a time_ms,score CSV, in file order."""
-
-    def locate(header):
-        if header is None or header[:2] != list(EVENT_COLUMNS):
-            raise ValueError(f"expected header {','.join(EVENT_COLUMNS)}")
-        return [0, 1]
-
-    columns, _ = _read_numeric_csv(path, EVENT_COLUMNS, locate)
+    """The (n, 2) event table of the time_ms and score columns of a CSV, in file order."""
+    columns, _ = _read_numeric_csv(path, EVENT_COLUMNS)
     return np.stack(columns, axis=1)
 
 
@@ -525,9 +509,7 @@ def save_filter_model(path, model: FilterModel) -> None:
 
 def load_filter_model(path) -> FilterModel:
     with open(path) as fh, _json_object("filter model", fh) as payload:
-        weights = _expect(payload["weights"], "array", "weights")
-        weights = [_float(w, f"weights[{i}]") for i, w in enumerate(weights)]
-        model = FilterModel(weights, _float(payload["bias"], "bias"))
+        model = FilterModel(_number_array(payload, "weights", float), _float(payload["bias"], "bias"))
         for name, fixed in _FILTER_GEOMETRY.items():
             if _integer(payload[name], name) != fixed:
                 raise ValueError(f"{name} must be {fixed}, got {payload[name]!r}")
@@ -539,56 +521,61 @@ def save_forest_model(path, model: ForestModel) -> None:
     write_json(path, {"seed": model.seed, **{name: getattr(model, name).tolist() for name in NODE_FIELDS + ("sizes",)}})
 
 
+def _shown(value) -> str:
+    """value as an error message shows it: an array or an object by its JSON type, anything else as JSON text."""
+    return _JSON_TYPES[type(value)] if type(value) in (list, dict) else json.dumps(value)
+
+
 def _integer(value, where: str) -> int:
     """value itself when json.load gave it a JSON integer; a boolean is not one."""
     if type(value) is not int:
-        raise ValueError(f"{where} must be a JSON integer, got {json.dumps(value)}")
+        raise ValueError(f"{where} must be a JSON integer, got {_shown(value)}")
     return value
 
 
 _INT64 = (-(1 << 63), (1 << 63) - 1)
 
 
-def _node_integer(value, where: str) -> None:
-    """Check that value is a JSON integer that a node table's int64 arrays can hold."""
+def _int64(value, where: str) -> None:
+    """Check that value is a JSON integer that an int64 array can hold."""
     if not _INT64[0] <= _integer(value, where) <= _INT64[1]:
         raise ValueError(f"{where} is outside the 64-bit integer range")
 
 
 def _finite_number(value, where: str) -> None:
     if type(value) not in (int, float) or not math.isfinite(_float(value, where)):
-        raise ValueError(f"{where} must be a finite JSON number, got {json.dumps(value)}")
+        raise ValueError(f"{where} must be a finite JSON number, got {_shown(value)}")
 
 
-def _node_column(payload, name: str) -> np.ndarray:
-    """The JSON array payload[name] as a frozen node-table array: thresholds as float, the rest as int64.
+def _number_array(payload, name: str, dtype) -> np.ndarray:
+    """The JSON array payload[name] as a frozen array of dtype: float from finite JSON numbers, np.int64 from integers.
 
-    Its entries are checked in one pass over their types (thresholds must
-    be finite JSON numbers, the other arrays JSON integers) and one over
+    Its entries are checked in one pass over their types and one over
     their values; only a rejected array is walked again, for its first bad
     entry.
     """
     entries = _expect(payload[name], "array", name)
     kinds = set(map(type, entries))
-    if name == "threshold":
+    if dtype is float:
         try:
-            column = np.array(entries, dtype=float) if kinds <= {int, float} else None
+            array = np.array(entries, dtype=float) if kinds <= {int, float} else None
         except OverflowError:  # an integer no float can hold; the walk names it
-            column = None
-        valid, check = column is not None and bool(np.isfinite(column).all()), _finite_number
+            array = None
+        valid, check = array is not None and bool(np.isfinite(array).all()), _finite_number
     else:
         valid = kinds <= {int} and (not entries or (min(entries) >= _INT64[0] and max(entries) <= _INT64[1]))
-        column, check = np.array(entries, dtype=np.int64) if valid else None, _node_integer
+        array, check = np.array(entries, dtype=np.int64) if valid else None, _int64
     if not valid:
         for i, value in enumerate(entries):
             check(value, f"{name}[{i}]")
-    return freeze_in_place(column)
+    return freeze_in_place(array)
 
 
 def load_forest_model(path) -> ForestModel:
     """The forest in a model file, its arrays read straight into the node table that ForestModel checks."""
     with open(path) as fh, _json_object("forest model", fh) as payload:
-        columns = [_node_column(payload, name) for name in NODE_FIELDS + ("sizes",)]
+        columns = [_number_array(payload, name, float if name == "threshold" else np.int64)
+                   for name in NODE_FIELDS + ("sizes",)]
         return ForestModel(*columns, _integer(payload["seed"], "seed"))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import freeze
+from .series import finite_vector
 
 __all__ = ["NEIGHBORHOOD_MS", "MATCH_TOLERANCE_MS", "LabelSet", "EvalReport", "dedup",
            "check_tolerance", "precision_recall_f", "evaluate"]
@@ -31,11 +31,7 @@ class LabelSet:
     shots: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
-        arr = freeze(self.shots)
-        if arr.ndim != 1:
-            raise ValueError("shots must be one-dimensional")
-        if not np.isfinite(arr).all():
-            raise ValueError("shot timestamps must be finite")
+        arr = finite_vector(self.shots, "shot timestamps")
         if arr.size and arr[0] < 0:
             raise ValueError("shot timestamps must be non-negative")
         if arr.size > 1 and not np.all(np.diff(arr) > 0):
@@ -65,11 +61,7 @@ def dedup(times) -> np.ndarray:
     NEIGHBORHOOD_MS included (as t - last_kept <= NEIGHBORHOOD_MS); the
     first event is always kept.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError("event times must be one-dimensional")
-    if not np.isfinite(times).all():
-        raise ValueError("event times must be finite")
+    times = finite_vector(times, "event times")
     if np.any(np.diff(times) < 0):
         raise ValueError("unordered events")
     kept = []
@@ -110,12 +102,7 @@ def evaluate(times, labels: LabelSet, tolerance_ms: float = MATCH_TOLERANCE_MS) 
     tolerance_ms must be finite and non-negative, and event times finite.
     """
     check_tolerance(tolerance_ms)
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError("event times must be one-dimensional")
-    times = np.sort(times)
-    if not np.all(np.isfinite(times)):
-        raise ValueError("event times must be finite")
+    times = np.sort(finite_vector(times, "event times"))
     n = times.size
     at = times.tolist()
     # One sweep: every event at or after the pointer p is free, and free

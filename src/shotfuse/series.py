@@ -19,6 +19,7 @@ __all__ = [
     "PERIOD_MS",
     "SampleSeries",
     "TRIANGLE_TAPS",
+    "finite_vector",
     "convolve",
     "deviation",
     "fir_frames",
@@ -63,7 +64,8 @@ def freeze(values, dtype=np.float64) -> np.ndarray:
     return freeze_in_place(np.array(values, dtype=dtype, order="C"))
 
 
-def _readonly_array(values, name: str) -> np.ndarray:
+def finite_vector(values, name: str) -> np.ndarray:
+    """values as a frozen float64 array (see freeze), once it is one-dimensional and finite; errors call it name."""
     arr = freeze(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
@@ -89,7 +91,7 @@ class SampleSeries:
     values: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _readonly_array(self.values, "values"))
+        object.__setattr__(self, "values", finite_vector(self.values, "values"))
 
     def __len__(self) -> int:
         return self.values.size

@@ -282,22 +282,6 @@ def total_gradients(
     return float(d_score @ score), 2.0 * ((d_score @ forms)[_SYMMETRIC] @ weights), float(d_score.sum())
 
 
-class _Adam:
-    def __init__(self, size: int, lr: float):
-        self.lr = lr
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.t = 0
-
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self.t += 1
-        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
-        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad * grad
-        m_hat = self.m / (1 - ADAM_BETA1**self.t)
-        v_hat = self.v / (1 - ADAM_BETA2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-
-
 def train_filter(windows: np.recarray, cfg: TrainConfig, audio: PcmAudio) -> FilterModel:
     """Fit FILTER_TAPS filter weights and the bias by mini-batch Adam on the decision loss.
 
@@ -321,9 +305,6 @@ def train_filter(windows: np.recarray, cfg: TrainConfig, audio: PcmAudio) -> Fil
     if negatives.size > wanted:
         negatives = negatives[rng.choice(negatives.size, size=wanted, replace=False)]
 
-    if cfg.max_epochs == 0:
-        return FilterModel(weights, 0.0)
-
     # The packed forms are the only per-window state the epochs read. They
     # are built in ascending start order; row_of maps each chosen window,
     # positives first, to its row, so each epoch's permutation picks the
@@ -336,7 +317,7 @@ def train_filter(windows: np.recarray, cfg: TrainConfig, audio: PcmAudio) -> Fil
     row_of[by_start] = np.arange(by_start.size)
 
     params = np.concatenate([weights, [0.0]])
-    opt = _Adam(params.size, cfg.learning_rate)
+    m, v, step = np.zeros(params.size), np.zeros(params.size), 0  # Adam's moment estimates and step count
     for _ in range(cfg.max_epochs):
         order = row_of[rng.permutation(len(forms))]
         epoch_loss = 0.0
@@ -345,7 +326,12 @@ def train_filter(windows: np.recarray, cfg: TrainConfig, audio: PcmAudio) -> Fil
             loss, d_w, d_b = total_gradients(forms[rows], labels[rows], params[:-1], params[-1])
             epoch_loss += loss
             grad = np.concatenate([d_w, [d_b]]) / len(rows)
-            params = opt.step(params, grad)
+            step += 1
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
+            m_hat = m / (1 - ADAM_BETA1**step)
+            v_hat = v / (1 - ADAM_BETA2**step)
+            params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
         if epoch_loss == 0.0:
             break
     return FilterModel(params[:-1], float(params[-1]))

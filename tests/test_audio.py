@@ -70,7 +70,7 @@ def test_filter_model_holds_exactly_the_filter_taps(taps):
     # A 5-tap model used to build and filter, though training only makes 23.
     with pytest.raises(ValueError, match=f"^weights must hold 23 values, got {taps}$"):
         FilterModel(np.full(taps, 0.1))
-    with pytest.raises(ValueError, match=r"^weights must be one-dimensional, got shape \(2, 2\)$"):
+    with pytest.raises(ValueError, match="^weights must be one-dimensional$"):
         FilterModel(np.ones((2, 2)))
     assert FilterModel(np.full(23, 0.1)).weights.shape == (23,)
 

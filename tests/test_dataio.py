@@ -719,6 +719,33 @@ def test_labels_and_events_skip_blank_lines_and_extra_fields(tmp_path):
     assert np.array_equal(read_events_csv(events), [[105.0, 0.9], [210.0, 0.5]])
 
 
+def test_labels_and_events_find_their_columns_by_name(tmp_path):
+    # The labels reader used to need t_ms first and the events reader time_ms,score first.
+    plain, moved = tmp_path / "plain.csv", tmp_path / "moved.csv"
+    write_labels_csv(plain, LabelSet(np.array([100.0, 250.5])))
+    moved.write_text("who,t_ms\na,100.000\nb,250.500\n")
+    assert np.array_equal(read_labels_csv(moved).shots, read_labels_csv(plain).shots)
+    write_events_csv(plain, np.array([[105.0, 0.9], [210.0, 0.5]]))
+    moved.write_text("note,score,time_ms\nx,0.900000,105.000\ny,0.500000,210.000\n")
+    assert np.array_equal(read_events_csv(moved), read_events_csv(plain))
+
+
+@pytest.mark.parametrize("read", [read_imu_csv, read_labels_csv, read_events_csv], ids=["imu", "labels", "events"])
+def test_an_empty_csv_has_no_header(tmp_path, read):
+    # The labels reader used to report missing column t_ms, the events reader expected header time_ms,score.
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ValueError, match="^missing header$"):
+        read(path)
+
+
+def test_events_csv_names_a_missing_column(tmp_path):
+    path = tmp_path / "detections.csv"
+    path.write_text("t,score\n105.0,0.9\n")
+    with pytest.raises(ValueError, match="^missing column time_ms$"):
+        read_events_csv(path)
+
+
 def test_header_only_files_are_empty(tmp_path):
     imu = tmp_path / "imu.csv"
     imu.write_text("t_ms,ax,ay,az,gx,gy,gz\n\n")
@@ -835,10 +862,13 @@ def test_filter_model_rejects_another_tap_count(tmp_path):
     rewrite_json(path, path, lambda p: p["weights"].append(1.0))
     with pytest.raises(ValueError, match="^filter model: weights must hold 23 values, got 24$"):
         load_filter_model(path)
-    # The model's own checks name the model like every other loader error.
+    # The model's own checks name the model like every other loader error; a non-finite weight names its entry.
     save_filter_model(path, FilterModel(np.ones(23), 0.0))
     rewrite_json(path, path, lambda p: p["weights"].__setitem__(3, float("nan")))
-    with pytest.raises(ValueError, match="^filter model: model parameters must be finite$"):
+    with pytest.raises(ValueError, match="^filter model: weights\\[3\\] must be a finite JSON number, got NaN$"):
+        load_filter_model(path)
+    rewrite_json(path, path, lambda p: p.update(weights=[1.0] * 23, bias=float("inf")))
+    with pytest.raises(ValueError, match="^filter model: bias must be finite$"):
         load_filter_model(path)
 
 
@@ -851,7 +881,7 @@ def test_filter_model_rejects_another_tap_count(tmp_path):
         (lambda p: p.update(bias=True), "bias must be a JSON number, got boolean"),
         (lambda p: p.update(bias="1.5"), "bias must be a JSON number, got string"),
         # Used to report "weights must hold 23 values, got 23".
-        (lambda p: p.update(weights=[p["weights"]]), "weights\\[0\\] must be a JSON number, got array"),
+        (lambda p: p.update(weights=[p["weights"]]), "weights\\[0\\] must be a finite JSON number, got array"),
         # 10.0 and 8000.0 used to load, and saving the model again wrote 10 and 8000.
         (lambda p: p.update(microframe_ms=10.0), "microframe_ms must be a JSON integer, got 10.0"),
         (lambda p: p.update(sample_rate=8000.0), "sample_rate must be a JSON integer, got 8000.0"),
