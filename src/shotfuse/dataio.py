@@ -322,26 +322,40 @@ def _digits(values: np.ndarray, count: int) -> np.ndarray:
     return pairs.view(np.uint8)[:, count % 2 :]
 
 
-def _fixed_rows(table: np.ndarray, decimals, row_format: str, end: bytes) -> bytes:
-    """The bytes of row_format % row for each row of the 2-D float table, where row_format is "%.{p}f" per column.
+def _fixed_rows(table: np.ndarray, row_format: str, end: bytes) -> bytes:
+    """The bytes of row_format % row for each row of the 2-D float table, one field format per column.
 
-    Each column is formatted at once: y = x * 10**p, N = rint(y). When
-    |y - N| < 0.5 - spacing(|y|), the exact value x * 10**p (y is within
-    half a spacing of it) is strictly nearer N than any other integer, so
-    the correctly rounded "%.{p}f" of x prints the digits of |N|, after a
-    minus sign when x's sign bit is set (-0.0 and negatives that round to
-    0 print -0.000). A row with a value that fails this test (a possible
-    tie, |y| >= 2**52, a NaN or an infinity) is formatted by row_format.
-    Each field has a fixed-width slot: a minus sign, its whole digits
-    zero-padded to the column's widest, the point, the decimals and the
-    comma or line end. One mask keeps the sign of negative values and the
-    whole digits from the first significant one, so compacting the slots
-    by it leaves the text in row order.
+    Each column is formatted at once. A "%.{p}f" column is formatted from
+    integers: y = x * 10**p, N = rint(y). When |y - N| < 0.5 - spacing(|y|),
+    the exact value x * 10**p (y is within half a spacing of it) is
+    strictly nearer N than any other integer, so the correctly rounded
+    "%.{p}f" of x prints the digits of |N|, after a minus sign when x's
+    sign bit is set (-0.0 and negatives that round to 0 print -0.000). A
+    row with a value that fails this test (a possible tie, |y| >= 2**52, a
+    NaN or an infinity) is formatted by row_format. Any other column is
+    formatted by its own % one value at a time. Each field has a
+    fixed-width slot: for "%.{p}f" a minus sign, its whole digits
+    zero-padded to the column's widest, the point, the decimals, and for
+    the others the column's widest text, NUL-padded; then the comma or line
+    end. One mask keeps the sign of negative values, the whole digits from
+    the first significant one and the text before the padding, so
+    compacting the slots by it leaves the text in row order.
     """
     rows = table.shape[0]
+    fields = row_format.split(",")
     slots, keep = [], []
     exact = np.ones(rows, dtype=bool)
-    for i, (column, p) in enumerate(zip(table.T, decimals)):
+    for i, (column, field) in enumerate(zip(table.T, fields)):
+        tail = end if i == len(fields) - 1 else b","
+        if not re.fullmatch(r"%\.[1-9]f", field):
+            text = np.array([field % x for x in column.tolist()], dtype=bytes)
+            slot = np.empty((rows, text.itemsize + len(tail)), dtype=np.uint8)
+            slot[:, : text.itemsize] = text.view(np.uint8).reshape(rows, -1)
+            slot[:, text.itemsize :] = np.frombuffer(tail, dtype=np.uint8)
+            slots.append(slot)
+            keep.append(slot != 0)
+            continue
+        p = int(field[2:-1])
         y = np.abs(column * 10.0**p)  # |x| * 10**p: the product of |x| rounds as that of x
         n = np.rint(y)
         with np.errstate(invalid="ignore"):  # inf - inf
@@ -351,7 +365,6 @@ def _fixed_rows(table: np.ndarray, decimals, row_format: str, end: bytes) -> byt
         whole = n // np.uint64(10**p)
         width = len(str(int(whole.max(initial=0))))  # digits of the widest whole part
         digits = _digits(n, width + p)
-        tail = end if i == len(decimals) - 1 else b","
         slot = np.empty((rows, 2 + width + p + len(tail)), dtype=np.uint8)
         slot[:, 0] = ord("-")
         slot[:, 1 : 1 + width] = digits[:, :width]
@@ -381,19 +394,16 @@ def _fixed_rows(table: np.ndarray, decimals, row_format: str, end: bytes) -> byt
 def _write_csv(path, columns, row_format: str, table: np.ndarray, end: str = "\n") -> None:
     """Write the header, then row_format % row for each row of the 2-D table, lines ended by end.
 
-    A table of _FIXED_MIN_ROWS rows or more whose row_format is "%.{p}f"
-    per column is formatted a column at a time by _fixed_rows, with the
-    same bytes, _FORMAT_ROWS rows per write.
+    A table of _FIXED_MIN_ROWS rows or more is formatted a column at a time
+    by _fixed_rows, with the same bytes, _FORMAT_ROWS rows per write.
     """
-    fields = row_format.split(",")
-    decimals = [int(f[2:-1]) for f in fields if re.fullmatch(r"%\.[1-9]f", f)]
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + end).encode())
-        if len(table) < _FIXED_MIN_ROWS or len(decimals) < len(fields):
+        if len(table) < _FIXED_MIN_ROWS:
             fh.write("".join([(row_format + end) % tuple(row) for row in table.tolist()]).encode())
             return
         for start in range(0, len(table), _FORMAT_ROWS):
-            fh.write(_fixed_rows(table[start : start + _FORMAT_ROWS], decimals, row_format, end.encode()))
+            fh.write(_fixed_rows(table[start : start + _FORMAT_ROWS], row_format, end.encode()))
 
 
 def write_imu_csv(path, stream: ImuStream) -> None:

@@ -121,23 +121,30 @@ def windows_from_labels(audio: PcmAudio, labels: LabelSet, seed: int = 0) -> np.
 
     # Negative centers come from a capped stream of 100 * wanted uniform
     # draws; the first `wanted` far enough from every label whose
-    # microframe has the margin are kept. The stream is drawn in growing
-    # prefix chunks, which give the values of one draw, in order, and
-    # stops once enough are kept.
+    # microframe has the margin are kept. The stream is drawn in prefix
+    # chunks, which give the values of one draw, in order, and stops once
+    # enough are kept. The first chunk is 2 * wanted draws; each later one
+    # is twice the draws the acceptance so far expects the rest to need,
+    # but never more than a schedule that doubles the chunk every time.
     wanted = int(round(TrainConfig.neg_pos_ratio * positive.size))
     margin_ms = (DRAW_MARGIN_FRAMES + 0.5) * MICROFRAME_MS
     lo = margin_ms
     hi = len(audio) * 1000.0 / SAMPLE_RATE_HZ - margin_ms
     kept = [np.empty(0, dtype=int)]
     budget = 100 * wanted
-    chunk = 2 * wanted
-    while budget > 0 and sum(map(len, kept)) < wanted:
-        centers = rng.uniform(lo, hi, min(chunk, budget))
+    drawn = found = 0
+    size = doubling = 2 * wanted
+    while budget > 0 and found < wanted:
+        centers = rng.uniform(lo, hi, min(size, budget))
         budget -= centers.size
-        chunk *= 2
         frame = frames(centers)
         far = (frame >= 0) & (_label_distance(labels, centers) >= MIN_LABEL_DISTANCE_MS)
         kept.append(frame[far])
+        drawn += centers.size
+        found += kept[-1].size
+        doubling *= 2
+        # The ceiling of 2 * (wanted - found) / (found / drawn).
+        size = min(doubling, -(-2 * (wanted - found) * drawn // found)) if found else doubling
     negative = np.concatenate(kept)[:wanted]
 
     lead = FILTER_TAPS - 1 + MACROFRAME_HALF * MICROFRAME_SAMPLES

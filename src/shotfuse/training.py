@@ -79,7 +79,7 @@ PACKED_TAPS = FILTER_TAPS * (FILTER_TAPS + 1) // 2
 _UPPER = np.triu_indices(FILTER_TAPS)
 _SYMMETRIC = np.empty((FILTER_TAPS, FILTER_TAPS), dtype=np.intp)
 _SYMMETRIC[_UPPER] = _SYMMETRIC.T[_UPPER] = np.arange(PACKED_TAPS)
-_ROW_START = np.r_[0, np.cumsum(np.arange(FILTER_TAPS, 0, -1))]
+_ROW_START = [0, *np.cumsum(np.arange(FILTER_TAPS, 0, -1)).tolist()]
 _PAIR_SCALE = np.where(_UPPER[0] == _UPPER[1], 1.0, 2.0)
 # The nonzero steps of 11 c over the center macroframe (10 on the center
 # microframe, -1 on the rest, 0 outside) and where they are, the samples of
@@ -250,7 +250,7 @@ def _history_forms(history: np.ndarray, forms: np.ndarray) -> np.ndarray:
     np.matmul(np.multiply(u, _STEPS[_EDGES, None], out=weighted).transpose(0, 2, 1), u, out=shift)
     for i in range(n_taps - 1):
         row, below = _ROW_START[i], _ROW_START[i + 1]
-        forms[:, below : below + n_taps - 1 - i] = forms[:, row : below - 1] + shift[:, i, i:]
+        np.add(forms[:, row : below - 1], shift[:, i, i:], out=forms[:, below : below + n_taps - 1 - i])
     np.divide(forms, _FORM_SCALE, out=forms)
     return forms
 
@@ -268,7 +268,9 @@ def total_gradients(
     A window's loss is -(score) for a missed shot, +(score) for a false
     alarm, and 0 for a correct classification (ties at score 0 count as
     non-shot). The score is w @ Q @ w + bias, so its weight gradient is
-    2 Q w, and the batch's is 2 (sum of +-Q) w: one unpacked matrix.
+    2 Q w, and the batch's is 2 (sum of +-Q) w: one unpacked matrix. The
+    arguments are checked, then the same core as train_filter's mini-batches
+    (_gradients) computes them.
     """
     forms = np.asarray(forms, dtype=float)
     if forms.ndim != 2 or forms.shape[1] != PACKED_TAPS or weights.size != FILTER_TAPS:
@@ -276,10 +278,19 @@ def total_gradients(
     labels = np.asarray(labels, dtype=float)
     if labels.shape != (len(forms),):
         raise ValueError("need one label per window")
+    d_w = np.empty(FILTER_TAPS)
+    loss, d_b = _gradients(forms, labels, weights, bias, d_w)
+    return loss, d_w, d_b
+
+
+def _gradients(forms: np.ndarray, labels: np.ndarray, weights: np.ndarray, bias: float, d_w: np.ndarray):
+    """total_gradients without its checks, of float labels: loss and bias gradient; the weight gradient goes into d_w."""
     score = form_scores(forms, weights, bias)
     # +1 for a false alarm, -1 for a missed shot, 0 when correct.
     d_score = (score > 0.0) - labels
-    return float(d_score @ score), 2.0 * ((d_score @ forms)[_SYMMETRIC] @ weights), float(d_score.sum())
+    np.matmul((d_score @ forms)[_SYMMETRIC], weights, out=d_w)
+    d_w *= 2.0
+    return float(d_score @ score), float(d_score.sum())
 
 
 def train_filter(windows: np.recarray, cfg: TrainConfig, audio: PcmAudio) -> FilterModel:
@@ -291,7 +302,9 @@ def train_filter(windows: np.recarray, cfg: TrainConfig, audio: PcmAudio) -> Fil
     subsampled (without replacement, when enough exist) to neg_pos_ratio
     per positive. Training stops at max_epochs or after an epoch whose
     total loss is zero. Batch gradients are means, keeping the learning
-    rate scale-free in batch size.
+    rate scale-free in batch size. Each mini-batch goes through the core of
+    total_gradients (_gradients) without its checks: the labels are cast
+    to float once and the mean gradient is written into one reused vector.
     """
     positives = np.flatnonzero(windows["label"] == 1)
     negatives = np.flatnonzero(windows["label"] == 0)
@@ -312,26 +325,37 @@ def train_filter(windows: np.recarray, cfg: TrainConfig, audio: PcmAudio) -> Fil
     chosen = windows[np.concatenate([positives, negatives])]
     by_start = np.argsort(chosen["start"])
     forms = center_forms(audio, chosen["start"][by_start])
-    labels = chosen["label"][by_start]
+    labels = chosen["label"][by_start].astype(float)
     row_of = np.empty_like(by_start)
     row_of[by_start] = np.arange(by_start.size)
 
+    # The weights and the bias, their mean gradient, Adam's moment estimates
+    # and two scratch vectors are updated in place, each step by the
+    # operations of params - lr * m_hat / (sqrt(v_hat) + eps) in that
+    # order: their roundings fix the model's bytes.
     params = np.concatenate([weights, [0.0]])
-    m, v, step = np.zeros(params.size), np.zeros(params.size), 0  # Adam's moment estimates and step count
+    weights = params[:-1]
+    grad, m, v, update, root = (np.zeros(params.size) for _ in range(5))
+    step = 0
     for _ in range(cfg.max_epochs):
         order = row_of[rng.permutation(len(forms))]
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
-            loss, d_w, d_b = total_gradients(forms[rows], labels[rows], params[:-1], params[-1])
+            loss, grad[-1] = _gradients(forms[rows], labels[rows], weights, params[-1], grad[:-1])
             epoch_loss += loss
-            grad = np.concatenate([d_w, [d_b]]) / len(rows)
+            grad /= len(rows)
             step += 1
-            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
-            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
-            m_hat = m / (1 - ADAM_BETA1**step)
-            v_hat = v / (1 - ADAM_BETA2**step)
-            params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+            m *= ADAM_BETA1
+            m += np.multiply(grad, 1 - ADAM_BETA1, out=update)
+            v *= ADAM_BETA2
+            v += np.multiply(np.multiply(grad, 1 - ADAM_BETA2, out=update), grad, out=update)
+            np.sqrt(np.divide(v, 1 - ADAM_BETA2**step, out=root), out=root)
+            root += ADAM_EPSILON
+            np.divide(m, 1 - ADAM_BETA1**step, out=update)
+            update *= cfg.learning_rate
+            update /= root
+            params -= update
         if epoch_loss == 0.0:
             break
-    return FilterModel(params[:-1], float(params[-1]))
+    return FilterModel(weights, float(params[-1]))

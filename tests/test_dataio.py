@@ -499,6 +499,24 @@ def test_fixed_decimal_csv_text_is_percent_rows_byte_for_byte(tmp_path, rng, mon
     assert path.read_bytes() == percent_rows(",".join(shotfuse.imu.IMU_FIELDS), "%.3f" + ",%.6f" * 6, block.T, "\r\n")
 
 
+@pytest.mark.parametrize("format_rows", [97, 4096])
+def test_mixed_format_csv_text_is_percent_rows_byte_for_byte(tmp_path, rng, monkeypatch, format_rows):
+    # "%.9g" columns are formatted by % a value at a time beside the "%.{p}f" columns.
+    monkeypatch.setattr(shotfuse.dataio, "_FORMAT_ROWS", format_rows)
+    path = tmp_path / "out.csv"
+    values = np.concatenate([decimal_edge_values(rng, 6), [1e-320, 1.0 / 3.0, 123456789.0]])
+    # An epoch-scale start puts ties and long whole parts in the time column.
+    series = SampleSeries(1.7e12 + 0.0005, rng.permutation(values))
+    write_series_csv(path, series)
+    table = np.column_stack((series.times(), series.values))
+    assert path.read_bytes() == percent_rows("time_ms,value", "%.3f,%.9g", table)
+    # Not finite values fall back to % rows in a "%.{p}f" column and print as % does in the others.
+    values = np.concatenate([values, [np.nan, np.inf, -np.inf]])
+    table = np.column_stack((rng.permutation(values), rng.permutation(values), values))
+    shotfuse.dataio._write_csv(path, ("a", "b", "c"), "%.9g,%.3f,%.4e", table, end="\r\n")
+    assert path.read_bytes() == percent_rows("a,b,c", "%.9g,%.3f,%.4e", table, "\r\n")
+
+
 def test_imu_csv_validates_the_samples_once(tmp_path, monkeypatch):
     calls = []
     check = shotfuse.imu.first_invalid_sample

@@ -279,6 +279,47 @@ def test_negative_windows_match_a_full_draw(monkeypatch, ratio, distance_ms, see
     assert windows.start[windows.label == 0].tolist() == expected.tolist() and expected.size > 0
 
 
+def counted_draws(monkeypatch):
+    """The number of centers each _label_distance call of windows_from_labels scores, one entry per call."""
+    scored = []
+    label_distance = pipeline._label_distance
+
+    def counting(labels, times):
+        scored.append(times.size)
+        return label_distance(labels, times)
+
+    monkeypatch.setattr(pipeline, "_label_distance", counting)
+    return scored
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_negative_draws_are_sized_by_their_acceptance(monkeypatch, seed):
+    # 200 shots in 300 s: a draw passes the 500 ms label test about one time in three.
+    audio, _, labels = sf.synthesize(sf.SynthConfig(duration_s=300.0, shot_count=200, seed=seed))
+    scored = counted_draws(monkeypatch)
+    windows = windows_from_labels(audio, labels, seed=seed)
+    wanted = 20 * np.count_nonzero(windows.label == 1)
+    # The uniform stream the negatives are the first `wanted` passing draws of.
+    centers = np.random.default_rng(seed).uniform(105.0, audio.end_time - 105.0, 100 * wanted)
+    frames = (centers / 10).astype(int)
+    far = np.abs(centers[:, None] - labels.shots).min(axis=1) >= 500.0
+    passing = (frames >= 10) & (frames + 10 < len(audio) // 80) & far
+    position = np.flatnonzero(passing)[wanted - 1] + 1
+    assert np.count_nonzero(windows.label == 0) == wanted and 0.25 < passing[:position].mean() < 0.4
+    # Doubling the chunk until enough pass would score 3 * 2 * wanted, twice the draws used.
+    assert scored[0] == 2 * wanted and sum(scored) < 1.5 * position
+
+
+def test_negative_draws_double_while_none_pass(monkeypatch):
+    # No draw lies 1000 s from a label, so the whole capped stream of 100 * wanted draws is scored.
+    audio, _, labels = sf.synthesize(sf.SynthConfig(duration_s=30.0, shot_count=10, seed=90))
+    monkeypatch.setattr(pipeline, "MIN_LABEL_DISTANCE_MS", 1e6)
+    scored = counted_draws(monkeypatch)
+    windows = windows_from_labels(audio, labels, seed=1)
+    wanted = 20 * len(windows)
+    assert scored == [2 * wanted, 4 * wanted, 8 * wanted, 16 * wanted, 32 * wanted, 38 * wanted]
+
+
 def test_windows_from_labels_without_labels():
     audio, _, _ = sf.synthesize(sf.SynthConfig(duration_s=10.0, shot_count=3, seed=87))
     windows = windows_from_labels(audio, sf.LabelSet(np.empty(0)))

@@ -15,6 +15,9 @@ from shotfuse.audio import PCM_SCALE, WINDOW_SAMPLES
 from shotfuse.dataio import WavFile, read_wav, write_wav
 from shotfuse.pipeline import window_metrics
 from shotfuse.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     FORM_CHUNK_WINDOWS,
     INIT_STD,
     PACKED_TAPS,
@@ -549,6 +552,60 @@ def test_training_is_deterministic(rng):
     b = train_filter(windows, cfg, audio)
     assert np.array_equal(a.weights, b.weights)
     assert a.bias == b.bias
+
+
+def reference_train_filter(windows, cfg, audio):
+    """train_filter written plainly: its weights, its bias and the epochs it ran.
+
+    The same draws from one seeded generator: the initial weights, the
+    negative subsample, one permutation of the chosen windows per epoch.
+    Each mini-batch's summed gradients, divided by its size, take one Adam
+    step. The forms are the chosen windows' own, in the order chosen.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    weights = rng.normal(0.0, INIT_STD, 23)
+    positives = np.flatnonzero(windows.label == 1)
+    negatives = np.flatnonzero(windows.label == 0)
+    wanted = int(round(cfg.neg_pos_ratio * positives.size))
+    if negatives.size > wanted:
+        negatives = negatives[rng.choice(negatives.size, size=wanted, replace=False)]
+    chosen = np.concatenate([positives, negatives])
+    forms = center_forms(audio, windows.start)[chosen]
+    labels = windows.label[chosen]
+    params, m, v, step = np.append(weights, 0.0), np.zeros(24), np.zeros(24), 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = rng.permutation(len(chosen))
+        epoch_loss = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            loss, d_w, d_b = total_gradients(forms[batch], labels[batch], params[:-1], params[-1])
+            epoch_loss += loss
+            grad = np.append(d_w, d_b) / len(batch)
+            step += 1
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
+            m_hat = m / (1 - ADAM_BETA1**step)
+            v_hat = v / (1 - ADAM_BETA2**step)
+            params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        if epoch_loss == 0.0:
+            break
+    return params[:-1], params[-1], epoch
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_train_filter_is_the_plain_adam_loop_bit_for_bit(rng, epochs):
+    # 10 positives keep 200 of the 240 noise windows: six batches of 32 and one of 18.
+    # Labels interleave, so the chosen windows are not in start order.
+    rows = random_windows(rng, 250)
+    labels = np.zeros(250, dtype=int)
+    labels[3::25] = 1
+    rows[labels == 1] = burst_window()
+    windows, audio = labeled(rows, labels)
+    cfg = TrainConfig(seed=11, max_epochs=epochs)
+    model = train_filter(windows, cfg, audio)
+    weights, bias, ran = reference_train_filter(windows, cfg, audio)
+    assert ran == epochs  # no epoch reached zero loss
+    assert model.weights.tobytes() == weights.tobytes() and model.bias == bias
 
 
 @pytest.mark.parametrize("length", [902, 959, DRAW_SAMPLES])
