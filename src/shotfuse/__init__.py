@@ -5,14 +5,13 @@ from .audio import (
     PcmAudio,
     apf,
     audio_likelihood,
-    detect_audio,
+    audio_only_events,
     short_time_energy,
 )
 from .events import EvalReport, LabelSet, dedup, evaluate
 from .forest import ForestModel, classify, train_forest
 from .fusion import (
     SyncedSeries,
-    audio_only_events,
     detect_shots,
     extract_features,
     select_candidates,
@@ -51,7 +50,6 @@ __all__ = [
     "cross_correlate",
     "decompose",
     "dedup",
-    "detect_audio",
     "detect_shots",
     "estimate_offset",
     "evaluate",

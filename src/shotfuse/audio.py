@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .events import dedup
 from .series import PERIOD_MS, SampleSeries, deviation, finite_vector, fir_frames, freeze, freeze_in_place
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
     "short_time_energy",
     "apf",
     "audio_likelihood",
-    "detect_audio",
+    "audio_only_events",
 ]
 
 #: Microphone sample rate; the WAV readers (read_wav and WavFile, through dataio._open_wav) accept no other.
@@ -183,7 +184,7 @@ def audio_likelihood(x: PcmAudio, model: FilterModel) -> SampleSeries:
     """Likelihood series of the filtered stream; the bias is not applied here.
 
     Downstream consumers (synchronizer, fusion) want the raw peak function;
-    only :func:`detect_audio` folds in the decision bias. x is a PcmAudio
+    only :func:`audio_only_events` folds in the decision bias. x is a PcmAudio
     or a dataio.WavFile (see :func:`short_time_energy`); the detection
     workflows pass a WavFile, so the recording is read one FIR chunk at a
     time and never held.
@@ -191,13 +192,15 @@ def audio_likelihood(x: PcmAudio, model: FilterModel) -> SampleSeries:
     return apf(short_time_energy(x, model.weights))
 
 
-def detect_audio(x: PcmAudio, model: FilterModel) -> np.ndarray:
-    """One event per microframe whose biased likelihood is strictly positive; x as in audio_likelihood.
+def audio_only_events(x: PcmAudio, model: FilterModel) -> np.ndarray:
+    """Single-modality baseline: the microframes whose biased likelihood is strictly positive, deduplicated.
 
-    Returns the (n, 2) event table: time_ms, then the biased likelihood as score.
+    x is as in audio_likelihood. Returns the (n, 2) event table: time_ms,
+    then the biased likelihood as score, one row per event events.dedup keeps.
     """
     likelihood = audio_likelihood(x, model)
     scores = likelihood.values + model.bias
     hits = np.flatnonzero(scores > 0.0)
     times = likelihood.start_time + hits * PERIOD_MS
-    return np.column_stack((times, scores[hits]))
+    kept = dedup(times)
+    return np.column_stack((times[kept], scores[hits[kept]]))

@@ -96,9 +96,9 @@ class WavFile:
     """A WAV recording read from disk one buffer at a time: a PcmAudio that is never held whole.
 
     It reads like a PcmAudio to short_time_energy, audio_likelihood,
-    detect_audio, audio_only_events and training.center_forms (so to
-    train_filter, window_metrics and windows_from_labels too), which read
-    only these two: len() is the frame count its header declares, and
+    audio_only_events and training.center_forms (so to train_filter,
+    window_metrics and windows_from_labels too), which read only these
+    two: len() is the frame count its header declares, and
     read_into(buffer) reads the samples afresh, in order, into the
     caller's int16 buffer, as read_wav would return them; they decode by
     audio.PCM_SCALE. Opening checks the header as read_wav does; a file

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import FilterModel, PcmAudio, detect_audio
 from .audio import audio_likelihood  # noqa: F401 -- still bound here for tools that wrap it
 from .events import NEIGHBORHOOD_MS, dedup
 from .forest import ForestModel, classify
@@ -29,7 +28,6 @@ __all__ = [
     "extract_features",
     "candidate_table",
     "detect_shots",
-    "audio_only_events",
 ]
 
 #: Fixed feature order of the fusion classifier.
@@ -154,10 +152,3 @@ def detect_shots(synced: SyncedSeries, forest_model: ForestModel) -> np.ndarray:
     hits = np.flatnonzero(labels == 1)
     kept = hits[dedup(times[hits])]
     return np.column_stack((times[kept], scores[kept]))
-
-
-def audio_only_events(audio: PcmAudio, filter_model: FilterModel) -> np.ndarray:
-    """Single-modality baseline: biased likelihood threshold plus dedup; audio as in audio_likelihood."""
-    events = detect_audio(audio, filter_model)
-    return events[dedup(events[:, 0])]
-

@@ -23,6 +23,7 @@ from .audio import (
     FilterModel,
     PcmAudio,
     audio_likelihood,
+    audio_only_events,
 )
 from .dataio import (
     WavFile,
@@ -45,7 +46,7 @@ from .dataio import (
 from .dataio import read_wav  # noqa: F401 -- still bound here for tools that wrap it
 from .events import MATCH_TOLERANCE_MS, LabelSet, check_tolerance, evaluate, precision_recall_f
 from .forest import DEFAULT_TREE_COUNT, check_seed, classify, train_forest
-from .fusion import SyncedSeries, audio_only_events, candidate_table, detect_shots
+from .fusion import SyncedSeries, candidate_table, detect_shots
 from .fusion import extract_features, select_candidates  # noqa: F401 -- still bound here for tools that wrap them
 from .imu import ImuComponents, ipf, prepare_components
 from .series import SampleSeries

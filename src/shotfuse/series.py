@@ -104,13 +104,9 @@ class SampleSeries:
     def times(self) -> np.ndarray:
         return self.start_time + np.arange(len(self)) * PERIOD_MS
 
-    def index_at(self, t_ms):
-        """Nearest sample index of a timestamp, or of each timestamp in an array.
-
-        Ties round to even; the index may fall outside the series.
-        """
-        idx = np.rint((np.asarray(t_ms, dtype=float) - self.start_time) / PERIOD_MS)
-        return int(idx) if idx.ndim == 0 else idx.astype(int)
+    def index_at(self, t_ms: np.ndarray) -> np.ndarray:
+        """Nearest sample index of each time in a float array, ties to even; it may fall outside the series."""
+        return np.rint((t_ms - self.start_time) / PERIOD_MS).astype(int)
 
     def with_values(self, values) -> "SampleSeries":
         return SampleSeries(self.start_time, values)
@@ -241,18 +237,12 @@ def deviation(values: np.ndarray, window: int, lead: int) -> np.ndarray:
 
 
 def _window_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Sum, sum of squares and constancy of x[lo:hi] for each (lo, hi) pair.
-
-    All three come from one reused array of running totals whose first entry is 0.
-    """
+    """Sum and sum of squares of x[lo:hi] for each (lo, hi) pair, from one reused array of running totals."""
     running = np.zeros(x.size + 1)
     np.cumsum(x, out=running[1:])
     sums = running[hi] - running[lo]
     np.cumsum(np.square(x, out=running[1:]), out=running[1:])
-    squares = running[hi] - running[lo]
-    # running[i] counts the changes x[k] != x[k - 1] for 0 < k <= i.
-    np.cumsum(np.not_equal(x[1:], x[:-1], out=running[1 : x.size]), out=running[1 : x.size])
-    return sums, squares, running[hi - 1] == running[lo]
+    return sums, running[hi] - running[lo]
 
 
 #: Samples of u per row of _lagged_products' matmul, and the most rows per copy of v's windows.
@@ -327,18 +317,24 @@ def cross_correlate(a: SampleSeries, b: SampleSeries, max_lag: int) -> np.ndarra
     Returns a float array of 2 * max_lag + 1 correlations, one per integer
     lag in [-max_lag, +max_lag] in lag order, so lag sits at index
     lag + max_lag. Each overlap window is zero-meaned and unit-normed, so
-    correlations lie in [-1, 1]; a zero-variance window yields 0. If ``b``
-    is ``a`` delayed by k samples, the maximum sits at lag k.
+    correlations lie in [-1, 1]; a window of zero variance yields 0. If
+    ``b`` is ``a`` delayed by k samples, the maximum sits at lag k.
 
     All lags come from running sums (Lewis, "Fast Normalized
     Cross-Correlation", 1995): window sums and sums of squares by cumsum,
     cross terms by one blocked matmul of ``a`` against windows of
-    zero-padded ``b`` (_lagged_products). On values of a binary grid such
-    as the 1/16 steps of triangle-smoothed levels every product, sum,
-    numerator and window variance is exact, so rounding happens only in the
+    zero-padded ``b`` (_lagged_products).
+
+    It is specified on the 1/16 grid of triangle_smooth(quantize(...)), the
+    values its one caller (sync) passes. There every product, sum,
+    numerator and window variance is exact, so a window's variance is 0
+    exactly when the window is constant, and rounding happens only in the
     final product, square root and division: the result does not depend on
     the summation order, the block size or the BLAS thread count, and
-    windows with equal statistics give bit-equal correlations.
+    windows with equal statistics give bit-equal correlations. Off the
+    grid the sums round: a correlation is close to the exact one only
+    where its windows' variances stand well above that rounding, and a
+    constant window need not yield 0.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty signal")
@@ -349,13 +345,12 @@ def cross_correlate(a: SampleSeries, b: SampleSeries, max_lag: int) -> np.ndarra
     i0 = np.maximum(0, -lags)
     i1 = np.minimum(u.size, v.size - lags)
     n = (i1 - i0).astype(float)
-    su, suu, u_flat = _window_sums(u, i0, i1)
-    sv, svv, v_flat = _window_sums(v, i0 + lags, i1 + lags)
+    su, suu = _window_sums(u, i0, i1)
+    sv, svv = _window_sums(v, i0 + lags, i1 + lags)
     suv = _lagged_products(u, v, max_lag)
     num = n * suv - su * sv
     var = (n * suu - su * su) * (n * svv - sv * sv)
-    # Off the grid, cancellation can leave a non-constant window a variance <= 0.
-    live = ~(u_flat | v_flat) & (var > 0.0)
+    live = var > 0.0
     corr = np.zeros(lags.size)
     corr[live] = num[live] / np.sqrt(var[live])
     return corr

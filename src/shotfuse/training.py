@@ -268,9 +268,8 @@ def total_gradients(
     A window's loss is -(score) for a missed shot, +(score) for a false
     alarm, and 0 for a correct classification (ties at score 0 count as
     non-shot). The score is w @ Q @ w + bias, so its weight gradient is
-    2 Q w, and the batch's is 2 (sum of +-Q) w: one unpacked matrix. The
-    arguments are checked, then the same core as train_filter's mini-batches
-    (_gradients) computes them.
+    2 Q w, and the batch's is 2 (sum of +-Q) w: one unpacked matrix.
+    train_filter scores each mini-batch here, checks included.
     """
     forms = np.asarray(forms, dtype=float)
     if forms.ndim != 2 or forms.shape[1] != PACKED_TAPS or weights.size != FILTER_TAPS:
@@ -278,19 +277,12 @@ def total_gradients(
     labels = np.asarray(labels, dtype=float)
     if labels.shape != (len(forms),):
         raise ValueError("need one label per window")
-    d_w = np.empty(FILTER_TAPS)
-    loss, d_b = _gradients(forms, labels, weights, bias, d_w)
-    return loss, d_w, d_b
-
-
-def _gradients(forms: np.ndarray, labels: np.ndarray, weights: np.ndarray, bias: float, d_w: np.ndarray):
-    """total_gradients without its checks, of float labels: loss and bias gradient; the weight gradient goes into d_w."""
     score = form_scores(forms, weights, bias)
     # +1 for a false alarm, -1 for a missed shot, 0 when correct.
     d_score = (score > 0.0) - labels
-    np.matmul((d_score @ forms)[_SYMMETRIC], weights, out=d_w)
+    d_w = (d_score @ forms)[_SYMMETRIC] @ weights
     d_w *= 2.0
-    return float(d_score @ score), float(d_score.sum())
+    return float(d_score @ score), d_w, float(d_score.sum())
 
 
 def train_filter(windows: np.recarray, cfg: TrainConfig, audio: PcmAudio) -> FilterModel:
@@ -302,9 +294,9 @@ def train_filter(windows: np.recarray, cfg: TrainConfig, audio: PcmAudio) -> Fil
     subsampled (without replacement, when enough exist) to neg_pos_ratio
     per positive. Training stops at max_epochs or after an epoch whose
     total loss is zero. Batch gradients are means, keeping the learning
-    rate scale-free in batch size. Each mini-batch goes through the core of
-    total_gradients (_gradients) without its checks: the labels are cast
-    to float once and the mean gradient is written into one reused vector.
+    rate scale-free in batch size. Each mini-batch goes through
+    total_gradients, on labels cast to float once, and its mean gradient
+    is written into one reused vector.
     """
     positives = np.flatnonzero(windows["label"] == 1)
     negatives = np.flatnonzero(windows["label"] == 0)
@@ -342,9 +334,10 @@ def train_filter(windows: np.recarray, cfg: TrainConfig, audio: PcmAudio) -> Fil
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
-            loss, grad[-1] = _gradients(forms[rows], labels[rows], weights, params[-1], grad[:-1])
+            loss, d_w, d_b = total_gradients(forms[rows], labels[rows], weights, params[-1])
             epoch_loss += loss
-            grad /= len(rows)
+            np.divide(d_w, len(rows), out=grad[:-1])
+            grad[-1] = d_b / len(rows)
             step += 1
             m *= ADAM_BETA1
             m += np.multiply(grad, 1 - ADAM_BETA1, out=update)

@@ -14,7 +14,7 @@ from shotfuse import (
     SampleSeries,
     apf,
     audio_likelihood,
-    detect_audio,
+    audio_only_events,
     short_time_energy,
 )
 
@@ -238,17 +238,17 @@ def test_likelihood_deterministic(identity_model, rng):
     assert np.array_equal(a.values, b.values)
 
 
-# --- detect_audio -------------------------------------------------------------
+# --- audio_only_events --------------------------------------------------------
 
 
 def test_detect_none_with_huge_negative_bias(rng):
     model = FilterModel(np.r_[1.0, np.zeros(22)], bias=-1e12)
     x = rng.standard_normal(8000)
-    assert detect_audio(audio_series(x), model).shape == (0, 2)
+    assert audio_only_events(audio_series(x), model).shape == (0, 2)
 
 
 def test_detect_zero_audio_zero_bias(identity_model):
-    assert detect_audio(audio_series(np.zeros(8000)), identity_model).shape == (0, 2)
+    assert audio_only_events(audio_series(np.zeros(8000)), identity_model).shape == (0, 2)
 
 
 def test_detect_single_event_at_peak():
@@ -259,7 +259,7 @@ def test_detect_single_event_at_peak():
     model = FilterModel(np.r_[1.0, np.zeros(22)], bias=-0.4)
     likelihood = audio_likelihood(audio_series(x), model)
     expected_hits = np.flatnonzero(likelihood.values + model.bias > 0)
-    events = detect_audio(audio_series(x), model)
+    events = audio_only_events(audio_series(x), model)
     assert len(events) == len(expected_hits) == 1
     hit_time = likelihood.start_time + expected_hits[0] * 10.0
     assert events[0, 0] == pytest.approx(hit_time)
@@ -270,5 +270,5 @@ def test_detect_single_event_at_peak():
 
 def test_detect_strict_inequality_at_zero(identity_model):
     # all-zero audio gives APF exactly 0; bias 0 must not fire
-    events = detect_audio(audio_series(np.zeros(2400)), identity_model)
+    events = audio_only_events(audio_series(np.zeros(2400)), identity_model)
     assert events.shape == (0, 2)

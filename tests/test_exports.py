@@ -78,3 +78,21 @@ def test_benchmark_counts_the_windows_of_a_window_table():
     expected = positives + min(negatives, round(cfg.neg_pos_ratio * positives))
     assert load_spans()._train_filter_windows((train_set, cfg), {}) == expected
     shotfuse.train_filter(train_set, cfg, audio)  # the same arguments train the filter
+
+
+def test_traced_train_filter_counts_every_window_of_its_epoch():
+    # train_filter scores its mini-batches through training.total_gradients, the binding the tracer
+    # counts windows at; one epoch scores each of its epoch windows once.
+    from shotfuse import pipeline
+    from shotfuse.pipeline import shuffle_split, windows_from_labels
+
+    audio, _, labels = shotfuse.synthesize(shotfuse.SynthConfig(duration_s=30.0, shot_count=10, seed=90))
+    train_set, _ = shuffle_split(windows_from_labels(audio, labels, seed=2), 2)
+    tracer = load_spans().Tracer()
+    try:
+        tracer.install()
+        pipeline.train_filter(train_set, shotfuse.TrainConfig(max_epochs=1), audio)
+    finally:
+        tracer.uninstall()
+    [info] = [s[4] for s in tracer.spans if s[0] == "training.train_filter"]
+    assert info["window_evals"] == info["epoch_windows"] > 0
